@@ -3,7 +3,8 @@
 Doubling constants, quotient projections with Fubini-compatible weights,
 fiber/layer-cake/spillover machinery, Ruzsa-distance calculus, certified
 structure-set extraction, the sharpness witness construction, and a
-deterministic scan harness.  Every theorem-facing number is a Fraction.
+deterministic scan harness.  Every theorem-facing number is exact: checks
+compare integer counts, and reports carry Fractions.
 """
 
 from .constructions import (

@@ -12,15 +12,15 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .constructions import (
     build_from_reference,
     build_sharpness_instance,
     load_instance,
 )
-from .errors import CapError, ConsistencyError, SpecError
-from .extract import admissible_thresholds, extract_subset
+from .context import InstanceContext
+from .errors import ConsistencyError, SpecError
+from .extract import certify, threshold_trace
 from .groups import build_group
 from .harness import (
     ALL_SUITES,
@@ -119,12 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _group_arg(text: str) -> dict:
+    """A group selector like "cyclic:12", or @file holding a spec."""
+    return parse_group_selector(_read_json(text[1:]) if text.startswith("@") else text)
+
+
 def _cmd_verify(args) -> int:
-    gspec = (
-        parse_group_selector(_read_json(args.group[1:]))
-        if args.group.startswith("@")
-        else parse_group_selector(args.group)
-    )
+    gspec = _group_arg(args.group)
     suites = ALL_SUITES if args.suite == "all" else tuple(args.suite.split(","))
     group = build_group(gspec)
     if group.order is None:
@@ -153,15 +154,9 @@ def _cmd_verify(args) -> int:
 def _cmd_construct(args) -> int:
     inst = build_sharpness_instance(args.N, args.h, args.m)
     doc = inst.to_json(materialize_cap=args.materialize_cap)
-    report = {
-        "kind": "sharpness-report",
-        "params": doc["params"],
-        "targets": doc["targets"],
-        "measures": doc["measures"],
-        "quotient_doubling": doc["quotient_doubling"],
-        "quotient_doubling_dec": doc["quotient_doubling_dec"],
-        "doubling": doc["doubling"],
-    }
+    keys = ("params", "targets", "measures", "doubling", "quotient_doubling",
+            "quotient_doubling_dec")
+    report = {"kind": "sharpness-report", **{k: doc[k] for k in keys}}
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -178,12 +173,7 @@ def _load_extract_inputs(args):
     subset_doc = _maybe_inline_json(args.subset)
     if isinstance(subset_doc, dict) and "construction" in subset_doc:
         return build_from_reference(subset_doc, "/subset")
-    gspec = (
-        parse_group_selector(_read_json(args.group[1:]))
-        if args.group.startswith("@")
-        else parse_group_selector(args.group)
-    )
-    group = build_group(gspec, "/group")
+    group = build_group(_group_arg(args.group), "/group")
     sub_doc = _maybe_inline_json(args.subgroup)
     if isinstance(sub_doc, dict) and "elements" in sub_doc and "weight" not in sub_doc:
         sub_doc = {"elements": sub_doc["elements"], "weight": args.subgroup_weight}
@@ -195,42 +185,21 @@ def _load_extract_inputs(args):
 def _cmd_extract(args) -> int:
     group, a, q = _load_extract_inputs(args)
     alphas = [parse_rat(x) for x in args.alpha.split(",")]
+    ctx = InstanceContext(a, q)
     out: dict = {"kind": "extraction-report", "group": group.name, "certificates": {}}
     status = 0
     for alpha in alphas:
-        key = fmt(alpha)
         try:
-            cert = extract_subset(a, q, alpha)
-            entry = cert.to_json(include_elements=True)
+            entry = certify(ctx, alpha).to_json(include_elements=True)
             entry["pass"] = True
             if args.trace:
-                entry["trace"] = _threshold_trace(a, q, alpha)
+                entry["trace"] = threshold_trace(ctx, alpha)
         except ConsistencyError as exc:
             entry = {"pass": False, "error": str(exc), "payload": exc.payload}
             status = 2
-        out["certificates"][key] = entry
+        out["certificates"][fmt(alpha)] = entry
     _emit(out, args.out)
     return status
-
-
-def _threshold_trace(a, q, alpha: Fraction) -> list[str]:
-    from .fibers import fiber_profile, level_family
-    from .sets import mul_set
-
-    lines = []
-    admissible = set(admissible_thresholds(a, q, alpha))
-    family = level_family(fiber_profile(a, q))
-    a2 = len(mul_set(a, a).elements)
-    k = Fraction(a2, len(a.elements))
-    for t, level in zip(family.thresholds, family.levels):
-        sq = len(mul_set(level, level).elements)
-        lhs = Fraction(sq, 1) * q.quotient_weight
-        rhs = alpha * k * len(level.elements) * q.quotient_weight
-        verdict = "admissible" if t in admissible else "rejected"
-        lines.append(
-            f"s={fmt(t)}: mu_Q(level^2)={fmt(lhs)} vs alpha*K*mu_Q(level)={fmt(rhs)} -> {verdict}"
-        )
-    return lines
 
 
 def _cmd_scan(args) -> int:
@@ -285,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _HANDLERS[args.command](args)
-    except (SpecError, CapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # SpecError, CapError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:

@@ -28,12 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ConsistencyError, SpecError
-from .groups import CyclicGroup, MatrixGroup, ProductGroup, WeightedGroup
+from .errors import CapError, ConsistencyError, SpecError
+from .groups import CyclicGroup, MatrixGroup, ProductGroup, WeightedGroup, build_group
 from .metrics import DoublingStats
 from .quotients import QuotientStructure, projection_quotient
 from .rationals import put
-from .sets import GSubset
+from .sets import GSubset, decode_subset
 
 MATERIALIZE_CAP = 200_000
 
@@ -110,10 +110,16 @@ def _cantor_radix(m: int) -> int:
     return best[1]
 
 
-def _cantor_elements(m: int, r: int) -> frozenset:
-    interval = {x % m for x in range(-r, r + 1)}
-    multiples = {x for x in range(0, m, r)}
-    return frozenset(interval | multiples)
+def _cantor(m: int, cache: dict) -> tuple[int, frozenset]:
+    """(r, C) for C = {-r..r} u rZ_m, with symmetry and C + C = Z_m verified
+    by brute force, not assumed; the sumset goes through `cache`."""
+    r = _cantor_radix(m)
+    c = frozenset({x % m for x in range(-r, r + 1)} | set(range(0, m, r)))
+    if c != frozenset((-x) % m for x in c):
+        raise ConsistencyError("cantor analog is not symmetric", {"m": m, "r": r})
+    if _sumset_mod(c, c, m, cache) is not None:
+        raise ConsistencyError("cantor analog does not cover Z_m", {"m": m, "r": r})
+    return r, c
 
 
 def _sumset_mod(x: frozenset, y: frozenset, m: int, cache: dict) -> frozenset | None:
@@ -131,15 +137,9 @@ def _sumset_mod(x: frozenset, y: frozenset, m: int, cache: dict) -> frozenset | 
 def cantor_analog(m: int, group: CyclicGroup | None = None) -> GSubset:
     """Symmetric C in Z_m with C + C = Z_m and density O(1/sqrt(m)).
 
-    C = {-r..r} u rZ_m with r = _cantor_radix(m).  Symmetry and full coverage
-    are verified by brute force, not assumed.
+    C = {-r..r} u rZ_m with r = _cantor_radix(m).
     """
-    r = _cantor_radix(m)
-    c = _cantor_elements(m, r)
-    if c != frozenset((-x) % m for x in c):
-        raise ConsistencyError("cantor analog is not symmetric", {"m": m, "r": r})
-    if _sumset_mod(c, c, m, {}) is not None:
-        raise ConsistencyError("cantor analog does not cover Z_m", {"m": m, "r": r})
+    _, c = _cantor(m, {})
     if group is None:
         group = CyclicGroup(m, "normalized")
     elif group.n != m:
@@ -274,9 +274,7 @@ class SharpnessInstance:
         return _block_count(self.blocks, self.h, self.m)
 
     def group(self) -> ProductGroup:
-        return ProductGroup(
-            [CyclicGroup(self.h, "normalized"), MatrixGroup(), CyclicGroup(self.m, "normalized")]
-        )
+        return build_group(self.group_spec())
 
     def group_spec(self) -> dict:
         return {
@@ -295,7 +293,10 @@ class SharpnessInstance:
         """Materialize A as an explicit element set (small parameters only)."""
         count = self.element_count()
         if count > cap:
-            raise CapacityError(count, cap)
+            raise CapError(
+                f"instance has {count} elements, above the materialization cap {cap}; "
+                "use smaller parameters or raise the cap"
+            )
         g = group if group is not None else self.group()
         elems: set = set()
         for w, rects in self.blocks.items():
@@ -334,14 +335,6 @@ class SharpnessInstance:
         return out
 
 
-class CapacityError(ValueError):
-    def __init__(self, count: int, cap: int) -> None:
-        super().__init__(
-            f"instance has {count} elements, above the materialization cap {cap}; "
-            "use smaller parameters or raise the cap"
-        )
-
-
 def build_sharpness_instance(n: int, h: int, m: int) -> SharpnessInstance:
     """Assemble the witness and compute every measure exactly.
 
@@ -353,13 +346,8 @@ def build_sharpness_instance(n: int, h: int, m: int) -> SharpnessInstance:
         raise ValueError(f"N must be a positive integer, got {n!r}")
     if not isinstance(h, int) or h < 2:
         raise ValueError(f"h must be an integer >= 2, got {h!r}")
-    r = _cantor_radix(m)
-    cantor = _cantor_elements(m, r)
     cache: dict = {}
-    if cantor != frozenset((-x) % m for x in cantor):
-        raise ConsistencyError("cantor analog is not symmetric", {"m": m, "r": r})
-    if _sumset_mod(cantor, cantor, m, cache) is not None:
-        raise ConsistencyError("cantor analog does not cover Z_m", {"m": m, "r": r})
+    r, cantor = _cantor(m, cache)
 
     fam = matrix_family(n)
     blocks: dict = {fam.identity: [(True, None)]}
@@ -410,9 +398,6 @@ def load_instance(doc: dict, path: str = "") -> tuple[WeightedGroup, GSubset, Qu
     Needs the materialized element list; artifacts emitted above the cap
     carry "subset": null and cannot be loaded for set-level work.
     """
-    from .groups import build_group
-    from .sets import decode_subset
-
     if not isinstance(doc, dict) or doc.get("kind") != "sharpness-instance":
         raise SpecError(path, 'expected an object with "kind": "sharpness-instance"')
     if doc.get("subset") is None:

@@ -1,0 +1,83 @@
+"""One evaluation context per instance: every product set computed once.
+
+All sizes here are integer counts: the weights are uniform, so they cancel
+from every comparison and enter only where a report is written.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from functools import cached_property
+
+from .quotients import QuotientStructure
+from .sets import GSubset, inv_set, mul_set
+
+
+class InstanceContext:
+    """A with its quotient and optional partners B and C."""
+
+    def __init__(self, a: GSubset, q: QuotientStructure | None = None,
+                 b: GSubset | None = None, c: GSubset | None = None) -> None:
+        self.a, self.q, self.b, self.c = a, q, b, c
+        self._products: dict = {}
+        self._levels: dict = {}
+
+    def mul(self, x: GSubset, y: GSubset) -> GSubset:
+        """X Y, memoized by owner too: pi(A) and A may have equal element sets."""
+        key = (x.owner, x.elements, y.elements)
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = mul_set(x, y)
+        return out
+
+    def size(self, x: GSubset, y: GSubset) -> int:
+        return len(self.mul(x, y).elements)
+
+    def diff_size(self, x: GSubset, y: GSubset) -> int:
+        """|X Y^-1|, the count behind the Ruzsa distance."""
+        return self.size(x, inv_set(y))
+
+    @cached_property
+    def inv_a(self) -> GSubset:
+        return inv_set(self.a)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return self.a.elements == self.inv_a.elements
+
+    @cached_property
+    def square(self) -> int:
+        return self.size(self.a, self.a)
+
+    @cached_property
+    def inv_square(self) -> int:
+        return self.size(self.inv_a, self.a)
+
+    @cached_property
+    def pi_a(self) -> GSubset:
+        return self.q.image(self.a)
+
+    def fibers(self, x: GSubset) -> Counter:
+        """Coset -> |X meet coset| over the cosets X meets."""
+        q = self.q
+        if x.owner is not q.ambient and x.owner.signature != q.ambient.signature:
+            raise ValueError("subset does not live in the ambient group of this quotient")
+        return Counter(map(q.project, x.elements))
+
+    def levels(self, x: GSubset) -> list[tuple[int, GSubset]]:
+        """(n, the cosets meeting X in at least n elements) per realized n, increasing."""
+        key = (x.owner, x.elements)
+        out = self._levels.get(key)
+        if out is None:
+            fibers = self.fibers(x)
+            out = self._levels[key] = [
+                (n, self.q.coset_subset(c for c, k in fibers.items() if k >= n))
+                for n in sorted(set(fibers.values()))
+            ]
+        return out
+
+    @cached_property
+    def thresholds(self) -> list[tuple[int, GSubset, int, int]]:
+        """(n, level L, |L|, |L L|) per level of A; with |A| and |A^2| this is
+        all that extraction reads, for every alpha."""
+        return [(n, lv, len(lv.elements), self.size(lv, lv)) for n, lv in self.levels(self.a)]

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .context import InstanceContext
 from .errors import ConsistencyError
-from .fibers import fiber_profile, level_family
 from .quotients import QuotientStructure
 from .rationals import fmt, put
-from .sets import GSubset, mul_set
+from .sets import GSubset
 
 
 @dataclass(frozen=True)
@@ -47,31 +47,26 @@ class ExtractionCertificate:
         return out
 
 
-def _threshold_scan(a: GSubset, q: QuotientStructure, alpha: Fraction):
+def _admissible_rows(ctx: InstanceContext, alpha: Fraction) -> list[tuple]:
+    """Threshold rows with mu_Q(L*L) < alpha * K * mu_Q(L), cross-multiplied over integers."""
     if alpha <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if not a.elements:
+    if not ctx.a.elements:
         raise ValueError("extraction needs a nonempty subset")
-    size = len(a.elements)
-    a2 = len(mul_set(a, a).elements)
-    family = level_family(fiber_profile(a, q))
-    admissible = []
-    for t, level in zip(family.thresholds, family.levels):
-        sq = len(mul_set(level, level).elements)
-        # mu_Q(L*L) < alpha * K * mu_Q(L), cross-multiplied over integers
-        if sq * size * alpha.denominator < alpha.numerator * a2 * len(level.elements):
-            admissible.append(t)
-    return admissible, family, Fraction(a2, size)
+    size, a2 = len(ctx.a.elements), ctx.square
+    return [
+        row for row in ctx.thresholds
+        if row[3] * size * alpha.denominator < alpha.numerator * a2 * row[2]
+    ]
 
 
 def admissible_thresholds(a: GSubset, q: QuotientStructure, alpha: Fraction) -> list[Fraction]:
     """Realized fiber values whose superlevel set already has small doubling."""
-    alpha = Fraction(alpha)
-    admissible, _, _ = _threshold_scan(a, q, alpha)
-    return admissible
+    rows = _admissible_rows(InstanceContext(a, q), Fraction(alpha))
+    return [n * q.subgroup_weight for n, *_ in rows]
 
 
-def extract_subset(a: GSubset, q: QuotientStructure, alpha: Fraction) -> ExtractionCertificate:
+def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
     """Build the certified structure set for one alpha.
 
     Prefers the smallest admissible threshold (largest B); if that one missed
@@ -79,32 +74,47 @@ def extract_subset(a: GSubset, q: QuotientStructure, alpha: Fraction) -> Extract
     valid certificate contradicts the underlying theorem and raises with a
     replay payload.
     """
-    alpha = Fraction(alpha)
-    admissible, family, k = _threshold_scan(a, q, alpha)
+    a, q = ctx.a, ctx.q
+    admissible = _admissible_rows(ctx, alpha)
+    w, size = q.subgroup_weight, len(a.elements)
     if not admissible:
         raise ConsistencyError(
             "no admissible threshold: contradiction with the extraction theorem",
             {"alpha": fmt(alpha), "subset": a.encode()},
         )
-    size = len(a.elements)
-    levels = dict(zip(family.thresholds, family.levels))
-    for s in admissible:
-        cosets = levels[s].elements
-        b = q.restrict_to_cosets(a, cosets)
+    thresholds = tuple(row[0] * w for row in admissible)
+    for n, level, level_size, level_square in admissible:
+        b = q.restrict_to_cosets(a, level.elements)
         # mu(B) > (alpha-1)/alpha * mu(A), cross-multiplied
         if len(b.elements) * alpha.numerator > (alpha.numerator - alpha.denominator) * size:
-            level = levels[s]
-            sq = mul_set(level, level)
             return ExtractionCertificate(
                 alpha=alpha,
-                K=k,
-                chosen_s=s,
+                K=Fraction(ctx.square, size),
+                chosen_s=n * w,
                 B=b,
                 measure_ratio=Fraction(len(b.elements), size),
-                quotient_doubling=Fraction(len(sq.elements), len(level.elements)),
-                admissible=tuple(admissible),
+                quotient_doubling=Fraction(level_square, level_size),
+                admissible=thresholds,
             )
     raise ConsistencyError(
         "no admissible threshold satisfies the measure bound: implementation bug",
-        {"alpha": fmt(alpha), "subset": a.encode(), "admissible": [fmt(s) for s in admissible]},
+        {"alpha": fmt(alpha), "subset": a.encode(), "admissible": [fmt(s) for s in thresholds]},
     )
+
+
+def extract_subset(a: GSubset, q: QuotientStructure, alpha: Fraction) -> ExtractionCertificate:
+    """Build the certified structure set for one alpha; see `certify`."""
+    return certify(InstanceContext(a, q), Fraction(alpha))
+
+
+def threshold_trace(ctx: InstanceContext, alpha: Fraction) -> list[str]:
+    """One human-readable line per row of the threshold table `certify` reads."""
+    admissible = {row[0] for row in _admissible_rows(ctx, alpha)}
+    w_h, w_q = ctx.q.subgroup_weight, ctx.q.quotient_weight
+    k = Fraction(ctx.square, len(ctx.a.elements))
+    return [
+        f"s={fmt(n * w_h)}: mu_Q(level^2)={fmt(square * w_q)} "
+        f"vs alpha*K*mu_Q(level)={fmt(alpha * k * size * w_q)} -> "
+        + ("admissible" if n in admissible else "rejected")
+        for n, _, size, square in ctx.thresholds
+    ]

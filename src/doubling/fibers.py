@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from .context import InstanceContext
 from .errors import ConsistencyError
 from .quotients import QuotientStructure
 from .rationals import fmt
-from .sets import GSubset, mul_set
+from .sets import GSubset
 
 
 @dataclass(frozen=True)
@@ -66,30 +67,42 @@ class LevelFamily:
     thresholds: tuple[Fraction, ...]
     levels: tuple[GSubset, ...]
 
-    def steps(self):
-        """(delta_t, level) pairs for the telescoping layer-cake sums."""
-        prev = Fraction(0)
-        for t, level in zip(self.thresholds, self.levels):
-            yield t - prev, level
-            prev = t
-
 
 def fiber_profile(a: GSubset, q: QuotientStructure) -> FiberProfile:
-    if a.owner is not q.ambient and a.owner.signature != q.ambient.signature:
-        raise ValueError("subset does not live in the ambient group of this quotient")
-    counts: dict = {}
-    project = q.project
-    for x in a.elements:
-        c = project(x)
-        counts[c] = counts.get(c, 0) + 1
     w = q.subgroup_weight
-    return FiberProfile(q, a, {c: n * w for c, n in counts.items()})
+    return FiberProfile(q, a, {c: n * w for c, n in InstanceContext(a, q).fibers(a).items()})
 
 
 def level_family(profile: FiberProfile) -> LevelFamily:
-    ts = profile.thresholds()
-    levels = tuple(profile.quotient.coset_subset(profile.superlevel(t)) for t in ts)
-    return LevelFamily(tuple(ts), levels)
+    levels = InstanceContext(profile.source, profile.quotient).levels(profile.source)
+    w = profile.quotient.subgroup_weight
+    return LevelFamily(tuple(n * w for n, _ in levels), tuple(lv for _, lv in levels))
+
+
+def _layered(levels, size_at) -> int:
+    """Sum over levels of (n - previous n) * size_at(level)."""
+    total = prev = 0
+    for n, level in levels:
+        total, prev = total + (n - prev) * size_at(level), n
+    return total
+
+
+def check_layer_cake(ctx: InstanceContext) -> tuple[Fraction, Fraction]:
+    """mu_G(A), read off the subset, against the layered count sum times w_G.
+
+    A threshold step delta_t = delta_n * w_H times mu_Q(level) = |level| * w_Q
+    is delta_n * |level| * w_G, since w_H * w_Q = w_G.
+    """
+    a, w = ctx.a, ctx.q.ambient.weight
+    lhs = a.measure
+    rhs = _layered(ctx.levels(a), lambda level: len(level.elements))
+    # lhs == rhs * w_G, cross-multiplied over integers
+    if lhs.numerator * w.denominator != rhs * w.numerator * lhs.denominator:
+        raise ConsistencyError(
+            "layer-cake identity failed",
+            {"lhs": fmt(lhs), "rhs": fmt(rhs * w), "subset": a.encode()},
+        )
+    return lhs, rhs * w
 
 
 def layer_cake(a: GSubset, q: QuotientStructure) -> tuple[Fraction, Fraction]:
@@ -98,15 +111,7 @@ def layer_cake(a: GSubset, q: QuotientStructure) -> tuple[Fraction, Fraction]:
     The two sides are computed independently and must agree exactly; a
     mismatch is an internal-consistency failure and raises.
     """
-    lhs = a.measure
-    family = level_family(fiber_profile(a, q))
-    rhs = sum((dt * level.measure for dt, level in family.steps()), Fraction(0))
-    if lhs != rhs:
-        raise ConsistencyError(
-            "layer-cake identity failed",
-            {"lhs": fmt(lhs), "rhs": fmt(rhs), "subset": a.encode()},
-        )
-    return lhs, rhs
+    return check_layer_cake(InstanceContext(a, q))
 
 
 @dataclass(frozen=True)
@@ -126,30 +131,42 @@ class SpilloverResult:
     rhs_right: Fraction
 
 
-def spillover_check(a: GSubset, b: GSubset, q: QuotientStructure) -> SpilloverResult:
-    """Check both spillover inequalities; raise on any violation."""
-    lhs_left = mul_set(a, b).measure
-    lhs_right = mul_set(b, a).measure
-    pi_a = q.image(a)
-    family = level_family(fiber_profile(b, q))
-    rhs_left = Fraction(0)
-    rhs_right = Fraction(0)
-    for dt, level in family.steps():
-        rhs_left += dt * mul_set(pi_a, level).measure
-        rhs_right += dt * mul_set(level, pi_a).measure
-    if lhs_left < rhs_left or lhs_right < rhs_right:
+def check_spillover(ctx: InstanceContext, b: GSubset) -> SpilloverResult:
+    """Both spillover inequalities, compared as counts in units of w_G."""
+    a, pi_a, w = ctx.a, ctx.pi_a, ctx.q.ambient.weight
+    ab, ba = ctx.size(a, b), ctx.size(b, a)
+    left = _layered(ctx.levels(b), lambda level: ctx.size(pi_a, level))
+    right = _layered(ctx.levels(b), lambda level: ctx.size(level, pi_a))
+    if ab < left or ba < right:
         raise ConsistencyError(
             "spillover inequality failed",
             {
-                "lhs_left": fmt(lhs_left),
-                "lhs_right": fmt(lhs_right),
-                "rhs_left": fmt(rhs_left),
-                "rhs_right": fmt(rhs_right),
+                "lhs_left": fmt(ab * w),
+                "lhs_right": fmt(ba * w),
+                "rhs_left": fmt(left * w),
+                "rhs_right": fmt(right * w),
                 "subset_a": a.encode(),
                 "subset_b": b.encode(),
             },
         )
-    return SpilloverResult(lhs_left, lhs_right, rhs_left, rhs_right)
+    return SpilloverResult(ab * w, ba * w, left * w, right * w)
+
+
+def spillover_check(a: GSubset, b: GSubset, q: QuotientStructure) -> SpilloverResult:
+    """Check both spillover inequalities; raise on any violation."""
+    return check_spillover(InstanceContext(a, q, b), b)
+
+
+def check_containment(ctx: InstanceContext, b: GSubset) -> bool:
+    """Each coset of pi(A) * level_n(B) meets AB in at least n elements; mirrored for BA."""
+    a, pi_a = ctx.a, ctx.pi_a
+    ab, ba = ctx.fibers(ctx.mul(a, b)), ctx.fibers(ctx.mul(b, a))
+    for n, level in ctx.levels(b):
+        if any(ab[c] < n for c in ctx.mul(pi_a, level).elements):
+            return False
+        if any(ba[c] < n for c in ctx.mul(level, pi_a).elements):
+            return False
+    return True
 
 
 def containment_check(a: GSubset, b: GSubset, q: QuotientStructure) -> bool:
@@ -158,16 +175,4 @@ def containment_check(a: GSubset, b: GSubset, q: QuotientStructure) -> bool:
     True for every valid input; a False return is a bug detector, not an
     expected outcome.
     """
-    pi_a = q.image(a)
-    profile_b = fiber_profile(b, q)
-    profile_ab = fiber_profile(mul_set(a, b), q)
-    profile_ba = fiber_profile(mul_set(b, a), q)
-    for t in profile_b.thresholds():
-        level = q.coset_subset(profile_b.superlevel(t))
-        left = mul_set(pi_a, level).elements
-        if not left <= profile_ab.superlevel(t):
-            return False
-        right = mul_set(level, pi_a).elements
-        if not right <= profile_ba.superlevel(t):
-            return False
-    return True
+    return check_containment(InstanceContext(a, q, b), b)

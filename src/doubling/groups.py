@@ -66,10 +66,6 @@ class WeightedGroup:
 
     # -- enumeration and handles ------------------------------------------
 
-    @property
-    def is_finite(self) -> bool:
-        return self.order is not None
-
     def elements(self) -> Iterator:
         """Canonical enumeration; raises for infinite groups."""
         raise NotImplementedError
@@ -123,6 +119,14 @@ class _IndexedGroup(WeightedGroup):
             raise SpecError(path, f"expected element index 0..{self.order - 1}, got {obj!r}")
         return obj
 
+    # the parametrized kinds (cyclic, dihedral, symmetric) share identity 0 and spec form
+    @property
+    def identity(self) -> int:
+        return 0
+
+    def spec(self) -> dict:
+        return {"type": self.kind, "n": self.n, "weight": self.weight_mode}
+
 
 class CyclicGroup(_IndexedGroup):
     """Z_n with additive notation."""
@@ -140,13 +144,6 @@ class CyclicGroup(_IndexedGroup):
 
     def inv(self, a: int) -> int:
         return (-a) % self.n
-
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def spec(self) -> dict:
-        return {"type": "cyclic", "n": self.n, "weight": self.weight_mode}
 
 
 class DihedralGroup(_IndexedGroup):
@@ -177,13 +174,6 @@ class DihedralGroup(_IndexedGroup):
             return a
         return (-a) % n
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def spec(self) -> dict:
-        return {"type": "dihedral", "n": self.n, "weight": self.weight_mode}
-
 
 class SymmetricGroup(_IndexedGroup):
     """S_n on {0..n-1}; handles index permutations in lexicographic order."""
@@ -211,13 +201,6 @@ class SymmetricGroup(_IndexedGroup):
             out[v] = i
         return self._index[tuple(out)]
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def spec(self) -> dict:
-        return {"type": "symmetric", "n": self.n, "weight": self.weight_mode}
-
 
 class TableGroup(_IndexedGroup):
     """Finite group given by an explicit Cayley table; axioms checked on build."""
@@ -243,43 +226,21 @@ class TableGroup(_IndexedGroup):
                 raise ValueError(f"table row {i} is not a permutation-ready row of 0..{n - 1}")
             rows.append(row)
         self.table = rows
-        self._identity = self._find_identity()
-        self._inv = self._build_inverses()
-        if validate:
-            self._check_associativity()
+        ident = list(range(n))
+        identities = [e for e in range(n) if rows[e] == ident and [r[e] for r in rows] == ident]
+        if not identities:
+            raise ValueError("table has no identity element")
+        e = identities[0]
+        inv = [
+            next((b for b in range(n) if row[b] == e == rows[b][a]), None)
+            for a, row in enumerate(rows)
+        ]
+        if None in inv:
+            raise ValueError(f"element {inv.index(None)} has no inverse")
+        self._identity, self._inv = e, inv
         super().__init__(name, n, weight)
-
-    def _find_identity(self) -> int:
-        n = len(self.table)
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
-                return e
-        raise ValueError("table has no identity element")
-
-    def _build_inverses(self) -> list[int]:
-        n = len(self.table)
-        e = self._identity
-        inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == e and self.table[b][a] == e:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise ValueError(f"element {a} has no inverse")
-        return inv
-
-    def _check_associativity(self) -> None:
-        n = len(self.table)
-        t = self.table
-        for a in range(n):
-            ta = t[a]
-            for b in range(n):
-                tab = t[ta[b]]
-                tb = t[b]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise ValueError(f"non-associative table at ({a},{b},{c})")
+        if validate:
+            validate_axioms(self)
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -452,19 +413,29 @@ def validate_axioms(group: WeightedGroup, cap: int = VALIDATION_CAP) -> None:
     if group.order > cap:
         raise CapError(f"validation capped at order {cap}, got {group.order}")
     elems = list(group.elements())
-    e = group.identity
-    for a in elems:
-        if group.op(e, a) != a or group.op(a, e) != a:
-            raise ValueError(f"identity law fails at {a!r}")
-        ia = group.inv(a)
-        if group.op(a, ia) != e or group.op(ia, a) != e:
-            raise ValueError(f"inverse law fails at {a!r}")
-    for a in elems:
-        for b in elems:
-            ab = group.op(a, b)
-            for c in elems:
-                if group.op(ab, c) != group.op(a, group.op(b, c)):
-                    raise ValueError(f"associativity fails at ({a!r},{b!r},{c!r})")
+    index = {x: i for i, x in enumerate(elems)}
+    n = len(elems)
+    # one pass of the group law builds the Cayley table; the checks index it
+    t = [[index.get(group.op(x, y), -1) for y in elems] for x in elems]
+    if any(-1 in row for row in t):
+        raise ValueError("the operation leaves the group")
+    e = index.get(group.identity, -1)
+    for a, x in enumerate(elems):
+        if e < 0 or t[e][a] != a or t[a][e] != a:
+            raise ValueError(f"identity law fails at {x!r}")
+        ia = index.get(group.inv(x), -1)
+        if ia < 0 or t[a][ia] != e or t[ia][a] != e:
+            raise ValueError(f"inverse law fails at {x!r}")
+    for a in range(n):
+        ta = t[a]
+        for b in range(n):
+            tab = t[ta[b]]
+            tb = t[b]
+            for c in range(n):
+                if tab[c] != ta[tb[c]]:
+                    raise ValueError(
+                        f"non-associative operation at ({elems[a]!r},{elems[b]!r},{elems[c]!r})"
+                    )
 
 
 # -- JSON group specs ------------------------------------------------------
@@ -518,12 +489,9 @@ def build_group(spec: dict, path: str = "") -> WeightedGroup:
         raise SpecError(f"{path}/type", f"expected one of {sorted(_SPEC_KEYS)}, got {kind!r}")
     _check_keys(spec, kind, path)
     try:
-        if kind == "cyclic":
-            return CyclicGroup(_positive_int(spec, "n", path), _weight_of(spec, path))
-        if kind == "dihedral":
-            return DihedralGroup(_positive_int(spec, "n", path), _weight_of(spec, path))
-        if kind == "symmetric":
-            return SymmetricGroup(_positive_int(spec, "n", path), _weight_of(spec, path))
+        if kind in ("cyclic", "dihedral", "symmetric"):
+            cls = {"cyclic": CyclicGroup, "dihedral": DihedralGroup, "symmetric": SymmetricGroup}
+            return cls[kind](_positive_int(spec, "n", path), _weight_of(spec, path))
         if kind == "table":
             table = spec.get("table")
             if not isinstance(table, list):

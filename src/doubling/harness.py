@@ -12,44 +12,116 @@ across worker counts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from random import Random
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
+from .context import InstanceContext
 from .errors import CapError, ConsistencyError, SpecError
-from .extract import extract_subset
-from .fibers import containment_check, layer_cake, spillover_check
+from .extract import certify
+from .fibers import check_containment, check_layer_cake, check_spillover
 from .groups import WeightedGroup, build_group, quaternion_table
-from .metrics import (
-    doubling_stats,
-    quotient_doubling_check,
-    ruzsa_sq,
-)
+from .metrics import check_quotient_bound, ruzsa_axioms, stats_of
 from .quotients import QuotientStructure, normal_subgroups, quotient_from_description
 from .rationals import fmt, parse, put
-from .sets import GSubset, inv_set, mul_set, translate
+from .sets import GSubset, decode_elements, inv_set, mul_set
 
-ALL_SUITES = (
-    "layer-cake",
-    "spillover",
-    "containment",
-    "ruzsa-axioms",
-    "quotient-sym",
-    "quotient-cube",
-    "quotient-k1k2",
-    "extract",
-)
 DEFAULT_ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(3))
 EXHAUSTIVE_ORDER_CAP = 16
 TOP_WITNESSES = 10
 
-_SUITE_VARIANT = {
-    "quotient-sym": "symmetric",
-    "quotient-cube": "cube",
-    "quotient-k1k2": "two-constant",
+
+# -- the suite table ------------------------------------------------------------
+
+
+class _Params(NamedTuple):
+    """What an instance id asks of its suites beyond the sets themselves."""
+
+    alphas: list  # (as written in the id, parsed); the first keys the extract fragment
+    translators: tuple | None
+
+
+# Each suite maps (context, params) to its report fragment and the details of
+# the statements it found violated, in order.
+
+
+def _layer_cake_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+    try:
+        lhs, rhs = check_layer_cake(ctx)
+    except ConsistencyError as exc:
+        return {"pass": False, **exc.payload}, ["layer-cake identity failed"]
+    return _put_all({"pass": True}, lhs=lhs, rhs=rhs), []
+
+
+def _spillover_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+    try:
+        res = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
+    except ConsistencyError as exc:
+        frag = {"pass": False, **{k: v for k, v in exc.payload.items() if isinstance(v, str)}}
+        return frag, ["spillover inequality failed"]
+    return _put_all({"pass": True}, **vars(res)), []
+
+
+def _containment_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+    ok = check_containment(ctx, ctx.b if ctx.b is not None else ctx.a)
+    return {"pass": ok}, [] if ok else ["superlevel containment failed"]
+
+
+def _ruzsa_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+    b = ctx.b if ctx.b is not None else ctx.inv_a
+    c = ctx.c if ctx.c is not None else ctx.mul(ctx.a, ctx.a)
+    frag: dict = ruzsa_axioms(ctx, b, c, params.translators)
+    frag["pass"] = ok = all(frag.values())
+    size, d = len(ctx.a.elements), ctx.diff_size(ctx.a, ctx.a)
+    put(frag, "value_aa", Fraction(d * d, size * size))
+    return frag, [] if ok else ["a distance axiom failed"]
+
+
+def _quotient_suite(variant: str):
+    def run(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+        if variant == "symmetric" and not ctx.symmetric:
+            return {"skipped": "subset is not symmetric"}, []
+        check = check_quotient_bound(ctx, variant)
+        failed = [] if check.passed else [f"quotient doubling exceeded the {variant} bound"]
+        return check.to_json(), failed
+
+    return run
+
+
+def _extract_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+    frag: dict = {}
+    failed = []
+    for alpha_s, alpha in params.alphas:
+        try:
+            frag[alpha_s] = certify(ctx, alpha).to_json(include_elements=False)
+            frag[alpha_s]["pass"] = True
+        except ConsistencyError:
+            frag[alpha_s] = {"pass": False}
+            failed.append(f"extraction failed at alpha={alpha_s}")
+    return frag, failed
+
+
+def _put_all(frag: dict, **values: Fraction) -> dict:
+    for key, value in values.items():
+        put(frag, key, value)
+    return frag
+
+
+SUITES = {
+    "layer-cake": _layer_cake_suite,
+    "spillover": _spillover_suite,
+    "containment": _containment_suite,
+    "ruzsa-axioms": _ruzsa_suite,
+    "quotient-sym": _quotient_suite("symmetric"),
+    "quotient-cube": _quotient_suite("cube"),
+    "quotient-k1k2": _quotient_suite("two-constant"),
+    "extract": _extract_suite,
 }
+# their order here is the order of suites in every config and artifact
+ALL_SUITES = tuple(SUITES)
 
 
 def canonical_json(obj: Any) -> str:
@@ -98,9 +170,7 @@ def catalog(
 
 
 def _with_weight(spec: dict, mode: str) -> dict:
-    out = dict(spec)
-    out["weight"] = mode
-    return out
+    return {**spec, "weight": mode}
 
 
 def parse_group_selector(sel: str | dict, path: str = "") -> dict:
@@ -125,6 +195,30 @@ def parse_group_selector(sel: str | dict, path: str = "") -> dict:
 # -- configuration -----------------------------------------------------------
 
 
+def _check_suites(names) -> list | tuple:
+    if not isinstance(names, (list, tuple)):
+        raise SpecError("/suites", "expected a list of suite names")
+    for i, name in enumerate(names):
+        if name not in ALL_SUITES:
+            raise SpecError(f"/suites/{i}", f"unknown suite {name!r}; known: {list(ALL_SUITES)}")
+    return names
+
+
+def _parse_alphas(values) -> tuple[Fraction, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise SpecError("/alphas", "expected a list of rationals")
+    out = []
+    for i, value in enumerate(values):
+        try:
+            alpha = parse(value)
+        except (ValueError, ZeroDivisionError):
+            alpha = None
+        if alpha is None or alpha <= 1:
+            raise SpecError(f"/alphas/{i}", f"expected a rational above 1, got {value!r}")
+        out.append(alpha)
+    return tuple(out)
+
+
 @dataclass
 class ScanConfig:
     """What to scan; everything except `parallelism` defines the artifact."""
@@ -140,17 +234,12 @@ class ScanConfig:
 
     def __post_init__(self) -> None:
         self.groups = [parse_group_selector(g, f"/groups/{i}") for i, g in enumerate(self.groups)]
-        unknown = [s for s in self.suites if s not in ALL_SUITES]
-        if unknown:
-            raise SpecError("/suites", f"unknown suites {unknown}; known: {list(ALL_SUITES)}")
-        self.suites = tuple(s for s in ALL_SUITES if s in self.suites)
+        self.suites = tuple(s for s in ALL_SUITES if s in _check_suites(self.suites))
         if self.subgroups not in ("all", "proper"):
             raise SpecError("/subgroups", f'expected "all" or "proper", got {self.subgroups!r}')
         if self.subgroup_weight not in ("counting", "normalized"):
             raise SpecError("/subgroup_weight", f"got {self.subgroup_weight!r}")
-        self.alphas = tuple(parse(a) for a in self.alphas)
-        if any(a <= 1 for a in self.alphas):
-            raise SpecError("/alphas", "every alpha must exceed 1")
+        self.alphas = _parse_alphas(self.alphas)
         mode = self.subset_mode
         kind = mode.get("kind")
         if kind == "exhaustive":
@@ -178,42 +267,18 @@ class ScanConfig:
     def from_json(cls, doc: dict) -> "ScanConfig":
         if not isinstance(doc, dict):
             raise SpecError("", "scan config must be an object")
-        known = {
-            "groups",
-            "subset_mode",
-            "suites",
-            "subgroups",
-            "subgroup_weight",
-            "alphas",
-            "emit_instances",
-            "parallelism",
-        }
-        extra = set(doc) - known
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise SpecError(f"/{sorted(extra)[0]}", "unknown key in scan config")
         if "groups" not in doc or "subset_mode" not in doc:
             raise SpecError("", 'scan config needs "groups" and "subset_mode"')
-        kwargs: dict = {"groups": doc["groups"], "subset_mode": doc["subset_mode"]}
-        if "suites" in doc:
-            kwargs["suites"] = tuple(doc["suites"])
-        for key in ("subgroups", "subgroup_weight", "emit_instances", "parallelism"):
-            if key in doc:
-                kwargs[key] = doc[key]
-        if "alphas" in doc:
-            kwargs["alphas"] = tuple(doc["alphas"])
-        return cls(**kwargs)
+        return cls(**doc)
 
     def resolved(self) -> dict:
         """Artifact-facing config; parallelism is a runtime knob, not content."""
-        return {
-            "groups": self.groups,
-            "subset_mode": self.subset_mode,
-            "suites": list(self.suites),
-            "subgroups": self.subgroups,
-            "subgroup_weight": self.subgroup_weight,
-            "alphas": [fmt(a) for a in self.alphas],
-            "emit_instances": self.emit_instances,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "parallelism"}
+        out.update(suites=list(self.suites), alphas=[fmt(a) for a in self.alphas])
+        return out
 
 
 # -- instance generation -------------------------------------------------------
@@ -269,7 +334,7 @@ def iter_instance_specs(config: ScanConfig) -> list[str]:
     rng = Random(mode["seed"]) if mode["kind"] == "random" else None
     ids: list[str] = []
     for gspec in config.groups:
-        group = build_group(gspec)
+        group = _group(canonical_json(gspec))
         if group.order is None:
             raise SpecError("/groups", f"{group.name} is infinite; scans need finite groups")
         subs = normal_subgroups(group)
@@ -300,19 +365,14 @@ def _encode_sorted(group: WeightedGroup, elems: Iterable) -> list:
 
 def _finish_exhaustive(group: WeightedGroup, base: dict, members: list, config: ScanConfig) -> str:
     spec = dict(base)
-    a = frozenset(members)
-    spec["subset"] = _encode_sorted(group, a)
+    subs = GSubset(group, frozenset(members))
+    spec["subset"] = subs.encode()
     if _needs_partner(config.suites):
         # deterministic partners derived from A itself
-        subs = GSubset(group, a)
-        spec["subset_b"] = _encode_sorted(group, inv_set(subs).elements)
+        spec["subset_b"] = inv_set(subs).encode()
         if "ruzsa-axioms" in config.suites:
-            spec["subset_c"] = _encode_sorted(group, mul_set(subs, subs).elements)
-            ordered = subs.sorted_elements()
-            spec["translate"] = [
-                group.encode_element(ordered[0]),
-                group.encode_element(ordered[-1]),
-            ]
+            spec["subset_c"] = mul_set(subs, subs).encode()
+            spec["translate"] = [spec["subset"][0], spec["subset"][-1]]
     return canonical_json(spec)
 
 
@@ -363,8 +423,7 @@ def _random_ids(
             if "ruzsa-axioms" in config.suites:
                 spec["subset_c"] = _encode_sorted(group, _sample_nonempty(rng, elems, density))
                 spec["translate"] = [
-                    group.encode_element(elems[rng.randrange(len(elems))]),
-                    group.encode_element(elems[rng.randrange(len(elems))]),
+                    group.encode_element(elems[rng.randrange(len(elems))]) for _ in range(2)
                 ]
         ids.append(canonical_json(spec))
     return ids
@@ -372,40 +431,29 @@ def _random_ids(
 
 # -- evaluation ----------------------------------------------------------------
 
-_GROUP_CACHE: dict[str, WeightedGroup] = {}
-_QUOTIENT_CACHE: dict[tuple, QuotientStructure] = {}
+
+@lru_cache(maxsize=128)
+def _group(spec_json: str) -> WeightedGroup:
+    return build_group(json.loads(spec_json), "/group")
 
 
-def _cached_group(gspec: dict) -> WeightedGroup:
-    key = canonical_json(gspec)
-    group = _GROUP_CACHE.get(key)
-    if group is None:
-        if len(_GROUP_CACHE) > 128:
-            _GROUP_CACHE.clear()
-        group = build_group(gspec)
-        _GROUP_CACHE[key] = group
-    return group
+@lru_cache(maxsize=256)
+def _quotient(group_json: str, desc_json: str) -> QuotientStructure:
+    return quotient_from_description(_group(group_json), json.loads(desc_json), "/subgroup")
 
 
-def _cached_quotient(group: WeightedGroup, desc: dict) -> QuotientStructure:
-    key = (group.signature, canonical_json(desc))
-    q = _QUOTIENT_CACHE.get(key)
-    if q is None:
-        if len(_QUOTIENT_CACHE) > 256:
-            _QUOTIENT_CACHE.clear()
-        q = quotient_from_description(group, desc, "/subgroup")
-        _QUOTIENT_CACHE[key] = q
-    return q
+def _decode_elems(group: WeightedGroup, items, path: str) -> GSubset:
+    elems = decode_elements(group, items, path)
+    if not elems:
+        raise SpecError(path, "expected a nonempty list of group elements")
+    return GSubset(group, elems)
 
 
-def _decode_elems(group: WeightedGroup, items: list, path: str) -> GSubset:
-    return GSubset(
-        group, frozenset(group.decode_element(v, f"{path}/{i}") for i, v in enumerate(items))
-    )
+_ID_KEYS = {"group", "subgroup", "subset", "subset_b", "subset_c", "suites", "alphas", "translate"}
 
 
-def evaluate_instance(instance_id: str) -> dict:
-    """Recompute the full report for one instance id (pure, replayable)."""
+def _load_id(instance_id: str) -> tuple[dict, list]:
+    """Parse an instance id and check its shape; returns it with its alphas."""
     try:
         spec = json.loads(instance_id)
     except json.JSONDecodeError as exc:
@@ -415,12 +463,34 @@ def evaluate_instance(instance_id: str) -> dict:
     for key in ("group", "subgroup", "subset"):
         if key not in spec:
             raise SpecError(f"/{key}", "missing from instance id")
-    group = _cached_group(spec["group"])
-    q = _cached_quotient(group, spec["subgroup"])
-    a = _decode_elems(group, spec["subset"], "/subset")
-    b = _decode_elems(group, spec["subset_b"], "/subset_b") if "subset_b" in spec else None
-    c = _decode_elems(group, spec["subset_c"], "/subset_c") if "subset_c" in spec else None
-    suites = spec.get("suites", [])
+    extra = sorted(set(spec) - _ID_KEYS)
+    if extra:
+        raise SpecError(f"/{extra[0]}", "unknown key in instance id")
+    _check_suites(spec.get("suites", []))
+    alphas = spec.get("alphas", [fmt(x) for x in DEFAULT_ALPHAS])
+    alphas = list(zip(alphas, _parse_alphas(alphas)))
+    translate = spec.get("translate")
+    if "translate" in spec and not (isinstance(translate, list) and len(translate) == 2):
+        raise SpecError("/translate", "expected exactly two group elements [g, h]")
+    return spec, alphas
+
+
+def evaluate_instance(instance_id: str) -> dict:
+    """Recompute the full report for one instance id (pure, replayable)."""
+    spec, alphas = _load_id(instance_id)
+    group_json = canonical_json(spec["group"])
+    group = _group(group_json)
+    q = _quotient(group_json, canonical_json(spec["subgroup"]))
+    a, b, c = (
+        _decode_elems(group, spec[key], f"/{key}") if key in spec else None
+        for key in ("subset", "subset_b", "subset_c")
+    )
+    translators = None
+    if "translate" in spec:
+        translators = tuple(
+            group.decode_element(v, f"/translate/{i}") for i, v in enumerate(spec["translate"])
+        )
+    ctx = InstanceContext(a, q, b, c)
 
     report: dict = {
         "id": instance_id,
@@ -432,106 +502,21 @@ def evaluate_instance(instance_id: str) -> dict:
         "suites": {},
         "violations": [],
     }
-
-    stats = doubling_stats(a)
+    stats = stats_of(ctx)
     report["doubling"] = stats.to_json()
-
-    pi_a = q.image(a)
-    pi_a2 = mul_set(pi_a, pi_a)
-    p, p2 = len(pi_a.elements), len(pi_a2.elements)
-    qd = Fraction(p2, p)
+    qd = Fraction(ctx.size(ctx.pi_a, ctx.pi_a), len(ctx.pi_a.elements))
     put(report, "quotient_doubling", qd)
     # probe value: quotient doubling over K^2, tracked for both symmetries
     probe = {"symmetric": stats.symmetric}
     put(probe, "over_k2", qd / (stats.K * stats.K))
     report["probe"] = probe
 
-    def violation(suite: str, detail: str) -> None:
-        report["violations"].append({"suite": suite, "detail": detail})
-
-    for suite in suites:
-        if suite == "layer-cake":
-            try:
-                lhs, rhs = layer_cake(a, q)
-                frag: dict = {"pass": True}
-                put(frag, "lhs", lhs)
-                put(frag, "rhs", rhs)
-            except ConsistencyError as exc:
-                frag = {"pass": False}
-                frag.update(exc.payload)
-                violation(suite, "layer-cake identity failed")
-            report["suites"][suite] = frag
-        elif suite == "spillover":
-            partner = b if b is not None else a
-            try:
-                res = spillover_check(a, partner, q)
-                frag = {"pass": True}
-                put(frag, "lhs_left", res.lhs_left)
-                put(frag, "lhs_right", res.lhs_right)
-                put(frag, "rhs_left", res.rhs_left)
-                put(frag, "rhs_right", res.rhs_right)
-            except ConsistencyError as exc:
-                frag = {"pass": False}
-                frag.update({k: v for k, v in exc.payload.items() if isinstance(v, str)})
-                violation(suite, "spillover inequality failed")
-            report["suites"][suite] = frag
-        elif suite == "containment":
-            partner = b if b is not None else a
-            ok = containment_check(a, partner, q)
-            report["suites"][suite] = {"pass": ok}
-            if not ok:
-                violation(suite, "superlevel containment failed")
-        elif suite == "ruzsa-axioms":
-            report["suites"][suite] = _ruzsa_suite(group, a, b, c, spec, violation)
-        elif suite in _SUITE_VARIANT:
-            variant = _SUITE_VARIANT[suite]
-            if variant == "symmetric" and not stats.symmetric:
-                report["suites"][suite] = {"skipped": "subset is not symmetric"}
-                continue
-            check = quotient_doubling_check(a, q, variant)
-            report["suites"][suite] = check.to_json()
-            if not check.passed:
-                violation(suite, f"quotient doubling exceeded the {variant} bound")
-        elif suite == "extract":
-            frag = {}
-            for alpha_s in spec.get("alphas", [fmt(x) for x in DEFAULT_ALPHAS]):
-                alpha = parse(alpha_s)
-                try:
-                    cert = extract_subset(a, q, alpha)
-                    entry = cert.to_json(include_elements=False)
-                    entry["pass"] = True
-                except ConsistencyError:
-                    entry = {"pass": False}
-                    violation(suite, f"extraction failed at alpha={alpha_s}")
-                frag[alpha_s] = entry
-            report["suites"][suite] = frag
+    params = _Params(alphas, translators)
+    for name in spec.get("suites", []):
+        frag, failed = SUITES[name](ctx, params)
+        report["suites"][name] = frag
+        report["violations"].extend({"suite": name, "detail": d} for d in failed)
     return report
-
-
-def _ruzsa_suite(group, a, b, c, spec, violation) -> dict:
-    if b is None:
-        b = inv_set(a)
-    if c is None:
-        c = mul_set(a, a)
-    frag: dict = {}
-    vaa = ruzsa_sq(a, a).value
-    frag["self_at_least_one"] = vaa >= 1
-    put(frag, "value_aa", vaa)
-    vab, vba = ruzsa_sq(a, b).value, ruzsa_sq(b, a).value
-    frag["symmetry"] = vab == vba
-    vac, vbc = ruzsa_sq(a, c).value, ruzsa_sq(b, c).value
-    frag["triangle"] = vac <= vab * vbc
-    if "translate" in spec:
-        g = group.decode_element(spec["translate"][0], "/translate/0")
-        h = group.decode_element(spec["translate"][1], "/translate/1")
-        # left translation of both arguments preserves the distance exactly
-        moved = ruzsa_sq(translate(a, left=g), translate(b, left=h)).value
-        frag["translation"] = moved == vab
-    ok = all(v for k, v in frag.items() if isinstance(v, bool))
-    frag["pass"] = ok
-    if not ok:
-        violation("ruzsa-axioms", "a distance axiom failed")
-    return frag
 
 
 # -- aggregation and the scan itself --------------------------------------------

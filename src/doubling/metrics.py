@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quotients import QuotientStructure
+from .context import InstanceContext
+from .quotients import QuotientStructure, is_subgroup
 from .rationals import put
-from .sets import GSubset, diff_set, inv_set, is_symmetric, mul_set
+from .sets import GSubset, translate
 
 VARIANTS = ("symmetric", "cube", "two-constant")
 
@@ -35,19 +36,16 @@ class DoublingStats:
         return out
 
 
+def stats_of(ctx: InstanceContext) -> DoublingStats:
+    size = len(ctx.a.elements)
+    k = Fraction(ctx.square, size)
+    return DoublingStats(K=k, K1=k, K2=Fraction(ctx.inv_square, size), symmetric=ctx.symmetric)
+
+
 def doubling_stats(a: GSubset) -> DoublingStats:
     if not a.elements:
         raise ValueError("doubling constants need a nonempty subset")
-    size = len(a.elements)
-    sq = len(mul_set(a, a).elements)
-    inv_a = inv_set(a)
-    k2 = len(mul_set(inv_a, a).elements)
-    return DoublingStats(
-        K=Fraction(sq, size),
-        K1=Fraction(sq, size),
-        K2=Fraction(k2, size),
-        symmetric=a.elements == inv_a.elements,
-    )
+    return stats_of(InstanceContext(a))
 
 
 @dataclass(frozen=True)
@@ -60,13 +58,38 @@ class RuzsaSq:
 def ruzsa_sq(a: GSubset, b: GSubset) -> RuzsaSq:
     if not a.elements or not b.elements:
         raise ValueError("Ruzsa distance needs nonempty subsets")
-    d = len(diff_set(a, b).elements)
+    d = InstanceContext(a, b=b).diff_size(a, b)
     return RuzsaSq(Fraction(d * d, len(a.elements) * len(b.elements)))
+
+
+# The Ruzsa axioms compare values |XY^-1|^2 / (|X||Y|) with the denominators
+# cleared: every flag below is a comparison of counts.
+
+
+def ruzsa_triangle(ctx: InstanceContext, a: GSubset, b: GSubset, c: GSubset) -> bool:
+    """value(A,C) <= value(A,B) * value(B,C); |A| and |C| cancel, leaving |B|."""
+    return ctx.diff_size(a, c) * len(b.elements) <= ctx.diff_size(a, b) * ctx.diff_size(b, c)
+
+
+def ruzsa_axioms(ctx: InstanceContext, b: GSubset, c: GSubset, translators=None) -> dict:
+    """The axiom flags for A, B, C, and for (gA, hB) when translators (g, h) are given."""
+    a = ctx.a
+    flags = {
+        "self_at_least_one": ctx.diff_size(a, a) >= len(a.elements),
+        "symmetry": ctx.diff_size(a, b) == ctx.diff_size(b, a),
+        "triangle": ruzsa_triangle(ctx, a, b, c),
+    }
+    if translators is not None:
+        # left translation keeps |A| and |B|, so the distance is kept iff the count is
+        g, h = translators
+        moved = ctx.diff_size(translate(a, left=g), translate(b, left=h))
+        flags["translation"] = moved == ctx.diff_size(a, b)
+    return flags
 
 
 def ruzsa_triangle_check(a: GSubset, b: GSubset, c: GSubset) -> bool:
     """value(A,C) <= value(A,B) * value(B,C), the triangle inequality squared."""
-    return ruzsa_sq(a, c).value <= ruzsa_sq(a, b).value * ruzsa_sq(b, c).value
+    return ruzsa_triangle(InstanceContext(a, b=b, c=c), a, b, c)
 
 
 @dataclass(frozen=True)
@@ -89,13 +112,26 @@ class QuotientDoublingCheck:
         return out
 
 
-def _variant_pass(variant: str, a: int, a2: int, ainva: int, p: int, p2: int) -> bool:
-    # cross-multiplied integer forms; uniform weights cancel on both sides
+def check_quotient_bound(ctx: InstanceContext, variant: str) -> QuotientDoublingCheck:
+    """|piA^2| <= bound * |piA| with the bound as an integer ratio; uniform
+    weights cancel on both sides.  A False flag is recorded, never raised."""
+    a, a2 = len(ctx.a.elements), ctx.square
     if variant == "symmetric":
-        return p2 * a * a <= a2 * a2 * p
-    if variant == "cube":
-        return p2 * a * a * a <= a2 * a2 * a2 * p
-    return p2 * a * a <= a2 * ainva * p
+        num, den = a2 * a2, a * a
+    elif variant == "cube":
+        num, den = a2 * a2 * a2, a * a * a
+    else:
+        num, den = a2 * ctx.inv_square, a * a
+    p, p2 = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a)
+    bound, w_q = Fraction(num, den), ctx.q.quotient_weight
+    return QuotientDoublingCheck(
+        variant=variant,
+        lhs=p2 * w_q,
+        rhs=bound * p * w_q,
+        bound=bound,
+        quotient_doubling=Fraction(p2, p),
+        passed=p2 * den <= num * p,
+    )
 
 
 def quotient_doubling_check(
@@ -114,31 +150,10 @@ def quotient_doubling_check(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if not a.elements:
         raise ValueError("quotient doubling needs a nonempty subset")
-    if variant == "symmetric" and not is_symmetric(a):
+    ctx = InstanceContext(a, q)
+    if variant == "symmetric" and not ctx.symmetric:
         raise ValueError('variant "symmetric" needs a symmetric subset')
-    size = len(a.elements)
-    a2 = len(mul_set(a, a).elements)
-    ainva = len(mul_set(inv_set(a), a).elements) if variant == "two-constant" else 0
-    pi_a = q.image(a)
-    p = len(pi_a.elements)
-    p2 = len(mul_set(pi_a, pi_a).elements)
-
-    k = Fraction(a2, size)
-    if variant == "symmetric":
-        bound = k * k
-    elif variant == "cube":
-        bound = k * k * k
-    else:
-        bound = k * Fraction(ainva, size)
-    w_q = q.quotient_weight
-    return QuotientDoublingCheck(
-        variant=variant,
-        lhs=p2 * w_q,
-        rhs=bound * p * w_q,
-        bound=bound,
-        quotient_doubling=Fraction(p2, p),
-        passed=_variant_pass(variant, size, a2, ainva, p, p2),
-    )
+    return check_quotient_bound(ctx, variant)
 
 
 def is_coset_of_subgroup(group, elems: frozenset) -> bool:
@@ -148,14 +163,8 @@ def is_coset_of_subgroup(group, elems: frozenset) -> bool:
     """
     if not elems:
         return False
-    a0 = min(elems, key=group.element_key)
-    ia0 = group.inv(a0)
-    h = frozenset(group.op(ia0, x) for x in elems)
-    for x in h:
-        for y in h:
-            if group.op(x, y) not in h:
-                return False
-    return True
+    ia0 = group.inv(min(elems, key=group.element_key))
+    return is_subgroup(group, frozenset(group.op(ia0, x) for x in elems))
 
 
 def coset_criterion_scan(group) -> tuple[int, list[tuple]]:

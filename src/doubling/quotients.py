@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product as iter_product
+from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapError, SpecError
+from .errors import CapError, ConsistencyError, SpecError
 from .groups import ProductGroup, TableGroup, WeightedGroup
-from .sets import GSubset, subset
+from .rationals import fmt
+from .sets import GSubset, decode_elements, subset
 
 SUBGROUP_ENUM_CAP = 64
 
@@ -74,8 +79,11 @@ def _structural_key(group: WeightedGroup) -> str | None:
     return json.dumps(strip(spec), sort_keys=True, separators=(",", ":"))
 
 
-# (structural key, order) -> (all subgroup handle-sets, normal handle-sets)
-_SUBGROUP_CACHE: dict = {}
+class _StructureKey(str):
+    """A weight-free spec string that carries one group of that structure,
+    so a cache miss can compute the lattice without rebuilding the group."""
+
+    group: WeightedGroup
 
 
 def _subgroup_lattice(group: WeightedGroup, cap: int) -> tuple[list[frozenset], list[frozenset]]:
@@ -83,10 +91,21 @@ def _subgroup_lattice(group: WeightedGroup, cap: int) -> tuple[list[frozenset], 
         raise ValueError("subgroup enumeration needs a finite group")
     if group.order > cap:
         raise CapError(f"subgroup enumeration capped at order {cap}, got {group.order}")
-    key = (_structural_key(group), group.order)
-    if key[0] is not None and key in _SUBGROUP_CACHE:
-        return _SUBGROUP_CACHE[key]
+    spec = _structural_key(group)
+    if spec is None:
+        return _lattice(group)
+    key = _StructureKey(spec)
+    key.group = group
+    return _cached_lattice(key)
 
+
+@lru_cache(maxsize=512)
+def _cached_lattice(key: _StructureKey) -> tuple[list[frozenset], list[frozenset]]:
+    return _lattice(key.group)
+
+
+def _lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
+    """(all subgroup handle-sets, normal handle-sets), each in canonical order."""
     elems = list(group.elements())
     n = len(elems)
     index = {x: i for i, x in enumerate(elems)}
@@ -142,12 +161,7 @@ def _subgroup_lattice(group: WeightedGroup, cap: int) -> tuple[list[frozenset], 
     )
     normal_index = {frozenset(elems[i] for i in s) for s in found if normal(s)}
     normal_handles = [s for s in all_handles if s in normal_index]
-    result = (all_handles, normal_handles)
-    if key[0] is not None:
-        if len(_SUBGROUP_CACHE) > 512:
-            _SUBGROUP_CACHE.clear()
-        _SUBGROUP_CACHE[key] = result
-    return result
+    return all_handles, normal_handles
 
 
 def all_subgroups(group: WeightedGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[frozenset]:
@@ -179,7 +193,11 @@ class QuotientStructure:
         self.subgroup_weight = subgroup_weight
         self.quotient_weight = quotient_group.weight
         self._description = description
-        assert self.quotient_weight * subgroup_weight == ambient.weight
+        product = self.quotient_weight * subgroup_weight
+        if product != ambient.weight:
+            raise ConsistencyError(
+                f"Fubini weights mismatch: w_Q * w_H = {fmt(product)}, w_G = {fmt(ambient.weight)}"
+            )
 
     @property
     def subgroup_total(self) -> Fraction:
@@ -249,10 +267,7 @@ def quotient(
     qgroup = TableGroup(table, weight=group.weight / w_h, name=f"{group.name}/H{len(h_elems)}")
 
     h_subset = sub if isinstance(sub, GSubset) else subset(group, h_elems)
-    description = {
-        "elements": [group.encode_element(x) for x in sorted(h_elems, key=group.element_key)],
-        "weight": subgroup_weight,
-    }
+    description = {"elements": h_subset.encode(), "weight": subgroup_weight}
     return QuotientStructure(group, h_subset, qgroup, proj.__getitem__, w_h, description)
 
 
@@ -270,47 +285,22 @@ def projection_quotient(group: ProductGroup, keep: Sequence[int]) -> QuotientStr
     if keep_idx[0] < 0 or keep_idx[-1] >= len(group.factors):
         raise ValueError(f"keep indices out of range 0..{len(group.factors) - 1}")
     drop_idx = [i for i in range(len(group.factors)) if i not in keep_idx]
-
     for i in drop_idx:
         if group.factors[i].order is None:
             raise ValueError(f"dropped factor {i} is infinite; kernel must be finite")
-
-    w_h = Fraction(1)
-    for i in drop_idx:
-        w_h *= group.factors[i].weight
-
-    identity = group.identity
-    kernel: set = set()
-    if drop_idx:
-        from itertools import product as iter_product
-
-        pools = [list(group.factors[i].elements()) for i in drop_idx]
-        for combo in iter_product(*pools):
-            element = list(identity)
-            for slot, value in zip(drop_idx, combo):
-                element[slot] = value
-            kernel.add(tuple(element))
-    else:
-        kernel.add(identity)
-
+    w_h = prod((group.factors[i].weight for i in drop_idx), start=Fraction(1))
+    pools = [
+        list(f.elements()) if i in drop_idx else [f.identity] for i, f in enumerate(group.factors)
+    ]
+    kernel = frozenset(iter_product(*pools))
     if len(keep_idx) == 1:
         qgroup: WeightedGroup = group.factors[keep_idx[0]]
-        sole = keep_idx[0]
-
-        def project(x, _i=sole):
-            return x[_i]
-
     else:
         qgroup = ProductGroup([group.factors[i] for i in keep_idx])
-        idx = tuple(keep_idx)
-
-        def project(x, _idx=idx):
-            return tuple(x[i] for i in _idx)
-
+    # one kept index projects to the factor's handle, several to a tuple
+    project = itemgetter(*keep_idx)
     description = {"keep": keep_idx}
-    return QuotientStructure(
-        group, GSubset(group, frozenset(kernel)), qgroup, project, w_h, description
-    )
+    return QuotientStructure(group, GSubset(group, kernel), qgroup, project, w_h, description)
 
 
 def quotient_from_description(group: WeightedGroup, desc: dict, path: str = "") -> QuotientStructure:
@@ -328,12 +318,7 @@ def quotient_from_description(group: WeightedGroup, desc: dict, path: str = "") 
         return projection_quotient(group, keep)
     if set(desc) - {"elements", "weight"}:
         raise SpecError(path, 'expected keys "elements" (+ optional "weight") or "keep"')
-    items = desc.get("elements")
-    if not isinstance(items, list):
-        raise SpecError(f"{path}/elements", "expected a list")
-    elems = frozenset(
-        group.decode_element(v, f"{path}/elements/{i}") for i, v in enumerate(items)
-    )
+    elems = decode_elements(group, desc.get("elements"), f"{path}/elements")
     mode = desc.get("weight", "counting")
     if mode not in ("counting", "normalized"):
         raise SpecError(f"{path}/weight", f"expected counting|normalized, got {mode!r}")

@@ -1,8 +1,8 @@
 """Exact rationals over the wire: "p/q" strings plus lossy decimal shadows.
 
-Every number that feeds a comparison stays a Fraction end to end.  The
-decimal shadows exist only for human reading and CSV export; nothing ever
-parses them back.
+Every reported number is an exact Fraction; the checks behind it compare
+integer counts.  The decimal shadows exist only for human reading and CSV
+export; nothing ever parses them back.
 """
 
 from __future__ import annotations

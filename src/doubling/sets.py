@@ -54,13 +54,14 @@ def decode_subset(group: WeightedGroup, doc: Any, path: str = "") -> GSubset:
     """Parse a subset-spec: {"elements": [...]} with handles encoded per kind."""
     if not isinstance(doc, dict) or set(doc) != {"elements"}:
         raise SpecError(path, 'subset spec must be an object with exactly the key "elements"')
-    items = doc["elements"]
+    return GSubset(group, decode_elements(group, doc["elements"], f"{path}/elements"))
+
+
+def decode_elements(group: WeightedGroup, items: Any, path: str) -> frozenset:
+    """A JSON list of encoded handles; errors name the path of the bad item."""
     if not isinstance(items, list):
-        raise SpecError(f"{path}/elements", "expected a list")
-    decoded = [
-        group.decode_element(v, f"{path}/elements/{i}") for i, v in enumerate(items)
-    ]
-    return GSubset(group, frozenset(decoded))
+        raise SpecError(path, "expected a list")
+    return frozenset(group.decode_element(v, f"{path}/{i}") for i, v in enumerate(items))
 
 
 def _require_same_owner(a: GSubset, b: GSubset) -> None:

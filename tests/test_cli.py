@@ -181,3 +181,44 @@ def test_replay_cli(tmp_path, capsys):
 def test_missing_file_is_exit_one(capsys):
     code, _, _ = run(capsys, "scan", "--config", "/nonexistent/config.json")
     assert code == 1
+
+
+REPLAY_BASE = {
+    "group": {"type": "cyclic", "n": 6},
+    "subgroup": {"elements": [0, 3], "weight": "counting"},
+    "subset": [0, 1],
+    "suites": ["layer-cake", "ruzsa-axioms", "extract"],
+}
+
+
+def test_replay_accepts_the_base_id_and_empty_suites(capsys):
+    assert run(capsys, "replay", "--id", json.dumps(REPLAY_BASE))[0] == 0
+    code, out, _ = run(capsys, "replay", "--id", json.dumps(dict(REPLAY_BASE, suites=[])))
+    assert code == 0
+    assert json.loads(out)["suites"] == {}
+
+
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        ({"suites": ["bogus"]}, "/suites/0"),
+        ({"suites": ["layer-cake", 7]}, "/suites/1"),
+        ({"suites": "layer-cake"}, "/suites"),
+        ({"translate": [1]}, "/translate"),
+        ({"translate": [1, 9]}, "/translate/1"),
+        ({"alphas": ["1/2"]}, "/alphas/0"),
+        ({"alphas": ["3/2", "1"]}, "/alphas/1"),
+        ({"alphas": ["x"]}, "/alphas/0"),
+        ({"alphas": ["1/0"]}, "/alphas/0"),
+        ({"alphas": "2"}, "/alphas"),
+        ({"colour": "red"}, "/colour"),
+        ({"subset": []}, "/subset"),
+        ({"subset_b": 3}, "/subset_b"),
+    ],
+)
+def test_replay_rejects_malformed_ids_with_a_path(capsys, change, path):
+    code, out, err = run(capsys, "replay", "--id", json.dumps(dict(REPLAY_BASE, **change)))
+    assert code == 1
+    assert out == ""
+    assert f"error: {path}:" in err
+    assert "Traceback" not in err

@@ -1,0 +1,76 @@
+"""Golden artifact digests: the CLI's output bytes for small fixed inputs.
+
+The digests pin every byte of the JSON reports, the CSV export and the
+extraction trace, so a refactor that changes an artifact without meaning to
+fails here even when every semantic test still passes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from doubling import build_sharpness_instance
+from doubling.cli import main
+
+SCAN_CONFIG = {
+    "groups": [
+        "q8",
+        {
+            "type": "product",
+            "factors": [{"type": "dihedral", "n": 3}, {"type": "cyclic", "n": 2}],
+        },
+    ],
+    "subset_mode": {"kind": "random", "count": 4, "seed": 5},
+    "emit_instances": True,
+}
+
+GOLDEN = {
+    "verify-d4": "0cd2dcc0591f3f145b7c0cfef2d93dbae8ecf26b30b87a6db2ffed2f322edf02",
+    "verify-s3-normalized": "72a83ade70079a726a84bb18cb2032c18e855fc83a9d94df1f059d2e93475e2a",
+    "scan-json": "ea41a32f0e81d14596f688833029e586d779c6d90970694c4ac209cdfc66b73b",
+    "scan-csv": "56a494bbc3e2cc16c00f4757e991c4a58e8563121ba9d3be21f22ab2f3025161",
+    "extract-trace": "359f85c69fdcb354e9186604a1267aa5b2b3588c0c769248cf92931453d4284d",
+}
+
+
+def digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_cli(capsys, *argv) -> None:
+    code = main([str(a) for a in argv])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_verify_all_suites_golden(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    run_cli(capsys, "verify", "--group", "dihedral:4", "--max-subset-size", 2,
+            "--alphas", "3/2,2,3", "-j", 1, "--out", out)
+    assert digest(out) == GOLDEN["verify-d4"]
+
+
+def test_verify_normalized_exhaustive_golden(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    run_cli(capsys, "verify", "--group", "symmetric:3", "--subgroup-weight", "normalized",
+            "-j", 1, "--out", out)
+    assert digest(out) == GOLDEN["verify-s3-normalized"]
+
+
+def test_scan_json_and_csv_golden(tmp_path, capsys):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(SCAN_CONFIG))
+    out, csv = tmp_path / "out.json", tmp_path / "out.csv"
+    run_cli(capsys, "scan", "--config", config, "--out", out, "--csv", csv, "-j", 1)
+    assert digest(out) == GOLDEN["scan-json"]
+    assert digest(csv) == GOLDEN["scan-csv"]
+
+
+def test_extract_trace_golden(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    doc = build_sharpness_instance(1, 2, 9).to_json()
+    inst.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    out = tmp_path / "extract.json"
+    run_cli(capsys, "extract", "--alpha", "3/2,2,3", "--instance", inst, "--trace", "--out", out)
+    assert digest(out) == GOLDEN["extract-trace"]
