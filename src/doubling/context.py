@@ -20,6 +20,7 @@ class InstanceContext:
                  b: GSubset | None = None, c: GSubset | None = None) -> None:
         self.a, self.q, self.b, self.c = a, q, b, c
         self._products: dict = {}
+        self._inverses: dict = {}
         self._levels: dict = {}
 
     def mul(self, x: GSubset, y: GSubset) -> GSubset:
@@ -33,13 +34,21 @@ class InstanceContext:
     def size(self, x: GSubset, y: GSubset) -> int:
         return len(self.mul(x, y).elements)
 
+    def inv(self, x: GSubset) -> GSubset:
+        """X^-1, memoized like `mul`."""
+        key = (x.owner, x.elements)
+        out = self._inverses.get(key)
+        if out is None:
+            out = self._inverses[key] = inv_set(x)
+        return out
+
     def diff_size(self, x: GSubset, y: GSubset) -> int:
         """|X Y^-1|, the count behind the Ruzsa distance."""
-        return self.size(x, inv_set(y))
+        return self.size(x, self.inv(y))
 
-    @cached_property
+    @property
     def inv_a(self) -> GSubset:
-        return inv_set(self.a)
+        return self.inv(self.a)
 
     @cached_property
     def symmetric(self) -> bool:

@@ -16,12 +16,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import permutations, product as iter_product
-from typing import Any, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import CapError, SpecError
 
-# Exhaustive axiom validation is O(n^3); cap it.
-VALIDATION_CAP = 64
+# Finite groups up to this order get a Cayley table, which every set
+# algorithm then runs on; validation (O(n^3)) and subgroup enumeration share
+# the cap.  Larger and infinite groups multiply through `op`.
+TABLE_CAP = 64
 SYMMETRIC_DEGREE_CAP = 5
 
 _WEIGHT_MODES = ("counting", "normalized")
@@ -51,6 +54,7 @@ class WeightedGroup:
         self.order = order
         self.weight, self.weight_mode = _resolve_weight(weight, order)
         self._signature: str | None = None
+        self._law: CayleyTable | OpLaw | None = None
 
     # -- group law -------------------------------------------------------
 
@@ -83,6 +87,20 @@ class WeightedGroup:
     def decode_element(self, obj, path: str = "") -> Any:
         raise NotImplementedError
 
+    # -- the law the set algorithms run on ----------------------------------
+
+    @property
+    def law(self) -> CayleyTable | OpLaw:
+        """The Cayley table for a finite group of order <= TABLE_CAP, built on
+        first use; the plain `op` on handles for every other group."""
+        if self._law is None:
+            small = self.order is not None and self.order <= TABLE_CAP
+            self._law = self._cayley() if small else OpLaw(self)
+        return self._law
+
+    def _cayley(self) -> CayleyTable:
+        raise NotImplementedError
+
     # -- identity of the group object itself ------------------------------
 
     def spec(self) -> dict:
@@ -105,6 +123,74 @@ class WeightedGroup:
         return f"<{type(self).__name__} {self.name} |G|={size} w={self.weight}>"
 
 
+class CayleyTable:
+    """A finite group's law on the indices 0..n-1 of its canonical enumeration.
+
+    Points are indices: `rows[i][j]` is the index of the product of the
+    elements at i and j, `inv[i]` the inverse's index.  `elements[i]` is the
+    handle at index i and `index` maps handles back; both are None for the
+    kinds whose handles already are the indices.
+    """
+
+    __slots__ = ("rows", "elements", "index", "identity", "inv")
+
+    def __init__(self, rows: list[list[int]], elements: list | None = None) -> None:
+        self.rows = rows
+        self.elements = elements
+        self.index = None if elements is None else {x: i for i, x in enumerate(elements)}
+        # the identity is a group's only idempotent
+        self.identity = e = next(i for i, row in enumerate(rows) if row[i] == i)
+        self.inv = [row.index(e) for row in rows]
+
+    def all_points(self) -> range:
+        return range(len(self.rows))
+
+    def points(self, handles: Iterable) -> list[int]:
+        index = self.index
+        return list(handles) if index is None else list(map(index.__getitem__, handles))
+
+    def handles(self, points: Iterable[int]) -> frozenset:
+        elements = self.elements
+        return frozenset(points) if elements is None else frozenset(map(elements.__getitem__, points))
+
+    def mul(self, x: int, y: int) -> int:
+        return self.rows[x][y]
+
+    def product(self, xs: Iterable[int], ys: Sequence[int]) -> set[int]:
+        rows = self.rows
+        # `for row in (rows[x],)` looks each row up once, not once per y
+        return {row[y] for x in xs for row in (rows[x],) for y in ys}
+
+    def inverse(self, xs: Iterable[int]) -> set[int]:
+        return set(map(self.inv.__getitem__, xs))
+
+
+class OpLaw:
+    """The same interface with the handles as points and `op` as the law: the
+    path of infinite groups and of finite groups above TABLE_CAP."""
+
+    __slots__ = ("group", "identity", "mul")
+
+    def __init__(self, group: WeightedGroup) -> None:
+        self.group, self.identity, self.mul = group, group.identity, group.op
+
+    def all_points(self) -> Iterator:
+        return self.group.elements()
+
+    def points(self, handles: Iterable) -> list:
+        return list(handles)
+
+    def handles(self, points: Iterable) -> frozenset:
+        return frozenset(points)
+
+    def product(self, xs: Iterable, ys: Sequence) -> set:
+        op = self.group.op
+        return {op(x, y) for x in xs for y in ys}
+
+    def inverse(self, xs: Iterable) -> set:
+        return set(map(self.group.inv, xs))
+
+
 class _IndexedGroup(WeightedGroup):
     """Common plumbing for groups whose handles are ints 0..n-1."""
 
@@ -118,6 +204,10 @@ class _IndexedGroup(WeightedGroup):
         if not isinstance(obj, int) or isinstance(obj, bool) or not (0 <= obj < self.order):
             raise SpecError(path, f"expected element index 0..{self.order - 1}, got {obj!r}")
         return obj
+
+    def _cayley(self) -> CayleyTable:
+        # the handles are the indices already
+        return CayleyTable(op_table(self)[2])
 
     # the parametrized kinds (cyclic, dihedral, symmetric) share identity 0 and spec form
     @property
@@ -217,8 +307,8 @@ class TableGroup(_IndexedGroup):
         n = len(table)
         if n == 0:
             raise ValueError("empty multiplication table")
-        if n > VALIDATION_CAP:
-            raise CapError(f"table group size capped at {VALIDATION_CAP}, got {n}")
+        if n > TABLE_CAP:
+            raise CapError(f"table group size capped at {TABLE_CAP}, got {n}")
         rows = []
         for i, row in enumerate(table):
             row = list(row)
@@ -251,6 +341,9 @@ class TableGroup(_IndexedGroup):
     @property
     def identity(self) -> int:
         return self._identity
+
+    def _cayley(self) -> CayleyTable:
+        return CayleyTable(self.table)
 
     def spec(self) -> dict:
         out = {"type": "table", "table": [list(r) for r in self.table], "weight": self.weight_mode}
@@ -290,6 +383,17 @@ class ProductGroup(WeightedGroup):
         if self.order is None:
             raise ValueError(f"{self.name} is infinite; cannot enumerate")
         return iter_product(*[list(f.elements()) for f in self.factors])
+
+    def _cayley(self) -> CayleyTable:
+        # Mixed radix over the factors' tables, first factor most significant:
+        # the order of elements().  No factor is larger than the product, so
+        # each has a table.
+        rows = self.factors[0].law.rows
+        for f in self.factors[1:]:
+            inner = f.law.rows
+            m = len(inner)
+            rows = [[a * m + b for a in r1 for b in r2] for r1 in rows for r2 in inner]
+        return CayleyTable(rows, list(self.elements()))
 
     def contains(self, x) -> bool:
         return (
@@ -402,8 +506,18 @@ def quaternion_group(weight: str | Fraction = "counting") -> TableGroup:
     return TableGroup(quaternion_table(), weight=weight, name="Q8")
 
 
-def validate_axioms(group: WeightedGroup, cap: int = VALIDATION_CAP) -> None:
-    """Exhaustively recheck associativity, identity, and inverses.
+def op_table(group: WeightedGroup) -> tuple[list, dict, list[list[int]]]:
+    """(canonical elements, handle -> index, rows): one pass of `group.op`
+    over every pair; a product outside the group has index -1."""
+    elems = list(group.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    rows = [[index.get(group.op(x, y), -1) for y in elems] for x in elems]
+    return elems, index, rows
+
+
+def validate_axioms(group: WeightedGroup, cap: int = TABLE_CAP) -> None:
+    """Exhaustively recheck associativity, identity, and inverses through
+    `op`: the reference the Cayley tables are compared against.
 
     Intended for tests and table-spec vetting; the structured kinds satisfy
     the axioms by construction.
@@ -412,11 +526,8 @@ def validate_axioms(group: WeightedGroup, cap: int = VALIDATION_CAP) -> None:
         raise ValueError("cannot exhaustively validate an infinite group")
     if group.order > cap:
         raise CapError(f"validation capped at order {cap}, got {group.order}")
-    elems = list(group.elements())
-    index = {x: i for i, x in enumerate(elems)}
+    elems, index, t = op_table(group)
     n = len(elems)
-    # one pass of the group law builds the Cayley table; the checks index it
-    t = [[index.get(group.op(x, y), -1) for y in elems] for x in elems]
     if any(-1 in row for row in t):
         raise ValueError("the operation leaves the group")
     e = index.get(group.identity, -1)
@@ -426,16 +537,17 @@ def validate_axioms(group: WeightedGroup, cap: int = VALIDATION_CAP) -> None:
         ia = index.get(group.inv(x), -1)
         if ia < 0 or t[a][ia] != e or t[ia][a] != e:
             raise ValueError(f"inverse law fails at {x!r}")
-    for a in range(n):
-        ta = t[a]
-        for b in range(n):
-            tab = t[ta[b]]
-            tb = t[b]
-            for c in range(n):
-                if tab[c] != ta[tb[c]]:
-                    raise ValueError(
-                        f"non-associative operation at ({elems[a]!r},{elems[b]!r},{elems[c]!r})"
-                    )
+    if n == 1:
+        return
+    # associative iff, for all a and b, row ab is row b followed by row a
+    rows = [tuple(row) for row in t]
+    after = [itemgetter(*row) for row in t]  # after[b](row a) = row b followed by row a
+    for a, ta in enumerate(t):
+        if [rows[x] for x in ta] != [then(ta) for then in after]:
+            b, c = next((b, c) for b in range(n) for c in range(n) if t[ta[b]][c] != ta[t[b][c]])
+            raise ValueError(
+                f"non-associative operation at ({elems[a]!r},{elems[b]!r},{elems[c]!r})"
+            )
 
 
 # -- JSON group specs ------------------------------------------------------

@@ -174,20 +174,27 @@ def _with_weight(spec: dict, mode: str) -> dict:
 
 
 def parse_group_selector(sel: str | dict, path: str = "") -> dict:
-    """Accept either a full spec dict or a shorthand like "cyclic:12"."""
-    if isinstance(sel, dict):
-        build_group(sel, path)  # validate eagerly
-        return sel
-    if not isinstance(sel, str):
+    """Accept either a full spec dict or a shorthand like "cyclic:12".
+
+    The group is built to validate it, through the same cache the scan reads,
+    so a spec is built once."""
+    if isinstance(sel, str):
+        sel = _selector_spec(sel, path)
+    elif not isinstance(sel, dict):
         raise SpecError(path, f"expected a group spec or selector string, got {sel!r}")
-    name, _, arg = sel.partition(":")
-    if name == "q8":
+    _group_at(canonical_json(sel), path)
+    return sel
+
+
+def _selector_spec(sel: str, path: str) -> dict:
+    if sel == "q8":
         return {"type": "table", "table": quaternion_table(), "name": "Q8"}
-    if name == "gl2z":
+    if sel == "gl2z":
         return {"type": "gl2z"}
+    name, _, arg = sel.partition(":")
     if name in ("cyclic", "dihedral", "symmetric"):
-        if not arg.isdigit():
-            raise SpecError(path, f"selector {sel!r} needs a numeric parameter")
+        if not (arg.isascii() and arg.isdigit() and len(arg) <= 9 and int(arg) > 0):
+            raise SpecError(path, f"selector {sel!r} needs a positive numeric parameter")
         return {"type": name, "n": int(arg)}
     raise SpecError(path, f"unknown group selector {sel!r}")
 
@@ -219,6 +226,13 @@ def _parse_alphas(values) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _integer(value, path: str, least: int | None = None) -> None:
+    """Check a JSON integer (never a bool), at least `least` when given."""
+    if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
+        want = "an integer" if least is None else f"an integer >= {least}"
+        raise SpecError(path, f"expected {want}, got {value!r}")
+
+
 @dataclass
 class ScanConfig:
     """What to scan; everything except `parallelism` defines the artifact."""
@@ -233,6 +247,8 @@ class ScanConfig:
     parallelism: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.groups, (list, tuple)):
+            raise SpecError("/groups", "expected a list of group specs or selectors")
         self.groups = [parse_group_selector(g, f"/groups/{i}") for i, g in enumerate(self.groups)]
         self.suites = tuple(s for s in ALL_SUITES if s in _check_suites(self.suites))
         if self.subgroups not in ("all", "proper"):
@@ -241,27 +257,34 @@ class ScanConfig:
             raise SpecError("/subgroup_weight", f"got {self.subgroup_weight!r}")
         self.alphas = _parse_alphas(self.alphas)
         mode = self.subset_mode
+        if not isinstance(mode, dict):
+            raise SpecError("/subset_mode", "expected an object")
         kind = mode.get("kind")
         if kind == "exhaustive":
             allowed = {"kind", "max_size", "symmetric_only"}
+            if "max_size" in mode:
+                _integer(mode["max_size"], "/subset_mode/max_size", least=1)
+            if not isinstance(mode.get("symmetric_only", False), bool):
+                raise SpecError("/subset_mode/symmetric_only", "expected true or false")
         elif kind == "random":
             allowed = {"kind", "count", "seed", "density"}
-            if not isinstance(mode.get("count"), int) or mode["count"] < 1:
-                raise SpecError("/subset_mode/count", "expected a positive integer")
-            if not isinstance(mode.get("seed"), int):
+            _integer(mode.get("count"), "/subset_mode/count", least=1)
+            if "seed" not in mode:
                 raise SpecError("/subset_mode/seed", "random scans need an explicit integer seed")
+            _integer(mode["seed"], "/subset_mode/seed")
             density = mode.get("density", "mixed")
-            if density not in ("mixed", "1/4", "1/2") and not (
-                isinstance(density, dict) and set(density) == {"size"}
-            ):
+            if isinstance(density, dict) and set(density) == {"size"}:
+                _integer(density["size"], "/subset_mode/density/size", least=1)
+            elif density not in ("mixed", "1/4", "1/2"):
                 raise SpecError("/subset_mode/density", f"got {density!r}")
         else:
             raise SpecError("/subset_mode/kind", 'expected "exhaustive" or "random"')
         extra = set(mode) - allowed
         if extra:
             raise SpecError(f"/subset_mode/{sorted(extra)[0]}", "unknown key")
-        if self.parallelism < 1:
-            raise SpecError("/parallelism", "must be at least 1")
+        if not isinstance(self.emit_instances, bool):
+            raise SpecError("/emit_instances", "expected true or false")
+        _integer(self.parallelism, "/parallelism", least=1)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScanConfig":
@@ -434,7 +457,15 @@ def _random_ids(
 
 @lru_cache(maxsize=128)
 def _group(spec_json: str) -> WeightedGroup:
-    return build_group(json.loads(spec_json), "/group")
+    return build_group(json.loads(spec_json))
+
+
+def _group_at(spec_json: str, path: str) -> WeightedGroup:
+    """The one group object (and Cayley table) per spec; errors name `path`."""
+    try:
+        return _group(spec_json)
+    except SpecError as exc:
+        raise SpecError(path + exc.path.rstrip("/"), exc.reason) from None
 
 
 @lru_cache(maxsize=256)
@@ -479,7 +510,7 @@ def evaluate_instance(instance_id: str) -> dict:
     """Recompute the full report for one instance id (pure, replayable)."""
     spec, alphas = _load_id(instance_id)
     group_json = canonical_json(spec["group"])
-    group = _group(group_json)
+    group = _group_at(group_json, "/group")
     q = _quotient(group_json, canonical_json(spec["subgroup"]))
     a, b, c = (
         _decode_elems(group, spec[key], f"/{key}") if key in spec else None

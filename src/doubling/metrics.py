@@ -164,7 +164,7 @@ def is_coset_of_subgroup(group, elems: frozenset) -> bool:
     if not elems:
         return False
     ia0 = group.inv(min(elems, key=group.element_key))
-    return is_subgroup(group, frozenset(group.op(ia0, x) for x in elems))
+    return is_subgroup(group, translate(GSubset(group, elems), left=ia0).elements)
 
 
 def coset_criterion_scan(group) -> tuple[int, list[tuple]]:
@@ -177,37 +177,16 @@ def coset_criterion_scan(group) -> tuple[int, list[tuple]]:
     n = group.order
     if n is None:
         raise ValueError("exhaustive scan needs a finite group")
+    law = group.law
     elems = list(group.elements())
-    index = {x: i for i, x in enumerate(elems)}
-    op_t = [[index[group.op(x, y)] for y in elems] for x in elems]
-    inv_t = [index[group.inv(x)] for x in elems]
+    pts = list(law.all_points())
 
     mismatches: list[tuple] = []
-    checked = 0
     for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        checked += 1
-        prod: set = set()
-        for x in members:
-            row = op_t[x]
-            for y in members:
-                prod.add(row[inv_t[y]])
-        distance_zero = len(prod) == len(members)
-
-        ia0 = inv_t[members[0]]
-        row0 = op_t[ia0]
-        h = [row0[x] for x in members]
-        hset = set(h)
-        coset = True
-        for x in h:
-            row = op_t[x]
-            for y in h:
-                if row[y] not in hset:
-                    coset = False
-                    break
-            if not coset:
-                break
-
+        members = [p for i, p in enumerate(pts) if mask >> i & 1]
+        distance_zero = len(law.product(members, list(law.inverse(members)))) == len(members)
+        h = law.product(law.inverse(members[:1]), members)
+        coset = law.product(h, list(h)) <= h
         if distance_zero != coset:
-            mismatches.append(tuple(elems[i] for i in members))
-    return checked, mismatches
+            mismatches.append(tuple(x for i, x in enumerate(elems) if mask >> i & 1))
+    return (1 << n) - 1, mismatches

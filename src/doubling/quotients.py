@@ -18,47 +18,48 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapError, ConsistencyError, SpecError
-from .groups import ProductGroup, TableGroup, WeightedGroup
+from .groups import TABLE_CAP, ProductGroup, TableGroup, WeightedGroup
 from .rationals import fmt
-from .sets import GSubset, decode_elements, subset
-
-SUBGROUP_ENUM_CAP = 64
+from .sets import GSubset, decode_elements, subset, translate
 
 
 def closure(group: WeightedGroup, seed: Iterable) -> frozenset:
-    """Subgroup generated by `seed` (finite groups: products reach inverses)."""
-    out: set = set()
-    queue = [group.identity, *seed]
-    while queue:
-        x = queue.pop()
-        if x in out:
-            continue
-        out.add(x)
-        for y in list(out):
-            for z in (group.op(x, y), group.op(y, x)):
-                if z not in out:
-                    queue.append(z)
-    return frozenset(out)
+    """Subgroup generated by `seed`: the identity's orbit under right
+    multiplication by the seed, one breadth-first layer at a time (in a finite
+    group, products reach inverses)."""
+    law = group.law
+    gens = law.points(seed)
+    out = {law.identity}
+    frontier = out
+    while frontier:
+        frontier = law.product(frontier, gens) - out
+        out |= frontier
+    return law.handles(out)
 
 
 def is_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
-    if group.identity not in elems:
-        return False
-    for x in elems:
-        for y in elems:
-            if group.op(x, y) not in elems:
-                return False
-    return True
+    """A finite set holding the identity is a subgroup iff it is closed."""
+    law = group.law
+    pts = law.points(elems)
+    closed = set(pts)
+    return law.identity in closed and law.product(pts, pts) <= closed
 
 
 def is_normal(group: WeightedGroup, elems: frozenset) -> bool:
+    """Is the subgroup `elems` normal: gH = Hg for every g?  Once that holds
+    for g it holds on all of gH, so one g per coset is checked."""
     if group.order is None:
         raise ValueError("normality check needs a finite ambient group")
-    for g in group.elements():
-        ginv = group.inv(g)
-        for h in elems:
-            if group.op(group.op(g, h), ginv) not in elems:
-                return False
+    law = group.law
+    h = law.points(elems)
+    seen: set = set()
+    for g in law.all_points():
+        if g in seen:
+            continue
+        left = law.product([g], h)
+        if left != law.product(h, [g]):
+            return False
+        seen |= left
     return True
 
 
@@ -105,71 +106,44 @@ def _cached_lattice(key: _StructureKey) -> tuple[list[frozenset], list[frozenset
 
 
 def _lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
-    """(all subgroup handle-sets, normal handle-sets), each in canonical order."""
-    elems = list(group.elements())
-    n = len(elems)
-    index = {x: i for i, x in enumerate(elems)}
-    op_t = [[index[group.op(a, b)] for b in elems] for a in elems]
-    e = index[group.identity]
+    """(all subgroup handle-sets, normal handle-sets), each in canonical order.
 
-    def close(seed: frozenset) -> frozenset:
-        out: set = set()
-        queue = [e, *seed]
-        while queue:
-            x = queue.pop()
-            if x in out:
-                continue
-            out.add(x)
-            row = op_t[x]
-            for y in list(out):
-                z = row[y]
-                if z not in out:
-                    queue.append(z)
-                z = op_t[y][x]
-                if z not in out:
-                    queue.append(z)
-        return frozenset(out)
-
-    trivial = frozenset({e})
-    found = {trivial}
-    queue = [trivial]
+    Every subgroup is reached from {e} by adding one generator at a time, and
+    remembers its generator list, so each closure walks from a few elements.
+    <H, g> = <H, hg> for h in H, so one g per right coset of H is tried."""
+    gens_of = {frozenset([group.identity]): ()}
+    queue = list(gens_of)
     while queue:
-        current = queue.pop()
-        for g in range(n):
-            if g in current:
+        sub = queue.pop()
+        covered = set(sub)
+        for g in group.elements():
+            if g in covered:
                 continue
-            bigger = close(current | {g})
-            if bigger not in found:
-                found.add(bigger)
+            covered |= translate(GSubset(group, sub), right=g).elements
+            gens = gens_of[sub] + (g,)
+            bigger = closure(group, gens)
+            if bigger not in gens_of:
+                gens_of[bigger] = gens
                 queue.append(bigger)
 
-    inv_t = [next(i for i in range(n) if op_t[g][i] == e) for g in range(n)]
+    # H is normal iff generators of G conjugate generators of H into H
+    outer = [(g, group.inv(g)) for g in gens_of[max(gens_of, key=len)]]
 
     def normal(sub: frozenset) -> bool:
-        for g in range(n):
-            row = op_t[g]
-            ginv = inv_t[g]
-            for h in sub:
-                if op_t[row[h]][ginv] not in sub:
-                    return False
-        return True
+        inner = GSubset(group, frozenset(gens_of[sub]))
+        return all(translate(inner, left=g, right=ginv).elements <= sub for g, ginv in outer)
 
     key_fn = group.element_key
-    all_handles = sorted(
-        (frozenset(elems[i] for i in s) for s in found),
-        key=lambda s: (len(s), sorted(key_fn(x) for x in s)),
-    )
-    normal_index = {frozenset(elems[i] for i in s) for s in found if normal(s)}
-    normal_handles = [s for s in all_handles if s in normal_index]
-    return all_handles, normal_handles
+    all_handles = sorted(gens_of, key=lambda s: (len(s), sorted(key_fn(x) for x in s)))
+    return all_handles, [s for s in all_handles if normal(s)]
 
 
-def all_subgroups(group: WeightedGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[frozenset]:
+def all_subgroups(group: WeightedGroup, cap: int = TABLE_CAP) -> list[frozenset]:
     """Every subgroup, found by closing generated subgroups one generator at a time."""
     return list(_subgroup_lattice(group, cap)[0])
 
 
-def normal_subgroups(group: WeightedGroup, cap: int = SUBGROUP_ENUM_CAP) -> list[GSubset]:
+def normal_subgroups(group: WeightedGroup, cap: int = TABLE_CAP) -> list[GSubset]:
     """All normal subgroups of a finite group, {e} and G included, canonical order."""
     return [GSubset(group, h) for h in _subgroup_lattice(group, cap)[1]]
 
@@ -235,12 +209,10 @@ def quotient(
     """
     if group.order is None:
         raise ValueError("general quotients need a finite ambient group; use projection_quotient")
-    h_elems = sub.elements if isinstance(sub, GSubset) else frozenset(sub)
     if isinstance(sub, GSubset) and sub.owner is not group:
         raise ValueError("subgroup subset belongs to a different group")
-    for x in h_elems:
-        if not group.contains(x):
-            raise ValueError(f"{x!r} is not an element of {group.name}")
+    h_subset = subset(group, sub.elements if isinstance(sub, GSubset) else sub)
+    h_elems = h_subset.elements
     if not is_subgroup(group, h_elems):
         raise ValueError("not a subgroup: missing identity or not closed under the operation")
     if not is_normal(group, h_elems):
@@ -253,20 +225,19 @@ def quotient(
         raise ValueError(f"unknown subgroup weight mode {subgroup_weight!r}")
 
     # Cosets indexed in order of first appearance along the canonical enumeration.
-    proj: dict = {}
+    law = group.law
+    h = law.points(h_elems)
+    coset_of: dict = {}
     reps: list = []
-    for x in group.elements():
-        if x in proj:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for h in h_elems:
-            proj[group.op(x, h)] = cid
-    q = len(reps)
-    table = [[proj[group.op(reps[i], reps[j])] for j in range(q)] for i in range(q)]
+    for x in law.all_points():
+        if x not in coset_of:
+            coset_of.update(dict.fromkeys(law.product([x], h), len(reps)))
+            reps.append(x)
+    mul = law.mul
+    table = [[coset_of[mul(r, s)] for s in reps] for r in reps]
+    proj = dict(zip(group.elements(), map(coset_of.__getitem__, law.all_points())))
     qgroup = TableGroup(table, weight=group.weight / w_h, name=f"{group.name}/H{len(h_elems)}")
 
-    h_subset = sub if isinstance(sub, GSubset) else subset(group, h_elems)
     description = {"elements": h_subset.encode(), "weight": subgroup_weight}
     return QuotientStructure(group, h_subset, qgroup, proj.__getitem__, w_h, description)
 

@@ -78,15 +78,15 @@ def _require_same_owner(a: GSubset, b: GSubset) -> None:
 def mul_set(a: GSubset, b: GSubset) -> GSubset:
     """Exact product set {xy : x in A, y in B}."""
     _require_same_owner(a, b)
-    op = a.owner.op
-    out = {op(x, y) for x in a.elements for y in b.elements}
-    return GSubset(a.owner, frozenset(out))
+    law = a.owner.law
+    out = law.product(law.points(a.elements), law.points(b.elements))
+    return GSubset(a.owner, law.handles(out))
 
 
 def inv_set(a: GSubset) -> GSubset:
     """Elementwise inverse; measure is preserved."""
-    inv = a.owner.inv
-    return GSubset(a.owner, frozenset(inv(x) for x in a.elements))
+    law = a.owner.law
+    return GSubset(a.owner, law.handles(law.inverse(law.points(a.elements))))
 
 
 def square(a: GSubset) -> GSubset:
@@ -104,10 +104,10 @@ def is_symmetric(a: GSubset) -> bool:
 
 def translate(a: GSubset, left=None, right=None) -> GSubset:
     """gAh for optional left/right translators."""
-    out = a.elements
-    op = a.owner.op
+    law = a.owner.law
+    out = law.points(a.elements)
     if left is not None:
-        out = frozenset(op(left, x) for x in out)
+        out = law.product(law.points([left]), out)
     if right is not None:
-        out = frozenset(op(x, right) for x in out)
-    return GSubset(a.owner, out)
+        out = law.product(out, law.points([right]))
+    return GSubset(a.owner, law.handles(out))

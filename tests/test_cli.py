@@ -222,3 +222,39 @@ def test_replay_rejects_malformed_ids_with_a_path(capsys, change, path):
     assert out == ""
     assert f"error: {path}:" in err
     assert "Traceback" not in err
+
+
+SCAN_BASE = {"groups": ["cyclic:4"], "subset_mode": {"kind": "random", "count": 1, "seed": 0}}
+EXHAUSTIVE = {"kind": "exhaustive", "max_size": 2}
+
+
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        ({"subset_mode": 5}, "/subset_mode"),
+        ({"parallelism": "2"}, "/parallelism"),
+        ({"parallelism": True}, "/parallelism"),
+        ({"subset_mode": dict(EXHAUSTIVE, max_size="2")}, "/subset_mode/max_size"),
+        ({"subset_mode": dict(EXHAUSTIVE, max_size=0)}, "/subset_mode/max_size"),
+        ({"subset_mode": dict(EXHAUSTIVE, symmetric_only="no")}, "/subset_mode/symmetric_only"),
+        ({"subset_mode": dict(SCAN_BASE["subset_mode"], density={"size": "2"})},
+         "/subset_mode/density/size"),
+        ({"subset_mode": dict(SCAN_BASE["subset_mode"], count=True)}, "/subset_mode/count"),
+        ({"subset_mode": dict(SCAN_BASE["subset_mode"], seed=False)}, "/subset_mode/seed"),
+        ({"groups": "cyclic:4"}, "/groups"),
+        ({"groups": ["cyclic:0"]}, "/groups/0"),
+        ({"groups": ["cyclic:²"]}, "/groups/0"),
+        ({"groups": ["q8:7"]}, "/groups/0"),
+        ({"groups": [{"type": "product", "factors": [{"type": "cyclic", "n": "4"}]}]},
+         "/groups/0/factors/0/n"),
+        ({"emit_instances": "no"}, "/emit_instances"),
+    ],
+)
+def test_scan_rejects_malformed_configs_with_a_path(tmp_path, capsys, change, path):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(dict(SCAN_BASE, **change)))
+    code, out, err = run(capsys, "scan", "--config", str(config), "--out", str(tmp_path / "o.json"))
+    assert code == 1
+    assert out == ""
+    assert f"error: {path}:" in err
+    assert "Traceback" not in err

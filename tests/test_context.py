@@ -137,21 +137,35 @@ def test_fragments_match_the_standalone_functions(ids):
         assert report["violations"] == []
 
 
-def test_no_product_set_is_computed_twice_per_instance(ids, monkeypatch):
-    original = doubling.sets.mul_set
+def record_calls(monkeypatch, name: str, key) -> list:
+    """Route every package binding of `sets.<name>` through a recorder of `key(args)`."""
+    original = getattr(doubling.sets, name)
     calls: list = []
 
-    def recording(x, y):
-        calls.append((x.owner, x.elements, y.elements))
-        return original(x, y)
+    def recording(*args):
+        calls.append(key(*args))
+        return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("doubling") and getattr(module, "mul_set", None) is original:
-            monkeypatch.setattr(module, "mul_set", recording)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("doubling") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_no_product_set_is_computed_twice_per_instance(ids, monkeypatch):
+    calls = record_calls(monkeypatch, "mul_set", lambda x, y: (x.owner, x.elements, y.elements))
     for instance_id in ids:
         calls.clear()
         evaluate_instance(instance_id)
         assert calls, instance_id
+        assert len(calls) == len(set(calls)), instance_id
+
+
+def test_no_inverse_set_is_computed_twice_per_instance(ids, monkeypatch):
+    calls = record_calls(monkeypatch, "inv_set", lambda x: (x.owner, x.elements))
+    for instance_id in ids:
+        calls.clear()
+        evaluate_instance(instance_id)
         assert len(calls) == len(set(calls)), instance_id
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from doubling import build_sharpness_instance
 from doubling.cli import main
+from doubling.groups import quaternion_table
 
 SCAN_CONFIG = {
     "groups": [
@@ -25,12 +26,34 @@ SCAN_CONFIG = {
     "emit_instances": True,
 }
 
+# S4 and two order-32 products (one with Q8): the finite groups whose
+# arithmetic runs on Cayley tables, with every suite on
+KERNEL_SCAN_CONFIG = {
+    "groups": [
+        "symmetric:4",
+        {
+            "type": "product",
+            "factors": [
+                {"type": "table", "table": quaternion_table(), "name": "Q8"},
+                {"type": "cyclic", "n": 4},
+            ],
+        },
+        {
+            "type": "product",
+            "factors": [{"type": "dihedral", "n": 4}, {"type": "cyclic", "n": 4}],
+        },
+    ],
+    "subset_mode": {"kind": "random", "count": 2, "seed": 11},
+    "emit_instances": True,
+}
+
 GOLDEN = {
     "verify-d4": "0cd2dcc0591f3f145b7c0cfef2d93dbae8ecf26b30b87a6db2ffed2f322edf02",
     "verify-s3-normalized": "72a83ade70079a726a84bb18cb2032c18e855fc83a9d94df1f059d2e93475e2a",
     "scan-json": "ea41a32f0e81d14596f688833029e586d779c6d90970694c4ac209cdfc66b73b",
     "scan-csv": "56a494bbc3e2cc16c00f4757e991c4a58e8563121ba9d3be21f22ab2f3025161",
     "extract-trace": "359f85c69fdcb354e9186604a1267aa5b2b3588c0c769248cf92931453d4284d",
+    "kernel-scan-json": "e2617ea69ff7aace5289778bcc30970806fc6755f70a557d2cb4fe12767beaf0",
 }
 
 
@@ -65,6 +88,14 @@ def test_scan_json_and_csv_golden(tmp_path, capsys):
     run_cli(capsys, "scan", "--config", config, "--out", out, "--csv", csv, "-j", 1)
     assert digest(out) == GOLDEN["scan-json"]
     assert digest(csv) == GOLDEN["scan-csv"]
+
+
+def test_kernel_groups_scan_golden(tmp_path, capsys):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(KERNEL_SCAN_CONFIG))
+    out = tmp_path / "out.json"
+    run_cli(capsys, "scan", "--config", config, "--out", out, "-j", 1)
+    assert digest(out) == GOLDEN["kernel-scan-json"]
 
 
 def test_extract_trace_golden(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 from fractions import Fraction
 
@@ -95,7 +98,12 @@ def test_table_group_rejects_broken_tables():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(ValueError, match="non-associative"):
+    first = next(
+        (a, b, c)
+        for a, b, c in itertools.product(range(5), repeat=3)
+        if loop[loop[a][b]][c] != loop[a][loop[b][c]]
+    )
+    with pytest.raises(ValueError, match=re.escape("non-associative operation at (%d,%d,%d)" % first)):
         TableGroup(loop)
 
 

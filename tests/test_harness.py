@@ -1,6 +1,8 @@
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doubling import (
     CapError,
@@ -286,3 +288,31 @@ def test_probe_values_allow_reconstruction():
         k = parse(rep["doubling"]["K"])
         qd = parse(rep["quotient_doubling"])
         assert parse(rep["probe"]["over_k2"]) == qd / (k * k)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12) | st.sampled_from(["cyclic:4", "q8", "exhaustive", "random", "mixed"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+CONFIG_FIELDS = [f.name for f in fields(ScanConfig)]
+MODE_KEYS = ["kind", "count", "seed", "density", "max_size", "symmetric_only"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(CONFIG_FIELDS + [f"subset_mode/{k}" for k in MODE_KEYS]),
+    JSON_VALUES,
+    st.sampled_from([{"kind": "random", "count": 2, "seed": 1}, {"kind": "exhaustive"}]),
+)
+def test_scan_config_raises_only_spec_errors(field, value, mode):
+    doc = {"groups": ["cyclic:4"], "subset_mode": dict(mode)}
+    if field.startswith("subset_mode/"):
+        doc["subset_mode"][field.split("/")[1]] = value
+    else:
+        doc[field] = value
+    try:
+        ScanConfig.from_json(doc)
+    except SpecError:
+        pass
