@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .constructions import (
     build_from_reference,
@@ -21,17 +22,20 @@ from .constructions import (
 from .context import InstanceContext
 from .errors import ConsistencyError, SpecError
 from .extract import certify, threshold_trace
-from .groups import build_group
+from .groups import WeightedGroup
 from .harness import (
     ALL_SUITES,
     ScanConfig,
+    _group_at,
+    canonical_json,
+    parse_alphas,
     parse_group_selector,
     replay,
     report_csv,
     scan,
 )
 from .quotients import quotient_from_description
-from .rationals import fmt, parse as parse_rat
+from .rationals import fmt
 from .sets import decode_subset
 
 _EXHAUSTIVE_DEFAULT_LIMIT = 12
@@ -65,6 +69,13 @@ def _default_jobs() -> int:
     return 1
 
 
+def _jobs_arg(text: str) -> int:
+    """A worker count: an integer >= 1."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON artifact here instead of stdout")
 
@@ -85,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--trials", type=int, default=200, help="random trials when too big to exhaust")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--alphas", default="3/2,2,3")
-    v.add_argument("-j", "--parallelism", type=int, default=None)
+    v.add_argument("-j", "--parallelism", type=_jobs_arg, default=None)
     _add_common(v)
 
     c = sub.add_parser("construct", help="build a sharpness witness instance")
@@ -109,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="run a configured scan over many instances")
     s.add_argument("--config", required=True, help="scan config JSON file")
     s.add_argument("--csv", help="also write a lossy CSV table here")
-    s.add_argument("-j", "--parallelism", type=int, default=None)
+    s.add_argument("-j", "--parallelism", type=_jobs_arg, default=None)
     _add_common(s)
 
     r = sub.add_parser("replay", help="recompute one instance report from its id")
@@ -119,15 +130,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _group_arg(text: str) -> dict:
-    """A group selector like "cyclic:12", or @file holding a spec."""
-    return parse_group_selector(_read_json(text[1:]) if text.startswith("@") else text)
+def _group_arg(text: str) -> tuple[dict, WeightedGroup]:
+    """A group selector like "cyclic:12", or @file holding a spec, with the
+    harness's cached group for it."""
+    spec = parse_group_selector(_read_json(text[1:]) if text.startswith("@") else text, "/group")
+    return spec, _group_at(canonical_json(spec), "/group")
+
+
+def _alphas_arg(text: str, flag: str) -> tuple[Fraction, ...]:
+    """A comma list of rationals > 1; errors name the flag."""
+    try:
+        return parse_alphas(text.split(","))
+    except SpecError as exc:
+        raise SpecError(flag, exc.reason) from None
 
 
 def _cmd_verify(args) -> int:
-    gspec = _group_arg(args.group)
+    gspec, group = _group_arg(args.group)
     suites = ALL_SUITES if args.suite == "all" else tuple(args.suite.split(","))
-    group = build_group(gspec)
     if group.order is None:
         raise SpecError("/group", "verify needs a finite group")
     if args.max_subset_size is not None or group.order <= _EXHAUSTIVE_DEFAULT_LIMIT:
@@ -143,7 +163,7 @@ def _cmd_verify(args) -> int:
         subset_mode=subset_mode,
         suites=suites,
         subgroup_weight=args.subgroup_weight,
-        alphas=tuple(parse_rat(a) for a in args.alphas.split(",")),
+        alphas=_alphas_arg(args.alphas, "--alphas"),
         parallelism=args.parallelism or _default_jobs(),
     )
     report = scan(config)
@@ -173,7 +193,7 @@ def _load_extract_inputs(args):
     subset_doc = _maybe_inline_json(args.subset)
     if isinstance(subset_doc, dict) and "construction" in subset_doc:
         return build_from_reference(subset_doc, "/subset")
-    group = build_group(_group_arg(args.group), "/group")
+    group = _group_arg(args.group)[1]
     sub_doc = _maybe_inline_json(args.subgroup)
     if isinstance(sub_doc, dict) and "elements" in sub_doc and "weight" not in sub_doc:
         sub_doc = {"elements": sub_doc["elements"], "weight": args.subgroup_weight}
@@ -184,7 +204,7 @@ def _load_extract_inputs(args):
 
 def _cmd_extract(args) -> int:
     group, a, q = _load_extract_inputs(args)
-    alphas = [parse_rat(x) for x in args.alpha.split(",")]
+    alphas = _alphas_arg(args.alpha, "--alpha")
     ctx = InstanceContext(a, q)
     out: dict = {"kind": "extraction-report", "group": group.name, "certificates": {}}
     status = 0

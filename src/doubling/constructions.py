@@ -17,7 +17,7 @@ while mu_Q(pi A) -> 1 and the measured doubling -> K as h, m grow, so the
 quotient doubling ratio climbs to K^2 - 2K + 2.
 
 Large instances are never materialized: A and A^2 live in a touched-coset
-representation (per matrix, a few rectangles H-part x Z_m-part), and all
+representation (per matrix, one rectangle H-part x Z_m-part), and all
 measures come from exact counts on that representation.  Small instances can
 be materialized into plain element sets for brute-force cross-checks.
 """
@@ -26,12 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 from .errors import CapError, ConsistencyError, SpecError
 from .groups import CyclicGroup, MatrixGroup, ProductGroup, WeightedGroup, build_group
 from .metrics import DoublingStats
-from .quotients import QuotientStructure, projection_quotient
+from .quotients import QuotientStructure, factor_indices, projection_quotient
 from .rationals import put
 from .sets import GSubset, decode_subset
 
@@ -149,95 +150,45 @@ def cantor_analog(m: int, group: CyclicGroup | None = None) -> GSubset:
 
 # -- touched-coset block representation --------------------------------------
 #
-# A block set maps a matrix W to a list of rectangles (h_full, z) meaning
-# (H if h_full else {1_H}) x {W} x (Z_m if z is None else z).
+# A block set maps a matrix W to one rectangle (h_full, z) meaning
+# (H if h_full else {1_H}) x {W} x (Z_m if z is None else z).  One rectangle
+# per matrix suffices: A has distinct matrices, and since C + C = Z_m every
+# rectangle of A^2 has z = None, so two that land on one matrix are nested.
 
 
-def _rect_contains(r1: tuple, r2: tuple) -> bool:
-    h1, z1 = r1
-    h2, z2 = r2
-    if h2 and not h1:
-        return False
-    if z1 is None:
-        return True
-    return z2 is not None and z1 >= z2
-
-
-def _insert_rect(rects: list, rect: tuple) -> None:
-    for existing in rects:
-        if _rect_contains(existing, rect):
+def _merge(blocks: dict, w: tuple, rect: tuple) -> None:
+    """Put `rect` on matrix `w`, keeping the larger of two nested rectangles."""
+    old = blocks.setdefault(w, rect)
+    for big, small in ((old, rect), (rect, old)):
+        if big[0] >= small[0] and (big[1] is None or small[1] is not None and big[1] >= small[1]):
+            blocks[w] = big
             return
-    rects[:] = [r for r in rects if not _rect_contains(rect, r)]
-    rects.append(rect)
+    raise ConsistencyError("two non-nested rectangles on one matrix", {"matrix": list(w)})
 
 
 def _block_product(b1: dict, b2: dict, m: int, cache: dict) -> dict:
     out: dict = {}
-    for w1, rects1 in b1.items():
-        for w2, rects2 in b2.items():
-            w = _GL2Z.op(w1, w2)
-            bucket = out.setdefault(w, [])
-            for h1, z1 in rects1:
-                for h2, z2 in rects2:
-                    if z1 is None or z2 is None:
-                        z = None
-                    else:
-                        z = _sumset_mod(z1, z2, m, cache)
-                    _insert_rect(bucket, (h1 or h2, z))
+    for w1, (h1, z1) in b1.items():
+        for w2, (h2, z2) in b2.items():
+            z = None if z1 is None or z2 is None else _sumset_mod(z1, z2, m, cache)
+            _merge(out, _GL2Z.op(w1, w2), (h1 or h2, z))
     return out
 
 
 def _block_inverse(blocks: dict, m: int) -> dict:
-    out: dict = {}
-    for w, rects in blocks.items():
-        bucket = out.setdefault(_GL2Z.inv(w), [])
-        for h_full, z in rects:
-            neg = None if z is None else frozenset((-x) % m for x in z)
-            _insert_rect(bucket, (h_full, neg))
-    return out
-
-
-def _blocks_equal(b1: dict, b2: dict) -> bool:
-    if set(b1) != set(b2):
-        return False
-    return all(set(b1[w]) == set(b2[w]) for w in b1)
-
-
-def _rects_count(rects: list, h: int, m: int) -> int:
-    """Exact union size by inclusion-exclusion (rect lists stay tiny)."""
-    n = len(rects)
-    total = 0
-    for mask in range(1, 1 << n):
-        chosen = [rects[i] for i in range(n) if mask >> i & 1]
-        h_count = h if all(r[0] for r in chosen) else 1
-        zs = [r[1] for r in chosen if r[1] is not None]
-        if not zs:
-            z_count = m
-        else:
-            inter = zs[0]
-            for z in zs[1:]:
-                inter = inter & z
-            z_count = len(inter)
-        total += (1 if bin(mask).count("1") % 2 else -1) * h_count * z_count
-    return total
+    return {
+        _GL2Z.inv(w): (h_full, None if z is None else frozenset((-x) % m for x in z))
+        for w, (h_full, z) in blocks.items()
+    }
 
 
 def _block_count(blocks: dict, h: int, m: int) -> int:
-    return sum(_rects_count(rects, h, m) for rects in blocks.values())
+    return sum((h if h_full else 1) * (m if z is None else len(z)) for h_full, z in blocks.values())
 
 
 def _projected_count(blocks: dict, m: int) -> int:
     """Size of the projection to GL2Z x Z_m (H coordinate dropped)."""
-    total = 0
-    for rects in blocks.values():
-        union: frozenset | None = frozenset()
-        for _, z in rects:
-            if z is None:
-                union = None
-                break
-            union = union | z
-        total += m if union is None else len(union)
-    return total
+    return sum(m if z is None else len(z) for _, z in blocks.values())
 
 
 # -- the assembled instance ---------------------------------------------------
@@ -299,13 +250,9 @@ class SharpnessInstance:
             )
         g = group if group is not None else self.group()
         elems: set = set()
-        for w, rects in self.blocks.items():
-            for h_full, z in rects:
-                h_range = range(self.h) if h_full else (0,)
-                z_range = range(self.m) if z is None else sorted(z)
-                for hh in h_range:
-                    for zz in z_range:
-                        elems.add((hh, w, zz))
+        for w, (h_full, z) in self.blocks.items():
+            h_range = range(self.h) if h_full else (0,)
+            elems.update(product(h_range, (w,), range(self.m) if z is None else z))
         return GSubset(g, frozenset(elems))
 
     def to_json(self, materialize_cap: int = 20_000) -> dict:
@@ -350,31 +297,28 @@ def build_sharpness_instance(n: int, h: int, m: int) -> SharpnessInstance:
     r, cantor = _cantor(m, cache)
 
     fam = matrix_family(n)
-    blocks: dict = {fam.identity: [(True, None)]}
+    blocks: dict = {fam.identity: (True, None)}
     for w in fam.members:
-        blocks.setdefault(w, []).append((False, cantor))
+        _merge(blocks, w, (False, cantor))
 
-    if not _blocks_equal(blocks, _block_inverse(blocks, m)):
+    # A^-1 = A, so A^-1 A is A^2 and K2 = K
+    if blocks != _block_inverse(blocks, m):
         raise ConsistencyError("witness subset is not symmetric", {"N": n, "h": h, "m": m})
 
     blocks2 = _block_product(blocks, blocks, m, cache)
-    if len(blocks2) != matrix_family_square_count(n):
+    if len(blocks2) != 4 * n * n + 1:
         raise ConsistencyError(
             "touched matrix count mismatch in the squared witness", {"N": n}
         )
-    inv_times = _block_product(_block_inverse(blocks, m), blocks, m, cache)
 
     w_g = Fraction(1, h * m)
-    count_a = _block_count(blocks, h, m)
-    mu_a = count_a * w_g
+    mu_a = _block_count(blocks, h, m) * w_g
     mu_a2 = _block_count(blocks2, h, m) * w_g
-    mu_inv_times = _block_count(inv_times, h, m) * w_g
     mu_pia = Fraction(_projected_count(blocks, m), m)
     mu_pia2 = Fraction(_projected_count(blocks2, m), m)
 
-    stats = DoublingStats(
-        K=mu_a2 / mu_a, K1=mu_a2 / mu_a, K2=mu_inv_times / mu_a, symmetric=True
-    )
+    k = mu_a2 / mu_a
+    stats = DoublingStats(K=k, K1=k, K2=k, symmetric=True)
     return SharpnessInstance(
         N=n,
         h=h,
@@ -409,9 +353,7 @@ def load_instance(doc: dict, path: str = "") -> tuple[WeightedGroup, GSubset, Qu
     if not isinstance(group, ProductGroup):
         raise SpecError(f"{path}/group", "instance group must be a product")
     a = decode_subset(group, doc["subset"], f"{path}/subset")
-    keep = doc.get("keep")
-    if not isinstance(keep, list) or not all(isinstance(i, int) for i in keep):
-        raise SpecError(f"{path}/keep", "expected a list of factor indices")
+    keep = factor_indices(doc.get("keep"), f"{path}/keep")
     return group, a, projection_quotient(group, keep)
 
 

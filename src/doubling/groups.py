@@ -515,7 +515,7 @@ def op_table(group: WeightedGroup) -> tuple[list, dict, list[list[int]]]:
     return elems, index, rows
 
 
-def validate_axioms(group: WeightedGroup, cap: int = TABLE_CAP) -> None:
+def validate_axioms(group: WeightedGroup) -> None:
     """Exhaustively recheck associativity, identity, and inverses through
     `op`: the reference the Cayley tables are compared against.
 
@@ -524,8 +524,8 @@ def validate_axioms(group: WeightedGroup, cap: int = TABLE_CAP) -> None:
     """
     if group.order is None:
         raise ValueError("cannot exhaustively validate an infinite group")
-    if group.order > cap:
-        raise CapError(f"validation capped at order {cap}, got {group.order}")
+    if group.order > TABLE_CAP:
+        raise CapError(f"validation capped at order {TABLE_CAP}, got {group.order}")
     elems, index, t = op_table(group)
     n = len(elems)
     if any(-1 in row for row in t):
@@ -597,7 +597,7 @@ def build_group(spec: dict, path: str = "") -> WeightedGroup:
     if not isinstance(spec, dict):
         raise SpecError(path, f"group spec must be an object, got {type(spec).__name__}")
     kind = spec.get("type")
-    if kind not in _SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise SpecError(f"{path}/type", f"expected one of {sorted(_SPEC_KEYS)}, got {kind!r}")
     _check_keys(spec, kind, path)
     try:
@@ -608,6 +608,9 @@ def build_group(spec: dict, path: str = "") -> WeightedGroup:
             table = spec.get("table")
             if not isinstance(table, list):
                 raise SpecError(f"{path}/table", "expected a list of rows")
+            for i, row in enumerate(table):
+                if not isinstance(row, list) or any(type(v) is not int for v in row):
+                    raise SpecError(f"{path}/table/{i}", "expected a list of integer element indices")
             name = spec.get("name", "table")
             if not isinstance(name, str):
                 raise SpecError(f"{path}/name", "expected a string")

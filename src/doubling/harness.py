@@ -211,7 +211,7 @@ def _check_suites(names) -> list | tuple:
     return names
 
 
-def _parse_alphas(values) -> tuple[Fraction, ...]:
+def parse_alphas(values) -> tuple[Fraction, ...]:
     if not isinstance(values, (list, tuple)):
         raise SpecError("/alphas", "expected a list of rationals")
     out = []
@@ -255,7 +255,7 @@ class ScanConfig:
             raise SpecError("/subgroups", f'expected "all" or "proper", got {self.subgroups!r}')
         if self.subgroup_weight not in ("counting", "normalized"):
             raise SpecError("/subgroup_weight", f"got {self.subgroup_weight!r}")
-        self.alphas = _parse_alphas(self.alphas)
+        self.alphas = parse_alphas(self.alphas)
         mode = self.subset_mode
         if not isinstance(mode, dict):
             raise SpecError("/subset_mode", "expected an object")
@@ -499,7 +499,7 @@ def _load_id(instance_id: str) -> tuple[dict, list]:
         raise SpecError(f"/{extra[0]}", "unknown key in instance id")
     _check_suites(spec.get("suites", []))
     alphas = spec.get("alphas", [fmt(x) for x in DEFAULT_ALPHAS])
-    alphas = list(zip(alphas, _parse_alphas(alphas)))
+    alphas = list(zip(alphas, parse_alphas(alphas)))
     translate = spec.get("translate")
     if "translate" in spec and not (isinstance(translate, list) and len(translate) == 2):
         raise SpecError("/translate", "expected exactly two group elements [g, h]")

@@ -87,11 +87,11 @@ class _StructureKey(str):
     group: WeightedGroup
 
 
-def _subgroup_lattice(group: WeightedGroup, cap: int) -> tuple[list[frozenset], list[frozenset]]:
+def _subgroup_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
     if group.order is None:
         raise ValueError("subgroup enumeration needs a finite group")
-    if group.order > cap:
-        raise CapError(f"subgroup enumeration capped at order {cap}, got {group.order}")
+    if group.order > TABLE_CAP:
+        raise CapError(f"subgroup enumeration capped at order {TABLE_CAP}, got {group.order}")
     spec = _structural_key(group)
     if spec is None:
         return _lattice(group)
@@ -138,14 +138,14 @@ def _lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
     return all_handles, [s for s in all_handles if normal(s)]
 
 
-def all_subgroups(group: WeightedGroup, cap: int = TABLE_CAP) -> list[frozenset]:
+def all_subgroups(group: WeightedGroup) -> list[frozenset]:
     """Every subgroup, found by closing generated subgroups one generator at a time."""
-    return list(_subgroup_lattice(group, cap)[0])
+    return list(_subgroup_lattice(group)[0])
 
 
-def normal_subgroups(group: WeightedGroup, cap: int = TABLE_CAP) -> list[GSubset]:
+def normal_subgroups(group: WeightedGroup) -> list[GSubset]:
     """All normal subgroups of a finite group, {e} and G included, canonical order."""
-    return [GSubset(group, h) for h in _subgroup_lattice(group, cap)[1]]
+    return [GSubset(group, h) for h in _subgroup_lattice(group)[1]]
 
 
 class QuotientStructure:
@@ -274,6 +274,13 @@ def projection_quotient(group: ProductGroup, keep: Sequence[int]) -> QuotientStr
     return QuotientStructure(group, GSubset(group, kernel), qgroup, project, w_h, description)
 
 
+def factor_indices(keep, path: str) -> list[int]:
+    """Check a JSON list of product-factor indices (integers, never bools)."""
+    if not isinstance(keep, list) or any(type(i) is not int for i in keep):
+        raise SpecError(path, "expected a list of factor indices")
+    return keep
+
+
 def quotient_from_description(group: WeightedGroup, desc: dict, path: str = "") -> QuotientStructure:
     """Rebuild a quotient from its describe() output (replay path)."""
     if not isinstance(desc, dict):
@@ -281,9 +288,7 @@ def quotient_from_description(group: WeightedGroup, desc: dict, path: str = "") 
     if "keep" in desc:
         if set(desc) != {"keep"}:
             raise SpecError(path, 'projection description allows only the key "keep"')
-        keep = desc["keep"]
-        if not isinstance(keep, list) or not all(isinstance(i, int) for i in keep):
-            raise SpecError(f"{path}/keep", "expected a list of factor indices")
+        keep = factor_indices(desc["keep"], f"{path}/keep")
         if not isinstance(group, ProductGroup):
             raise SpecError(f"{path}/keep", "projection quotient needs a product group")
         return projection_quotient(group, keep)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doubling.cli import main
 
@@ -258,3 +259,87 @@ def test_scan_rejects_malformed_configs_with_a_path(tmp_path, capsys, change, pa
     assert out == ""
     assert f"error: {path}:" in err
     assert "Traceback" not in err
+
+
+# -- malformed input of every kind: exit 1, never a traceback, never 0 ------------
+
+PRODUCT_C2_C3 = {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "cyclic", "n": 3}]}
+EXTRACT_C4 = ["--group", "cyclic:4", "--subgroup", '{"elements": [0, 2]}', "--subset", '{"elements": [0, 1]}']
+
+
+def _replay_id(**change):
+    return ["replay", "--id", json.dumps(dict(REPLAY_BASE, **change))]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--group", "dihedral:3", "--alphas", "2/0"], "--alphas"),
+        (["verify", "--group", "dihedral:3", "--alphas", "3/2,1"], "--alphas"),
+        (["verify", "--group", "dihedral:3", "--alphas", ""], "--alphas"),
+        (["extract", "--alpha", "2/0", *EXTRACT_C4], "--alpha"),
+        (["extract", "--alpha", "1", *EXTRACT_C4], "--alpha"),
+        (["extract", "--alpha", "2,x", *EXTRACT_C4], "--alpha"),
+        (["verify", "--group", "cyclic:4", "-j", "0"], "-j/--parallelism"),
+        (["verify", "--group", "cyclic:4", "-j", "-2"], "-j/--parallelism"),
+        (["scan", "--config", "<scan>", "-j", "0"], "-j/--parallelism"),
+        (_replay_id(group={"type": "table", "table": [5]}, subgroup={"elements": [0]}, subset=[0]),
+         "/group/table/0"),
+        (_replay_id(group={"type": "table", "table": [[0, 1], "10"]}), "/group/table/1"),
+        (_replay_id(group={"type": "table", "table": [[0, 1], [1, False]]}), "/group/table/1"),
+        (_replay_id(group=PRODUCT_C2_C3, subgroup={"keep": [True]}, subset=[[0, 0]]), "/subgroup/keep"),
+        (_replay_id(group=PRODUCT_C2_C3, subgroup={"keep": [0, "1"]}, subset=[[0, 0]]), "/subgroup/keep"),
+        (["extract", "--instance", "<bool_keep>"], "/instance/keep"),
+        (["verify", "--group", "cyclic:0"], "/group"),
+        (["verify", "--group", "@<scan>"], "/group"),
+        (["verify", "--group", "cyclic:4", "--suite", "bogus"], "/suites/0"),
+        (["extract", "--alpha", "2", "--group", "cyclic:4", "--subgroup", "[", "--subset", "{}"], "error:"),
+        (["extract", "--alpha", "2", "--group", "cyclic:4", "--subgroup", '{"elements": [0, 9]}',
+          "--subset", '{"elements": [0]}'], "/subgroup/elements"),
+        (["replay", "--id", "[1, 2]"], "error: /:"),
+        (["replay", "--id", "{"], "error: /:"),
+        (["scan", "--config", "<not_json>"], "error:"),
+    ],
+)
+def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
+    from doubling import build_sharpness_instance
+
+    scan_cfg = tmp_path / "scan.json"
+    scan_cfg.write_text(json.dumps(SCAN_BASE))
+    bool_keep = tmp_path / "instance.json"
+    bool_keep.write_text(json.dumps(dict(build_sharpness_instance(1, 2, 9).to_json(), keep=[True, 2])))
+    not_json = tmp_path / "bad.json"
+    not_json.write_text("{'groups': ")
+    files = {"<scan>": scan_cfg, "<bool_keep>": bool_keep, "<not_json>": not_json}
+    for key, path in files.items():
+        argv = [arg.replace(key, str(path)) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+    assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8) | st.sampled_from(["1/0", "3/2", "layer-cake", "counting", "cyclic:4"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+ID_FIELDS = sorted(REPLAY_BASE) + ["subset_b", "subset_c", "alphas", "translate", "colour"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ID_FIELDS + ["group/type", "subgroup/elements", "subgroup/keep"]), JSON_VALUES)
+def test_replay_of_an_arbitrary_field_exits_zero_or_one(field, value):
+    spec = json.loads(json.dumps(REPLAY_BASE))
+    key, _, inner = field.partition("/")
+    if inner == "keep":
+        spec.update(group=PRODUCT_C2_C3, subgroup={"keep": value}, subset=[[0, 0]])
+    elif inner:
+        spec[key][inner] = value
+    else:
+        spec[key] = value
+    # in-process, so any uncaught exception fails the test by itself
+    code = main(["replay", "--id", json.dumps(spec), "--out", "/dev/null"])
+    assert code in (0, 1)

@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 
 from doubling import (
+    ConsistencyError,
     CyclicGroup,
     SpecError,
     build_sharpness_instance,
@@ -19,7 +20,7 @@ from doubling import (
     projection_quotient,
     quotient_doubling_check,
 )
-from doubling.constructions import load_instance
+from doubling.constructions import _block_product, load_instance
 
 
 @pytest.mark.parametrize(
@@ -93,7 +94,7 @@ def test_cantor_analog_explicit_group():
         cantor_analog(25, CyclicGroup(26, "normalized"))
 
 
-@pytest.mark.parametrize("n,h,m", [(1, 4, 25), (2, 4, 25), (2, 5, 36)])
+@pytest.mark.parametrize("n,h,m", [(1, 4, 25), (2, 4, 25), (2, 5, 36), (3, 2, 25)])
 def test_small_instance_matches_brute_force(n, h, m):
     inst = build_sharpness_instance(n, h, m)
     group = inst.group()
@@ -221,3 +222,36 @@ def test_build_parameter_validation():
         build_sharpness_instance(1, 1, 25)
     with pytest.raises(ValueError):
         build_sharpness_instance(1, 4, 7)
+
+
+def test_witness_blocks_hold_one_rectangle_per_matrix():
+    inst = build_sharpness_instance(3, 5, 36)
+    cantor = frozenset(inst.cantor)
+    assert inst.blocks == {
+        (1, 0, 0, 1): (True, None),
+        **{w: (False, cantor) for w in inst.family.members},
+    }
+    square = _block_product(inst.blocks, inst.blocks, 36, {})
+    assert len(square) == 4 * 3 * 3 + 1
+    assert all(z is None for _, z in square.values())
+    # nested rectangles on one matrix merge into the larger one
+    eye = (1, 0, 0, 1)
+    w = inst.family.members[0]
+    w_inv = inst.family.members[3]
+    left = {eye: (True, None), w: (False, cantor)}
+    right = {eye: (False, cantor), w_inv: (False, cantor)}
+    # W * W^-1 puts {1} x Z_m on I, inside the H x Z_m from I * I
+    assert _block_product(left, right, 36, {})[eye] == (True, None)
+    assert _block_product(right, left, 36, {})[eye] == (True, None)
+
+
+def test_block_product_rejects_non_nested_rectangles():
+    eye = (1, 0, 0, 1)
+    w = (0, 1, 1, 2)
+    w_inv = (-2, 1, 1, 0)
+    # I*I and W*W^-1 both land on I: H x {0} against {1} x {1}
+    left = {eye: (True, frozenset({0})), w: (False, frozenset({1}))}
+    right = {eye: (False, frozenset({0})), w_inv: (False, frozenset({0}))}
+    with pytest.raises(ConsistencyError, match="non-nested") as info:
+        _block_product(left, right, 5, {})
+    assert info.value.payload == {"matrix": [1, 0, 0, 1]}

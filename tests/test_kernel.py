@@ -26,7 +26,9 @@ from doubling import (
     quotient,
     translate,
 )
-from doubling.groups import TABLE_CAP, CayleyTable, OpLaw, op_table
+from doubling import harness, quotients
+from doubling.groups import TABLE_CAP, CayleyTable, OpLaw, WeightedGroup, op_table
+from doubling.harness import ScanConfig, evaluate_instance, iter_instance_specs
 from doubling.quotients import is_normal, is_subgroup
 
 GROUPS = [build_group(spec) for spec in catalog(weights=("counting",))]
@@ -185,3 +187,39 @@ def test_is_subgroup_rejects_what_op_rejects():
             sub = frozenset(combo)
             expected = group.identity in sub and ref_product(group, sub, sub) <= sub
             assert is_subgroup(group, sub) == expected
+
+
+# -- every suite, table path against op path --------------------------------------
+
+S3_X_Z2 = {"type": "product", "factors": [{"type": "symmetric", "n": 3}, {"type": "cyclic", "n": 2}]}
+SUITE_GROUPS = ["dihedral:4", "q8", S3_X_Z2, "symmetric:4"]
+
+
+def _clear_caches() -> None:
+    harness._group.cache_clear()
+    harness._quotient.cache_clear()
+    quotients._cached_lattice.cache_clear()
+
+
+def _all_suite_reports() -> list[dict]:
+    """Every suite on all singletons and on seeded random subsets, per normal subgroup."""
+    ids = []
+    for mode in ({"kind": "exhaustive", "max_size": 1}, {"kind": "random", "count": 3, "seed": 11}):
+        ids += iter_instance_specs(ScanConfig(groups=SUITE_GROUPS, subset_mode=mode))
+    return [evaluate_instance(i) for i in ids]
+
+
+def test_every_suite_reports_the_same_on_the_op_path(monkeypatch):
+    _clear_caches()
+    try:
+        on_tables = _all_suite_reports()
+        with monkeypatch.context() as patch:
+            patch.setattr(WeightedGroup, "law", property(OpLaw))
+            _clear_caches()
+            assert isinstance(build_group({"type": "symmetric", "n": 4}).law, OpLaw)
+            on_op = _all_suite_reports()
+    finally:
+        _clear_caches()
+    assert len(on_tables) > 300
+    assert {name for r in on_tables for name in r["suites"]} == set(harness.ALL_SUITES)
+    assert on_op == on_tables
