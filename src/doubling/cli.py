@@ -63,10 +63,15 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _default_jobs() -> int:
+    """The worker count when -j is absent: DOUBLING_JOBS if set and nonempty,
+    where it must be an integer >= 1 like -j, else 1."""
     env = os.environ.get("DOUBLING_JOBS")
-    if env and env.isdigit() and int(env) >= 1:
-        return int(env)
-    return 1
+    if not env:
+        return 1
+    try:
+        return _jobs_arg(env)
+    except argparse.ArgumentTypeError as exc:
+        raise SpecError("DOUBLING_JOBS", str(exc)) from None
 
 
 def _jobs_arg(text: str) -> int:
@@ -226,8 +231,8 @@ def _cmd_scan(args) -> int:
     config = ScanConfig.from_json(_read_json(args.config))
     if args.parallelism:
         config.parallelism = args.parallelism
-    elif _default_jobs() > 1:
-        config.parallelism = _default_jobs()
+    elif (jobs := _default_jobs()) > 1:
+        config.parallelism = jobs
     if args.csv:
         config.emit_instances = True
     report = scan(config)

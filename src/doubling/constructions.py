@@ -99,21 +99,17 @@ def _cantor_radix(m: int) -> int:
     root = isqrt(m)
     if root * root == m:
         return root
-    best: tuple[int, int] | None = None
-    for r in range(2, m // 2 + 1):
-        if m % r:
-            continue
-        size = 2 * r + m // r - 2
-        if best is None or size < best[0]:
-            best = (size, r)
-    if best is None:
+    # a divisor r > sqrt(m) loses to its cofactor m/r: the sizes differ by r - m/r > 0
+    sizes = [(2 * r + m // r - 2, r) for r in range(2, root + 1) if m % r == 0]
+    if not sizes:
         raise ValueError(f"modulus {m} is prime; need a divisor r with 2 <= r <= m/2")
-    return best[1]
+    return min(sizes)[1]
 
 
 def _cantor(m: int, cache: dict) -> tuple[int, frozenset]:
     """(r, C) for C = {-r..r} u rZ_m, with symmetry and C + C = Z_m verified
-    by brute force, not assumed; the sumset goes through `cache`."""
+    exactly, not assumed: `_sumset_mod` computes all of C + C on bitsets,
+    through `cache`."""
     r = _cantor_radix(m)
     c = frozenset({x % m for x in range(-r, r + 1)} | set(range(0, m, r)))
     if c != frozenset((-x) % m for x in c):
@@ -124,15 +120,81 @@ def _cantor(m: int, cache: dict) -> tuple[int, frozenset]:
 
 
 def _sumset_mod(x: frozenset, y: frozenset, m: int, cache: dict) -> frozenset | None:
-    """x + y in Z_m; returns None when the sumset covers everything."""
+    """x + y in Z_m for x, y subsets of {0..m-1}; returns None when the sumset
+    covers everything.
+
+    Exact on big-integer bitsets, bit i standing for residue i.  y is cut into
+    progressions of equal runs, {b + i*step + j : i < count, j < length}; for
+    each, x's mask smeared over j and then over i is ORed in at b.  The
+    accumulator stays under 2m bits and is folded back once.
+    """
     key = frozenset((x, y))
     hit = cache.get(key, 0)
     if hit != 0:
         return hit
-    out = {(a + b) % m for a in x for b in y}
-    result = None if len(out) == m else frozenset(out)
+    mask = _bitmask(x, m)
+    acc = 0
+    for start, length, step, count in _progressions(y):
+        acc |= _smear(_smear(mask, length, 1), count, step) << start
+    full = (1 << m) - 1
+    acc = (acc & full) | (acc >> m)
+    if acc == full:
+        result = None
+    else:
+        # bin() is most significant bit first; reversed, index i is residue i
+        result = frozenset(i for i, bit in enumerate(bin(acc)[:1:-1]) if bit == "1")
     cache[key] = result
     return result
+
+
+def _bitmask(x: frozenset, m: int) -> int:
+    """The indicator of x as an int, bit a set for each a in x."""
+    bits = bytearray((m + 7) >> 3)
+    for a in x:
+        bits[a >> 3] |= 1 << (a & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _runs(y: frozenset) -> list:
+    """[start, length] of each maximal run of consecutive integers in y."""
+    runs: list = []
+    for b in sorted(y):
+        if runs and runs[-1][0] + runs[-1][1] == b:
+            runs[-1][1] += 1
+        else:
+            runs.append([b, 1])
+    return runs
+
+
+def _progressions(y: frozenset) -> list:
+    """(start, length, step, count): y's runs, with consecutive runs of one
+    length at one spacing merged into runs at start + i*step for i < count.
+    A Cantor analog {-r..r} u rZ_m is three of them."""
+    progs: list = []
+    for start, length in _runs(y):
+        if progs:
+            b, n, step, count = progs[-1]
+            if n == length and (count == 1 or start == b + step * count):
+                progs[-1] = (b, n, start - b if count == 1 else step, count + 1)
+                continue
+        progs.append((start, length, 0, 1))
+    return progs
+
+
+def _smear(mask: int, count: int, step: int) -> int:
+    """The OR of mask << (i * step) over 0 <= i < count, in O(log count)
+    shifts: `mask` doubles its span each round and is placed once for each
+    set bit of `count`."""
+    out, offset, width = 0, 0, step
+    while True:
+        if count & 1:
+            out |= mask << offset
+            offset += width
+        count >>= 1
+        if not count:
+            return out
+        mask |= mask << width
+        width <<= 1
 
 
 def cantor_analog(m: int, group: CyclicGroup | None = None) -> GSubset:

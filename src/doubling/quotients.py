@@ -205,7 +205,8 @@ def quotient(
     """Quotient of a finite group by a normal subgroup; cosets become elements.
 
     `subgroup_weight` picks w_H (counting: 1, normalized: 1/|H|); the quotient
-    weight is then forced to w_G / w_H.
+    weight is then forced to w_G / w_H.  More than TABLE_CAP cosets raise
+    CapError.
     """
     if group.order is None:
         raise ValueError("general quotients need a finite ambient group; use projection_quotient")
@@ -213,6 +214,12 @@ def quotient(
         raise ValueError("subgroup subset belongs to a different group")
     h_subset = subset(group, sub.elements if isinstance(sub, GSubset) else sub)
     h_elems = h_subset.elements
+    # the quotient is a TableGroup, which refuses more than TABLE_CAP cosets;
+    # refuse before the O(|G|) normality check and coset enumeration
+    if h_elems and group.order > TABLE_CAP * len(h_elems):
+        raise CapError(
+            f"quotient index |G|/|H| = {group.order}/{len(h_elems)} is above the cap {TABLE_CAP}"
+        )
     if not is_subgroup(group, h_elems):
         raise ValueError("not a subgroup: missing identity or not closed under the operation")
     if not is_normal(group, h_elems):

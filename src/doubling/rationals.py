@@ -12,7 +12,6 @@ from fractions import Fraction
 
 def fmt(x: Fraction | int) -> str:
     """Render as an explicit "p/q" string ("17/1", never bare "17")."""
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -32,7 +31,7 @@ def parse(value: str | int | Fraction) -> Fraction:
 
 
 def shadow(x: Fraction | int) -> float:
-    x = Fraction(x)
+    """The decimal shadow of an exact Fraction or int."""
     return x.numerator / x.denominator
 
 

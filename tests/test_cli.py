@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import doubling
 from doubling.cli import main
 
 
@@ -225,8 +230,46 @@ def test_replay_rejects_malformed_ids_with_a_path(capsys, change, path):
     assert "Traceback" not in err
 
 
+def test_replay_of_a_quotient_above_the_cap_fails_fast():
+    # 10^6 cosets: refused before the O(|G|) normality check and coset walk
+    spec = {"group": {"type": "cyclic", "n": 1000000}, "subgroup": {"elements": [0]}, "subset": [0, 1]}
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "doubling.cli", "replay", "--id", json.dumps(spec)],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "error: quotient index |G|/|H| = 1000000/1 is above the cap 64" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 SCAN_BASE = {"groups": ["cyclic:4"], "subset_mode": {"kind": "random", "count": 1, "seed": 0}}
 EXHAUSTIVE = {"kind": "exhaustive", "max_size": 2}
+
+
+@pytest.mark.parametrize("command", ["verify", "scan"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+def test_malformed_doubling_jobs_exits_one(tmp_path, capsys, monkeypatch, command, value):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(SCAN_BASE))
+    monkeypatch.setenv("DOUBLING_JOBS", value)
+    argv = ["--group", "cyclic:4"] if command == "verify" else ["--config", str(config)]
+    code, out, err = run(capsys, command, *argv, "--out", str(tmp_path / "o.json"))
+    assert code == 1
+    assert out == ""
+    assert f"error: DOUBLING_JOBS: expected an integer >= 1, got {value!r}" in err
+    assert "Traceback" not in err
+
+
+def test_doubling_jobs_sets_the_scan_worker_count(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(SCAN_BASE))
+    for value, workers in (("", 1), ("2", 2)):
+        monkeypatch.setenv("DOUBLING_JOBS", value)
+        code, _, err = run(capsys, "scan", "--config", str(config), "--out", str(tmp_path / "o.json"))
+        assert code == 0
+        assert f"parallelism={workers}" in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import json
+from math import isqrt
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, strategies as st
 
 from doubling import (
     ConsistencyError,
@@ -20,7 +22,14 @@ from doubling import (
     projection_quotient,
     quotient_doubling_check,
 )
-from doubling.constructions import _block_product, load_instance
+from doubling import constructions
+from doubling.constructions import (
+    _block_product,
+    _cantor_radix,
+    _progressions,
+    _sumset_mod,
+    load_instance,
+)
 
 
 @pytest.mark.parametrize(
@@ -255,3 +264,79 @@ def test_block_product_rejects_non_nested_rectangles():
     with pytest.raises(ConsistencyError, match="non-nested") as info:
         _block_product(left, right, 5, {})
     assert info.value.payload == {"matrix": [1, 0, 0, 1]}
+
+
+# -- the bitset sumset against the pair-at-a-time set ---------------------------
+
+
+@st.composite
+def residue_pair(draw):
+    m = draw(st.integers(1, 300))
+    residues = st.integers(0, m - 1)
+    runs = st.lists(st.tuples(residues, st.integers(1, m)), max_size=4).map(
+        lambda runs: frozenset((s + i) % m for s, n in runs for i in range(n))
+    )
+    # equal runs at one spacing, like the Cantor analog's rZ_m
+    spaced = st.tuples(residues, st.integers(1, 6), st.integers(1, m), st.integers(1, 40)).map(
+        lambda p: frozenset((p[0] + i * p[2] + j) % m for i in range(p[3]) for j in range(p[1]))
+    )
+    sets = st.one_of(
+        st.just(frozenset()), st.just(frozenset(range(m))), st.frozensets(residues), runs, spaced
+    )
+    return draw(sets), draw(sets), m
+
+
+@given(residue_pair())
+@example((frozenset(), frozenset(range(5)), 5))
+@example((frozenset(range(7)), frozenset({3}), 7))
+@example((frozenset({0, 1}), frozenset({0, 2}), 5))
+@example((frozenset({0}), frozenset({0}), 1))
+def test_sumset_mod_matches_the_set_of_pair_sums(data):
+    x, y, m = data
+    progressions = _progressions(y)
+    assert y == {b + i * step + j for b, n, step, count in progressions
+                 for i in range(count) for j in range(n)}
+    sums = frozenset((a + b) % m for a in x for b in y)
+    expected = None if len(sums) == m else sums
+    cache: dict = {}
+    got = _sumset_mod(x, y, m, cache)
+    assert got == expected
+    assert got is None or type(got) is frozenset
+    assert cache == {frozenset((x, y)): expected}
+    # x + y = y + x: the reversed call is a cache hit on the same object
+    assert _sumset_mod(y, x, m, cache) is cache[frozenset((x, y))]
+
+
+def test_cantor_raises_when_c_misses_a_needed_point(monkeypatch):
+    # m = 25, r = 5: without the multiples +-10 of r, C = {-5..5} is still
+    # symmetric, but C + C = {-10..10} misses 11..14
+    builtin_range = range
+    monkeypatch.setattr(
+        constructions,
+        "range",
+        lambda *args: [v for v in builtin_range(*args) if v not in (10, 15)],
+        raising=False,
+    )
+    with pytest.raises(ConsistencyError, match="does not cover Z_m"):
+        constructions._cantor(25, {})
+
+
+def _cantor_radix_by_linear_scan(m: int) -> int | None:
+    root = isqrt(m)
+    if root * root == m:
+        return root
+    best = None
+    for r in range(2, m // 2 + 1):
+        if m % r == 0 and (best is None or 2 * r + m // r - 2 < best[0]):
+            best = (2 * r + m // r - 2, r)
+    return None if best is None else best[1]
+
+
+def test_cantor_radix_matches_the_linear_scan():
+    for m in range(4, 3001):
+        expected = _cantor_radix_by_linear_scan(m)
+        if expected is None:
+            with pytest.raises(ValueError, match=f"modulus {m} is prime"):
+                _cantor_radix(m)
+        else:
+            assert _cantor_radix(m) == expected, m

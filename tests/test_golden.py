@@ -54,6 +54,7 @@ GOLDEN = {
     "scan-csv": "56a494bbc3e2cc16c00f4757e991c4a58e8563121ba9d3be21f22ab2f3025161",
     "extract-trace": "359f85c69fdcb354e9186604a1267aa5b2b3588c0c769248cf92931453d4284d",
     "kernel-scan-json": "e2617ea69ff7aace5289778bcc30970806fc6755f70a557d2cb4fe12767beaf0",
+    "construct-62500": "3d9ff8e3bc2c568db4aeaf1ec54b4ceda849650a9773d5e8905ede3e219d2e53",
 }
 
 
@@ -105,3 +106,9 @@ def test_extract_trace_golden(tmp_path, capsys):
     out = tmp_path / "extract.json"
     run_cli(capsys, "extract", "--alpha", "3/2,2,3", "--instance", inst, "--trace", "--out", out)
     assert digest(out) == GOLDEN["extract-trace"]
+
+
+def test_construct_golden(tmp_path, capsys):
+    out = tmp_path / "construct.json"
+    run_cli(capsys, "construct", "--N", 2, "--h", 1000, "--m", 62500, "--out", out)
+    assert digest(out) == GOLDEN["construct-62500"]

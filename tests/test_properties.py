@@ -22,7 +22,7 @@ from doubling import (
     spillover_check,
     extract_subset,
 )
-from doubling.rationals import fmt, parse
+from doubling.rationals import fmt, parse, shadow
 
 GROUPS = [
     CyclicGroup(6),
@@ -138,3 +138,18 @@ def test_extraction_certificates(data, alpha):
 @given(st.fractions())
 def test_rational_strings_round_trip(x):
     assert parse(fmt(x)) == x
+
+
+@given(st.one_of(st.fractions(), st.integers(), st.booleans()))
+def test_fmt_and_shadow_on_every_reported_type(x):
+    # reports pass only Fractions, ints and bools; pinned against Fraction(x)
+    exact = Fraction(x)
+    assert fmt(x) == f"{exact.numerator}/{exact.denominator}"
+    assert shadow(x) == exact.numerator / exact.denominator
+
+
+def test_fmt_and_shadow_fixed_values():
+    assert [fmt(v) for v in (17, -3, 0, True, False, Fraction(6, -4))] == [
+        "17/1", "-3/1", "0/1", "1/1", "0/1", "-3/2"
+    ]
+    assert [shadow(v) for v in (17, True, Fraction(1, 3))] == [17.0, 1.0, 1 / 3]
