@@ -238,10 +238,15 @@ def _block_product(b1: dict, b2: dict, m: int, cache: dict) -> dict:
 
 
 def _block_inverse(blocks: dict, m: int) -> dict:
-    return {
-        _GL2Z.inv(w): (h_full, None if z is None else frozenset((-x) % m for x in z))
-        for w, (h_full, z) in blocks.items()
-    }
+    """The blocks of A^-1; each distinct Z_m set is negated once (the blocks
+    of a witness share a few)."""
+    negated: dict = {}
+    out = {}
+    for w, (h_full, z) in blocks.items():
+        if z is not None and z not in negated:
+            negated[z] = frozenset((-x) % m for x in z)
+        out[_GL2Z.inv(w)] = (h_full, None if z is None else negated[z])
+    return out
 
 
 def _block_count(blocks: dict, h: int, m: int) -> int:
@@ -328,12 +333,12 @@ class SharpnessInstance:
             "doubling": self.stats.to_json(),
         }
         measures: dict = {}
-        put(measures, "mu_A", self.mu_A)
-        put(measures, "mu_A2", self.mu_A2)
-        put(measures, "mu_piA", self.mu_piA)
-        put(measures, "mu_piA2", self.mu_piA2)
+        for key in ("mu_A", "mu_A2", "mu_piA", "mu_piA2"):
+            value = getattr(self, key)
+            put(measures, key, value.numerator, value.denominator)
         out["measures"] = measures
-        put(out, "quotient_doubling", self.quotient_doubling)
+        qd = self.quotient_doubling
+        put(out, "quotient_doubling", qd.numerator, qd.denominator)
         count = self.element_count()
         out["subset_size"] = count
         if count <= materialize_cap:
@@ -374,13 +379,13 @@ def build_sharpness_instance(n: int, h: int, m: int) -> SharpnessInstance:
         )
 
     w_g = Fraction(1, h * m)
-    mu_a = _block_count(blocks, h, m) * w_g
-    mu_a2 = _block_count(blocks2, h, m) * w_g
+    count_a, count_a2 = _block_count(blocks, h, m), _block_count(blocks2, h, m)
+    mu_a, mu_a2 = count_a * w_g, count_a2 * w_g
     mu_pia = Fraction(_projected_count(blocks, m), m)
     mu_pia2 = Fraction(_projected_count(blocks2, m), m)
 
-    k = mu_a2 / mu_a
-    stats = DoublingStats(K=k, K1=k, K2=k, symmetric=True)
+    # A^-1 = A, so A^-1 A is A^2 and K2 = K
+    stats = DoublingStats(count_a, count_a2, count_a2, symmetric=True)
     return SharpnessInstance(
         N=n,
         h=h,

@@ -24,24 +24,54 @@ from .sets import GSubset
 
 @dataclass(frozen=True)
 class ExtractionCertificate:
+    """The certified set B for one alpha, held as counts: |A|, |A^2|, the
+    chosen level n (threshold s = n * w_H), |B|, the level L with |L| and
+    |L L|, and the admissible levels.  The measures are exact properties."""
+
     alpha: Fraction
-    K: Fraction
-    chosen_s: Fraction
+    size: int
+    square: int
+    chosen_n: int
     B: GSubset
-    measure_ratio: Fraction        # mu(B) / mu(A)
-    quotient_doubling: Fraction    # mu_Q(piB^2) / mu_Q(piB)
-    admissible: tuple[Fraction, ...]
+    level_size: int
+    level_square: int
+    admissible_n: tuple[int, ...]
+    subgroup_weight: Fraction
+
+    @property
+    def K(self) -> Fraction:
+        return Fraction(self.square, self.size)
+
+    @property
+    def chosen_s(self) -> Fraction:
+        return self.chosen_n * self.subgroup_weight
+
+    @property
+    def measure_ratio(self) -> Fraction:
+        """mu(B) / mu(A)"""
+        return Fraction(len(self.B.elements), self.size)
+
+    @property
+    def quotient_doubling(self) -> Fraction:
+        """mu_Q(piB^2) / mu_Q(piB)"""
+        return Fraction(self.level_square, self.level_size)
+
+    @property
+    def admissible(self) -> tuple[Fraction, ...]:
+        return tuple(n * self.subgroup_weight for n in self.admissible_n)
 
     def to_json(self, include_elements: bool = True) -> dict:
+        an, ad = self.alpha.numerator, self.alpha.denominator
+        wn, wd = self.subgroup_weight.numerator, self.subgroup_weight.denominator
         out: dict = {"B_size": len(self.B.elements)}
-        put(out, "alpha", self.alpha)
-        put(out, "K", self.K)
-        put(out, "chosen_s", self.chosen_s)
-        put(out, "measure_ratio", self.measure_ratio)
-        put(out, "quotient_doubling", self.quotient_doubling)
-        put(out, "measure_floor", (self.alpha - 1) / self.alpha)
-        put(out, "doubling_ceiling", self.alpha * self.K)
-        out["admissible"] = [fmt(s) for s in self.admissible]
+        put(out, "alpha", an, ad)
+        put(out, "K", self.square, self.size)
+        put(out, "chosen_s", self.chosen_n * wn, wd)
+        put(out, "measure_ratio", len(self.B.elements), self.size)
+        put(out, "quotient_doubling", self.level_square, self.level_size)
+        put(out, "measure_floor", an - ad, an)
+        put(out, "doubling_ceiling", an * self.square, ad * self.size)
+        out["admissible"] = [fmt(n * wn, wd) for n in self.admissible_n]
         if include_elements:
             out["B"] = self.B.encode()
         return out
@@ -82,23 +112,25 @@ def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
             "no admissible threshold: contradiction with the extraction theorem",
             {"alpha": fmt(alpha), "subset": a.encode()},
         )
-    thresholds = tuple(row[0] * w for row in admissible)
+    levels = tuple(row[0] for row in admissible)
     for n, level, level_size, level_square in admissible:
         b = q.restrict_to_cosets(a, level.elements)
         # mu(B) > (alpha-1)/alpha * mu(A), cross-multiplied
         if len(b.elements) * alpha.numerator > (alpha.numerator - alpha.denominator) * size:
             return ExtractionCertificate(
                 alpha=alpha,
-                K=Fraction(ctx.square, size),
-                chosen_s=n * w,
+                size=size,
+                square=ctx.square,
+                chosen_n=n,
                 B=b,
-                measure_ratio=Fraction(len(b.elements), size),
-                quotient_doubling=Fraction(level_square, level_size),
-                admissible=thresholds,
+                level_size=level_size,
+                level_square=level_square,
+                admissible_n=levels,
+                subgroup_weight=w,
             )
     raise ConsistencyError(
         "no admissible threshold satisfies the measure bound: implementation bug",
-        {"alpha": fmt(alpha), "subset": a.encode(), "admissible": [fmt(s) for s in thresholds]},
+        {"alpha": fmt(alpha), "subset": a.encode(), "admissible": [fmt(n * w) for n in levels]},
     )
 
 

@@ -87,8 +87,9 @@ def _layered(levels, size_at) -> int:
     return total
 
 
-def check_layer_cake(ctx: InstanceContext) -> tuple[Fraction, Fraction]:
-    """mu_G(A), read off the subset, against the layered count sum times w_G.
+def check_layer_cake(ctx: InstanceContext) -> tuple[Fraction, int]:
+    """mu_G(A), read off the subset, against the layered count sum, which is
+    returned as a count in units of w_G.
 
     A threshold step delta_t = delta_n * w_H times mu_Q(level) = |level| * w_Q
     is delta_n * |level| * w_G, since w_H * w_Q = w_G.
@@ -102,7 +103,7 @@ def check_layer_cake(ctx: InstanceContext) -> tuple[Fraction, Fraction]:
             "layer-cake identity failed",
             {"lhs": fmt(lhs), "rhs": fmt(rhs * w), "subset": a.encode()},
         )
-    return lhs, rhs * w
+    return lhs, rhs
 
 
 def layer_cake(a: GSubset, q: QuotientStructure) -> tuple[Fraction, Fraction]:
@@ -111,7 +112,8 @@ def layer_cake(a: GSubset, q: QuotientStructure) -> tuple[Fraction, Fraction]:
     The two sides are computed independently and must agree exactly; a
     mismatch is an internal-consistency failure and raises.
     """
-    return check_layer_cake(InstanceContext(a, q))
+    lhs, rhs = check_layer_cake(InstanceContext(a, q))
+    return lhs, rhs * q.ambient.weight
 
 
 @dataclass(frozen=True)
@@ -131,13 +133,15 @@ class SpilloverResult:
     rhs_right: Fraction
 
 
-def check_spillover(ctx: InstanceContext, b: GSubset) -> SpilloverResult:
-    """Both spillover inequalities, compared as counts in units of w_G."""
-    a, pi_a, w = ctx.a, ctx.pi_a, ctx.q.ambient.weight
+def check_spillover(ctx: InstanceContext, b: GSubset) -> tuple[int, int, int, int]:
+    """Both spillover inequalities, compared as counts in units of w_G; returns
+    the four sides (lhs_left, lhs_right, rhs_left, rhs_right) in those units."""
+    a, pi_a = ctx.a, ctx.pi_a
     ab, ba = ctx.size(a, b), ctx.size(b, a)
     left = _layered(ctx.levels(b), lambda level: ctx.size(pi_a, level))
     right = _layered(ctx.levels(b), lambda level: ctx.size(level, pi_a))
     if ab < left or ba < right:
+        w = ctx.q.ambient.weight
         raise ConsistencyError(
             "spillover inequality failed",
             {
@@ -149,12 +153,13 @@ def check_spillover(ctx: InstanceContext, b: GSubset) -> SpilloverResult:
                 "subset_b": b.encode(),
             },
         )
-    return SpilloverResult(ab * w, ba * w, left * w, right * w)
+    return ab, ba, left, right
 
 
 def spillover_check(a: GSubset, b: GSubset, q: QuotientStructure) -> SpilloverResult:
     """Check both spillover inequalities; raise on any violation."""
-    return check_spillover(InstanceContext(a, q, b), b)
+    w = q.ambient.weight
+    return SpilloverResult(*(n * w for n in check_spillover(InstanceContext(a, q, b), b)))
 
 
 def check_containment(ctx: InstanceContext, b: GSubset) -> bool:

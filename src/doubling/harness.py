@@ -11,6 +11,7 @@ across worker counts.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .fibers import check_containment, check_layer_cake, check_spillover
 from .groups import WeightedGroup, build_group, quaternion_table
 from .metrics import check_quotient_bound, ruzsa_axioms, stats_of
 from .quotients import QuotientStructure, normal_subgroups, quotient_from_description
-from .rationals import fmt, parse, put
+from .rationals import fmt, parse, put, split
 from .sets import GSubset, decode_elements, inv_set, mul_set
 
 DEFAULT_ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(3))
@@ -53,16 +54,20 @@ def _layer_cake_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list
         lhs, rhs = check_layer_cake(ctx)
     except ConsistencyError as exc:
         return {"pass": False, **exc.payload}, ["layer-cake identity failed"]
-    return _put_all({"pass": True}, lhs=lhs, rhs=rhs), []
+    frag = put({"pass": True}, "lhs", lhs.numerator, lhs.denominator)
+    return _put_all(frag, ctx.q.ambient.weight, rhs=rhs), []
 
 
 def _spillover_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
     try:
-        res = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
+        ab, ba, left, right = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
     except ConsistencyError as exc:
         frag = {"pass": False, **{k: v for k, v in exc.payload.items() if isinstance(v, str)}}
         return frag, ["spillover inequality failed"]
-    return _put_all({"pass": True}, **vars(res)), []
+    frag = _put_all(
+        {"pass": True}, ctx.q.ambient.weight, lhs_left=ab, lhs_right=ba, rhs_left=left, rhs_right=right
+    )
+    return frag, []
 
 
 def _containment_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
@@ -76,7 +81,7 @@ def _ruzsa_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]
     frag: dict = ruzsa_axioms(ctx, b, c, params.translators)
     frag["pass"] = ok = all(frag.values())
     size, d = len(ctx.a.elements), ctx.diff_size(ctx.a, ctx.a)
-    put(frag, "value_aa", Fraction(d * d, size * size))
+    put(frag, "value_aa", d * d, size * size)
     return frag, [] if ok else ["a distance axiom failed"]
 
 
@@ -104,9 +109,11 @@ def _extract_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[st
     return frag, failed
 
 
-def _put_all(frag: dict, **values: Fraction) -> dict:
-    for key, value in values.items():
-        put(frag, key, value)
+def _put_all(frag: dict, weight: Fraction, **counts: int) -> dict:
+    """Write each count times `weight` (a measure in units of that weight)."""
+    wn, wd = weight.numerator, weight.denominator
+    for key, count in counts.items():
+        put(frag, key, count * wn, wd)
     return frag
 
 
@@ -351,13 +358,18 @@ def _needs_partner(suites: Iterable[str]) -> bool:
     return any(s in ("spillover", "containment", "ruzsa-axioms") for s in suites)
 
 
-def iter_instance_specs(config: ScanConfig) -> list[str]:
-    """The full deterministic instance list (ids) for a scan."""
+def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[str]:
+    """The full deterministic instance list (ids) for a scan.
+
+    With `built`, also appends per id what `evaluate_instance` needs to skip
+    parsing it: (spec, alphas, group JSON, subgroup JSON)."""
     mode = config.subset_mode
     rng = Random(mode["seed"]) if mode["kind"] == "random" else None
+    alphas = list(zip(map(fmt, config.alphas), config.alphas))
     ids: list[str] = []
     for gspec in config.groups:
-        group = _group(canonical_json(gspec))
+        group_json = canonical_json(gspec)
+        group = _group(group_json)
         if group.order is None:
             raise SpecError("/groups", f"{group.name} is infinite; scans need finite groups")
         subs = normal_subgroups(group)
@@ -374,11 +386,15 @@ def iter_instance_specs(config: ScanConfig) -> list[str]:
                 "suites": list(config.suites),
             }
             if "extract" in config.suites:
-                base["alphas"] = [fmt(a) for a in config.alphas]
+                base["alphas"] = [a for a, _ in alphas]
             if mode["kind"] == "exhaustive":
-                ids.extend(_exhaustive_ids(group, elems, base, config))
+                specs = _exhaustive_specs(group, elems, base, config)
             else:
-                ids.extend(_random_ids(group, elems, base, config, rng))
+                specs = _random_specs(group, elems, base, config, rng)
+            ids.extend(map(canonical_json, specs))
+            if built is not None:
+                keys = (alphas, group_json, canonical_json(base["subgroup"]))
+                built.extend((spec, *keys) for spec in specs)
     return ids
 
 
@@ -386,7 +402,7 @@ def _encode_sorted(group: WeightedGroup, elems: Iterable) -> list:
     return [group.encode_element(x) for x in sorted(elems, key=group.element_key)]
 
 
-def _finish_exhaustive(group: WeightedGroup, base: dict, members: list, config: ScanConfig) -> str:
+def _finish_exhaustive(group: WeightedGroup, base: dict, members: list, config: ScanConfig) -> dict:
     spec = dict(base)
     subs = GSubset(group, frozenset(members))
     spec["subset"] = subs.encode()
@@ -396,29 +412,29 @@ def _finish_exhaustive(group: WeightedGroup, base: dict, members: list, config: 
         if "ruzsa-axioms" in config.suites:
             spec["subset_c"] = mul_set(subs, subs).encode()
             spec["translate"] = [spec["subset"][0], spec["subset"][-1]]
-    return canonical_json(spec)
+    return spec
 
 
-def _exhaustive_ids(
+def _exhaustive_specs(
     group: WeightedGroup, elems: list, base: dict, config: ScanConfig
-) -> list[str]:
+) -> list[dict]:
     mode = config.subset_mode
     max_size = mode.get("max_size")
     symmetric_only = bool(mode.get("symmetric_only", False))
-    ids: list[str] = []
+    specs: list[dict] = []
     if symmetric_only:
         orbits = _inverse_orbits(group, elems)
         for mask in range(1, 1 << len(orbits)):
             members = [x for i, o in enumerate(orbits) if mask >> i & 1 for x in o]
             if max_size is not None and len(members) > max_size:
                 continue
-            ids.append(_finish_exhaustive(group, base, members, config))
-        return ids
+            specs.append(_finish_exhaustive(group, base, members, config))
+        return specs
     if max_size is not None:
         for size in range(1, min(max_size, len(elems)) + 1):
             for combo in combinations(elems, size):
-                ids.append(_finish_exhaustive(group, base, list(combo), config))
-        return ids
+                specs.append(_finish_exhaustive(group, base, list(combo), config))
+        return specs
     if group.order > EXHAUSTIVE_ORDER_CAP:
         raise CapError(
             f"exhaustive mode needs |G| <= {EXHAUSTIVE_ORDER_CAP} or a max_size cap; "
@@ -426,15 +442,15 @@ def _exhaustive_ids(
         )
     for mask in range(1, 1 << len(elems)):
         members = [x for i, x in enumerate(elems) if mask >> i & 1]
-        ids.append(_finish_exhaustive(group, base, members, config))
-    return ids
+        specs.append(_finish_exhaustive(group, base, members, config))
+    return specs
 
 
-def _random_ids(
+def _random_specs(
     group: WeightedGroup, elems: list, base: dict, config: ScanConfig, rng: Random
-) -> list[str]:
+) -> list[dict]:
     mode = config.subset_mode
-    ids: list[str] = []
+    specs: list[dict] = []
     for trial in range(mode["count"]):
         density = _density_for(trial, mode.get("density", "mixed"))
         if isinstance(density, dict) and density["size"] == 0:
@@ -448,8 +464,8 @@ def _random_ids(
                 spec["translate"] = [
                     group.encode_element(elems[rng.randrange(len(elems))]) for _ in range(2)
                 ]
-        ids.append(canonical_json(spec))
-    return ids
+        specs.append(spec)
+    return specs
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -506,12 +522,19 @@ def _load_id(instance_id: str) -> tuple[dict, list]:
     return spec, alphas
 
 
-def evaluate_instance(instance_id: str) -> dict:
-    """Recompute the full report for one instance id (pure, replayable)."""
-    spec, alphas = _load_id(instance_id)
-    group_json = canonical_json(spec["group"])
+def evaluate_instance(instance_id: str, built: tuple | None = None) -> dict:
+    """Recompute the full report for one instance id (pure, replayable).
+
+    Without `built` the id is parsed and validated first, as `replay` needs.
+    `scan` passes `built`, the (spec, alphas, group JSON, subgroup JSON) that
+    `iter_instance_specs` made the id from, so its own ids are not re-parsed."""
+    if built is None:
+        spec, alphas = _load_id(instance_id)
+        group_json, subgroup_json = canonical_json(spec["group"]), canonical_json(spec["subgroup"])
+    else:
+        spec, alphas, group_json, subgroup_json = built
     group = _group_at(group_json, "/group")
-    q = _quotient(group_json, canonical_json(spec["subgroup"]))
+    q = _quotient(group_json, subgroup_json)
     a, b, c = (
         _decode_elems(group, spec[key], f"/{key}") if key in spec else None
         for key in ("subset", "subset_b", "subset_c")
@@ -523,23 +546,24 @@ def evaluate_instance(instance_id: str) -> dict:
         )
     ctx = InstanceContext(a, q, b, c)
 
+    size = len(a.elements)
     report: dict = {
         "id": instance_id,
         "sizes": {
             "group": group.order,
             "subgroup": len(q.subgroup.elements),
-            "subset": len(a.elements),
+            "subset": size,
         },
         "suites": {},
         "violations": [],
     }
     stats = stats_of(ctx)
     report["doubling"] = stats.to_json()
-    qd = Fraction(ctx.size(ctx.pi_a, ctx.pi_a), len(ctx.pi_a.elements))
-    put(report, "quotient_doubling", qd)
+    p, p2 = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a)
+    put(report, "quotient_doubling", p2, p)
     # probe value: quotient doubling over K^2, tracked for both symmetries
     probe = {"symmetric": stats.symmetric}
-    put(probe, "over_k2", qd / (stats.K * stats.K))
+    put(probe, "over_k2", p2 * size * size, p * ctx.square * ctx.square)
     report["probe"] = probe
 
     params = _Params(alphas, translators)
@@ -553,11 +577,26 @@ def evaluate_instance(instance_id: str) -> dict:
 # -- aggregation and the scan itself --------------------------------------------
 
 
+class _Ranked:
+    """A probe entry ordered by (-value, id): the larger "p/q" value first,
+    compared by cross-multiplication, ties broken by the smaller id."""
+
+    __slots__ = ("num", "den", "probe", "id")
+
+    def __init__(self, probe: dict, instance_id: str) -> None:
+        self.num, self.den = split(probe["over_k2"])
+        self.probe, self.id = probe, instance_id
+
+    def __lt__(self, other: "_Ranked") -> bool:
+        mine, theirs = self.num * other.den, other.num * self.den
+        return mine > theirs or (mine == theirs and self.id < other.id)
+
+
 def _fold_aggregate(reports: list[dict]) -> dict:
     suite_runs: dict = {}
     violations: list[dict] = []
-    sym_entries: list[tuple[Fraction, str]] = []
-    all_entries: list[tuple[Fraction, str]] = []
+    sym_entries: list[_Ranked] = []
+    all_entries: list[_Ranked] = []
     for rep in reports:
         for v in rep["violations"]:
             violations.append({"id": rep["id"], **v})
@@ -569,22 +608,24 @@ def _fold_aggregate(reports: list[dict]) -> dict:
             cell["runs"] += 1
             if frag.get("pass", True):
                 cell["passes"] += 1
-        value = parse(rep["probe"]["over_k2"])
-        all_entries.append((value, rep["id"]))
-        if rep["probe"]["symmetric"]:
-            sym_entries.append((value, rep["id"]))
+        entry = _Ranked(rep["probe"], rep["id"])
+        all_entries.append(entry)
+        if entry.probe["symmetric"]:
+            sym_entries.append(entry)
 
-    def probe(entries: list[tuple[Fraction, str]]) -> dict:
+    def probe(entries: list[_Ranked]) -> dict:
         if not entries:
             return {"max": None, "max_dec": None, "witnesses": []}
-        ranked = sorted(entries, key=lambda e: (-e[0], e[1]))
-        out: dict = {}
-        put(out, "max", ranked[0][0])
-        out["witnesses"] = [
-            {"value": fmt(v), "value_dec": float(v), "id": i}
-            for v, i in ranked[:TOP_WITNESSES]
-        ]
-        return out
+        # the probe strings are in lowest terms already (written by `put`)
+        top = heapq.nsmallest(TOP_WITNESSES, entries)
+        return {
+            "max": top[0].probe["over_k2"],
+            "max_dec": top[0].probe["over_k2_dec"],
+            "witnesses": [
+                {"value": e.probe["over_k2"], "value_dec": e.probe["over_k2_dec"], "id": e.id}
+                for e in top
+            ],
+        }
 
     return {
         "instances": len(reports),
@@ -596,16 +637,20 @@ def _fold_aggregate(reports: list[dict]) -> dict:
 
 
 def scan(config: ScanConfig) -> dict:
-    """Run every suite on every instance; aggregate deterministically."""
-    ids = iter_instance_specs(config)
-    if config.parallelism > 1 and len(ids) > 1:
+    """Run every suite on every instance; aggregate deterministically.
+
+    Each instance goes through the module-level `evaluate_instance`, so a
+    wrapper installed there sees every one, at any worker count."""
+    built: list = []
+    jobs = list(zip(iter_instance_specs(config, built), built))
+    if config.parallelism > 1 and len(jobs) > 1:
         from multiprocessing import get_context
 
-        chunk = max(1, len(ids) // (config.parallelism * 8))
+        chunk = max(1, len(jobs) // (config.parallelism * 8))
         with get_context("fork").Pool(config.parallelism) as pool:
-            reports = pool.map(evaluate_instance, ids, chunksize=chunk)
+            reports = pool.starmap(evaluate_instance, jobs, chunksize=chunk)
     else:
-        reports = [evaluate_instance(i) for i in ids]
+        reports = [evaluate_instance(i, b) for i, b in jobs]
     out = {"config": config.resolved(), "aggregate": _fold_aggregate(reports)}
     if config.emit_instances:
         out["instances"] = reports
@@ -630,15 +675,18 @@ def report_csv(report: dict) -> str:
     lines = ["# lossy decimal export; authoritative rationals live in the JSON report"]
     lines.append("instance,group_order,subgroup_size,subset_size,K,K2,quotient_doubling,bound,margin")
     for rep in report["instances"]:
-        k = parse(rep["doubling"]["K"])
-        k2 = parse(rep["doubling"]["K2"])
-        qd = parse(rep["quotient_doubling"])
-        bound = k * k if rep["doubling"]["symmetric"] else k * k2
-        margin = bound - qd
+        doubling = rep["doubling"]
+        kn, kd = split(doubling["K"])
+        k2n, k2d = split(doubling["K2"])
+        qn, qd = split(rep["quotient_doubling"])
+        # the bound is K^2 (symmetric) or K * K2 and the margin bound - qd; int
+        # true division rounds correctly, so these unreduced pairs give the
+        # same floats as the reduced Fractions would
+        bn, bd = (kn * kn, kd * kd) if doubling["symmetric"] else (kn * k2n, kd * k2d)
         ident = rep["id"].replace('"', '""')
         lines.append(
             f'"{ident}",{rep["sizes"]["group"]},{rep["sizes"]["subgroup"]},'
-            f"{rep['sizes']['subset']},{float(k)!r},{float(k2)!r},{float(qd)!r},"
-            f"{float(bound)!r},{float(margin)!r}"
+            f"{rep['sizes']['subset']},{kn / kd!r},{k2n / k2d!r},{qn / qd!r},"
+            f"{bn / bd!r},{(bn * qd - qn * bd) / (bd * qd)!r}"
         )
     return "\n".join(lines) + "\n"

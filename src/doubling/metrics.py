@@ -21,25 +21,36 @@ VARIANTS = ("symmetric", "cube", "two-constant")
 
 @dataclass(frozen=True)
 class DoublingStats:
-    """K = mu(A^2)/mu(A); K2 = mu(A^-1 A)/mu(A); K1 aliases K."""
+    """K = mu(A^2)/mu(A); K2 = mu(A^-1 A)/mu(A); K1 aliases K.
 
-    K: Fraction
-    K1: Fraction
-    K2: Fraction
+    Held as the counts |A|, |A^2| and |A^-1 A| (or any measures in one common
+    unit); the constants are exact properties over them."""
+
+    size: int
+    square: int
+    inv_square: int
     symmetric: bool
+
+    @property
+    def K(self) -> Fraction:
+        return Fraction(self.square, self.size)
+
+    K1 = K
+
+    @property
+    def K2(self) -> Fraction:
+        return Fraction(self.inv_square, self.size)
 
     def to_json(self) -> dict:
         out: dict = {"symmetric": self.symmetric}
-        put(out, "K", self.K)
-        put(out, "K1", self.K1)
-        put(out, "K2", self.K2)
+        put(out, "K", self.square, self.size)
+        put(out, "K1", self.square, self.size)
+        put(out, "K2", self.inv_square, self.size)
         return out
 
 
 def stats_of(ctx: InstanceContext) -> DoublingStats:
-    size = len(ctx.a.elements)
-    k = Fraction(ctx.square, size)
-    return DoublingStats(K=k, K1=k, K2=Fraction(ctx.inv_square, size), symmetric=ctx.symmetric)
+    return DoublingStats(len(ctx.a.elements), ctx.square, ctx.inv_square, ctx.symmetric)
 
 
 def doubling_stats(a: GSubset) -> DoublingStats:
@@ -94,21 +105,44 @@ def ruzsa_triangle_check(a: GSubset, b: GSubset, c: GSubset) -> bool:
 
 @dataclass(frozen=True)
 class QuotientDoublingCheck:
-    """One quotient-doubling bound: mu_Q(piA^2) against bound * mu_Q(piA)."""
+    """One quotient-doubling bound: mu_Q(piA^2) against bound * mu_Q(piA).
+
+    Held as counts: |piA|, |piA^2|, the bound num/den and the quotient
+    weight; the measures are exact properties over them."""
 
     variant: str
-    lhs: Fraction            # mu_Q(pi A^2)
-    rhs: Fraction            # bound * mu_Q(pi A)
-    bound: Fraction          # K^2, K^3, or K1*K2
-    quotient_doubling: Fraction
+    pi_size: int             # |pi A|
+    pi_square: int           # |pi A^2|
+    bound_num: int           # K^2, K^3, or K1*K2 as num/den
+    bound_den: int
+    quotient_weight: Fraction
     passed: bool
+
+    @property
+    def lhs(self) -> Fraction:
+        """mu_Q(pi A^2)"""
+        return self.pi_square * self.quotient_weight
+
+    @property
+    def rhs(self) -> Fraction:
+        """bound * mu_Q(pi A)"""
+        return self.bound * self.pi_size * self.quotient_weight
+
+    @property
+    def bound(self) -> Fraction:
+        return Fraction(self.bound_num, self.bound_den)
+
+    @property
+    def quotient_doubling(self) -> Fraction:
+        return Fraction(self.pi_square, self.pi_size)
 
     def to_json(self) -> dict:
         out: dict = {"variant": self.variant, "pass": self.passed}
-        put(out, "lhs", self.lhs)
-        put(out, "rhs", self.rhs)
-        put(out, "bound", self.bound)
-        put(out, "quotient_doubling", self.quotient_doubling)
+        wn, wd = self.quotient_weight.numerator, self.quotient_weight.denominator
+        put(out, "lhs", self.pi_square * wn, wd)
+        put(out, "rhs", self.bound_num * self.pi_size * wn, self.bound_den * wd)
+        put(out, "bound", self.bound_num, self.bound_den)
+        put(out, "quotient_doubling", self.pi_square, self.pi_size)
         return out
 
 
@@ -123,15 +157,7 @@ def check_quotient_bound(ctx: InstanceContext, variant: str) -> QuotientDoubling
     else:
         num, den = a2 * ctx.inv_square, a * a
     p, p2 = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a)
-    bound, w_q = Fraction(num, den), ctx.q.quotient_weight
-    return QuotientDoublingCheck(
-        variant=variant,
-        lhs=p2 * w_q,
-        rhs=bound * p * w_q,
-        bound=bound,
-        quotient_doubling=Fraction(p2, p),
-        passed=p2 * den <= num * p,
-    )
+    return QuotientDoublingCheck(variant, p, p2, num, den, ctx.q.quotient_weight, p2 * den <= num * p)
 
 
 def quotient_doubling_check(

@@ -38,11 +38,32 @@ def closure(group: WeightedGroup, seed: Iterable) -> frozenset:
 
 
 def is_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
-    """A finite set holding the identity is a subgroup iff it is closed."""
+    """Is the finite set H a subgroup?  It must hold the identity and contain
+    what its elements generate: a finite set closed under products is a
+    subgroup.  Generators are taken greedily, an element of H only when the
+    closure so far has not reached it, so there are at most log2|H| of them
+    and the cost is O(|H| log |H|) products, not |H|^2.  Each closure walks
+    breadth-first and stops at the first layer that leaves H, so this ends on
+    infinite groups too."""
     law = group.law
-    pts = law.points(elems)
-    closed = set(pts)
-    return law.identity in closed and law.product(pts, pts) <= closed
+    h = set(law.points(elems))
+    if law.identity not in h:
+        return False
+    reached = {law.identity}
+    gens: list = []
+    for x in h:
+        if x in reached:
+            continue
+        gens.append(x)
+        # `reached` is closed under the old generators, so a word that leaves
+        # it does so by a step into reached * x; walk on from those elements
+        frontier = law.product(reached, [x]) - reached
+        while frontier:
+            if not frontier <= h:
+                return False
+            reached |= frontier
+            frontier = law.product(frontier, gens) - reached
+    return True
 
 
 def is_normal(group: WeightedGroup, elems: frozenset) -> bool:

@@ -1,18 +1,27 @@
 """Exact rationals over the wire: "p/q" strings plus lossy decimal shadows.
 
-Every reported number is an exact Fraction; the checks behind it compare
-integer counts.  The decimal shadows exist only for human reading and CSV
-export; nothing ever parses them back.
+The checks compare integer counts, and reports are written from the same
+counts: `put(d, key, num, den)` reduces num/den with one gcd and stores the
+"p/q" string and its decimal shadow, so no `Fraction` is built while an
+instance is evaluated.  `Fraction`s live only in the public result objects
+(`DoublingStats.K` and the like) and at the edges: parsed CLI alphas, error
+payloads and the construction report.  The decimal shadows exist only for
+human reading and CSV export; nothing ever parses them back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
-def fmt(x: Fraction | int) -> str:
-    """Render as an explicit "p/q" string ("17/1", never bare "17")."""
-    return f"{x.numerator}/{x.denominator}"
+def fmt(num: Fraction | int, den: int = 1) -> str:
+    """Render num/den (den > 0) in lowest terms as an explicit "p/q" string
+    ("17/1", never bare "17"); `num` may be a Fraction when `den` is 1."""
+    if den != 1:
+        g = gcd(num, den)
+        return f"{num // g}/{den // g}"
+    return f"{num.numerator}/{num.denominator}"
 
 
 def parse(value: str | int | Fraction) -> Fraction:
@@ -30,13 +39,21 @@ def parse(value: str | int | Fraction) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
+def split(text: str) -> tuple[int, int]:
+    """The integers of a "p/q" string that `put` wrote (no Fraction is built)."""
+    num, _, den = text.partition("/")
+    return int(num), int(den)
+
+
 def shadow(x: Fraction | int) -> float:
     """The decimal shadow of an exact Fraction or int."""
     return x.numerator / x.denominator
 
 
-def put(d: dict, key: str, x: Fraction | int) -> dict:
-    """Store exact value under `key` and its decimal shadow under `key`_dec."""
-    d[key] = fmt(x)
-    d[key + "_dec"] = shadow(x)
+def put(d: dict, key: str, num: int, den: int) -> dict:
+    """Store num/den (den > 0) as "p/q" under `key` and its decimal shadow
+    under `key`_dec, the text and the float of Fraction(num, den): int true
+    division is correctly rounded, so the unreduced pair gives the same float."""
+    d[key] = fmt(num, den)
+    d[key + "_dec"] = num / den
     return d

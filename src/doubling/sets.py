@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Any, Iterable, Iterator
 
 from .errors import SpecError
 from .groups import WeightedGroup
 
 
-@dataclass(frozen=True, eq=False)
 class GSubset:
-    """A finite set of group elements with exact rational measure."""
+    """A finite set of group elements with exact rational measure.
 
-    owner: WeightedGroup
-    elements: frozenset = field(default_factory=frozenset)
+    Equality and hashing are by identity, and `InstanceContext` keys its
+    memos on `owner` identity; compare `elements` for set equality."""
+
+    __slots__ = ("owner", "elements")
+
+    def __init__(self, owner: WeightedGroup, elements: frozenset = frozenset()) -> None:
+        self.owner = owner
+        self.elements = elements
 
     @property
     def measure(self) -> Fraction:
@@ -50,14 +54,14 @@ def subset(group: WeightedGroup, elems: Iterable) -> GSubset:
     return GSubset(group, out)
 
 
-def decode_subset(group: WeightedGroup, doc: Any, path: str = "") -> GSubset:
+def decode_subset(group: WeightedGroup, doc: object, path: str = "") -> GSubset:
     """Parse a subset-spec: {"elements": [...]} with handles encoded per kind."""
     if not isinstance(doc, dict) or set(doc) != {"elements"}:
         raise SpecError(path, 'subset spec must be an object with exactly the key "elements"')
     return GSubset(group, decode_elements(group, doc["elements"], f"{path}/elements"))
 
 
-def decode_elements(group: WeightedGroup, items: Any, path: str) -> frozenset:
+def decode_elements(group: WeightedGroup, items: object, path: str) -> frozenset:
     """A JSON list of encoded handles; errors name the path of the bad item."""
     if not isinstance(items, list):
         raise SpecError(path, "expected a list")

@@ -42,6 +42,10 @@ from doubling.context import InstanceContext
 from doubling.quotients import quotient_from_description
 from doubling.rationals import parse, put
 
+def put_exact(d: dict, key: str, x: Fraction) -> dict:
+    return put(d, key, x.numerator, x.denominator)
+
+
 VARIANTS = {"quotient-sym": "symmetric", "quotient-cube": "cube", "quotient-k1k2": "two-constant"}
 
 
@@ -82,12 +86,12 @@ def reference_report(instance_id: str) -> dict:
     for suite in spec.get("suites", []):
         if suite == "layer-cake":
             lhs, rhs = layer_cake(a, q)
-            frag = put(put({"pass": True}, "lhs", lhs), "rhs", rhs)
+            frag = put_exact(put_exact({"pass": True}, "lhs", lhs), "rhs", rhs)
         elif suite == "spillover":
             res = spillover_check(a, b if b is not None else a, q)
             frag = {"pass": True}
             for key in ("lhs_left", "lhs_right", "rhs_left", "rhs_right"):
-                put(frag, key, getattr(res, key))
+                put_exact(frag, key, getattr(res, key))
         elif suite == "containment":
             frag = {"pass": containment_check(a, b if b is not None else a, q)}
         elif suite == "ruzsa-axioms":
@@ -104,7 +108,7 @@ def reference_report(instance_id: str) -> dict:
                 moved = ruzsa_sq(translate(a, left=g), translate(bb, left=h)).value
                 frag["translation"] = moved == vab
             frag["pass"] = all(frag.values())
-            put(frag, "value_aa", vaa)
+            put_exact(frag, "value_aa", vaa)
         elif suite in VARIANTS:
             if VARIANTS[suite] == "symmetric" and not stats.symmetric:
                 frag = {"skipped": "subset is not symmetric"}

@@ -1,8 +1,14 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from fractions import Fraction
 
+import doubling
 from doubling import (
     CapError,
     CyclicGroup,
@@ -10,6 +16,8 @@ from doubling import (
     ProductGroup,
     SymmetricGroup,
     TableGroup,
+    build_group,
+    catalog,
     mul_set,
     normal_subgroups,
     projection_quotient,
@@ -17,7 +25,7 @@ from doubling import (
     quotient,
     subset,
 )
-from doubling.quotients import all_subgroups, is_normal, is_subgroup
+from doubling.quotients import all_subgroups, closure, is_normal, is_subgroup
 
 
 def test_cyclic_subgroup_lattice():
@@ -195,3 +203,61 @@ def test_quotient_independent_of_element_labels():
     f1 = sorted(fiber_profile(a1, q1).fibers.values())
     f2 = sorted(fiber_profile(a2, q2).fibers.values())
     assert f1 == f2
+
+
+def closed_under_products(group, elems: frozenset) -> bool:
+    """The plain reference: H holds the identity and HH is inside H."""
+    return group.identity in elems and all(group.op(x, y) in elems for x in elems for y in elems)
+
+
+def test_is_subgroup_matches_the_product_check_on_every_small_subset():
+    groups = [build_group(spec) for spec in catalog(weights=("counting",))]
+    small = [g for g in groups if g.order <= 12]
+    assert len(small) > 20
+    for group in small:
+        elems = list(group.elements())
+        # every subset, the empty one and those missing the identity included
+        for mask in range(1 << len(elems)):
+            h = frozenset(x for i, x in enumerate(elems) if mask >> i & 1)
+            assert is_subgroup(group, h) == closed_under_products(group, h), (group.name, sorted(h))
+
+
+def test_is_subgroup_on_the_op_path():
+    # Z_100 is above the table cap and GL2Z is infinite: both multiply with `op`
+    z100 = CyclicGroup(100)
+    for d in (1, 2, 4, 5, 10, 20, 25, 50, 100):
+        h = frozenset(range(0, 100, d))
+        assert is_subgroup(z100, h)
+        assert not is_subgroup(z100, h - {0})
+        if d > 1:
+            assert not is_subgroup(z100, h | {1})
+    gl2z = MatrixGroup()
+    rotation, flip = (0, -1, 1, 0), (0, 1, 1, 0)
+    square = closure(gl2z, {rotation, flip})
+    assert len(square) == 8
+    for size in range(len(square) + 1):
+        for h in itertools.combinations(sorted(square), size):
+            h = frozenset(h)
+            assert is_subgroup(gl2z, h) == closed_under_products(gl2z, h)
+    # an element of infinite order leaves any finite set: False, and it ends
+    assert not is_subgroup(gl2z, frozenset({gl2z.identity, (1, 1, 0, 1)}))
+
+
+def test_replay_with_a_large_subgroup_of_a_large_group_ends(tmp_path):
+    # 15,625 multiples of 64 in Z_10^6: |H|^2 = 2.4e8 products for the HH check
+    spec = {
+        "group": {"type": "cyclic", "n": 1000000},
+        "subgroup": {"elements": list(range(0, 1000000, 64))},
+        "subset": [0, 1],
+    }
+    id_file = tmp_path / "id.txt"
+    id_file.write_text(json.dumps(spec))
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "doubling.cli", "replay", "--id", f"@{id_file}"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["sizes"] == {"group": 1000000, "subgroup": 15625, "subset": 2}
+    assert report["doubling"]["K"] == "3/2"

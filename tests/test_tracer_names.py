@@ -5,14 +5,21 @@ would only show up as a failed `--trace 1` benchmark run.  The tracer module
 is loaded by path and only its `SPANS` table is read; nothing is installed.
 """
 
+import functools
 import importlib
 import importlib.util
 import inspect
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from doubling import constructions
+import doubling
+from doubling import ScanConfig, constructions, harness, scan
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,3 +45,32 @@ def test_sumset_counter_hook_keeps_its_signature_and_cache_key():
     x, y, cache = frozenset({0, 1}), frozenset({0, 2}), {}
     assert constructions._sumset_mod(x, y, 5, cache) == frozenset({0, 1, 2, 3})
     assert frozenset((x, y)) in cache
+
+
+def test_import_doubling_imports_every_traced_layer():
+    # the tracer wraps modules found in sys.modules after `import doubling`;
+    # it imports `doubling.cli`, the entry point, itself
+    code = "import json, sys, doubling; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert {f"doubling.{layer}" for layer in _spans() if layer != "cli"} <= loaded
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_evaluates_every_instance_through_the_module_global(monkeypatch, jobs):
+    # wrapped the way the tracer wraps it; forked workers share the counter
+    calls = multiprocessing.get_context("fork").Value("i", 0)
+    original = harness.evaluate_instance
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        with calls.get_lock():
+            calls.value += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_instance", counted)
+    config = ScanConfig(["dihedral:4", "q8"], {"kind": "random", "count": 3, "seed": 1}, parallelism=jobs)
+    report = scan(config)
+    assert report["aggregate"]["instances"] > 0
+    assert calls.value == report["aggregate"]["instances"]
