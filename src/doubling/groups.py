@@ -138,9 +138,18 @@ class CayleyTable:
         self.rows = rows
         self.elements = elements
         self.index = None if elements is None else {x: i for i, x in enumerate(elements)}
-        # the identity is a group's only idempotent
-        self.identity = e = next(i for i, row in enumerate(rows) if row[i] == i)
-        self.inv = [row.index(e) for row in rows]
+        # the two-sided identity: its row and its column are both 0..n-1
+        ident = list(range(len(rows)))
+        e = next((i for i in ident if rows[i] == ident and [r[i] for r in rows] == ident), None)
+        if e is None:
+            raise ValueError("table has no identity element")
+        self.identity = e
+        self.inv = [
+            next((b for b, v in enumerate(row) if v == e == rows[b][a]), None)
+            for a, row in enumerate(rows)
+        ]
+        if None in self.inv:
+            raise ValueError(f"element {self.inv.index(None)} has no inverse")
 
     def all_points(self) -> range:
         return range(len(self.rows))
@@ -302,7 +311,6 @@ class TableGroup(_IndexedGroup):
         table: Sequence[Sequence[int]],
         weight: str | Fraction = "counting",
         name: str = "table",
-        validate: bool = True,
     ) -> None:
         n = len(table)
         if n == 0:
@@ -316,34 +324,21 @@ class TableGroup(_IndexedGroup):
                 raise ValueError(f"table row {i} is not a permutation-ready row of 0..{n - 1}")
             rows.append(row)
         self.table = rows
-        ident = list(range(n))
-        identities = [e for e in range(n) if rows[e] == ident and [r[e] for r in rows] == ident]
-        if not identities:
-            raise ValueError("table has no identity element")
-        e = identities[0]
-        inv = [
-            next((b for b in range(n) if row[b] == e == rows[b][a]), None)
-            for a, row in enumerate(rows)
-        ]
-        if None in inv:
-            raise ValueError(f"element {inv.index(None)} has no inverse")
-        self._identity, self._inv = e, inv
+        law = CayleyTable(rows)  # finds the identity and inverses, or raises
         super().__init__(name, n, weight)
-        if validate:
-            validate_axioms(self)
+        self._law = law
+        validate_axioms(self)
 
+    # an OpLaw over these methods may stand in for `law`, so they read the table
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        return self._inv[a]
+        return self._law.inv[a]
 
     @property
     def identity(self) -> int:
-        return self._identity
-
-    def _cayley(self) -> CayleyTable:
-        return CayleyTable(self.table)
+        return self._law.identity
 
     def spec(self) -> dict:
         out = {"type": "table", "table": [list(r) for r in self.table], "weight": self.weight_mode}
@@ -411,9 +406,13 @@ class ProductGroup(WeightedGroup):
     def decode_element(self, obj, path: str = "") -> tuple:
         if not isinstance(obj, (list, tuple)) or len(obj) != len(self.factors):
             raise SpecError(path, f"expected {len(self.factors)}-tuple, got {obj!r}")
-        return tuple(
-            f.decode_element(v, f"{path}/{i}") for i, (f, v) in enumerate(zip(self.factors, obj))
-        )
+        try:
+            return tuple(f.decode_element(v) for f, v in zip(self.factors, obj))
+        except SpecError:
+            # decode again with paths, so the error names the bad factor
+            for i, (f, v) in enumerate(zip(self.factors, obj)):
+                f.decode_element(v, f"{path}/{i}")
+            raise
 
     def spec(self) -> dict:
         return {"type": "product", "factors": [f.spec() for f in self.factors]}

@@ -318,27 +318,18 @@ def _sample_nonempty(rng: Random, pool: list, density) -> list:
     if isinstance(density, dict):
         k = max(1, min(density["size"], len(pool)))
         remaining = list(pool)
-        out = []
-        for _ in range(k):
-            out.append(remaining.pop(rng.randrange(len(remaining))))
-        return out
-    p = Fraction(1, 4) if density == "1/4" else Fraction(1, 2)
-    threshold = p.numerator / p.denominator
+        return [remaining.pop(rng.randrange(len(remaining))) for _ in range(k)]
+    threshold = 0.25 if density == "1/4" else 0.5
     while True:
         out = [x for x in pool if rng.random() < threshold]
         if out:
             return out
 
 
-def _density_for(trial: int, density):
+def _density_for(trial: int, density, pool_size: int):
     if density != "mixed":
         return density
-    step = trial % 3
-    if step == 0:
-        return "1/4"
-    if step == 1:
-        return "1/2"
-    return {"size": 0}  # resolved against the pool size at sampling time
+    return ("1/4", "1/2", {"size": max(1, pool_size // 2)})[trial % 3]
 
 
 def _inverse_orbits(group: WeightedGroup, elems: list) -> list[tuple]:
@@ -380,7 +371,7 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
             base = {
                 "group": gspec,
                 "subgroup": {
-                    "elements": [group.encode_element(x) for x in sub.sorted_elements()],
+                    "elements": sub.encode(),
                     "weight": config.subgroup_weight,
                 },
                 "suites": list(config.suites),
@@ -396,10 +387,6 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
                 keys = (alphas, group_json, canonical_json(base["subgroup"]))
                 built.extend((spec, *keys) for spec in specs)
     return ids
-
-
-def _encode_sorted(group: WeightedGroup, elems: Iterable) -> list:
-    return [group.encode_element(x) for x in sorted(elems, key=group.element_key)]
 
 
 def _finish_exhaustive(group: WeightedGroup, base: dict, members: list, config: ScanConfig) -> dict:
@@ -451,16 +438,18 @@ def _random_specs(
 ) -> list[dict]:
     mode = config.subset_mode
     specs: list[dict] = []
+
+    def sample(density) -> list:
+        return GSubset(group, frozenset(_sample_nonempty(rng, elems, density))).encode()
+
     for trial in range(mode["count"]):
-        density = _density_for(trial, mode.get("density", "mixed"))
-        if isinstance(density, dict) and density["size"] == 0:
-            density = {"size": max(1, len(elems) // 2)}
+        density = _density_for(trial, mode.get("density", "mixed"), len(elems))
         spec = dict(base)
-        spec["subset"] = _encode_sorted(group, _sample_nonempty(rng, elems, density))
+        spec["subset"] = sample(density)
         if _needs_partner(config.suites):
-            spec["subset_b"] = _encode_sorted(group, _sample_nonempty(rng, elems, density))
+            spec["subset_b"] = sample(density)
             if "ruzsa-axioms" in config.suites:
-                spec["subset_c"] = _encode_sorted(group, _sample_nonempty(rng, elems, density))
+                spec["subset_c"] = sample(density)
                 spec["translate"] = [
                     group.encode_element(elems[rng.randrange(len(elems))]) for _ in range(2)
                 ]

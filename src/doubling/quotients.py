@@ -5,6 +5,9 @@ measure of each fiber against the quotient weight recovers the ambient
 measure of any subset.  A quotient of a finite group materializes its coset
 table; a projection quotient of a product group drops coordinates and works
 for lazy ambient groups as long as the dropped factors are finite.
+Subgroups are found on the points of `group.law`, table indices up to
+TABLE_CAP: `closure`, `is_subgroup` and the lattice share one growing walk
+(`_grow`), `is_normal` and `quotient` one coset walk (`_cosets`).
 """
 
 from __future__ import annotations
@@ -20,68 +23,73 @@ from typing import Callable, Iterable, Sequence
 from .errors import CapError, ConsistencyError, SpecError
 from .groups import TABLE_CAP, ProductGroup, TableGroup, WeightedGroup
 from .rationals import fmt
-from .sets import GSubset, decode_elements, subset, translate
+from .sets import GSubset, decode_elements, subset
 
 
-def closure(group: WeightedGroup, seed: Iterable) -> frozenset:
-    """Subgroup generated by `seed`: the identity's orbit under right
-    multiplication by the seed, one breadth-first layer at a time (in a finite
-    group, products reach inverses)."""
-    law = group.law
-    gens = law.points(seed)
-    out = {law.identity}
-    frontier = out
-    while frontier:
-        frontier = law.product(frontier, gens) - out
-        out |= frontier
-    return law.handles(out)
-
-
-def is_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
-    """Is the finite set H a subgroup?  It must hold the identity and contain
-    what its elements generate: a finite set closed under products is a
-    subgroup.  Generators are taken greedily, an element of H only when the
-    closure so far has not reached it, so there are at most log2|H| of them
-    and the cost is O(|H| log |H|) products, not |H|^2.  Each closure walks
-    breadth-first and stops at the first layer that leaves H, so this ends on
-    infinite groups too."""
-    law = group.law
-    h = set(law.points(elems))
-    if law.identity not in h:
-        return False
-    reached = {law.identity}
-    gens: list = []
-    for x in h:
+def _grow(law, reached: set, gens: list, xs: Iterable, within: set | None = None) -> bool:
+    """Close `reached`, a set closed under right multiplication by `gens`,
+    under each x in xs too, in place; an x not yet reached joins `gens`.  A
+    word that leaves `reached` does so by a step into reached * x, so each
+    walk goes breadth-first from those elements only.  False at the first
+    layer that leaves `within`, if that is given."""
+    for x in xs:
         if x in reached:
             continue
         gens.append(x)
-        # `reached` is closed under the old generators, so a word that leaves
-        # it does so by a step into reached * x; walk on from those elements
         frontier = law.product(reached, [x]) - reached
         while frontier:
-            if not frontier <= h:
+            if within is not None and not frontier <= within:
                 return False
             reached |= frontier
             frontier = law.product(frontier, gens) - reached
     return True
 
 
-def is_normal(group: WeightedGroup, elems: frozenset) -> bool:
-    """Is the subgroup `elems` normal: gH = Hg for every g?  Once that holds
-    for g it holds on all of gH, so one g per coset is checked."""
-    if group.order is None:
-        raise ValueError("normality check needs a finite ambient group")
+def closure(group: WeightedGroup, seed: Iterable) -> frozenset:
+    """Subgroup generated by `seed`: the identity's orbit under right
+    multiplication by the seed (in a finite group, products reach inverses)."""
     law = group.law
-    h = law.points(elems)
-    seen: set = set()
+    reached = {law.identity}
+    _grow(law, reached, [], law.points(seed))
+    return law.handles(reached)
+
+
+def is_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
+    """Is the finite set H a subgroup?  It must hold the identity and contain
+    what its elements generate: a finite set closed under products is a
+    subgroup.  `_grow` takes an element as a generator only when its walk has
+    not reached it, so there are at most log2|H| of them and the cost is
+    O(|H| log |H|) products, not |H|^2.  The walk stops at the first layer
+    that leaves H, so this ends on infinite groups too."""
+    law = group.law
+    h = set(law.points(elems))
+    return law.identity in h and _grow(law, {law.identity}, [], h, h)
+
+
+def _cosets(law, h: list) -> tuple[dict, list] | None:
+    """(point -> coset index, representatives) of the left cosets gH, numbered
+    in order of first appearance along the canonical enumeration; None at the
+    first g with gH != Hg.  Once gH = Hg holds for g it holds on all of gH, so
+    one g per coset is checked."""
+    coset_of: dict = {}
+    reps: list = []
     for g in law.all_points():
-        if g in seen:
+        if g in coset_of:
             continue
         left = law.product([g], h)
         if left != law.product(h, [g]):
-            return False
-        seen |= left
-    return True
+            return None
+        coset_of.update(dict.fromkeys(left, len(reps)))
+        reps.append(g)
+    return coset_of, reps
+
+
+def is_normal(group: WeightedGroup, elems: frozenset) -> bool:
+    """Is the subgroup `elems` normal: gH = Hg for every g?"""
+    if group.order is None:
+        raise ValueError("normality check needs a finite ambient group")
+    law = group.law
+    return _cosets(law, law.points(elems)) is not None
 
 
 def _structural_key(group: WeightedGroup) -> str | None:
@@ -129,34 +137,36 @@ def _cached_lattice(key: _StructureKey) -> tuple[list[frozenset], list[frozenset
 def _lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
     """(all subgroup handle-sets, normal handle-sets), each in canonical order.
 
-    Every subgroup is reached from {e} by adding one generator at a time, and
-    remembers its generator list, so each closure walks from a few elements.
-    <H, g> = <H, hg> for h in H, so one g per right coset of H is tried."""
-    gens_of = {frozenset([group.identity]): ()}
+    Runs on the points of `group.law`.  Every subgroup is reached from {e} by
+    adding one generator at a time, growing from the subgroup it extends, and
+    remembers its generator list.  <H, g> = <H, hg> for h in H, so one g per
+    right coset of H is tried."""
+    law = group.law
+    gens_of = {frozenset([law.identity]): []}
     queue = list(gens_of)
     while queue:
         sub = queue.pop()
         covered = set(sub)
-        for g in group.elements():
+        for g in law.all_points():
             if g in covered:
                 continue
-            covered |= translate(GSubset(group, sub), right=g).elements
-            gens = gens_of[sub] + (g,)
-            bigger = closure(group, gens)
+            covered |= law.product(sub, [g])
+            bigger, gens = set(sub), list(gens_of[sub])
+            _grow(law, bigger, gens, [g])
+            bigger = frozenset(bigger)
             if bigger not in gens_of:
                 gens_of[bigger] = gens
                 queue.append(bigger)
 
+    # points follow the canonical enumeration, so they sort as the handles do
+    subs = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+    handles = [law.handles(s) for s in subs]
     # H is normal iff generators of G conjugate generators of H into H
-    outer = [(g, group.inv(g)) for g in gens_of[max(gens_of, key=len)]]
-
-    def normal(sub: frozenset) -> bool:
-        inner = GSubset(group, frozenset(gens_of[sub]))
-        return all(translate(inner, left=g, right=ginv).elements <= sub for g, ginv in outer)
-
-    key_fn = group.element_key
-    all_handles = sorted(gens_of, key=lambda s: (len(s), sorted(key_fn(x) for x in s)))
-    return all_handles, [s for s in all_handles if normal(s)]
+    outer = [(g, list(law.inverse([g]))) for g in gens_of[max(gens_of, key=len)]]
+    return handles, [
+        h for s, h in zip(subs, handles)
+        if all(law.product(law.product([g], gens_of[s]), ginv) <= s for g, ginv in outer)
+    ]
 
 
 def all_subgroups(group: WeightedGroup) -> list[frozenset]:
@@ -243,7 +253,9 @@ def quotient(
         )
     if not is_subgroup(group, h_elems):
         raise ValueError("not a subgroup: missing identity or not closed under the operation")
-    if not is_normal(group, h_elems):
+    law = group.law
+    cosets = _cosets(law, law.points(h_elems))
+    if cosets is None:
         raise ValueError("subgroup is not normal in the ambient group")
     if subgroup_weight == "counting":
         w_h = Fraction(1)
@@ -253,14 +265,7 @@ def quotient(
         raise ValueError(f"unknown subgroup weight mode {subgroup_weight!r}")
 
     # Cosets indexed in order of first appearance along the canonical enumeration.
-    law = group.law
-    h = law.points(h_elems)
-    coset_of: dict = {}
-    reps: list = []
-    for x in law.all_points():
-        if x not in coset_of:
-            coset_of.update(dict.fromkeys(law.product([x], h), len(reps)))
-            reps.append(x)
+    coset_of, reps = cosets
     mul = law.mul
     table = [[coset_of[mul(r, s)] for s in reps] for r in reps]
     proj = dict(zip(group.elements(), map(coset_of.__getitem__, law.all_points())))

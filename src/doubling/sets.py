@@ -62,10 +62,16 @@ def decode_subset(group: WeightedGroup, doc: object, path: str = "") -> GSubset:
 
 
 def decode_elements(group: WeightedGroup, items: object, path: str) -> frozenset:
-    """A JSON list of encoded handles; errors name the path of the bad item."""
+    """A JSON list of encoded handles; errors name the path of the bad item,
+    built only after a failure, by decoding the list again with paths."""
     if not isinstance(items, list):
         raise SpecError(path, "expected a list")
-    return frozenset(group.decode_element(v, f"{path}/{i}") for i, v in enumerate(items))
+    try:
+        return frozenset(map(group.decode_element, items))
+    except SpecError:
+        for i, v in enumerate(items):
+            group.decode_element(v, f"{path}/{i}")
+        raise
 
 
 def _require_same_owner(a: GSubset, b: GSubset) -> None:

@@ -220,6 +220,16 @@ def test_replay_accepts_the_base_id_and_empty_suites(capsys):
         ({"colour": "red"}, "/colour"),
         ({"subset": []}, "/subset"),
         ({"subset_b": 3}, "/subset_b"),
+        ({"subset": [0, 6]}, "/subset/1"),
+        ({"subgroup": {"elements": [0, 3, "x"]}}, "/subgroup/elements/2"),
+        (
+            {
+                "group": {"type": "product", "factors": [{"type": "cyclic", "n": 2}] * 2},
+                "subgroup": {"elements": [[0, 0]]},
+                "subset": [[0, 2]],
+            },
+            "/subset/0/1",
+        ),
     ],
 )
 def test_replay_rejects_malformed_ids_with_a_path(capsys, change, path):

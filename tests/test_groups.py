@@ -85,10 +85,14 @@ def test_quaternion_group():
 
 
 def test_table_group_rejects_broken_tables():
-    with pytest.raises(ValueError, match="identity"):
-        TableGroup([[1, 0], [1, 0]])
+    # a monoid whose identity is 1; 0 is idempotent but no identity
+    with pytest.raises(ValueError, match="^element 0 has no inverse$"):
+        TableGroup([[0, 0], [0, 1]])
+    for table in ([[1, 0], [1, 0]], [[1, 1], [1, 0]]):
+        with pytest.raises(ValueError, match="^table has no identity element$"):
+            TableGroup(table)
     # associative magma with identity but missing inverses
-    with pytest.raises(ValueError, match="inverse"):
+    with pytest.raises(ValueError, match="^element 1 has no inverse$"):
         TableGroup([[0, 1, 2], [1, 1, 2], [2, 2, 2]])
     # order-5 loop: identity and two-sided inverses, but (1*1)*2 != 1*(1*2)
     loop = [
@@ -103,7 +107,8 @@ def test_table_group_rejects_broken_tables():
         for a, b, c in itertools.product(range(5), repeat=3)
         if loop[loop[a][b]][c] != loop[a][loop[b][c]]
     )
-    with pytest.raises(ValueError, match=re.escape("non-associative operation at (%d,%d,%d)" % first)):
+    message = "non-associative operation at (%d,%d,%d)" % first
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         TableGroup(loop)
 
 

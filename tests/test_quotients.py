@@ -25,6 +25,7 @@ from doubling import (
     quotient,
     subset,
 )
+from doubling.groups import OpLaw, WeightedGroup
 from doubling.quotients import all_subgroups, closure, is_normal, is_subgroup
 
 
@@ -241,6 +242,42 @@ def test_is_subgroup_on_the_op_path():
             assert is_subgroup(gl2z, h) == closed_under_products(gl2z, h)
     # an element of infinite order leaves any finite set: False, and it ends
     assert not is_subgroup(gl2z, frozenset({gl2z.identity, (1, 1, 0, 1)}))
+
+
+def test_lattice_lists_subgroups_in_canonical_order():
+    # the lattice sorts table indices; they must sort as the handles' keys do
+    groups = [build_group(spec) for spec in catalog(weights=("counting",))]
+    assert {"Z2xS4", "Q8xQ8"} <= {g.name for g in groups}
+    for group in groups:
+        subs = all_subgroups(group)
+        key = group.element_key
+        assert subs == sorted(subs, key=lambda s: (len(s), sorted(map(key, s)))), group.name
+        normal = [s.elements for s in normal_subgroups(group)]
+        assert normal == [s for s in subs if is_normal(group, s)], group.name
+
+
+def test_lattice_on_the_op_path_matches_the_table_path(monkeypatch):
+    specs = [
+        {"type": "dihedral", "n": 4},
+        {"type": "table", "table": quaternion_group().table, "name": "Q8"},
+        {"type": "product", "factors": [{"type": "symmetric", "n": 3}, {"type": "cyclic", "n": 2}]},
+    ]
+
+    def lattices() -> list:
+        doubling.quotients._cached_lattice.cache_clear()
+        groups = [build_group(spec) for spec in specs]
+        return [(all_subgroups(g), [s.elements for s in normal_subgroups(g)]) for g in groups]
+
+    try:
+        on_tables = lattices()
+        with monkeypatch.context() as patch:
+            patch.setattr(WeightedGroup, "law", property(OpLaw))
+            assert isinstance(build_group(specs[2]).law, OpLaw)
+            on_op = lattices()
+    finally:
+        doubling.quotients._cached_lattice.cache_clear()
+    assert [len(subs) for subs, _ in on_tables] == [10, 6, 16]
+    assert on_op == on_tables
 
 
 def test_replay_with_a_large_subgroup_of_a_large_group_ends(tmp_path):
