@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import permutations, product as iter_product
+from itertools import permutations, product as iter_product, repeat
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -176,7 +176,9 @@ class CayleyTable:
 
 class OpLaw:
     """The same interface with the handles as points and `op` as the law: the
-    path of infinite groups and of finite groups above TABLE_CAP."""
+    path of infinite groups and of finite groups above TABLE_CAP.  A product
+    group multiplies factor by factor (`_product_by_factor`), never through
+    `ProductGroup.op` per pair."""
 
     __slots__ = ("group", "identity", "mul")
 
@@ -193,11 +195,45 @@ class OpLaw:
         return frozenset(points)
 
     def product(self, xs: Iterable, ys: Sequence) -> set:
-        op = self.group.op
+        group = self.group
+        if isinstance(group, ProductGroup):
+            return _product_by_factor(group.factors, xs, ys)
+        op = group.op
         return {op(x, y) for x in xs for y in ys}
 
     def inverse(self, xs: Iterable) -> set:
         return set(map(self.group.inv, xs))
+
+
+def _product_by_factor(factors: Sequence[WeightedGroup], xs: Iterable, ys: Sequence) -> set:
+    """{xy : x in xs, y in ys} in a direct product, one factor column at a time.
+
+    The loop runs over the shorter side, and each factor's column down the
+    longer one.  For factor i with distinct outer components U_i and inner
+    components V_i, the products over U_i x V_i are tabulated once when there
+    are at most TABLE_CAP^2 of them, and a column reads its row; a larger
+    factor applies its `op` pair by pair down the column.  Each outer element
+    then costs one zip of its factor columns.  The tables live for this call
+    only."""
+    xs = list(xs)
+    if not xs or not ys:
+        return set()
+    flip = len(ys) < len(xs)  # then y is the outer element and x runs down the columns
+    outer, inner = (ys, xs) if flip else (xs, ys)
+    columns = []  # per factor: u -> its products down the inner column
+    for op, us, vs in zip([f.op for f in factors], zip(*outer), zip(*inner)):
+        us, distinct = set(us), set(vs)
+        if len(us) * len(distinct) <= TABLE_CAP * TABLE_CAP:
+            rows = {u: {v: op(v, u) if flip else op(u, v) for v in distinct} for u in us}
+            columns.append(lambda u, rows=rows, vs=vs: map(rows[u].__getitem__, vs))
+        elif flip:
+            columns.append(lambda u, op=op, vs=vs: map(op, vs, repeat(u)))
+        else:
+            columns.append(lambda u, op=op, vs=vs: map(op, repeat(u), vs))
+    out: set = set()
+    for z in outer:
+        out.update(zip(*[column(u) for column, u in zip(columns, z)]))
+    return out
 
 
 class _IndexedGroup(WeightedGroup):

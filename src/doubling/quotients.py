@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapError, ConsistencyError, SpecError
-from .groups import TABLE_CAP, ProductGroup, TableGroup, WeightedGroup
+from .groups import TABLE_CAP, CayleyTable, ProductGroup, TableGroup, WeightedGroup
 from .rationals import fmt
 from .sets import GSubset, decode_elements, subset
 
@@ -66,11 +66,12 @@ def is_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
     return law.identity in h and _grow(law, {law.identity}, [], h, h)
 
 
-def _cosets(law, h: list) -> tuple[dict, list] | None:
-    """(point -> coset index, representatives) of the left cosets gH, numbered
-    in order of first appearance along the canonical enumeration; None at the
-    first g with gH != Hg.  Once gH = Hg holds for g it holds on all of gH, so
-    one g per coset is checked."""
+def _cosets(law, h: list, order: int) -> tuple[dict, list] | None:
+    """(point -> coset index, representatives) of the left cosets gH in a
+    group of `order` elements, numbered in order of first appearance along
+    the canonical enumeration; None at the first g with gH != Hg.  Once
+    gH = Hg holds for g it holds on all of gH, so one g per coset is checked,
+    and the walk stops when the cosets cover the group."""
     coset_of: dict = {}
     reps: list = []
     for g in law.all_points():
@@ -81,6 +82,8 @@ def _cosets(law, h: list) -> tuple[dict, list] | None:
             return None
         coset_of.update(dict.fromkeys(left, len(reps)))
         reps.append(g)
+        if len(coset_of) == order:
+            break
     return coset_of, reps
 
 
@@ -89,7 +92,7 @@ def is_normal(group: WeightedGroup, elems: frozenset) -> bool:
     if group.order is None:
         raise ValueError("normality check needs a finite ambient group")
     law = group.law
-    return _cosets(law, law.points(elems)) is not None
+    return _cosets(law, law.points(elems), group.order) is not None
 
 
 def _structural_key(group: WeightedGroup) -> str | None:
@@ -254,7 +257,7 @@ def quotient(
     if not is_subgroup(group, h_elems):
         raise ValueError("not a subgroup: missing identity or not closed under the operation")
     law = group.law
-    cosets = _cosets(law, law.points(h_elems))
+    cosets = _cosets(law, law.points(h_elems), group.order)
     if cosets is None:
         raise ValueError("subgroup is not normal in the ambient group")
     if subgroup_weight == "counting":
@@ -268,7 +271,9 @@ def quotient(
     coset_of, reps = cosets
     mul = law.mul
     table = [[coset_of[mul(r, s)] for s in reps] for r in reps]
-    proj = dict(zip(group.elements(), map(coset_of.__getitem__, law.all_points())))
+    # where the points are the handles, the coset map is the projection
+    elements = law.elements if isinstance(law, CayleyTable) else None
+    proj = coset_of if elements is None else {elements[p]: c for p, c in coset_of.items()}
     qgroup = TableGroup(table, weight=group.weight / w_h, name=f"{group.name}/H{len(h_elems)}")
 
     description = {"elements": h_subset.encode(), "weight": subgroup_weight}

@@ -53,6 +53,7 @@ GOLDEN = {
     "scan-json": "ea41a32f0e81d14596f688833029e586d779c6d90970694c4ac209cdfc66b73b",
     "scan-csv": "56a494bbc3e2cc16c00f4757e991c4a58e8563121ba9d3be21f22ab2f3025161",
     "extract-trace": "359f85c69fdcb354e9186604a1267aa5b2b3588c0c769248cf92931453d4284d",
+    "extract-trace-2-5-36": "46c462e77d778aafe1071df1ca27375edef952bea045648184bfaa5d477e3545",
     "kernel-scan-json": "e2617ea69ff7aace5289778bcc30970806fc6755f70a557d2cb4fe12767beaf0",
     "construct-62500": "3d9ff8e3bc2c568db4aeaf1ec54b4ceda849650a9773d5e8905ede3e219d2e53",
 }
@@ -99,13 +100,23 @@ def test_kernel_groups_scan_golden(tmp_path, capsys):
     assert digest(out) == GOLDEN["kernel-scan-json"]
 
 
-def test_extract_trace_golden(tmp_path, capsys):
+def extract_trace_digest(tmp_path, capsys, n, h, m) -> str:
     inst = tmp_path / "inst.json"
-    doc = build_sharpness_instance(1, 2, 9).to_json()
+    doc = build_sharpness_instance(n, h, m).to_json()
     inst.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     out = tmp_path / "extract.json"
     run_cli(capsys, "extract", "--alpha", "3/2,2,3", "--instance", inst, "--trace", "--out", out)
-    assert digest(out) == GOLDEN["extract-trace"]
+    return digest(out)
+
+
+def test_extract_trace_golden(tmp_path, capsys):
+    assert extract_trace_digest(tmp_path, capsys, 1, 2, 9) == GOLDEN["extract-trace"]
+
+
+def test_extract_trace_golden_at_the_benchmark_witness(tmp_path, capsys):
+    # the 244-element witness of H_5 x GL2Z x Z_36 with five matrices, whose
+    # product sets take the op path factor by factor
+    assert extract_trace_digest(tmp_path, capsys, 2, 5, 36) == GOLDEN["extract-trace-2-5-36"]
 
 
 def test_construct_golden(tmp_path, capsys):

@@ -12,17 +12,20 @@ from hypothesis import given, settings, strategies as st
 
 from doubling import (
     CyclicGroup,
+    DihedralGroup,
     GSubset,
     MatrixGroup,
     ProductGroup,
     SymmetricGroup,
     all_subgroups,
     build_group,
+    build_sharpness_instance,
     catalog,
     closure,
     inv_set,
     mul_set,
     normal_subgroups,
+    quaternion_group,
     quotient,
     translate,
 )
@@ -187,6 +190,112 @@ def test_is_subgroup_rejects_what_op_rejects():
             sub = frozenset(combo)
             expected = group.identity in sub and ref_product(group, sub, sub) <= sub
             assert is_subgroup(group, sub) == expected
+
+
+# -- products on the op path, factor by factor -------------------------------------
+
+MATRICES = [
+    (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0),
+    (2, 1, 1, 1), (1, 2, 0, 1), (-1, 0, 0, 1), (1, 0, 3, 1), (3, 2, 1, 1),
+]
+# GL2Z, cyclic groups below and above TABLE_CAP, D4, S3, Q8 and a nested product
+FACTORS = [
+    MatrixGroup(), CyclicGroup(5), CyclicGroup(100), DihedralGroup(4), SymmetricGroup(3),
+    quaternion_group(), ProductGroup([CyclicGroup(2), DihedralGroup(3)]),
+]
+
+
+def elements_of(group):
+    if isinstance(group, MatrixGroup):
+        return st.sampled_from(MATRICES)
+    if isinstance(group, ProductGroup):
+        return st.tuples(*map(elements_of, group.factors))
+    return st.integers(0, group.order - 1)
+
+
+@st.composite
+def product_and_sides(draw):
+    group = ProductGroup(draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4)))
+    side = st.lists(elements_of(group), max_size=12)
+    return group, draw(side), draw(side)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_and_sides())
+def test_product_groups_multiply_factor_by_factor_as_op_does(case):
+    group, xs, ys = case
+    law = OpLaw(group)
+    # both sides whole, then the one-element shapes `_grow` and `_cosets` pass
+    for left, right in ((xs, ys), (xs[:1], ys), (xs, ys[:1])):
+        expected = ref_product(group, left, right)
+        assert law.product(left, right) == expected
+        assert law.product(iter(left), right) == expected
+
+
+def test_a_factor_above_the_table_bound_multiplies_pair_by_pair(monkeypatch):
+    # 100 distinct GL2Z components on each side: 10^4 pairs > TABLE_CAP^2,
+    # so that factor runs down its column with one op call per pair
+    group = ProductGroup([MatrixGroup(), CyclicGroup(3)])
+    lower = [(1, i, 0, 1) if i % 2 else (1, 0, i, 1) for i in range(100)]
+    xs = [(w, j) for w in lower for j in (0, 1)]
+    ys = [((i + 1, i, 1, 1), i % 3) for i in range(100)]
+    assert 100 * 100 > TABLE_CAP * TABLE_CAP
+    cases = [(xs, ys, ref_product(group, xs, ys)), (ys, xs, ref_product(group, ys, xs))]
+    assert cases[0][2] != cases[1][2]
+    calls = []
+    big = group.factors[0]
+    monkeypatch.setattr(big, "op", lambda a, b, op=big.op: calls.append(1) or op(a, b))
+    for left, right, expected in cases:
+        calls.clear()
+        assert OpLaw(group).product(left, right) == expected
+        # a table over the 100 x 100 distinct components would make 10^4 calls
+        assert len(calls) == len(left) * len(right) == 20000
+
+
+def test_the_witness_square_takes_one_table_per_factor(monkeypatch):
+    a = build_sharpness_instance(2, 5, 36).subset()
+    group = a.owner
+    assert isinstance(group.law, OpLaw) and len(group.factors) == 3
+    expected = ref_product(group, a.elements, a.elements)
+    components = [set(column) for column in zip(*a.elements)]
+    calls = [0] * len(group.factors)
+
+    def counted(i, op):
+        def wrapped(x, y):
+            calls[i] += 1
+            return op(x, y)
+        return wrapped
+
+    for i, f in enumerate(group.factors):
+        monkeypatch.setattr(f, "op", counted(i, f.op))
+
+    def no_product_op(x, y):
+        raise AssertionError("ProductGroup.op called on the op path")
+
+    monkeypatch.setattr(group, "op", no_product_op)
+    assert mul_set(a, a).elements == expected
+    # |U_i| * |V_i| per factor: 5 * 5 + 5 * 5 + 36 * 36 = 1346, against 244^2 pairs
+    assert sum(calls) <= sum(len(c) * len(c) for c in components) == 1346
+
+
+@pytest.mark.parametrize("group, sub", [
+    (CyclicGroup(4096), frozenset(range(0, 4096, 64))),
+    (DihedralGroup(40), frozenset(range(0, 40, 4))),
+    (DihedralGroup(40), frozenset([0, 40])),  # {e, s}: not normal
+], ids=["Z4096-by-64Z", "D40-by-rot4", "D40-e-s"])
+def test_the_coset_walk_stopping_at_cover_matches_the_full_walk(group, sub):
+    assert isinstance(group.law, OpLaw)
+    assert is_subgroup(group, sub)
+    normal = ref_is_normal(group, sub)
+    assert is_normal(group, sub) == normal
+    if not normal:
+        with pytest.raises(ValueError, match="not normal"):
+            quotient(group, sub)
+        return
+    q = quotient(group, sub)
+    proj, table = ref_quotient(group, sub)
+    assert {x: q.project(x) for x in group.elements()} == proj
+    assert q.quotient.table == table
 
 
 # -- every suite, table path against op path --------------------------------------
