@@ -13,6 +13,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 from .constructions import (
     build_from_reference,
@@ -53,8 +55,84 @@ def _maybe_inline_json(text: str):
     return json.loads(text)
 
 
+class _Unsupported(Exception):
+    """A value that `indented_json` leaves to `json.dumps`."""
+
+
+def indented_json(doc) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
+
+    json has no C encoder for indented output; this writer appends the same
+    text to one list.  It knows dicts with str keys, lists, tuples, str, int,
+    finite float, bool and None (exact types); a document holding anything
+    else goes to `json.dumps` whole, so errors and edge cases stay json's."""
+    out: list = []
+    try:
+        _write(doc, "\n", out)
+    except (_Unsupported, TypeError, RecursionError):  # TypeError: unsortable keys
+        return json.dumps(doc, sort_keys=True, indent=2)
+    return "".join(out)
+
+
+def _write(x, nl: str, out: list) -> None:
+    """Append x, whose line starts with `nl` (newline and indent)."""
+    t = type(x)
+    if t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            if type(k) is not str:
+                raise _Unsupported
+            v = x[k]
+            t = type(v)
+            if t is dict or t is list or t is tuple:
+                out.append(sep + _quote(k) + ": ")
+                _write(v, inner, out)
+            else:
+                out.append(sep + _quote(k) + ": " + _leaf(v))
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            t = type(v)
+            if t is dict or t is list or t is tuple:
+                out.append(sep)
+                _write(v, inner, out)
+            else:
+                out.append(sep + _leaf(v))
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(_leaf(x))
+
+
+def _leaf(v) -> str:
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is float and isfinite(v):
+        return float.__repr__(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    raise _Unsupported
+
+
 def _emit(doc: dict, out: str | None) -> None:
-    payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    payload = indented_json(doc) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -184,7 +262,7 @@ def _cmd_construct(args) -> int:
     report = {"kind": "sharpness-report", **{k: doc[k] for k in keys}}
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            fh.write(indented_json(doc) + "\n")
         report["emitted"] = args.emit
     _emit(report, args.out)
     return 0

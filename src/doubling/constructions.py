@@ -24,7 +24,7 @@ be materialized into plain element sets for brute-force cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -41,12 +41,10 @@ MATERIALIZE_CAP = 200_000
 _GL2Z = MatrixGroup()
 
 
-@dataclass(frozen=True)
-class MatrixFamily:
+class MatrixFamily(namedtuple("MatrixFamily", "N members")):
     """The 2N generator matrices (0 1; 1 2^k) with their exact inverses."""
 
-    N: int
-    members: tuple
+    __slots__ = ()
 
     @property
     def identity(self) -> tuple:
@@ -261,23 +259,16 @@ def _projected_count(blocks: dict, m: int) -> int:
 # -- the assembled instance ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SharpnessInstance:
-    """One witness instance with all of its exactly-computed measures."""
+class SharpnessInstance(namedtuple(
+    "SharpnessInstance",
+    "N h m r family cantor blocks mu_A mu_A2 mu_piA mu_piA2 stats quotient_doubling",
+)):
+    """One witness instance with all of its exactly-computed measures: the
+    parameters, the Cantor radix r and set, the matrix family, the blocks of
+    A, the exact measures of A, A^2 and their projections, the doubling
+    stats and the quotient doubling."""
 
-    N: int
-    h: int
-    m: int
-    r: int
-    family: MatrixFamily
-    cantor: frozenset
-    blocks: dict
-    mu_A: Fraction
-    mu_A2: Fraction
-    mu_piA: Fraction
-    mu_piA2: Fraction
-    stats: DoublingStats
-    quotient_doubling: Fraction
+    __slots__ = ()
 
     @property
     def K_target(self) -> int:

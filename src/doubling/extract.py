@@ -12,7 +12,7 @@ many thresholds and they are all positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .context import InstanceContext
@@ -22,21 +22,15 @@ from .rationals import fmt, put
 from .sets import GSubset
 
 
-@dataclass(frozen=True)
-class ExtractionCertificate:
+class ExtractionCertificate(namedtuple(
+    "ExtractionCertificate",
+    "alpha size square chosen_n B level_size level_square admissible_n subgroup_weight",
+)):
     """The certified set B for one alpha, held as counts: |A|, |A^2|, the
-    chosen level n (threshold s = n * w_H), |B|, the level L with |L| and
-    |L L|, and the admissible levels.  The measures are exact properties."""
+    chosen level n (threshold s = n * w_H), B itself, |L| and |L L| for its
+    level L, and the admissible levels.  The measures are exact properties."""
 
-    alpha: Fraction
-    size: int
-    square: int
-    chosen_n: int
-    B: GSubset
-    level_size: int
-    level_square: int
-    admissible_n: tuple[int, ...]
-    subgroup_weight: Fraction
+    __slots__ = ()
 
     @property
     def K(self) -> Fraction:
@@ -55,10 +49,6 @@ class ExtractionCertificate:
     def quotient_doubling(self) -> Fraction:
         """mu_Q(piB^2) / mu_Q(piB)"""
         return Fraction(self.level_square, self.level_size)
-
-    @property
-    def admissible(self) -> tuple[Fraction, ...]:
-        return tuple(n * self.subgroup_weight for n in self.admissible_n)
 
     def to_json(self, include_elements: bool = True) -> dict:
         an, ad = self.alpha.numerator, self.alpha.denominator

@@ -12,9 +12,8 @@ superlevel sets are used directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping
 
 from .context import InstanceContext
 from .errors import ConsistencyError
@@ -23,17 +22,14 @@ from .rationals import fmt
 from .sets import GSubset
 
 
-@dataclass(frozen=True)
-class FiberProfile:
+class FiberProfile(namedtuple("FiberProfile", "quotient source fibers")):
     """The fiber length function of one subset over one quotient.
 
     `fibers` maps cosets with positive fiber to their exact value; its key
     set is exactly pi(A).
     """
 
-    quotient: QuotientStructure
-    source: GSubset
-    fibers: Mapping
+    __slots__ = ()
 
     @property
     def support(self) -> frozenset:
@@ -60,12 +56,10 @@ class FiberProfile:
         return {"cosets": [{"id": enc, "fiber": fmt(v)} for _, enc, v in cells]}
 
 
-@dataclass(frozen=True)
-class LevelFamily:
+class LevelFamily(namedtuple("LevelFamily", "thresholds levels")):
     """Superlevel sets at each realized threshold; nested downward."""
 
-    thresholds: tuple[Fraction, ...]
-    levels: tuple[GSubset, ...]
+    __slots__ = ()
 
 
 def fiber_profile(a: GSubset, q: QuotientStructure) -> FiberProfile:
@@ -116,8 +110,7 @@ def layer_cake(a: GSubset, q: QuotientStructure) -> tuple[Fraction, Fraction]:
     return lhs, rhs * q.ambient.weight
 
 
-@dataclass(frozen=True)
-class SpilloverResult:
+class SpilloverResult(namedtuple("SpilloverResult", "lhs_left lhs_right rhs_left rhs_right")):
     """Both spillover inequalities with all four sides.
 
     lhs_left  = mu_G(AB) >= rhs_left  = sum of delta_t * mu_Q(pi(A) * level_t(B))
@@ -127,10 +120,7 @@ class SpilloverResult:
     strictly smaller than the layered sum for level * pi(A).
     """
 
-    lhs_left: Fraction
-    lhs_right: Fraction
-    rhs_left: Fraction
-    rhs_right: Fraction
+    __slots__ = ()
 
 
 def check_spillover(ctx: InstanceContext, b: GSubset) -> tuple[int, int, int, int]:

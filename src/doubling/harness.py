@@ -11,14 +11,12 @@ across worker counts.
 
 from __future__ import annotations
 
-import heapq
 import json
-from dataclasses import dataclass, fields
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from random import Random
-from typing import Any, Iterable, NamedTuple
 
 from .context import InstanceContext
 from .errors import CapError, ConsistencyError, SpecError
@@ -36,20 +34,13 @@ TOP_WITNESSES = 10
 
 
 # -- the suite table ------------------------------------------------------------
+#
+# Each suite maps (context, alphas, translators) to its report fragment and the
+# details of the statements it found violated, in order.  `alphas` holds the
+# id's alphas as (text as written, parsed); `translators` is a pair or None.
 
 
-class _Params(NamedTuple):
-    """What an instance id asks of its suites beyond the sets themselves."""
-
-    alphas: list  # (as written in the id, parsed); the first keys the extract fragment
-    translators: tuple | None
-
-
-# Each suite maps (context, params) to its report fragment and the details of
-# the statements it found violated, in order.
-
-
-def _layer_cake_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+def _layer_cake_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
     try:
         lhs, rhs = check_layer_cake(ctx)
     except ConsistencyError as exc:
@@ -58,7 +49,7 @@ def _layer_cake_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list
     return _put_all(frag, ctx.q.ambient.weight, rhs=rhs), []
 
 
-def _spillover_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+def _spillover_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
     try:
         ab, ba, left, right = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
     except ConsistencyError as exc:
@@ -70,15 +61,15 @@ def _spillover_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[
     return frag, []
 
 
-def _containment_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+def _containment_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
     ok = check_containment(ctx, ctx.b if ctx.b is not None else ctx.a)
     return {"pass": ok}, [] if ok else ["superlevel containment failed"]
 
 
-def _ruzsa_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+def _ruzsa_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
     b = ctx.b if ctx.b is not None else ctx.inv_a
     c = ctx.c if ctx.c is not None else ctx.mul(ctx.a, ctx.a)
-    frag: dict = ruzsa_axioms(ctx, b, c, params.translators)
+    frag: dict = ruzsa_axioms(ctx, b, c, translators)
     frag["pass"] = ok = all(frag.values())
     size, d = len(ctx.a.elements), ctx.diff_size(ctx.a, ctx.a)
     put(frag, "value_aa", d * d, size * size)
@@ -86,7 +77,7 @@ def _ruzsa_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]
 
 
 def _quotient_suite(variant: str):
-    def run(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+    def run(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
         if variant == "symmetric" and not ctx.symmetric:
             return {"skipped": "subset is not symmetric"}, []
         check = check_quotient_bound(ctx, variant)
@@ -96,10 +87,10 @@ def _quotient_suite(variant: str):
     return run
 
 
-def _extract_suite(ctx: InstanceContext, params: _Params) -> tuple[dict, list[str]]:
+def _extract_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
     frag: dict = {}
     failed = []
-    for alpha_s, alpha in params.alphas:
+    for alpha_s, alpha in alphas:
         try:
             frag[alpha_s] = certify(ctx, alpha).to_json(include_elements=False)
             frag[alpha_s]["pass"] = True
@@ -131,7 +122,7 @@ SUITES = {
 ALL_SUITES = tuple(SUITES)
 
 
-def canonical_json(obj: Any) -> str:
+def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -240,64 +231,51 @@ def _integer(value, path: str, least: int | None = None) -> None:
         raise SpecError(path, f"expected {want}, got {value!r}")
 
 
-@dataclass
 class ScanConfig:
-    """What to scan; everything except `parallelism` defines the artifact."""
+    """What to scan; everything except `parallelism` defines the artifact.
 
-    groups: list
-    subset_mode: dict
-    suites: tuple[str, ...] = ALL_SUITES
-    subgroups: str = "all"
-    subgroup_weight: str = "counting"
-    alphas: tuple[Fraction, ...] = DEFAULT_ALPHAS
-    emit_instances: bool = False
-    parallelism: int = 1
+    The constructor checks every field and raises a SpecError naming the
+    JSON path of the first bad one; it normalizes `groups` to specs, `suites`
+    to their canonical order and `alphas` to Fractions."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.groups, (list, tuple)):
+    FIELDS = ("groups", "subset_mode", "suites", "subgroups", "subgroup_weight",
+              "alphas", "emit_instances", "parallelism")
+    __slots__ = FIELDS
+
+    def __init__(
+        self,
+        groups: list,
+        subset_mode: dict,
+        suites: tuple[str, ...] = ALL_SUITES,
+        subgroups: str = "all",
+        subgroup_weight: str = "counting",
+        alphas: tuple[Fraction, ...] = DEFAULT_ALPHAS,
+        emit_instances: bool = False,
+        parallelism: int = 1,
+    ) -> None:
+        if not isinstance(groups, (list, tuple)):
             raise SpecError("/groups", "expected a list of group specs or selectors")
-        self.groups = [parse_group_selector(g, f"/groups/{i}") for i, g in enumerate(self.groups)]
-        self.suites = tuple(s for s in ALL_SUITES if s in _check_suites(self.suites))
-        if self.subgroups not in ("all", "proper"):
-            raise SpecError("/subgroups", f'expected "all" or "proper", got {self.subgroups!r}')
-        if self.subgroup_weight not in ("counting", "normalized"):
-            raise SpecError("/subgroup_weight", f"got {self.subgroup_weight!r}")
-        self.alphas = parse_alphas(self.alphas)
-        mode = self.subset_mode
-        if not isinstance(mode, dict):
-            raise SpecError("/subset_mode", "expected an object")
-        kind = mode.get("kind")
-        if kind == "exhaustive":
-            allowed = {"kind", "max_size", "symmetric_only"}
-            if "max_size" in mode:
-                _integer(mode["max_size"], "/subset_mode/max_size", least=1)
-            if not isinstance(mode.get("symmetric_only", False), bool):
-                raise SpecError("/subset_mode/symmetric_only", "expected true or false")
-        elif kind == "random":
-            allowed = {"kind", "count", "seed", "density"}
-            _integer(mode.get("count"), "/subset_mode/count", least=1)
-            if "seed" not in mode:
-                raise SpecError("/subset_mode/seed", "random scans need an explicit integer seed")
-            _integer(mode["seed"], "/subset_mode/seed")
-            density = mode.get("density", "mixed")
-            if isinstance(density, dict) and set(density) == {"size"}:
-                _integer(density["size"], "/subset_mode/density/size", least=1)
-            elif density not in ("mixed", "1/4", "1/2"):
-                raise SpecError("/subset_mode/density", f"got {density!r}")
-        else:
-            raise SpecError("/subset_mode/kind", 'expected "exhaustive" or "random"')
-        extra = set(mode) - allowed
-        if extra:
-            raise SpecError(f"/subset_mode/{sorted(extra)[0]}", "unknown key")
-        if not isinstance(self.emit_instances, bool):
+        self.groups = [parse_group_selector(g, f"/groups/{i}") for i, g in enumerate(groups)]
+        self.suites = tuple(s for s in ALL_SUITES if s in _check_suites(suites))
+        if subgroups not in ("all", "proper"):
+            raise SpecError("/subgroups", f'expected "all" or "proper", got {subgroups!r}')
+        self.subgroups = subgroups
+        if subgroup_weight not in ("counting", "normalized"):
+            raise SpecError("/subgroup_weight", f"got {subgroup_weight!r}")
+        self.subgroup_weight = subgroup_weight
+        self.alphas = parse_alphas(alphas)
+        self.subset_mode = _check_subset_mode(subset_mode)
+        if not isinstance(emit_instances, bool):
             raise SpecError("/emit_instances", "expected true or false")
-        _integer(self.parallelism, "/parallelism", least=1)
+        self.emit_instances = emit_instances
+        _integer(parallelism, "/parallelism", least=1)
+        self.parallelism = parallelism
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScanConfig":
         if not isinstance(doc, dict):
             raise SpecError("", "scan config must be an object")
-        extra = set(doc) - {f.name for f in fields(cls)}
+        extra = set(doc) - set(cls.FIELDS)
         if extra:
             raise SpecError(f"/{sorted(extra)[0]}", "unknown key in scan config")
         if "groups" not in doc or "subset_mode" not in doc:
@@ -306,9 +284,38 @@ class ScanConfig:
 
     def resolved(self) -> dict:
         """Artifact-facing config; parallelism is a runtime knob, not content."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "parallelism"}
+        out = {f: getattr(self, f) for f in self.FIELDS if f != "parallelism"}
         out.update(suites=list(self.suites), alphas=[fmt(a) for a in self.alphas])
         return out
+
+
+def _check_subset_mode(mode) -> dict:
+    if not isinstance(mode, dict):
+        raise SpecError("/subset_mode", "expected an object")
+    kind = mode.get("kind")
+    if kind == "exhaustive":
+        allowed = {"kind", "max_size", "symmetric_only"}
+        if "max_size" in mode:
+            _integer(mode["max_size"], "/subset_mode/max_size", least=1)
+        if not isinstance(mode.get("symmetric_only", False), bool):
+            raise SpecError("/subset_mode/symmetric_only", "expected true or false")
+    elif kind == "random":
+        allowed = {"kind", "count", "seed", "density"}
+        _integer(mode.get("count"), "/subset_mode/count", least=1)
+        if "seed" not in mode:
+            raise SpecError("/subset_mode/seed", "random scans need an explicit integer seed")
+        _integer(mode["seed"], "/subset_mode/seed")
+        density = mode.get("density", "mixed")
+        if isinstance(density, dict) and set(density) == {"size"}:
+            _integer(density["size"], "/subset_mode/density/size", least=1)
+        elif density not in ("mixed", "1/4", "1/2"):
+            raise SpecError("/subset_mode/density", f"got {density!r}")
+    else:
+        raise SpecError("/subset_mode/kind", 'expected "exhaustive" or "random"')
+    extra = set(mode) - allowed
+    if extra:
+        raise SpecError(f"/subset_mode/{sorted(extra)[0]}", "unknown key")
+    return mode
 
 
 # -- instance generation -------------------------------------------------------
@@ -555,9 +562,8 @@ def evaluate_instance(instance_id: str, built: tuple | None = None) -> dict:
     put(probe, "over_k2", p2 * size * size, p * ctx.square * ctx.square)
     report["probe"] = probe
 
-    params = _Params(alphas, translators)
     for name in spec.get("suites", []):
-        frag, failed = SUITES[name](ctx, params)
+        frag, failed = SUITES[name](ctx, alphas, translators)
         report["suites"][name] = frag
         report["violations"].extend({"suite": name, "detail": d} for d in failed)
     return report
@@ -582,6 +588,8 @@ class _Ranked:
 
 
 def _fold_aggregate(reports: list[dict]) -> dict:
+    import heapq  # imported here: commands that never aggregate skip it
+
     suite_runs: dict = {}
     violations: list[dict] = []
     sym_entries: list[_Ranked] = []

@@ -8,7 +8,7 @@ to cross-multiplied integer comparisons (the uniform weights cancel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .context import InstanceContext
@@ -19,17 +19,13 @@ from .sets import GSubset, translate
 VARIANTS = ("symmetric", "cube", "two-constant")
 
 
-@dataclass(frozen=True)
-class DoublingStats:
+class DoublingStats(namedtuple("DoublingStats", "size square inv_square symmetric")):
     """K = mu(A^2)/mu(A); K2 = mu(A^-1 A)/mu(A); K1 aliases K.
 
     Held as the counts |A|, |A^2| and |A^-1 A| (or any measures in one common
     unit); the constants are exact properties over them."""
 
-    size: int
-    square: int
-    inv_square: int
-    symmetric: bool
+    __slots__ = ()
 
     @property
     def K(self) -> Fraction:
@@ -59,11 +55,10 @@ def doubling_stats(a: GSubset) -> DoublingStats:
     return stats_of(InstanceContext(a))
 
 
-@dataclass(frozen=True)
-class RuzsaSq:
+class RuzsaSq(namedtuple("RuzsaSq", "value")):
     """mu(A B^-1)^2 / (mu(A) mu(B)): the square of exp(d(A, B))."""
 
-    value: Fraction
+    __slots__ = ()
 
 
 def ruzsa_sq(a: GSubset, b: GSubset) -> RuzsaSq:
@@ -103,20 +98,16 @@ def ruzsa_triangle_check(a: GSubset, b: GSubset, c: GSubset) -> bool:
     return ruzsa_triangle(InstanceContext(a, b=b, c=c), a, b, c)
 
 
-@dataclass(frozen=True)
-class QuotientDoublingCheck:
+class QuotientDoublingCheck(namedtuple(
+    "QuotientDoublingCheck", "variant pi_size pi_square bound_num bound_den quotient_weight passed"
+)):
     """One quotient-doubling bound: mu_Q(piA^2) against bound * mu_Q(piA).
 
-    Held as counts: |piA|, |piA^2|, the bound num/den and the quotient
-    weight; the measures are exact properties over them."""
+    Held as counts: |piA| and |piA^2|, the bound (K^2, K^3 or K1*K2) as
+    bound_num/bound_den, and the quotient weight; the measures are exact
+    properties over them."""
 
-    variant: str
-    pi_size: int             # |pi A|
-    pi_square: int           # |pi A^2|
-    bound_num: int           # K^2, K^3, or K1*K2 as num/den
-    bound_den: int
-    quotient_weight: Fraction
-    passed: bool
+    __slots__ = ()
 
     @property
     def lhs(self) -> Fraction:

@@ -13,12 +13,12 @@ TABLE_CAP: `closure`, `is_subgroup` and the lattice share one growing walk
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
 
 from .errors import CapError, ConsistencyError, SpecError
 from .groups import TABLE_CAP, CayleyTable, ProductGroup, TableGroup, WeightedGroup
@@ -192,7 +192,6 @@ class QuotientStructure:
         quotient_group: WeightedGroup,
         project: Callable,
         subgroup_weight: Fraction,
-        description: dict,
     ) -> None:
         self.ambient = ambient
         self.subgroup = subgroup
@@ -200,7 +199,6 @@ class QuotientStructure:
         self.project = project
         self.subgroup_weight = subgroup_weight
         self.quotient_weight = quotient_group.weight
-        self._description = description
         product = self.quotient_weight * subgroup_weight
         if product != ambient.weight:
             raise ConsistencyError(
@@ -226,9 +224,6 @@ class QuotientStructure:
 
     def coset_subset(self, cosets: Iterable) -> GSubset:
         return GSubset(self.quotient, frozenset(cosets))
-
-    def describe(self) -> dict:
-        return dict(self._description)
 
 
 def quotient(
@@ -275,9 +270,7 @@ def quotient(
     elements = law.elements if isinstance(law, CayleyTable) else None
     proj = coset_of if elements is None else {elements[p]: c for p, c in coset_of.items()}
     qgroup = TableGroup(table, weight=group.weight / w_h, name=f"{group.name}/H{len(h_elems)}")
-
-    description = {"elements": h_subset.encode(), "weight": subgroup_weight}
-    return QuotientStructure(group, h_subset, qgroup, proj.__getitem__, w_h, description)
+    return QuotientStructure(group, h_subset, qgroup, proj.__getitem__, w_h)
 
 
 def projection_quotient(group: ProductGroup, keep: Sequence[int]) -> QuotientStructure:
@@ -308,8 +301,7 @@ def projection_quotient(group: ProductGroup, keep: Sequence[int]) -> QuotientStr
         qgroup = ProductGroup([group.factors[i] for i in keep_idx])
     # one kept index projects to the factor's handle, several to a tuple
     project = itemgetter(*keep_idx)
-    description = {"keep": keep_idx}
-    return QuotientStructure(group, GSubset(group, kernel), qgroup, project, w_h, description)
+    return QuotientStructure(group, GSubset(group, kernel), qgroup, project, w_h)
 
 
 def factor_indices(keep, path: str) -> list[int]:
@@ -320,7 +312,8 @@ def factor_indices(keep, path: str) -> list[int]:
 
 
 def quotient_from_description(group: WeightedGroup, desc: dict, path: str = "") -> QuotientStructure:
-    """Rebuild a quotient from its describe() output (replay path)."""
+    """The quotient an instance id's subgroup describes: {"keep": [...]} for a
+    projection, or {"elements": [...], "weight": ...} for a normal subgroup."""
     if not isinstance(desc, dict):
         raise SpecError(path, "subgroup description must be an object")
     if "keep" in desc:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .errors import SpecError
@@ -27,12 +27,6 @@ class GSubset:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.elements
-
-    def __iter__(self) -> Iterator:
-        return iter(self.elements)
 
     def sorted_elements(self) -> list:
         return sorted(self.elements, key=self.owner.element_key)

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import doubling
-from doubling.cli import main
+from doubling.cli import indented_json, main
 
 
 def run(capsys, *argv):
@@ -396,3 +398,39 @@ def test_replay_of_an_arbitrary_field_exits_zero_or_one(field, value):
     # in-process, so any uncaught exception fails the test by itself
     code = main(["replay", "--id", json.dumps(spec), "--out", "/dev/null"])
     assert code in (0, 1)
+
+
+def _dumped(write, doc):
+    """The text `write` makes of doc, or the type and message of its error."""
+    try:
+        return write(doc)
+    except Exception as exc:  # compared with json's own error
+        return type(exc), str(exc)
+
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(['"\\\n\t\x00\x7f\u2028', "é漢😀", "", -0.0, 1e300, -1e-300,
+                       float("nan"), float("inf"), float("-inf"), 2 ** 70])
+)
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(['"', "\\", "é", "😀", "\n"])
+ANY_KEYS = JSON_KEYS | st.integers(-3, 3) | st.booleans() | st.none() | st.floats(-2, 2)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_KEYS, inner, max_size=4) | st.dictionaries(ANY_KEYS, inner, max_size=3),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCS)
+def test_indented_json_matches_json_dumps(doc):
+    expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
+    assert _dumped(indented_json, doc) == expected
+
+
+def test_indented_json_leaves_other_types_to_json():
+    for doc in ({"a": [1, Fraction(1, 2)]}, [OrderedDict(b=1, a=2)], {"x": {1: "one", 2: "two"}}):
+        expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
+        assert _dumped(indented_json, doc) == expected

@@ -188,7 +188,7 @@ def test_memo_keys_on_the_owner_group():
 def test_fubini_mismatch_raises_consistency_error():
     q = quotient(CyclicGroup(6), {0, 3})
     with pytest.raises(ConsistencyError, match="Fubini"):
-        QuotientStructure(q.ambient, q.subgroup, q.quotient, q.project, Fraction(2), {})
+        QuotientStructure(q.ambient, q.subgroup, q.quotient, q.project, Fraction(2))
 
 
 def test_fubini_check_survives_optimized_mode():
@@ -197,7 +197,7 @@ def test_fubini_check_survives_optimized_mode():
         "from doubling import ConsistencyError, CyclicGroup, QuotientStructure, quotient\n"
         "q = quotient(CyclicGroup(6), {0, 3})\n"
         "try:\n"
-        "    QuotientStructure(q.ambient, q.subgroup, q.quotient, q.project, Fraction(2), {})\n"
+        "    QuotientStructure(q.ambient, q.subgroup, q.quotient, q.project, Fraction(2))\n"
         "except ConsistencyError:\n"
         "    print('raised')\n"
     )

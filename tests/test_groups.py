@@ -3,6 +3,7 @@ import re
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from doubling import (
     CapError,
@@ -14,9 +15,11 @@ from doubling import (
     SymmetricGroup,
     TableGroup,
     build_group,
+    catalog,
     quaternion_group,
     validate_axioms,
 )
+from doubling.groups import _associative_at, _table_generators, op_table
 
 
 def test_cyclic_counting_measure():
@@ -201,3 +204,65 @@ def test_canonical_element_order():
     elems = list(g.elements())
     assert elems == sorted(elems, key=g.element_key)
     assert elems[0] == (0, 0)
+
+
+def _first_nonassociative(t):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or None."""
+    return next(
+        (abc for abc in itertools.product(range(len(t)), repeat=3)
+         if t[t[abc[0]][abc[1]]][abc[2]] != t[abc[0]][t[abc[1]][abc[2]]]),
+        None,
+    )
+
+
+def test_light_test_agrees_with_the_full_scan_on_every_catalog_group():
+    for spec in catalog(weights=("counting",)):
+        group = build_group(spec)
+        if group.order < 2:
+            continue
+        _, index, t = op_table(group)
+        gens = _table_generators(t, index[group.identity])
+        # greedy generators of a group: each one at least doubles the subgroup reached
+        assert 2 ** len(gens) <= group.order, group.name
+        assert _associative_at(t, gens) and _associative_at(t, range(group.order)), group.name
+
+
+@st.composite
+def loops(draw):
+    """A group table with entries of non-identity rows swapped, away from the
+    identity's row, column and every entry equal to it: the identity and
+    inverse laws still hold, associativity usually not."""
+    n = draw(st.integers(3, 10))
+    group = draw(st.sampled_from([CyclicGroup(n), DihedralGroup(max(2, n // 2))]))
+    t = op_table(group)[2]
+    n = len(t)
+    for _ in range(draw(st.integers(0, 4))):
+        a, b1, b2 = (draw(st.integers(1, n - 1)) for _ in range(3))
+        if 0 not in (t[a][b1], t[a][b2]):
+            t[a][b1], t[a][b2] = t[a][b2], t[a][b1]
+    return t
+
+
+@settings(max_examples=200, deadline=None)
+@given(loops())
+def test_light_test_agrees_with_the_full_scan_on_broken_tables(t):
+    gens = _table_generators(t, 0)
+    first = _first_nonassociative(t)
+    assert _associative_at(t, gens) is (first is None)
+    assert _associative_at(t, range(len(t))) is (first is None)
+    if first is None:
+        TableGroup(t)
+    else:
+        message = "non-associative operation at (%d,%d,%d)" % first
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            TableGroup(t)
+
+
+def test_table_generators_reach_every_element_by_left_nested_products():
+    t = op_table(SymmetricGroup(4))[2]
+    gens = _table_generators(t, 0)
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {t[x][g] for x in frontier for g in gens} - reached
+        reached |= frontier
+    assert reached == set(range(24)) and len(gens) <= 4

@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,7 +295,7 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12,
 )
-CONFIG_FIELDS = [f.name for f in fields(ScanConfig)]
+CONFIG_FIELDS = list(ScanConfig.FIELDS)
 MODE_KEYS = ["kind", "count", "seed", "density", "max_size", "symmetric_only"]
 
 

@@ -9,7 +9,6 @@ import functools
 import importlib
 import importlib.util
 import inspect
-import json
 import multiprocessing
 import os
 import subprocess
@@ -47,14 +46,26 @@ def test_sumset_counter_hook_keeps_its_signature_and_cache_key():
     assert frozenset((x, y)) in cache
 
 
+# what `dataclasses` brings in; every command would pay for importing it
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _modules_after(statement: str) -> list[set]:
+    """sys.modules of a fresh interpreter before and after `statement`."""
+    code = f"import sys; a = set(sys.modules); {statement}; print(' '.join(a)); print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return [set(line.split()) for line in out.stdout.splitlines()]
+
+
 def test_import_doubling_imports_every_traced_layer():
     # the tracer wraps modules found in sys.modules after `import doubling`;
     # it imports `doubling.cli`, the entry point, itself
-    code = "import json, sys, doubling; print(json.dumps(sorted(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(json.loads(out.stdout))
+    loaded = _modules_after("import doubling")[1]
     assert {f"doubling.{layer}" for layer in _spans() if layer != "cli"} <= loaded
+    # and the entry point's import graph stays light
+    before, after = _modules_after("import doubling.cli")
+    assert not (after - before) & HEAVY_MODULES
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
