@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
 from .constructions import (
+    _cantor_radix,
     build_from_reference,
     build_sharpness_instance,
     load_instance,
@@ -251,10 +252,29 @@ def _cmd_verify(args) -> int:
     )
     report = scan(config)
     _emit(report, args.out)
-    return 2 if report["aggregate"]["violations"] else 0
+    return _violation_status(report)
+
+
+def _violation_status(report: dict) -> int:
+    """2 if the scan found violations, else 0; for 2, one stderr line per
+    violated suite with its violation count and its first replayable id."""
+    seen: dict = {}  # suite -> [count, first id]
+    for v in report["aggregate"]["violations"]:
+        seen.setdefault(v["suite"], [0, v["id"]])[0] += 1
+    for suite, (count, instance_id) in seen.items():
+        print(f"violated: {suite}: {count} violation(s); first id: {instance_id}", file=sys.stderr)
+    return 2 if seen else 0
 
 
 def _cmd_construct(args) -> int:
+    for flag, value, least in (("--N", args.N, 1), ("--h", args.h, 2),
+                               ("--materialize-cap", args.materialize_cap, 0)):
+        if value < least:
+            raise SpecError(flag, f"expected an integer >= {least}, got {value}")
+    try:
+        _cantor_radix(args.m)
+    except ValueError as exc:
+        raise SpecError("--m", str(exc)) from None
     inst = build_sharpness_instance(args.N, args.h, args.m)
     doc = inst.to_json(materialize_cap=args.materialize_cap)
     keys = ("params", "targets", "measures", "doubling", "quotient_doubling",
@@ -320,7 +340,7 @@ def _cmd_scan(args) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report_csv(report))
     _emit(report, args.out)
-    return 2 if report["aggregate"]["violations"] else 0
+    return _violation_status(report)
 
 
 def _cmd_replay(args) -> int:

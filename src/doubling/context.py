@@ -7,14 +7,16 @@ from every comparison and enter only where a report is written.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 
 from .quotients import QuotientStructure
 from .sets import GSubset, inv_set, mul_set
 
 
 class InstanceContext:
-    """A with its quotient and optional partners B and C."""
+    """A with its quotient and optional partners B and C.
+
+    `symmetric`, `square`, `inv_square`, `pi_a` and `thresholds` read plain
+    attributes that each fill on first use."""
 
     def __init__(self, a: GSubset, q: QuotientStructure | None = None,
                  b: GSubset | None = None, c: GSubset | None = None) -> None:
@@ -22,6 +24,7 @@ class InstanceContext:
         self._products: dict = {}
         self._inverses: dict = {}
         self._levels: dict = {}
+        self._symmetric = self._square = self._inv_square = self._pi_a = self._thresholds = None
 
     def mul(self, x: GSubset, y: GSubset) -> GSubset:
         """X Y, memoized by owner too: pi(A) and A may have equal element sets."""
@@ -50,21 +53,29 @@ class InstanceContext:
     def inv_a(self) -> GSubset:
         return self.inv(self.a)
 
-    @cached_property
+    @property
     def symmetric(self) -> bool:
-        return self.a.elements == self.inv_a.elements
+        if self._symmetric is None:
+            self._symmetric = self.a.elements == self.inv_a.elements
+        return self._symmetric
 
-    @cached_property
+    @property
     def square(self) -> int:
-        return self.size(self.a, self.a)
+        if self._square is None:
+            self._square = self.size(self.a, self.a)
+        return self._square
 
-    @cached_property
+    @property
     def inv_square(self) -> int:
-        return self.size(self.inv_a, self.a)
+        if self._inv_square is None:
+            self._inv_square = self.size(self.inv_a, self.a)
+        return self._inv_square
 
-    @cached_property
+    @property
     def pi_a(self) -> GSubset:
-        return self.q.image(self.a)
+        if self._pi_a is None:
+            self._pi_a = self.q.image(self.a)
+        return self._pi_a
 
     def fibers(self, x: GSubset) -> Counter:
         """Coset -> |X meet coset| over the cosets X meets."""
@@ -85,8 +96,10 @@ class InstanceContext:
             ]
         return out
 
-    @cached_property
+    @property
     def thresholds(self) -> list[tuple[int, GSubset, int, int]]:
         """(n, level L, |L|, |L L|) per level of A; with |A| and |A^2| this is
         all that extraction reads, for every alpha."""
-        return [(n, lv, len(lv.elements), self.size(lv, lv)) for n, lv in self.levels(self.a)]
+        if self._thresholds is None:
+            self._thresholds = [(n, lv, len(lv.elements), self.size(lv, lv)) for n, lv in self.levels(self.a)]
+        return self._thresholds

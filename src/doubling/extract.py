@@ -24,13 +24,25 @@ from .sets import GSubset
 
 class ExtractionCertificate(namedtuple(
     "ExtractionCertificate",
-    "alpha size square chosen_n B level_size level_square admissible_n subgroup_weight",
+    "alpha_num alpha_den size square chosen_n b_size level_size level_square admissible_n "
+    "weight_num weight_den B",
+    defaults=(None,),
 )):
-    """The certified set B for one alpha, held as counts: |A|, |A^2|, the
-    chosen level n (threshold s = n * w_H), B itself, |L| and |L L| for its
-    level L, and the admissible levels.  The measures are exact properties."""
+    """The certified set B for one alpha, held as integers: alpha as
+    alpha_num/alpha_den, |A|, |A^2|, the chosen level n (threshold
+    s = n * w_H), |B|, |L| and |L L| for its level L, the admissible levels
+    and w_H as weight_num/weight_den.  B itself is kept unless the caller
+    only reports counts (then None).  The measures are exact properties."""
 
     __slots__ = ()
+
+    @property
+    def alpha(self) -> Fraction:
+        return Fraction(self.alpha_num, self.alpha_den)
+
+    @property
+    def subgroup_weight(self) -> Fraction:
+        return Fraction(self.weight_num, self.weight_den)
 
     @property
     def K(self) -> Fraction:
@@ -43,7 +55,7 @@ class ExtractionCertificate(namedtuple(
     @property
     def measure_ratio(self) -> Fraction:
         """mu(B) / mu(A)"""
-        return Fraction(len(self.B.elements), self.size)
+        return Fraction(self.b_size, self.size)
 
     @property
     def quotient_doubling(self) -> Fraction:
@@ -51,13 +63,13 @@ class ExtractionCertificate(namedtuple(
         return Fraction(self.level_square, self.level_size)
 
     def to_json(self, include_elements: bool = True) -> dict:
-        an, ad = self.alpha.numerator, self.alpha.denominator
-        wn, wd = self.subgroup_weight.numerator, self.subgroup_weight.denominator
-        out: dict = {"B_size": len(self.B.elements)}
+        an, ad = self.alpha_num, self.alpha_den
+        wn, wd = self.weight_num, self.weight_den
+        out: dict = {"B_size": self.b_size}
         put(out, "alpha", an, ad)
         put(out, "K", self.square, self.size)
         put(out, "chosen_s", self.chosen_n * wn, wd)
-        put(out, "measure_ratio", len(self.B.elements), self.size)
+        put(out, "measure_ratio", self.b_size, self.size)
         put(out, "quotient_doubling", self.level_square, self.level_size)
         put(out, "measure_floor", an - ad, an)
         put(out, "doubling_ceiling", an * self.square, ad * self.size)
@@ -86,8 +98,9 @@ def admissible_thresholds(a: GSubset, q: QuotientStructure, alpha: Fraction) -> 
     return [n * q.subgroup_weight for n, *_ in rows]
 
 
-def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
-    """Build the certified structure set for one alpha.
+def certify(ctx: InstanceContext, alpha: Fraction, keep_b: bool = True) -> ExtractionCertificate:
+    """Build the certified structure set for one alpha (holding B itself
+    only with `keep_b`).
 
     Prefers the smallest admissible threshold (largest B); if that one missed
     the measure floor, scans upward.  Exhausting the admissible set without a
@@ -108,15 +121,8 @@ def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
         # mu(B) > (alpha-1)/alpha * mu(A), cross-multiplied
         if len(b.elements) * alpha.numerator > (alpha.numerator - alpha.denominator) * size:
             return ExtractionCertificate(
-                alpha=alpha,
-                size=size,
-                square=ctx.square,
-                chosen_n=n,
-                B=b,
-                level_size=level_size,
-                level_square=level_square,
-                admissible_n=levels,
-                subgroup_weight=w,
+                alpha.numerator, alpha.denominator, size, ctx.square, n, len(b.elements),
+                level_size, level_square, levels, w.numerator, w.denominator, b if keep_b else None,
             )
     raise ConsistencyError(
         "no admissible threshold satisfies the measure bound: implementation bug",

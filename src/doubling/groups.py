@@ -552,7 +552,9 @@ def op_table(group: WeightedGroup) -> tuple[list, dict, list[list[int]]]:
 
 def validate_axioms(group: WeightedGroup) -> None:
     """Recheck associativity, identity, and inverses through `op` on every
-    element: the reference the Cayley tables are compared against.
+    element: the reference the Cayley tables are compared against.  A
+    `TableGroup`'s `op` is a lookup in its table, so its table is read as it
+    is (`TableGroup.__init__` has range-checked every entry).
 
     Intended for tests and table-spec vetting; the structured kinds satisfy
     the axioms by construction.
@@ -561,7 +563,11 @@ def validate_axioms(group: WeightedGroup) -> None:
         raise ValueError("cannot exhaustively validate an infinite group")
     if group.order > TABLE_CAP:
         raise CapError(f"validation capped at order {TABLE_CAP}, got {group.order}")
-    elems, index, t = op_table(group)
+    if isinstance(group, TableGroup):
+        elems, t = range(group.order), group.table
+        index = dict(zip(elems, elems))
+    else:
+        elems, index, t = op_table(group)
     n = len(elems)
     if any(-1 in row for row in t):
         raise ValueError("the operation leaves the group")

@@ -12,6 +12,7 @@ across worker counts.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
@@ -35,77 +36,105 @@ TOP_WITNESSES = 10
 
 # -- the suite table ------------------------------------------------------------
 #
-# Each suite maps (context, alphas, translators) to its report fragment and the
-# details of the statements it found violated, in order.  `alphas` holds the
-# id's alphas as (text as written, parsed); `translators` is a pair or None.
+# Each suite maps (context, alphas, translators) to (passed, record, failed):
+# whether it passed (None when skipped), its result record, and the details
+# of the statements it found violated, in order.  A record holds integers,
+# bools and strings, no group, subset or Fraction (a failure also keeps the
+# JSON payload its check raised), and writes the suite's report fragment with
+# `to_json()`.  `alphas` holds the id's alphas as (text
+# as written, parsed); `translators` is a pair or None.
 
 
-def _layer_cake_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
+class Fragment(namedtuple("Fragment", "flags ratios")):
+    """A report fragment held as counts: `flags` are (key, value) pairs written
+    as they are, `ratios` (key, num, den) triples written by `put`."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        out = dict(self.flags)
+        for key, num, den in self.ratios:
+            put(out, key, num, den)
+        return out
+
+
+class ExtractResults(namedtuple("ExtractResults", "certificates")):
+    """(alpha as written, its certificate without B, or None if it failed) per alpha."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        out: dict = {}
+        for alpha_s, cert in self.certificates:
+            out[alpha_s] = {"pass": False} if cert is None else cert.to_json(include_elements=False)
+            out[alpha_s]["pass"] = cert is not None
+        return out
+
+
+def _measures(ctx: InstanceContext, **counts: int) -> tuple:
+    """Each count in units of the ambient weight w_G, as (key, num, den)."""
+    w = ctx.q.ambient.weight
+    wn, wd = w.numerator, w.denominator
+    return tuple((key, count * wn, wd) for key, count in counts.items())
+
+
+def _layer_cake_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
     try:
         lhs, rhs = check_layer_cake(ctx)
     except ConsistencyError as exc:
-        return {"pass": False, **exc.payload}, ["layer-cake identity failed"]
-    frag = put({"pass": True}, "lhs", lhs.numerator, lhs.denominator)
-    return _put_all(frag, ctx.q.ambient.weight, rhs=rhs), []
+        return False, Fragment((("pass", False), *exc.payload.items()), ()), ["layer-cake identity failed"]
+    ratios = (("lhs", lhs.numerator, lhs.denominator), *_measures(ctx, rhs=rhs))
+    return True, Fragment((("pass", True),), ratios), []
 
 
-def _spillover_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
+def _spillover_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
     try:
         ab, ba, left, right = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
     except ConsistencyError as exc:
-        frag = {"pass": False, **{k: v for k, v in exc.payload.items() if isinstance(v, str)}}
-        return frag, ["spillover inequality failed"]
-    frag = _put_all(
-        {"pass": True}, ctx.q.ambient.weight, lhs_left=ab, lhs_right=ba, rhs_left=left, rhs_right=right
-    )
-    return frag, []
+        sides = ((k, v) for k, v in exc.payload.items() if isinstance(v, str))
+        return False, Fragment((("pass", False), *sides), ()), ["spillover inequality failed"]
+    ratios = _measures(ctx, lhs_left=ab, lhs_right=ba, rhs_left=left, rhs_right=right)
+    return True, Fragment((("pass", True),), ratios), []
 
 
-def _containment_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
+def _containment_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
     ok = check_containment(ctx, ctx.b if ctx.b is not None else ctx.a)
-    return {"pass": ok}, [] if ok else ["superlevel containment failed"]
+    return ok, Fragment((("pass", ok),), ()), [] if ok else ["superlevel containment failed"]
 
 
-def _ruzsa_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
+def _ruzsa_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
     b = ctx.b if ctx.b is not None else ctx.inv_a
     c = ctx.c if ctx.c is not None else ctx.mul(ctx.a, ctx.a)
-    frag: dict = ruzsa_axioms(ctx, b, c, translators)
-    frag["pass"] = ok = all(frag.values())
+    flags = ruzsa_axioms(ctx, b, c, translators)
+    ok = all(flags.values())
     size, d = len(ctx.a.elements), ctx.diff_size(ctx.a, ctx.a)
-    put(frag, "value_aa", d * d, size * size)
-    return frag, [] if ok else ["a distance axiom failed"]
+    record = Fragment((*flags.items(), ("pass", ok)), (("value_aa", d * d, size * size),))
+    return ok, record, [] if ok else ["a distance axiom failed"]
 
 
 def _quotient_suite(variant: str):
-    def run(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
+    def run(ctx: InstanceContext, alphas: list, translators) -> tuple:
         if variant == "symmetric" and not ctx.symmetric:
-            return {"skipped": "subset is not symmetric"}, []
+            return None, Fragment((("skipped", "subset is not symmetric"),), ()), []
         check = check_quotient_bound(ctx, variant)
         failed = [] if check.passed else [f"quotient doubling exceeded the {variant} bound"]
-        return check.to_json(), failed
+        return check.passed, check, failed
 
     return run
 
 
-def _extract_suite(ctx: InstanceContext, alphas: list, translators) -> tuple[dict, list[str]]:
-    frag: dict = {}
+def _extract_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
+    certificates = []
     failed = []
     for alpha_s, alpha in alphas:
         try:
-            frag[alpha_s] = certify(ctx, alpha).to_json(include_elements=False)
-            frag[alpha_s]["pass"] = True
+            certificates.append((alpha_s, certify(ctx, alpha, keep_b=False)))
         except ConsistencyError:
-            frag[alpha_s] = {"pass": False}
+            certificates.append((alpha_s, None))
             failed.append(f"extraction failed at alpha={alpha_s}")
-    return frag, failed
-
-
-def _put_all(frag: dict, weight: Fraction, **counts: int) -> dict:
-    """Write each count times `weight` (a measure in units of that weight)."""
-    wn, wd = weight.numerator, weight.denominator
-    for key, count in counts.items():
-        put(frag, key, count * wn, wd)
-    return frag
+    # the fragment has no top-level "pass" key, so the aggregate has always
+    # counted the suite passed; a failed alpha shows among the violations
+    return True, ExtractResults(tuple(certificates)), failed
 
 
 SUITES = {
@@ -518,8 +547,40 @@ def _load_id(instance_id: str) -> tuple[dict, list]:
     return spec, alphas
 
 
-def evaluate_instance(instance_id: str, built: tuple | None = None) -> dict:
-    """Recompute the full report for one instance id (pure, replayable).
+class InstanceReport(namedtuple(
+    "InstanceReport", "id group_order subgroup_size stats pi_size pi_square suites"
+)):
+    """One instance's results as counts: the id, |G| and |H|, the doubling
+    counts (`DoublingStats`, whose size is |A|), |piA| and |piA^2|, and per
+    suite run (name, passed or None when skipped, result record, violation
+    details).  `to_json()` writes the instance report."""
+
+    __slots__ = ()
+
+    @property
+    def probe(self) -> tuple[int, int]:
+        """Quotient doubling over K^2 as (|piA^2| |A|^2, |piA| |A^2|^2)."""
+        s = self.stats
+        return self.pi_square * s.size * s.size, self.pi_size * s.square * s.square
+
+    def to_json(self) -> dict:
+        stats = self.stats
+        report = {
+            "id": self.id,
+            "sizes": {"group": self.group_order, "subgroup": self.subgroup_size, "subset": stats.size},
+            "suites": {name: record.to_json() for name, _, record, _ in self.suites},
+            "violations": [
+                {"suite": name, "detail": d} for name, _, _, failed in self.suites for d in failed
+            ],
+            "doubling": stats.to_json(),
+            # tracked for both symmetries
+            "probe": put({"symmetric": stats.symmetric}, "over_k2", *self.probe),
+        }
+        return put(report, "quotient_doubling", self.pi_square, self.pi_size)
+
+
+def evaluate_instance(instance_id: str, built: tuple | None = None) -> InstanceReport:
+    """Recompute the results for one instance id (pure, replayable).
 
     Without `built` the id is parsed and validated first, as `replay` needs.
     `scan` passes `built`, the (spec, alphas, group JSON, subgroup JSON) that
@@ -541,91 +602,82 @@ def evaluate_instance(instance_id: str, built: tuple | None = None) -> dict:
             group.decode_element(v, f"/translate/{i}") for i, v in enumerate(spec["translate"])
         )
     ctx = InstanceContext(a, q, b, c)
-
-    size = len(a.elements)
-    report: dict = {
-        "id": instance_id,
-        "sizes": {
-            "group": group.order,
-            "subgroup": len(q.subgroup.elements),
-            "subset": size,
-        },
-        "suites": {},
-        "violations": [],
-    }
     stats = stats_of(ctx)
-    report["doubling"] = stats.to_json()
-    p, p2 = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a)
-    put(report, "quotient_doubling", p2, p)
-    # probe value: quotient doubling over K^2, tracked for both symmetries
-    probe = {"symmetric": stats.symmetric}
-    put(probe, "over_k2", p2 * size * size, p * ctx.square * ctx.square)
-    report["probe"] = probe
-
-    for name in spec.get("suites", []):
-        frag, failed = SUITES[name](ctx, alphas, translators)
-        report["suites"][name] = frag
-        report["violations"].extend({"suite": name, "detail": d} for d in failed)
-    return report
+    suites = tuple(
+        (name, *SUITES[name](ctx, alphas, translators)) for name in spec.get("suites", [])
+    )
+    return InstanceReport(
+        instance_id, group.order, len(q.subgroup.elements), stats,
+        len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a), suites,
+    )
 
 
 # -- aggregation and the scan itself --------------------------------------------
 
 
 class _Ranked:
-    """A probe entry ordered by (-value, id): the larger "p/q" value first,
+    """A probe entry ordered by (-value, id): the larger num/den first,
     compared by cross-multiplication, ties broken by the smaller id."""
 
-    __slots__ = ("num", "den", "probe", "id")
+    __slots__ = ("num", "den", "id", "at")
 
-    def __init__(self, probe: dict, instance_id: str) -> None:
-        self.num, self.den = split(probe["over_k2"])
-        self.probe, self.id = probe, instance_id
+    def __init__(self, report: InstanceReport, at: int) -> None:
+        self.num, self.den = report.probe
+        self.id, self.at = report.id, at
 
     def __lt__(self, other: "_Ranked") -> bool:
         mine, theirs = self.num * other.den, other.num * self.den
         return mine > theirs or (mine == theirs and self.id < other.id)
 
 
-def _fold_aggregate(reports: list[dict]) -> dict:
+def _fold_aggregate(reports: Iterable[InstanceReport], written: list[dict] | None = None) -> dict:
+    """The aggregate, folded from the records one at a time.  With `written`,
+    each report is also rendered into it, once, and the probe witnesses are
+    copied from there; otherwise only the witnesses kept are rendered."""
     import heapq  # imported here: commands that never aggregate skip it
 
     suite_runs: dict = {}
     violations: list[dict] = []
     sym_entries: list[_Ranked] = []
     all_entries: list[_Ranked] = []
-    for rep in reports:
-        for v in rep["violations"]:
-            violations.append({"id": rep["id"], **v})
-        for name, frag in rep["suites"].items():
-            cell = suite_runs.setdefault(name, {"runs": 0, "passes": 0, "skipped": 0})
-            if "skipped" in frag:
+    for at, rep in enumerate(reports):
+        if written is not None:
+            written.append(rep.to_json())
+        for name, passed, _, failed in rep.suites:
+            if failed:
+                violations.extend({"id": rep.id, "suite": name, "detail": d} for d in failed)
+            cell = suite_runs.get(name)
+            if cell is None:
+                cell = suite_runs[name] = {"runs": 0, "passes": 0, "skipped": 0}
+            if passed is None:
                 cell["skipped"] += 1
                 continue
             cell["runs"] += 1
-            if frag.get("pass", True):
+            if passed:
                 cell["passes"] += 1
-        entry = _Ranked(rep["probe"], rep["id"])
+        entry = _Ranked(rep, at)
         all_entries.append(entry)
-        if entry.probe["symmetric"]:
+        if rep.stats.symmetric:
             sym_entries.append(entry)
+
+    def value(entry: _Ranked) -> tuple:
+        if written is None:
+            return fmt(entry.num, entry.den), entry.num / entry.den
+        probe = written[entry.at]["probe"]
+        return probe["over_k2"], probe["over_k2_dec"]
 
     def probe(entries: list[_Ranked]) -> dict:
         if not entries:
             return {"max": None, "max_dec": None, "witnesses": []}
-        # the probe strings are in lowest terms already (written by `put`)
-        top = heapq.nsmallest(TOP_WITNESSES, entries)
+        top = [(value(e), e.id) for e in heapq.nsmallest(TOP_WITNESSES, entries)]
         return {
-            "max": top[0].probe["over_k2"],
-            "max_dec": top[0].probe["over_k2_dec"],
-            "witnesses": [
-                {"value": e.probe["over_k2"], "value_dec": e.probe["over_k2_dec"], "id": e.id}
-                for e in top
-            ],
+            "max": top[0][0][0],
+            "max_dec": top[0][0][1],
+            "witnesses": [{"value": v, "value_dec": d, "id": i} for (v, d), i in top],
         }
 
     return {
-        "instances": len(reports),
+        "instances": len(all_entries),
         "suite_runs": suite_runs,
         "violations": violations,
         "symmetric_probe": probe(sym_entries),
@@ -647,16 +699,18 @@ def scan(config: ScanConfig) -> dict:
         with get_context("fork").Pool(config.parallelism) as pool:
             reports = pool.starmap(evaluate_instance, jobs, chunksize=chunk)
     else:
-        reports = [evaluate_instance(i, b) for i, b in jobs]
-    out = {"config": config.resolved(), "aggregate": _fold_aggregate(reports)}
-    if config.emit_instances:
-        out["instances"] = reports
+        # folded as they come, so no record outlives its own rendering
+        reports = (evaluate_instance(i, b) for i, b in jobs)
+    written = [] if config.emit_instances else None
+    out = {"config": config.resolved(), "aggregate": _fold_aggregate(reports, written)}
+    if written is not None:
+        out["instances"] = written
     return out
 
 
 def replay(instance_id: str, expected: dict | None = None) -> dict:
     """Recompute one instance report; must match a stored one exactly."""
-    report = evaluate_instance(instance_id)
+    report = evaluate_instance(instance_id).to_json()
     if expected is not None and report != expected:
         raise ConsistencyError(
             "replay mismatch: reports differ for the same instance id",

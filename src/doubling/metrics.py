@@ -99,15 +99,19 @@ def ruzsa_triangle_check(a: GSubset, b: GSubset, c: GSubset) -> bool:
 
 
 class QuotientDoublingCheck(namedtuple(
-    "QuotientDoublingCheck", "variant pi_size pi_square bound_num bound_den quotient_weight passed"
+    "QuotientDoublingCheck", "variant pi_size pi_square bound_num bound_den weight_num weight_den passed"
 )):
     """One quotient-doubling bound: mu_Q(piA^2) against bound * mu_Q(piA).
 
-    Held as counts: |piA| and |piA^2|, the bound (K^2, K^3 or K1*K2) as
-    bound_num/bound_den, and the quotient weight; the measures are exact
-    properties over them."""
+    Held as integers: |piA| and |piA^2|, the bound (K^2, K^3 or K1*K2) as
+    bound_num/bound_den, and the quotient weight as weight_num/weight_den;
+    the measures are exact properties over them."""
 
     __slots__ = ()
+
+    @property
+    def quotient_weight(self) -> Fraction:
+        return Fraction(self.weight_num, self.weight_den)
 
     @property
     def lhs(self) -> Fraction:
@@ -129,7 +133,7 @@ class QuotientDoublingCheck(namedtuple(
 
     def to_json(self) -> dict:
         out: dict = {"variant": self.variant, "pass": self.passed}
-        wn, wd = self.quotient_weight.numerator, self.quotient_weight.denominator
+        wn, wd = self.weight_num, self.weight_den
         put(out, "lhs", self.pi_square * wn, wd)
         put(out, "rhs", self.bound_num * self.pi_size * wn, self.bound_den * wd)
         put(out, "bound", self.bound_num, self.bound_den)
@@ -148,7 +152,8 @@ def check_quotient_bound(ctx: InstanceContext, variant: str) -> QuotientDoubling
     else:
         num, den = a2 * ctx.inv_square, a * a
     p, p2 = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a)
-    return QuotientDoublingCheck(variant, p, p2, num, den, ctx.q.quotient_weight, p2 * den <= num * p)
+    w = ctx.q.quotient_weight
+    return QuotientDoublingCheck(variant, p, p2, num, den, w.numerator, w.denominator, p2 * den <= num * p)
 
 
 def quotient_doubling_check(

@@ -1,9 +1,14 @@
 """Exact rationals over the wire: "p/q" strings plus lossy decimal shadows.
 
-The checks compare integer counts, and reports are written from the same
-counts: `put(d, key, num, den)` reduces num/den with one gcd and stores the
-"p/q" string and its decimal shadow, so no `Fraction` is built while an
-instance is evaluated.  `Fraction`s live only in the public result objects
+The checks compare integer counts, and the results of an instance are held
+as those counts (`harness.InstanceReport` and the records it holds), so
+evaluating an instance writes no text.  A report is written once, where it
+is written: `InstanceReport.to_json()`, when `scan` emits its instances or
+`replay` returns one, is the one place the instance loop reaches `put`.
+`put(d, key, num, den)` reduces num/den with one gcd and stores the "p/q"
+string and its decimal shadow, so no `Fraction` is built.  The aggregate
+ranks its probe by cross-multiplied counts and writes only the witnesses it
+keeps.  `Fraction`s live only in the public result objects
 (`DoublingStats.K` and the like) and at the edges: parsed CLI alphas, error
 payloads and the construction report.  The decimal shadows exist only for
 human reading and CSV export; nothing ever parses them back.

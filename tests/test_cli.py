@@ -354,6 +354,13 @@ def _replay_id(**change):
         (["replay", "--id", "[1, 2]"], "error: /:"),
         (["replay", "--id", "{"], "error: /:"),
         (["scan", "--config", "<not_json>"], "error:"),
+        (["construct", "--N", "0", "--h", "5", "--m", "36"], "--N"),
+        (["construct", "--N", "-3", "--h", "5", "--m", "36"], "--N"),
+        (["construct", "--N", "1", "--h", "1", "--m", "36"], "--h"),
+        (["construct", "--N", "1", "--h", "5", "--m", "3"], "--m"),
+        (["construct", "--N", "1", "--h", "5", "--m", "37"], "--m"),
+        (["construct", "--N", "1", "--h", "5", "--m", "36", "--materialize-cap", "-1"],
+         "--materialize-cap"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -434,3 +441,44 @@ def test_indented_json_leaves_other_types_to_json():
     for doc in ({"a": [1, Fraction(1, 2)]}, [OrderedDict(b=1, a=2)], {"x": {1: "one", 2: "two"}}):
         expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
         assert _dumped(indented_json, doc) == expected
+
+
+def _failing_containment(ctx, alphas, translators):
+    from doubling.harness import Fragment
+
+    return False, Fragment((("pass", False),), ()), ["superlevel containment failed"]
+
+
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_exit_two_names_each_violated_suite_with_its_first_id(tmp_path, capsys, monkeypatch, command):
+    from doubling import harness
+
+    config = {"groups": ["cyclic:3"], "subset_mode": {"kind": "exhaustive"},
+              "suites": ["containment", "layer-cake"]}
+    (tmp_path / "scan.json").write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    argv = {
+        "verify": ["verify", "--group", "cyclic:3", "--suite", "containment,layer-cake"],
+        "scan": ["scan", "--config", str(tmp_path / "scan.json")],
+    }[command]
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 0 and "violated" not in err
+    clean = out.read_text()
+
+    monkeypatch.setitem(harness.SUITES, "containment", _failing_containment)
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    report = json.loads(out.read_text())
+    violations = report["aggregate"]["violations"]
+    # cyclic:3 has two normal subgroups and seven nonempty subsets
+    assert len(violations) == 14
+    lines = [line for line in err.splitlines() if line.startswith("violated")]
+    assert lines == [f"violated: containment: 14 violation(s); first id: {violations[0]['id']}"]
+    # the id replays, and the summary went to stderr only: the artifact differs
+    # from the clean one in the failed suite alone
+    assert main(["replay", "--id", violations[0]["id"], "--out", "/dev/null"]) == 0
+    capsys.readouterr()
+    doc = json.loads(clean)
+    doc["aggregate"]["violations"] = violations
+    doc["aggregate"]["suite_runs"]["containment"]["passes"] = 0
+    assert report == doc

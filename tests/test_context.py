@@ -133,7 +133,7 @@ def ids():
 def test_fragments_match_the_standalone_functions(ids):
     assert len(ids) > 100
     for instance_id in ids:
-        report = evaluate_instance(instance_id)
+        report = evaluate_instance(instance_id).to_json()
         ref = reference_report(instance_id)
         assert report["doubling"] == ref["doubling"], instance_id
         assert parse(report["quotient_doubling"]) == ref["quotient_doubling"], instance_id

@@ -19,7 +19,7 @@ from doubling import (
     quaternion_group,
     validate_axioms,
 )
-from doubling.groups import _associative_at, _table_generators, op_table
+from doubling.groups import _IndexedGroup, _associative_at, _table_generators, op_table
 
 
 def test_cyclic_counting_measure():
@@ -256,6 +256,73 @@ def test_light_test_agrees_with_the_full_scan_on_broken_tables(t):
         message = "non-associative operation at (%d,%d,%d)" % first
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             TableGroup(t)
+
+
+class OpTable(_IndexedGroup):
+    """A table read through `op`, with a given identity and inverses: not a
+    TableGroup, so `validate_axioms` rebuilds its table call by call."""
+
+    kind = "op-table"
+
+    def __init__(self, table, identity, inverses) -> None:
+        self.rows, self.e, self.inverses = table, identity, inverses
+        super().__init__("op-table", len(table))
+
+    def op(self, a, b):
+        return self.rows[a][b]
+
+    def inv(self, a):
+        return self.inverses[a]
+
+    @property
+    def identity(self):
+        return self.e
+
+
+@st.composite
+def broken_tables(draw):
+    """(a group table, the same table with swapped and overwritten entries)."""
+    n = draw(st.integers(3, 10))
+    group = draw(st.sampled_from([CyclicGroup(n), DihedralGroup(max(2, n // 2))]))
+    base = op_table(group)[2]
+    n = len(base)
+    t = [list(row) for row in base]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b1, b2 = (draw(st.integers(0, n - 1)) for _ in range(3))
+        t[a][b1], t[a][b2] = t[a][b2], t[a][b1]
+    for _ in range(draw(st.integers(0, 1))):
+        t[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return base, t
+
+
+def _failure(check, group):
+    try:
+        check(group)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_tables())
+def test_validate_axioms_reads_a_table_group_table_with_the_op_path_verdict(tables):
+    base, t = tables
+    group = TableGroup(base)
+    # break the table after it was built and checked; identity and inverses stay
+    group.table[:] = t
+    reference = OpTable(t, group.identity, [group.inv(a) for a in range(len(t))])
+    expected = _failure(validate_axioms, reference)
+
+    def no_op(*args):
+        raise AssertionError("validate_axioms called op on a TableGroup")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TableGroup, "op", no_op)
+        assert _failure(validate_axioms, group) == expected
+    # the same first failing triple, identity or inverse as the op path
+    first = _first_nonassociative(t)
+    if expected is not None and expected.startswith("non-associative"):
+        assert expected == "non-associative operation at (%d,%d,%d)" % first
 
 
 def test_table_generators_reach_every_element_by_left_nested_products():

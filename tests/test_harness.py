@@ -264,7 +264,7 @@ def test_instance_id_is_canonical_json():
     ids = iter_instance_specs(small_config())
     for instance_id in ids[:3]:
         assert instance_id == canonical_json(json.loads(instance_id))
-        report = evaluate_instance(instance_id)
+        report = evaluate_instance(instance_id).to_json()
         assert report["id"] == instance_id
 
 

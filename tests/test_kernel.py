@@ -315,7 +315,7 @@ def _all_suite_reports() -> list[dict]:
     ids = []
     for mode in ({"kind": "exhaustive", "max_size": 1}, {"kind": "random", "count": 3, "seed": 11}):
         ids += iter_instance_specs(ScanConfig(groups=SUITE_GROUPS, subset_mode=mode))
-    return [evaluate_instance(i) for i in ids]
+    return [evaluate_instance(i).to_json() for i in ids]
 
 
 def test_every_suite_reports_the_same_on_the_op_path(monkeypatch):

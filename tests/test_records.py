@@ -38,15 +38,16 @@ FIELDS = {
     MatrixFamily: ("N", "members"),
     SharpnessInstance: ("N", "h", "m", "r", "family", "cantor", "blocks", "mu_A", "mu_A2",
                         "mu_piA", "mu_piA2", "stats", "quotient_doubling"),
-    ExtractionCertificate: ("alpha", "size", "square", "chosen_n", "B", "level_size",
-                            "level_square", "admissible_n", "subgroup_weight"),
+    ExtractionCertificate: ("alpha_num", "alpha_den", "size", "square", "chosen_n", "b_size",
+                            "level_size", "level_square", "admissible_n", "weight_num",
+                            "weight_den", "B"),
     FiberProfile: ("quotient", "source", "fibers"),
     LevelFamily: ("thresholds", "levels"),
     SpilloverResult: ("lhs_left", "lhs_right", "rhs_left", "rhs_right"),
     DoublingStats: ("size", "square", "inv_square", "symmetric"),
     RuzsaSq: ("value",),
     QuotientDoublingCheck: ("variant", "pi_size", "pi_square", "bound_num", "bound_den",
-                            "quotient_weight", "passed"),
+                            "weight_num", "weight_den", "passed"),
 }
 
 

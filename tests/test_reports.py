@@ -6,12 +6,20 @@ built without re-parsing its ids.  Each of these fast paths is compared here
 with the plain path: `Fraction` arithmetic, and `replay`'s validating parser.
 """
 
+import pickle
 from fractions import Fraction
+from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from doubling import ScanConfig, parse_group_selector, replay, scan
-from doubling.harness import ALL_SUITES, TOP_WITNESSES, _fold_aggregate, report_csv
+from doubling import (
+    ScanConfig, WeightedGroup, catalog, evaluate_instance, iter_instance_specs,
+    parse_group_selector, replay, scan,
+)
+from doubling.sets import GSubset
+from doubling.harness import ALL_SUITES, TOP_WITNESSES, InstanceReport, _fold_aggregate, report_csv
+from doubling.metrics import DoublingStats
 from doubling.rationals import fmt, put, shadow
 
 
@@ -22,10 +30,72 @@ def assert_scan_equals_replay(config: ScanConfig) -> None:
         assert replay(rep["id"]) == rep
 
 
+def catalog_cut() -> list:
+    """A seeded random cut of the catalog, products and both weights included."""
+    return Random(3).sample(catalog(max_product_order=32), 10)
+
+
+CONFIGS = {
+    "dihedral:4": (["dihedral:4"], {"kind": "exhaustive"}),
+    "catalog-cut": (catalog_cut(), {"kind": "random", "count": 2, "seed": 9}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_aggregate_is_the_same_with_and_without_instances(name):
+    groups, mode = CONFIGS[name]
+    runs = {
+        (jobs, emit): scan(ScanConfig(groups, mode, parallelism=jobs, emit_instances=emit))
+        for jobs in (1, 2) for emit in (False, True)
+    }
+    reference = runs[1, False]
+    assert reference["aggregate"]["instances"] > 20
+    assert set(reference["aggregate"]["suite_runs"]) == set(ALL_SUITES)
+    for (jobs, emit), report in runs.items():
+        assert report["aggregate"] == reference["aggregate"], (jobs, emit)
+        assert ("instances" in report) is emit
+    assert runs[1, True] == runs[2, True]
+
+
+def _reachable(obj):
+    """Every object reachable from obj through containers and attributes."""
+    seen, stack = set(), [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        yield x
+        if isinstance(x, dict):
+            stack += [*x.keys(), *x.values()]
+        elif isinstance(x, (tuple, list, set, frozenset)):
+            stack += list(x)
+        elif hasattr(x, "__dict__"):
+            stack += list(vars(x).values())
+
+
+def test_a_pickled_instance_report_holds_counts_only():
+    groups, mode = CONFIGS["catalog-cut"]
+    ids = iter_instance_specs(ScanConfig(groups, mode))
+    for instance_id in ids:
+        report = evaluate_instance(instance_id)
+        again = pickle.loads(pickle.dumps(report))
+        assert again == report and again.to_json() == report.to_json()
+        kinds = {type(x) for x in _reachable(again)}
+        assert not any(issubclass(k, (WeightedGroup, GSubset, Fraction)) for k in kinds), kinds
+        leaves = {k for k in kinds if not issubclass(k, (tuple, list, dict))}
+        assert leaves <= {str, int, bool, type(None)}, leaves
+
+
 def test_exhaustive_all_suite_scan_equals_replay():
     assert_scan_equals_replay(
         ScanConfig(["dihedral:4"], {"kind": "exhaustive"}, suites=ALL_SUITES, emit_instances=True)
     )
+
+
+def test_catalog_cut_scan_equals_replay():
+    groups, mode = CONFIGS["catalog-cut"]
+    assert_scan_equals_replay(ScanConfig(groups, mode, emit_instances=True))
 
 
 def test_random_scan_equals_replay():
@@ -72,14 +142,19 @@ def test_csv_floats_match_the_fraction_path(rows):
                           st.booleans(), st.integers(min_value=0, max_value=30)),
                 max_size=3 * TOP_WITNESSES))
 def test_witness_order_matches_a_fraction_sort(entries):
-    reports = []
-    for (num, den), symmetric, tag in entries:
-        probe = put({"symmetric": symmetric}, "over_k2", num, den)
-        reports.append({"id": f"id-{tag:02d}", "violations": [], "suites": {}, "probe": probe})
+    # |A| = |A^2| = 1, so the probe value is |piA^2| / |piA| = num / den
+    reports = [
+        InstanceReport(f"id-{tag:02d}", 1, 1, DoublingStats(1, 1, 1, symmetric), den, num, ())
+        for (num, den), symmetric, tag in entries
+    ]
     agg = _fold_aggregate(reports)
-    for name, keep in (("general_probe", lambda r: True), ("symmetric_probe", lambda r: r["probe"]["symmetric"])):
+    # rendering every report on the way copies the witnesses it would write
+    written: list = []
+    assert _fold_aggregate(reports, written) == agg
+    assert written == [r.to_json() for r in reports]
+    for name, keep in (("general_probe", lambda r: True), ("symmetric_probe", lambda r: r.stats.symmetric)):
         ranked = sorted(
-            ((Fraction(r["probe"]["over_k2"]), r["id"]) for r in reports if keep(r)),
+            ((Fraction(r.to_json()["probe"]["over_k2"]), r.id) for r in reports if keep(r)),
             key=lambda e: (-e[0], e[1]),
         )[:TOP_WITNESSES]
         expected = [{"value": fmt(v), "value_dec": float(v), "id": i} for v, i in ranked]
