@@ -17,7 +17,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
 from .constructions import (
-    _cantor_radix,
     build_from_reference,
     build_sharpness_instance,
     load_instance,
@@ -267,15 +266,9 @@ def _violation_status(report: dict) -> int:
 
 
 def _cmd_construct(args) -> int:
-    for flag, value, least in (("--N", args.N, 1), ("--h", args.h, 2),
-                               ("--materialize-cap", args.materialize_cap, 0)):
-        if value < least:
-            raise SpecError(flag, f"expected an integer >= {least}, got {value}")
-    try:
-        _cantor_radix(args.m)
-    except ValueError as exc:
-        raise SpecError("--m", str(exc)) from None
-    inst = build_sharpness_instance(args.N, args.h, args.m)
+    if args.materialize_cap < 0:
+        raise SpecError("--materialize-cap", f"expected an integer >= 0, got {args.materialize_cap}")
+    inst = build_sharpness_instance(args.N, args.h, args.m, ("--N", "--h", "--m"))
     doc = inst.to_json(materialize_cap=args.materialize_cap)
     keys = ("params", "targets", "measures", "doubling", "quotient_doubling",
             "quotient_doubling_dec")

@@ -340,19 +340,24 @@ class SharpnessInstance(namedtuple(
         return out
 
 
-def build_sharpness_instance(n: int, h: int, m: int) -> SharpnessInstance:
+def build_sharpness_instance(
+    n: int, h: int, m: int, names: tuple = ("N", "h", "m")
+) -> SharpnessInstance:
     """Assemble the witness and compute every measure exactly.
 
-    Requires n >= 1, h >= 2, and m admitting a Cantor analog.  Product sets
-    never touch more than the (2N+1)^2 reachable matrices, so h and m only
-    enter through exact counts.
+    Requires n >= 1, h >= 2, and m admitting a Cantor analog; otherwise
+    raises SpecError at the path that `names` gives for n, h or m.  Product
+    sets never touch more than the (2N+1)^2 reachable matrices, so h and m
+    only enter through exact counts.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"N must be a positive integer, got {n!r}")
-    if not isinstance(h, int) or h < 2:
-        raise ValueError(f"h must be an integer >= 2, got {h!r}")
+    for name, value, least in ((names[0], n, 1), (names[1], h, 2)):
+        if not isinstance(value, int) or value < least:
+            raise SpecError(name, f"expected an integer >= {least}, got {value!r}")
     cache: dict = {}
-    r, cantor = _cantor(m, cache)
+    try:
+        r, cantor = _cantor(m, cache)
+    except ValueError as exc:
+        raise SpecError(names[2], str(exc)) from None
 
     fam = matrix_family(n)
     blocks: dict = {fam.identity: (True, None)}
@@ -422,9 +427,7 @@ def build_from_reference(ref: dict, path: str = "") -> tuple[WeightedGroup, GSub
     extra = set(ref) - {"construction", "N", "h", "m"}
     if extra:
         raise SpecError(f"{path}/{sorted(extra)[0]}", "unknown key for construction reference")
-    try:
-        inst = build_sharpness_instance(ref.get("N"), ref.get("h"), ref.get("m"))
-    except (ValueError, TypeError) as exc:
-        raise SpecError(path, str(exc)) from exc
+    names = (f"{path}/N", f"{path}/h", f"{path}/m")
+    inst = build_sharpness_instance(ref.get("N"), ref.get("h"), ref.get("m"), names)
     group = inst.group()
     return group, inst.subset(group), inst.quotient_structure(group)

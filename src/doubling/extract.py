@@ -26,13 +26,12 @@ class ExtractionCertificate(namedtuple(
     "ExtractionCertificate",
     "alpha_num alpha_den size square chosen_n b_size level_size level_square admissible_n "
     "weight_num weight_den B",
-    defaults=(None,),
 )):
     """The certified set B for one alpha, held as integers: alpha as
     alpha_num/alpha_den, |A|, |A^2|, the chosen level n (threshold
     s = n * w_H), |B|, |L| and |L L| for its level L, the admissible levels
-    and w_H as weight_num/weight_den.  B itself is kept unless the caller
-    only reports counts (then None).  The measures are exact properties."""
+    and w_H as weight_num/weight_den, and B itself.  The measures are exact
+    properties."""
 
     __slots__ = ()
 
@@ -98,9 +97,8 @@ def admissible_thresholds(a: GSubset, q: QuotientStructure, alpha: Fraction) -> 
     return [n * q.subgroup_weight for n, *_ in rows]
 
 
-def certify(ctx: InstanceContext, alpha: Fraction, keep_b: bool = True) -> ExtractionCertificate:
-    """Build the certified structure set for one alpha (holding B itself
-    only with `keep_b`).
+def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
+    """Build the certified structure set for one alpha.
 
     Prefers the smallest admissible threshold (largest B); if that one missed
     the measure floor, scans upward.  Exhausting the admissible set without a
@@ -122,7 +120,7 @@ def certify(ctx: InstanceContext, alpha: Fraction, keep_b: bool = True) -> Extra
         if len(b.elements) * alpha.numerator > (alpha.numerator - alpha.denominator) * size:
             return ExtractionCertificate(
                 alpha.numerator, alpha.denominator, size, ctx.square, n, len(b.elements),
-                level_size, level_square, levels, w.numerator, w.denominator, b if keep_b else None,
+                level_size, level_square, levels, w.numerator, w.denominator, b,
             )
     raise ConsistencyError(
         "no admissible threshold satisfies the measure bound: implementation bug",

@@ -128,7 +128,7 @@ def _extract_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
     failed = []
     for alpha_s, alpha in alphas:
         try:
-            certificates.append((alpha_s, certify(ctx, alpha, keep_b=False)))
+            certificates.append((alpha_s, certify(ctx, alpha)._replace(B=None)))
         except ConsistencyError:
             certificates.append((alpha_s, None))
             failed.append(f"extraction failed at alpha={alpha_s}")
@@ -619,11 +619,11 @@ class _Ranked:
     """A probe entry ordered by (-value, id): the larger num/den first,
     compared by cross-multiplication, ties broken by the smaller id."""
 
-    __slots__ = ("num", "den", "id", "at")
+    __slots__ = ("num", "den", "id")
 
-    def __init__(self, report: InstanceReport, at: int) -> None:
+    def __init__(self, report: InstanceReport) -> None:
         self.num, self.den = report.probe
-        self.id, self.at = report.id, at
+        self.id = report.id
 
     def __lt__(self, other: "_Ranked") -> bool:
         mine, theirs = self.num * other.den, other.num * self.den
@@ -632,15 +632,15 @@ class _Ranked:
 
 def _fold_aggregate(reports: Iterable[InstanceReport], written: list[dict] | None = None) -> dict:
     """The aggregate, folded from the records one at a time.  With `written`,
-    each report is also rendered into it, once, and the probe witnesses are
-    copied from there; otherwise only the witnesses kept are rendered."""
+    each report is also rendered into it, once; the probe renders only the
+    witnesses it keeps."""
     import heapq  # imported here: commands that never aggregate skip it
 
     suite_runs: dict = {}
     violations: list[dict] = []
     sym_entries: list[_Ranked] = []
     all_entries: list[_Ranked] = []
-    for at, rep in enumerate(reports):
+    for rep in reports:
         if written is not None:
             written.append(rep.to_json())
         for name, passed, _, failed in rep.suites:
@@ -655,21 +655,18 @@ def _fold_aggregate(reports: Iterable[InstanceReport], written: list[dict] | Non
             cell["runs"] += 1
             if passed:
                 cell["passes"] += 1
-        entry = _Ranked(rep, at)
+        entry = _Ranked(rep)
         all_entries.append(entry)
         if rep.stats.symmetric:
             sym_entries.append(entry)
 
-    def value(entry: _Ranked) -> tuple:
-        if written is None:
-            return fmt(entry.num, entry.den), entry.num / entry.den
-        probe = written[entry.at]["probe"]
-        return probe["over_k2"], probe["over_k2_dec"]
-
     def probe(entries: list[_Ranked]) -> dict:
         if not entries:
             return {"max": None, "max_dec": None, "witnesses": []}
-        top = [(value(e), e.id) for e in heapq.nsmallest(TOP_WITNESSES, entries)]
+        top = [
+            ((fmt(e.num, e.den), e.num / e.den), e.id)
+            for e in heapq.nsmallest(TOP_WITNESSES, entries)
+        ]
         return {
             "max": top[0][0][0],
             "max_dec": top[0][0][1],

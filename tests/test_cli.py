@@ -361,6 +361,10 @@ def _replay_id(**change):
         (["construct", "--N", "1", "--h", "5", "--m", "37"], "--m"),
         (["construct", "--N", "1", "--h", "5", "--m", "36", "--materialize-cap", "-1"],
          "--materialize-cap"),
+        (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
+          "--subset", '{"construction": "sharpness", "N": 0, "h": 4, "m": 25}'], "/subset/N"),
+        (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
+          "--subset", '{"construction": "sharpness", "N": 1, "h": 4, "m": 7}'], "/subset/m"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):

@@ -148,7 +148,7 @@ def test_witness_order_matches_a_fraction_sort(entries):
         for (num, den), symmetric, tag in entries
     ]
     agg = _fold_aggregate(reports)
-    # rendering every report on the way copies the witnesses it would write
+    # rendering every report on the way leaves the aggregate as it is
     written: list = []
     assert _fold_aggregate(reports, written) == agg
     assert written == [r.to_json() for r in reports]
