@@ -239,16 +239,18 @@ def _cmd_verify(args) -> int:
             subset_mode["max_size"] = args.max_subset_size
         if args.symmetric_only:
             subset_mode["symmetric_only"] = True
+    elif args.symmetric_only:
+        raise SpecError("--symmetric-only", f"needs |G| <= {_EXHAUSTIVE_DEFAULT_LIMIT} or --max-subset-size")
     else:
         subset_mode = {"kind": "random", "count": args.trials, "seed": args.seed}
-    config = ScanConfig(
-        groups=[gspec],
-        subset_mode=subset_mode,
-        suites=suites,
-        subgroup_weight=args.subgroup_weight,
-        alphas=_alphas_arg(args.alphas, "--alphas"),
-        parallelism=args.parallelism or _default_jobs(),
-    )
+    try:
+        config = ScanConfig(
+            [gspec], subset_mode, suites, subgroup_weight=args.subgroup_weight,
+            alphas=_alphas_arg(args.alphas, "--alphas"), parallelism=args.parallelism or _default_jobs(),
+        )
+    except SpecError as exc:  # name the flag behind a subset_mode field
+        flag = {"/subset_mode/max_size": "--max-subset-size", "/subset_mode/count": "--trials"}
+        raise SpecError(flag.get(exc.path, exc.path), exc.reason) from None
     report = scan(config)
     _emit(report, args.out)
     return _violation_status(report)

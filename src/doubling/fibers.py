@@ -81,23 +81,16 @@ def _layered(levels, size_at) -> int:
     return total
 
 
-def check_layer_cake(ctx: InstanceContext) -> tuple[Fraction, int]:
-    """mu_G(A), read off the subset, against the layered count sum, which is
-    returned as a count in units of w_G.
+def check_layer_cake(ctx: InstanceContext) -> tuple[bool, int, int]:
+    """|A| against the layered count sum, both in units of w_G: returns
+    (holds, size, layered).
 
     A threshold step delta_t = delta_n * w_H times mu_Q(level) = |level| * w_Q
-    is delta_n * |level| * w_G, since w_H * w_Q = w_G.
+    is delta_n * |level| * w_G, since w_H * w_Q = w_G; so w_G cancels.
     """
-    a, w = ctx.a, ctx.q.ambient.weight
-    lhs = a.measure
-    rhs = _layered(ctx.levels(a), lambda level: len(level.elements))
-    # lhs == rhs * w_G, cross-multiplied over integers
-    if lhs.numerator * w.denominator != rhs * w.numerator * lhs.denominator:
-        raise ConsistencyError(
-            "layer-cake identity failed",
-            {"lhs": fmt(lhs), "rhs": fmt(rhs * w), "subset": a.encode()},
-        )
-    return lhs, rhs
+    size = len(ctx.a.elements)
+    layered = _layered(ctx.levels(ctx.a), lambda level: len(level.elements))
+    return size == layered, size, layered
 
 
 def layer_cake(a: GSubset, q: QuotientStructure) -> tuple[Fraction, Fraction]:
@@ -106,8 +99,12 @@ def layer_cake(a: GSubset, q: QuotientStructure) -> tuple[Fraction, Fraction]:
     The two sides are computed independently and must agree exactly; a
     mismatch is an internal-consistency failure and raises.
     """
-    lhs, rhs = check_layer_cake(InstanceContext(a, q))
-    return lhs, rhs * q.ambient.weight
+    holds, *counts = check_layer_cake(InstanceContext(a, q))
+    lhs, rhs = (n * q.ambient.weight for n in counts)
+    if not holds:
+        payload = {"lhs": fmt(lhs), "rhs": fmt(rhs), "subset": a.encode()}
+        raise ConsistencyError("layer-cake identity failed", payload)
+    return lhs, rhs
 
 
 class SpilloverResult(namedtuple("SpilloverResult", "lhs_left lhs_right rhs_left rhs_right")):
@@ -123,33 +120,25 @@ class SpilloverResult(namedtuple("SpilloverResult", "lhs_left lhs_right rhs_left
     __slots__ = ()
 
 
-def check_spillover(ctx: InstanceContext, b: GSubset) -> tuple[int, int, int, int]:
+def check_spillover(ctx: InstanceContext, b: GSubset) -> tuple[bool, int, int, int, int]:
     """Both spillover inequalities, compared as counts in units of w_G; returns
-    the four sides (lhs_left, lhs_right, rhs_left, rhs_right) in those units."""
+    (holds, lhs_left, lhs_right, rhs_left, rhs_right) in those units."""
     a, pi_a = ctx.a, ctx.pi_a
     ab, ba = ctx.size(a, b), ctx.size(b, a)
     left = _layered(ctx.levels(b), lambda level: ctx.size(pi_a, level))
     right = _layered(ctx.levels(b), lambda level: ctx.size(level, pi_a))
-    if ab < left or ba < right:
-        w = ctx.q.ambient.weight
-        raise ConsistencyError(
-            "spillover inequality failed",
-            {
-                "lhs_left": fmt(ab * w),
-                "lhs_right": fmt(ba * w),
-                "rhs_left": fmt(left * w),
-                "rhs_right": fmt(right * w),
-                "subset_a": a.encode(),
-                "subset_b": b.encode(),
-            },
-        )
-    return ab, ba, left, right
+    return ab >= left and ba >= right, ab, ba, left, right
 
 
 def spillover_check(a: GSubset, b: GSubset, q: QuotientStructure) -> SpilloverResult:
     """Check both spillover inequalities; raise on any violation."""
-    w = q.ambient.weight
-    return SpilloverResult(*(n * w for n in check_spillover(InstanceContext(a, q, b), b)))
+    holds, *counts = check_spillover(InstanceContext(a, q, b), b)
+    result = SpilloverResult(*(n * q.ambient.weight for n in counts))
+    if not holds:
+        payload = {k: fmt(v) for k, v in result._asdict().items()}
+        payload.update(subset_a=a.encode(), subset_b=b.encode())
+        raise ConsistencyError("spillover inequality failed", payload)
+    return result
 
 
 def check_containment(ctx: InstanceContext, b: GSubset) -> bool:

@@ -36,13 +36,14 @@ TOP_WITNESSES = 10
 
 # -- the suite table ------------------------------------------------------------
 #
-# Each suite maps (context, alphas, translators) to (passed, record, failed):
-# whether it passed (None when skipped), its result record, and the details
-# of the statements it found violated, in order.  A record holds integers,
-# bools and strings, no group, subset or Fraction (a failure also keeps the
-# JSON payload its check raised), and writes the suite's report fragment with
-# `to_json()`.  `alphas` holds the id's alphas as (text
-# as written, parsed); `translators` is a pair or None.
+# Each suite maps (context, alphas, translators) to (record, violations): its
+# result record and the details of the statements it found violated, in order
+# (None when it skipped).  `_fold_aggregate` alone decides "passed": ran with
+# no violations.  The checks return verdicts and never raise; only the public
+# wrappers (`layer_cake`, `spillover_check`, ...) do.  A record holds integers,
+# bools and strings, has the same keys whether its check held or not, and
+# writes the suite's fragment with `to_json()`.  `alphas` holds the id's
+# alphas as (text as written, parsed); `translators` is a pair or None.
 
 
 class Fragment(namedtuple("Fragment", "flags ratios")):
@@ -79,27 +80,20 @@ def _measures(ctx: InstanceContext, **counts: int) -> tuple:
 
 
 def _layer_cake_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
-    try:
-        lhs, rhs = check_layer_cake(ctx)
-    except ConsistencyError as exc:
-        return False, Fragment((("pass", False), *exc.payload.items()), ()), ["layer-cake identity failed"]
-    ratios = (("lhs", lhs.numerator, lhs.denominator), *_measures(ctx, rhs=rhs))
-    return True, Fragment((("pass", True),), ratios), []
+    holds, size, layered = check_layer_cake(ctx)
+    record = Fragment((("pass", holds),), _measures(ctx, lhs=size, rhs=layered))
+    return record, [] if holds else ["layer-cake identity failed"]
 
 
 def _spillover_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
-    try:
-        ab, ba, left, right = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
-    except ConsistencyError as exc:
-        sides = ((k, v) for k, v in exc.payload.items() if isinstance(v, str))
-        return False, Fragment((("pass", False), *sides), ()), ["spillover inequality failed"]
+    holds, ab, ba, left, right = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
     ratios = _measures(ctx, lhs_left=ab, lhs_right=ba, rhs_left=left, rhs_right=right)
-    return True, Fragment((("pass", True),), ratios), []
+    return Fragment((("pass", holds),), ratios), [] if holds else ["spillover inequality failed"]
 
 
 def _containment_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
     ok = check_containment(ctx, ctx.b if ctx.b is not None else ctx.a)
-    return ok, Fragment((("pass", ok),), ()), [] if ok else ["superlevel containment failed"]
+    return Fragment((("pass", ok),), ()), [] if ok else ["superlevel containment failed"]
 
 
 def _ruzsa_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
@@ -109,32 +103,28 @@ def _ruzsa_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
     ok = all(flags.values())
     size, d = len(ctx.a.elements), ctx.diff_size(ctx.a, ctx.a)
     record = Fragment((*flags.items(), ("pass", ok)), (("value_aa", d * d, size * size),))
-    return ok, record, [] if ok else ["a distance axiom failed"]
+    return record, [] if ok else ["a distance axiom failed"]
 
 
 def _quotient_suite(variant: str):
     def run(ctx: InstanceContext, alphas: list, translators) -> tuple:
         if variant == "symmetric" and not ctx.symmetric:
-            return None, Fragment((("skipped", "subset is not symmetric"),), ()), []
+            return Fragment((("skipped", "subset is not symmetric"),), ()), None
         check = check_quotient_bound(ctx, variant)
-        failed = [] if check.passed else [f"quotient doubling exceeded the {variant} bound"]
-        return check.passed, check, failed
+        return check, [] if check.passed else [f"quotient doubling exceeded the {variant} bound"]
 
     return run
 
 
 def _extract_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
-    certificates = []
-    failed = []
+    certificates, failed = [], []
     for alpha_s, alpha in alphas:
         try:
             certificates.append((alpha_s, certify(ctx, alpha)._replace(B=None)))
         except ConsistencyError:
             certificates.append((alpha_s, None))
             failed.append(f"extraction failed at alpha={alpha_s}")
-    # the fragment has no top-level "pass" key, so the aggregate has always
-    # counted the suite passed; a failed alpha shows among the violations
-    return True, ExtractResults(tuple(certificates)), failed
+    return ExtractResults(tuple(certificates)), failed
 
 
 SUITES = {
@@ -552,8 +542,8 @@ class InstanceReport(namedtuple(
 )):
     """One instance's results as counts: the id, |G| and |H|, the doubling
     counts (`DoublingStats`, whose size is |A|), |piA| and |piA^2|, and per
-    suite run (name, passed or None when skipped, result record, violation
-    details).  `to_json()` writes the instance report."""
+    suite run (name, result record, violation details: None when skipped, and
+    empty when it passed).  `to_json()` writes the instance report."""
 
     __slots__ = ()
 
@@ -568,9 +558,9 @@ class InstanceReport(namedtuple(
         report = {
             "id": self.id,
             "sizes": {"group": self.group_order, "subgroup": self.subgroup_size, "subset": stats.size},
-            "suites": {name: record.to_json() for name, _, record, _ in self.suites},
+            "suites": {name: record.to_json() for name, record, _ in self.suites},
             "violations": [
-                {"suite": name, "detail": d} for name, _, _, failed in self.suites for d in failed
+                {"suite": name, "detail": d} for name, _, failed in self.suites for d in failed or ()
             ],
             "doubling": stats.to_json(),
             # tracked for both symmetries
@@ -643,17 +633,17 @@ def _fold_aggregate(reports: Iterable[InstanceReport], written: list[dict] | Non
     for rep in reports:
         if written is not None:
             written.append(rep.to_json())
-        for name, passed, _, failed in rep.suites:
-            if failed:
-                violations.extend({"id": rep.id, "suite": name, "detail": d} for d in failed)
+        for name, _, failed in rep.suites:
             cell = suite_runs.get(name)
             if cell is None:
                 cell = suite_runs[name] = {"runs": 0, "passes": 0, "skipped": 0}
-            if passed is None:
+            if failed is None:
                 cell["skipped"] += 1
                 continue
             cell["runs"] += 1
-            if passed:
+            if failed:
+                violations.extend({"id": rep.id, "suite": name, "detail": d} for d in failed)
+            else:
                 cell["passes"] += 1
         entry = _Ranked(rep)
         all_entries.append(entry)

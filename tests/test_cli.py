@@ -365,6 +365,10 @@ def _replay_id(**change):
           "--subset", '{"construction": "sharpness", "N": 0, "h": 4, "m": 25}'], "/subset/N"),
         (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
           "--subset", '{"construction": "sharpness", "N": 1, "h": 4, "m": 7}'], "/subset/m"),
+        (["verify", "--group", "cyclic:14", "--symmetric-only", "--trials", "3", "--suite", "quotient-sym"],
+         "--symmetric-only"),
+        (["verify", "--group", "cyclic:4", "--max-subset-size", "0"], "--max-subset-size"),
+        (["verify", "--group", "cyclic:14", "--trials", "0"], "--trials"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -450,7 +454,7 @@ def test_indented_json_leaves_other_types_to_json():
 def _failing_containment(ctx, alphas, translators):
     from doubling.harness import Fragment
 
-    return False, Fragment((("pass", False),), ()), ["superlevel containment failed"]
+    return Fragment((("pass", False),), ()), ["superlevel containment failed"]
 
 
 @pytest.mark.parametrize("command", ["verify", "scan"])
@@ -486,3 +490,60 @@ def test_exit_two_names_each_violated_suite_with_its_first_id(tmp_path, capsys, 
     doc["aggregate"]["violations"] = violations
     doc["aggregate"]["suite_runs"]["containment"]["passes"] = 0
     assert report == doc
+
+
+def _fail_every_run(monkeypatch, suite):
+    """Patch the verdict behind `suite` so that each run of it fails: wrap its
+    check, or for extract make `certify` raise."""
+    from doubling import harness
+    from doubling.errors import ConsistencyError
+
+    if suite == "extract":
+        def certify(ctx, alpha):
+            raise ConsistencyError("forced failure", {})
+
+        monkeypatch.setattr(harness, "certify", certify)
+        return
+    name, fail = {
+        "layer-cake": ("check_layer_cake", lambda out: (False, *out[1:])),
+        "spillover": ("check_spillover", lambda out: (False, *out[1:])),
+        "containment": ("check_containment", lambda out: False),
+        "ruzsa-axioms": ("ruzsa_axioms", lambda out: {**out, "triangle": False}),
+    }.get(suite, ("check_quotient_bound", lambda out: out._replace(passed=False)))
+    check = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *args: fail(check(*args)))
+
+
+@pytest.mark.parametrize("suite", doubling.ALL_SUITES)
+def test_a_failing_verdict_fails_every_command(tmp_path, capsys, monkeypatch, suite):
+    (tmp_path / "scan.json").write_text(json.dumps(
+        {"groups": ["cyclic:3"], "subset_mode": {"kind": "exhaustive"}, "suites": [suite]}
+    ))
+    commands = {
+        "verify": ["verify", "--group", "cyclic:3", "--suite", suite],
+        "scan": ["scan", "--config", str(tmp_path / "scan.json")],
+    }
+    out = tmp_path / "out.json"
+    with monkeypatch.context() as m:
+        _fail_every_run(m, suite)
+        for command, argv in commands.items():
+            texts = []
+            for jobs in ("1", "2"):
+                code, _, err = run(capsys, *argv, "-j", jobs, "--out", str(out))
+                assert code == 2, (command, jobs)
+                texts.append(out.read_text())
+                aggregate = json.loads(texts[-1])["aggregate"]
+                cell, violations = aggregate["suite_runs"][suite], aggregate["violations"]
+                assert cell["passes"] == 0 < cell["runs"], (command, jobs, cell)
+                assert f"violated: {suite}: {len(violations)} violation(s); first id: " in err
+            assert texts[0] == texts[1], command
+    if suite == "extract":
+        # every run fails at each of the three default alphas
+        assert cell == {"runs": 14, "passes": 0, "skipped": 0} and len(violations) == 42
+    instance_id = violations[0]["id"]
+    expected = tmp_path / "expected.json"
+    assert main(["replay", "--id", instance_id, "--out", str(expected)]) == 0
+    with monkeypatch.context() as m:
+        _fail_every_run(m, suite)
+        assert main(["replay", "--id", instance_id, "--expect", str(expected)]) == 2
+    assert main(["replay", "--id", instance_id, "--expect", str(expected), "--out", "/dev/null"]) == 0

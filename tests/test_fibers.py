@@ -15,6 +15,7 @@ from doubling import (
     spillover_check,
     subset,
 )
+from doubling.context import InstanceContext
 
 
 @pytest.fixture
@@ -177,17 +178,21 @@ def test_fiber_profile_serialization(z6_mod_h):
     assert doc == {"cosets": [{"id": 0, "fiber": "2/1"}, {"id": 1, "fiber": "1/1"}]}
 
 
-def test_layer_cake_mismatch_raises(z6_mod_h):
+def test_layer_cake_mismatch_raises(z6_mod_h, monkeypatch):
+    import doubling.fibers
+
     z6, q = z6_mod_h
-    # corrupt a profile by lying about the subset: a GSubset with an element
-    # outside the group would break the identity; simulate via monkeypatched
-    # measure instead of constructing an invalid state
-    a = subset(z6, {0, 1})
+    a = subset(z6, {0, 1})  # fibers 1 and 1: one level of two cosets
 
-    class Lying(GSubset):
-        @property
-        def measure(self):
-            return Fraction(99)
+    class DropsACoset(InstanceContext):
+        """Levels with one coset fewer, so the layered count sum falls one short of |A|."""
 
-    with pytest.raises(ConsistencyError):
-        layer_cake(Lying(z6, a.elements), q)
+        def levels(self, x):
+            (n, level), *rest = super().levels(x)
+            kept = sorted(level.elements, key=q.quotient.element_key)[1:]
+            return [(n, q.coset_subset(kept)), *rest]
+
+    monkeypatch.setattr(doubling.fibers, "InstanceContext", DropsACoset)
+    with pytest.raises(ConsistencyError, match="layer-cake identity failed") as info:
+        layer_cake(a, q)
+    assert info.value.payload == {"lhs": "2/1", "rhs": "1/1", "subset": [0, 1]}
