@@ -23,7 +23,7 @@ from .constructions import (
 )
 from .context import InstanceContext
 from .errors import ConsistencyError, SpecError
-from .extract import certify, threshold_trace
+from .extract import certify, threshold_trace, with_b
 from .groups import WeightedGroup
 from .harness import (
     ALL_SUITES,
@@ -176,8 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--subgroup-weight", default="counting", choices=["counting", "normalized"])
     v.add_argument("--max-subset-size", type=int, default=None)
     v.add_argument("--symmetric-only", action="store_true")
-    v.add_argument("--trials", type=int, default=200, help="random trials when too big to exhaust")
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--trials", type=int, help="random trials when too big to exhaust (default 200)")
+    v.add_argument("--seed", type=int, help="seed of the random trials (default 0)")
     v.add_argument("--alphas", default="3/2,2,3")
     v.add_argument("-j", "--parallelism", type=_jobs_arg, default=None)
     _add_common(v)
@@ -234,6 +234,9 @@ def _cmd_verify(args) -> int:
     if group.order is None:
         raise SpecError("/group", "verify needs a finite group")
     if args.max_subset_size is not None or group.order <= _EXHAUSTIVE_DEFAULT_LIMIT:
+        if args.trials is not None or args.seed is not None:
+            flag = "--trials" if args.trials is not None else "--seed"
+            raise SpecError(flag, "applies to random trials only, and this group is scanned exhaustively")
         subset_mode: dict = {"kind": "exhaustive"}
         if args.max_subset_size is not None:
             subset_mode["max_size"] = args.max_subset_size
@@ -242,7 +245,8 @@ def _cmd_verify(args) -> int:
     elif args.symmetric_only:
         raise SpecError("--symmetric-only", f"needs |G| <= {_EXHAUSTIVE_DEFAULT_LIMIT} or --max-subset-size")
     else:
-        subset_mode = {"kind": "random", "count": args.trials, "seed": args.seed}
+        subset_mode = {"kind": "random", "count": 200 if args.trials is None else args.trials,
+                       "seed": args.seed or 0}
     try:
         config = ScanConfig(
             [gspec], subset_mode, suites, subgroup_weight=args.subgroup_weight,
@@ -308,7 +312,7 @@ def _cmd_extract(args) -> int:
     status = 0
     for alpha in alphas:
         try:
-            entry = certify(ctx, alpha).to_json(include_elements=True)
+            entry = with_b(ctx, certify(ctx, alpha)).to_json(include_elements=True)
             entry["pass"] = True
             if args.trace:
                 entry["trace"] = threshold_trace(ctx, alpha)

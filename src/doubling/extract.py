@@ -30,8 +30,8 @@ class ExtractionCertificate(namedtuple(
     """The certified set B for one alpha, held as integers: alpha as
     alpha_num/alpha_den, |A|, |A^2|, the chosen level n (threshold
     s = n * w_H), |B|, |L| and |L L| for its level L, the admissible levels
-    and w_H as weight_num/weight_den, and B itself.  The measures are exact
-    properties."""
+    and w_H as weight_num/weight_den, and B itself (None until `with_b`).
+    The measures are exact properties."""
 
     __slots__ = ()
 
@@ -84,7 +84,7 @@ def _admissible_rows(ctx: InstanceContext, alpha: Fraction) -> list[tuple]:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     if not ctx.a.elements:
         raise ValueError("extraction needs a nonempty subset")
-    size, a2 = len(ctx.a.elements), ctx.square
+    size, a2 = len(ctx.a.elements), ctx.shared.square
     return [
         row for row in ctx.thresholds
         if row[3] * size * alpha.denominator < alpha.numerator * a2 * row[2]
@@ -98,29 +98,28 @@ def admissible_thresholds(a: GSubset, q: QuotientStructure, alpha: Fraction) -> 
 
 
 def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
-    """Build the certified structure set for one alpha.
+    """Certify the structure set for one alpha from the threshold counts; `with_b` adds B.
 
     Prefers the smallest admissible threshold (largest B); if that one missed
     the measure floor, scans upward.  Exhausting the admissible set without a
     valid certificate contradicts the underlying theorem and raises with a
     replay payload.
     """
-    a, q = ctx.a, ctx.q
+    a = ctx.a
     admissible = _admissible_rows(ctx, alpha)
-    w, size = q.subgroup_weight, len(a.elements)
+    w, size = ctx.q.subgroup_weight, len(a.elements)
     if not admissible:
         raise ConsistencyError(
             "no admissible threshold: contradiction with the extraction theorem",
             {"alpha": fmt(alpha), "subset": a.encode()},
         )
     levels = tuple(row[0] for row in admissible)
-    for n, level, level_size, level_square in admissible:
-        b = q.restrict_to_cosets(a, level.elements)
+    for n, _, level_size, level_square, b_size in admissible:
         # mu(B) > (alpha-1)/alpha * mu(A), cross-multiplied
-        if len(b.elements) * alpha.numerator > (alpha.numerator - alpha.denominator) * size:
+        if b_size * alpha.numerator > (alpha.numerator - alpha.denominator) * size:
             return ExtractionCertificate(
-                alpha.numerator, alpha.denominator, size, ctx.square, n, len(b.elements),
-                level_size, level_square, levels, w.numerator, w.denominator, b,
+                alpha.numerator, alpha.denominator, size, ctx.shared.square, n, b_size,
+                level_size, level_square, levels, w.numerator, w.denominator, None,
             )
     raise ConsistencyError(
         "no admissible threshold satisfies the measure bound: implementation bug",
@@ -128,19 +127,26 @@ def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
     )
 
 
+def with_b(ctx: InstanceContext, cert: ExtractionCertificate) -> ExtractionCertificate:
+    """`cert` with B itself: A meet the preimage of its chosen level."""
+    level = next(lv for n, lv, *_ in ctx.thresholds if n == cert.chosen_n)
+    return cert._replace(B=ctx.q.restrict_to_cosets(ctx.a, level.elements))
+
+
 def extract_subset(a: GSubset, q: QuotientStructure, alpha: Fraction) -> ExtractionCertificate:
-    """Build the certified structure set for one alpha; see `certify`."""
-    return certify(InstanceContext(a, q), Fraction(alpha))
+    """Build the certified structure set for one alpha, B included; see `certify`."""
+    ctx = InstanceContext(a, q)
+    return with_b(ctx, certify(ctx, Fraction(alpha)))
 
 
 def threshold_trace(ctx: InstanceContext, alpha: Fraction) -> list[str]:
     """One human-readable line per row of the threshold table `certify` reads."""
     admissible = {row[0] for row in _admissible_rows(ctx, alpha)}
     w_h, w_q = ctx.q.subgroup_weight, ctx.q.quotient_weight
-    k = Fraction(ctx.square, len(ctx.a.elements))
+    k = Fraction(ctx.shared.square, len(ctx.a.elements))
     return [
         f"s={fmt(n * w_h)}: mu_Q(level^2)={fmt(square * w_q)} "
         f"vs alpha*K*mu_Q(level)={fmt(alpha * k * size * w_q)} -> "
         + ("admissible" if n in admissible else "rejected")
-        for n, _, size, square in ctx.thresholds
+        for n, _, size, square, _ in ctx.thresholds
     ]

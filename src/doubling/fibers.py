@@ -70,13 +70,13 @@ def fiber_profile(a: GSubset, q: QuotientStructure) -> FiberProfile:
 def level_family(profile: FiberProfile) -> LevelFamily:
     levels = InstanceContext(profile.source, profile.quotient).levels(profile.source)
     w = profile.quotient.subgroup_weight
-    return LevelFamily(tuple(n * w for n, _ in levels), tuple(lv for _, lv in levels))
+    return LevelFamily(tuple(n * w for n, _, _ in levels), tuple(lv for _, lv, _ in levels))
 
 
 def _layered(levels, size_at) -> int:
     """Sum over levels of (n - previous n) * size_at(level)."""
     total = prev = 0
-    for n, level in levels:
+    for n, level, _ in levels:
         total, prev = total + (n - prev) * size_at(level), n
     return total
 
@@ -145,7 +145,7 @@ def check_containment(ctx: InstanceContext, b: GSubset) -> bool:
     """Each coset of pi(A) * level_n(B) meets AB in at least n elements; mirrored for BA."""
     a, pi_a = ctx.a, ctx.pi_a
     ab, ba = ctx.fibers(ctx.mul(a, b)), ctx.fibers(ctx.mul(b, a))
-    for n, level in ctx.levels(b):
+    for n, level, _ in ctx.levels(b):
         if any(ab[c] < n for c in ctx.mul(pi_a, level).elements):
             return False
         if any(ba[c] < n for c in ctx.mul(level, pi_a).elements):

@@ -4,9 +4,9 @@ An instance is one replayable triple (group spec, normal subgroup, subset),
 optionally with partner subsets and translators for the pair/triple suites.
 Its id IS its spec: the canonical JSON string.  Evaluation is a pure function
 of the id, so reports replay exactly, and a scan commits to its full instance
-list before any evaluation starts; with parallelism > 1 the same list is
-mapped over a process pool in order, which keeps every artifact byte-stable
-across worker counts.
+list before any evaluation starts; with parallelism > 1 forked workers read
+the same list by index and the pool returns the reports in order, which keeps
+every artifact byte-stable across worker counts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from random import Random
 
-from .context import InstanceContext
+from .context import InstanceContext, SubsetContext
 from .errors import CapError, ConsistencyError, SpecError
 from .extract import certify
 from .fibers import check_containment, check_layer_cake, check_spillover
@@ -27,7 +27,7 @@ from .groups import WeightedGroup, build_group, quaternion_table
 from .metrics import check_quotient_bound, ruzsa_axioms, stats_of
 from .quotients import QuotientStructure, normal_subgroups, quotient_from_description
 from .rationals import fmt, parse, put, split
-from .sets import GSubset, decode_elements, inv_set, mul_set
+from .sets import GSubset, decode_elements
 
 DEFAULT_ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(3))
 EXHAUSTIVE_ORDER_CAP = 16
@@ -36,14 +36,14 @@ TOP_WITNESSES = 10
 
 # -- the suite table ------------------------------------------------------------
 #
-# Each suite maps (context, alphas, translators) to (record, violations): its
-# result record and the details of the statements it found violated, in order
-# (None when it skipped).  `_fold_aggregate` alone decides "passed": ran with
+# Each suite maps (context, alphas) to (record, violations): its result record
+# and the details of the statements it found violated, in order (None when it
+# skipped).  `_fold_aggregate` alone decides "passed": ran with
 # no violations.  The checks return verdicts and never raise; only the public
 # wrappers (`layer_cake`, `spillover_check`, ...) do.  A record holds integers,
 # bools and strings, has the same keys whether its check held or not, and
 # writes the suite's fragment with `to_json()`.  `alphas` holds the id's
-# alphas as (text as written, parsed); `translators` is a pair or None.
+# alphas as (text as written, parsed).
 
 
 class Fragment(namedtuple("Fragment", "flags ratios")):
@@ -79,36 +79,39 @@ def _measures(ctx: InstanceContext, **counts: int) -> tuple:
     return tuple((key, count * wn, wd) for key, count in counts.items())
 
 
-def _layer_cake_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
+def _layer_cake_suite(ctx: InstanceContext, alphas: list) -> tuple:
     holds, size, layered = check_layer_cake(ctx)
     record = Fragment((("pass", holds),), _measures(ctx, lhs=size, rhs=layered))
     return record, [] if holds else ["layer-cake identity failed"]
 
 
-def _spillover_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
+def _spillover_suite(ctx: InstanceContext, alphas: list) -> tuple:
     holds, ab, ba, left, right = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
     ratios = _measures(ctx, lhs_left=ab, lhs_right=ba, rhs_left=left, rhs_right=right)
     return Fragment((("pass", holds),), ratios), [] if holds else ["spillover inequality failed"]
 
 
-def _containment_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
+def _containment_suite(ctx: InstanceContext, alphas: list) -> tuple:
     ok = check_containment(ctx, ctx.b if ctx.b is not None else ctx.a)
     return Fragment((("pass", ok),), ()), [] if ok else ["superlevel containment failed"]
 
 
-def _ruzsa_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
-    b = ctx.b if ctx.b is not None else ctx.inv_a
-    c = ctx.c if ctx.c is not None else ctx.mul(ctx.a, ctx.a)
-    flags = ruzsa_axioms(ctx, b, c, translators)
-    ok = all(flags.values())
-    size, d = len(ctx.a.elements), ctx.diff_size(ctx.a, ctx.a)
-    record = Fragment((*flags.items(), ("pass", ok)), (("value_aa", d * d, size * size),))
-    return record, [] if ok else ["a distance axiom failed"]
+def _ruzsa_suite(ctx: InstanceContext, alphas: list) -> tuple:
+    if ctx.shared.ruzsa is None:  # reads A, B and C alone: once per subset layer, on a scratch copy
+        s = ctx.shared.scratch()
+        b = s.b if s.b is not None else s.inv(s.a)
+        c = s.c if s.c is not None else s.mul(s.a, s.a)
+        flags = ruzsa_axioms(s, b, c, s.translators)
+        ok = all(flags.values())
+        size, d = len(s.a.elements), s.diff_size(s.a, s.a)
+        record = Fragment((*flags.items(), ("pass", ok)), (("value_aa", d * d, size * size),))
+        ctx.shared.ruzsa = record, [] if ok else ["a distance axiom failed"]
+    return ctx.shared.ruzsa
 
 
 def _quotient_suite(variant: str):
-    def run(ctx: InstanceContext, alphas: list, translators) -> tuple:
-        if variant == "symmetric" and not ctx.symmetric:
+    def run(ctx: InstanceContext, alphas: list) -> tuple:
+        if variant == "symmetric" and not ctx.shared.symmetric:
             return Fragment((("skipped", "subset is not symmetric"),), ()), None
         check = check_quotient_bound(ctx, variant)
         return check, [] if check.passed else [f"quotient doubling exceeded the {variant} bound"]
@@ -116,11 +119,11 @@ def _quotient_suite(variant: str):
     return run
 
 
-def _extract_suite(ctx: InstanceContext, alphas: list, translators) -> tuple:
+def _extract_suite(ctx: InstanceContext, alphas: list) -> tuple:
     certificates, failed = [], []
     for alpha_s, alpha in alphas:
         try:
-            certificates.append((alpha_s, certify(ctx, alpha)._replace(B=None)))
+            certificates.append((alpha_s, certify(ctx, alpha)))
         except ConsistencyError:
             certificates.append((alpha_s, None))
             failed.append(f"extraction failed at alpha={alpha_s}")
@@ -340,35 +343,22 @@ def _check_subset_mode(mode) -> dict:
 # -- instance generation -------------------------------------------------------
 
 
-def _sample_nonempty(rng: Random, pool: list, density) -> list:
+def _sample_subset(rng: Random, group: WeightedGroup, pool: list, density) -> GSubset:
     if isinstance(density, dict):
         k = max(1, min(density["size"], len(pool)))
         remaining = list(pool)
-        return [remaining.pop(rng.randrange(len(remaining))) for _ in range(k)]
+        return GSubset(group, frozenset([remaining.pop(rng.randrange(len(remaining))) for _ in range(k)]))
     threshold = 0.25 if density == "1/4" else 0.5
     while True:
         out = [x for x in pool if rng.random() < threshold]
         if out:
-            return out
+            return GSubset(group, frozenset(out))
 
 
 def _density_for(trial: int, density, pool_size: int):
     if density != "mixed":
         return density
     return ("1/4", "1/2", {"size": max(1, pool_size // 2)})[trial % 3]
-
-
-def _inverse_orbits(group: WeightedGroup, elems: list) -> list[tuple]:
-    seen: set = set()
-    orbits: list[tuple] = []
-    for x in elems:
-        if x in seen:
-            continue
-        y = group.inv(x)
-        orbit = (x,) if y == x else (x, y)
-        seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
 
 
 def _needs_partner(suites: Iterable[str]) -> bool:
@@ -378,8 +368,10 @@ def _needs_partner(suites: Iterable[str]) -> bool:
 def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[str]:
     """The full deterministic instance list (ids) for a scan.
 
-    With `built`, also appends per id what `evaluate_instance` needs to skip
-    parsing it: (spec, alphas, group JSON, subgroup JSON)."""
+    With `built`, also appends per id the (subset layer, group JSON,
+    subgroup JSON, suites, alphas) that `evaluate_instance` reads in its
+    place.  An exhaustive scan builds a group's subset layers once, for all
+    its normal subgroups; a random scan samples a fresh layer per instance."""
     mode = config.subset_mode
     rng = Random(mode["seed"]) if mode["kind"] == "random" else None
     alphas = list(zip(map(fmt, config.alphas), config.alphas))
@@ -393,94 +385,73 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
         if config.subgroups == "proper":
             subs = [s for s in subs if 1 < len(s.elements) < group.order]
         elems = list(group.elements())
+        # an exhaustive scan's subset layers serve every normal subgroup
+        layers = _exhaustive_layers(group, elems, config) if rng is None and subs else []
         for sub in subs:
-            base = {
-                "group": gspec,
-                "subgroup": {
-                    "elements": sub.encode(),
-                    "weight": config.subgroup_weight,
-                },
-                "suites": list(config.suites),
-            }
+            desc = {"elements": sub.encode(), "weight": config.subgroup_weight}
+            base = {"group": gspec, "subgroup": desc, "suites": list(config.suites)}
             if "extract" in config.suites:
                 base["alphas"] = [a for a, _ in alphas]
-            if mode["kind"] == "exhaustive":
-                specs = _exhaustive_specs(group, elems, base, config)
-            else:
-                specs = _random_specs(group, elems, base, config, rng)
-            ids.extend(map(canonical_json, specs))
+            if rng is not None:
+                layers = _random_layers(group, elems, config, rng)
+            ids.extend(canonical_json({**base, **fields}) for fields, _ in layers)
             if built is not None:
-                keys = (alphas, group_json, canonical_json(base["subgroup"]))
-                built.extend((spec, *keys) for spec in specs)
+                keys = (group_json, canonical_json(desc), config.suites, alphas)
+                built.extend((shared, *keys) for _, shared in layers)
     return ids
 
 
-def _finish_exhaustive(group: WeightedGroup, base: dict, members: list, config: ScanConfig) -> dict:
-    spec = dict(base)
-    subs = GSubset(group, frozenset(members))
-    spec["subset"] = subs.encode()
+def _id_fields(shared: SubsetContext) -> tuple[dict, SubsetContext]:
+    """The id fields that encode a subset layer, with the layer."""
+    pairs = (("subset", shared.a), ("subset_b", shared.b), ("subset_c", shared.c))
+    fields = {key: x.encode() for key, x in pairs if x is not None}
+    if shared.translators is not None:
+        fields["translate"] = [shared.a.owner.encode_element(x) for x in shared.translators]
+    return fields, shared
+
+
+def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> tuple[dict, SubsetContext]:
+    shared = SubsetContext(GSubset(group, frozenset(members)))
     if _needs_partner(config.suites):
         # deterministic partners derived from A itself
-        spec["subset_b"] = inv_set(subs).encode()
+        shared.b = shared.inv(shared.a)
         if "ruzsa-axioms" in config.suites:
-            spec["subset_c"] = mul_set(subs, subs).encode()
-            spec["translate"] = [spec["subset"][0], spec["subset"][-1]]
-    return spec
+            shared.c = shared.mul(shared.a, shared.a)
+            order = shared.a.sorted_elements()
+            shared.translators = (order[0], order[-1])
+    return _id_fields(shared)
 
 
-def _exhaustive_specs(
-    group: WeightedGroup, elems: list, base: dict, config: ScanConfig
-) -> list[dict]:
+def _exhaustive_layers(group: WeightedGroup, elems: list, config: ScanConfig) -> list[tuple]:
     mode = config.subset_mode
-    max_size = mode.get("max_size")
-    symmetric_only = bool(mode.get("symmetric_only", False))
-    specs: list[dict] = []
-    if symmetric_only:
-        orbits = _inverse_orbits(group, elems)
-        for mask in range(1, 1 << len(orbits)):
-            members = [x for i, o in enumerate(orbits) if mask >> i & 1 for x in o]
-            if max_size is not None and len(members) > max_size:
-                continue
-            specs.append(_finish_exhaustive(group, base, members, config))
-        return specs
-    if max_size is not None:
-        for size in range(1, min(max_size, len(elems)) + 1):
-            for combo in combinations(elems, size):
-                specs.append(_finish_exhaustive(group, base, list(combo), config))
-        return specs
-    if group.order > EXHAUSTIVE_ORDER_CAP:
-        raise CapError(
-            f"exhaustive mode needs |G| <= {EXHAUSTIVE_ORDER_CAP} or a max_size cap; "
-            f"{group.name} has order {group.order}"
-        )
-    for mask in range(1, 1 << len(elems)):
-        members = [x for i, x in enumerate(elems) if mask >> i & 1]
-        specs.append(_finish_exhaustive(group, base, members, config))
-    return specs
+    max_size, symmetric_only = mode.get("max_size"), mode.get("symmetric_only", False)
+    if max_size is not None and not symmetric_only:
+        members = (combo for size in range(1, min(max_size, len(elems)) + 1)
+                   for combo in combinations(elems, size))
+    elif max_size is None and not symmetric_only and group.order > EXHAUSTIVE_ORDER_CAP:
+        raise CapError(f"exhaustive mode needs |G| <= {EXHAUSTIVE_ORDER_CAP} or a max_size cap; "
+                       f"{group.name} has order {group.order}")
+    else:  # unions of inverse pairs {x, x^-1}, or of single elements, by bit mask
+        units = list(dict.fromkeys(frozenset((x, group.inv(x)) if symmetric_only else (x,)) for x in elems))
+        members = ([x for i, u in enumerate(units) if mask >> i & 1 for x in u]
+                   for mask in range(1, 1 << len(units)))
+        members = (m for m in members if max_size is None or len(m) <= max_size)
+    return [_exhaustive_layer(group, m, config) for m in members]
 
 
-def _random_specs(
-    group: WeightedGroup, elems: list, base: dict, config: ScanConfig, rng: Random
-) -> list[dict]:
+def _random_layers(group: WeightedGroup, elems: list, config: ScanConfig, rng: Random) -> list[tuple]:
     mode = config.subset_mode
-    specs: list[dict] = []
-
-    def sample(density) -> list:
-        return GSubset(group, frozenset(_sample_nonempty(rng, elems, density))).encode()
-
+    layers: list[tuple] = []
     for trial in range(mode["count"]):
         density = _density_for(trial, mode.get("density", "mixed"), len(elems))
-        spec = dict(base)
-        spec["subset"] = sample(density)
+        shared = SubsetContext(_sample_subset(rng, group, elems, density))
         if _needs_partner(config.suites):
-            spec["subset_b"] = sample(density)
+            shared.b = _sample_subset(rng, group, elems, density)
             if "ruzsa-axioms" in config.suites:
-                spec["subset_c"] = sample(density)
-                spec["translate"] = [
-                    group.encode_element(elems[rng.randrange(len(elems))]) for _ in range(2)
-                ]
-        specs.append(spec)
-    return specs
+                shared.c = _sample_subset(rng, group, elems, density)
+                shared.translators = tuple(elems[rng.randrange(len(elems))] for _ in range(2))
+        layers.append(_id_fields(shared))
+    return layers
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -514,8 +485,9 @@ def _decode_elems(group: WeightedGroup, items, path: str) -> GSubset:
 _ID_KEYS = {"group", "subgroup", "subset", "subset_b", "subset_c", "suites", "alphas", "translate"}
 
 
-def _load_id(instance_id: str) -> tuple[dict, list]:
-    """Parse an instance id and check its shape; returns it with its alphas."""
+def _load_id(instance_id: str) -> tuple:
+    """Parse and check an instance id; returns what `evaluate_instance` reads:
+    (a fresh subset layer, group JSON, subgroup JSON, suites, alphas)."""
     try:
         spec = json.loads(instance_id)
     except json.JSONDecodeError as exc:
@@ -534,7 +506,14 @@ def _load_id(instance_id: str) -> tuple[dict, list]:
     translate = spec.get("translate")
     if "translate" in spec and not (isinstance(translate, list) and len(translate) == 2):
         raise SpecError("/translate", "expected exactly two group elements [g, h]")
-    return spec, alphas
+    group_json, subgroup_json = canonical_json(spec["group"]), canonical_json(spec["subgroup"])
+    group = _group_at(group_json, "/group")
+    _quotient(group_json, subgroup_json)  # the subgroup is checked before the subsets
+    a, b, c = (_decode_elems(group, spec[key], f"/{key}") if key in spec else None
+               for key in ("subset", "subset_b", "subset_c"))
+    translators = None if translate is None else tuple(
+        group.decode_element(v, f"/translate/{i}") for i, v in enumerate(translate))
+    return SubsetContext(a, b, c, translators), group_json, subgroup_json, spec.get("suites", []), alphas
 
 
 class InstanceReport(namedtuple(
@@ -573,33 +552,15 @@ def evaluate_instance(instance_id: str, built: tuple | None = None) -> InstanceR
     """Recompute the results for one instance id (pure, replayable).
 
     Without `built` the id is parsed and validated first, as `replay` needs.
-    `scan` passes `built`, the (spec, alphas, group JSON, subgroup JSON) that
-    `iter_instance_specs` made the id from, so its own ids are not re-parsed."""
-    if built is None:
-        spec, alphas = _load_id(instance_id)
-        group_json, subgroup_json = canonical_json(spec["group"]), canonical_json(spec["subgroup"])
-    else:
-        spec, alphas, group_json, subgroup_json = built
-    group = _group_at(group_json, "/group")
-    q = _quotient(group_json, subgroup_json)
-    a, b, c = (
-        _decode_elems(group, spec[key], f"/{key}") if key in spec else None
-        for key in ("subset", "subset_b", "subset_c")
-    )
-    translators = None
-    if "translate" in spec:
-        translators = tuple(
-            group.decode_element(v, f"/translate/{i}") for i, v in enumerate(spec["translate"])
-        )
-    ctx = InstanceContext(a, q, b, c)
-    stats = stats_of(ctx)
-    suites = tuple(
-        (name, *SUITES[name](ctx, alphas, translators)) for name in spec.get("suites", [])
-    )
-    return InstanceReport(
-        instance_id, group.order, len(q.subgroup.elements), stats,
-        len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a), suites,
-    )
+    `scan` passes `built`, what `iter_instance_specs` made the id from, so it
+    decodes nothing; the layer may already hold what the instances of other
+    normal subgroups computed."""
+    shared, group_json, subgroup_json, suites, alphas = _load_id(instance_id) if built is None else built
+    ctx = InstanceContext(shared, _quotient(group_json, subgroup_json))
+    stats = stats_of(shared)
+    records = tuple((name, *SUITES[name](ctx, alphas)) for name in suites)
+    return InstanceReport(instance_id, ctx.q.ambient.order, len(ctx.q.subgroup.elements), stats,
+                          len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a), records)
 
 
 # -- aggregation and the scan itself --------------------------------------------
@@ -672,22 +633,35 @@ def _fold_aggregate(reports: Iterable[InstanceReport], written: list[dict] | Non
     }
 
 
+def _adopt(ids: list, built: list) -> None:
+    """Keep a parallel scan's jobs in a forked worker, which inherits them unpickled."""
+    global _JOBS
+    _JOBS = ids, built
+
+
+def _evaluate_at(i: int) -> InstanceReport:
+    ids, built = _JOBS
+    return evaluate_instance(ids[i], built[i])
+
+
 def scan(config: ScanConfig) -> dict:
     """Run every suite on every instance; aggregate deterministically.
 
     Each instance goes through the module-level `evaluate_instance`, so a
     wrapper installed there sees every one, at any worker count."""
     built: list = []
-    jobs = list(zip(iter_instance_specs(config, built), built))
-    if config.parallelism > 1 and len(jobs) > 1:
+    ids = iter_instance_specs(config, built)
+    if config.parallelism > 1 and len(ids) > 1:
         from multiprocessing import get_context
 
-        chunk = max(1, len(jobs) // (config.parallelism * 8))
-        with get_context("fork").Pool(config.parallelism) as pool:
-            reports = pool.starmap(evaluate_instance, jobs, chunksize=chunk)
+        chunk = max(1, len(ids) // (config.parallelism * 8))
+        with get_context("fork").Pool(config.parallelism, _adopt, (ids, built)) as pool:
+            reports = pool.map(_evaluate_at, range(len(ids)), chunk)
     else:
-        # folded as they come, so no record outlives its own rendering
-        reports = (evaluate_instance(i, b) for i, b in jobs)
+        # folded as they come, so no record outlives its own rendering; each job
+        # is popped, so a subset layer lives until its last instance is done
+        built.reverse()
+        reports = (evaluate_instance(i, built.pop()) for i in ids)
     written = [] if config.emit_instances else None
     out = {"config": config.resolved(), "aggregate": _fold_aggregate(reports, written)}
     if written is not None:

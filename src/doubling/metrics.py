@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .context import InstanceContext
+from .context import InstanceContext, SubsetContext
 from .quotients import QuotientStructure, is_subgroup
 from .rationals import put
 from .sets import GSubset, translate
@@ -45,14 +45,14 @@ class DoublingStats(namedtuple("DoublingStats", "size square inv_square symmetri
         return out
 
 
-def stats_of(ctx: InstanceContext) -> DoublingStats:
-    return DoublingStats(len(ctx.a.elements), ctx.square, ctx.inv_square, ctx.symmetric)
+def stats_of(s: SubsetContext) -> DoublingStats:
+    return DoublingStats(len(s.a.elements), s.square, s.inv_square, s.symmetric)
 
 
 def doubling_stats(a: GSubset) -> DoublingStats:
     if not a.elements:
         raise ValueError("doubling constants need a nonempty subset")
-    return stats_of(InstanceContext(a))
+    return stats_of(SubsetContext(a))
 
 
 class RuzsaSq(namedtuple("RuzsaSq", "value")):
@@ -64,7 +64,7 @@ class RuzsaSq(namedtuple("RuzsaSq", "value")):
 def ruzsa_sq(a: GSubset, b: GSubset) -> RuzsaSq:
     if not a.elements or not b.elements:
         raise ValueError("Ruzsa distance needs nonempty subsets")
-    d = InstanceContext(a, b=b).diff_size(a, b)
+    d = SubsetContext(a, b).diff_size(a, b)
     return RuzsaSq(Fraction(d * d, len(a.elements) * len(b.elements)))
 
 
@@ -72,12 +72,12 @@ def ruzsa_sq(a: GSubset, b: GSubset) -> RuzsaSq:
 # cleared: every flag below is a comparison of counts.
 
 
-def ruzsa_triangle(ctx: InstanceContext, a: GSubset, b: GSubset, c: GSubset) -> bool:
+def ruzsa_triangle(ctx: SubsetContext, a: GSubset, b: GSubset, c: GSubset) -> bool:
     """value(A,C) <= value(A,B) * value(B,C); |A| and |C| cancel, leaving |B|."""
     return ctx.diff_size(a, c) * len(b.elements) <= ctx.diff_size(a, b) * ctx.diff_size(b, c)
 
 
-def ruzsa_axioms(ctx: InstanceContext, b: GSubset, c: GSubset, translators=None) -> dict:
+def ruzsa_axioms(ctx: SubsetContext, b: GSubset, c: GSubset, translators=None) -> dict:
     """The axiom flags for A, B, C, and for (gA, hB) when translators (g, h) are given."""
     a = ctx.a
     flags = {
@@ -95,7 +95,7 @@ def ruzsa_axioms(ctx: InstanceContext, b: GSubset, c: GSubset, translators=None)
 
 def ruzsa_triangle_check(a: GSubset, b: GSubset, c: GSubset) -> bool:
     """value(A,C) <= value(A,B) * value(B,C), the triangle inequality squared."""
-    return ruzsa_triangle(InstanceContext(a, b=b, c=c), a, b, c)
+    return ruzsa_triangle(SubsetContext(a, b, c), a, b, c)
 
 
 class QuotientDoublingCheck(namedtuple(
@@ -144,13 +144,13 @@ class QuotientDoublingCheck(namedtuple(
 def check_quotient_bound(ctx: InstanceContext, variant: str) -> QuotientDoublingCheck:
     """|piA^2| <= bound * |piA| with the bound as an integer ratio; uniform
     weights cancel on both sides.  A False flag is recorded, never raised."""
-    a, a2 = len(ctx.a.elements), ctx.square
+    a, a2 = len(ctx.a.elements), ctx.shared.square
     if variant == "symmetric":
         num, den = a2 * a2, a * a
     elif variant == "cube":
         num, den = a2 * a2 * a2, a * a * a
     else:
-        num, den = a2 * ctx.inv_square, a * a
+        num, den = a2 * ctx.shared.inv_square, a * a
     p, p2 = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a)
     w = ctx.q.quotient_weight
     return QuotientDoublingCheck(variant, p, p2, num, den, w.numerator, w.denominator, p2 * den <= num * p)
@@ -173,7 +173,7 @@ def quotient_doubling_check(
     if not a.elements:
         raise ValueError("quotient doubling needs a nonempty subset")
     ctx = InstanceContext(a, q)
-    if variant == "symmetric" and not ctx.symmetric:
+    if variant == "symmetric" and not ctx.shared.symmetric:
         raise ValueError('variant "symmetric" needs a symmetric subset')
     return check_quotient_bound(ctx, variant)
 

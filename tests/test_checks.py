@@ -1,10 +1,11 @@
 """Each theorem check at its boundary, and the mutants those boundaries kill.
 
 A check compares integer counts.  The boundary tests set the counts through
-`Rigged`, an `InstanceContext` whose product sizes, Ruzsa counts, AB fibers,
-levels or threshold rows the test chooses: equal sides pass, and a side one
-count too large fails (for the strict extraction inequalities, equal sides
-fail and one count more passes).  `test_each_mutant_fails_a_boundary_test`
+`Rigged`, an `InstanceContext` whose product sizes, AB fibers, levels or
+threshold rows (|B| included) the test chooses, and `RiggedLayer`, a
+`SubsetContext` whose Ruzsa counts it chooses: equal sides pass, and a side
+one count too large fails (for the strict extraction inequalities, equal
+sides fail and one count more passes).  `test_each_mutant_fails_a_boundary_test`
 disables or loosens each check in turn and asserts that its boundary test
 then fails.
 """
@@ -20,7 +21,7 @@ import doubling.fibers as fibers
 import doubling.harness as harness
 import doubling.metrics as metrics
 from doubling import ConsistencyError, CyclicGroup, quotient, subset
-from doubling.context import InstanceContext
+from doubling.context import InstanceContext, SubsetContext
 
 Z12 = CyclicGroup(12)
 Q = quotient(Z12, {0, 6})  # Z12 / {0, 6}, a cyclic quotient of order 6
@@ -33,24 +34,19 @@ def _key(x, y=None):
 class Rigged(InstanceContext):
     """An InstanceContext with some counts set by the test.
 
-    `sizes` maps (X, Y) to |XY| and `diffs` maps (X, Y) to |XY^-1|; `ab`
-    replaces the fibers of AB alone (not of BA); `levels_of` maps X to its
-    levels; `rows` replaces A's threshold rows."""
+    `sizes` maps (X, Y) to |XY|; `ab` replaces the fibers of AB alone (not
+    of BA); `levels_of` maps X to its levels; `rows` replaces A's threshold
+    rows."""
 
-    def __init__(self, a, q=Q, b=None, c=None, sizes=(), diffs=(), ab=None, levels_of=(), rows=None):
-        super().__init__(a, q, b, c)
+    def __init__(self, a, q=Q, b=None, sizes=(), ab=None, levels_of=(), rows=None):
+        super().__init__(a, q, b)
         self.sizes = {_key(*xy): n for xy, n in dict(sizes).items()}
-        self.diffs = {_key(*xy): n for xy, n in dict(diffs).items()}
         self.levels_of = {_key(x): lv for x, lv in dict(levels_of).items()}
         self.ab, self.rows = ab, rows
 
     def size(self, x, y):
         n = self.sizes.get(_key(x, y))
         return super().size(x, y) if n is None else n
-
-    def diff_size(self, x, y):
-        n = self.diffs.get(_key(x, y))
-        return super().diff_size(x, y) if n is None else n
 
     def fibers(self, x):
         if self.ab is not None and x is self.mul(self.a, self.b):
@@ -66,13 +62,25 @@ class Rigged(InstanceContext):
         return self.rows if self.rows is not None else super().thresholds
 
 
+class RiggedLayer(SubsetContext):
+    """A SubsetContext whose |XY^-1| the test sets: `diffs` maps (X, Y) to it."""
+
+    def __init__(self, a, b=None, c=None, diffs=()):
+        super().__init__(a, b, c)
+        self.diffs = {_key(*xy): n for xy, n in dict(diffs).items()}
+
+    def diff_size(self, x, y):
+        n = self.diffs.get(_key(x, y))
+        return super().diff_size(x, y) if n is None else n
+
+
 # -- layer cake: |A| == the layered count sum -------------------------------------
 
 A_LC = subset(Z12, {0, 1, 2})  # one element in each of three cosets: one level
 
 
 def _levels_with(cosets):
-    return [(1, Q.coset_subset(cosets))]
+    return [(1, Q.coset_subset(cosets), len(cosets))]
 
 
 def test_layer_cake_boundary():
@@ -89,10 +97,10 @@ def test_layer_cake_boundary():
 
 def test_layer_cake_suite_reports_a_failure_with_the_passing_keys():
     cosets = sorted(InstanceContext(A_LC, Q).pi_a.elements)
-    record, violations = harness._layer_cake_suite(Rigged(A_LC), [], None)
+    record, violations = harness._layer_cake_suite(Rigged(A_LC), [])
     assert violations == [] and record.to_json()["pass"] is True
     short = Rigged(A_LC, levels_of={A_LC: _levels_with(cosets[1:])})
-    failed, violations = harness._layer_cake_suite(short, [], None)
+    failed, violations = harness._layer_cake_suite(short, [])
     assert violations == ["layer-cake identity failed"]
     assert failed.to_json() == {**record.to_json(), "pass": False, "rhs": "2/1", "rhs_dec": 2.0}
 
@@ -112,10 +120,10 @@ def test_spillover_boundary():
 
 
 def test_spillover_suite_and_wrapper_report_a_failure(monkeypatch):
-    record, violations = harness._spillover_suite(Rigged(A_SP, b=B_SP), [], None)
+    record, violations = harness._spillover_suite(Rigged(A_SP, b=B_SP), [])
     assert violations == [] and record.to_json()["pass"] is True
     low = Rigged(A_SP, b=B_SP, sizes={(A_SP, B_SP): 5})
-    failed, violations = harness._spillover_suite(low, [], None)
+    failed, violations = harness._spillover_suite(low, [])
     assert violations == ["spillover inequality failed"]
     assert failed.to_json() == {**record.to_json(), "pass": False, "lhs_left": "5/1", "lhs_left_dec": 5.0}
 
@@ -135,7 +143,7 @@ def _tight_ab(ctx):
     """The least AB fibers the check accepts: per coset, the largest n whose
     product pi(A) level_n(B) holds it."""
     out = Counter()
-    for n, level in ctx.levels(ctx.b):
+    for n, level, _ in ctx.levels(ctx.b):
         for c in ctx.mul(ctx.pi_a, level).elements:
             out[c] = n
     return out
@@ -156,8 +164,8 @@ def test_containment_boundary():
 
 def test_containment_suite_reports_a_failure():
     equal, short = _containment_contexts()
-    assert harness._containment_suite(equal, [], None)[1] == []
-    record, violations = harness._containment_suite(short, [], None)
+    assert harness._containment_suite(equal, [])[1] == []
+    record, violations = harness._containment_suite(short, [])
     assert violations == ["superlevel containment failed"] and record.to_json() == {"pass": False}
 
 
@@ -168,7 +176,7 @@ A_R, B_R, C_R = subset(Z12, {0, 1}), subset(Z12, {0, 2}), subset(Z12, {0, 3})
 
 def _triangle(d_ac):
     # |A C^-1| |B| against |A B^-1| |B C^-1| = 2 * 5
-    ctx = Rigged(A_R, b=B_R, c=C_R, diffs={(A_R, B_R): 2, (B_R, C_R): 5, (A_R, C_R): d_ac})
+    ctx = RiggedLayer(A_R, B_R, C_R, diffs={(A_R, B_R): 2, (B_R, C_R): 5, (A_R, C_R): d_ac})
     return metrics.ruzsa_triangle(ctx, A_R, B_R, C_R)
 
 
@@ -178,7 +186,7 @@ def test_ruzsa_triangle_boundary():
 
 
 def _self_flag(d_aa):
-    return metrics.ruzsa_axioms(Rigged(A_R, b=B_R, c=C_R, diffs={(A_R, A_R): d_aa}), B_R, C_R)
+    return metrics.ruzsa_axioms(RiggedLayer(A_R, B_R, C_R, diffs={(A_R, A_R): d_aa}), B_R, C_R)
 
 
 def test_ruzsa_self_distance_boundary():
@@ -186,14 +194,29 @@ def test_ruzsa_self_distance_boundary():
     assert _self_flag(1)["self_at_least_one"] is False
 
 
-def test_ruzsa_suite_reports_a_failure():
+def _ruzsa_layer(d_aa):
     # A = {0, 1} and its partners B = A^-1, C = A^2 as an exhaustive scan makes them
     a, b, c = subset(Z12, {0, 1}), subset(Z12, {0, 11}), subset(Z12, {0, 1, 2})
-    record, violations = harness._ruzsa_suite(Rigged(a, b=b, c=c, diffs={(a, a): 2}), [], None)
+    return RiggedLayer(a, b, c, diffs={(a, a): d_aa})
+
+
+def test_ruzsa_suite_reports_a_failure():
+    record, violations = harness._ruzsa_suite(InstanceContext(_ruzsa_layer(2), Q), [])
     assert violations == [] and record.to_json()["pass"] is True
-    record, violations = harness._ruzsa_suite(Rigged(a, b=b, c=c, diffs={(a, a): 1}), [], None)
+    record, violations = harness._ruzsa_suite(InstanceContext(_ruzsa_layer(1), Q), [])
     assert violations == ["a distance axiom failed"]
     assert record.to_json()["self_at_least_one"] is False and record.to_json()["pass"] is False
+
+
+def test_ruzsa_suite_keeps_one_record_per_subset_layer(monkeypatch):
+    shared, runs = _ruzsa_layer(2), []
+    axioms = metrics.ruzsa_axioms
+    monkeypatch.setattr(harness, "ruzsa_axioms", lambda s, *args: runs.append(s) or axioms(s, *args))
+    records = [harness._ruzsa_suite(InstanceContext(shared, quotient(Z12, sub)), [])
+               for sub in ({0, 6}, {0, 4, 8}, {0})]
+    # one run, on a scratch copy: the layer keeps the record and none of its sets
+    assert len(runs) == 1 and runs[0] is not shared and all(r is shared.ruzsa for r in records)
+    assert shared._products == {} and shared._inverses == {}
 
 
 # -- quotient doubling: |piA^2| <= bound * |piA| ---------------------------------------
@@ -213,7 +236,7 @@ def test_quotient_bound_boundary(variant):
 
 def test_quotient_suite_reports_a_failure():
     pi_a = InstanceContext(A_SUB, Q).pi_a
-    record, violations = harness.SUITES["quotient-cube"](Rigged(A_SUB, sizes={(pi_a, pi_a): 4}), [], None)
+    record, violations = harness.SUITES["quotient-cube"](Rigged(A_SUB, sizes={(pi_a, pi_a): 4}), [])
     assert violations == ["quotient doubling exceeded the cube bound"] and record.to_json()["pass"] is False
 
 
@@ -224,8 +247,9 @@ TWO = Fraction(2)
 
 
 def _row(n_cosets, square):
+    # one element of A_EX per coset, so |B| = n_cosets
     cosets = sorted(InstanceContext(A_EX, Q).pi_a.elements)[:n_cosets]
-    return (1, Q.coset_subset(cosets), n_cosets, square)
+    return (1, Q.coset_subset(cosets), n_cosets, square, n_cosets)
 
 
 def test_admissible_filter_boundary():
@@ -244,7 +268,7 @@ def test_extraction_floor_boundary():
 
 
 def test_extract_suite_counts_a_failed_alpha():
-    record, violations = harness._extract_suite(Rigged(A_EX, rows=[_row(2, 1)]), [("2", TWO)], None)
+    record, violations = harness._extract_suite(Rigged(A_EX, rows=[_row(2, 1)]), [("2", TWO)])
     assert violations == ["extraction failed at alpha=2"] and record.to_json() == {"2": {"pass": False}}
     rep = harness.InstanceReport("x", 12, 2, metrics.DoublingStats(4, 7, 7, False), 4, 7,
                                  (("extract", record, violations),))
@@ -268,7 +292,7 @@ MUTANTS = [
      lambda: [test_quotient_bound_boundary(v) for v in metrics.VARIANTS]),
     (metrics, "check_quotient_bound", "p2 * den <= num * p", "p2 * den <= 2 * num * p",
      lambda: [test_quotient_bound_boundary(v) for v in metrics.VARIANTS]),
-    (extract, "certify", "len(b.elements) * alpha.numerator > (alpha.numerator - alpha.denominator) * size",
+    (extract, "certify", "b_size * alpha.numerator > (alpha.numerator - alpha.denominator) * size",
      "True", test_extraction_floor_boundary),
     (extract, "_admissible_rows", "row[3] * size * alpha.denominator < alpha.numerator * a2 * row[2]",
      "True", test_admissible_filter_boundary),

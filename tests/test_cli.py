@@ -369,6 +369,9 @@ def _replay_id(**change):
          "--symmetric-only"),
         (["verify", "--group", "cyclic:4", "--max-subset-size", "0"], "--max-subset-size"),
         (["verify", "--group", "cyclic:14", "--trials", "0"], "--trials"),
+        (["verify", "--group", "cyclic:4", "--trials", "0", "--seed", "5"], "--trials"),
+        (["verify", "--group", "cyclic:4", "--seed", "5"], "--seed"),
+        (["verify", "--group", "cyclic:14", "--max-subset-size", "1", "--trials", "1"], "--trials"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -451,7 +454,7 @@ def test_indented_json_leaves_other_types_to_json():
         assert _dumped(indented_json, doc) == expected
 
 
-def _failing_containment(ctx, alphas, translators):
+def _failing_containment(ctx, alphas):
     from doubling.harness import Fragment
 
     return Fragment((("pass", False),), ()), ["superlevel containment failed"]

@@ -33,12 +33,14 @@ from doubling import (
     quotient,
     quotient_doubling_check,
     ruzsa_sq,
+    scan,
     ruzsa_triangle_check,
     spillover_check,
     subset,
     translate,
 )
 from doubling.context import InstanceContext
+from doubling.harness import _load_id
 from doubling.quotients import quotient_from_description
 from doubling.rationals import parse, put
 
@@ -171,6 +173,47 @@ def test_no_inverse_set_is_computed_twice_per_instance(ids, monkeypatch):
         calls.clear()
         evaluate_instance(instance_id)
         assert len(calls) == len(set(calls)), instance_id
+
+
+def test_g_level_products_do_not_scale_with_the_normal_subgroups(monkeypatch):
+    # an exhaustive scan forms each G-level product once per subset, in the
+    # subset layer every normal subgroup's instance shares
+    owners = record_calls(monkeypatch, "mul_set", lambda x, y: x.owner)
+    g_level, instances = {}, {}
+    for subgroups in ("all", "proper"):
+        owners.clear()
+        report = scan(ScanConfig(["dihedral:4"], {"kind": "exhaustive"}, subgroups=subgroups))
+        g_level[subgroups] = sum(owner.kind == "dihedral" for owner in owners)
+        instances[subgroups] = report["aggregate"]["instances"]
+    assert instances == {"all": 255 * 6, "proper": 255 * 4}
+    assert g_level["all"] == g_level["proper"] > 0
+
+
+def test_threshold_rows_count_b_as_the_restriction_to_the_level(ids, monkeypatch):
+    restricted = []
+    original = QuotientStructure.restrict_to_cosets
+
+    def recording(self, a, cosets):
+        restricted.append(cosets)
+        return original(self, a, cosets)
+
+    monkeypatch.setattr(QuotientStructure, "restrict_to_cosets", recording)
+    for instance_id in ids:
+        evaluate_instance(instance_id)
+    assert restricted == []  # the extract suite reads |B| from the rows
+    for instance_id in ids[::7]:
+        shared, group_json, subgroup_json, _, _ = _load_id(instance_id)
+        q = quotient_from_description(build_group(json.loads(group_json)), json.loads(subgroup_json))
+        ctx = InstanceContext(shared, q)
+        for n, level, _, _, held in ctx.thresholds:
+            assert held == len(original(q, ctx.a, level.elements).elements)
+    # fibers 3, 2 and 1 in Z12 / {0, 4, 8}: three levels holding 6, 5 and 3 elements
+    z12 = CyclicGroup(12)
+    rows = InstanceContext(subset(z12, {0, 4, 8, 1, 5, 2}), quotient(z12, {0, 4, 8})).thresholds
+    assert [(n, held) for n, *_, held in rows] == [(1, 6), (2, 5), (3, 3)]
+    # extract_subset materializes B once, for the chosen level
+    cert = extract_subset(ctx.a, q, Fraction(2))
+    assert len(restricted) == 1 and cert.b_size == len(cert.B.elements)
 
 
 def test_memo_keys_on_the_owner_group():

@@ -188,9 +188,9 @@ def test_layer_cake_mismatch_raises(z6_mod_h, monkeypatch):
         """Levels with one coset fewer, so the layered count sum falls one short of |A|."""
 
         def levels(self, x):
-            (n, level), *rest = super().levels(x)
+            (n, level, held), *rest = super().levels(x)
             kept = sorted(level.elements, key=q.quotient.element_key)[1:]
-            return [(n, q.coset_subset(kept)), *rest]
+            return [(n, q.coset_subset(kept), held), *rest]
 
     monkeypatch.setattr(doubling.fibers, "InstanceContext", DropsACoset)
     with pytest.raises(ConsistencyError, match="layer-cake identity failed") as info:

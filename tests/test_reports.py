@@ -1,9 +1,11 @@
 """Reports written from integer counts, checked against the Fraction path.
 
 `rationals.put` takes a numerator and a denominator, aggregation and the CSV
-export read "p/q" strings as integers, and `scan` evaluates the specs it
-built without re-parsing its ids.  Each of these fast paths is compared here
-with the plain path: `Fraction` arithmetic, and `replay`'s validating parser.
+export read "p/q" strings as integers, and `scan` evaluates the subset layers
+it built, shared by the normal subgroups of an exhaustive scan, without
+decoding its ids.  Each of these fast paths is compared here with the plain
+path: `Fraction` arithmetic, and `replay`'s validating parser with a fresh
+layer per id.
 """
 
 import pickle
@@ -17,6 +19,7 @@ from doubling import (
     ScanConfig, WeightedGroup, catalog, evaluate_instance, iter_instance_specs,
     parse_group_selector, replay, scan,
 )
+from doubling.cli import indented_json
 from doubling.sets import GSubset
 from doubling.harness import ALL_SUITES, TOP_WITNESSES, InstanceReport, _fold_aggregate, report_csv
 from doubling.metrics import DoublingStats
@@ -24,8 +27,12 @@ from doubling.rationals import fmt, put, shadow
 
 
 def assert_scan_equals_replay(config: ScanConfig) -> None:
+    """Each emitted report equals `replay` of its id, and the artifact has the
+    same bytes at -j 1 and -j 2."""
     report = scan(config)
     assert report["instances"]
+    config.parallelism = 2
+    assert indented_json(scan(config)) == indented_json(report)
     for rep in report["instances"]:
         assert replay(rep["id"]) == rep
 
@@ -95,6 +102,16 @@ def test_exhaustive_all_suite_scan_equals_replay():
 
 def test_catalog_cut_scan_equals_replay():
     groups, mode = CONFIGS["catalog-cut"]
+    assert_scan_equals_replay(ScanConfig(groups, mode, emit_instances=True))
+
+
+def test_random_scan_over_a_catalog_group_and_a_catalog_product_equals_replay():
+    counting = catalog(weights=("counting",), max_product_order=24)
+    groups = [
+        next(g for g in counting if g["type"] == "dihedral" and g["n"] == 4),
+        next(g for g in counting if g["type"] == "product" and g["factors"][1].get("name") == "Q8"),
+    ]
+    mode = {"kind": "random", "count": 3, "seed": 13}
     assert_scan_equals_replay(ScanConfig(groups, mode, emit_instances=True))
 
 
