@@ -140,12 +140,15 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _default_jobs() -> int:
-    """The worker count when -j is absent: DOUBLING_JOBS if set and nonempty,
-    where it must be an integer >= 1 like -j, else 1."""
+def _workers(args, configured: int = 1) -> int:
+    """The worker count of verify and scan: -j if given, else DOUBLING_JOBS if
+    set and nonempty (an integer >= 1 like -j), else `configured`, the scan
+    config's parallelism."""
+    if args.parallelism:
+        return args.parallelism
     env = os.environ.get("DOUBLING_JOBS")
     if not env:
-        return 1
+        return configured
     try:
         return _jobs_arg(env)
     except argparse.ArgumentTypeError as exc:
@@ -220,12 +223,21 @@ def _group_arg(text: str) -> tuple[dict, WeightedGroup]:
     return spec, _group_at(canonical_json(spec), "/group")
 
 
+def _flagged(flags: dict, read, *args, **kwargs):
+    """read(*args, **kwargs); a SpecError at a path in `flags`, or inside one,
+    is re-raised naming the flag that the value came from."""
+    try:
+        return read(*args, **kwargs)
+    except SpecError as exc:
+        flag = next((f for p, f in flags.items() if exc.path == p or exc.path.startswith(p + "/")), None)
+        if flag is None:
+            raise
+        raise SpecError(flag, exc.reason) from None
+
+
 def _alphas_arg(text: str, flag: str) -> tuple[Fraction, ...]:
     """A comma list of rationals > 1; errors name the flag."""
-    try:
-        return parse_alphas(text.split(","))
-    except SpecError as exc:
-        raise SpecError(flag, exc.reason) from None
+    return _flagged({"/alphas": flag}, parse_alphas, text.split(","))
 
 
 def _cmd_verify(args) -> int:
@@ -247,14 +259,11 @@ def _cmd_verify(args) -> int:
     else:
         subset_mode = {"kind": "random", "count": 200 if args.trials is None else args.trials,
                        "seed": args.seed or 0}
-    try:
-        config = ScanConfig(
-            [gspec], subset_mode, suites, subgroup_weight=args.subgroup_weight,
-            alphas=_alphas_arg(args.alphas, "--alphas"), parallelism=args.parallelism or _default_jobs(),
-        )
-    except SpecError as exc:  # name the flag behind a subset_mode field
-        flag = {"/subset_mode/max_size": "--max-subset-size", "/subset_mode/count": "--trials"}
-        raise SpecError(flag.get(exc.path, exc.path), exc.reason) from None
+    flags = {"/subset_mode/max_size": "--max-subset-size", "/subset_mode/count": "--trials"}
+    config = _flagged(
+        flags, ScanConfig, [gspec], subset_mode, suites, subgroup_weight=args.subgroup_weight,
+        alphas=_alphas_arg(args.alphas, "--alphas"), parallelism=_workers(args),
+    )
     report = scan(config)
     _emit(report, args.out)
     return _violation_status(report)
@@ -274,7 +283,8 @@ def _violation_status(report: dict) -> int:
 def _cmd_construct(args) -> int:
     if args.materialize_cap < 0:
         raise SpecError("--materialize-cap", f"expected an integer >= 0, got {args.materialize_cap}")
-    inst = build_sharpness_instance(args.N, args.h, args.m, ("--N", "--h", "--m"))
+    flags = {"/N": "--N", "/h": "--h", "/m": "--m"}
+    inst = _flagged(flags, build_sharpness_instance, args.N, args.h, args.m)
     doc = inst.to_json(materialize_cap=args.materialize_cap)
     keys = ("params", "targets", "measures", "doubling", "quotient_doubling",
             "quotient_doubling_dec")
@@ -326,10 +336,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_scan(args) -> int:
     config = ScanConfig.from_json(_read_json(args.config))
-    if args.parallelism:
-        config.parallelism = args.parallelism
-    elif (jobs := _default_jobs()) > 1:
-        config.parallelism = jobs
+    config.parallelism = _workers(args, config.parallelism)
     if args.csv:
         config.emit_instances = True
     report = scan(config)

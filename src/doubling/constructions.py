@@ -29,10 +29,10 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from .errors import CapError, ConsistencyError, SpecError
+from .errors import CapError, ConsistencyError, SpecError, integer, known_keys
 from .groups import CyclicGroup, MatrixGroup, ProductGroup, WeightedGroup, build_group
 from .metrics import DoublingStats
-from .quotients import QuotientStructure, factor_indices, projection_quotient
+from .quotients import QuotientStructure, projection_quotient
 from .rationals import put
 from .sets import GSubset, decode_subset
 
@@ -91,16 +91,16 @@ def matrix_family_square_count(n: int) -> int:
 
 def _cantor_radix(m: int) -> int:
     """Radix r for C = {-r..r} u rZ_m: sqrt(m) for squares, else the divisor
-    of m minimizing |C| = 2r + m/r - 2 (ties to the smaller r)."""
-    if not isinstance(m, int) or m < 4:
-        raise ValueError(f"modulus must be an integer >= 4, got {m!r}")
+    of m minimizing |C| = 2r + m/r - 2 (ties to the smaller r).  Errors are
+    SpecErrors at "/m"."""
+    integer(m, "/m", least=4)
     root = isqrt(m)
     if root * root == m:
         return root
     # a divisor r > sqrt(m) loses to its cofactor m/r: the sizes differ by r - m/r > 0
     sizes = [(2 * r + m // r - 2, r) for r in range(2, root + 1) if m % r == 0]
     if not sizes:
-        raise ValueError(f"modulus {m} is prime; need a divisor r with 2 <= r <= m/2")
+        raise SpecError("/m", f"modulus {m} is prime; need a divisor r with 2 <= r <= m/2")
     return min(sizes)[1]
 
 
@@ -340,24 +340,18 @@ class SharpnessInstance(namedtuple(
         return out
 
 
-def build_sharpness_instance(
-    n: int, h: int, m: int, names: tuple = ("N", "h", "m")
-) -> SharpnessInstance:
+def build_sharpness_instance(n: int, h: int, m: int) -> SharpnessInstance:
     """Assemble the witness and compute every measure exactly.
 
-    Requires n >= 1, h >= 2, and m admitting a Cantor analog; otherwise
-    raises SpecError at the path that `names` gives for n, h or m.  Product
-    sets never touch more than the (2N+1)^2 reachable matrices, so h and m
-    only enter through exact counts.
+    Requires integers n >= 1, h >= 2, and m admitting a Cantor analog;
+    otherwise raises SpecError at "/N", "/h" or "/m".  Product sets never
+    touch more than the (2N+1)^2 reachable matrices, so h and m only enter
+    through exact counts.
     """
-    for name, value, least in ((names[0], n, 1), (names[1], h, 2)):
-        if not isinstance(value, int) or value < least:
-            raise SpecError(name, f"expected an integer >= {least}, got {value!r}")
+    integer(n, "/N", least=1)
+    integer(h, "/h", least=2)
     cache: dict = {}
-    try:
-        r, cantor = _cantor(m, cache)
-    except ValueError as exc:
-        raise SpecError(names[2], str(exc)) from None
+    r, cantor = _cantor(m, cache)
 
     fam = matrix_family(n)
     blocks: dict = {fam.identity: (True, None)}
@@ -416,18 +410,20 @@ def load_instance(doc: dict, path: str = "") -> tuple[WeightedGroup, GSubset, Qu
     if not isinstance(group, ProductGroup):
         raise SpecError(f"{path}/group", "instance group must be a product")
     a = decode_subset(group, doc["subset"], f"{path}/subset")
-    keep = factor_indices(doc.get("keep"), f"{path}/keep")
-    return group, a, projection_quotient(group, keep)
+    try:
+        return group, a, projection_quotient(group, doc.get("keep"))
+    except SpecError as exc:
+        raise exc.under(path) from None
 
 
 def build_from_reference(ref: dict, path: str = "") -> tuple[WeightedGroup, GSubset, QuotientStructure]:
     """Resolve a subset-spec construction reference into (G, A, Q)."""
     if ref.get("construction") != "sharpness":
         raise SpecError(f"{path}/construction", 'only "sharpness" is defined')
-    extra = set(ref) - {"construction", "N", "h", "m"}
-    if extra:
-        raise SpecError(f"{path}/{sorted(extra)[0]}", "unknown key for construction reference")
-    names = (f"{path}/N", f"{path}/h", f"{path}/m")
-    inst = build_sharpness_instance(ref.get("N"), ref.get("h"), ref.get("m"), names)
+    known_keys(ref, {"construction", "N", "h", "m"}, path)
+    try:
+        inst = build_sharpness_instance(ref.get("N"), ref.get("h"), ref.get("m"))
+    except SpecError as exc:
+        raise exc.under(path) from None
     group = inst.group()
     return group, inst.subset(group), inst.quotient_structure(group)

@@ -14,7 +14,7 @@ from collections import Counter
 from functools import cached_property
 
 from .quotients import QuotientStructure
-from .sets import GSubset, inv_set, mul_set
+from .sets import GSubset, inv_set, mul_set, require_owner
 
 
 def _memo(table: dict, key, make, *args):
@@ -93,10 +93,8 @@ class InstanceContext:
 
     def fibers(self, x: GSubset) -> Counter:
         """Coset -> |X meet coset| over the cosets X meets."""
-        q = self.q
-        if x.owner is not q.ambient and x.owner.signature != q.ambient.signature:
-            raise ValueError("subset does not live in the ambient group of this quotient")
-        return Counter(map(q.project, x.elements))
+        require_owner(x, self.q.ambient)
+        return Counter(map(self.q.project, x.elements))
 
     def levels(self, x: GSubset) -> list[tuple[int, GSubset, int]]:
         """(n, the cosets meeting X in at least n elements, how many elements

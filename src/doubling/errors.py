@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input rules that every
+reader of outside values shares."""
 
 from __future__ import annotations
 
@@ -10,6 +11,25 @@ class SpecError(ValueError):
         self.path = path if path else "/"
         self.reason = message
         super().__init__(f"{self.path}: {message}")
+
+    def under(self, prefix: str) -> SpecError:
+        """This error with its path, relative to what was read, put under `prefix`."""
+        return SpecError(prefix + self.path.rstrip("/"), self.reason)
+
+
+def integer(value, path: str, least: int | None = None) -> int:
+    """A JSON integer (an exact int, never a bool), at least `least` when given."""
+    if type(value) is not int or (least is not None and value < least):
+        want = "an integer" if least is None else f"an integer >= {least}"
+        raise SpecError(path, f"expected {want}, got {value!r}")
+    return value
+
+
+def known_keys(doc: dict, allowed, path: str) -> None:
+    """Reject the first key of `doc` outside `allowed`, in sorted order, at path/<key>."""
+    extra = doc.keys() - allowed
+    if extra:
+        raise SpecError(f"{path}/{min(extra)}", f"unknown key; expected some of {sorted(allowed)}")
 
 
 class CapError(ValueError):

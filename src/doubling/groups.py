@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import permutations, product as iter_product, repeat
 from operator import itemgetter
 
-from .errors import CapError, SpecError
+from .errors import CapError, SpecError, integer, known_keys
 
 # Finite groups up to this order get a Cayley table, which every set
 # algorithm then runs on; validation (O(n^2 log n)) and subgroup
@@ -30,18 +30,16 @@ SYMMETRIC_DEGREE_CAP = 5
 _WEIGHT_MODES = ("counting", "normalized")
 
 
-def _resolve_weight(mode: str | Fraction, order: int | None) -> tuple[Fraction, str | None]:
-    if isinstance(mode, Fraction):
-        if mode <= 0:
-            raise ValueError("weight must be positive")
-        return mode, None
+def _resolve_weight(mode: str, order: int | None, path: str = "/weight") -> Fraction:
+    """The element weight that `mode` gives a group of `order` elements: 1
+    for counting measure, 1/order for normalized."""
     if mode == "counting":
-        return Fraction(1), "counting"
+        return Fraction(1)
     if mode == "normalized":
         if order is None:
             raise ValueError("normalized weight needs a finite group")
-        return Fraction(1, order), "normalized"
-    raise ValueError(f"unknown weight mode {mode!r}")
+        return Fraction(1, order)
+    raise SpecError(path, f"expected one of {_WEIGHT_MODES}, got {mode!r}")
 
 
 class WeightedGroup:
@@ -52,7 +50,12 @@ class WeightedGroup:
     def __init__(self, name: str, order: int | None, weight: str | Fraction = "counting") -> None:
         self.name = name
         self.order = order
-        self.weight, self.weight_mode = _resolve_weight(weight, order)
+        if isinstance(weight, Fraction):
+            if weight <= 0:
+                raise ValueError("weight must be positive")
+            self.weight, self.weight_mode = weight, None
+        else:
+            self.weight, self.weight_mode = _resolve_weight(weight, order), weight
         self._signature: str | None = None
         self._law: CayleyTable | OpLaw | None = None
 
@@ -269,8 +272,7 @@ class CyclicGroup(_IndexedGroup):
     kind = "cyclic"
 
     def __init__(self, n: int, weight: str | Fraction = "counting") -> None:
-        if not isinstance(n, int) or n <= 0:
-            raise ValueError(f"cyclic order must be a positive integer, got {n!r}")
+        integer(n, "/n", least=1)
         self.n = n
         super().__init__(f"Z{n}", n, weight)
 
@@ -291,8 +293,7 @@ class DihedralGroup(_IndexedGroup):
     kind = "dihedral"
 
     def __init__(self, n: int, weight: str | Fraction = "counting") -> None:
-        if not isinstance(n, int) or n <= 0:
-            raise ValueError(f"dihedral parameter must be a positive integer, got {n!r}")
+        integer(n, "/n", least=1)
         self.n = n
         super().__init__(f"D{n}", 2 * n, weight)
 
@@ -316,8 +317,7 @@ class SymmetricGroup(_IndexedGroup):
     kind = "symmetric"
 
     def __init__(self, n: int, weight: str | Fraction = "counting") -> None:
-        if not isinstance(n, int) or n <= 0:
-            raise ValueError(f"symmetric degree must be a positive integer, got {n!r}")
+        integer(n, "/n", least=1)
         if n > SYMMETRIC_DEGREE_CAP:
             raise CapError(f"symmetric degree capped at {SYMMETRIC_DEGREE_CAP}, got {n}")
         self.n = n
@@ -348,21 +348,22 @@ class TableGroup(_IndexedGroup):
         weight: str | Fraction = "counting",
         name: str = "table",
     ) -> None:
+        if not isinstance(table, (list, tuple)) or not table:
+            raise SpecError("/table", "expected a nonempty list of rows")
         n = len(table)
-        if n == 0:
-            raise ValueError("empty multiplication table")
         if n > TABLE_CAP:
             raise CapError(f"table group size capped at {TABLE_CAP}, got {n}")
-        rows = []
         for i, row in enumerate(table):
-            row = list(row)
-            if len(row) != n or any(not isinstance(v, int) or v < 0 or v >= n for v in row):
-                raise ValueError(f"table row {i} is not a permutation-ready row of 0..{n - 1}")
-            rows.append(row)
-        self.table = rows
-        law = CayleyTable(rows)  # finds the identity and inverses, or raises
+            # one pass per row: exact ints (never bools) in 0..n-1
+            if not isinstance(row, (list, tuple)) or len(row) != n or not all(
+                type(v) is int and 0 <= v < n for v in row
+            ):
+                raise SpecError(f"/table/{i}", f"expected a list of {n} element indices in 0..{n - 1}")
+        if not isinstance(name, str):
+            raise SpecError("/name", "expected a string")
         super().__init__(name, n, weight)
-        self._law = law
+        self.table = [list(row) for row in table]
+        self._law = CayleyTable(self.table)  # finds the identity and inverses, or raises
         validate_axioms(self)
 
     # an OpLaw over these methods may stand in for `law`, so they read the table
@@ -390,7 +391,7 @@ class ProductGroup(WeightedGroup):
 
     def __init__(self, factors: Sequence[WeightedGroup], name: str | None = None) -> None:
         if not factors:
-            raise ValueError("product needs at least one factor")
+            raise SpecError("/factors", "expected a nonempty list of groups")
         self.factors = list(factors)
         order: int | None = 1
         weight = Fraction(1)
@@ -626,27 +627,7 @@ _SPEC_KEYS = {
     "product": {"type", "factors"},
     "gl2z": {"type"},
 }
-
-
-def _check_keys(spec: dict, kind: str, path: str) -> None:
-    extra = set(spec) - _SPEC_KEYS[kind]
-    if extra:
-        key = sorted(extra)[0]
-        raise SpecError(f"{path}/{key}", f"unknown key for {kind} spec")
-
-
-def _weight_of(spec: dict, path: str) -> str:
-    mode = spec.get("weight", "counting")
-    if mode not in _WEIGHT_MODES:
-        raise SpecError(f"{path}/weight", f"expected one of {_WEIGHT_MODES}, got {mode!r}")
-    return mode
-
-
-def _positive_int(spec: dict, key: str, path: str) -> int:
-    v = spec.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-        raise SpecError(f"{path}/{key}", f"expected a positive integer, got {v!r}")
-    return v
+_INDEXED = {"cyclic": CyclicGroup, "dihedral": DihedralGroup, "symmetric": SymmetricGroup}
 
 
 def build_group(spec: dict, path: str = "") -> WeightedGroup:
@@ -659,37 +640,29 @@ def build_group(spec: dict, path: str = "") -> WeightedGroup:
       {"type":"table","table":[[...]],"name":...}
       {"type":"product","factors":[...]}   (weights per factor)
       {"type":"gl2z"}                      (lazy, counting only)
+
+    The constructors check the values they read; a SpecError of theirs is
+    put under `path`, and any other ValueError is reported at `path`.
     """
     if not isinstance(spec, dict):
         raise SpecError(path, f"group spec must be an object, got {type(spec).__name__}")
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise SpecError(f"{path}/type", f"expected one of {sorted(_SPEC_KEYS)}, got {kind!r}")
-    _check_keys(spec, kind, path)
+    known_keys(spec, _SPEC_KEYS[kind], path)
+    if kind == "product":  # the factors' paths are absolute already
+        factors = spec.get("factors")
+        if not isinstance(factors, list):
+            raise SpecError(f"{path}/factors", "expected a nonempty list of group specs")
+        factors = [build_group(f, f"{path}/factors/{i}") for i, f in enumerate(factors)]
+    weight = spec.get("weight", "counting")
     try:
-        if kind in ("cyclic", "dihedral", "symmetric"):
-            cls = {"cyclic": CyclicGroup, "dihedral": DihedralGroup, "symmetric": SymmetricGroup}
-            return cls[kind](_positive_int(spec, "n", path), _weight_of(spec, path))
+        if kind in _INDEXED:
+            return _INDEXED[kind](spec.get("n"), weight)
         if kind == "table":
-            table = spec.get("table")
-            if not isinstance(table, list):
-                raise SpecError(f"{path}/table", "expected a list of rows")
-            for i, row in enumerate(table):
-                if not isinstance(row, list) or any(type(v) is not int for v in row):
-                    raise SpecError(f"{path}/table/{i}", "expected a list of integer element indices")
-            name = spec.get("name", "table")
-            if not isinstance(name, str):
-                raise SpecError(f"{path}/name", "expected a string")
-            return TableGroup(table, _weight_of(spec, path), name=name)
-        if kind == "product":
-            factors = spec.get("factors")
-            if not isinstance(factors, list) or not factors:
-                raise SpecError(f"{path}/factors", "expected a nonempty list of group specs")
-            return ProductGroup(
-                [build_group(f, f"{path}/factors/{i}") for i, f in enumerate(factors)]
-            )
-        return MatrixGroup()
-    except SpecError:
-        raise
-    except (ValueError, CapError) as exc:
+            return TableGroup(spec.get("table"), weight, spec.get("name", "table"))
+        return ProductGroup(factors) if kind == "product" else MatrixGroup()
+    except SpecError as exc:
+        raise exc.under(path) from None
+    except ValueError as exc:  # CapError and the table's axioms
         raise SpecError(path, str(exc)) from exc

@@ -20,10 +20,10 @@ from itertools import combinations
 from random import Random
 
 from .context import InstanceContext, SubsetContext
-from .errors import CapError, ConsistencyError, SpecError
+from .errors import CapError, ConsistencyError, SpecError, integer, known_keys
 from .extract import certify
 from .fibers import check_containment, check_layer_cake, check_spillover
-from .groups import WeightedGroup, build_group, quaternion_table
+from .groups import WeightedGroup, _resolve_weight, build_group, quaternion_table
 from .metrics import check_quotient_bound, ruzsa_axioms, stats_of
 from .quotients import QuotientStructure, normal_subgroups, quotient_from_description
 from .rationals import fmt, parse, put, split
@@ -232,8 +232,8 @@ def _check_suites(names) -> list | tuple:
 
 
 def parse_alphas(values) -> tuple[Fraction, ...]:
-    if not isinstance(values, (list, tuple)):
-        raise SpecError("/alphas", "expected a list of rationals")
+    if not isinstance(values, (list, tuple)) or not values:
+        raise SpecError("/alphas", "expected a nonempty list of rationals above 1")
     out = []
     for i, value in enumerate(values):
         try:
@@ -244,13 +244,6 @@ def parse_alphas(values) -> tuple[Fraction, ...]:
             raise SpecError(f"/alphas/{i}", f"expected a rational above 1, got {value!r}")
         out.append(alpha)
     return tuple(out)
-
-
-def _integer(value, path: str, least: int | None = None) -> None:
-    """Check a JSON integer (never a bool), at least `least` when given."""
-    if not isinstance(value, int) or isinstance(value, bool) or (least is not None and value < least):
-        want = "an integer" if least is None else f"an integer >= {least}"
-        raise SpecError(path, f"expected {want}, got {value!r}")
 
 
 class ScanConfig:
@@ -282,24 +275,20 @@ class ScanConfig:
         if subgroups not in ("all", "proper"):
             raise SpecError("/subgroups", f'expected "all" or "proper", got {subgroups!r}')
         self.subgroups = subgroups
-        if subgroup_weight not in ("counting", "normalized"):
-            raise SpecError("/subgroup_weight", f"got {subgroup_weight!r}")
+        _resolve_weight(subgroup_weight, 1, "/subgroup_weight")  # the mode rule `quotient` applies
         self.subgroup_weight = subgroup_weight
         self.alphas = parse_alphas(alphas)
         self.subset_mode = _check_subset_mode(subset_mode)
         if not isinstance(emit_instances, bool):
             raise SpecError("/emit_instances", "expected true or false")
         self.emit_instances = emit_instances
-        _integer(parallelism, "/parallelism", least=1)
-        self.parallelism = parallelism
+        self.parallelism = integer(parallelism, "/parallelism", least=1)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScanConfig":
         if not isinstance(doc, dict):
             raise SpecError("", "scan config must be an object")
-        extra = set(doc) - set(cls.FIELDS)
-        if extra:
-            raise SpecError(f"/{sorted(extra)[0]}", "unknown key in scan config")
+        known_keys(doc, cls.FIELDS, "")
         if "groups" not in doc or "subset_mode" not in doc:
             raise SpecError("", 'scan config needs "groups" and "subset_mode"')
         return cls(**doc)
@@ -318,25 +307,23 @@ def _check_subset_mode(mode) -> dict:
     if kind == "exhaustive":
         allowed = {"kind", "max_size", "symmetric_only"}
         if "max_size" in mode:
-            _integer(mode["max_size"], "/subset_mode/max_size", least=1)
+            integer(mode["max_size"], "/subset_mode/max_size", least=1)
         if not isinstance(mode.get("symmetric_only", False), bool):
             raise SpecError("/subset_mode/symmetric_only", "expected true or false")
     elif kind == "random":
         allowed = {"kind", "count", "seed", "density"}
-        _integer(mode.get("count"), "/subset_mode/count", least=1)
+        integer(mode.get("count"), "/subset_mode/count", least=1)
         if "seed" not in mode:
             raise SpecError("/subset_mode/seed", "random scans need an explicit integer seed")
-        _integer(mode["seed"], "/subset_mode/seed")
+        integer(mode["seed"], "/subset_mode/seed")
         density = mode.get("density", "mixed")
         if isinstance(density, dict) and set(density) == {"size"}:
-            _integer(density["size"], "/subset_mode/density/size", least=1)
+            integer(density["size"], "/subset_mode/density/size", least=1)
         elif density not in ("mixed", "1/4", "1/2"):
             raise SpecError("/subset_mode/density", f"got {density!r}")
     else:
         raise SpecError("/subset_mode/kind", 'expected "exhaustive" or "random"')
-    extra = set(mode) - allowed
-    if extra:
-        raise SpecError(f"/subset_mode/{sorted(extra)[0]}", "unknown key")
+    known_keys(mode, allowed, "/subset_mode")
     return mode
 
 
@@ -467,7 +454,7 @@ def _group_at(spec_json: str, path: str) -> WeightedGroup:
     try:
         return _group(spec_json)
     except SpecError as exc:
-        raise SpecError(path + exc.path.rstrip("/"), exc.reason) from None
+        raise exc.under(path) from None
 
 
 @lru_cache(maxsize=256)
@@ -497,9 +484,7 @@ def _load_id(instance_id: str) -> tuple:
     for key in ("group", "subgroup", "subset"):
         if key not in spec:
             raise SpecError(f"/{key}", "missing from instance id")
-    extra = sorted(set(spec) - _ID_KEYS)
-    if extra:
-        raise SpecError(f"/{extra[0]}", "unknown key in instance id")
+    known_keys(spec, _ID_KEYS, "")
     _check_suites(spec.get("suites", []))
     alphas = spec.get("alphas", [fmt(x) for x in DEFAULT_ALPHAS])
     alphas = list(zip(alphas, parse_alphas(alphas)))

@@ -20,10 +20,10 @@ from itertools import product as iter_product
 from math import prod
 from operator import itemgetter
 
-from .errors import CapError, ConsistencyError, SpecError
-from .groups import TABLE_CAP, CayleyTable, ProductGroup, TableGroup, WeightedGroup
+from .errors import CapError, ConsistencyError, SpecError, integer
+from .groups import TABLE_CAP, CayleyTable, ProductGroup, TableGroup, WeightedGroup, _resolve_weight
 from .rationals import fmt
-from .sets import GSubset, decode_elements, subset
+from .sets import GSubset, decode_elements, require_owner, subset
 
 
 def _grow(law, reached: set, gens: list, xs: Iterable, within: set | None = None) -> bool:
@@ -212,8 +212,7 @@ class QuotientStructure:
 
     def image(self, a: GSubset) -> GSubset:
         """pi(A) as a subset of the quotient group."""
-        if a.owner is not self.ambient and a.owner.signature != self.ambient.signature:
-            raise ValueError("subset does not live in the ambient group of this quotient")
+        require_owner(a, self.ambient)
         proj = self.project
         return GSubset(self.quotient, frozenset(proj(x) for x in a.elements))
 
@@ -234,13 +233,13 @@ def quotient(
     """Quotient of a finite group by a normal subgroup; cosets become elements.
 
     `subgroup_weight` picks w_H (counting: 1, normalized: 1/|H|); the quotient
-    weight is then forced to w_G / w_H.  More than TABLE_CAP cosets raise
-    CapError.
+    weight is then forced to w_G / w_H.  A mode other than these two is a
+    SpecError at "/weight".  More than TABLE_CAP cosets raise CapError.
     """
     if group.order is None:
         raise ValueError("general quotients need a finite ambient group; use projection_quotient")
-    if isinstance(sub, GSubset) and sub.owner is not group:
-        raise ValueError("subgroup subset belongs to a different group")
+    if isinstance(sub, GSubset):
+        require_owner(sub, group)
     h_subset = subset(group, sub.elements if isinstance(sub, GSubset) else sub)
     h_elems = h_subset.elements
     # the quotient is a TableGroup, which refuses more than TABLE_CAP cosets;
@@ -251,16 +250,11 @@ def quotient(
         )
     if not is_subgroup(group, h_elems):
         raise ValueError("not a subgroup: missing identity or not closed under the operation")
+    w_h = _resolve_weight(subgroup_weight, len(h_elems))
     law = group.law
     cosets = _cosets(law, law.points(h_elems), group.order)
     if cosets is None:
         raise ValueError("subgroup is not normal in the ambient group")
-    if subgroup_weight == "counting":
-        w_h = Fraction(1)
-    elif subgroup_weight == "normalized":
-        w_h = Fraction(1, len(h_elems))
-    else:
-        raise ValueError(f"unknown subgroup weight mode {subgroup_weight!r}")
 
     # Cosets indexed in order of first appearance along the canonical enumeration.
     coset_of, reps = cosets
@@ -276,20 +270,26 @@ def quotient(
 def projection_quotient(group: ProductGroup, keep: Sequence[int]) -> QuotientStructure:
     """Quotient of a product group by the product of its dropped factors.
 
-    The kernel (all dropped factors) must be finite-enumerable; kept factors
-    may be lazy.  Weights multiply per factor, so Fubini holds automatically.
+    `keep` lists the indices of the kept factors; every error about it is a
+    SpecError at "/keep".  The kernel (all dropped factors) must be
+    finite-enumerable; kept factors may be lazy.  Weights multiply per
+    factor, so Fubini holds automatically.
     """
+    if not isinstance(keep, (list, tuple)):
+        raise SpecError("/keep", "expected a list of factor indices")
+    for i in keep:
+        integer(i, "/keep")
     if not isinstance(group, ProductGroup):
-        raise ValueError("projection quotients are defined for product groups")
+        raise SpecError("/keep", "projection quotients are defined for product groups")
     keep_idx = sorted(set(keep))
     if not keep_idx:
-        raise ValueError("keep set must be nonempty")
+        raise SpecError("/keep", "keep set must be nonempty")
     if keep_idx[0] < 0 or keep_idx[-1] >= len(group.factors):
-        raise ValueError(f"keep indices out of range 0..{len(group.factors) - 1}")
+        raise SpecError("/keep", f"keep indices out of range 0..{len(group.factors) - 1}")
     drop_idx = [i for i in range(len(group.factors)) if i not in keep_idx]
     for i in drop_idx:
         if group.factors[i].order is None:
-            raise ValueError(f"dropped factor {i} is infinite; kernel must be finite")
+            raise SpecError("/keep", f"dropped factor {i} is infinite; kernel must be finite")
     w_h = prod((group.factors[i].weight for i in drop_idx), start=Fraction(1))
     pools = [
         list(f.elements()) if i in drop_idx else [f.identity] for i, f in enumerate(group.factors)
@@ -304,29 +304,21 @@ def projection_quotient(group: ProductGroup, keep: Sequence[int]) -> QuotientStr
     return QuotientStructure(group, GSubset(group, kernel), qgroup, project, w_h)
 
 
-def factor_indices(keep, path: str) -> list[int]:
-    """Check a JSON list of product-factor indices (integers, never bools)."""
-    if not isinstance(keep, list) or any(type(i) is not int for i in keep):
-        raise SpecError(path, "expected a list of factor indices")
-    return keep
-
-
 def quotient_from_description(group: WeightedGroup, desc: dict, path: str = "") -> QuotientStructure:
     """The quotient an instance id's subgroup describes: {"keep": [...]} for a
-    projection, or {"elements": [...], "weight": ...} for a normal subgroup."""
-    if not isinstance(desc, dict):
-        raise SpecError(path, "subgroup description must be an object")
-    if "keep" in desc:
-        if set(desc) != {"keep"}:
-            raise SpecError(path, 'projection description allows only the key "keep"')
-        keep = factor_indices(desc["keep"], f"{path}/keep")
-        if not isinstance(group, ProductGroup):
-            raise SpecError(f"{path}/keep", "projection quotient needs a product group")
-        return projection_quotient(group, keep)
-    if set(desc) - {"elements", "weight"}:
-        raise SpecError(path, 'expected keys "elements" (+ optional "weight") or "keep"')
-    elems = decode_elements(group, desc.get("elements"), f"{path}/elements")
-    mode = desc.get("weight", "counting")
-    if mode not in ("counting", "normalized"):
-        raise SpecError(f"{path}/weight", f"expected counting|normalized, got {mode!r}")
-    return quotient(group, elems, mode)
+    projection, or {"elements": [...], "weight": ...} for a normal subgroup.
+    `projection_quotient` and `quotient` check the values they read; their
+    SpecErrors are put under `path`."""
+    try:
+        if not isinstance(desc, dict):
+            raise SpecError("", "subgroup description must be an object")
+        if "keep" in desc:
+            if set(desc) != {"keep"}:
+                raise SpecError("", 'projection description allows only the key "keep"')
+            return projection_quotient(group, desc["keep"])
+        if set(desc) - {"elements", "weight"}:
+            raise SpecError("", 'expected keys "elements" (+ optional "weight") or "keep"')
+        elems = decode_elements(group, desc.get("elements"), "/elements")
+        return quotient(group, elems, desc.get("weight", "counting"))
+    except SpecError as exc:
+        raise exc.under(path) from None

@@ -68,20 +68,22 @@ def decode_elements(group: WeightedGroup, items: object, path: str) -> frozenset
         raise
 
 
-def _require_same_owner(a: GSubset, b: GSubset) -> None:
-    if a.owner is b.owner:
+def require_owner(x: GSubset, group: WeightedGroup) -> None:
+    """The one rule for "x lives in group": x was built on that group object,
+    or on one with the same signature."""
+    if x.owner is group:
         return
     try:
-        if a.owner.signature == b.owner.signature:
+        if x.owner.signature == group.signature:
             return
     except NotImplementedError:
         pass
-    raise ValueError(f"subsets live in different groups: {a.owner.name} vs {b.owner.name}")
+    raise ValueError(f"subsets live in different groups: {x.owner.name} vs {group.name}")
 
 
 def mul_set(a: GSubset, b: GSubset) -> GSubset:
     """Exact product set {xy : x in A, y in B}."""
-    _require_same_owner(a, b)
+    require_owner(b, a.owner)
     law = a.owner.law
     out = law.product(law.points(a.elements), law.points(b.elements))
     return GSubset(a.owner, law.handles(out))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
@@ -197,6 +198,7 @@ REPLAY_BASE = {
     "subset": [0, 1],
     "suites": ["layer-cake", "ruzsa-axioms", "extract"],
 }
+PRODUCT_C2_C3 = {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "cyclic", "n": 3}]}
 
 
 def test_replay_accepts_the_base_id_and_empty_suites(capsys):
@@ -232,6 +234,14 @@ def test_replay_accepts_the_base_id_and_empty_suites(capsys):
             },
             "/subset/0/1",
         ),
+        ({"alphas": []}, "/alphas"),
+        ({"group": PRODUCT_C2_C3, "subgroup": {"keep": [0], "weight": "counting"}, "subset": [[0, 0]]},
+         "/subgroup"),
+        ({"subgroup": {"keep": [0]}}, "/subgroup/keep"),
+        ({"subgroup": {"elements": [0, 3], "weight": "heavy"}}, "/subgroup/weight"),
+        ({"group": {"type": "table", "table": 5}}, "/group/table"),
+        ({"group": {"type": "table", "table": [[0]], "name": 5}}, "/group/name"),
+        ({"group": {"type": "product", "factors": []}}, "/group/factors"),
     ],
 )
 def test_replay_rejects_malformed_ids_with_a_path(capsys, change, path):
@@ -284,6 +294,16 @@ def test_doubling_jobs_sets_the_scan_worker_count(tmp_path, capsys, monkeypatch)
         assert f"parallelism={workers}" in err
 
 
+def test_the_worker_count_is_j_then_doubling_jobs_then_the_config(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(dict(SCAN_BASE, parallelism=2)))
+    for env, jobs, workers in (("", [], 2), ("1", [], 1), ("3", [], 3), ("1", ["-j", "3"], 3)):
+        monkeypatch.setenv("DOUBLING_JOBS", env)
+        code, _, err = run(capsys, "scan", "--config", str(config), *jobs, "--out", str(tmp_path / "o.json"))
+        assert code == 0
+        assert f"parallelism={workers}" in err, (env, jobs)
+
+
 @pytest.mark.parametrize(
     "change, path",
     [
@@ -304,6 +324,9 @@ def test_doubling_jobs_sets_the_scan_worker_count(tmp_path, capsys, monkeypatch)
         ({"groups": [{"type": "product", "factors": [{"type": "cyclic", "n": "4"}]}]},
          "/groups/0/factors/0/n"),
         ({"emit_instances": "no"}, "/emit_instances"),
+        ({"alphas": []}, "/alphas"),
+        ({"groups": [5]}, "/groups/0"),
+        ({"groups": ["gl2z"]}, "/groups"),
     ],
 )
 def test_scan_rejects_malformed_configs_with_a_path(tmp_path, capsys, change, path):
@@ -318,7 +341,6 @@ def test_scan_rejects_malformed_configs_with_a_path(tmp_path, capsys, change, pa
 
 # -- malformed input of every kind: exit 1, never a traceback, never 0 ------------
 
-PRODUCT_C2_C3 = {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "cyclic", "n": 3}]}
 EXTRACT_C4 = ["--group", "cyclic:4", "--subgroup", '{"elements": [0, 2]}', "--subset", '{"elements": [0, 1]}']
 
 
@@ -372,24 +394,78 @@ def _replay_id(**change):
         (["verify", "--group", "cyclic:4", "--trials", "0", "--seed", "5"], "--trials"),
         (["verify", "--group", "cyclic:4", "--seed", "5"], "--seed"),
         (["verify", "--group", "cyclic:14", "--max-subset-size", "1", "--trials", "1"], "--trials"),
+        (["verify", "--group", "gl2z"], "error: /group:"),
+        (["extract", "--alpha", "2", "--group", "cyclic:4", "--subset", '{"elements": [0]}'], "error: /:"),
+        (["scan", "--config", "<not_object>"], "error: /:"),
+        (["replay", "--id", json.dumps({"group": REPLAY_BASE["group"], "subset": [0]})], "error: /subgroup:"),
+        (["extract", "--instance", "<wrong_kind>"], "error: /instance:"),
+        (["extract", "--instance", "<not_product>"], "error: /instance/group:"),
+        (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
+          "--subset", '{"construction": "other"}'], "error: /subset/construction:"),
+        (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
+          "--subset", '{"construction": "sharpness", "N": 1, "h": 4, "m": 25, "k": 2}'], "error: /subset/k:"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
     from doubling import build_sharpness_instance
 
-    scan_cfg = tmp_path / "scan.json"
-    scan_cfg.write_text(json.dumps(SCAN_BASE))
-    bool_keep = tmp_path / "instance.json"
-    bool_keep.write_text(json.dumps(dict(build_sharpness_instance(1, 2, 9).to_json(), keep=[True, 2])))
-    not_json = tmp_path / "bad.json"
-    not_json.write_text("{'groups': ")
-    files = {"<scan>": scan_cfg, "<bool_keep>": bool_keep, "<not_json>": not_json}
+    instance = build_sharpness_instance(1, 2, 9).to_json()
+    files = {}
+    for key, text in (
+        ("<scan>", json.dumps(SCAN_BASE)),
+        ("<bool_keep>", json.dumps(dict(instance, keep=[True, 2]))),
+        ("<not_json>", "{'groups': "),
+        ("<not_object>", json.dumps([SCAN_BASE])),
+        ("<wrong_kind>", json.dumps(dict(instance, kind="sharpness-report"))),
+        ("<not_product>", json.dumps(dict(instance, group={"type": "cyclic", "n": 4}))),
+    ):
+        files[key] = tmp_path / (key.strip("<>") + ".json")
+        files[key].write_text(text)
     for key, path in files.items():
         argv = [arg.replace(key, str(path)) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert flag in err
+    assert "Traceback" not in err
+
+
+CONSTRUCTION_REF = {"construction": "sharpness", "N": 1, "h": 4, "m": 25}
+
+
+@pytest.mark.parametrize(
+    "command, change, path",
+    [
+        ("replay", {"group": {"type": "cyclic", "n": True}}, "/group/n"),
+        ("replay", {"group": {"type": "dihedral", "n": True}}, "/group/n"),
+        ("replay", {"group": {"type": "symmetric", "n": True}}, "/group/n"),
+        ("replay", {"group": {"type": "table", "table": [[0, 1], [1, True]]}}, "/group/table/1"),
+        ("replay", {"group": PRODUCT_C2_C3, "subgroup": {"keep": [1, True]}, "subset": [[0, 0]]},
+         "/subgroup/keep"),
+        ("scan", {"subset_mode": dict(EXHAUSTIVE, max_size=True)}, "/subset_mode/max_size"),
+        ("scan", {"subset_mode": dict(SCAN_BASE["subset_mode"], count=True)}, "/subset_mode/count"),
+        ("scan", {"subset_mode": dict(SCAN_BASE["subset_mode"], seed=True)}, "/subset_mode/seed"),
+        ("scan", {"subset_mode": dict(SCAN_BASE["subset_mode"], density={"size": True})},
+         "/subset_mode/density/size"),
+        ("scan", {"parallelism": True}, "/parallelism"),
+        ("extract", {"N": True}, "/subset/N"),
+        ("extract", {"h": True}, "/subset/h"),
+        ("extract", {"m": True}, "/subset/m"),
+    ],
+)
+def test_true_is_never_an_integer(tmp_path, capsys, command, change, path):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(dict(SCAN_BASE, **change)))
+    argv = {
+        "replay": lambda: _replay_id(**change),
+        "scan": lambda: ["scan", "--config", str(config)],
+        "extract": lambda: ["extract", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
+                            "--subset", json.dumps(dict(CONSTRUCTION_REF, **change))],
+    }[command]()
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"error: {path}:" in err
     assert "Traceback" not in err
 
 
@@ -415,6 +491,29 @@ def test_replay_of_an_arbitrary_field_exits_zero_or_one(field, value):
         spec[key] = value
     # in-process, so any uncaught exception fails the test by itself
     code = main(["replay", "--id", json.dumps(spec), "--out", "/dev/null"])
+    assert code in (0, 1)
+
+
+SCAN_FIELDS = sorted(SCAN_BASE) + ["suites", "subgroups", "subgroup_weight", "alphas", "emit_instances",
+                                   "parallelism", "colour"]
+SUBSET_MODE_FIELDS = ["kind", "count", "seed", "density", "max_size", "symmetric_only", "colour"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SCAN_FIELDS + [f"subset_mode/{f}" for f in SUBSET_MODE_FIELDS]), JSON_VALUES)
+def test_scan_of_an_arbitrary_field_exits_zero_or_one(field, value):
+    config = json.loads(json.dumps(SCAN_BASE))
+    key, _, inner = field.partition("/")
+    if inner:
+        config[key][inner] = value
+    else:
+        config[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.json"
+        path.write_text(json.dumps(config))
+        # in-process, so any uncaught exception fails the test by itself; -j 1
+        # wins over any parallelism the config asks for
+        code = main(["scan", "--config", str(path), "-j", "1", "--out", "/dev/null"])
     assert code in (0, 1)
 
 

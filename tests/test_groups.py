@@ -115,6 +115,15 @@ def test_table_group_rejects_broken_tables():
         TableGroup(loop)
 
 
+def test_true_is_never_a_group_parameter():
+    for cls in (CyclicGroup, DihedralGroup, SymmetricGroup):
+        with pytest.raises(ValueError):
+            cls(True)
+    with pytest.raises(SpecError) as err:
+        TableGroup([[0, True], [True, 0]])
+    assert err.value.path == "/table/0"
+
+
 def test_product_group_componentwise():
     g = ProductGroup([CyclicGroup(2), CyclicGroup(4)])
     assert g.order == 8

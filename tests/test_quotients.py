@@ -126,6 +126,16 @@ def test_quotient_rejects_bad_subgroups():
         quotient(s3, {0, transposition})
 
 
+def test_quotient_by_a_subgroup_of_an_equal_group():
+    g, twin = CyclicGroup(12), CyclicGroup(12)
+    q = quotient(g, subset(twin, {0, 6}))
+    assert q.subgroup.owner is g and q.quotient.order == 6
+    # the same rule as mul_set across the two groups
+    assert mul_set(subset(g, {1}), subset(twin, {2})).elements == {3}
+    with pytest.raises(ValueError, match="different groups"):
+        quotient(g, subset(CyclicGroup(6), {0, 3}))
+
+
 def test_projection_quotient_drops_coordinates():
     g = ProductGroup([CyclicGroup(2), CyclicGroup(4)])
     q = projection_quotient(g, [1])
