@@ -9,8 +9,10 @@ them.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -27,6 +29,7 @@ from .extract import certify, threshold_trace, with_b
 from .groups import WeightedGroup
 from .harness import (
     ALL_SUITES,
+    InstanceReport,
     ScanConfig,
     _group_at,
     canonical_json,
@@ -56,27 +59,64 @@ def _maybe_inline_json(text: str):
 
 
 class _Unsupported(Exception):
-    """A value that `indented_json` leaves to `json.dumps`."""
+    """A value that `_dump` leaves to `json.dump`."""
+
+
+_CHUNK = 4096  # fragments that `_write` holds before they go to the file
+_NESTED = frozenset((dict, list, tuple, InstanceReport))
 
 
 def indented_json(doc) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, with each
+    `InstanceReport` in doc rendered by its `to_json()`: `_dump` into a buffer."""
+    buf = io.StringIO()
+    _dump(doc, buf)
+    return buf.getvalue()
 
-    json has no C encoder for indented output; this writer appends the same
-    text to one list.  It knows dicts with str keys, lists, tuples, str, int,
-    finite float, bool and None (exact types); a document holding anything
-    else goes to `json.dumps` whole, so errors and edge cases stay json's."""
+
+def _dump(doc, fh, end: str = "") -> None:
+    """Write `json.dumps(doc, sort_keys=True, indent=2)` and `end` to fh, a new
+    file or buffer, `_CHUNK` fragments at a time.
+
+    json has no C encoder for indented output; `_write` makes the same text.
+    It knows dicts with str keys, lists, tuples, str, int, finite float, bool
+    and None (exact types), and renders each `InstanceReport` where it reaches
+    it, so at most one report dict is alive.  For a document holding anything
+    else, fh is rewound and written by `json.dump`, so errors and edge cases
+    stay json's."""
     out: list = []
     try:
-        _write(doc, "\n", out)
+        _write(doc, "\n", out, fh)
     except (_Unsupported, TypeError, RecursionError):  # TypeError: unsortable keys
-        return json.dumps(doc, sort_keys=True, indent=2)
-    return "".join(out)
+        fh.seek(0)
+        fh.truncate()
+        out = []
+        json.dump(_rendered(doc), fh, sort_keys=True, indent=2)
+    fh.write("".join(out) + end)
 
 
-def _write(x, nl: str, out: list) -> None:
-    """Append x, whose line starts with `nl` (newline and indent)."""
+def _rendered(x):
+    """x with each `InstanceReport` rendered, for json, which takes a
+    namedtuple for a list."""
     t = type(x)
+    if t is InstanceReport:
+        return x.to_json()
+    if t is dict:
+        return {k: _rendered(v) for k, v in x.items()}
+    if t is list or t is tuple:
+        return [_rendered(v) for v in x]
+    return x
+
+
+def _write(x, nl: str, out: list, fh) -> None:
+    """Append x, whose line starts with `nl` (newline and indent), to out;
+    out goes to fh first if it holds `_CHUNK` fragments."""
+    if len(out) >= _CHUNK:
+        fh.write("".join(out))
+        out.clear()
+    t = type(x)
+    if t is InstanceReport:
+        x, t = x.to_json(), dict
     if t is dict:
         if not x:
             out.append("{}")
@@ -87,10 +127,9 @@ def _write(x, nl: str, out: list) -> None:
             if type(k) is not str:
                 raise _Unsupported
             v = x[k]
-            t = type(v)
-            if t is dict or t is list or t is tuple:
+            if type(v) in _NESTED:
                 out.append(sep + _quote(k) + ": ")
-                _write(v, inner, out)
+                _write(v, inner, out, fh)
             else:
                 out.append(sep + _quote(k) + ": " + _leaf(v))
             sep = "," + inner
@@ -102,10 +141,9 @@ def _write(x, nl: str, out: list) -> None:
         inner = nl + "  "
         sep = "[" + inner
         for v in x:
-            t = type(v)
-            if t is dict or t is list or t is tuple:
+            if type(v) in _NESTED:
                 out.append(sep)
-                _write(v, inner, out)
+                _write(v, inner, out, fh)
             else:
                 out.append(sep + _leaf(v))
             sep = "," + inner
@@ -131,13 +169,45 @@ def _leaf(v) -> str:
     raise _Unsupported
 
 
+def _save(path: str, write) -> None:
+    """Make path the text file that write(fh) writes.  A regular file is
+    written as a sibling temporary file, with the mode a plain
+    `open(path, "w")` leaves, and renamed over path at the end, so a command
+    that fails midway leaves no partial file and an older one untouched.
+    Anything else (/dev/null, a FIFO) is written in place, in one write."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        buf = io.StringIO()
+        write(buf)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(buf.getvalue())
+        return
+    target = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named for the artifact, as open(path) would
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.chmod(fd, stat.S_IMODE(mode))
+            write(fh)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _emit(doc: dict, out: str | None) -> None:
-    payload = indented_json(doc) + "\n"
+    """Write doc as indented JSON and a newline to the file `out`, or to stdout."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _save(out, lambda fh: _dump(doc, fh, "\n"))
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(indented_json(doc) + "\n")
 
 
 def _workers(args, configured: int = 1) -> int:
@@ -290,8 +360,7 @@ def _cmd_construct(args) -> int:
             "quotient_doubling_dec")
     report = {"kind": "sharpness-report", **{k: doc[k] for k in keys}}
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(indented_json(doc) + "\n")
+        _emit(doc, args.emit)
         report["emitted"] = args.emit
     _emit(report, args.out)
     return 0
@@ -343,8 +412,7 @@ def _cmd_scan(args) -> int:
     print(f"scan: {report['aggregate']['instances']} instances, "
           f"parallelism={config.parallelism}", file=sys.stderr)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(report_csv(report))
+        _save(args.csv, lambda fh: fh.write(report_csv(report)))
     _emit(report, args.out)
     return _violation_status(report)
 

@@ -15,7 +15,7 @@ import json
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations
 from random import Random
 
@@ -25,8 +25,8 @@ from .extract import certify
 from .fibers import check_containment, check_layer_cake, check_spillover
 from .groups import WeightedGroup, _resolve_weight, build_group, quaternion_table
 from .metrics import check_quotient_bound, ruzsa_axioms, stats_of
-from .quotients import QuotientStructure, normal_subgroups, quotient_from_description
-from .rationals import fmt, parse, put, split
+from .quotients import QuotientStructure, normal_subgroups, quotient, quotient_from_description
+from .rationals import fmt, parse, put
 from .sets import GSubset, decode_elements
 
 DEFAULT_ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(3))
@@ -355,17 +355,18 @@ def _needs_partner(suites: Iterable[str]) -> bool:
 def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[str]:
     """The full deterministic instance list (ids) for a scan.
 
-    With `built`, also appends per id the (subset layer, group JSON,
-    subgroup JSON, suites, alphas) that `evaluate_instance` reads in its
-    place.  An exhaustive scan builds a group's subset layers once, for all
-    its normal subgroups; a random scan samples a fresh layer per instance."""
+    With `built`, also appends per id the (subset layer, quotient maker,
+    suites, alphas) that `evaluate_instance` reads in its place.  An
+    exhaustive scan builds a group's subset layers once, for all its normal
+    subgroups; a random scan samples a fresh layer per instance.  A normal
+    subgroup's quotient is built from its `GSubset` by its first instance's
+    evaluation, not here, and shared by the rest."""
     mode = config.subset_mode
     rng = Random(mode["seed"]) if mode["kind"] == "random" else None
     alphas = list(zip(map(fmt, config.alphas), config.alphas))
     ids: list[str] = []
     for gspec in config.groups:
-        group_json = canonical_json(gspec)
-        group = _group(group_json)
+        group = _group(canonical_json(gspec))
         if group.order is None:
             raise SpecError("/groups", f"{group.name} is infinite; scans need finite groups")
         subs = normal_subgroups(group)
@@ -383,8 +384,8 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
                 layers = _random_layers(group, elems, config, rng)
             ids.extend(canonical_json({**base, **fields}) for fields, _ in layers)
             if built is not None:
-                keys = (group_json, canonical_json(desc), config.suites, alphas)
-                built.extend((shared, *keys) for _, shared in layers)
+                make_quotient = cache(partial(quotient, group, sub, config.subgroup_weight))
+                built.extend((shared, make_quotient, config.suites, alphas) for _, shared in layers)
     return ids
 
 
@@ -474,7 +475,7 @@ _ID_KEYS = {"group", "subgroup", "subset", "subset_b", "subset_c", "suites", "al
 
 def _load_id(instance_id: str) -> tuple:
     """Parse and check an instance id; returns what `evaluate_instance` reads:
-    (a fresh subset layer, group JSON, subgroup JSON, suites, alphas)."""
+    (a fresh subset layer, quotient maker, suites, alphas)."""
     try:
         spec = json.loads(instance_id)
     except json.JSONDecodeError as exc:
@@ -498,7 +499,8 @@ def _load_id(instance_id: str) -> tuple:
                for key in ("subset", "subset_b", "subset_c"))
     translators = None if translate is None else tuple(
         group.decode_element(v, f"/translate/{i}") for i, v in enumerate(translate))
-    return SubsetContext(a, b, c, translators), group_json, subgroup_json, spec.get("suites", []), alphas
+    make_quotient = partial(_quotient, group_json, subgroup_json)
+    return SubsetContext(a, b, c, translators), make_quotient, spec.get("suites", []), alphas
 
 
 class InstanceReport(namedtuple(
@@ -540,8 +542,8 @@ def evaluate_instance(instance_id: str, built: tuple | None = None) -> InstanceR
     `scan` passes `built`, what `iter_instance_specs` made the id from, so it
     decodes nothing; the layer may already hold what the instances of other
     normal subgroups computed."""
-    shared, group_json, subgroup_json, suites, alphas = _load_id(instance_id) if built is None else built
-    ctx = InstanceContext(shared, _quotient(group_json, subgroup_json))
+    shared, make_quotient, suites, alphas = _load_id(instance_id) if built is None else built
+    ctx = InstanceContext(shared, make_quotient())
     stats = stats_of(shared)
     records = tuple((name, *SUITES[name](ctx, alphas)) for name in suites)
     return InstanceReport(instance_id, ctx.q.ambient.order, len(ctx.q.subgroup.elements), stats,
@@ -566,10 +568,9 @@ class _Ranked:
         return mine > theirs or (mine == theirs and self.id < other.id)
 
 
-def _fold_aggregate(reports: Iterable[InstanceReport], written: list[dict] | None = None) -> dict:
-    """The aggregate, folded from the records one at a time.  With `written`,
-    each report is also rendered into it, once; the probe renders only the
-    witnesses it keeps."""
+def _fold_aggregate(reports: Iterable[InstanceReport]) -> dict:
+    """The aggregate, folded from the records one at a time; the probe
+    renders only the witnesses it keeps."""
     import heapq  # imported here: commands that never aggregate skip it
 
     suite_runs: dict = {}
@@ -577,8 +578,6 @@ def _fold_aggregate(reports: Iterable[InstanceReport], written: list[dict] | Non
     sym_entries: list[_Ranked] = []
     all_entries: list[_Ranked] = []
     for rep in reports:
-        if written is not None:
-            written.append(rep.to_json())
         for name, _, failed in rep.suites:
             cell = suite_runs.get(name)
             if cell is None:
@@ -633,7 +632,9 @@ def scan(config: ScanConfig) -> dict:
     """Run every suite on every instance; aggregate deterministically.
 
     Each instance goes through the module-level `evaluate_instance`, so a
-    wrapper installed there sees every one, at any worker count."""
+    wrapper installed there sees every one, at any worker count.  With
+    `emit_instances`, "instances" holds the `InstanceReport`s, counts that
+    their writer renders with `to_json()`."""
     built: list = []
     ids = iter_instance_specs(config, built)
     if config.parallelism > 1 and len(ids) > 1:
@@ -643,14 +644,15 @@ def scan(config: ScanConfig) -> dict:
         with get_context("fork").Pool(config.parallelism, _adopt, (ids, built)) as pool:
             reports = pool.map(_evaluate_at, range(len(ids)), chunk)
     else:
-        # folded as they come, so no record outlives its own rendering; each job
-        # is popped, so a subset layer lives until its last instance is done
+        # each job is popped, so a subset layer lives until its last instance
+        # is done; without emit_instances each record is folded and dropped
         built.reverse()
         reports = (evaluate_instance(i, built.pop()) for i in ids)
-    written = [] if config.emit_instances else None
-    out = {"config": config.resolved(), "aggregate": _fold_aggregate(reports, written)}
-    if written is not None:
-        out["instances"] = written
+        if config.emit_instances:
+            reports = list(reports)
+    out = {"config": config.resolved(), "aggregate": _fold_aggregate(reports)}
+    if config.emit_instances:
+        out["instances"] = reports
     return out
 
 
@@ -666,24 +668,23 @@ def replay(instance_id: str, expected: dict | None = None) -> dict:
 
 
 def report_csv(report: dict) -> str:
-    """Lossy tabular export: decimal shadows only, one row per instance."""
+    """Lossy tabular export: decimal shadows only, one row per instance,
+    built from the counts of `scan`'s `InstanceReport`s."""
     if "instances" not in report:
         raise ValueError("CSV export needs a report produced with emit_instances")
     lines = ["# lossy decimal export; authoritative rationals live in the JSON report"]
     lines.append("instance,group_order,subgroup_size,subset_size,K,K2,quotient_doubling,bound,margin")
     for rep in report["instances"]:
-        doubling = rep["doubling"]
-        kn, kd = split(doubling["K"])
-        k2n, k2d = split(doubling["K2"])
-        qn, qd = split(rep["quotient_doubling"])
-        # the bound is K^2 (symmetric) or K * K2 and the margin bound - qd; int
-        # true division rounds correctly, so these unreduced pairs give the
-        # same floats as the reduced Fractions would
-        bn, bd = (kn * kn, kd * kd) if doubling["symmetric"] else (kn * k2n, kd * k2d)
-        ident = rep["id"].replace('"', '""')
+        s = rep.stats
+        qn, qd = rep.pi_square, rep.pi_size
+        # K = |A^2|/|A|, K2 = |A^-1 A|/|A|; the bound is K^2 (symmetric) or
+        # K * K2 and the margin bound - qd.  Int true division rounds
+        # correctly, so these unreduced pairs give the floats of the Fractions
+        bn, bd = s.square * (s.square if s.symmetric else s.inv_square), s.size * s.size
+        ident = rep.id.replace('"', '""')
         lines.append(
-            f'"{ident}",{rep["sizes"]["group"]},{rep["sizes"]["subgroup"]},'
-            f"{rep['sizes']['subset']},{kn / kd!r},{k2n / k2d!r},{qn / qd!r},"
+            f'"{ident}",{rep.group_order},{rep.subgroup_size},{s.size},'
+            f"{s.square / s.size!r},{s.inv_square / s.size!r},{qn / qd!r},"
             f"{bn / bd!r},{(bn * qd - qn * bd) / (bd * qd)!r}"
         )
     return "\n".join(lines) + "\n"

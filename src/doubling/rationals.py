@@ -3,8 +3,9 @@
 The checks compare integer counts, and the results of an instance are held
 as those counts (`harness.InstanceReport` and the records it holds), so
 evaluating an instance writes no text.  A report is written once, where it
-is written: `InstanceReport.to_json()`, when `scan` emits its instances or
-`replay` returns one, is the one place the instance loop reaches `put`.
+is written: `InstanceReport.to_json()`, as the writer reaches each of a
+scan's instances or `replay` returns one, is the one place the instance loop
+reaches `put`; the CSV export divides the counts themselves.
 `put(d, key, num, den)` reduces num/den with one gcd and stores the "p/q"
 string and its decimal shadow, so no `Fraction` is built.  The aggregate
 ranks its probe by cross-multiplied counts and writes only the witnesses it
@@ -42,12 +43,6 @@ def parse(value: str | int | Fraction) -> Fraction:
         if len(parts) == 2:
             return Fraction(int(parts[0]), int(parts[1]))
     raise ValueError(f"not a rational: {value!r}")
-
-
-def split(text: str) -> tuple[int, int]:
-    """The integers of a "p/q" string that `put` wrote (no Fraction is built)."""
-    num, _, den = text.partition("/")
-    return int(num), int(den)
 
 
 def shadow(x: Fraction | int) -> float:

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -6,12 +7,15 @@ import tempfile
 from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import doubling
+from doubling import cli
 from doubling.cli import indented_json, main
+from doubling.harness import InstanceReport
 
 
 def run(capsys, *argv):
@@ -540,17 +544,148 @@ JSON_DOCS = st.recursive(
 )
 
 
+def _saved(doc) -> str:
+    """The text the CLI's file writer leaves for doc, passing each fragment
+    to the file on its own; if it raises, no file may be left."""
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "_CHUNK", 1):
+        path = os.path.join(d, "doc.json")
+        try:
+            cli._emit(doc, path)
+        except Exception:
+            assert os.listdir(d) == []
+            raise
+        return Path(path).read_bytes().decode("utf-8")
+
+
+def _with_newline(dumped):
+    return dumped + "\n" if isinstance(dumped, str) else dumped
+
+
 @settings(max_examples=400, deadline=None)
 @given(JSON_DOCS)
 def test_indented_json_matches_json_dumps(doc):
     expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
     assert _dumped(indented_json, doc) == expected
+    assert _dumped(_saved, doc) == _with_newline(expected)
 
 
 def test_indented_json_leaves_other_types_to_json():
     for doc in ({"a": [1, Fraction(1, 2)]}, [OrderedDict(b=1, a=2)], {"x": {1: "one", 2: "two"}}):
         expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
         assert _dumped(indented_json, doc) == expected
+        assert _dumped(_saved, doc) == _with_newline(expected)
+
+
+# 1,530 instances of all suites, a 7 MB artifact
+D4_ALL_SUITES = {"groups": ["dihedral:4"], "subset_mode": {"kind": "exhaustive"}, "emit_instances": True}
+C4_ALL_SUITES = dict(D4_ALL_SUITES, groups=["cyclic:4"])
+
+
+def _record_writes(monkeypatch, fail: bool = False) -> list:
+    """Record the length of each write to a file that the CLI opens for
+    writing; with fail, each of them raises ENOSPC instead."""
+    sizes: list = []
+    real_open = open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            write = fh.write
+
+            def counted(text):
+                sizes.append(len(text))
+                if fail:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return write(text)
+
+            fh.write = counted
+        return fh
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    return sizes
+
+
+def test_scan_streams_its_artifact_in_bounded_writes(tmp_path, capsys, monkeypatch):
+    (tmp_path / "scan.json").write_text(json.dumps(D4_ALL_SUITES))
+    out = tmp_path / "out.json"
+    sizes = _record_writes(monkeypatch)
+    assert run(capsys, "scan", "--config", str(tmp_path / "scan.json"), "--out", str(out))[0] == 0
+    size = out.stat().st_size
+    assert size > 1 << 20 and sum(sizes) == size
+    assert max(sizes) <= 1 << 18
+
+
+def test_scan_writes_the_same_file_at_one_and_two_workers(tmp_path, capsys):
+    (tmp_path / "scan.json").write_text(json.dumps(D4_ALL_SUITES))
+    texts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out-{jobs}.json"
+        assert run(capsys, "scan", "--config", str(tmp_path / "scan.json"), "-j", jobs, "--out", str(out))[0] == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("failure", ["render", "write"])
+def test_a_failed_write_leaves_no_file_and_the_old_artifact(tmp_path, capsys, monkeypatch, failure):
+    (tmp_path / "scan.json").write_text(json.dumps(C4_ALL_SUITES))
+    out = tmp_path / "out.json"
+    argv = ["scan", "--config", str(tmp_path / "scan.json"), "--out", str(out)]
+    if failure == "write":
+        _record_writes(monkeypatch, fail=True)
+        fails = lambda: run(capsys, *argv)[0] == 1  # noqa: E731
+    else:  # the fifth report fails to render, after the writer sent some to the file
+        render, calls = InstanceReport.to_json, []
+
+        def to_json(self):
+            calls.append(self)
+            if len(calls) % 5 == 0:
+                raise RuntimeError("render failed")
+            return render(self)
+
+        monkeypatch.setattr(InstanceReport, "to_json", to_json)
+        monkeypatch.setattr(cli, "_CHUNK", 8)
+
+        def fails():
+            with pytest.raises(RuntimeError):
+                main(argv)
+            return True
+
+    assert fails()
+    assert sorted(os.listdir(tmp_path)) == ["scan.json"]
+    out.write_bytes(b"an older artifact\n")
+    assert fails()
+    assert sorted(os.listdir(tmp_path)) == ["out.json", "scan.json"]
+    assert out.read_bytes() == b"an older artifact\n"
+
+
+def test_an_artifact_gets_the_mode_of_a_plain_open(tmp_path, capsys):
+    out, plain = tmp_path / "out.json", tmp_path / "plain"
+    argv = ["replay", "--id", json.dumps(REPLAY_BASE), "--out", str(out)]
+    umask = os.umask(0o027)
+    try:
+        open(plain, "w").close()
+        assert run(capsys, *argv)[0] == 0
+        assert out.stat().st_mode == plain.stat().st_mode
+        # a plain open keeps an existing file's mode
+        out.chmod(0o604)
+        assert run(capsys, *argv)[0] == 0
+        assert out.stat().st_mode & 0o777 == 0o604
+    finally:
+        os.umask(umask)
+
+
+def test_an_artifact_behind_a_symlink_is_written_through_it(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert run(capsys, "replay", "--id", json.dumps(REPLAY_BASE), "--out", str(link))[0] == 0
+    assert link.is_symlink() and json.loads(target.read_text())["id"] == json.dumps(REPLAY_BASE)
+
+
+def test_scan_to_dev_null_exits_zero(tmp_path, capsys):
+    (tmp_path / "scan.json").write_text(json.dumps(C4_ALL_SUITES))
+    argv = ["scan", "--config", str(tmp_path / "scan.json"), "--out", os.devnull, "--csv", os.devnull]
+    assert run(capsys, *argv)[0] == 0
 
 
 def _failing_containment(ctx, alphas):

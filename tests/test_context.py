@@ -202,8 +202,8 @@ def test_threshold_rows_count_b_as_the_restriction_to_the_level(ids, monkeypatch
         evaluate_instance(instance_id)
     assert restricted == []  # the extract suite reads |B| from the rows
     for instance_id in ids[::7]:
-        shared, group_json, subgroup_json, _, _ = _load_id(instance_id)
-        q = quotient_from_description(build_group(json.loads(group_json)), json.loads(subgroup_json))
+        shared, spec = _load_id(instance_id)[0], json.loads(instance_id)
+        q = quotient_from_description(build_group(spec["group"]), spec["subgroup"])
         ctx = InstanceContext(shared, q)
         for n, level, _, _, held in ctx.thresholds:
             assert held == len(original(q, ctx.a, level.elements).elements)

@@ -133,7 +133,7 @@ def test_symmetric_probe_never_exceeds_one():
 def test_replay_matches_scan_reports():
     config = small_config(emit_instances=True)
     report = scan(config)
-    for rep in report["instances"][:5]:
+    for rep in [r.to_json() for r in report["instances"][:5]]:
         again = replay(rep["id"])
         assert again == rep
         replay(rep["id"], expected=rep)  # no raise
@@ -143,7 +143,7 @@ def test_replay_flags_mismatch():
     from doubling import ConsistencyError
 
     config = small_config(emit_instances=True)
-    rep = scan(config)["instances"][0]
+    rep = scan(config)["instances"][0].to_json()
     tampered = json.loads(json.dumps(rep))
     tampered["quotient_doubling"] = "999/1"
     with pytest.raises(ConsistencyError):
@@ -283,7 +283,7 @@ def test_probe_values_allow_reconstruction():
     report = scan(small_config(emit_instances=True))
     from doubling.rationals import parse
 
-    for rep in report["instances"][:10]:
+    for rep in [r.to_json() for r in report["instances"][:10]]:
         k = parse(rep["doubling"]["K"])
         qd = parse(rep["quotient_doubling"])
         assert parse(rep["probe"]["over_k2"]) == qd / (k * k)
