@@ -63,6 +63,7 @@ class _Unsupported(Exception):
 
 
 _CHUNK = 4096  # fragments that `_write` holds before they go to the file
+_COPY = 1 << 16  # characters per write when `_emit` copies to stdout
 _NESTED = frozenset((dict, list, tuple, InstanceReport))
 
 
@@ -203,11 +204,19 @@ def _save(path: str, write) -> None:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    """Write doc as indented JSON and a newline to the file `out`, or to stdout."""
+    """Write doc as indented JSON and a newline to the file `out`, or to
+    stdout through a temporary file, which `_dump` can rewind, copied in
+    `_COPY`-character writes."""
     if out:
         _save(out, lambda fh: _dump(doc, fh, "\n"))
-    else:
-        sys.stdout.write(indented_json(doc) + "\n")
+        return
+    import tempfile  # imported here: only output to stdout needs it
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
+        _dump(doc, fh, "\n")
+        fh.seek(0)
+        while chunk := fh.read(_COPY):
+            sys.stdout.write(chunk)
 
 
 def _workers(args, configured: int = 1) -> int:
@@ -329,7 +338,7 @@ def _cmd_verify(args) -> int:
     else:
         subset_mode = {"kind": "random", "count": 200 if args.trials is None else args.trials,
                        "seed": args.seed or 0}
-    flags = {"/subset_mode/max_size": "--max-subset-size", "/subset_mode/count": "--trials"}
+    flags = {"/subset_mode/max_size": "--max-subset-size", "/subset_mode/count": "--trials", "/suites": "--suite"}
     config = _flagged(
         flags, ScanConfig, [gspec], subset_mode, suites, subgroup_weight=args.subgroup_weight,
         alphas=_alphas_arg(args.alphas, "--alphas"), parallelism=_workers(args),

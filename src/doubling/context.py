@@ -67,13 +67,14 @@ class SubsetContext:
 
 class InstanceContext:
     """A subset layer, `shared`, under the quotient `q`: `a` is A (with its
-    partner `b`) or a `SubsetContext` holding them.  `pi_a` and `thresholds`
-    fill on first use."""
+    partner `b`) or a `SubsetContext` holding them.  Fibers and levels are
+    memoized by their subset's elements; `pi_a` and `thresholds` fill on
+    first use."""
 
     def __init__(self, a: GSubset | SubsetContext, q: QuotientStructure, b: GSubset | None = None) -> None:
         self.shared = a if isinstance(a, SubsetContext) else SubsetContext(a, b)
         self.a, self.b, self.q = self.shared.a, self.shared.b, q
-        self._products, self._levels = {}, {}
+        self._products, self._fibers, self._levels = {}, {}, {}
         self._pi_a = self._thresholds = None
 
     def mul(self, x: GSubset, y: GSubset) -> GSubset:
@@ -94,7 +95,7 @@ class InstanceContext:
     def fibers(self, x: GSubset) -> Counter:
         """Coset -> |X meet coset| over the cosets X meets."""
         require_owner(x, self.q.ambient)
-        return Counter(map(self.q.project, x.elements))
+        return _memo(self._fibers, x.elements, Counter, map(self.q.project, x.elements))
 
     def levels(self, x: GSubset) -> list[tuple[int, GSubset, int]]:
         """(n, the cosets meeting X in at least n elements, how many elements

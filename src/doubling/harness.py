@@ -37,12 +37,14 @@ TOP_WITNESSES = 10
 # -- the suite table ------------------------------------------------------------
 #
 # Each suite maps (context, alphas) to (record, violations): its result record
-# and the details of the statements it found violated, in order (None when it
-# skipped).  `_fold_aggregate` alone decides "passed": ran with
-# no violations.  The checks return verdicts and never raise; only the public
-# wrappers (`layer_cake`, `spillover_check`, ...) do.  A record holds integers,
-# bools and strings, has the same keys whether its check held or not, and
-# writes the suite's fragment with `to_json()`.  `alphas` holds the id's
+# and a tuple of the details of the statements it found violated, in order
+# (None when it skipped); both are immutable, because a scan's results table
+# hands them to every instance with the same quotient-side input.
+# `_fold_aggregate` alone decides "passed": ran with no violations.  The
+# checks return verdicts and never raise; only the public wrappers
+# (`layer_cake`, `spillover_check`, ...) do.  A record holds integers, bools
+# and strings, has the same keys whether its check held or not, and writes
+# the suite's fragment with `to_json()`.  `alphas` holds the id's
 # alphas as (text as written, parsed).
 
 
@@ -82,18 +84,18 @@ def _measures(ctx: InstanceContext, **counts: int) -> tuple:
 def _layer_cake_suite(ctx: InstanceContext, alphas: list) -> tuple:
     holds, size, layered = check_layer_cake(ctx)
     record = Fragment((("pass", holds),), _measures(ctx, lhs=size, rhs=layered))
-    return record, [] if holds else ["layer-cake identity failed"]
+    return record, () if holds else ("layer-cake identity failed",)
 
 
 def _spillover_suite(ctx: InstanceContext, alphas: list) -> tuple:
     holds, ab, ba, left, right = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
     ratios = _measures(ctx, lhs_left=ab, lhs_right=ba, rhs_left=left, rhs_right=right)
-    return Fragment((("pass", holds),), ratios), [] if holds else ["spillover inequality failed"]
+    return Fragment((("pass", holds),), ratios), () if holds else ("spillover inequality failed",)
 
 
 def _containment_suite(ctx: InstanceContext, alphas: list) -> tuple:
     ok = check_containment(ctx, ctx.b if ctx.b is not None else ctx.a)
-    return Fragment((("pass", ok),), ()), [] if ok else ["superlevel containment failed"]
+    return Fragment((("pass", ok),), ()), () if ok else ("superlevel containment failed",)
 
 
 def _ruzsa_suite(ctx: InstanceContext, alphas: list) -> tuple:
@@ -105,7 +107,7 @@ def _ruzsa_suite(ctx: InstanceContext, alphas: list) -> tuple:
         ok = all(flags.values())
         size, d = len(s.a.elements), s.diff_size(s.a, s.a)
         record = Fragment((*flags.items(), ("pass", ok)), (("value_aa", d * d, size * size),))
-        ctx.shared.ruzsa = record, [] if ok else ["a distance axiom failed"]
+        ctx.shared.ruzsa = record, () if ok else ("a distance axiom failed",)
     return ctx.shared.ruzsa
 
 
@@ -114,7 +116,7 @@ def _quotient_suite(variant: str):
         if variant == "symmetric" and not ctx.shared.symmetric:
             return Fragment((("skipped", "subset is not symmetric"),), ()), None
         check = check_quotient_bound(ctx, variant)
-        return check, [] if check.passed else [f"quotient doubling exceeded the {variant} bound"]
+        return check, () if check.passed else (f"quotient doubling exceeded the {variant} bound",)
 
     return run
 
@@ -127,7 +129,7 @@ def _extract_suite(ctx: InstanceContext, alphas: list) -> tuple:
         except ConsistencyError:
             certificates.append((alpha_s, None))
             failed.append(f"extraction failed at alpha={alpha_s}")
-    return ExtractResults(tuple(certificates)), failed
+    return ExtractResults(tuple(certificates)), tuple(failed)
 
 
 SUITES = {
@@ -356,11 +358,13 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
     """The full deterministic instance list (ids) for a scan.
 
     With `built`, also appends per id the (subset layer, quotient maker,
-    suites, alphas) that `evaluate_instance` reads in its place.  An
-    exhaustive scan builds a group's subset layers once, for all its normal
-    subgroups; a random scan samples a fresh layer per instance.  A normal
-    subgroup's quotient is built from its `GSubset` by its first instance's
-    evaluation, not here, and shared by the rest."""
+    suites, alphas, results table) that `evaluate_instance` reads in its
+    place.  An exhaustive scan builds a group's subset layers once, for all
+    its normal subgroups; a random scan samples a fresh layer per instance.
+    A normal subgroup's quotient is built from its `GSubset` by its first
+    instance's evaluation, not here, and shared by the rest, and so is its
+    results table (see `_table_key`): None where no two of its instances
+    could share an entry, under H = {e} or with a single instance."""
     mode = config.subset_mode
     rng = Random(mode["seed"]) if mode["kind"] == "random" else None
     alphas = list(zip(map(fmt, config.alphas), config.alphas))
@@ -385,7 +389,8 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
             ids.extend(canonical_json({**base, **fields}) for fields, _ in layers)
             if built is not None:
                 make_quotient = cache(partial(quotient, group, sub, config.subgroup_weight))
-                built.extend((shared, make_quotient, config.suites, alphas) for _, shared in layers)
+                table = {} if len(sub.elements) > 1 and len(layers) > 1 else None
+                built.extend((shared, make_quotient, config.suites, alphas, table) for _, shared in layers)
     return ids
 
 
@@ -475,7 +480,7 @@ _ID_KEYS = {"group", "subgroup", "subset", "subset_b", "subset_c", "suites", "al
 
 def _load_id(instance_id: str) -> tuple:
     """Parse and check an instance id; returns what `evaluate_instance` reads:
-    (a fresh subset layer, quotient maker, suites, alphas)."""
+    (a fresh subset layer, quotient maker, suites, alphas, no results table)."""
     try:
         spec = json.loads(instance_id)
     except json.JSONDecodeError as exc:
@@ -500,7 +505,7 @@ def _load_id(instance_id: str) -> tuple:
     translators = None if translate is None else tuple(
         group.decode_element(v, f"/translate/{i}") for i, v in enumerate(translate))
     make_quotient = partial(_quotient, group_json, subgroup_json)
-    return SubsetContext(a, b, c, translators), make_quotient, spec.get("suites", []), alphas
+    return SubsetContext(a, b, c, translators), make_quotient, spec.get("suites", []), alphas, None
 
 
 class InstanceReport(namedtuple(
@@ -535,19 +540,47 @@ class InstanceReport(namedtuple(
         return put(report, "quotient_doubling", self.pi_square, self.pi_size)
 
 
+def _table_key(ctx: InstanceContext, stats, suites) -> tuple:
+    """All that the quotient-side suites read of an instance, exactly: the
+    `DoublingStats` counts and the fiber profiles of A and, for spillover and
+    containment, of B, AB and BA.  A profile is packed into one int, the count
+    at coset c in the w bits from bit c * w: w bits hold any count up to |H|,
+    and the cosets of a `quotient` are 0..q-1."""
+    w = len(ctx.q.subgroup.elements).bit_length()
+
+    def packed(x: GSubset) -> int:
+        return sum(n << c * w for c, n in ctx.fibers(x).items())
+
+    key = (stats, packed(ctx.a))
+    if "spillover" in suites or "containment" in suites:
+        b = ctx.b if ctx.b is not None else ctx.a
+        key += (packed(b), packed(ctx.mul(ctx.a, b)), packed(ctx.mul(b, ctx.a)))
+    return key
+
+
 def evaluate_instance(instance_id: str, built: tuple | None = None) -> InstanceReport:
     """Recompute the results for one instance id (pure, replayable).
 
     Without `built` the id is parsed and validated first, as `replay` needs.
     `scan` passes `built`, what `iter_instance_specs` made the id from, so it
     decodes nothing; the layer may already hold what the instances of other
-    normal subgroups computed."""
-    shared, make_quotient, suites, alphas = _load_id(instance_id) if built is None else built
+    normal subgroups computed.  With a results table, an instance whose
+    `_table_key` is in it reads |piA|, |piA^2| and every suite's results from
+    there, except ruzsa-axioms, which reads no quotient."""
+    shared, make_quotient, suites, alphas, table = _load_id(instance_id) if built is None else built
     ctx = InstanceContext(shared, make_quotient())
     stats = stats_of(shared)
-    records = tuple((name, *SUITES[name](ctx, alphas)) for name in suites)
+    key = None if table is None else _table_key(ctx, stats, suites)
+    found = None if key is None else table.get(key)
+    if found is None:
+        results = tuple(None if name == "ruzsa-axioms" else SUITES[name](ctx, alphas) for name in suites)
+        found = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a), results
+        if key is not None:
+            table[key] = found
+    pi_size, pi_square, results = found
+    records = tuple((name, *(result or SUITES[name](ctx, alphas))) for name, result in zip(suites, results))
     return InstanceReport(instance_id, ctx.q.ambient.order, len(ctx.q.subgroup.elements), stats,
-                          len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a), records)
+                          pi_size, pi_square, records)
 
 
 # -- aggregation and the scan itself --------------------------------------------

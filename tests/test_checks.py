@@ -98,10 +98,10 @@ def test_layer_cake_boundary():
 def test_layer_cake_suite_reports_a_failure_with_the_passing_keys():
     cosets = sorted(InstanceContext(A_LC, Q).pi_a.elements)
     record, violations = harness._layer_cake_suite(Rigged(A_LC), [])
-    assert violations == [] and record.to_json()["pass"] is True
+    assert violations == () and record.to_json()["pass"] is True
     short = Rigged(A_LC, levels_of={A_LC: _levels_with(cosets[1:])})
     failed, violations = harness._layer_cake_suite(short, [])
-    assert violations == ["layer-cake identity failed"]
+    assert violations == ("layer-cake identity failed",)
     assert failed.to_json() == {**record.to_json(), "pass": False, "rhs": "2/1", "rhs_dec": 2.0}
 
 
@@ -121,10 +121,10 @@ def test_spillover_boundary():
 
 def test_spillover_suite_and_wrapper_report_a_failure(monkeypatch):
     record, violations = harness._spillover_suite(Rigged(A_SP, b=B_SP), [])
-    assert violations == [] and record.to_json()["pass"] is True
+    assert violations == () and record.to_json()["pass"] is True
     low = Rigged(A_SP, b=B_SP, sizes={(A_SP, B_SP): 5})
     failed, violations = harness._spillover_suite(low, [])
-    assert violations == ["spillover inequality failed"]
+    assert violations == ("spillover inequality failed",)
     assert failed.to_json() == {**record.to_json(), "pass": False, "lhs_left": "5/1", "lhs_left_dec": 5.0}
 
     monkeypatch.setattr(fibers, "InstanceContext", lambda a, q, b: Rigged(a, q, b, sizes={(A_SP, B_SP): 5}))
@@ -164,9 +164,9 @@ def test_containment_boundary():
 
 def test_containment_suite_reports_a_failure():
     equal, short = _containment_contexts()
-    assert harness._containment_suite(equal, [])[1] == []
+    assert harness._containment_suite(equal, [])[1] == ()
     record, violations = harness._containment_suite(short, [])
-    assert violations == ["superlevel containment failed"] and record.to_json() == {"pass": False}
+    assert violations == ("superlevel containment failed",) and record.to_json() == {"pass": False}
 
 
 # -- Ruzsa: value(A,C) <= value(A,B) value(B,C), and d(A,A) >= 0 ------------------------
@@ -202,9 +202,9 @@ def _ruzsa_layer(d_aa):
 
 def test_ruzsa_suite_reports_a_failure():
     record, violations = harness._ruzsa_suite(InstanceContext(_ruzsa_layer(2), Q), [])
-    assert violations == [] and record.to_json()["pass"] is True
+    assert violations == () and record.to_json()["pass"] is True
     record, violations = harness._ruzsa_suite(InstanceContext(_ruzsa_layer(1), Q), [])
-    assert violations == ["a distance axiom failed"]
+    assert violations == ("a distance axiom failed",)
     assert record.to_json()["self_at_least_one"] is False and record.to_json()["pass"] is False
 
 
@@ -237,7 +237,7 @@ def test_quotient_bound_boundary(variant):
 def test_quotient_suite_reports_a_failure():
     pi_a = InstanceContext(A_SUB, Q).pi_a
     record, violations = harness.SUITES["quotient-cube"](Rigged(A_SUB, sizes={(pi_a, pi_a): 4}), [])
-    assert violations == ["quotient doubling exceeded the cube bound"] and record.to_json()["pass"] is False
+    assert violations == ("quotient doubling exceeded the cube bound",) and record.to_json()["pass"] is False
 
 
 # -- extraction: admissible rows and the measure floor ----------------------------------
@@ -269,7 +269,7 @@ def test_extraction_floor_boundary():
 
 def test_extract_suite_counts_a_failed_alpha():
     record, violations = harness._extract_suite(Rigged(A_EX, rows=[_row(2, 1)]), [("2", TWO)])
-    assert violations == ["extraction failed at alpha=2"] and record.to_json() == {"2": {"pass": False}}
+    assert violations == ("extraction failed at alpha=2",) and record.to_json() == {"2": {"pass": False}}
     rep = harness.InstanceReport("x", 12, 2, metrics.DoublingStats(4, 7, 7, False), 4, 7,
                                  (("extract", record, violations),))
     aggregate = harness._fold_aggregate([rep])

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -373,7 +375,7 @@ def _replay_id(**change):
         (["extract", "--instance", "<bool_keep>"], "/instance/keep"),
         (["verify", "--group", "cyclic:0"], "/group"),
         (["verify", "--group", "@<scan>"], "/group"),
-        (["verify", "--group", "cyclic:4", "--suite", "bogus"], "/suites/0"),
+        (["verify", "--group", "cyclic:4", "--suite", "bogus"], "--suite"),
         (["extract", "--alpha", "2", "--group", "cyclic:4", "--subgroup", "[", "--subset", "{}"], "error:"),
         (["extract", "--alpha", "2", "--group", "cyclic:4", "--subgroup", '{"elements": [0, 9]}',
           "--subset", '{"elements": [0]}'], "/subgroup/elements"),
@@ -408,6 +410,7 @@ def _replay_id(**change):
           "--subset", '{"construction": "other"}'], "error: /subset/construction:"),
         (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
           "--subset", '{"construction": "sharpness", "N": 1, "h": 4, "m": 25, "k": 2}'], "error: /subset/k:"),
+        (["verify", "--group", "cyclic:4", "--suite", "layer-cake,foo"], "error: --suite: unknown suite 'foo'"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -557,6 +560,14 @@ def _saved(doc) -> str:
         return Path(path).read_bytes().decode("utf-8")
 
 
+def _printed(doc) -> str:
+    """The text the CLI writes to stdout for doc, copied 7 characters at a time."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), mock.patch.object(cli, "_COPY", 7):
+        cli._emit(doc, None)
+    return buf.getvalue()
+
+
 def _with_newline(dumped):
     return dumped + "\n" if isinstance(dumped, str) else dumped
 
@@ -567,6 +578,7 @@ def test_indented_json_matches_json_dumps(doc):
     expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
     assert _dumped(indented_json, doc) == expected
     assert _dumped(_saved, doc) == _with_newline(expected)
+    assert _dumped(_printed, doc) == _with_newline(expected)
 
 
 def test_indented_json_leaves_other_types_to_json():
@@ -574,6 +586,7 @@ def test_indented_json_leaves_other_types_to_json():
         expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
         assert _dumped(indented_json, doc) == expected
         assert _dumped(_saved, doc) == _with_newline(expected)
+        assert _dumped(_printed, doc) == _with_newline(expected)
 
 
 # 1,530 instances of all suites, a 7 MB artifact
@@ -613,6 +626,18 @@ def test_scan_streams_its_artifact_in_bounded_writes(tmp_path, capsys, monkeypat
     size = out.stat().st_size
     assert size > 1 << 20 and sum(sizes) == size
     assert max(sizes) <= 1 << 18
+
+
+def test_scan_to_stdout_streams_the_bytes_of_its_out_file(tmp_path, capsys, monkeypatch):
+    (tmp_path / "scan.json").write_text(json.dumps(D4_ALL_SUITES))
+    out = tmp_path / "out.json"
+    argv = ["scan", "--config", str(tmp_path / "scan.json")]
+    assert run(capsys, *argv, "--out", str(out))[0] == 0
+    writes: list = []
+    monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
+    assert main(argv) == 0
+    assert "".join(writes).encode() == out.read_bytes()
+    assert max(map(len, writes)) <= 1 << 18
 
 
 def test_scan_writes_the_same_file_at_one_and_two_workers(tmp_path, capsys):

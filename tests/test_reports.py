@@ -9,6 +9,7 @@ ids.  Each of these fast paths is compared here with the plain path:
 per id.
 """
 
+import inspect
 import json
 import pickle
 from fractions import Fraction
@@ -93,8 +94,9 @@ def test_a_pickled_instance_report_holds_counts_only():
         assert again == report and again.to_json() == report.to_json()
         kinds = {type(x) for x in _reachable(again)}
         assert not any(issubclass(k, (WeightedGroup, GSubset, Fraction)) for k in kinds), kinds
-        leaves = {k for k in kinds if not issubclass(k, (tuple, list, dict))}
-        assert leaves <= {str, int, bool, type(None)}, leaves
+        # one record may serve several reports, so the containers are tuples
+        containers = kinds - {str, int, bool, type(None)}
+        assert all(issubclass(k, tuple) for k in containers), containers
 
 
 def test_exhaustive_all_suite_scan_equals_replay():
@@ -133,6 +135,79 @@ def test_a_cli_scan_decodes_no_subgroup(tmp_path, capsys, monkeypatch):
     assert len(instances) > 20
     for rep in instances:
         assert replay(rep["id"]) == rep
+
+
+# five small groups, 40 random subsets per normal subgroup: enough instances
+# that share a fiber profile of A but not the counts or the profiles of B, AB
+# and BA for each key mutant below to give replay mismatches
+SHARED_PROFILES = (["cyclic:4", "dihedral:3", "cyclic:6", "q8", "dihedral:4"],
+                   {"kind": "random", "count": 40, "seed": 5})
+
+
+def test_a_scan_sharing_fiber_profiles_equals_replay():
+    report = scan(ScanConfig(*SHARED_PROFILES, emit_instances=True))
+    assert report["aggregate"]["instances"] == 880
+    mismatched = [rep.id for rep in report["instances"] if replay(rep.id) != rep.to_json()]
+    assert mismatched == [], f"{len(mismatched)} reports differ from their replay"
+
+
+KEY_MUTANTS = [
+    ("(stats, packed(ctx.a))", "(packed(ctx.a),)"),
+    ("packed(b), ", ""),
+    ("packed(ctx.mul(ctx.a, b)), packed(ctx.mul(b, ctx.a))", ""),
+]
+
+
+@pytest.mark.parametrize("snippet, mutant", KEY_MUTANTS, ids=["no stats", "no B", "no AB and BA"])
+def test_each_results_table_key_mutant_fails_the_replay_test(monkeypatch, snippet, mutant):
+    source = inspect.getsource(harness._table_key)
+    # the snippet must be there: an edit to the key fails here, loudly
+    assert source.count(snippet) == 1, f"_table_key no longer holds {snippet!r}"
+    monkeypatch.setattr(harness, "_table_key", harness._table_key)  # restored after the test
+    exec(compile(source.replace(snippet, mutant), harness.__file__, "exec"), vars(harness))
+    with pytest.raises(AssertionError):
+        test_a_scan_sharing_fiber_profiles_equals_replay()
+
+
+def _extract_runs(monkeypatch) -> list:
+    """[id, how many times the extract suite ran for it] per evaluated instance."""
+    runs: list = []
+    evaluate, extract = harness.evaluate_instance, harness.SUITES["extract"]
+
+    def counted_evaluate(instance_id, built=None):
+        runs.append([instance_id, 0])
+        return evaluate(instance_id, built)
+
+    def counted_extract(ctx, alphas):
+        runs[-1][1] += 1
+        return extract(ctx, alphas)
+
+    monkeypatch.setattr(harness, "evaluate_instance", counted_evaluate)
+    monkeypatch.setitem(harness.SUITES, "extract", counted_extract)
+    return runs
+
+
+def test_an_exhaustive_verify_runs_the_quotient_suites_once_per_fiber_profile(tmp_path, monkeypatch):
+    runs = _extract_runs(monkeypatch)
+    argv = ["verify", "--group", "dihedral:6", "--max-subset-size", "3", "-j", "1"]
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    assert len(runs) == 2086 and sum(n for _, n in runs) < 700
+    # under H = {e} a fiber profile is the subset itself: no table, every instance runs
+    trivial = [n for i, n in runs if len(json.loads(i)["subgroup"]["elements"]) == 1]
+    assert len(trivial) == 298 and set(trivial) == {1}
+
+
+def test_replay_and_single_instance_subgroups_run_every_suite(monkeypatch):
+    config = ScanConfig(["dihedral:4", "cyclic:6"], {"kind": "random", "count": 1, "seed": 0},
+                        emit_instances=True)
+    built: list = []
+    iter_instance_specs(config, built)
+    assert [table for *_, table in built] == [None] * len(built)
+    runs = _extract_runs(monkeypatch)
+    report = scan(config)
+    for rep in report["instances"]:
+        replay(rep.id)
+    assert len(runs) == 2 * len(built) and {n for _, n in runs} == {1}
 
 
 def test_random_scan_equals_replay():
