@@ -11,10 +11,7 @@ from .constructions import (
     MatrixFamily,
     SharpnessInstance,
     build_sharpness_instance,
-    cantor_analog,
     matrix_family,
-    matrix_family_square_count,
-    powers_diff_count,
 )
 from .errors import CapError, ConsistencyError, SpecError
 from .extract import ExtractionCertificate, admissible_thresholds, extract_subset
@@ -37,7 +34,6 @@ from .groups import (
     TableGroup,
     WeightedGroup,
     build_group,
-    quaternion_group,
     validate_axioms,
 )
 from .harness import (
@@ -53,16 +49,12 @@ from .harness import (
 from .metrics import (
     DoublingStats,
     RuzsaSq,
-    coset_criterion_scan,
     doubling_stats,
-    is_coset_of_subgroup,
     quotient_doubling_check,
     ruzsa_sq,
-    ruzsa_triangle_check,
 )
 from .quotients import (
     QuotientStructure,
-    all_subgroups,
     closure,
     normal_subgroups,
     projection_quotient,
@@ -71,11 +63,8 @@ from .quotients import (
 from .sets import (
     GSubset,
     decode_subset,
-    diff_set,
     inv_set,
-    is_symmetric,
     mul_set,
-    square,
     subset,
     translate,
 )
@@ -106,42 +95,31 @@ __all__ = [
     "TableGroup",
     "WeightedGroup",
     "admissible_thresholds",
-    "all_subgroups",
     "build_group",
     "closure",
     "build_sharpness_instance",
-    "cantor_analog",
     "catalog",
     "containment_check",
-    "coset_criterion_scan",
     "decode_subset",
-    "diff_set",
     "doubling_stats",
     "evaluate_instance",
     "extract_subset",
     "fiber_profile",
     "inv_set",
-    "is_coset_of_subgroup",
-    "is_symmetric",
     "iter_instance_specs",
     "layer_cake",
     "level_family",
     "matrix_family",
-    "matrix_family_square_count",
     "mul_set",
     "normal_subgroups",
     "parse_group_selector",
-    "powers_diff_count",
     "projection_quotient",
-    "quaternion_group",
     "quotient",
     "quotient_doubling_check",
     "replay",
     "ruzsa_sq",
-    "ruzsa_triangle_check",
     "scan",
     "spillover_check",
-    "square",
     "subset",
     "translate",
     "validate_axioms",

@@ -46,16 +46,20 @@ from .sets import decode_subset
 _EXHAUSTIVE_DEFAULT_LIMIT = 12
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _maybe_inline_json(text: str, flag: str):
+    """Accept @file.json or an inline JSON string.  Text that is not JSON (or
+    a file that is not UTF-8) is a SpecError naming `flag`, where it came from."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except ValueError as exc:
+        raise SpecError(flag, f"not valid JSON: {exc}") from None
 
 
-def _maybe_inline_json(text: str):
-    """Accept @file.json or an inline JSON string."""
-    if text.startswith("@"):
-        return _read_json(text[1:])
-    return json.loads(text)
+def _read_json(path: str, flag: str):
+    return _maybe_inline_json("@" + path, flag)
 
 
 class _Unsupported(Exception):
@@ -65,14 +69,6 @@ class _Unsupported(Exception):
 _CHUNK = 4096  # fragments that `_write` holds before they go to the file
 _COPY = 1 << 16  # characters per write when `_emit` copies to stdout
 _NESTED = frozenset((dict, list, tuple, InstanceReport))
-
-
-def indented_json(doc) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, with each
-    `InstanceReport` in doc rendered by its `to_json()`: `_dump` into a buffer."""
-    buf = io.StringIO()
-    _dump(doc, buf)
-    return buf.getvalue()
 
 
 def _dump(doc, fh, end: str = "") -> None:
@@ -278,7 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--group", help="group selector or @spec.json (with --subgroup/--subset)")
     e.add_argument("--subgroup", help='inline JSON or @file: {"elements":[...]} or {"keep":[...]}')
     e.add_argument("--subset", help='inline JSON or @file: {"elements":[...]} or construction ref')
-    e.add_argument("--subgroup-weight", default="counting", choices=["counting", "normalized"])
+    e.add_argument("--subgroup-weight", choices=["counting", "normalized"],
+                   help="w_H of a --subgroup given by its elements (default counting)")
     e.add_argument("--trace", action="store_true", help="include a human-readable threshold trace")
     _add_common(e)
 
@@ -298,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _group_arg(text: str) -> tuple[dict, WeightedGroup]:
     """A group selector like "cyclic:12", or @file holding a spec, with the
     harness's cached group for it."""
-    spec = parse_group_selector(_read_json(text[1:]) if text.startswith("@") else text, "/group")
+    spec = parse_group_selector(_read_json(text[1:], "--group") if text.startswith("@") else text, "/group")
     return spec, _group_at(canonical_json(spec), "/group")
 
 
@@ -375,18 +372,30 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _unused(args, flags: tuple, reason: str) -> None:
+    """Reject the first of `flags` that was given, as extract would ignore it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise SpecError(flag, f"not used {reason}")
+
+
 def _load_extract_inputs(args):
     if args.instance:
-        return load_instance(_read_json(args.instance), "/instance")
-    if not args.group or not args.subgroup or not args.subset:
-        raise SpecError("", "extract needs --instance or all of --group/--subgroup/--subset")
-    subset_doc = _maybe_inline_json(args.subset)
+        _unused(args, ("--group", "--subgroup", "--subset", "--subgroup-weight"), "with --instance")
+        return load_instance(_read_json(args.instance, "--instance"), "/instance")
+    subset_doc = _maybe_inline_json(args.subset, "--subset") if args.subset else None
     if isinstance(subset_doc, dict) and "construction" in subset_doc:
+        _unused(args, ("--group", "--subgroup", "--subgroup-weight"), "with a construction reference")
         return build_from_reference(subset_doc, "/subset")
+    if not args.group or not args.subgroup or not args.subset:
+        raise SpecError("", "extract needs --instance, a construction reference in --subset, "
+                            "or all of --group/--subgroup/--subset")
     group = _group_arg(args.group)[1]
-    sub_doc = _maybe_inline_json(args.subgroup)
+    sub_doc = _maybe_inline_json(args.subgroup, "--subgroup")
     if isinstance(sub_doc, dict) and "elements" in sub_doc and "weight" not in sub_doc:
-        sub_doc = {"elements": sub_doc["elements"], "weight": args.subgroup_weight}
+        sub_doc = {"elements": sub_doc["elements"], "weight": args.subgroup_weight or "counting"}
+    else:
+        _unused(args, ("--subgroup-weight",), "unless --subgroup lists elements without a weight")
     q = quotient_from_description(group, sub_doc, "/subgroup")
     a = decode_subset(group, subset_doc, "/subset")
     return group, a, q
@@ -413,7 +422,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    config = ScanConfig.from_json(_read_json(args.config))
+    config = ScanConfig.from_json(_read_json(args.config, "--config"))
     config.parallelism = _workers(args, config.parallelism)
     if args.csv:
         config.emit_instances = True
@@ -431,7 +440,7 @@ def _cmd_replay(args) -> int:
     if instance_id.startswith("@"):
         with open(instance_id[1:], "r", encoding="utf-8") as fh:
             instance_id = fh.read().strip()
-    expected = _read_json(args.expect) if args.expect else None
+    expected = _read_json(args.expect, "--expect") if args.expect else None
     try:
         report = replay(instance_id, expected)
     except ConsistencyError as exc:

@@ -30,7 +30,7 @@ from itertools import product
 from math import isqrt
 
 from .errors import CapError, ConsistencyError, SpecError, integer, known_keys
-from .groups import CyclicGroup, MatrixGroup, ProductGroup, WeightedGroup, build_group
+from .groups import MatrixGroup, ProductGroup, WeightedGroup, build_group
 from .metrics import DoublingStats
 from .quotients import QuotientStructure, projection_quotient
 from .rationals import put
@@ -57,33 +57,6 @@ def matrix_family(n: int) -> MatrixFamily:
     mats = [(0, 1, 1, 2 ** k) for k in range(1, n + 1)]
     mats += [_GL2Z.inv(m) for m in mats]
     return MatrixFamily(n, tuple(mats))
-
-
-def powers_diff_count(n: int) -> int:
-    """|S - S| for S = {2^k : 1 <= k <= n}, by brute force over all pairs."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    s = [2 ** k for k in range(1, n + 1)]
-    diffs = {a - b for a in s for b in s}
-    expected = n * (n - 1) + 1
-    if len(diffs) != expected:
-        raise ConsistencyError(
-            f"power difference count: got {len(diffs)}, expected {expected}", {"n": n}
-        )
-    return len(diffs)
-
-
-def matrix_family_square_count(n: int) -> int:
-    """|(I u M)^2| by brute force with arbitrary-precision matrix products."""
-    fam = matrix_family(n)
-    gens = (fam.identity,) + fam.members
-    products = {_GL2Z.op(x, y) for x in gens for y in gens}
-    expected = 4 * n * n + 1
-    if len(products) != expected:
-        raise ConsistencyError(
-            f"matrix family square count: got {len(products)}, expected {expected}", {"n": n}
-        )
-    return len(products)
 
 
 # -- Cantor analog in Z_m ----------------------------------------------------
@@ -193,19 +166,6 @@ def _smear(mask: int, count: int, step: int) -> int:
             return out
         mask |= mask << width
         width <<= 1
-
-
-def cantor_analog(m: int, group: CyclicGroup | None = None) -> GSubset:
-    """Symmetric C in Z_m with C + C = Z_m and density O(1/sqrt(m)).
-
-    C = {-r..r} u rZ_m with r = _cantor_radix(m).
-    """
-    _, c = _cantor(m, {})
-    if group is None:
-        group = CyclicGroup(m, "normalized")
-    elif group.n != m:
-        raise ValueError(f"group modulus {group.n} does not match m={m}")
-    return GSubset(group, c)
 
 
 # -- touched-coset block representation --------------------------------------

@@ -35,9 +35,6 @@ class FiberProfile(namedtuple("FiberProfile", "quotient source fibers")):
     def support(self) -> frozenset:
         return frozenset(self.fibers)
 
-    def support_subset(self) -> GSubset:
-        return self.quotient.coset_subset(self.fibers)
-
     def thresholds(self) -> list[Fraction]:
         """Distinct realized fiber values, increasing."""
         return sorted(set(self.fibers.values()))
@@ -47,13 +44,6 @@ class FiberProfile(namedtuple("FiberProfile", "quotient source fibers")):
         if t <= 0:
             return self.support
         return frozenset(c for c, v in self.fibers.items() if v >= t)
-
-    def to_json(self) -> dict:
-        q = self.quotient.quotient
-        cells = sorted(
-            ((q.element_key(c), q.encode_element(c), v) for c, v in self.fibers.items()),
-        )
-        return {"cosets": [{"id": enc, "fiber": fmt(v)} for _, enc, v in cells]}
 
 
 class LevelFamily(namedtuple("LevelFamily", "thresholds levels")):

@@ -116,11 +116,6 @@ class WeightedGroup:
             self._signature = json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
         return self._signature
 
-    def total_measure(self) -> Fraction:
-        if self.order is None:
-            raise ValueError("infinite group has no total measure")
-        return self.order * self.weight
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         size = self.order if self.order is not None else "inf"
         return f"<{type(self).__name__} {self.name} |G|={size} w={self.weight}>"
@@ -536,10 +531,6 @@ def quaternion_table() -> list[list[int]]:
                     s, u = unit_mul[(u1, u2)]
                     table[idx(s1, u1)][idx(s2, u2)] = idx(s * s1 * s2, u)
     return table
-
-
-def quaternion_group(weight: str | Fraction = "counting") -> TableGroup:
-    return TableGroup(quaternion_table(), weight=weight, name="Q8")
 
 
 def op_table(group: WeightedGroup) -> tuple[list, dict, list[list[int]]]:

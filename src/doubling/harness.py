@@ -27,7 +27,7 @@ from .groups import WeightedGroup, _resolve_weight, build_group, quaternion_tabl
 from .metrics import check_quotient_bound, ruzsa_axioms, stats_of
 from .quotients import QuotientStructure, normal_subgroups, quotient, quotient_from_description
 from .rationals import fmt, parse, put
-from .sets import GSubset, decode_elements
+from .sets import GSubset, decode_nonempty
 
 DEFAULT_ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(3))
 EXHAUSTIVE_ORDER_CAP = 16
@@ -468,13 +468,6 @@ def _quotient(group_json: str, desc_json: str) -> QuotientStructure:
     return quotient_from_description(_group(group_json), json.loads(desc_json), "/subgroup")
 
 
-def _decode_elems(group: WeightedGroup, items, path: str) -> GSubset:
-    elems = decode_elements(group, items, path)
-    if not elems:
-        raise SpecError(path, "expected a nonempty list of group elements")
-    return GSubset(group, elems)
-
-
 _ID_KEYS = {"group", "subgroup", "subset", "subset_b", "subset_c", "suites", "alphas", "translate"}
 
 
@@ -500,7 +493,7 @@ def _load_id(instance_id: str) -> tuple:
     group_json, subgroup_json = canonical_json(spec["group"]), canonical_json(spec["subgroup"])
     group = _group_at(group_json, "/group")
     _quotient(group_json, subgroup_json)  # the subgroup is checked before the subsets
-    a, b, c = (_decode_elems(group, spec[key], f"/{key}") if key in spec else None
+    a, b, c = (decode_nonempty(group, spec[key], f"/{key}") if key in spec else None
                for key in ("subset", "subset_b", "subset_c"))
     translators = None if translate is None else tuple(
         group.decode_element(v, f"/translate/{i}") for i, v in enumerate(translate))

@@ -12,7 +12,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .context import InstanceContext, SubsetContext
-from .quotients import QuotientStructure, is_subgroup
+from .quotients import QuotientStructure
 from .rationals import put
 from .sets import GSubset, translate
 
@@ -91,11 +91,6 @@ def ruzsa_axioms(ctx: SubsetContext, b: GSubset, c: GSubset, translators=None) -
         moved = ctx.diff_size(translate(a, left=g), translate(b, left=h))
         flags["translation"] = moved == ctx.diff_size(a, b)
     return flags
-
-
-def ruzsa_triangle_check(a: GSubset, b: GSubset, c: GSubset) -> bool:
-    """value(A,C) <= value(A,B) * value(B,C), the triangle inequality squared."""
-    return ruzsa_triangle(SubsetContext(a, b, c), a, b, c)
 
 
 class QuotientDoublingCheck(namedtuple(
@@ -177,38 +172,3 @@ def quotient_doubling_check(
         raise ValueError('variant "symmetric" needs a symmetric subset')
     return check_quotient_bound(ctx, variant)
 
-
-def is_coset_of_subgroup(group, elems: frozenset) -> bool:
-    """Is A a (left or right) coset of some subgroup?
-
-    Equivalent test: a0^-1 A is a subgroup for any fixed a0 in A.
-    """
-    if not elems:
-        return False
-    ia0 = group.inv(min(elems, key=group.element_key))
-    return is_subgroup(group, translate(GSubset(group, elems), left=ia0).elements)
-
-
-def coset_criterion_scan(group) -> tuple[int, list[tuple]]:
-    """Exhaustively verify: d(A,A) = 0 iff A is a coset of a subgroup.
-
-    Runs over every nonempty subset of a finite group.  The left side is the
-    product-set count |A A^-1| == |A|; the right side is the independent
-    closure test.  Returns (number of subsets checked, mismatch witnesses).
-    """
-    n = group.order
-    if n is None:
-        raise ValueError("exhaustive scan needs a finite group")
-    law = group.law
-    elems = list(group.elements())
-    pts = list(law.all_points())
-
-    mismatches: list[tuple] = []
-    for mask in range(1, 1 << n):
-        members = [p for i, p in enumerate(pts) if mask >> i & 1]
-        distance_zero = len(law.product(members, list(law.inverse(members)))) == len(members)
-        h = law.product(law.inverse(members[:1]), members)
-        coset = law.product(h, list(h)) <= h
-        if distance_zero != coset:
-            mismatches.append(tuple(x for i, x in enumerate(elems) if mask >> i & 1))
-    return (1 << n) - 1, mismatches

@@ -7,7 +7,7 @@ table; a projection quotient of a product group drops coordinates and works
 for lazy ambient groups as long as the dropped factors are finite.
 Subgroups are found on the points of `group.law`, table indices up to
 TABLE_CAP: `closure`, `is_subgroup` and the lattice share one growing walk
-(`_grow`), `is_normal` and `quotient` one coset walk (`_cosets`).
+(`_grow`), and `quotient` walks the cosets once (`_cosets`).
 """
 
 from __future__ import annotations
@@ -87,14 +87,6 @@ def _cosets(law, h: list, order: int) -> tuple[dict, list] | None:
     return coset_of, reps
 
 
-def is_normal(group: WeightedGroup, elems: frozenset) -> bool:
-    """Is the subgroup `elems` normal: gH = Hg for every g?"""
-    if group.order is None:
-        raise ValueError("normality check needs a finite ambient group")
-    law = group.law
-    return _cosets(law, law.points(elems), group.order) is not None
-
-
 def _structural_key(group: WeightedGroup) -> str | None:
     """Weight-independent cache key: two weight variants share their lattice."""
     try:
@@ -172,11 +164,6 @@ def _lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
     ]
 
 
-def all_subgroups(group: WeightedGroup) -> list[frozenset]:
-    """Every subgroup, found by closing generated subgroups one generator at a time."""
-    return list(_subgroup_lattice(group)[0])
-
-
 def normal_subgroups(group: WeightedGroup) -> list[GSubset]:
     """All normal subgroups of a finite group, {e} and G included, canonical order."""
     return [GSubset(group, h) for h in _subgroup_lattice(group)[1]]
@@ -205,11 +192,6 @@ class QuotientStructure:
                 f"Fubini weights mismatch: w_Q * w_H = {fmt(product)}, w_G = {fmt(ambient.weight)}"
             )
 
-    @property
-    def subgroup_total(self) -> Fraction:
-        """mu_H(H): total measure of the subgroup under its own weight."""
-        return len(self.subgroup.elements) * self.subgroup_weight
-
     def image(self, a: GSubset) -> GSubset:
         """pi(A) as a subset of the quotient group."""
         require_owner(a, self.ambient)
@@ -234,7 +216,8 @@ def quotient(
 
     `subgroup_weight` picks w_H (counting: 1, normalized: 1/|H|); the quotient
     weight is then forced to w_G / w_H.  A mode other than these two is a
-    SpecError at "/weight".  More than TABLE_CAP cosets raise CapError.
+    SpecError at "/weight", and a set that is not a normal subgroup one at
+    "/elements".  More than TABLE_CAP cosets raise CapError.
     """
     if group.order is None:
         raise ValueError("general quotients need a finite ambient group; use projection_quotient")
@@ -249,12 +232,12 @@ def quotient(
             f"quotient index |G|/|H| = {group.order}/{len(h_elems)} is above the cap {TABLE_CAP}"
         )
     if not is_subgroup(group, h_elems):
-        raise ValueError("not a subgroup: missing identity or not closed under the operation")
+        raise SpecError("/elements", "not a subgroup: missing identity or not closed under the operation")
     w_h = _resolve_weight(subgroup_weight, len(h_elems))
     law = group.law
     cosets = _cosets(law, law.points(h_elems), group.order)
     if cosets is None:
-        raise ValueError("subgroup is not normal in the ambient group")
+        raise SpecError("/elements", "subgroup is not normal in the ambient group")
 
     # Cosets indexed in order of first appearance along the canonical enumeration.
     coset_of, reps = cosets

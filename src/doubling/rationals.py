@@ -45,11 +45,6 @@ def parse(value: str | int | Fraction) -> Fraction:
     raise ValueError(f"not a rational: {value!r}")
 
 
-def shadow(x: Fraction | int) -> float:
-    """The decimal shadow of an exact Fraction or int."""
-    return x.numerator / x.denominator
-
-
 def put(d: dict, key: str, num: int, den: int) -> dict:
     """Store num/den (den > 0) as "p/q" under `key` and its decimal shadow
     under `key`_dec, the text and the float of Fraction(num, den): int true

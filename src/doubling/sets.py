@@ -52,7 +52,15 @@ def decode_subset(group: WeightedGroup, doc: object, path: str = "") -> GSubset:
     """Parse a subset-spec: {"elements": [...]} with handles encoded per kind."""
     if not isinstance(doc, dict) or set(doc) != {"elements"}:
         raise SpecError(path, 'subset spec must be an object with exactly the key "elements"')
-    return GSubset(group, decode_elements(group, doc["elements"], f"{path}/elements"))
+    return decode_nonempty(group, doc["elements"], f"{path}/elements")
+
+
+def decode_nonempty(group: WeightedGroup, items: object, path: str) -> GSubset:
+    """A subset read from a JSON list of encoded handles, which must be nonempty."""
+    elems = decode_elements(group, items, path)
+    if not elems:
+        raise SpecError(path, "expected a nonempty list of group elements")
+    return GSubset(group, elems)
 
 
 def decode_elements(group: WeightedGroup, items: object, path: str) -> frozenset:
@@ -93,19 +101,6 @@ def inv_set(a: GSubset) -> GSubset:
     """Elementwise inverse; measure is preserved."""
     law = a.owner.law
     return GSubset(a.owner, law.handles(law.inverse(law.points(a.elements))))
-
-
-def square(a: GSubset) -> GSubset:
-    return mul_set(a, a)
-
-
-def diff_set(a: GSubset, b: GSubset) -> GSubset:
-    """A B^{-1}, the set feeding the Ruzsa distance."""
-    return mul_set(a, inv_set(b))
-
-
-def is_symmetric(a: GSubset) -> bool:
-    return a.elements == inv_set(a).elements
 
 
 def translate(a: GSubset, left=None, right=None) -> GSubset:

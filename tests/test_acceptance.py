@@ -19,15 +19,12 @@ from doubling import (
     SymmetricGroup,
     build_sharpness_instance,
     catalog,
-    coset_criterion_scan,
     extract_subset,
-    matrix_family_square_count,
     normal_subgroups,
-    powers_diff_count,
-    quaternion_group,
     scan,
 )
 from doubling.groups import build_group
+from oracles import coset_criterion_scan, matrix_family_square_count, powers_diff_count, quaternion_group
 
 JOBS = 4
 SLICE = ["cyclic:12", "cyclic:16", "dihedral:4", "q8", "symmetric:3", "symmetric:4"]

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import doubling
 from doubling import cli
-from doubling.cli import indented_json, main
+from doubling.cli import main
 from doubling.harness import InstanceReport
 
 
@@ -111,8 +111,6 @@ def test_extract_construction_reference(capsys):
     code, out, _ = run(
         capsys,
         "extract", "--alpha", "2",
-        "--group", "cyclic:2",  # ignored once the reference is seen
-        "--subgroup", '{"elements": [0]}',
         "--subset", '{"construction": "sharpness", "N": 1, "h": 4, "m": 25}',
     )
     assert code == 0
@@ -347,6 +345,7 @@ def test_scan_rejects_malformed_configs_with_a_path(tmp_path, capsys, change, pa
 
 # -- malformed input of every kind: exit 1, never a traceback, never 0 ------------
 
+CONSTRUCTION_REF = {"construction": "sharpness", "N": 1, "h": 4, "m": 25}
 EXTRACT_C4 = ["--group", "cyclic:4", "--subgroup", '{"elements": [0, 2]}', "--subset", '{"elements": [0, 1]}']
 
 
@@ -389,9 +388,9 @@ def _replay_id(**change):
         (["construct", "--N", "1", "--h", "5", "--m", "37"], "--m"),
         (["construct", "--N", "1", "--h", "5", "--m", "36", "--materialize-cap", "-1"],
          "--materialize-cap"),
-        (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
+        (["extract", "--alpha", "2",
           "--subset", '{"construction": "sharpness", "N": 0, "h": 4, "m": 25}'], "/subset/N"),
-        (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
+        (["extract", "--alpha", "2",
           "--subset", '{"construction": "sharpness", "N": 1, "h": 4, "m": 7}'], "/subset/m"),
         (["verify", "--group", "cyclic:14", "--symmetric-only", "--trials", "3", "--suite", "quotient-sym"],
          "--symmetric-only"),
@@ -406,11 +405,43 @@ def _replay_id(**change):
         (["replay", "--id", json.dumps({"group": REPLAY_BASE["group"], "subset": [0]})], "error: /subgroup:"),
         (["extract", "--instance", "<wrong_kind>"], "error: /instance:"),
         (["extract", "--instance", "<not_product>"], "error: /instance/group:"),
-        (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
+        (["extract", "--alpha", "2",
           "--subset", '{"construction": "other"}'], "error: /subset/construction:"),
-        (["extract", "--alpha", "2", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
+        (["extract", "--alpha", "2",
           "--subset", '{"construction": "sharpness", "N": 1, "h": 4, "m": 25, "k": 2}'], "error: /subset/k:"),
         (["verify", "--group", "cyclic:4", "--suite", "layer-cake,foo"], "error: --suite: unknown suite 'foo'"),
+        # extract rejects the flags it would ignore
+        (["extract", "--instance", "<instance>", "--group", "cyclic:5"], "error: --group:"),
+        (["extract", "--instance", "<instance>", "--subgroup", '{"elements": [0]}'], "error: --subgroup:"),
+        (["extract", "--instance", "<instance>", "--subset", '{"elements": [0]}'], "error: --subset:"),
+        (["extract", "--instance", "<instance>", "--subgroup-weight", "counting"], "error: --subgroup-weight:"),
+        (["extract", "--group", "cyclic:2", "--subset", json.dumps(CONSTRUCTION_REF)], "error: --group:"),
+        (["extract", "--subgroup", '{"elements": [0]}', "--subset", json.dumps(CONSTRUCTION_REF)],
+         "error: --subgroup:"),
+        (["extract", "--subgroup-weight", "normalized", "--subset", json.dumps(CONSTRUCTION_REF)],
+         "error: --subgroup-weight:"),
+        (["extract", "--group", "cyclic:4", "--subgroup", '{"elements": [0, 2], "weight": "counting"}',
+          "--subset", '{"elements": [0]}', "--subgroup-weight", "normalized"], "error: --subgroup-weight:"),
+        # malformed JSON names the flag it came from
+        (["scan", "--config", "<not_json>"], "error: --config: not valid JSON"),
+        (["extract", "--instance", "<not_json>"], "error: --instance: not valid JSON"),
+        (["replay", "--id", json.dumps(REPLAY_BASE), "--expect", "<not_json>"], "error: --expect: not valid JSON"),
+        (["verify", "--group", "@<not_json>"], "error: --group: not valid JSON"),
+        (["extract", "--group", "cyclic:4", "--subgroup", "{", "--subset", '{"elements": [0]}'],
+         "error: --subgroup: not valid JSON"),
+        (["extract", "--group", "cyclic:4", "--subgroup", '{"elements": [0, 2]}', "--subset", "{"],
+         "error: --subset: not valid JSON"),
+        # a set that is not a normal subgroup, and an empty subset, name their paths
+        (_replay_id(group={"type": "cyclic", "n": 4}, subgroup={"elements": [1]}, subset=[0]),
+         "error: /subgroup/elements: not a subgroup"),
+        (_replay_id(group={"type": "symmetric", "n": 3}, subgroup={"elements": [0, 1]}, subset=[0]),
+         "error: /subgroup/elements: subgroup is not normal"),
+        (["extract", "--group", "cyclic:4", "--subgroup", '{"elements": [1]}', "--subset", '{"elements": [0]}'],
+         "error: /subgroup/elements: not a subgroup"),
+        (["extract", "--group", "dihedral:3", "--subgroup", '{"elements": [0, 3]}', "--subset", '{"elements": [0]}'],
+         "error: /subgroup/elements: subgroup is not normal"),
+        (["extract", "--group", "cyclic:4", "--subgroup", '{"elements": [0, 2]}', "--subset", '{"elements": []}'],
+         "error: /subset/elements: expected a nonempty list"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -420,6 +451,7 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, f
     files = {}
     for key, text in (
         ("<scan>", json.dumps(SCAN_BASE)),
+        ("<instance>", json.dumps(instance)),
         ("<bool_keep>", json.dumps(dict(instance, keep=[True, 2]))),
         ("<not_json>", "{'groups': "),
         ("<not_object>", json.dumps([SCAN_BASE])),
@@ -435,9 +467,6 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, f
     assert out == ""
     assert flag in err
     assert "Traceback" not in err
-
-
-CONSTRUCTION_REF = {"construction": "sharpness", "N": 1, "h": 4, "m": 25}
 
 
 @pytest.mark.parametrize(
@@ -466,8 +495,7 @@ def test_true_is_never_an_integer(tmp_path, capsys, command, change, path):
     argv = {
         "replay": lambda: _replay_id(**change),
         "scan": lambda: ["scan", "--config", str(config)],
-        "extract": lambda: ["extract", "--group", "cyclic:2", "--subgroup", '{"elements": [0]}',
-                            "--subset", json.dumps(dict(CONSTRUCTION_REF, **change))],
+        "extract": lambda: ["extract", "--subset", json.dumps(dict(CONSTRUCTION_REF, **change))],
     }[command]()
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -560,6 +588,13 @@ def _saved(doc) -> str:
         return Path(path).read_bytes().decode("utf-8")
 
 
+def _buffered(doc) -> str:
+    """The text `_dump` writes for doc into a buffer."""
+    buf = io.StringIO()
+    cli._dump(doc, buf)
+    return buf.getvalue()
+
+
 def _printed(doc) -> str:
     """The text the CLI writes to stdout for doc, copied 7 characters at a time."""
     buf = io.StringIO()
@@ -576,7 +611,7 @@ def _with_newline(dumped):
 @given(JSON_DOCS)
 def test_indented_json_matches_json_dumps(doc):
     expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
-    assert _dumped(indented_json, doc) == expected
+    assert _dumped(_buffered, doc) == expected
     assert _dumped(_saved, doc) == _with_newline(expected)
     assert _dumped(_printed, doc) == _with_newline(expected)
 
@@ -584,7 +619,7 @@ def test_indented_json_matches_json_dumps(doc):
 def test_indented_json_leaves_other_types_to_json():
     for doc in ({"a": [1, Fraction(1, 2)]}, [OrderedDict(b=1, a=2)], {"x": {1: "one", 2: "two"}}):
         expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
-        assert _dumped(indented_json, doc) == expected
+        assert _dumped(_buffered, doc) == expected
         assert _dumped(_saved, doc) == _with_newline(expected)
         assert _dumped(_printed, doc) == _with_newline(expected)
 

@@ -10,15 +10,12 @@ from doubling import (
     CyclicGroup,
     SpecError,
     build_sharpness_instance,
-    cantor_analog,
     doubling_stats,
     fiber_profile,
     inv_set,
     layer_cake,
     matrix_family,
-    matrix_family_square_count,
     mul_set,
-    powers_diff_count,
     projection_quotient,
     quotient_doubling_check,
 )
@@ -30,6 +27,7 @@ from doubling.constructions import (
     _sumset_mod,
     load_instance,
 )
+from oracles import cantor_analog, matrix_family_square_count, powers_diff_count
 
 
 @pytest.mark.parametrize(

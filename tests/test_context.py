@@ -34,13 +34,13 @@ from doubling import (
     quotient_doubling_check,
     ruzsa_sq,
     scan,
-    ruzsa_triangle_check,
     spillover_check,
     subset,
     translate,
 )
-from doubling.context import InstanceContext
+from doubling.context import InstanceContext, SubsetContext
 from doubling.harness import _load_id
+from doubling.metrics import ruzsa_triangle
 from doubling.quotients import quotient_from_description
 from doubling.rationals import parse, put
 
@@ -103,7 +103,7 @@ def reference_report(instance_id: str) -> dict:
             frag = {
                 "self_at_least_one": vaa >= 1,
                 "symmetry": vab == ruzsa_sq(bb, a).value,
-                "triangle": ruzsa_triangle_check(a, bb, cc),
+                "triangle": ruzsa_triangle(SubsetContext(a, bb, cc), a, bb, cc),
             }
             if "translate" in spec:
                 g, h = (group.decode_element(v) for v in spec["translate"])

@@ -12,10 +12,10 @@ from doubling import (
     fiber_profile,
     mul_set,
     normal_subgroups,
-    quaternion_group,
     quotient,
     subset,
 )
+from oracles import quaternion_group
 
 
 def brute_force_thresholds(a, q, alpha):

@@ -4,14 +4,12 @@ from fractions import Fraction
 from doubling import (
     CyclicGroup,
     MatrixGroup,
-    diff_set,
     inv_set,
-    is_symmetric,
     mul_set,
-    square,
     subset,
     translate,
 )
+from doubling.context import SubsetContext
 
 
 def test_interval_sumset():
@@ -35,7 +33,7 @@ def test_matrix_products_five_distinct():
     m1 = (0, 1, 1, 2)
     m1_inv = g.inv(m1)
     a = subset(g, {g.identity, m1, m1_inv})
-    sq = square(a)
+    sq = mul_set(a, a)
     # oracle: the five matrices written out by hand
     expected = {
         (1, 0, 0, 1),
@@ -65,9 +63,9 @@ def test_inverse_involution_preserves_measure():
 def test_symmetric_set_is_own_inverse():
     z6 = CyclicGroup(6)
     a = subset(z6, {0, 1, 5})
-    assert is_symmetric(a)
+    assert SubsetContext(a).symmetric
     assert inv_set(a).elements == a.elements
-    assert not is_symmetric(subset(z6, {1}))
+    assert not SubsetContext(subset(z6, {1})).symmetric
 
 
 def test_owner_mismatch_rejected():
@@ -86,7 +84,7 @@ def test_diff_set_and_translate():
     z12 = CyclicGroup(12)
     a = subset(z12, {0, 1, 2})
     b = subset(z12, {0, 6})
-    assert diff_set(a, b).elements == {0, 1, 2, 6, 7, 8}
+    assert mul_set(a, inv_set(b)).elements == {0, 1, 2, 6, 7, 8}
     assert translate(a, left=3).elements == {3, 4, 5}
     assert translate(a, right=11).elements == {11, 0, 1}
 
