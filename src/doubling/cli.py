@@ -9,7 +9,6 @@ them.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import stat
@@ -46,15 +45,26 @@ from .sets import decode_subset
 _EXHAUSTIVE_DEFAULT_LIMIT = 12
 
 
-def _maybe_inline_json(text: str, flag: str):
-    """Accept @file.json or an inline JSON string.  Text that is not JSON (or
-    a file that is not UTF-8) is a SpecError naming `flag`, where it came from."""
+def _arg_file(path: str, flag: str) -> str:
+    """The text of the UTF-8 file at path, given as `flag`; a file that cannot
+    be read or is not UTF-8 is a SpecError naming the flag."""
     try:
-        if text.startswith("@"):
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                text = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise SpecError(flag, f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SpecError(flag, f"{path!r} is not UTF-8: {exc}") from None
+
+
+def _maybe_inline_json(text: str, flag: str):
+    """Accept @file.json or an inline JSON string.  Text that is not JSON, or
+    nests too deeply for the parser, is a SpecError naming `flag`."""
+    if text.startswith("@"):
+        text = _arg_file(text[1:], flag)
+    try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SpecError(flag, f"not valid JSON: {exc}") from None
 
 
@@ -62,47 +72,21 @@ def _read_json(path: str, flag: str):
     return _maybe_inline_json("@" + path, flag)
 
 
-class _Unsupported(Exception):
-    """A value that `_dump` leaves to `json.dump`."""
-
-
 _CHUNK = 4096  # fragments that `_write` holds before they go to the file
-_COPY = 1 << 16  # characters per write when `_emit` copies to stdout
 _NESTED = frozenset((dict, list, tuple, InstanceReport))
 
 
 def _dump(doc, fh, end: str = "") -> None:
-    """Write `json.dumps(doc, sort_keys=True, indent=2)` and `end` to fh, a new
-    file or buffer, `_CHUNK` fragments at a time.
+    """Write `json.dumps(doc, sort_keys=True, indent=2)` and `end` to fh,
+    `_CHUNK` fragments at a time.
 
     json has no C encoder for indented output; `_write` makes the same text.
     It knows dicts with str keys, lists, tuples, str, int, finite float, bool
     and None (exact types), and renders each `InstanceReport` where it reaches
-    it, so at most one report dict is alive.  For a document holding anything
-    else, fh is rewound and written by `json.dump`, so errors and edge cases
-    stay json's."""
+    it, so at most one report dict is alive.  Anything else is a TypeError."""
     out: list = []
-    try:
-        _write(doc, "\n", out, fh)
-    except (_Unsupported, TypeError, RecursionError):  # TypeError: unsortable keys
-        fh.seek(0)
-        fh.truncate()
-        out = []
-        json.dump(_rendered(doc), fh, sort_keys=True, indent=2)
+    _write(doc, "\n", out, fh)
     fh.write("".join(out) + end)
-
-
-def _rendered(x):
-    """x with each `InstanceReport` rendered, for json, which takes a
-    namedtuple for a list."""
-    t = type(x)
-    if t is InstanceReport:
-        return x.to_json()
-    if t is dict:
-        return {k: _rendered(v) for k, v in x.items()}
-    if t is list or t is tuple:
-        return [_rendered(v) for v in x]
-    return x
 
 
 def _write(x, nl: str, out: list, fh) -> None:
@@ -122,7 +106,7 @@ def _write(x, nl: str, out: list, fh) -> None:
         sep = "{" + inner
         for k in sorted(x):
             if type(k) is not str:
-                raise _Unsupported
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
             v = x[k]
             if type(v) in _NESTED:
                 out.append(sep + _quote(k) + ": ")
@@ -155,15 +139,17 @@ def _leaf(v) -> str:
         return _quote(v)
     if t is int:
         return int.__repr__(v)
-    if t is float and isfinite(v):
-        return float.__repr__(v)
+    if t is float:
+        if isfinite(v):
+            return float.__repr__(v)
+        raise TypeError(f"float {v!r} is not JSON")
     if v is None:
         return "null"
     if v is True:
         return "true"
     if v is False:
         return "false"
-    raise _Unsupported
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _save(path: str, write) -> None:
@@ -171,16 +157,14 @@ def _save(path: str, write) -> None:
     written as a sibling temporary file, with the mode a plain
     `open(path, "w")` leaves, and renamed over path at the end, so a command
     that fails midway leaves no partial file and an older one untouched.
-    Anything else (/dev/null, a FIFO) is written in place, in one write."""
+    Anything else (/dev/null, a FIFO) is opened and written as it goes."""
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        buf = io.StringIO()
-        write(buf)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+            write(fh)
         return
     target = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
@@ -200,19 +184,12 @@ def _save(path: str, write) -> None:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    """Write doc as indented JSON and a newline to the file `out`, or to
-    stdout through a temporary file, which `_dump` can rewind, copied in
-    `_COPY`-character writes."""
+    """Write doc as indented JSON and a newline to the file `out`, or stream
+    it to stdout."""
     if out:
         _save(out, lambda fh: _dump(doc, fh, "\n"))
-        return
-    import tempfile  # imported here: only output to stdout needs it
-
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
-        _dump(doc, fh, "\n")
-        fh.seek(0)
-        while chunk := fh.read(_COPY):
-            sys.stdout.write(chunk)
+    else:
+        _dump(doc, sys.stdout, "\n")
 
 
 def _workers(args, configured: int = 1) -> int:
@@ -436,10 +413,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    instance_id = args.id
-    if instance_id.startswith("@"):
-        with open(instance_id[1:], "r", encoding="utf-8") as fh:
-            instance_id = fh.read().strip()
+    instance_id = _arg_file(args.id[1:], "--id").strip() if args.id.startswith("@") else args.id
     expected = _read_json(args.expect, "--expect") if args.expect else None
     try:
         report = replay(instance_id, expected)

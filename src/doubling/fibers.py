@@ -31,20 +31,6 @@ class FiberProfile(namedtuple("FiberProfile", "quotient source fibers")):
 
     __slots__ = ()
 
-    @property
-    def support(self) -> frozenset:
-        return frozenset(self.fibers)
-
-    def thresholds(self) -> list[Fraction]:
-        """Distinct realized fiber values, increasing."""
-        return sorted(set(self.fibers.values()))
-
-    def superlevel(self, t: Fraction) -> frozenset:
-        """Cosets with fiber length >= t (any t, not only realized values)."""
-        if t <= 0:
-            return self.support
-        return frozenset(c for c, v in self.fibers.items() if v >= t)
-
 
 class LevelFamily(namedtuple("LevelFamily", "thresholds levels")):
     """Superlevel sets at each realized threshold; nested downward."""

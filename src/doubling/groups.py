@@ -80,10 +80,6 @@ class WeightedGroup:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
-    def element_key(self, x):
-        """Canonical sort key; total order on handles."""
-        return x
-
     def encode_element(self, x):
         return x
 
@@ -429,9 +425,6 @@ class ProductGroup(WeightedGroup):
             and all(f.contains(v) for f, v in zip(self.factors, x))
         )
 
-    def element_key(self, x: tuple):
-        return tuple(f.element_key(v) for f, v in zip(self.factors, x))
-
     def encode_element(self, x: tuple) -> list:
         return [f.encode_element(v) for f, v in zip(self.factors, x)]
 
@@ -619,10 +612,12 @@ _SPEC_KEYS = {
     "gl2z": {"type"},
 }
 _INDEXED = {"cyclic": CyclicGroup, "dihedral": DihedralGroup, "symmetric": SymmetricGroup}
+_MAX_NESTING = 32  # products within products, so nothing downstream recurses deeply
 
 
-def build_group(spec: dict, path: str = "") -> WeightedGroup:
-    """Build a validated WeightedGroup from a JSON spec dict.
+def build_group(spec: dict, path: str = "", depth: int = 0) -> WeightedGroup:
+    """Build a validated WeightedGroup from a JSON spec dict, a factor
+    `depth` products deep (at most `_MAX_NESTING`).
 
     Spec forms:
       {"type":"cyclic","n":6,"weight":"counting"}
@@ -637,6 +632,8 @@ def build_group(spec: dict, path: str = "") -> WeightedGroup:
     """
     if not isinstance(spec, dict):
         raise SpecError(path, f"group spec must be an object, got {type(spec).__name__}")
+    if depth > _MAX_NESTING:
+        raise SpecError(path, f"products nest at most {_MAX_NESTING} deep")
     kind = spec.get("type")
     if not isinstance(kind, str) or kind not in _SPEC_KEYS:
         raise SpecError(f"{path}/type", f"expected one of {sorted(_SPEC_KEYS)}, got {kind!r}")
@@ -645,7 +642,7 @@ def build_group(spec: dict, path: str = "") -> WeightedGroup:
         factors = spec.get("factors")
         if not isinstance(factors, list):
             raise SpecError(f"{path}/factors", "expected a nonempty list of group specs")
-        factors = [build_group(f, f"{path}/factors/{i}") for i, f in enumerate(factors)]
+        factors = [build_group(f, f"{path}/factors/{i}", depth + 1) for i, f in enumerate(factors)]
     weight = spec.get("weight", "counting")
     try:
         if kind in _INDEXED:

@@ -476,7 +476,7 @@ def _load_id(instance_id: str) -> tuple:
     (a fresh subset layer, quotient maker, suites, alphas, no results table)."""
     try:
         spec = json.loads(instance_id)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SpecError("", f"malformed instance id: {exc}") from exc
     if not isinstance(spec, dict):
         raise SpecError("", "instance id must encode an object")

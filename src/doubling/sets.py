@@ -29,7 +29,7 @@ class GSubset:
         return len(self.elements)
 
     def sorted_elements(self) -> list:
-        return sorted(self.elements, key=self.owner.element_key)
+        return sorted(self.elements)
 
     def encode(self) -> list:
         """Canonically ordered JSON form of the element list."""

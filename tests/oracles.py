@@ -37,7 +37,7 @@ def is_coset_of_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
     """
     if not elems:
         return False
-    ia0 = group.inv(min(elems, key=group.element_key))
+    ia0 = group.inv(min(elems))
     return is_subgroup(group, translate(GSubset(group, elems), left=ia0).elements)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
@@ -270,6 +271,39 @@ def test_replay_of_a_quotient_above_the_cap_fails_fast():
     assert "Traceback" not in out.stderr
 
 
+def _nested_product(depth: int) -> dict:
+    spec = {"type": "cyclic", "n": 2}
+    for _ in range(depth):
+        spec = {"type": "product", "factors": [spec]}
+    return spec
+
+
+@pytest.mark.parametrize("flag", ["--config", "--id", "--group"])
+def test_deeply_nested_input_exits_one_without_a_traceback(tmp_path, flag):
+    path = tmp_path / "nested.json"
+    command, text, expected = {
+        "--config": (["scan", "--config", str(path)], "[" * 100_000, "error: --config: not valid JSON"),
+        "--id": (["replay", "--id", f"@{path}"], "[" * 100_000, "error: /: malformed instance id"),
+        "--group": (["verify", "--group", f"@{path}"], json.dumps(_nested_product(300)),
+                    "error: /group" + "/factors/0" * 33 + ": products nest at most 32 deep"),
+    }[flag]
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "doubling.cli", *command],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert expected in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_products_nest_up_to_the_bound():
+    assert doubling.build_group(_nested_product(32)).order == 2
+    with pytest.raises(doubling.SpecError, match="products nest at most 32 deep") as err:
+        doubling.build_group(_nested_product(33), "/group")
+    assert err.value.path == "/group" + "/factors/0" * 33
+
+
 SCAN_BASE = {"groups": ["cyclic:4"], "subset_mode": {"kind": "random", "count": 1, "seed": 0}}
 EXHAUSTIVE = {"kind": "exhaustive", "max_size": 2}
 
@@ -442,6 +476,11 @@ def _replay_id(**change):
          "error: /subgroup/elements: subgroup is not normal"),
         (["extract", "--group", "cyclic:4", "--subgroup", '{"elements": [0, 2]}', "--subset", '{"elements": []}'],
          "error: /subset/elements: expected a nonempty list"),
+        # an id file is read as every other argument file is
+        (["replay", "--id", "@<missing>"], "error: --id: cannot read"),
+        (["replay", "--id", "@<not_utf8>"], "error: --id: "),
+        (["replay", "--id", "@<nested>"], "error: /: malformed instance id"),
+        (["scan", "--config", "<not_utf8>"], "error: --config: "),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -457,9 +496,13 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, f
         ("<not_object>", json.dumps([SCAN_BASE])),
         ("<wrong_kind>", json.dumps(dict(instance, kind="sharpness-report"))),
         ("<not_product>", json.dumps(dict(instance, group={"type": "cyclic", "n": 4}))),
+        ("<not_utf8>", '{"groups": ["cyclic:4"], "name": "\xe9"}'.encode("latin-1")),
+        ("<nested>", "[" * 100_000),
+        ("<missing>", None),
     ):
         files[key] = tmp_path / (key.strip("<>") + ".json")
-        files[key].write_text(text)
+        if text is not None:
+            files[key].write_bytes(text if isinstance(text, bytes) else text.encode())
     for key, path in files.items():
         argv = [arg.replace(key, str(path)) for arg in argv]
     code, out, err = run(capsys, *argv)
@@ -552,25 +595,15 @@ def test_scan_of_an_arbitrary_field_exits_zero_or_one(field, value):
     assert code in (0, 1)
 
 
-def _dumped(write, doc):
-    """The text `write` makes of doc, or the type and message of its error."""
-    try:
-        return write(doc)
-    except Exception as exc:  # compared with json's own error
-        return type(exc), str(exc)
-
-
 JSON_LEAVES = (
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
-    | st.sampled_from(['"\\\n\t\x00\x7f\u2028', "é漢😀", "", -0.0, 1e300, -1e-300,
-                       float("nan"), float("inf"), float("-inf"), 2 ** 70])
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+    | st.sampled_from(['"\\\n\t\x00\x7f\u2028', "é漢😀", "", -0.0, 1e300, -1e-300, 2 ** 70])
 )
 JSON_KEYS = st.text(max_size=6) | st.sampled_from(['"', "\\", "é", "😀", "\n"])
-ANY_KEYS = JSON_KEYS | st.integers(-3, 3) | st.booleans() | st.none() | st.floats(-2, 2)
 JSON_DOCS = st.recursive(
     JSON_LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(JSON_KEYS, inner, max_size=4) | st.dictionaries(ANY_KEYS, inner, max_size=3),
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
     max_leaves=24,
 )
 
@@ -596,32 +629,29 @@ def _buffered(doc) -> str:
 
 
 def _printed(doc) -> str:
-    """The text the CLI writes to stdout for doc, copied 7 characters at a time."""
+    """The text the CLI streams to stdout for doc, one fragment at a time."""
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), mock.patch.object(cli, "_COPY", 7):
+    with contextlib.redirect_stdout(buf), mock.patch.object(cli, "_CHUNK", 1):
         cli._emit(doc, None)
     return buf.getvalue()
-
-
-def _with_newline(dumped):
-    return dumped + "\n" if isinstance(dumped, str) else dumped
 
 
 @settings(max_examples=400, deadline=None)
 @given(JSON_DOCS)
 def test_indented_json_matches_json_dumps(doc):
-    expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
-    assert _dumped(_buffered, doc) == expected
-    assert _dumped(_saved, doc) == _with_newline(expected)
-    assert _dumped(_printed, doc) == _with_newline(expected)
+    expected = json.dumps(doc, sort_keys=True, indent=2)
+    assert _buffered(doc) == expected
+    assert _saved(doc) == expected + "\n"
+    assert _printed(doc) == expected + "\n"
 
 
-def test_indented_json_leaves_other_types_to_json():
-    for doc in ({"a": [1, Fraction(1, 2)]}, [OrderedDict(b=1, a=2)], {"x": {1: "one", 2: "two"}}):
-        expected = _dumped(lambda d: json.dumps(d, sort_keys=True, indent=2), doc)
-        assert _dumped(_buffered, doc) == expected
-        assert _dumped(_saved, doc) == _with_newline(expected)
-        assert _dumped(_printed, doc) == _with_newline(expected)
+def test_indented_json_raises_a_type_error_naming_other_types():
+    for doc, name in (({"a": [1, Fraction(1, 2)]}, "Fraction"), ([OrderedDict(b=1, a=2)], "OrderedDict"),
+                      ({"x": {1: "one", 2: "two"}}, "int"), ({"x": [1.5, float("nan")]}, "float")):
+        with pytest.raises(TypeError, match=name):
+            _buffered(doc)
+        with pytest.raises(TypeError, match=name):
+            _saved(doc)  # which checks that no file is left
 
 
 # 1,530 instances of all suites, a 7 MB artifact
@@ -685,7 +715,7 @@ def test_scan_writes_the_same_file_at_one_and_two_workers(tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
-@pytest.mark.parametrize("failure", ["render", "write"])
+@pytest.mark.parametrize("failure", ["render", "write", "unsupported"])
 def test_a_failed_write_leaves_no_file_and_the_old_artifact(tmp_path, capsys, monkeypatch, failure):
     (tmp_path / "scan.json").write_text(json.dumps(C4_ALL_SUITES))
     out = tmp_path / "out.json"
@@ -693,20 +723,22 @@ def test_a_failed_write_leaves_no_file_and_the_old_artifact(tmp_path, capsys, mo
     if failure == "write":
         _record_writes(monkeypatch, fail=True)
         fails = lambda: run(capsys, *argv)[0] == 1  # noqa: E731
-    else:  # the fifth report fails to render, after the writer sent some to the file
+    else:  # the fifth report fails to render, or holds a Fraction, after the writer sent some to the file
         render, calls = InstanceReport.to_json, []
 
         def to_json(self):
             calls.append(self)
             if len(calls) % 5 == 0:
-                raise RuntimeError("render failed")
+                if failure == "render":
+                    raise RuntimeError("render failed")
+                return dict(render(self), quotient_doubling=Fraction(1, 2))
             return render(self)
 
         monkeypatch.setattr(InstanceReport, "to_json", to_json)
         monkeypatch.setattr(cli, "_CHUNK", 8)
 
         def fails():
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError if failure == "render" else TypeError):
                 main(argv)
             return True
 
@@ -740,6 +772,28 @@ def test_an_artifact_behind_a_symlink_is_written_through_it(tmp_path, capsys):
     link.symlink_to(target)
     assert run(capsys, "replay", "--id", json.dumps(REPLAY_BASE), "--out", str(link))[0] == 0
     assert link.is_symlink() and json.loads(target.read_text())["id"] == json.dumps(REPLAY_BASE)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_scan_to_a_fifo_streams_the_bytes_of_its_out_file(tmp_path, capsys, monkeypatch):
+    (tmp_path / "scan.json").write_text(json.dumps(D4_ALL_SUITES))
+    out, fifo = tmp_path / "out.json", tmp_path / "fifo"
+    argv = ["scan", "--config", str(tmp_path / "scan.json"), "--out"]
+    assert run(capsys, *argv, str(out))[0] == 0
+    os.mkfifo(fifo)
+    received: list = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    sizes = _record_writes(monkeypatch)
+    try:
+        assert run(capsys, *argv, str(fifo))[0] == 0
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():  # the fifo was never opened for writing: end the reader's wait
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join()
+    assert received == [out.read_bytes()]
+    assert sum(sizes) == out.stat().st_size and max(sizes) <= 1 << 18
 
 
 def test_scan_to_dev_null_exits_zero(tmp_path, capsys):

@@ -108,8 +108,8 @@ def test_certificate_invariants_random():
                 # B keeps whole fibers: saturation
                 prof_a = fiber_profile(a, q)
                 prof_b = fiber_profile(cert.B, q)
-                level = prof_a.superlevel(cert.chosen_s)
-                assert prof_b.support == level
+                level = {c for c, v in prof_a.fibers.items() if v >= cert.chosen_s}
+                assert set(prof_b.fibers) == level
                 for c in level:
                     assert prof_b.fibers[c] == prof_a.fibers[c]
 

@@ -1,5 +1,4 @@
 import pytest
-from fractions import Fraction
 
 from doubling import (
     ConsistencyError,
@@ -28,7 +27,7 @@ def test_fiber_one_element_per_coset(z6_mod_h):
     z6, q = z6_mod_h
     prof = fiber_profile(subset(z6, {0, 1}), q)
     assert prof.fibers == {q.project(0): 1, q.project(1): 1}
-    assert prof.support == {q.project(0), q.project(1)}
+    assert frozenset(prof.fibers) == {q.project(0), q.project(1)}
 
 
 def test_fiber_of_subgroup_is_full(z6_mod_h):
@@ -74,15 +73,7 @@ def test_level_family_nested(z6_mod_h):
     for bigger, smaller in zip(family.levels, family.levels[1:]):
         assert smaller.elements <= bigger.elements
     # the lowest level is the whole support
-    assert family.levels[0].elements == fiber_profile(subset(z6, {0, 1, 3, 2}), q).support
-
-
-def test_superlevel_at_unrealized_threshold(z6_mod_h):
-    z6, q = z6_mod_h
-    prof = fiber_profile(subset(z6, {0, 3, 1}), q)
-    # between the realized values 1 and 2
-    assert prof.superlevel(Fraction(3, 2)) == {q.project(0)}
-    assert prof.superlevel(Fraction(0)) == prof.support
+    assert family.levels[0].elements == frozenset(fiber_profile(subset(z6, {0, 1, 3, 2}), q).fibers)
 
 
 def test_spillover_diagonal(z6_mod_h):
@@ -158,11 +149,11 @@ def test_inverse_profile_mirrors_cosets(z6_mod_h):
 def test_inverse_levels_are_inverted_sets(z6_mod_h):
     z6, q = z6_mod_h
     a = subset(z6, {0, 1, 2, 4})
-    prof = fiber_profile(a, q)
-    prof_inv = fiber_profile(inv_set(a), q)
-    for t in prof.thresholds():
-        inverted = {q.quotient.inv(c) for c in prof.superlevel(t)}
-        assert inverted == prof_inv.superlevel(t)
+    family = level_family(fiber_profile(a, q))
+    family_inv = level_family(fiber_profile(inv_set(a), q))
+    assert family.thresholds == family_inv.thresholds
+    for level, level_inv in zip(family.levels, family_inv.levels):
+        assert {q.quotient.inv(c) for c in level.elements} == level_inv.elements
 
 
 def test_fiber_profile_owner_mismatch(z6_mod_h):
@@ -183,7 +174,7 @@ def test_layer_cake_mismatch_raises(z6_mod_h, monkeypatch):
 
         def levels(self, x):
             (n, level, held), *rest = super().levels(x)
-            kept = sorted(level.elements, key=q.quotient.element_key)[1:]
+            kept = sorted(level.elements)[1:]
             return [(n, q.coset_subset(kept), held), *rest]
 
     monkeypatch.setattr(doubling.fibers, "InstanceContext", DropsACoset)

@@ -211,7 +211,7 @@ def test_element_encoding_round_trip():
 def test_canonical_element_order():
     g = ProductGroup([CyclicGroup(2), CyclicGroup(3)])
     elems = list(g.elements())
-    assert elems == sorted(elems, key=g.element_key)
+    assert elems == sorted(elems)
     assert elems[0] == (0, 0)
 
 
