@@ -1,0 +1,130 @@
+"""Full-size exhaustive `verify` runs, a parent revision against this checkout.
+
+    python3 bench/fullsize.py --parent REV [--out BENCH_fullsize.json]
+
+Runs each command below at `-j 1` in a fresh interpreter, once with `src/`
+of the git revision REV (extracted with `git archive`) and once with `src/`
+of this checkout, in PAIRS alternating pairs (the first side alternates too):
+ten, so that a gain can be read as at least nine wins of ten.
+Every run of a command must write the same bytes on both sides; if one does
+not, the script prints which and exits 1 without recording anything.
+Otherwise it appends one entry to the JSON list in `--out`: per command and
+side, the child's CPU time (user + system) and `ru_maxrss`, both read with
+`os.wait4` for that child alone, and their medians.  Linux carries the
+starting process's resident size into a child's `ru_maxrss`, so each figure
+includes this script's own (about 10 MB).  Each side's `src_tree` is the git
+tree id of the `src/` it ran, uncommitted edits included: it equals
+`git rev-parse C:src` for any commit C with that `src/`.
+
+These are the paper's exhaustive checks at full size, where evaluation cost
+shows; the `perfbench` workloads are small enough that start-up dominates.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = (
+    ("verify", "--group", "dihedral:6", "-j", "1"),
+    ("verify", "--group", "symmetric:4", "--max-subset-size", "4", "-j", "1"),
+)
+PAIRS = 10
+
+
+def _git(*args: str, env: dict | None = None) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True, env=env).stdout
+
+
+def _worktree_src_tree(tmp: Path) -> str:
+    """The tree id of this checkout's `src/` as it is on disk, built in a
+    scratch index so that the real index is left alone."""
+    env = dict(os.environ, GIT_INDEX_FILE=str(tmp / "index"))
+    _git("add", "--all", "--", "src", env=env)
+    return _git("rev-parse", _git("write-tree", env=env).decode().strip() + ":src").decode().strip()
+
+
+def _run(src: Path, argv: tuple, work: Path) -> tuple[float, float, str]:
+    """(CPU seconds, ru_maxrss in MB, SHA-256 of the artifact) of one run."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("DOUBLING_JOBS", None)
+    out = work / "out.json"
+    proc = subprocess.Popen([sys.executable, "-m", "doubling.cli", *argv, "--out", str(out)],
+                            cwd=work, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode} with {src}")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    out.unlink()
+    return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, digest
+
+
+def _summary(runs: list[tuple[float, float]]) -> dict:
+    cpu, rss = [r[0] for r in runs], [r[1] for r in runs]
+    return {"cpu_s": [round(x, 3) for x in cpu], "maxrss_mb": [round(x, 1) for x in rss],
+            "cpu_s_median": round(statistics.median(cpu), 3),
+            "maxrss_mb_median": round(statistics.median(rss), 1)}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision whose src/ is the baseline")
+    parser.add_argument("--out", default=str(ROOT / "BENCH_fullsize.json"), help="JSON list to append to")
+    args = parser.parse_args(argv)
+    parent_rev = _git("rev-parse", args.parent).decode().strip()
+    with tempfile.TemporaryDirectory(prefix="fullsize-") as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(_git("archive", parent_rev, "src"))) as tar:
+            tar.extractall(tmp / "parent", filter="data")
+        sides = {"parent": tmp / "parent" / "src", "change": ROOT / "src"}
+        change_tree = _worktree_src_tree(tmp)
+        commands = []
+        for cmd in COMMANDS:
+            runs: dict = {"parent": [], "change": []}
+            digests = set()
+            for i in range(PAIRS):
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    cpu, rss, digest = _run(sides[side], cmd, tmp)
+                    runs[side].append((cpu, rss))
+                    digests.add(digest)
+                    print(f"{' '.join(cmd)} [{side}] cpu {cpu:.3f} s, maxrss {rss:.1f} MB", file=sys.stderr)
+            if len(digests) != 1:
+                print(f"error: {' '.join(cmd)} wrote {len(digests)} different artifacts", file=sys.stderr)
+                return 1
+            parent, change = _summary(runs["parent"]), _summary(runs["change"])
+            commands.append({
+                "argv": list(cmd), "sha256": digests.pop(), "bytes_identical": True,
+                "parent": parent, "change": change,
+                "cpu_change_over_parent": round(change["cpu_s_median"] / parent["cpu_s_median"], 3),
+            })
+    entry = {
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
+        "parent": {"commit": parent_rev, "src_tree": _git("rev-parse", f"{parent_rev}:src").decode().strip()},
+        "change": {"head": _git("rev-parse", "HEAD").decode().strip(), "src_tree": change_tree},
+        "pairs": PAIRS,
+        "commands": commands,
+    }
+    path = Path(args.out)
+    history = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    history.append(entry)
+    path.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(entry))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

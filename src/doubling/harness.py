@@ -6,7 +6,9 @@ Its id IS its spec: the canonical JSON string.  Evaluation is a pure function
 of the id, so reports replay exactly, and a scan commits to its full instance
 list before any evaluation starts; with parallelism > 1 forked workers read
 the same list by index and the pool returns the reports in order, which keeps
-every artifact byte-stable across worker counts.
+every artifact byte-stable across worker counts.  A scan pays for distinct
+work only: ids share pre-rendered pieces, and subsets with the same fiber
+profiles under a normal subgroup share its quotient-side results.
 """
 
 from __future__ import annotations
@@ -146,8 +148,8 @@ SUITES = {
 ALL_SUITES = tuple(SUITES)
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps(obj, sort_keys=True, separators=(",", ":")) through one encoder: dumps builds one per call
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 # -- catalog -----------------------------------------------------------------
@@ -364,13 +366,18 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
     A normal subgroup's quotient is built from its `GSubset` by its first
     instance's evaluation, not here, and shared by the rest, and so is its
     results table (see `_table_key`): None where no two of its instances
-    could share an entry, under H = {e} or with a single instance."""
+    could share an entry, under H = {e} or with a single instance.  An id is
+    pieced together from its alphas, group and subgroup, each rendered once,
+    and its layer's `_id_tail`, which an exhaustive scan's subgroups share."""
     mode = config.subset_mode
     rng = Random(mode["seed"]) if mode["kind"] == "random" else None
     alphas = list(zip(map(fmt, config.alphas), config.alphas))
+    # sorted keys order an id: alphas, group, subgroup, subset(_b, _c), suites, translate
+    head = '{"alphas":' + canonical_json([a for a, _ in alphas]) + "," if "extract" in config.suites else "{"
+    suites = ',"suites":' + canonical_json(list(config.suites))
     ids: list[str] = []
     for gspec in config.groups:
-        group = _group(canonical_json(gspec))
+        group = _group(group_json := canonical_json(gspec))
         if group.order is None:
             raise SpecError("/groups", f"{group.name} is infinite; scans need finite groups")
         subs = normal_subgroups(group)
@@ -379,31 +386,31 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
         elems = list(group.elements())
         # an exhaustive scan's subset layers serve every normal subgroup
         layers = _exhaustive_layers(group, elems, config) if rng is None and subs else []
+        tails = [_id_tail(shared, suites) for shared in layers]
         for sub in subs:
-            desc = {"elements": sub.encode(), "weight": config.subgroup_weight}
-            base = {"group": gspec, "subgroup": desc, "suites": list(config.suites)}
-            if "extract" in config.suites:
-                base["alphas"] = [a for a, _ in alphas]
+            desc = canonical_json({"elements": sub.encode(), "weight": config.subgroup_weight})
+            prefix = f'{head}"group":{group_json},"subgroup":{desc},'
             if rng is not None:
                 layers = _random_layers(group, elems, config, rng)
-            ids.extend(canonical_json({**base, **fields}) for fields, _ in layers)
+                tails = [_id_tail(shared, suites) for shared in layers]
+            ids.extend(prefix + tail for tail in tails)
             if built is not None:
                 make_quotient = cache(partial(quotient, group, sub, config.subgroup_weight))
-                table = {} if len(sub.elements) > 1 and len(layers) > 1 else None
-                built.extend((shared, make_quotient, config.suites, alphas, table) for _, shared in layers)
+                table = _ResultsTable() if len(sub.elements) > 1 and len(layers) > 1 else None
+                built.extend((shared, make_quotient, config.suites, alphas, table) for shared in layers)
     return ids
 
 
-def _id_fields(shared: SubsetContext) -> tuple[dict, SubsetContext]:
-    """The id fields that encode a subset layer, with the layer."""
+def _id_tail(shared: SubsetContext, suites: str) -> str:
+    """A layer's id after its subgroup: subset fields, `suites`, translators."""
     pairs = (("subset", shared.a), ("subset_b", shared.b), ("subset_c", shared.c))
-    fields = {key: x.encode() for key, x in pairs if x is not None}
+    tail = ",".join(f'"{key}":{canonical_json(x.encode())}' for key, x in pairs if x is not None) + suites
     if shared.translators is not None:
-        fields["translate"] = [shared.a.owner.encode_element(x) for x in shared.translators]
-    return fields, shared
+        tail += ',"translate":' + canonical_json(list(map(shared.a.owner.encode_element, shared.translators)))
+    return tail + "}"
 
 
-def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> tuple[dict, SubsetContext]:
+def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> SubsetContext:
     shared = SubsetContext(GSubset(group, frozenset(members)))
     if _needs_partner(config.suites):
         # deterministic partners derived from A itself
@@ -412,10 +419,10 @@ def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> tupl
             shared.c = shared.mul(shared.a, shared.a)
             order = shared.a.sorted_elements()
             shared.translators = (order[0], order[-1])
-    return _id_fields(shared)
+    return shared
 
 
-def _exhaustive_layers(group: WeightedGroup, elems: list, config: ScanConfig) -> list[tuple]:
+def _exhaustive_layers(group: WeightedGroup, elems: list, config: ScanConfig) -> list[SubsetContext]:
     mode = config.subset_mode
     max_size, symmetric_only = mode.get("max_size"), mode.get("symmetric_only", False)
     if max_size is not None and not symmetric_only:
@@ -432,9 +439,9 @@ def _exhaustive_layers(group: WeightedGroup, elems: list, config: ScanConfig) ->
     return [_exhaustive_layer(group, m, config) for m in members]
 
 
-def _random_layers(group: WeightedGroup, elems: list, config: ScanConfig, rng: Random) -> list[tuple]:
+def _random_layers(group: WeightedGroup, elems: list, config: ScanConfig, rng: Random) -> list[SubsetContext]:
     mode = config.subset_mode
-    layers: list[tuple] = []
+    layers: list[SubsetContext] = []
     for trial in range(mode["count"]):
         density = _density_for(trial, mode.get("density", "mixed"), len(elems))
         shared = SubsetContext(_sample_subset(rng, group, elems, density))
@@ -443,7 +450,7 @@ def _random_layers(group: WeightedGroup, elems: list, config: ScanConfig, rng: R
             if "ruzsa-axioms" in config.suites:
                 shared.c = _sample_subset(rng, group, elems, density)
                 shared.translators = tuple(elems[rng.randrange(len(elems))] for _ in range(2))
-        layers.append(_id_fields(shared))
+        layers.append(shared)
     return layers
 
 
@@ -533,21 +540,33 @@ class InstanceReport(namedtuple(
         return put(report, "quotient_doubling", self.pi_square, self.pi_size)
 
 
-def _table_key(ctx: InstanceContext, stats, suites) -> tuple:
+class _ResultsTable(dict):
+    """One normal subgroup's results by `_table_key`, and its `_shift_row`."""
+
+    row = None
+
+
+def _shift_row(q: QuotientStructure) -> dict:
+    """x -> 1 << c * w, x in coset c, w = |H|.bit_length(): see `_table_key`."""
+    w = len(q.subgroup.elements).bit_length()
+    return {x: 1 << q.project(x) * w for x in q.ambient.elements()}
+
+
+def _table_key(shared: SubsetContext, stats, row: dict, suites) -> tuple:
     """All that the quotient-side suites read of an instance, exactly: the
     `DoublingStats` counts and the fiber profiles of A and, for spillover and
     containment, of B, AB and BA.  A profile is packed into one int, the count
     at coset c in the w bits from bit c * w: w bits hold any count up to |H|,
-    and the cosets of a `quotient` are 0..q-1."""
-    w = len(ctx.q.subgroup.elements).bit_length()
+    and the cosets of a `quotient` are 0..q-1.  Summed from the shift `row`,
+    it needs no count, and the key reads only the subset layer."""
 
     def packed(x: GSubset) -> int:
-        return sum(n << c * w for c, n in ctx.fibers(x).items())
+        return sum(map(row.__getitem__, x.elements))
 
-    key = (stats, packed(ctx.a))
+    key = (stats, packed(shared.a))
     if "spillover" in suites or "containment" in suites:
-        b = ctx.b if ctx.b is not None else ctx.a
-        key += (packed(b), packed(ctx.mul(ctx.a, b)), packed(ctx.mul(b, ctx.a)))
+        b = shared.b if shared.b is not None else shared.a
+        key += (packed(b), packed(shared.mul(shared.a, b)), packed(shared.mul(b, shared.a)))
     return key
 
 
@@ -559,20 +578,25 @@ def evaluate_instance(instance_id: str, built: tuple | None = None) -> InstanceR
     decodes nothing; the layer may already hold what the instances of other
     normal subgroups computed.  With a results table, an instance whose
     `_table_key` is in it reads |piA|, |piA^2| and every suite's results from
-    there, except ruzsa-axioms, which reads no quotient."""
+    there, except ruzsa-axioms, which reads no quotient and keeps one result
+    per layer: only a miss, or that suite, builds an `InstanceContext`."""
     shared, make_quotient, suites, alphas, table = _load_id(instance_id) if built is None else built
-    ctx = InstanceContext(shared, make_quotient())
+    q = make_quotient()
     stats = stats_of(shared)
-    key = None if table is None else _table_key(ctx, stats, suites)
-    found = None if key is None else table.get(key)
+    key = found = ctx = None
+    if table is not None:
+        table.row = table.row or _shift_row(q)
+        found = table.get(key := _table_key(shared, stats, table.row, suites))
     if found is None:
+        ctx = InstanceContext(shared, q)
         results = tuple(None if name == "ruzsa-axioms" else SUITES[name](ctx, alphas) for name in suites)
         found = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a), results
         if key is not None:
             table[key] = found
     pi_size, pi_square, results = found
-    records = tuple((name, *(result or SUITES[name](ctx, alphas))) for name, result in zip(suites, results))
-    return InstanceReport(instance_id, ctx.q.ambient.order, len(ctx.q.subgroup.elements), stats,
+    records = tuple((name, *(result or SUITES[name](ctx or InstanceContext(shared, q), alphas)))
+                    for name, result in zip(suites, results))
+    return InstanceReport(instance_id, q.ambient.order, len(q.subgroup.elements), stats,
                           pi_size, pi_square, records)
 
 

@@ -6,8 +6,9 @@ measure of any subset.  A quotient of a finite group materializes its coset
 table; a projection quotient of a product group drops coordinates and works
 for lazy ambient groups as long as the dropped factors are finite.
 Subgroups are found on the points of `group.law`, table indices up to
-TABLE_CAP: `closure`, `is_subgroup` and the lattice share one growing walk
-(`_grow`), and `quotient` walks the cosets once (`_cosets`).
+TABLE_CAP: `closure`, `_generators` and the lattice share one growing walk
+(`_grow`), and `quotient` walks the cosets once (`_cosets`), checking
+normality on the generators that walk picked and forming gH alone.
 """
 
 from __future__ import annotations
@@ -54,33 +55,31 @@ def closure(group: WeightedGroup, seed: Iterable) -> frozenset:
     return law.handles(reached)
 
 
-def is_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
-    """Is the finite set H a subgroup?  It must hold the identity and contain
-    what its elements generate: a finite set closed under products is a
-    subgroup.  `_grow` takes an element as a generator only when its walk has
-    not reached it, so there are at most log2|H| of them and the cost is
-    O(|H| log |H|) products, not |H|^2.  The walk stops at the first layer
-    that leaves H, so this ends on infinite groups too."""
-    law = group.law
-    h = set(law.points(elems))
-    return law.identity in h and _grow(law, {law.identity}, [], h, h)
+def _generators(law, h: set) -> list | None:
+    """The generators `_grow` picks on its walk from {e} over the finite point
+    set H, or None if H is not a subgroup (not closed under products).  Each
+    one at least doubles the subgroup reached: at most log2|H| of them, for
+    O(|H| log |H|) products.  The walk stops at the first layer that leaves
+    H, so this ends on infinite groups too."""
+    gens: list = []
+    return gens if law.identity in h and _grow(law, {law.identity}, gens, h, h) else None
 
 
-def _cosets(law, h: list, order: int) -> tuple[dict, list] | None:
-    """(point -> coset index, representatives) of the left cosets gH in a
-    group of `order` elements, numbered in order of first appearance along
-    the canonical enumeration; None at the first g with gH != Hg.  Once
-    gH = Hg holds for g it holds on all of gH, so one g per coset is checked,
-    and the walk stops when the cosets cover the group."""
+def _cosets(law, h: set, gens: list, order: int) -> tuple[dict, list] | None:
+    """(point -> coset index, representatives) of the left cosets gH of the
+    subgroup H = <gens> in a group of `order` elements, numbered in order of
+    first appearance along the canonical enumeration; None at the first
+    representative r with rHr^-1 != H, which holds iff r gens r^-1 lies in H;
+    g = rh gives gHg^-1 = rHr^-1, so one r per coset is checked, and gH alone
+    is formed.  The walk stops when the cosets cover the group."""
     coset_of: dict = {}
     reps: list = []
     for g in law.all_points():
         if g in coset_of:
             continue
-        left = law.product([g], h)
-        if left != law.product(h, [g]):
+        if not law.product(law.product([g], gens), list(law.inverse([g]))) <= h:
             return None
-        coset_of.update(dict.fromkeys(left, len(reps)))
+        coset_of.update(dict.fromkeys(law.product([g], h), len(reps)))
         reps.append(g)
         if len(coset_of) == order:
             break
@@ -231,11 +230,13 @@ def quotient(
         raise CapError(
             f"quotient index |G|/|H| = {group.order}/{len(h_elems)} is above the cap {TABLE_CAP}"
         )
-    if not is_subgroup(group, h_elems):
+    law = group.law
+    h = set(law.points(h_elems))
+    gens = _generators(law, h)
+    if gens is None:
         raise SpecError("/elements", "not a subgroup: missing identity or not closed under the operation")
     w_h = _resolve_weight(subgroup_weight, len(h_elems))
-    law = group.law
-    cosets = _cosets(law, law.points(h_elems), group.order)
+    cosets = _cosets(law, h, gens, group.order)
     if cosets is None:
         raise SpecError("/elements", "subgroup is not normal in the ambient group")
 

@@ -9,12 +9,16 @@ import them as `from oracles import ...`; pytest does not collect this file.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 
 from doubling.constructions import _GL2Z, _cantor, matrix_family
 from doubling.errors import ConsistencyError
 from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, quaternion_table
-from doubling.quotients import _cosets, is_subgroup
+from doubling.harness import ScanConfig, _group, canonical_json
+from doubling.quotients import QuotientStructure, _cosets, _generators, normal_subgroups
+from doubling.rationals import fmt
 from doubling.sets import GSubset, translate
 
 
@@ -22,12 +26,54 @@ def quaternion_group(weight: str | Fraction = "counting") -> TableGroup:
     return TableGroup(quaternion_table(), weight=weight, name="Q8")
 
 
+def is_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
+    """Is the finite set H a subgroup: the walk `quotient` takes (`_generators`)."""
+    return _generators(group.law, set(group.law.points(elems))) is not None
+
+
 def is_normal(group: WeightedGroup, elems: frozenset) -> bool:
     """Is the subgroup `elems` normal: gH = Hg for every g?"""
     if group.order is None:
         raise ValueError("normality check needs a finite ambient group")
     law = group.law
-    return _cosets(law, law.points(elems), group.order) is not None
+    h = set(law.points(elems))
+    return _cosets(law, h, _generators(law, h), group.order) is not None
+
+
+def packed_profile(q: QuotientStructure, x: GSubset) -> int:
+    """X's fiber profile under q packed into one int from its counts: the
+    count n at coset c in the w bits from bit c * w, w = |H|.bit_length()."""
+    w = len(q.subgroup.elements).bit_length()
+    return sum(n << c * w for c, n in Counter(map(q.project, x.elements)).items())
+
+
+def whole_ids(config: ScanConfig, built: list) -> list[str]:
+    """The ids of a scan, each rendered whole as `canonical_json` of its spec
+    dict, from the layers `iter_instance_specs` built.  Its entries come in
+    one run per (group, normal subgroup), each run sharing a quotient maker."""
+    runs = [list(run) for _, run in groupby(built, key=lambda entry: id(entry[1]))]
+    pairs = []
+    for gspec in config.groups:
+        group = _group(canonical_json(gspec))
+        subs = normal_subgroups(group)
+        if config.subgroups == "proper":
+            subs = [s for s in subs if 1 < len(s.elements) < group.order]
+        pairs.extend((gspec, group, sub) for sub in subs)
+    if len(runs) != len(pairs):
+        raise ValueError(f"{len(runs)} runs of layers for {len(pairs)} normal subgroups")
+    ids = []
+    for (gspec, group, sub), run in zip(pairs, runs):
+        base = {"group": gspec, "subgroup": {"elements": sub.encode(), "weight": config.subgroup_weight},
+                "suites": list(config.suites)}
+        if "extract" in config.suites:
+            base["alphas"] = [fmt(a) for a in config.alphas]
+        for shared, *_ in run:
+            named = (("subset", shared.a), ("subset_b", shared.b), ("subset_c", shared.c))
+            fields = {key: x.encode() for key, x in named if x is not None}
+            if shared.translators is not None:
+                fields["translate"] = [group.encode_element(x) for x in shared.translators]
+            ids.append(canonical_json({**base, **fields}))
+    return ids
 
 
 def is_coset_of_subgroup(group: WeightedGroup, elems: frozenset) -> bool:

@@ -16,7 +16,8 @@ from doubling import (
     scan,
     validate_axioms,
 )
-from doubling.harness import canonical_json, report_csv
+from doubling.harness import ALL_SUITES, canonical_json, report_csv
+from oracles import whole_ids
 
 
 def small_config(**overrides):
@@ -266,6 +267,42 @@ def test_instance_id_is_canonical_json():
         assert instance_id == canonical_json(json.loads(instance_id))
         report = evaluate_instance(instance_id).to_json()
         assert report["id"] == instance_id
+
+
+# a product group and a table group whose name is not ASCII among them
+ID_GROUPS = [
+    "dihedral:4",
+    "q8",
+    {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "symmetric", "n": 3}]},
+    {"type": "table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "name": "Z\u2083 \u00e9t\u00e9"},
+]
+ID_MODES = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("exhaustive"), "max_size": st.integers(1, 2)},
+                          optional={"symmetric_only": st.booleans()}),
+    st.fixed_dictionaries({"kind": st.just("random"), "count": st.integers(1, 3), "seed": st.integers(0, 99)},
+                          optional={"density": st.sampled_from(["mixed", "1/4", {"size": 2}])}),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    groups=st.lists(st.sampled_from(ID_GROUPS), min_size=1, max_size=2),
+    mode=ID_MODES,
+    suites=st.lists(st.sampled_from(ALL_SUITES), unique=True),
+    alphas=st.lists(st.sampled_from(["3/2", "2", "7/3"]), min_size=1, max_size=2),
+    subgroups=st.sampled_from(["all", "proper"]),
+    weight=st.sampled_from(["counting", "normalized"]),
+)
+def test_ids_from_rendered_pieces_equal_the_whole_canonical_json(groups, mode, suites, alphas, subgroups, weight):
+    config = ScanConfig(groups, mode, suites=suites, alphas=alphas, subgroups=subgroups, subgroup_weight=weight)
+    built: list = []
+    ids = iter_instance_specs(config, built)
+    assert ids == whole_ids(config, built)
+    assert all(instance_id == canonical_json(json.loads(instance_id)) for instance_id in ids)
+    # each id holds the fields of every instance, and optional ones only besides
+    keys = {frozenset(json.loads(i)) for i in ids}
+    optional = {"alphas", "subset_b", "subset_c", "translate"}
+    assert all(k - optional == {"group", "subgroup", "subset", "suites"} for k in keys)
 
 
 def test_csv_export():

@@ -30,8 +30,8 @@ from doubling import (
 from doubling import harness, quotients
 from doubling.groups import TABLE_CAP, CayleyTable, OpLaw, WeightedGroup, op_table
 from doubling.harness import ScanConfig, evaluate_instance, iter_instance_specs
-from doubling.quotients import _subgroup_lattice, is_subgroup
-from oracles import is_normal, quaternion_group
+from doubling.quotients import _subgroup_lattice
+from oracles import is_normal, is_subgroup, quaternion_group
 
 GROUPS = [build_group(spec) for spec in catalog(weights=("counting",))]
 SMALL = [g for g in GROUPS if g.order <= 12]
@@ -152,9 +152,13 @@ def test_lattice_matches_brute_force(group):
 @pytest.mark.parametrize("group", [g for g in GROUPS if g.order <= 32 or g.name in ("Z2xS4", "Q8xQ8")],
                          ids=lambda g: g.name)
 def test_quotient_coset_table_and_projection_match_op(group):
-    for sub in normal_subgroups(group):
+    for sub in _subgroup_lattice(group)[0]:
+        if not ref_is_normal(group, sub):
+            with pytest.raises(ValueError, match="not normal"):
+                quotient(group, sub)
+            continue
         q = quotient(group, sub)
-        proj, table = ref_quotient(group, sub.elements)
+        proj, table = ref_quotient(group, sub)
         assert {x: q.project(x) for x in group.elements()} == proj
         assert q.quotient.table == table
 
@@ -281,7 +285,10 @@ def test_the_witness_square_takes_one_table_per_factor(monkeypatch):
     (CyclicGroup(4096), frozenset(range(0, 4096, 64))),
     (DihedralGroup(40), frozenset(range(0, 40, 4))),
     (DihedralGroup(40), frozenset([0, 40])),  # {e, s}: not normal
-], ids=["Z4096-by-64Z", "D40-by-rot4", "D40-e-s"])
+    (SymmetricGroup(5), closure(SymmetricGroup(5), [3, 30])),  # A5, two generators
+    (SymmetricGroup(5), closure(SymmetricGroup(5), [6, 13])),  # order 24: not normal
+    (SymmetricGroup(5), closure(SymmetricGroup(5), [3, 8])),  # order 12: not normal
+], ids=["Z4096-by-64Z", "D40-by-rot4", "D40-e-s", "S5-A5", "S5-order-24", "S5-order-12"])
 def test_the_coset_walk_stopping_at_cover_matches_the_full_walk(group, sub):
     assert isinstance(group.law, OpLaw)
     assert is_subgroup(group, sub)
@@ -295,6 +302,25 @@ def test_the_coset_walk_stopping_at_cover_matches_the_full_walk(group, sub):
     proj, table = ref_quotient(group, sub)
     assert {x: q.project(x) for x in group.elements()} == proj
     assert q.quotient.table == table
+
+
+def test_the_coset_walk_forms_left_cosets_alone(monkeypatch):
+    """Per coset, |H| products form gH and two per generator of H conjugate
+    it by the representative: about half the 2 |H| of comparing gH with Hg."""
+    group, sub = CyclicGroup(4096), frozenset(range(0, 4096, 64))
+    calls, gens, walk, op = [], [], quotients._cosets, CyclicGroup.op
+
+    def counted(law, h, generators, order):
+        gens.extend(generators)
+        with monkeypatch.context() as patch:
+            patch.setattr(CyclicGroup, "op", lambda self, x, y: calls.append(1) or op(self, x, y))
+            return walk(law, h, generators, order)
+
+    monkeypatch.setattr(quotients, "_cosets", counted)
+    quotient(group, sub)
+    # the generators `_grow` picked: at most log2 |H| = 6 of them
+    assert 1 <= len(gens) <= 6 and set(gens) <= sub
+    assert len(calls) == 64 * (64 + 2 * len(gens)) <= 64 * (64 + 12)
 
 
 # -- every suite, table path against op path --------------------------------------

@@ -25,8 +25,8 @@ from doubling import (
     subset,
 )
 from doubling.groups import OpLaw, WeightedGroup
-from doubling.quotients import _subgroup_lattice, closure, is_subgroup
-from oracles import is_normal, quaternion_group
+from doubling.quotients import _subgroup_lattice, closure
+from oracles import is_normal, is_subgroup, quaternion_group
 
 
 def test_cyclic_subgroup_lattice():

@@ -20,15 +20,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doubling import (
-    ScanConfig, WeightedGroup, catalog, evaluate_instance, iter_instance_specs,
-    parse_group_selector, replay, scan,
+    ScanConfig, WeightedGroup, catalog, evaluate_instance, iter_instance_specs, mul_set,
+    normal_subgroups, parse_group_selector, quotient, replay, scan,
 )
 from doubling import harness, quotients
 from doubling.cli import _dump, main
+from doubling.context import SubsetContext
 from doubling.sets import GSubset
 from doubling.harness import ALL_SUITES, TOP_WITNESSES, InstanceReport, _fold_aggregate, report_csv
-from doubling.metrics import DoublingStats
+from doubling.metrics import DoublingStats, stats_of
 from doubling.rationals import fmt, put
+from oracles import packed_profile
 
 
 def _artifact(doc) -> str:
@@ -159,19 +161,42 @@ def test_a_scan_sharing_fiber_profiles_equals_replay():
     assert mismatched == [], f"{len(mismatched)} reports differ from their replay"
 
 
+KEY_GROUPS = catalog(weights=("counting",), max_product_order=32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_shift_sum_key_equals_the_counted_fiber_profiles(data):
+    group = harness._group(harness.canonical_json(data.draw(st.sampled_from(KEY_GROUPS))))
+    elems = sorted(group.elements())
+    a, b = (GSubset(group, frozenset(data.draw(st.lists(st.sampled_from(elems), min_size=1, max_size=16))))
+            for _ in range(2))
+    shared = SubsetContext(a, b)
+    stats = stats_of(shared)
+    for sub in normal_subgroups(group):
+        q = quotient(group, sub)
+        row = harness._shift_row(q)
+        key = harness._table_key(shared, stats, row, ("spillover",))
+        assert key == (stats, *(packed_profile(q, x) for x in (a, b, mul_set(a, b), mul_set(b, a))))
+        assert harness._table_key(shared, stats, row, ("layer-cake", "extract")) == key[:2]
+
+
 KEY_MUTANTS = [
-    ("(stats, packed(ctx.a))", "(packed(ctx.a),)"),
-    ("packed(b), ", ""),
-    ("packed(ctx.mul(ctx.a, b)), packed(ctx.mul(b, ctx.a))", ""),
+    ("_table_key", "(stats, packed(shared.a))", "(packed(shared.a),)"),
+    ("_table_key", "packed(b), ", ""),
+    ("_table_key", "packed(shared.mul(shared.a, b)), packed(shared.mul(b, shared.a))", ""),
+    # w - 1 bits cannot hold a count of |H|: profiles collide
+    ("_shift_row", "elements).bit_length()", "elements).bit_length() - 1"),
 ]
 
 
-@pytest.mark.parametrize("snippet, mutant", KEY_MUTANTS, ids=["no stats", "no B", "no AB and BA"])
-def test_each_results_table_key_mutant_fails_the_replay_test(monkeypatch, snippet, mutant):
-    source = inspect.getsource(harness._table_key)
+@pytest.mark.parametrize("name, snippet, mutant", KEY_MUTANTS,
+                         ids=["no stats", "no B", "no AB and BA", "shift by w - 1"])
+def test_each_results_table_key_mutant_fails_the_replay_test(monkeypatch, name, snippet, mutant):
+    source = inspect.getsource(getattr(harness, name))
     # the snippet must be there: an edit to the key fails here, loudly
-    assert source.count(snippet) == 1, f"_table_key no longer holds {snippet!r}"
-    monkeypatch.setattr(harness, "_table_key", harness._table_key)  # restored after the test
+    assert source.count(snippet) == 1, f"{name} no longer holds {snippet!r}"
+    monkeypatch.setattr(harness, name, getattr(harness, name))  # restored after the test
     exec(compile(source.replace(snippet, mutant), harness.__file__, "exec"), vars(harness))
     with pytest.raises(AssertionError):
         test_a_scan_sharing_fiber_profiles_equals_replay()
