@@ -10,7 +10,9 @@ Every run of a command must write the same bytes on both sides; if one does
 not, the script prints which and exits 1 without recording anything.
 Otherwise it appends one entry to the JSON list in `--out`: per command and
 side, the child's CPU time (user + system) and `ru_maxrss`, both read with
-`os.wait4` for that child alone, and their medians.  Linux carries the
+`os.wait4` for that child alone, and their medians; per command, `wins`, the
+pairs in which the change's CPU time is below the parent's (a tie counts for
+neither side), beside `cpu_change_over_parent`.  Linux carries the
 starting process's resident size into a child's `ru_maxrss`, so each figure
 includes this script's own (about 10 MB).  Each side's `src_tree` is the git
 tree id of the `src/` it ran, uncommitted edits included: it equals
@@ -109,6 +111,7 @@ def main(argv: list[str]) -> int:
                 "argv": list(cmd), "sha256": digests.pop(), "bytes_identical": True,
                 "parent": parent, "change": change,
                 "cpu_change_over_parent": round(change["cpu_s_median"] / parent["cpu_s_median"], 3),
+                "wins": sum(c[0] < p[0] for p, c in zip(runs["parent"], runs["change"])),
             })
     entry = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),

@@ -66,7 +66,6 @@ from .sets import (
     inv_set,
     mul_set,
     subset,
-    translate,
 )
 
 __version__ = "0.1.0"
@@ -121,6 +120,5 @@ __all__ = [
     "scan",
     "spillover_check",
     "subset",
-    "translate",
     "validate_axioms",
 ]

@@ -80,15 +80,13 @@ class ExtractionCertificate(namedtuple(
 
 def _admissible_rows(ctx: InstanceContext, alpha: Fraction) -> list[tuple]:
     """Threshold rows with mu_Q(L*L) < alpha * K * mu_Q(L), cross-multiplied over integers."""
-    if alpha <= 1:
+    an, ad = alpha.numerator, alpha.denominator
+    if an <= ad:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     if not ctx.a.elements:
         raise ValueError("extraction needs a nonempty subset")
     size, a2 = len(ctx.a.elements), ctx.shared.square
-    return [
-        row for row in ctx.thresholds
-        if row[3] * size * alpha.denominator < alpha.numerator * a2 * row[2]
-    ]
+    return [row for row in ctx.thresholds if row[3] * size * ad < an * a2 * row[2]]
 
 
 def admissible_thresholds(a: GSubset, q: QuotientStructure, alpha: Fraction) -> list[Fraction]:
@@ -105,32 +103,31 @@ def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
     valid certificate contradicts the underlying theorem and raises with a
     replay payload.
     """
-    a = ctx.a
     admissible = _admissible_rows(ctx, alpha)
-    w, size = ctx.q.subgroup_weight, len(a.elements)
+    an, ad, w, size = alpha.numerator, alpha.denominator, ctx.q.subgroup_weight, len(ctx.a.elements)
     if not admissible:
         raise ConsistencyError(
             "no admissible threshold: contradiction with the extraction theorem",
-            {"alpha": fmt(alpha), "subset": a.encode()},
+            {"alpha": fmt(alpha), "subset": ctx.a.encode()},
         )
-    levels = tuple(row[0] for row in admissible)
+    levels = tuple([row[0] for row in admissible])
     for n, _, level_size, level_square, b_size in admissible:
         # mu(B) > (alpha-1)/alpha * mu(A), cross-multiplied
-        if b_size * alpha.numerator > (alpha.numerator - alpha.denominator) * size:
+        if b_size * an > (an - ad) * size:
             return ExtractionCertificate(
-                alpha.numerator, alpha.denominator, size, ctx.shared.square, n, b_size,
+                an, ad, size, ctx.shared.square, n, b_size,
                 level_size, level_square, levels, w.numerator, w.denominator, None,
             )
     raise ConsistencyError(
         "no admissible threshold satisfies the measure bound: implementation bug",
-        {"alpha": fmt(alpha), "subset": a.encode(), "admissible": [fmt(n * w) for n in levels]},
+        {"alpha": fmt(alpha), "subset": ctx.a.encode(), "admissible": [fmt(n * w) for n in levels]},
     )
 
 
 def with_b(ctx: InstanceContext, cert: ExtractionCertificate) -> ExtractionCertificate:
     """`cert` with B itself: A meet the preimage of its chosen level."""
     level = next(lv for n, lv, *_ in ctx.thresholds if n == cert.chosen_n)
-    return cert._replace(B=ctx.q.restrict_to_cosets(ctx.a, level.elements))
+    return cert._replace(B=ctx.q.restrict_to_cosets(ctx.a, ctx.law.handles(level)))
 
 
 def extract_subset(a: GSubset, q: QuotientStructure, alpha: Fraction) -> ExtractionCertificate:

@@ -12,14 +12,14 @@ superlevel sets are used directly.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .context import InstanceContext
 from .errors import ConsistencyError
 from .quotients import QuotientStructure
 from .rationals import fmt
-from .sets import GSubset
+from .sets import GSubset, require_owner
 
 
 class FiberProfile(namedtuple("FiberProfile", "quotient source fibers")):
@@ -39,21 +39,23 @@ class LevelFamily(namedtuple("LevelFamily", "thresholds levels")):
 
 
 def fiber_profile(a: GSubset, q: QuotientStructure) -> FiberProfile:
+    require_owner(a, q.ambient)
     w = q.subgroup_weight
-    return FiberProfile(q, a, {c: n * w for c, n in InstanceContext(a, q).fibers(a).items()})
+    return FiberProfile(q, a, {c: n * w for c, n in Counter(map(q.project, a.elements)).items()})
 
 
 def level_family(profile: FiberProfile) -> LevelFamily:
-    levels = InstanceContext(profile.source, profile.quotient).levels(profile.source)
-    w = profile.quotient.subgroup_weight
-    return LevelFamily(tuple(n * w for n, _, _ in levels), tuple(lv for _, lv, _ in levels))
+    q = profile.quotient
+    levels, w = InstanceContext(profile.source, q).levels_a, q.subgroup_weight
+    cosets = (q.coset_subset(q.quotient.law.handles(lv)) for _, lv, _ in levels)
+    return LevelFamily(tuple(n * w for n, *_ in levels), tuple(cosets))
 
 
-def _layered(levels, size_at) -> int:
-    """Sum over levels of (n - previous n) * size_at(level)."""
+def _layered(rows) -> int:
+    """Sum over rows (n, count), n increasing, of (n - previous n) * count."""
     total = prev = 0
-    for n, level, _ in levels:
-        total, prev = total + (n - prev) * size_at(level), n
+    for n, count in rows:
+        total, prev = total + (n - prev) * count, n
     return total
 
 
@@ -65,7 +67,7 @@ def check_layer_cake(ctx: InstanceContext) -> tuple[bool, int, int]:
     is delta_n * |level| * w_G, since w_H * w_Q = w_G; so w_G cancels.
     """
     size = len(ctx.a.elements)
-    layered = _layered(ctx.levels(ctx.a), lambda level: len(level.elements))
+    layered = _layered((n, len(level)) for n, level, _ in ctx.levels_a)
     return size == layered, size, layered
 
 
@@ -96,19 +98,18 @@ class SpilloverResult(namedtuple("SpilloverResult", "lhs_left lhs_right rhs_left
     __slots__ = ()
 
 
-def check_spillover(ctx: InstanceContext, b: GSubset) -> tuple[bool, int, int, int, int]:
+def check_spillover(ctx: InstanceContext) -> tuple[bool, int, int, int, int]:
     """Both spillover inequalities, compared as counts in units of w_G; returns
     (holds, lhs_left, lhs_right, rhs_left, rhs_right) in those units."""
-    a, pi_a = ctx.a, ctx.pi_a
-    ab, ba = ctx.size(a, b), ctx.size(b, a)
-    left = _layered(ctx.levels(b), lambda level: ctx.size(pi_a, level))
-    right = _layered(ctx.levels(b), lambda level: ctx.size(level, pi_a))
+    ab, ba = (len(x.elements) for x in ctx.ab_ba)
+    left = _layered((n, len(left)) for n, left, _ in ctx.spill)
+    right = _layered((n, len(right)) for n, _, right in ctx.spill)
     return ab >= left and ba >= right, ab, ba, left, right
 
 
 def spillover_check(a: GSubset, b: GSubset, q: QuotientStructure) -> SpilloverResult:
     """Check both spillover inequalities; raise on any violation."""
-    holds, *counts = check_spillover(InstanceContext(a, q, b), b)
+    holds, *counts = check_spillover(InstanceContext(a, q, b))
     result = SpilloverResult(*(n * q.ambient.weight for n in counts))
     if not holds:
         payload = {k: fmt(v) for k, v in result._asdict().items()}
@@ -117,14 +118,13 @@ def spillover_check(a: GSubset, b: GSubset, q: QuotientStructure) -> SpilloverRe
     return result
 
 
-def check_containment(ctx: InstanceContext, b: GSubset) -> bool:
+def check_containment(ctx: InstanceContext) -> bool:
     """Each coset of pi(A) * level_n(B) meets AB in at least n elements; mirrored for BA."""
-    a, pi_a = ctx.a, ctx.pi_a
-    ab, ba = ctx.fibers(ctx.mul(a, b)), ctx.fibers(ctx.mul(b, a))
-    for n, level, _ in ctx.levels(b):
-        if any(ab[c] < n for c in ctx.mul(pi_a, level).elements):
+    ab, ba = map(ctx.fibers, ctx.ab_ba)
+    for n, left, right in ctx.spill:
+        if any(ab.get(c, 0) < n for c in left):
             return False
-        if any(ba[c] < n for c in ctx.mul(level, pi_a).elements):
+        if any(ba.get(c, 0) < n for c in right):
             return False
     return True
 
@@ -135,4 +135,4 @@ def containment_check(a: GSubset, b: GSubset, q: QuotientStructure) -> bool:
     True for every valid input; a False return is a bug detector, not an
     expected outcome.
     """
-    return check_containment(InstanceContext(a, q, b), b)
+    return check_containment(InstanceContext(a, q, b))

@@ -21,12 +21,12 @@ from functools import cache, lru_cache, partial
 from itertools import combinations
 from random import Random
 
-from .context import InstanceContext, SubsetContext
+from .context import InstanceContext, SubsetContext, points
 from .errors import CapError, ConsistencyError, SpecError, integer, known_keys
 from .extract import certify
 from .fibers import check_containment, check_layer_cake, check_spillover
 from .groups import WeightedGroup, _resolve_weight, build_group, quaternion_table
-from .metrics import check_quotient_bound, ruzsa_axioms, stats_of
+from .metrics import DiffSizes, check_quotient_bound, ruzsa_axioms, stats_of
 from .quotients import QuotientStructure, normal_subgroups, quotient, quotient_from_description
 from .rationals import fmt, parse, put
 from .sets import GSubset, decode_nonempty
@@ -38,16 +38,17 @@ TOP_WITNESSES = 10
 
 # -- the suite table ------------------------------------------------------------
 #
-# Each suite maps (context, alphas) to (record, violations): its result record
-# and a tuple of the details of the statements it found violated, in order
-# (None when it skipped); both are immutable, because a scan's results table
-# hands them to every instance with the same quotient-side input.
-# `_fold_aggregate` alone decides "passed": ran with no violations.  The
-# checks return verdicts and never raise; only the public wrappers
-# (`layer_cake`, `spillover_check`, ...) do.  A record holds integers, bools
-# and strings, has the same keys whether its check held or not, and writes
-# the suite's fragment with `to_json()`.  `alphas` holds the id's
-# alphas as (text as written, parsed).
+# Each suite maps (context, alphas), the context being the instance's
+# `InstanceContext` (for ruzsa-axioms, its `SubsetContext`), to (record,
+# violations): its result record and a tuple of the details of the
+# statements it found violated, in order (None when it skipped); both are
+# immutable, because a scan's results table hands them to every instance
+# with the same quotient-side input.  `_fold_aggregate` alone decides
+# "passed": ran with no violations.  The checks return verdicts and never
+# raise; only the public wrappers (`layer_cake`, `spillover_check`, ...) do.
+# A record holds integers, bools and strings, has the same keys whether its
+# check held or not, and writes the suite's fragment with `to_json()`.
+# `alphas` holds the id's alphas as (text as written, parsed).
 
 
 class Fragment(namedtuple("Fragment", "flags ratios")):
@@ -90,27 +91,28 @@ def _layer_cake_suite(ctx: InstanceContext, alphas: list) -> tuple:
 
 
 def _spillover_suite(ctx: InstanceContext, alphas: list) -> tuple:
-    holds, ab, ba, left, right = check_spillover(ctx, ctx.b if ctx.b is not None else ctx.a)
+    holds, ab, ba, left, right = check_spillover(ctx)
     ratios = _measures(ctx, lhs_left=ab, lhs_right=ba, rhs_left=left, rhs_right=right)
     return Fragment((("pass", holds),), ratios), () if holds else ("spillover inequality failed",)
 
 
 def _containment_suite(ctx: InstanceContext, alphas: list) -> tuple:
-    ok = check_containment(ctx, ctx.b if ctx.b is not None else ctx.a)
+    ok = check_containment(ctx)
     return Fragment((("pass", ok),), ()), () if ok else ("superlevel containment failed",)
 
 
-def _ruzsa_suite(ctx: InstanceContext, alphas: list) -> tuple:
-    if ctx.shared.ruzsa is None:  # reads A, B and C alone: once per subset layer, on a scratch copy
-        s = ctx.shared.scratch()
-        b = s.b if s.b is not None else s.inv(s.a)
-        c = s.c if s.c is not None else s.mul(s.a, s.a)
-        flags = ruzsa_axioms(s, b, c, s.translators)
+def _ruzsa_suite(shared: SubsetContext, alphas: list) -> tuple:
+    """Reads A, B and C alone: runs once per subset layer, on its law's points."""
+    if shared.ruzsa is None:
+        law, a = shared.a.owner.law, points(shared.a)
+        b = frozenset(law.inverse(a)) if shared.b is None else points(shared.b)
+        c = frozenset(law.product(a, a)) if shared.c is None else points(shared.c)
+        diffs = DiffSizes(law)
+        flags = ruzsa_axioms(diffs, a, b, c, shared.translators and law.points(shared.translators))
         ok = all(flags.values())
-        size, d = len(s.a.elements), s.diff_size(s.a, s.a)
-        record = Fragment((*flags.items(), ("pass", ok)), (("value_aa", d * d, size * size),))
-        ctx.shared.ruzsa = record, () if ok else ("a distance axiom failed",)
-    return ctx.shared.ruzsa
+        record = Fragment((*flags.items(), ("pass", ok)), (("value_aa", diffs[a, a] ** 2, len(a) ** 2),))
+        shared.ruzsa = record, () if ok else ("a distance axiom failed",)
+    return shared.ruzsa
 
 
 def _quotient_suite(variant: str):
@@ -232,13 +234,15 @@ def _check_suites(names) -> list | tuple:
     for i, name in enumerate(names):
         if name not in ALL_SUITES:
             raise SpecError(f"/suites/{i}", f"unknown suite {name!r}; known: {list(ALL_SUITES)}")
+        if name in names[:i]:
+            raise SpecError(f"/suites/{i}", f"suite {name!r} is listed twice")
     return names
 
 
 def parse_alphas(values) -> tuple[Fraction, ...]:
     if not isinstance(values, (list, tuple)) or not values:
         raise SpecError("/alphas", "expected a nonempty list of rationals above 1")
-    out = []
+    out: dict = {}  # a dict keeps the order and finds a repeat in O(1)
     for i, value in enumerate(values):
         try:
             alpha = parse(value)
@@ -246,7 +250,9 @@ def parse_alphas(values) -> tuple[Fraction, ...]:
             alpha = None
         if alpha is None or alpha <= 1:
             raise SpecError(f"/alphas/{i}", f"expected a rational above 1, got {value!r}")
-        out.append(alpha)
+        if alpha in out:
+            raise SpecError(f"/alphas/{i}", f"{value!r} repeats the alpha {fmt(alpha)}")
+        out[alpha] = None
     return tuple(out)
 
 
@@ -414,7 +420,7 @@ def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> Subs
     shared = SubsetContext(GSubset(group, frozenset(members)))
     if _needs_partner(config.suites):
         # deterministic partners derived from A itself
-        shared.b = shared.inv(shared.a)
+        shared.b = shared.inverse
         if "ruzsa-axioms" in config.suites:
             shared.c = shared.mul(shared.a, shared.a)
             order = shared.a.sorted_elements()
@@ -579,23 +585,22 @@ def evaluate_instance(instance_id: str, built: tuple | None = None) -> InstanceR
     normal subgroups computed.  With a results table, an instance whose
     `_table_key` is in it reads |piA|, |piA^2| and every suite's results from
     there, except ruzsa-axioms, which reads no quotient and keeps one result
-    per layer: only a miss, or that suite, builds an `InstanceContext`."""
+    per layer: only a miss builds an `InstanceContext`."""
     shared, make_quotient, suites, alphas, table = _load_id(instance_id) if built is None else built
     q = make_quotient()
     stats = stats_of(shared)
-    key = found = ctx = None
+    key = found = None
     if table is not None:
         table.row = table.row or _shift_row(q)
         found = table.get(key := _table_key(shared, stats, table.row, suites))
     if found is None:
         ctx = InstanceContext(shared, q)
-        results = tuple(None if name == "ruzsa-axioms" else SUITES[name](ctx, alphas) for name in suites)
-        found = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a), results
+        results = [None if name == "ruzsa-axioms" else (name, *SUITES[name](ctx, alphas)) for name in suites]
+        found = len(ctx.pi_a), ctx.pi_square, tuple(results)
         if key is not None:
             table[key] = found
     pi_size, pi_square, results = found
-    records = tuple((name, *(result or SUITES[name](ctx or InstanceContext(shared, q), alphas)))
-                    for name, result in zip(suites, results))
+    records = tuple([result or (name, *SUITES[name](shared, alphas)) for name, result in zip(suites, results)])
     return InstanceReport(instance_id, q.ambient.order, len(q.subgroup.elements), stats,
                           pi_size, pi_square, records)
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .context import InstanceContext, SubsetContext
+from .context import InstanceContext, SubsetContext, points
 from .quotients import QuotientStructure
 from .rationals import put
-from .sets import GSubset, translate
+from .sets import GSubset, require_owner
 
 VARIANTS = ("symmetric", "cube", "two-constant")
 
@@ -61,35 +61,47 @@ class RuzsaSq(namedtuple("RuzsaSq", "value")):
     __slots__ = ()
 
 
+class DiffSizes(dict):
+    """|X Y^-1| by (X, Y), for point sets of `law`: each formed at its first lookup."""
+
+    def __init__(self, law) -> None:
+        super().__init__()
+        self.law = law
+
+    def __missing__(self, key: tuple) -> int:
+        n = self[key] = len(self.law.product(key[0], self.law.inverse(key[1])))
+        return n
+
+
 def ruzsa_sq(a: GSubset, b: GSubset) -> RuzsaSq:
     if not a.elements or not b.elements:
         raise ValueError("Ruzsa distance needs nonempty subsets")
-    d = SubsetContext(a, b).diff_size(a, b)
+    require_owner(b, a.owner)
+    d = DiffSizes(a.owner.law)[points(a), points(b)]
     return RuzsaSq(Fraction(d * d, len(a.elements) * len(b.elements)))
 
 
 # The Ruzsa axioms compare values |XY^-1|^2 / (|X||Y|) with the denominators
-# cleared: every flag below is a comparison of counts.
+# cleared: every flag below is a comparison of counts, read from `diffs`.
 
 
-def ruzsa_triangle(ctx: SubsetContext, a: GSubset, b: GSubset, c: GSubset) -> bool:
+def ruzsa_triangle(diffs: DiffSizes, a: frozenset, b: frozenset, c: frozenset) -> bool:
     """value(A,C) <= value(A,B) * value(B,C); |A| and |C| cancel, leaving |B|."""
-    return ctx.diff_size(a, c) * len(b.elements) <= ctx.diff_size(a, b) * ctx.diff_size(b, c)
+    return diffs[a, c] * len(b) <= diffs[a, b] * diffs[b, c]
 
 
-def ruzsa_axioms(ctx: SubsetContext, b: GSubset, c: GSubset, translators=None) -> dict:
-    """The axiom flags for A, B, C, and for (gA, hB) when translators (g, h) are given."""
-    a = ctx.a
+def ruzsa_axioms(diffs: DiffSizes, a: frozenset, b: frozenset, c: frozenset, translators=None) -> dict:
+    """The axiom flags for point sets A, B, C, and for (gA, hB) given the points (g, h)."""
     flags = {
-        "self_at_least_one": ctx.diff_size(a, a) >= len(a.elements),
-        "symmetry": ctx.diff_size(a, b) == ctx.diff_size(b, a),
-        "triangle": ruzsa_triangle(ctx, a, b, c),
+        "self_at_least_one": diffs[a, a] >= len(a),
+        "symmetry": diffs[a, b] == diffs[b, a],
+        "triangle": ruzsa_triangle(diffs, a, b, c),
     }
     if translators is not None:
         # left translation keeps |A| and |B|, so the distance is kept iff the count is
-        g, h = translators
-        moved = ctx.diff_size(translate(a, left=g), translate(b, left=h))
-        flags["translation"] = moved == ctx.diff_size(a, b)
+        (g, h), product = translators, diffs.law.product
+        moved = diffs[frozenset(product((g,), a)), frozenset(product((h,), b))]
+        flags["translation"] = moved == diffs[a, b]
     return flags
 
 
@@ -146,7 +158,7 @@ def check_quotient_bound(ctx: InstanceContext, variant: str) -> QuotientDoubling
         num, den = a2 * a2 * a2, a * a * a
     else:
         num, den = a2 * ctx.shared.inv_square, a * a
-    p, p2 = len(ctx.pi_a.elements), ctx.size(ctx.pi_a, ctx.pi_a)
+    p, p2 = len(ctx.pi_a), ctx.pi_square
     w = ctx.q.quotient_weight
     return QuotientDoublingCheck(variant, p, p2, num, den, w.numerator, w.denominator, p2 * den <= num * p)
 

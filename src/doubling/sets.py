@@ -101,14 +101,3 @@ def inv_set(a: GSubset) -> GSubset:
     """Elementwise inverse; measure is preserved."""
     law = a.owner.law
     return GSubset(a.owner, law.handles(law.inverse(law.points(a.elements))))
-
-
-def translate(a: GSubset, left=None, right=None) -> GSubset:
-    """gAh for optional left/right translators."""
-    law = a.owner.law
-    out = law.points(a.elements)
-    if left is not None:
-        out = law.product(law.points([left]), out)
-    if right is not None:
-        out = law.product(out, law.points([right]))
-    return GSubset(a.owner, law.handles(out))

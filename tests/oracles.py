@@ -3,7 +3,8 @@
 None of these runs on a command path: each is an independent or brute-force
 statement of a fact that the package computes another way (the coset
 criterion, the combinatorial counts behind the sharpness witness, the Cantor
-analog, normality), or a small group the tests build by hand.  Test modules
+analog, normality, every suite record), or a small group the tests build by
+hand.  Test modules
 import them as `from oracles import ...`; pytest does not collect this file.
 """
 
@@ -18,8 +19,8 @@ from doubling.errors import ConsistencyError
 from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, quaternion_table
 from doubling.harness import ScanConfig, _group, canonical_json
 from doubling.quotients import QuotientStructure, _cosets, _generators, normal_subgroups
-from doubling.rationals import fmt
-from doubling.sets import GSubset, translate
+from doubling.rationals import fmt, put
+from doubling.sets import GSubset, inv_set, mul_set
 
 
 def quaternion_group(weight: str | Fraction = "counting") -> TableGroup:
@@ -74,6 +75,17 @@ def whole_ids(config: ScanConfig, built: list) -> list[str]:
                 fields["translate"] = [group.encode_element(x) for x in shared.translators]
             ids.append(canonical_json({**base, **fields}))
     return ids
+
+
+def translate(a: GSubset, left=None, right=None) -> GSubset:
+    """gAh for optional left/right translators."""
+    law = a.owner.law
+    out = law.points(a.elements)
+    if left is not None:
+        out = law.product(law.points([left]), out)
+    if right is not None:
+        out = law.product(out, law.points([right]))
+    return GSubset(a.owner, law.handles(out))
 
 
 def is_coset_of_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
@@ -150,3 +162,103 @@ def cantor_analog(m: int, group: CyclicGroup | None = None) -> GSubset:
     elif group.n != m:
         raise ValueError(f"group modulus {group.n} does not match m={m}")
     return GSubset(group, c)
+
+
+def _put(d: dict, key: str, x: Fraction) -> dict:
+    return put(d, key, x.numerator, x.denominator)
+
+
+def reference_suites(q: QuotientStructure, a: GSubset, b: GSubset | None, c: GSubset | None,
+                     translators: tuple | None, alphas: list) -> tuple[int, int, dict]:
+    """(|piA|, |piA^2|, suite name -> report fragment) for one instance, from
+    plain sets: `mul_set`, `inv_set`, `translate` and a `Counter` of cosets,
+    with every measure an exact Fraction and every statement checked as
+    written in the paper, not as a count comparison.  B and C default to A
+    (spillover, containment) and to A^-1 and A^2 (Ruzsa axioms) as in a
+    scan; `alphas` holds (text, Fraction) pairs."""
+    w_g, w_h, w_q = q.ambient.weight, q.subgroup_weight, q.quotient_weight
+
+    def fibers(x):
+        return Counter(map(q.project, x.elements))
+
+    def levels(x):  # (n, the level as a quotient GSubset) per realized n
+        f = fibers(x)
+        return [(n, GSubset(q.quotient, frozenset(k for k, m in f.items() if m >= n))) for n in sorted(set(f.values()))]
+
+    def layered(rows):  # the integral over t of mu_Q(rows at t)
+        total, prev = Fraction(0), 0
+        for n, level in rows:
+            total += (n - prev) * w_h * len(level.elements) * w_q
+            prev = n
+        return total
+
+    def measure(x):
+        return len(x.elements) * w_g
+
+    pi_a = GSubset(q.quotient, frozenset(fibers(a)))
+    pi_square = len(mul_set(pi_a, pi_a).elements)
+    partner = b if b is not None else a
+    out: dict = {}
+
+    lhs, rhs = measure(a), layered(levels(a))
+    out["layer-cake"] = _put(_put({"pass": lhs == rhs}, "lhs", lhs), "rhs", rhs)
+
+    ab, ba = mul_set(a, partner), mul_set(partner, a)
+    sides = {"lhs_left": measure(ab), "lhs_right": measure(ba),
+             "rhs_left": layered((n, mul_set(pi_a, lv)) for n, lv in levels(partner)),
+             "rhs_right": layered((n, mul_set(lv, pi_a)) for n, lv in levels(partner))}
+    spill = {"pass": sides["lhs_left"] >= sides["rhs_left"] and sides["lhs_right"] >= sides["rhs_right"]}
+    out["spillover"] = spill
+    for key, value in sides.items():
+        _put(spill, key, value)
+
+    f_ab, f_ba = fibers(ab), fibers(ba)
+    out["containment"] = {"pass": all(
+        f_ab[k] >= n for n, lv in levels(partner) for k in mul_set(pi_a, lv).elements
+    ) and all(f_ba[k] >= n for n, lv in levels(partner) for k in mul_set(lv, pi_a).elements)}
+
+    def value(x, y):  # mu(X Y^-1)^2 / (mu(X) mu(Y))
+        return Fraction(measure(mul_set(x, inv_set(y))) ** 2, measure(x) * measure(y))
+
+    rb = b if b is not None else inv_set(a)
+    rc = c if c is not None else mul_set(a, a)
+    ruzsa = {"self_at_least_one": value(a, a) >= 1, "symmetry": value(a, rb) == value(rb, a),
+             "triangle": value(a, rc) <= value(a, rb) * value(rb, rc)}
+    if translators is not None:
+        g, h = translators
+        ruzsa["translation"] = value(translate(a, left=g), translate(rb, left=h)) == value(a, rb)
+    ruzsa["pass"] = all(ruzsa.values())
+    out["ruzsa-axioms"] = _put(ruzsa, "value_aa", value(a, a))
+
+    k = Fraction(measure(mul_set(a, a)), measure(a))
+    k2 = Fraction(measure(mul_set(inv_set(a), a)), measure(a))
+    mu_pi, mu_pi2 = len(pi_a.elements) * w_q, pi_square * w_q
+    for suite, variant, bound in (("quotient-sym", "symmetric", k * k), ("quotient-cube", "cube", k ** 3),
+                                  ("quotient-k1k2", "two-constant", k * k2)):
+        if variant == "symmetric" and inv_set(a).elements != a.elements:
+            out[suite] = {"skipped": "subset is not symmetric"}
+            continue
+        out[suite] = {"variant": variant, "pass": mu_pi2 <= bound * mu_pi}
+        for key, x in (("lhs", mu_pi2), ("rhs", bound * mu_pi), ("bound", bound), ("quotient_doubling", mu_pi2 / mu_pi)):
+            _put(out[suite], key, x)
+
+    extract = out["extract"] = {}
+    for alpha_s, alpha in alphas:
+        rows = []
+        for n, lv in levels(a):
+            square = len(mul_set(lv, lv).elements) * w_q
+            if square < alpha * k * len(lv.elements) * w_q:
+                rows.append((n, lv, square / (len(lv.elements) * w_q),
+                             GSubset(a.owner, frozenset(x for x in a.elements if q.project(x) in lv.elements))))
+        chosen = next((row for row in rows if measure(row[3]) > (alpha - 1) / alpha * measure(a)), None)
+        if chosen is None:
+            extract[alpha_s] = {"pass": False}
+            continue
+        n, lv, doubling, big_b = chosen
+        cert = {"B_size": len(big_b.elements), "pass": True, "admissible": [fmt(m * w_h) for m, *_ in rows]}
+        for key, x in (("alpha", alpha), ("K", k), ("chosen_s", n * w_h), ("measure_ratio", measure(big_b) / measure(a)),
+                       ("quotient_doubling", doubling), ("measure_floor", (alpha - 1) / alpha),
+                       ("doubling_ceiling", alpha * k)):
+            _put(cert, key, x)
+        extract[alpha_s] = cert
+    return len(pi_a.elements), pi_square, out

@@ -481,6 +481,15 @@ def _replay_id(**change):
         (["replay", "--id", "@<not_utf8>"], "error: --id: "),
         (["replay", "--id", "@<nested>"], "error: /: malformed instance id"),
         (["scan", "--config", "<not_utf8>"], "error: --config: "),
+        # a repeated alpha or suite, equal after normalizing, is refused wherever it is read
+        (["verify", "--group", "cyclic:4", "--alphas", "2,4/2"], "error: --alphas: '4/2' repeats the alpha 2/1"),
+        (["extract", "--alpha", "2,4/2", *EXTRACT_C4], "error: --alpha: '4/2' repeats the alpha 2/1"),
+        (["verify", "--group", "cyclic:4", "--suite", "layer-cake,extract,layer-cake"],
+         "error: --suite: suite 'layer-cake' is listed twice"),
+        (["scan", "--config", "<dup_suite>"], "error: /suites/1: suite 'extract' is listed twice"),
+        (["scan", "--config", "<dup_alpha>"], "error: /alphas/2: 3 repeats the alpha 3/1"),
+        (_replay_id(suites=["layer-cake", "layer-cake"]), "error: /suites/1: suite 'layer-cake' is listed twice"),
+        (_replay_id(suites=["extract"], alphas=["2", "3/2", "6/3"]), "error: /alphas/2: '6/3' repeats the alpha 2/1"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -498,6 +507,8 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, f
         ("<not_product>", json.dumps(dict(instance, group={"type": "cyclic", "n": 4}))),
         ("<not_utf8>", '{"groups": ["cyclic:4"], "name": "\xe9"}'.encode("latin-1")),
         ("<nested>", "[" * 100_000),
+        ("<dup_suite>", json.dumps(dict(SCAN_BASE, suites=["extract", "extract"]))),
+        ("<dup_alpha>", json.dumps(dict(SCAN_BASE, alphas=["3/2", "3", 3]))),
         ("<missing>", None),
     ):
         files[key] = tmp_path / (key.strip("<>") + ".json")

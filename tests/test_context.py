@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import doubling
 from doubling import (
@@ -30,19 +31,21 @@ from doubling import (
     iter_instance_specs,
     layer_cake,
     mul_set,
+    normal_subgroups,
     quotient,
     quotient_doubling_check,
     ruzsa_sq,
     scan,
     spillover_check,
     subset,
-    translate,
 )
-from doubling.context import InstanceContext, SubsetContext
-from doubling.harness import _load_id
-from doubling.metrics import ruzsa_triangle
+from doubling.context import InstanceContext, points
+from doubling.groups import quaternion_table
+from doubling.harness import ALL_SUITES, _load_id, canonical_json
+from doubling.metrics import DiffSizes, ruzsa_triangle
 from doubling.quotients import quotient_from_description
 from doubling.rationals import parse, put
+from oracles import reference_suites, translate
 
 def put_exact(d: dict, key: str, x: Fraction) -> dict:
     return put(d, key, x.numerator, x.denominator)
@@ -103,7 +106,7 @@ def reference_report(instance_id: str) -> dict:
             frag = {
                 "self_at_least_one": vaa >= 1,
                 "symmetry": vab == ruzsa_sq(bb, a).value,
-                "triangle": ruzsa_triangle(SubsetContext(a, bb, cc), a, bb, cc),
+                "triangle": ruzsa_triangle(DiffSizes(group.law), *map(points, (a, bb, cc))),
             }
             if "translate" in spec:
                 g, h = (group.decode_element(v) for v in spec["translate"])
@@ -141,6 +144,59 @@ def test_fragments_match_the_standalone_functions(ids):
         assert parse(report["quotient_doubling"]) == ref["quotient_doubling"], instance_id
         assert report["suites"] == ref["suites"], instance_id
         assert report["violations"] == []
+
+
+GL2Z_POOL = [(c, m) for c in range(3) for m in ((1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0),
+                                               (0, -1, 1, 0), (1, -1, 0, 1), (2, 1, 1, 1))]
+# (group spec, the kept factors of its projection quotients, an element pool
+# for a group that cannot list its elements); a group of order <= 64 also
+# takes a quotient by each of its normal subgroups
+REFERENCE_GROUPS = [
+    ({"type": "cyclic", "n": 8}, [], None),
+    ({"type": "dihedral", "n": 4, "weight": "normalized"}, [], None),
+    ({"type": "symmetric", "n": 4}, [], None),
+    ({"type": "table", "table": quaternion_table(), "name": "Q8"}, [], None),
+    # tuple handles on a Cayley table
+    ({"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "symmetric", "n": 3}]},
+     [[0], [1], [0, 1]], None),
+    # order 72: products factor by factor on the handles (`OpLaw`)
+    ({"type": "product", "factors": [{"type": "cyclic", "n": 9}, {"type": "dihedral", "n": 4}]}, [[0], [1]], None),
+    # the lazy GL2Z factor kept, as in the sharpness witness
+    ({"type": "product", "factors": [{"type": "cyclic", "n": 3}, {"type": "gl2z"}]}, [[1]], GL2Z_POOL),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_suite_record_equals_the_set_based_reference(data):
+    spec, keeps, pool = data.draw(st.sampled_from(REFERENCE_GROUPS))
+    group = build_group(spec)
+    pool = pool or sorted(group.elements())
+    subsets = st.lists(st.sampled_from(pool), min_size=1, max_size=6).map(lambda xs: GSubset(group, frozenset(xs)))
+    a = data.draw(subsets)
+    partners = data.draw(st.sampled_from(["exhaustive", "random", "none"]))
+    b = c = translators = None
+    if partners == "exhaustive":  # as an exhaustive scan derives them from A
+        b, c, translators = inv_set(a), mul_set(a, a), (min(a.elements), max(a.elements))
+    elif partners == "random":
+        b, c = data.draw(subsets), data.draw(subsets)
+        translators = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    descs = [{"keep": keep} for keep in keeps]
+    if group.order is not None and group.order <= 64:
+        subs = normal_subgroups(group)
+        which = data.draw(st.sampled_from(["trivial", "whole", "any"]))
+        sub = {"trivial": subs[0], "whole": subs[-1]}.get(which) or data.draw(st.sampled_from(subs))
+        descs.append({"elements": sub.encode(), "weight": data.draw(st.sampled_from(["counting", "normalized"]))})
+    desc = data.draw(st.sampled_from(descs))
+    alphas = data.draw(st.sampled_from([["3/2", "2", "3"], ["5/4"], ["11/10", "7/2"]]))
+    fields = {"group": spec, "subgroup": desc, "subset": a.encode(), "suites": list(ALL_SUITES), "alphas": alphas}
+    if b is not None:
+        fields.update(subset_b=b.encode(), subset_c=c.encode(), translate=list(map(group.encode_element, translators)))
+    report = evaluate_instance(canonical_json(fields))
+    q = quotient_from_description(group, desc)
+    pi_size, pi_square, expected = reference_suites(q, a, b, c, translators, [(x, parse(x)) for x in alphas])
+    assert (report.pi_size, report.pi_square) == (pi_size, pi_square)
+    assert {name: record.to_json() for name, record, _ in report.suites} == expected
 
 
 def record_calls(monkeypatch, name: str, key) -> list:
@@ -206,7 +262,7 @@ def test_threshold_rows_count_b_as_the_restriction_to_the_level(ids, monkeypatch
         q = quotient_from_description(build_group(spec["group"]), spec["subgroup"])
         ctx = InstanceContext(shared, q)
         for n, level, _, _, held in ctx.thresholds:
-            assert held == len(original(q, ctx.a, level.elements).elements)
+            assert held == len(original(q, ctx.a, ctx.law.handles(level)).elements)
     # fibers 3, 2 and 1 in Z12 / {0, 4, 8}: three levels holding 6, 5 and 3 elements
     z12 = CyclicGroup(12)
     rows = InstanceContext(subset(z12, {0, 4, 8, 1, 5, 2}), quotient(z12, {0, 4, 8})).thresholds
@@ -217,15 +273,16 @@ def test_threshold_rows_count_b_as_the_restriction_to_the_level(ids, monkeypatch
 
 
 def test_memo_keys_on_the_owner_group():
-    # Z6 / {0, 3} is Z3 on coset ids 0, 1, 2: pi(A) and A have equal element sets
+    # Z6 / {0, 3} is Z3 on coset ids 0, 1, 2: pi(A) and A have equal element
+    # sets, but G-level products live in the layer and quotient ones in the instance
     z6 = CyclicGroup(6)
     q = quotient(z6, {0, 3})
     a = subset(z6, {0, 1, 2})
     ctx = InstanceContext(a, q)
-    assert ctx.pi_a.elements == a.elements
-    assert len(ctx.mul(a, a).elements) == 5
-    assert len(ctx.mul(ctx.pi_a, ctx.pi_a).elements) == 3
-    assert ctx.mul(ctx.pi_a, ctx.pi_a).owner is q.quotient
+    assert ctx.pi_a == a.elements
+    assert len(ctx.shared.mul(a, a).elements) == 5
+    assert ctx.pi_square == 3
+    assert len(ctx.shared.mul(a, a).elements) == 5
 
 
 def test_fubini_mismatch_raises_consistency_error():

@@ -169,15 +169,15 @@ def test_layer_cake_mismatch_raises(z6_mod_h, monkeypatch):
     z6, q = z6_mod_h
     a = subset(z6, {0, 1})  # fibers 1 and 1: one level of two cosets
 
-    class DropsACoset(InstanceContext):
-        """Levels with one coset fewer, so the layered count sum falls one short of |A|."""
+    def drops_a_coset(a, q):
+        """A context whose lowest level lacks one coset, so the layered count
+        sum falls one short of |A|."""
+        ctx = InstanceContext(a, q)
+        (n, level, held), *rest = ctx.levels_a
+        ctx.levels_a = [(n, frozenset(sorted(level)[1:]), held), *rest]
+        return ctx
 
-        def levels(self, x):
-            (n, level, held), *rest = super().levels(x)
-            kept = sorted(level.elements)[1:]
-            return [(n, q.coset_subset(kept), held), *rest]
-
-    monkeypatch.setattr(doubling.fibers, "InstanceContext", DropsACoset)
+    monkeypatch.setattr(doubling.fibers, "InstanceContext", drops_a_coset)
     with pytest.raises(ConsistencyError, match="layer-cake identity failed") as info:
         layer_cake(a, q)
     assert info.value.payload == {"lhs": "2/1", "rhs": "1/1", "subset": [0, 1]}

@@ -289,7 +289,7 @@ ID_MODES = st.one_of(
     groups=st.lists(st.sampled_from(ID_GROUPS), min_size=1, max_size=2),
     mode=ID_MODES,
     suites=st.lists(st.sampled_from(ALL_SUITES), unique=True),
-    alphas=st.lists(st.sampled_from(["3/2", "2", "7/3"]), min_size=1, max_size=2),
+    alphas=st.lists(st.sampled_from(["3/2", "2", "7/3"]), min_size=1, max_size=2, unique=True),
     subgroups=st.sampled_from(["all", "proper"]),
     weight=st.sampled_from(["counting", "normalized"]),
 )

@@ -25,13 +25,12 @@ from doubling import (
     mul_set,
     normal_subgroups,
     quotient,
-    translate,
 )
 from doubling import harness, quotients
 from doubling.groups import TABLE_CAP, CayleyTable, OpLaw, WeightedGroup, op_table
 from doubling.harness import ScanConfig, evaluate_instance, iter_instance_specs
 from doubling.quotients import _subgroup_lattice
-from oracles import is_normal, is_subgroup, quaternion_group
+from oracles import is_normal, is_subgroup, quaternion_group, translate
 
 GROUPS = [build_group(spec) for spec in catalog(weights=("counting",))]
 SMALL = [g for g in GROUPS if g.order <= 12]

@@ -221,10 +221,14 @@ def _extract_runs(monkeypatch) -> list:
 
 
 def test_an_exhaustive_verify_runs_the_quotient_suites_once_per_fiber_profile(tmp_path, monkeypatch):
-    runs = _extract_runs(monkeypatch)
+    runs, contexts = _extract_runs(monkeypatch), []
+    context = harness.InstanceContext
+    monkeypatch.setattr(harness, "InstanceContext", lambda *args: contexts.append(args) or context(*args))
     argv = ["verify", "--group", "dihedral:6", "--max-subset-size", "3", "-j", "1"]
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
     assert len(runs) == 2086 and sum(n for _, n in runs) < 700
+    # only a miss builds an InstanceContext: a table hit, ruzsa-axioms included, builds none
+    assert len(contexts) == sum(n for _, n in runs)
     # under H = {e} a fiber profile is the subset itself: no table, every instance runs
     trivial = [n for i, n in runs if len(json.loads(i)["subgroup"]["elements"]) == 1]
     assert len(trivial) == 298 and set(trivial) == {1}

@@ -7,9 +7,9 @@ from doubling import (
     inv_set,
     mul_set,
     subset,
-    translate,
 )
 from doubling.context import SubsetContext
+from oracles import translate
 
 
 def test_interval_sumset():
