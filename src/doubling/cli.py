@@ -317,7 +317,7 @@ def _cmd_verify(args) -> int:
         flags, ScanConfig, [gspec], subset_mode, suites, subgroup_weight=args.subgroup_weight,
         alphas=_alphas_arg(args.alphas, "--alphas"), parallelism=_workers(args),
     )
-    report = scan(config)
+    report = _flagged({"/groups/0": "/group"}, scan, config)
     _emit(report, args.out)
     return _violation_status(report)
 

@@ -9,6 +9,10 @@ Element handles are opaque hashables: ints 0..n-1 for the finite kinds,
 tuples of factor handles for products, and 4-tuples (a, b, c, d) for exact
 integer 2x2 matrices with determinant +/-1.  Enumeration order is canonical
 per kind so that runs are reproducible bit for bit.
+
+`_grow` is the one subgroup walk: `quotients` closes sets, picks generators
+and builds the lattice with it, and `validate_axioms` takes the generators
+of Light's associativity test from it.
 """
 
 from __future__ import annotations
@@ -565,8 +569,13 @@ def validate_axioms(group: WeightedGroup) -> None:
             raise ValueError(f"inverse law fails at {x!r}")
     # Light's test: b over a generating set is enough, O(n^2 log n) for a
     # group; only a failure pays for the full scan, which reports the first
-    # failing triple
-    if n == 1 or _associative_at(t, _table_generators(t, e)):
+    # failing triple.  The b with (ab)c = a(bc) for all a and c are closed
+    # under products and include e, and `_grow` reaches every element as a
+    # left-nested product (..((g1 g2) g3)..) of the generators it picks, so
+    # they are everything once they include those, t associative or not.
+    gens: list = []
+    _grow(CayleyTable(t), {e}, gens, range(n))
+    if n == 1 or _associative_at(t, gens):
         return
     a, b, c = next(
         (a, b, c) for a, b, c in iter_product(range(n), repeat=3) if t[t[a][b]][c] != t[a][t[b][c]]
@@ -582,23 +591,23 @@ def _associative_at(t: list[list[int]], bs: Iterable[int]) -> bool:
     return all(rows[ta[b]] == after(ta) for ta in t for b, after in then)
 
 
-def _table_generators(t: list[list[int]], e: int) -> list[int]:
-    """A generating set of the table t with identity e, greedy in index
-    order: every element is a left-nested product (..((g1 g2) g3)..) of them.
-
-    Light's test rests on this.  The b with (ab)c = a(bc) for all a and c
-    are closed under products and include e, so they are everything once
-    they include such a set; this holds without assuming associativity."""
-    reached, gens = {e}, []
-    for g in range(len(t)):
-        if g in reached:
+def _grow(law, reached: set, gens: list, xs: Iterable, within: set | None = None) -> bool:
+    """Close `reached`, a set closed under right multiplication by `gens`,
+    under each x in xs too, in place; an x not yet reached joins `gens`.  A
+    word that leaves `reached` does so by a step into reached * x, so each
+    walk goes breadth-first from those elements only.  False at the first
+    layer that leaves `within`, if that is given."""
+    for x in xs:
+        if x in reached:
             continue
-        gens.append(g)
-        frontier = {t[x][g] for x in reached} - reached
+        gens.append(x)
+        frontier = law.product(reached, [x]) - reached
         while frontier:
+            if within is not None and not frontier <= within:
+                return False
             reached |= frontier
-            frontier = {t[x][h] for x in frontier for h in gens} - reached
-    return gens
+            frontier = law.product(frontier, gens) - reached
+    return True
 
 
 # -- JSON group specs ------------------------------------------------------

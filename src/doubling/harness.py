@@ -382,16 +382,19 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
     head = '{"alphas":' + canonical_json([a for a, _ in alphas]) + "," if "extract" in config.suites else "{"
     suites = ',"suites":' + canonical_json(list(config.suites))
     ids: list[str] = []
-    for gspec in config.groups:
+    for i, gspec in enumerate(config.groups):
         group = _group(group_json := canonical_json(gspec))
         if group.order is None:
-            raise SpecError("/groups", f"{group.name} is infinite; scans need finite groups")
-        subs = normal_subgroups(group)
-        if config.subgroups == "proper":
-            subs = [s for s in subs if 1 < len(s.elements) < group.order]
-        elems = list(group.elements())
-        # an exhaustive scan's subset layers serve every normal subgroup
-        layers = _exhaustive_layers(group, elems, config) if rng is None and subs else []
+            raise SpecError(f"/groups/{i}", f"{group.name} is infinite; scans need finite groups")
+        try:
+            subs = normal_subgroups(group)
+            if config.subgroups == "proper":
+                subs = [s for s in subs if 1 < len(s.elements) < group.order]
+            elems = list(group.elements())
+            # an exhaustive scan's subset layers serve every normal subgroup
+            layers = _exhaustive_layers(group, elems, config) if rng is None and subs else []
+        except CapError as exc:
+            raise SpecError(f"/groups/{i}", str(exc)) from exc
         tails = [_id_tail(shared, suites) for shared in layers]
         for sub in subs:
             desc = canonical_json({"elements": sub.encode(), "weight": config.subgroup_weight})
@@ -499,7 +502,8 @@ def _load_id(instance_id: str) -> tuple:
     known_keys(spec, _ID_KEYS, "")
     _check_suites(spec.get("suites", []))
     alphas = spec.get("alphas", [fmt(x) for x in DEFAULT_ALPHAS])
-    alphas = list(zip(alphas, parse_alphas(alphas)))
+    # labelled as written, an integer alpha too
+    alphas = [(str(v), alpha) for v, alpha in zip(alphas, parse_alphas(alphas))]
     translate = spec.get("translate")
     if "translate" in spec and not (isinstance(translate, list) and len(translate) == 2):
         raise SpecError("/translate", "expected exactly two group elements [g, h]")
@@ -692,11 +696,12 @@ def scan(config: ScanConfig) -> dict:
     their writer renders with `to_json()`."""
     built: list = []
     ids = iter_instance_specs(config, built)
-    if config.parallelism > 1 and len(ids) > 1:
+    workers = min(config.parallelism, len(ids))
+    if workers > 1:
         from multiprocessing import get_context
 
-        chunk = max(1, len(ids) // (config.parallelism * 8))
-        with get_context("fork").Pool(config.parallelism, _adopt, (ids, built)) as pool:
+        chunk = max(1, len(ids) // (workers * 8))
+        with get_context("fork").Pool(workers, _adopt, (ids, built)) as pool:
             reports = pool.map(_evaluate_at, range(len(ids)), chunk)
     else:
         # each job is popped, so a subset layer lives until its last instance

@@ -6,44 +6,24 @@ measure of any subset.  A quotient of a finite group materializes its coset
 table; a projection quotient of a product group drops coordinates and works
 for lazy ambient groups as long as the dropped factors are finite.
 Subgroups are found on the points of `group.law`, table indices up to
-TABLE_CAP: `closure`, `_generators` and the lattice share one growing walk
-(`_grow`), and `quotient` walks the cosets once (`_cosets`), checking
-normality on the generators that walk picked and forming gH alone.
+TABLE_CAP: `closure`, `_generators` and the lattice walk them with
+`groups._grow`, and `quotient` walks the cosets once (`_cosets`), checking
+normality on the generators that walk picked and forming gH alone.  The
+lattice is computed on each call; a command asks once per group.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iter_product
 from math import prod
 from operator import itemgetter
 
 from .errors import CapError, ConsistencyError, SpecError, integer
-from .groups import TABLE_CAP, CayleyTable, ProductGroup, TableGroup, WeightedGroup, _resolve_weight
+from .groups import TABLE_CAP, CayleyTable, ProductGroup, TableGroup, WeightedGroup, _grow, _resolve_weight
 from .rationals import fmt
 from .sets import GSubset, decode_elements, require_owner, subset
-
-
-def _grow(law, reached: set, gens: list, xs: Iterable, within: set | None = None) -> bool:
-    """Close `reached`, a set closed under right multiplication by `gens`,
-    under each x in xs too, in place; an x not yet reached joins `gens`.  A
-    word that leaves `reached` does so by a step into reached * x, so each
-    walk goes breadth-first from those elements only.  False at the first
-    layer that leaves `within`, if that is given."""
-    for x in xs:
-        if x in reached:
-            continue
-        gens.append(x)
-        frontier = law.product(reached, [x]) - reached
-        while frontier:
-            if within is not None and not frontier <= within:
-                return False
-            reached |= frontier
-            frontier = law.product(frontier, gens) - reached
-    return True
 
 
 def closure(group: WeightedGroup, seed: Iterable) -> frozenset:
@@ -86,55 +66,17 @@ def _cosets(law, h: set, gens: list, order: int) -> tuple[dict, list] | None:
     return coset_of, reps
 
 
-def _structural_key(group: WeightedGroup) -> str | None:
-    """Weight-independent cache key: two weight variants share their lattice."""
-    try:
-        spec = group.spec()
-    except NotImplementedError:
-        return None
-
-    def strip(node):
-        if isinstance(node, dict):
-            return {k: strip(v) for k, v in node.items() if k != "weight"}
-        if isinstance(node, list):
-            return [strip(v) for v in node]
-        return node
-
-    return json.dumps(strip(spec), sort_keys=True, separators=(",", ":"))
-
-
-class _StructureKey(str):
-    """A weight-free spec string that carries one group of that structure,
-    so a cache miss can compute the lattice without rebuilding the group."""
-
-    group: WeightedGroup
-
-
 def _subgroup_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
-    if group.order is None:
-        raise ValueError("subgroup enumeration needs a finite group")
-    if group.order > TABLE_CAP:
-        raise CapError(f"subgroup enumeration capped at order {TABLE_CAP}, got {group.order}")
-    spec = _structural_key(group)
-    if spec is None:
-        return _lattice(group)
-    key = _StructureKey(spec)
-    key.group = group
-    return _cached_lattice(key)
-
-
-@lru_cache(maxsize=512)
-def _cached_lattice(key: _StructureKey) -> tuple[list[frozenset], list[frozenset]]:
-    return _lattice(key.group)
-
-
-def _lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
     """(all subgroup handle-sets, normal handle-sets), each in canonical order.
 
     Runs on the points of `group.law`.  Every subgroup is reached from {e} by
     adding one generator at a time, growing from the subgroup it extends, and
     remembers its generator list.  <H, g> = <H, hg> for h in H, so one g per
     right coset of H is tried."""
+    if group.order is None:
+        raise ValueError("subgroup enumeration needs a finite group")
+    if group.order > TABLE_CAP:
+        raise CapError(f"subgroup enumeration capped at order {TABLE_CAP}, got {group.order}")
     law = group.law
     gens_of = {frozenset([law.identity]): []}
     queue = list(gens_of)
@@ -292,7 +234,8 @@ def quotient_from_description(group: WeightedGroup, desc: dict, path: str = "") 
     """The quotient an instance id's subgroup describes: {"keep": [...]} for a
     projection, or {"elements": [...], "weight": ...} for a normal subgroup.
     `projection_quotient` and `quotient` check the values they read; their
-    SpecErrors are put under `path`."""
+    SpecErrors are put under `path`, and any other ValueError (a quotient
+    above the cap, or of an infinite group) is reported at `path`."""
     try:
         if not isinstance(desc, dict):
             raise SpecError("", "subgroup description must be an object")
@@ -306,3 +249,5 @@ def quotient_from_description(group: WeightedGroup, desc: dict, path: str = "") 
         return quotient(group, elems, desc.get("weight", "counting"))
     except SpecError as exc:
         raise exc.under(path) from None
+    except ValueError as exc:
+        raise SpecError(path, str(exc)) from exc

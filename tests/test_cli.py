@@ -211,6 +211,10 @@ def test_replay_accepts_the_base_id_and_empty_suites(capsys):
     code, out, _ = run(capsys, "replay", "--id", json.dumps(dict(REPLAY_BASE, suites=[])))
     assert code == 0
     assert json.loads(out)["suites"] == {}
+    # an integer alpha is a certificate key as written
+    code, out, _ = run(capsys, "replay", "--id", json.dumps(dict(REPLAY_BASE, alphas=[2, "3/2"])))
+    assert code == 0
+    assert list(json.loads(out)["suites"]["extract"]) == ["2", "3/2"]
 
 
 @pytest.mark.parametrize(
@@ -267,7 +271,7 @@ def test_replay_of_a_quotient_above_the_cap_fails_fast():
     )
     assert out.returncode == 1
     assert out.stdout == ""
-    assert "error: quotient index |G|/|H| = 1000000/1 is above the cap 64" in out.stderr
+    assert "error: /subgroup: quotient index |G|/|H| = 1000000/1 is above the cap 64" in out.stderr
     assert "Traceback" not in out.stderr
 
 
@@ -364,7 +368,7 @@ def test_the_worker_count_is_j_then_doubling_jobs_then_the_config(tmp_path, caps
         ({"emit_instances": "no"}, "/emit_instances"),
         ({"alphas": []}, "/alphas"),
         ({"groups": [5]}, "/groups/0"),
-        ({"groups": ["gl2z"]}, "/groups"),
+        ({"groups": ["gl2z"]}, "/groups/0"),
     ],
 )
 def test_scan_rejects_malformed_configs_with_a_path(tmp_path, capsys, change, path):
@@ -490,6 +494,16 @@ def _replay_id(**change):
         (["scan", "--config", "<dup_alpha>"], "error: /alphas/2: 3 repeats the alpha 3/1"),
         (_replay_id(suites=["layer-cake", "layer-cake"]), "error: /suites/1: suite 'layer-cake' is listed twice"),
         (_replay_id(suites=["extract"], alphas=["2", "3/2", "6/3"]), "error: /alphas/2: '6/3' repeats the alpha 2/1"),
+        # a group or quotient above a cap, or an infinite group, names where it was read
+        (["verify", "--group", "cyclic:70"], "error: /group: subgroup enumeration capped at order 64, got 70"),
+        (["scan", "--config", "<over_lattice_cap>"],
+         "error: /groups/1: subgroup enumeration capped at order 64, got 70"),
+        (["scan", "--config", "<over_exhaustive_cap>"], "error: /groups/1: exhaustive mode needs |G| <= 16"),
+        (["scan", "--config", "<infinite>"], "error: /groups/1: GL2Z is infinite; scans need finite groups"),
+        (_replay_id(group={"type": "cyclic", "n": 1000}, subgroup={"elements": [0]}, subset=[0]),
+         "error: /subgroup: quotient index |G|/|H| = 1000/1 is above the cap 64"),
+        (["extract", "--alpha", "2", "--group", "cyclic:1000", "--subgroup", '{"elements": [0]}',
+          "--subset", '{"elements": [0]}'], "error: /subgroup: quotient index |G|/|H| = 1000/1 is above the cap 64"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -509,6 +523,10 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, f
         ("<nested>", "[" * 100_000),
         ("<dup_suite>", json.dumps(dict(SCAN_BASE, suites=["extract", "extract"]))),
         ("<dup_alpha>", json.dumps(dict(SCAN_BASE, alphas=["3/2", "3", 3]))),
+        ("<over_lattice_cap>", json.dumps(dict(SCAN_BASE, groups=["cyclic:4", "cyclic:70"]))),
+        ("<over_exhaustive_cap>", json.dumps({"groups": ["cyclic:4", "cyclic:20"],
+                                              "subset_mode": {"kind": "exhaustive"}})),
+        ("<infinite>", json.dumps(dict(SCAN_BASE, groups=["cyclic:4", "gl2z"]))),
         ("<missing>", None),
     ):
         files[key] = tmp_path / (key.strip("<>") + ".json")
@@ -724,6 +742,40 @@ def test_scan_writes_the_same_file_at_one_and_two_workers(tmp_path, capsys):
         assert run(capsys, "scan", "--config", str(tmp_path / "scan.json"), "-j", jobs, "--out", str(out))[0] == 0
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
+
+
+def test_a_parallel_scan_starts_no_more_workers_than_instances(capsys, monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class Pool:
+        """Runs the jobs in this process, as a forked pool would in its workers."""
+
+        def __init__(self, processes, initializer, initargs):
+            started.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize):
+            return list(map(func, items))
+
+    texts = [run(capsys, "verify", "--group", "cyclic:2", "-j", "1")[1]]
+    with monkeypatch.context() as patch:
+        patch.setattr(multiprocessing, "get_context", lambda method: mock.Mock(Pool=Pool))
+        patch.setattr(doubling.harness, "_JOBS", None, raising=False)  # what `_adopt` sets
+        for jobs in ("64", "6", "2"):
+            code, out, _ = run(capsys, "verify", "--group", "cyclic:2", "-j", jobs)
+            assert code == 0
+            texts.append(out)
+    # cyclic:2: two normal subgroups times three nonempty subsets
+    assert started == [6, 6, 2]
+    assert texts[1:] == texts[:1] * 3
 
 
 @pytest.mark.parametrize("failure", ["render", "write", "unsupported"])

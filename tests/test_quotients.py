@@ -273,20 +273,31 @@ def test_lattice_on_the_op_path_matches_the_table_path(monkeypatch):
     ]
 
     def lattices() -> list:
-        doubling.quotients._cached_lattice.cache_clear()
         groups = [build_group(spec) for spec in specs]
         return [(_subgroup_lattice(g)[0], [s.elements for s in normal_subgroups(g)]) for g in groups]
 
-    try:
-        on_tables = lattices()
-        with monkeypatch.context() as patch:
-            patch.setattr(WeightedGroup, "law", property(OpLaw))
-            assert isinstance(build_group(specs[2]).law, OpLaw)
-            on_op = lattices()
-    finally:
-        doubling.quotients._cached_lattice.cache_clear()
+    on_tables = lattices()
+    with monkeypatch.context() as patch:
+        patch.setattr(WeightedGroup, "law", property(OpLaw))
+        assert isinstance(build_group(specs[2]).law, OpLaw)
+        on_op = lattices()
     assert [len(subs) for subs, _ in on_tables] == [10, 6, 16]
     assert on_op == on_tables
+
+
+def test_weight_variants_compute_the_same_lattice():
+    # the lattice ignores weights; each variant computes its own
+    counting, normalized = (catalog(weights=(mode,)) for mode in ("counting", "normalized"))
+    seen = []
+    for c_spec, n_spec in zip(counting, normalized):
+        c, n = build_group(c_spec), build_group(n_spec)
+        if c.name not in ("Q8", "D4", "D4xS3"):
+            continue
+        assert n.name == c.name and n.weight == Fraction(1, n.order) != c.weight
+        assert _subgroup_lattice(n) == _subgroup_lattice(c), c.name
+        assert [s.elements for s in normal_subgroups(n)] == [s.elements for s in normal_subgroups(c)], c.name
+        seen.append(c.name)
+    assert seen == ["D4", "Q8", "D4xS3"]
 
 
 def test_replay_with_a_large_subgroup_of_a_large_group_ends(tmp_path):
