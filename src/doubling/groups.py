@@ -11,8 +11,8 @@ integer 2x2 matrices with determinant +/-1.  Enumeration order is canonical
 per kind so that runs are reproducible bit for bit.
 
 `_grow` is the one subgroup walk: `quotients` closes sets, picks generators
-and builds the lattice with it, and `validate_axioms` takes the generators
-of Light's associativity test from it.
+and builds the lattice with it, and Light's test takes its generators from
+it, run only on a table from outside (`TableGroup`) and by `validate_axioms`.
 """
 
 from __future__ import annotations
@@ -122,32 +122,22 @@ class WeightedGroup:
 
 
 class CayleyTable:
-    """A finite group's law on the indices 0..n-1 of its canonical enumeration.
+    """A group's law on the indices 0..n-1 of its canonical enumeration.
 
     Points are indices: `rows[i][j]` is the index of the product of the
     elements at i and j, `inv[i]` the inverse's index.  `elements[i]` is the
     handle at index i and `index` maps handles back; both are None for the
-    kinds whose handles already are the indices.
-    """
+    kinds whose handles already are the indices.  Unchecked: its builder
+    knows the rows form a group, and the identity's index."""
 
     __slots__ = ("rows", "elements", "index", "identity", "inv")
 
-    def __init__(self, rows: list[list[int]], elements: list | None = None) -> None:
+    def __init__(self, rows: list[list[int]], elements: list | None, identity: int) -> None:
         self.rows = rows
         self.elements = elements
         self.index = None if elements is None else {x: i for i, x in enumerate(elements)}
-        # the two-sided identity: its row and its column are both 0..n-1
-        ident = list(range(len(rows)))
-        e = next((i for i in ident if rows[i] == ident and [r[i] for r in rows] == ident), None)
-        if e is None:
-            raise ValueError("table has no identity element")
-        self.identity = e
-        self.inv = [
-            next((b for b, v in enumerate(row) if v == e == rows[b][a]), None)
-            for a, row in enumerate(rows)
-        ]
-        if None in self.inv:
-            raise ValueError(f"element {self.inv.index(None)} has no inverse")
+        self.identity = identity
+        self.inv = [row.index(identity) for row in rows]
 
     def all_points(self) -> range:
         return range(len(self.rows))
@@ -249,8 +239,8 @@ class _IndexedGroup(WeightedGroup):
         return obj
 
     def _cayley(self) -> CayleyTable:
-        # the handles are the indices already
-        return CayleyTable(op_table(self)[2])
+        # the handles are the indices already, and the identity is 0
+        return CayleyTable(op_table(self)[2], None, 0)
 
     # the parametrized kinds (cyclic, dihedral, symmetric) share identity 0 and spec form
     @property
@@ -333,23 +323,26 @@ class SymmetricGroup(_IndexedGroup):
 
 
 class TableGroup(_IndexedGroup):
-    """Finite group given by an explicit Cayley table; axioms checked on build."""
+    """Finite group of a Cayley table: rows from outside are checked, a `CayleyTable` is not."""
 
     kind = "table"
 
     def __init__(
         self,
-        table: Sequence[Sequence[int]],
+        table: CayleyTable | Sequence[Sequence[int]],
         weight: str | Fraction = "counting",
         name: str = "table",
     ) -> None:
+        if isinstance(table, CayleyTable):  # a group's law by construction
+            super().__init__(name, len(table.rows), weight)
+            self.table, self._law = table.rows, table
+            return
         if not isinstance(table, (list, tuple)) or not table:
             raise SpecError("/table", "expected a nonempty list of rows")
         n = len(table)
         if n > TABLE_CAP:
             raise CapError(f"table group size capped at {TABLE_CAP}, got {n}")
         for i, row in enumerate(table):
-            # one pass per row: exact ints (never bools) in 0..n-1
             if not isinstance(row, (list, tuple)) or len(row) != n or not all(
                 type(v) is int and 0 <= v < n for v in row
             ):
@@ -357,9 +350,17 @@ class TableGroup(_IndexedGroup):
         if not isinstance(name, str):
             raise SpecError("/name", "expected a string")
         super().__init__(name, n, weight)
-        self.table = [list(row) for row in table]
-        self._law = CayleyTable(self.table)  # finds the identity and inverses, or raises
-        validate_axioms(self)
+        self.table = rows = [list(row) for row in table]
+        # the two-sided identity: its row and its column are both 0..n-1
+        ident = list(range(n))
+        e = next((i for i in ident if rows[i] == ident and [r[i] for r in rows] == ident), None)
+        if e is None:
+            raise ValueError("table has no identity element")
+        for a, row in enumerate(rows):
+            if not any(v == e == rows[b][a] for b, v in enumerate(row)):
+                raise ValueError(f"element {a} has no inverse")
+        self._law = CayleyTable(rows, None, e)
+        _light_test(self._law, ident)
 
     # an OpLaw over these methods may stand in for `law`, so they read the table
     def op(self, a: int, b: int) -> int:
@@ -414,13 +415,14 @@ class ProductGroup(WeightedGroup):
     def _cayley(self) -> CayleyTable:
         # Mixed radix over the factors' tables, first factor most significant:
         # the order of elements().  No factor is larger than the product, so
-        # each has a table.
-        rows = self.factors[0].law.rows
+        # each has a table.  The identity's index mixes the factors' the same way.
+        rows, e = self.factors[0].law.rows, self.factors[0].law.identity
         for f in self.factors[1:]:
             inner = f.law.rows
             m = len(inner)
             rows = [[a * m + b for a in r1 for b in r2] for r1 in rows for r2 in inner]
-        return CayleyTable(rows, list(self.elements()))
+            e = e * m + f.law.identity
+        return CayleyTable(rows, list(self.elements()), e)
 
     def contains(self, x) -> bool:
         return (
@@ -541,23 +543,16 @@ def op_table(group: WeightedGroup) -> tuple[list, dict, list[list[int]]]:
 
 def validate_axioms(group: WeightedGroup) -> None:
     """Recheck associativity, identity, and inverses through `op` on every
-    element: the reference the Cayley tables are compared against.  A
-    `TableGroup`'s `op` is a lookup in its table, so its table is read as it
-    is (`TableGroup.__init__` has range-checked every entry).
+    element: the reference the Cayley tables are compared against.
 
-    Intended for tests and table-spec vetting; the structured kinds satisfy
-    the axioms by construction.
+    Intended for tests: the structured kinds and quotients satisfy the axioms
+    by construction, and `TableGroup` checks a table from outside itself.
     """
     if group.order is None:
         raise ValueError("cannot exhaustively validate an infinite group")
     if group.order > TABLE_CAP:
         raise CapError(f"validation capped at order {TABLE_CAP}, got {group.order}")
-    if isinstance(group, TableGroup):
-        elems, t = range(group.order), group.table
-        index = dict(zip(elems, elems))
-    else:
-        elems, index, t = op_table(group)
-    n = len(elems)
+    elems, index, t = op_table(group)
     if any(-1 in row for row in t):
         raise ValueError("the operation leaves the group")
     e = index.get(group.identity, -1)
@@ -567,19 +562,23 @@ def validate_axioms(group: WeightedGroup) -> None:
         ia = index.get(group.inv(x), -1)
         if ia < 0 or t[a][ia] != e or t[ia][a] != e:
             raise ValueError(f"inverse law fails at {x!r}")
-    # Light's test: b over a generating set is enough, O(n^2 log n) for a
-    # group; only a failure pays for the full scan, which reports the first
-    # failing triple.  The b with (ab)c = a(bc) for all a and c are closed
-    # under products and include e, and `_grow` reaches every element as a
-    # left-nested product (..((g1 g2) g3)..) of the generators it picks, so
-    # they are everything once they include those, t associative or not.
-    gens: list = []
-    _grow(CayleyTable(t), {e}, gens, range(n))
-    if n == 1 or _associative_at(t, gens):
+    _light_test(CayleyTable(t, None, e), elems)
+
+
+def _light_test(law: CayleyTable, elems: Sequence) -> None:
+    """Light's test on a table with identity and inverses: b over a generating
+    set is enough, O(n^2 log n) for a group; only a failure pays for the full
+    scan, which names the first failing triple by `elems`.  The b with (ab)c
+    = a(bc) for all a and c are closed under products and include e, and
+    `_grow` reaches every element as a left-nested product (..((g1 g2) g3)..)
+    of the generators it picks, so they are everything once they include
+    those, the table associative or not (one row needs no generator)."""
+    t, gens = law.rows, []
+    _grow(law, {law.identity}, gens, law.all_points())
+    if _associative_at(t, gens):
         return
-    a, b, c = next(
-        (a, b, c) for a, b, c in iter_product(range(n), repeat=3) if t[t[a][b]][c] != t[a][t[b][c]]
-    )
+    a, b, c = next((a, b, c) for a, b, c in iter_product(law.all_points(), repeat=3)
+                   if t[t[a][b]][c] != t[a][t[b][c]])
     raise ValueError(f"non-associative operation at ({elems[a]!r},{elems[b]!r},{elems[c]!r})")
 
 

@@ -358,8 +358,13 @@ def _density_for(trial: int, density, pool_size: int):
     return ("1/4", "1/2", {"size": max(1, pool_size // 2)})[trial % 3]
 
 
+# each optional id field, with the suites that read it; a scan writes it only for them
+_READERS = {"alphas": {"extract"}, "subset_b": {"spillover", "containment", "ruzsa-axioms"},
+            "subset_c": {"ruzsa-axioms"}, "translate": {"ruzsa-axioms"}}
+
+
 def _needs_partner(suites: Iterable[str]) -> bool:
-    return any(s in ("spillover", "containment", "ruzsa-axioms") for s in suites)
+    return not _READERS["subset_b"].isdisjoint(suites)
 
 
 def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[str]:
@@ -442,8 +447,14 @@ def _exhaustive_layers(group: WeightedGroup, elems: list, config: ScanConfig) ->
                        f"{group.name} has order {group.order}")
     else:  # unions of inverse pairs {x, x^-1}, or of single elements, by bit mask
         units = list(dict.fromkeys(frozenset((x, group.inv(x)) if symmetric_only else (x,)) for x in elems))
-        members = ([x for i, u in enumerate(units) if mask >> i & 1 for x in u]
-                   for mask in range(1, 1 << len(units)))
+        if max_size is None and len(units) > EXHAUSTIVE_ORDER_CAP:
+            raise CapError(f"exhaustive symmetric_only mode needs at most {EXHAUSTIVE_ORDER_CAP} inverse "
+                           f"pairs or a max_size cap; {group.name} has {len(units)}")
+        # a subset of at most max_size elements is a union of at most max_size units
+        masks = range(1, 1 << len(units)) if max_size is None else sorted(
+            sum(1 << i for i in combo) for size in range(1, min(max_size, len(units)) + 1)
+            for combo in combinations(range(len(units)), size))
+        members = ([x for i, u in enumerate(units) if mask >> i & 1 for x in u] for mask in masks)
         members = (m for m in members if max_size is None or len(m) <= max_size)
     return [_exhaustive_layer(group, m, config) for m in members]
 
@@ -500,7 +511,10 @@ def _load_id(instance_id: str) -> tuple:
         if key not in spec:
             raise SpecError(f"/{key}", "missing from instance id")
     known_keys(spec, _ID_KEYS, "")
-    _check_suites(spec.get("suites", []))
+    suites = _check_suites(spec.get("suites", []))
+    for key, readers in _READERS.items():
+        if key in spec and readers.isdisjoint(suites):
+            raise SpecError(f"/{key}", f"no suite of the id reads it; read by {sorted(readers)}")
     alphas = spec.get("alphas", [fmt(x) for x in DEFAULT_ALPHAS])
     # labelled as written, an integer alpha too
     alphas = [(str(v), alpha) for v, alpha in zip(alphas, parse_alphas(alphas))]
@@ -515,7 +529,7 @@ def _load_id(instance_id: str) -> tuple:
     translators = None if translate is None else tuple(
         group.decode_element(v, f"/translate/{i}") for i, v in enumerate(translate))
     make_quotient = partial(_quotient, group_json, subgroup_json)
-    return SubsetContext(a, b, c, translators), make_quotient, spec.get("suites", []), alphas, None
+    return SubsetContext(a, b, c, translators), make_quotient, suites, alphas, None
 
 
 class InstanceReport(namedtuple(

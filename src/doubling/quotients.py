@@ -8,8 +8,9 @@ for lazy ambient groups as long as the dropped factors are finite.
 Subgroups are found on the points of `group.law`, table indices up to
 TABLE_CAP: `closure`, `_generators` and the lattice walk them with
 `groups._grow`, and `quotient` walks the cosets once (`_cosets`), checking
-normality on the generators that walk picked and forming gH alone.  The
-lattice is computed on each call; a command asks once per group.
+normality on the generators that walk picked and forming gH alone; it gives
+the quotient's table and identity, which nothing checks again.  The lattice
+is computed on each call; a command asks once per group.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def quotient(
         require_owner(sub, group)
     h_subset = subset(group, sub.elements if isinstance(sub, GSubset) else sub)
     h_elems = h_subset.elements
-    # the quotient is a TableGroup, which refuses more than TABLE_CAP cosets;
-    # refuse before the O(|G|) normality check and coset enumeration
+    # the quotient's table has at most TABLE_CAP rows; refuse more cosets
+    # before the O(|G|) normality check and coset enumeration
     if h_elems and group.order > TABLE_CAP * len(h_elems):
         raise CapError(
             f"quotient index |G|/|H| = {group.order}/{len(h_elems)} is above the cap {TABLE_CAP}"
@@ -182,10 +183,10 @@ def quotient(
     if cosets is None:
         raise SpecError("/elements", "subgroup is not normal in the ambient group")
 
-    # Cosets indexed in order of first appearance along the canonical enumeration.
+    # cosets numbered by first appearance; the coset of e is the identity
     coset_of, reps = cosets
     mul = law.mul
-    table = [[coset_of[mul(r, s)] for s in reps] for r in reps]
+    table = CayleyTable([[coset_of[mul(r, s)] for s in reps] for r in reps], None, coset_of[law.identity])
     # where the points are the handles, the coset map is the projection
     elements = law.elements if isinstance(law, CayleyTable) else None
     proj = coset_of if elements is None else {elements[p]: c for p, c in coset_of.items()}

@@ -1,11 +1,11 @@
 """Reference computations the tests check the package against.
 
 None of these runs on a command path: each is an independent or brute-force
-statement of a fact that the package computes another way (the coset
-criterion, the combinatorial counts behind the sharpness witness, the Cantor
-analog, normality, every suite record), or a small group the tests build by
-hand.  Test modules
-import them as `from oracles import ...`; pytest does not collect this file.
+statement of a fact that the package computes another way (a table's
+identity and inverses, the coset criterion, the combinatorial counts behind
+the sharpness witness, the Cantor analog, normality, every suite record), or
+a small group the tests build by hand.  Test modules import them as
+`from oracles import ...`; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -25,6 +25,21 @@ from doubling.sets import GSubset, inv_set, mul_set
 
 def quaternion_group(weight: str | Fraction = "counting") -> TableGroup:
     return TableGroup(quaternion_table(), weight=weight, name="Q8")
+
+
+def searched_identity_and_inverses(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """The two-sided identity of a Cayley table and each element's two-sided
+    inverse, found by search over the whole table, O(n^2): an independent
+    statement of what every law's builder passes in or reads off its rows.
+    Raises ValueError where either is missing."""
+    ident = list(range(len(rows)))
+    e = next((i for i in ident if rows[i] == ident and [r[i] for r in rows] == ident), None)
+    if e is None:
+        raise ValueError("table has no identity element")
+    inv = [next((b for b, v in enumerate(row) if v == e == rows[b][a]), None) for a, row in enumerate(rows)]
+    if None in inv:
+        raise ValueError(f"element {inv.index(None)} has no inverse")
+    return e, inv
 
 
 def is_subgroup(group: WeightedGroup, elems: frozenset) -> bool:

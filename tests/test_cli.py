@@ -251,6 +251,12 @@ def test_replay_accepts_the_base_id_and_empty_suites(capsys):
         ({"group": {"type": "table", "table": 5}}, "/group/table"),
         ({"group": {"type": "table", "table": [[0]], "name": 5}}, "/group/name"),
         ({"group": {"type": "product", "factors": []}}, "/group/factors"),
+        # a field that no suite of the id reads, which a scan never writes
+        ({"suites": ["layer-cake"], "alphas": ["2"]}, "/alphas"),
+        ({"suites": ["layer-cake", "extract"], "subset_b": [1]}, "/subset_b"),
+        ({"suites": ["spillover"], "subset_c": [2]}, "/subset_c"),
+        ({"suites": ["containment"], "translate": [0, 1]}, "/translate"),
+        ({"suites": [], "subset_b": [1]}, "/subset_b"),
     ],
 )
 def test_replay_rejects_malformed_ids_with_a_path(capsys, change, path):
@@ -272,6 +278,30 @@ def test_replay_of_a_quotient_above_the_cap_fails_fast():
     assert out.returncode == 1
     assert out.stdout == ""
     assert "error: /subgroup: quotient index |G|/|H| = 1000000/1 is above the cap 64" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "command, code, expected",
+    [
+        # 33 inverse-pair units: 2^33 masks before the size filter at the parent
+        (["verify", "--group", "cyclic:64", "--symmetric-only", "--max-subset-size", "2", "--out", os.devnull],
+         0, ""),
+        (["scan", "--config", "<symmetric_only>", "--out", os.devnull], 1,
+         "error: /groups/0: exhaustive symmetric_only mode needs at most 16 inverse pairs or a max_size cap; "
+         "Z64 has 33"),
+    ],
+)
+def test_symmetric_only_scans_of_a_large_group_end(tmp_path, command, code, expected):
+    config = tmp_path / "scan.json"
+    mode = {"kind": "exhaustive", "symmetric_only": True}
+    config.write_text(json.dumps({"groups": ["cyclic:64"], "subset_mode": mode}))
+    command = [str(config) if arg == "<symmetric_only>" else arg for arg in command]
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "doubling.cli", *command],
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == code, out.stderr
+    assert expected in out.stderr
     assert "Traceback" not in out.stderr
 
 

@@ -15,7 +15,7 @@ from doubling import (
     scan,
     validate_axioms,
 )
-from doubling.harness import ALL_SUITES, canonical_json, report_csv
+from doubling.harness import ALL_SUITES, _exhaustive_layers, _group, canonical_json, report_csv
 from oracles import whole_ids
 
 
@@ -173,6 +173,24 @@ def test_exhaustive_symmetric_only_counts():
     report = scan(config)
     assert report["aggregate"]["suite_runs"]["quotient-sym"]["runs"] == 6 * 127
     assert report["aggregate"]["violations"] == []
+
+
+def _mask_walk(group, max_size):
+    """Every union of inverse pairs {x, x^-1} with at most max_size elements,
+    by every bit mask over the pairs in ascending order."""
+    units = list(dict.fromkeys(frozenset((x, group.inv(x))) for x in group.elements()))
+    members = (frozenset(x for i, u in enumerate(units) if mask >> i & 1 for x in u)
+               for mask in range(1, 1 << len(units)))
+    return [m for m in members if len(m) <= max_size]
+
+
+@pytest.mark.parametrize("selector", ["dihedral:6", "cyclic:24", "q8", "symmetric:4"])
+def test_symmetric_only_layers_with_a_max_size_follow_the_mask_walk(selector):
+    group = _group(canonical_json(parse_group_selector(selector)))
+    for max_size in (1, 2, 3, 4):
+        config = ScanConfig([selector], {"kind": "exhaustive", "symmetric_only": True, "max_size": max_size})
+        layers = _exhaustive_layers(group, list(group.elements()), config)
+        assert [shared.a.elements for shared in layers] == _mask_walk(group, max_size), (selector, max_size)
 
 
 def test_exhaustive_max_size():

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -24,9 +25,10 @@ from doubling import (
     quotient,
     subset,
 )
-from doubling.groups import OpLaw, WeightedGroup
+from doubling import groups
+from doubling.groups import CayleyTable, OpLaw, WeightedGroup, quaternion_table
 from doubling.quotients import _subgroup_lattice, closure
-from oracles import is_normal, is_subgroup, quaternion_group
+from oracles import is_normal, is_subgroup, quaternion_group, searched_identity_and_inverses
 
 
 def test_cyclic_subgroup_lattice():
@@ -318,3 +320,70 @@ def test_replay_with_a_large_subgroup_of_a_large_group_ends(tmp_path):
     report = json.loads(out.stdout)
     assert report["sizes"] == {"group": 1000000, "subgroup": 15625, "subset": 2}
     assert report["doubling"]["K"] == "3/2"
+
+
+# Z3 with its identity at index 2, alone and in products on either side
+Z3_RELABELED = {"type": "table", "table": [[1, 2, 0], [2, 0, 1], [0, 1, 2]], "name": "Z3r"}
+RELABELED = [Z3_RELABELED] + [
+    {"type": "product", "factors": factors}
+    for other in ({"type": "cyclic", "n": 2}, {"type": "symmetric", "n": 3}, Z3_RELABELED)
+    for factors in ([Z3_RELABELED, other], [other, Z3_RELABELED])
+]
+
+
+def test_every_law_has_the_identity_and_inverses_a_search_finds():
+    for spec in catalog(weights=("counting",)) + RELABELED:
+        group = build_group(spec)
+        laws = [group.law] + [quotient(group, sub).quotient.law for sub in normal_subgroups(group)]
+        for law in laws:
+            assert (law.identity, law.inv) == searched_identity_and_inverses(law.rows), group.name
+        assert group.law.points([group.identity]) == [group.law.identity], group.name
+    # (2, 0) is the identity of Z3r x Z2, at mixed-radix index 2 * 2 + 0, and under
+    # H = {e} the quotient numbers its cosets as the group numbers its elements
+    product = build_group(RELABELED[1])
+    assert product.law.identity == 4
+    assert quotient(product, {(2, 0)}).quotient.identity == 4
+
+
+def test_every_catalog_quotient_satisfies_the_axioms():
+    # quotients are built unchecked, as groups by construction: the check is here
+    count = 0
+    for spec in catalog() + RELABELED:
+        group = build_group(spec)
+        for sub in normal_subgroups(group):
+            for weight in ("counting", "normalized"):
+                groups.validate_axioms(quotient(group, sub, weight).quotient)
+                count += 1
+    assert count > 8000
+
+
+def test_quotient_runs_no_table_check(monkeypatch):
+    built = [build_group(spec) for spec in catalog(weights=("counting",)) + RELABELED]
+    lattices = [(group, normal_subgroups(group)) for group in built]
+    calls = Counter()
+    for name in ("_light_test", "validate_axioms"):
+        real = getattr(groups, name)
+
+        def counted_check(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(groups, name, counted_check)
+    init = TableGroup.__init__
+
+    def counted(self, table, *args, **kwargs):
+        calls.update(["law" if isinstance(table, CayleyTable) else "rows from outside"])
+        init(self, table, *args, **kwargs)
+
+    monkeypatch.setattr(TableGroup, "__init__", counted)
+    quotients = len([quotient(group, sub) for group, subs in lattices for sub in subs])
+    assert calls == {"law": quotients}
+    # rows from outside are checked; a law is taken as it is, even one no check would pass
+    TableGroup(quaternion_table())
+    assert calls == {"law": quotients, "rows from outside": 1, "_light_test": 1}
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    # no identity, bools for entries, not associative
+    for rows in ([[0, 0], [0, 0]], [[0, True], [True, 0]], loop):
+        TableGroup(CayleyTable(rows, None, 0))
+        with pytest.raises(ValueError):
+            TableGroup(rows)
