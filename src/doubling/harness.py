@@ -8,7 +8,8 @@ list before any evaluation starts; with parallelism > 1 forked workers read
 the same list by index and the pool returns the reports in order, which keeps
 every artifact byte-stable across worker counts.  A scan pays for distinct
 work only: ids share pre-rendered pieces, and subsets with the same fiber
-profiles under a normal subgroup share its quotient-side results.
+profiles under a normal subgroup share its quotient-side results; under
+H = {e}, where every fiber is 1, those with the same G-level counts do.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import combinations
+from math import comb
 from random import Random
 
 from .context import InstanceContext, SubsetContext, points
@@ -376,8 +378,8 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
     its normal subgroups; a random scan samples a fresh layer per instance.
     A normal subgroup's quotient is built from its `GSubset` by its first
     instance's evaluation, not here, and shared by the rest, and so is its
-    results table (see `_table_key`): None where no two of its instances
-    could share an entry, under H = {e} or with a single instance.  An id is
+    results table (see `_table_key`, keyed on counts alone under H = {e}):
+    None where it has a single instance.  An id is
     pieced together from its alphas, group and subgroup, each rendered once,
     and its layer's `_id_tail`, which an exhaustive scan's subgroups share."""
     mode = config.subset_mode
@@ -410,7 +412,7 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
             ids.extend(prefix + tail for tail in tails)
             if built is not None:
                 make_quotient = cache(partial(quotient, group, sub, config.subgroup_weight))
-                table = _ResultsTable() if len(sub.elements) > 1 and len(layers) > 1 else None
+                table = _ResultsTable() if len(layers) > 1 else None
                 built.extend((shared, make_quotient, config.suites, alphas, table) for shared in layers)
     return ids
 
@@ -437,19 +439,25 @@ def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> Subs
 
 
 def _exhaustive_layers(group: WeightedGroup, elems: list, config: ScanConfig) -> list[SubsetContext]:
+    """A layer per union of u units, elements or inverse pairs {x, x^-1}:
+    at most 2^EXHAUSTIVE_ORDER_CAP - 1 of them, checked before any is formed."""
     mode = config.subset_mode
     max_size, symmetric_only = mode.get("max_size"), mode.get("symmetric_only", False)
+    units = list(dict.fromkeys(frozenset((x, group.inv(x)) if symmetric_only else (x,)) for x in elems))
+    if max_size is not None:
+        count = sum(comb(len(units), k) for k in range(1, min(max_size, len(units)) + 1))
+        if count >> EXHAUSTIVE_ORDER_CAP:
+            raise CapError(f"exhaustive mode with max_size {max_size} enumerates {count} subsets of {group.name}; "
+                           f"the cap is 2^{EXHAUSTIVE_ORDER_CAP} - 1")
+    elif len(units) > EXHAUSTIVE_ORDER_CAP:
+        raise CapError(f"exhaustive symmetric_only mode needs at most {EXHAUSTIVE_ORDER_CAP} inverse pairs or a "
+                       f"max_size cap; {group.name} has {len(units)}" if symmetric_only else
+                       f"exhaustive mode needs |G| <= {EXHAUSTIVE_ORDER_CAP} or a max_size cap; "
+                       f"{group.name} has order {group.order}")
     if max_size is not None and not symmetric_only:
         members = (combo for size in range(1, min(max_size, len(elems)) + 1)
                    for combo in combinations(elems, size))
-    elif max_size is None and not symmetric_only and group.order > EXHAUSTIVE_ORDER_CAP:
-        raise CapError(f"exhaustive mode needs |G| <= {EXHAUSTIVE_ORDER_CAP} or a max_size cap; "
-                       f"{group.name} has order {group.order}")
-    else:  # unions of inverse pairs {x, x^-1}, or of single elements, by bit mask
-        units = list(dict.fromkeys(frozenset((x, group.inv(x)) if symmetric_only else (x,)) for x in elems))
-        if max_size is None and len(units) > EXHAUSTIVE_ORDER_CAP:
-            raise CapError(f"exhaustive symmetric_only mode needs at most {EXHAUSTIVE_ORDER_CAP} inverse "
-                           f"pairs or a max_size cap; {group.name} has {len(units)}")
+    else:  # unions of inverse pairs, or of single elements, by bit mask
         # a subset of at most max_size elements is a union of at most max_size units
         masks = range(1, 1 << len(units)) if max_size is None else sorted(
             sum(1 << i for i in combo) for size in range(1, min(max_size, len(units)) + 1)
@@ -576,20 +584,26 @@ def _shift_row(q: QuotientStructure) -> dict:
     return {x: 1 << q.project(x) * w for x in q.ambient.elements()}
 
 
-def _table_key(shared: SubsetContext, stats, row: dict, suites) -> tuple:
+def _table_key(shared: SubsetContext, stats, row: dict | None, suites) -> tuple:
     """All that the quotient-side suites read of an instance, exactly: the
     `DoublingStats` counts and the fiber profiles of A and, for spillover and
     containment, of B, AB and BA.  A profile is packed into one int, the count
     at coset c in the w bits from bit c * w: w bits hold any count up to |H|,
     and the cosets of a `quotient` are 0..q-1.  Summed from the shift `row`,
-    it needs no count, and the key reads only the subset layer."""
+    it needs no count, and the key reads only the subset layer.  Under
+    H = {e} (no `row`) pi is G renumbered and every fiber is 1, so the suites
+    read counts alone: |A|, |A^2| (|piA|, |piA^2|) in the stats, and |AB| and
+    |BA| (|piA piB|, |piB piA|) for spillover and containment."""
 
     def packed(x: GSubset) -> int:
         return sum(map(row.__getitem__, x.elements))
 
+    spill = "spillover" in suites or "containment" in suites
+    b = shared.b if shared.b is not None else shared.a
+    if row is None:
+        return (stats, len(shared.mul(shared.a, b)), len(shared.mul(b, shared.a))) if spill else (stats,)
     key = (stats, packed(shared.a))
-    if "spillover" in suites or "containment" in suites:
-        b = shared.b if shared.b is not None else shared.a
+    if spill:
         key += (packed(b), packed(shared.mul(shared.a, b)), packed(shared.mul(b, shared.a)))
     return key
 
@@ -609,7 +623,8 @@ def evaluate_instance(instance_id: str, built: tuple | None = None) -> InstanceR
     stats = stats_of(shared)
     key = found = None
     if table is not None:
-        table.row = table.row or _shift_row(q)
+        if table.row is None and len(q.subgroup.elements) > 1:  # under H = {e} the key holds counts alone
+            table.row = _shift_row(q)
         found = table.get(key := _table_key(shared, stats, table.row, suites))
     if found is None:
         ctx = InstanceContext(shared, q)

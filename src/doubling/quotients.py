@@ -163,9 +163,9 @@ def quotient(
     """
     if group.order is None:
         raise ValueError("general quotients need a finite ambient group; use projection_quotient")
-    if isinstance(sub, GSubset):
+    if isinstance(sub, GSubset):  # its elements are the owner's: no second check
         require_owner(sub, group)
-    h_subset = subset(group, sub.elements if isinstance(sub, GSubset) else sub)
+    h_subset = GSubset(group, sub.elements) if isinstance(sub, GSubset) else subset(group, sub)
     h_elems = h_subset.elements
     # the quotient's table has at most TABLE_CAP rows; refuse more cosets
     # before the O(|G|) normality check and coset enumeration

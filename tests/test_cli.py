@@ -235,6 +235,10 @@ def test_replay_accepts_the_base_id_and_empty_suites(capsys):
         ({"subset_b": 3}, "/subset_b"),
         ({"subset": [0, 6]}, "/subset/1"),
         ({"subgroup": {"elements": [0, 3, "x"]}}, "/subgroup/elements/2"),
+        # a subgroup element outside the group
+        ({"subgroup": {"elements": [0, 6]}}, "/subgroup/elements/1"),
+        ({"group": {"type": "product", "factors": [{"type": "cyclic", "n": 2}] * 2},
+          "subgroup": {"elements": [[0, 0], [0, 2]]}, "subset": [[0, 0]]}, "/subgroup/elements/1/1"),
         (
             {
                 "group": {"type": "product", "factors": [{"type": "cyclic", "n": 2}] * 2},
@@ -302,6 +306,24 @@ def test_symmetric_only_scans_of_a_large_group_end(tmp_path, command, code, expe
                          env=env, capture_output=True, text=True, timeout=20)
     assert out.returncode == code, out.stderr
     assert expected in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command, path", [
+    (["verify", "--group", "cyclic:40", "--max-subset-size", "40"], "/group"),
+    (["scan", "--config", "<max_size>"], "/groups/1"),
+])
+def test_an_exhaustive_scan_past_the_subset_cap_is_refused_before_it_starts(tmp_path, command, path):
+    config = tmp_path / "scan.json"
+    mode = {"kind": "exhaustive", "max_size": 6}
+    config.write_text(json.dumps({"groups": ["cyclic:4", "symmetric:4"], "subset_mode": mode}))
+    command = [str(config) if arg == "<max_size>" else arg for arg in command]
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "doubling.cli", *command, "--out", os.devnull],
+                         env=env, capture_output=True, text=True, timeout=2)
+    assert out.returncode == 1
+    assert f"error: {path}: exhaustive mode with max_size" in out.stderr
+    assert "the cap is 2^16 - 1" in out.stderr
     assert "Traceback" not in out.stderr
 
 

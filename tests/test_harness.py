@@ -215,6 +215,29 @@ def test_exhaustive_cap_without_max_size():
         iter_instance_specs(config)
 
 
+@pytest.mark.parametrize("selector, mode, count", [
+    # the sum over k <= max_size of C(u, k) over u units, against 2^16 - 1
+    ("symmetric:4", {"max_size": 4}, 24 + 276 + 2024 + 10626),
+    ("symmetric:4", {"max_size": 6}, 24 + 276 + 2024 + 10626 + 42504 + 134596),
+    ("cyclic:40", {"max_size": 40}, 2**40 - 1),
+    # 33 inverse pairs {x, x^-1}
+    ("cyclic:64", {"max_size": 2, "symmetric_only": True}, 33 + 528),
+    ("cyclic:64", {"max_size": 4, "symmetric_only": True}, 33 + 528 + 5456 + 40920),
+    ("cyclic:64", {"max_size": 5, "symmetric_only": True}, 33 + 528 + 5456 + 40920 + 237336),
+])
+def test_exhaustive_cap_with_max_size(selector, mode, count):
+    group = _group(canonical_json(parse_group_selector(selector)))
+    config = ScanConfig([selector], {"kind": "exhaustive", **mode}, suites=("layer-cake",))
+    if count < 2**16:
+        layers = _exhaustive_layers(group, list(group.elements()), config)
+        # under symmetric_only, the unions of more than max_size elements are dropped
+        assert len(layers) == count if "symmetric_only" not in mode else 0 < len(layers) < count
+    else:
+        with pytest.raises(SpecError, match=rf"^/groups/0: exhaustive mode with max_size {mode['max_size']} "
+                                            rf"enumerates {count} subsets of .*; the cap is 2\^16 - 1$"):
+            iter_instance_specs(config)
+
+
 def test_proper_subgroup_selector():
     config = ScanConfig(
         groups=["cyclic:6"],

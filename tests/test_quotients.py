@@ -387,3 +387,19 @@ def test_quotient_runs_no_table_check(monkeypatch):
         TableGroup(CayleyTable(rows, None, 0))
         with pytest.raises(ValueError):
             TableGroup(rows)
+
+
+def test_quotient_checks_no_element_of_a_gsubset_again(monkeypatch):
+    built = [build_group(spec) for spec in catalog(weights=("counting",), max_product_order=32)]
+    products = [(group, normal_subgroups(group)) for group in built if isinstance(group, ProductGroup)]
+    calls = []
+    contains = ProductGroup.contains
+    monkeypatch.setattr(ProductGroup, "contains", lambda self, x: calls.append(x) or contains(self, x))
+    quotients = [quotient(group, sub) for group, subs in products for sub in subs]
+    assert len(quotients) > 100 and calls == []
+    # a plain iterable is still checked, element by element
+    group, subs = products[0]
+    assert quotient(group, sorted(subs[-1].elements)).quotient.order == 1
+    assert len(calls) == group.order
+    with pytest.raises(ValueError, match="is not an element of"):
+        quotient(group, [*subs[0].elements, (0, 99)])

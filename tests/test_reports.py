@@ -14,6 +14,7 @@ import io
 import json
 import pickle
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -26,11 +27,11 @@ from doubling import (
 from doubling import harness, quotients
 from doubling.cli import _dump, main
 from doubling.context import SubsetContext
-from doubling.sets import GSubset
-from doubling.harness import ALL_SUITES, TOP_WITNESSES, InstanceReport, _fold_aggregate, report_csv
+from doubling.sets import GSubset, inv_set
+from doubling.harness import ALL_SUITES, TOP_WITNESSES, InstanceReport, _fold_aggregate, canonical_json, report_csv
 from doubling.metrics import DoublingStats, stats_of
 from doubling.rationals import fmt, put
-from oracles import packed_profile
+from oracles import packed_profile, reference_suites, translate
 
 
 def _artifact(doc) -> str:
@@ -187,11 +188,17 @@ KEY_MUTANTS = [
     ("_table_key", "packed(shared.mul(shared.a, b)), packed(shared.mul(b, shared.a))", ""),
     # w - 1 bits cannot hold a count of |H|: profiles collide
     ("_shift_row", "elements).bit_length()", "elements).bit_length() - 1"),
+    # under H = {e}, the counts key
+    ("_table_key", "len(shared.mul(shared.a, b)), ", ""),
+    ("_table_key", ", len(shared.mul(b, shared.a))", ""),
+    ("_table_key", "return (stats, len(shared.mul(shared.a, b)), len(shared.mul(b, shared.a))) if spill else",
+     "return"),
 ]
 
 
 @pytest.mark.parametrize("name, snippet, mutant", KEY_MUTANTS,
-                         ids=["no stats", "no B", "no AB and BA", "shift by w - 1"])
+                         ids=["no stats", "no B", "no AB and BA", "shift by w - 1",
+                              "H = {e}: no AB", "H = {e}: no BA", "H = {e}: stats alone"])
 def test_each_results_table_key_mutant_fails_the_replay_test(monkeypatch, name, snippet, mutant):
     source = inspect.getsource(getattr(harness, name))
     # the snippet must be there: an edit to the key fails here, loudly
@@ -200,6 +207,34 @@ def test_each_results_table_key_mutant_fails_the_replay_test(monkeypatch, name, 
     exec(compile(source.replace(snippet, mutant), harness.__file__, "exec"), vars(harness))
     with pytest.raises(AssertionError):
         test_a_scan_sharing_fiber_profiles_equals_replay()
+
+
+TRIVIAL_KEY_GROUPS = catalog(max_product_order=32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_results_table_hit_under_the_trivial_subgroup_equals_the_set_based_reference(data):
+    """Under H = {e}, random (A, B, C) fill a results table, or hit it when
+    their counts repeat, and the conjugates of the first by g hit it: every
+    record equals `oracles.reference_suites`."""
+    group = harness._group(canonical_json(data.draw(st.sampled_from(TRIVIAL_KEY_GROUPS))))
+    elems = sorted(group.elements())
+    draws = [[GSubset(group, frozenset(data.draw(st.lists(st.sampled_from(elems), min_size=1, max_size=4))))
+              for _ in range(3)] for _ in range(4)]
+    g = data.draw(st.sampled_from(elems))
+    draws.append([translate(x, left=g, right=group.inv(g)) for x in draws[0]])
+    q = quotient(group, normal_subgroups(group)[0], data.draw(st.sampled_from(["counting", "normalized"])))
+    assert len(q.subgroup.elements) == 1
+    alphas = [(x, Fraction(x)) for x in ("3/2", "2", "3")]
+    table = harness._ResultsTable()
+    for a, b, c in draws:
+        report = evaluate_instance("id", (SubsetContext(a, b, c), lambda: q, ALL_SUITES, alphas, table))
+        pi_size, pi_square, expected = reference_suites(q, a, b, c, None, alphas)
+        assert (report.pi_size, report.pi_square) == (pi_size, pi_square)
+        assert {name: record.to_json() for name, record, _ in report.suites} == expected
+    # the conjugates hit the entry of the first draw
+    assert len(table) < len(draws)
 
 
 def _extract_runs(monkeypatch) -> list:
@@ -226,12 +261,31 @@ def test_an_exhaustive_verify_runs_the_quotient_suites_once_per_fiber_profile(tm
     monkeypatch.setattr(harness, "InstanceContext", lambda *args: contexts.append(args) or context(*args))
     argv = ["verify", "--group", "dihedral:6", "--max-subset-size", "3", "-j", "1"]
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
-    assert len(runs) == 2086 and sum(n for _, n in runs) < 700
+    assert len(runs) == 2086
     # only a miss builds an InstanceContext: a table hit, ruzsa-axioms included, builds none
     assert len(contexts) == sum(n for _, n in runs)
-    # under H = {e} a fiber profile is the subset itself: no table, every instance runs
-    trivial = [n for i, n in runs if len(json.loads(i)["subgroup"]["elements"]) == 1]
-    assert len(trivial) == 298 and set(trivial) == {1}
+    # the suites run once per distinct key of each normal subgroup: the stats
+    # and the packed fiber profiles of A, B = A^-1, AB and BA, or under
+    # H = {e} the stats, |AB| and |BA| (16 keys of 298 subsets; 307 runs in all)
+    per_subgroup: dict = {}
+    for instance_id, n in runs:
+        subgroup = canonical_json(json.loads(instance_id)["subgroup"])
+        per_subgroup[subgroup] = per_subgroup.get(subgroup, 0) + n
+    group = harness._group(canonical_json(parse_group_selector("dihedral:6")))
+    subsets = [GSubset(group, frozenset(c)) for k in (1, 2, 3) for c in combinations(sorted(group.elements()), k)]
+    expected = {}
+    for sub in normal_subgroups(group):
+        q, keys = quotient(group, sub), set()
+        for a in subsets:
+            b = inv_set(a)
+            ab, ba = mul_set(a, b), mul_set(b, a)
+            stats = DoublingStats(len(a), len(mul_set(a, a)), len(mul_set(b, a)), b.elements == a.elements)
+            keys.add((stats, len(ab), len(ba)) if len(sub.elements) == 1
+                     else (stats, *(packed_profile(q, x) for x in (a, b, ab, ba))))
+        expected[canonical_json({"elements": sub.encode(), "weight": "counting"})] = len(keys)
+    assert per_subgroup == expected
+    trivial = canonical_json({"elements": [group.encode_element(group.identity)], "weight": "counting"})
+    assert expected[trivial] < len(subsets) // 10
 
 
 def test_replay_and_single_instance_subgroups_run_every_suite(monkeypatch):
