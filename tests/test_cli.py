@@ -235,10 +235,6 @@ def test_replay_accepts_the_base_id_and_empty_suites(capsys):
         ({"subset_b": 3}, "/subset_b"),
         ({"subset": [0, 6]}, "/subset/1"),
         ({"subgroup": {"elements": [0, 3, "x"]}}, "/subgroup/elements/2"),
-        # a subgroup element outside the group
-        ({"subgroup": {"elements": [0, 6]}}, "/subgroup/elements/1"),
-        ({"group": {"type": "product", "factors": [{"type": "cyclic", "n": 2}] * 2},
-          "subgroup": {"elements": [[0, 0], [0, 2]]}, "subset": [[0, 0]]}, "/subgroup/elements/1/1"),
         (
             {
                 "group": {"type": "product", "factors": [{"type": "cyclic", "n": 2}] * 2},
@@ -261,6 +257,10 @@ def test_replay_accepts_the_base_id_and_empty_suites(capsys):
         ({"suites": ["spillover"], "subset_c": [2]}, "/subset_c"),
         ({"suites": ["containment"], "translate": [0, 1]}, "/translate"),
         ({"suites": [], "subset_b": [1]}, "/subset_b"),
+        # a subgroup element outside the group
+        ({"subgroup": {"elements": [0, 6]}}, "/subgroup/elements/1"),
+        ({"group": {"type": "product", "factors": [{"type": "cyclic", "n": 2}] * 2},
+          "subgroup": {"elements": [[0, 0], [0, 2]]}, "subset": [[0, 0]]}, "/subgroup/elements/1/1"),
     ],
 )
 def test_replay_rejects_malformed_ids_with_a_path(capsys, change, path):
