@@ -34,7 +34,7 @@ from .rationals import fmt, parse, put
 from .sets import GSubset, decode_nonempty
 
 DEFAULT_ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(3))
-EXHAUSTIVE_ORDER_CAP = 16
+MAX_SUBSETS = 2**16 - 1  # the subsets that the instances of one normal subgroup draw on
 TOP_WITNESSES = 10
 
 
@@ -261,9 +261,10 @@ def parse_alphas(values) -> tuple[Fraction, ...]:
 class ScanConfig:
     """What to scan; everything except `parallelism` defines the artifact.
 
-    The constructor checks every field and raises a SpecError naming the
-    JSON path of the first bad one; it normalizes `groups` to specs, `suites`
-    to their canonical order and `alphas` to Fractions."""
+    The constructor checks every field, a random `count` against MAX_SUBSETS
+    too, and raises a SpecError naming the JSON path of the first bad one; it
+    normalizes `groups` to specs, `suites` to their canonical order and
+    `alphas` to Fractions."""
 
     FIELDS = ("groups", "subset_mode", "suites", "subgroups", "subgroup_weight",
               "alphas", "emit_instances", "parallelism")
@@ -324,7 +325,9 @@ def _check_subset_mode(mode) -> dict:
             raise SpecError("/subset_mode/symmetric_only", "expected true or false")
     elif kind == "random":
         allowed = {"kind", "count", "seed", "density"}
-        integer(mode.get("count"), "/subset_mode/count", least=1)
+        if integer(mode.get("count"), "/subset_mode/count", least=1) > MAX_SUBSETS:
+            raise SpecError("/subset_mode/count", f"{mode['count']} random subsets per normal subgroup; "
+                                                  f"the cap is 2^{MAX_SUBSETS.bit_length()} - 1")
         if "seed" not in mode:
             raise SpecError("/subset_mode/seed", "random scans need an explicit integer seed")
         integer(mode["seed"], "/subset_mode/seed")
@@ -439,31 +442,28 @@ def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> Subs
 
 
 def _exhaustive_layers(group: WeightedGroup, elems: list, config: ScanConfig) -> list[SubsetContext]:
-    """A layer per union of u units, elements or inverse pairs {x, x^-1}:
-    at most 2^EXHAUSTIVE_ORDER_CAP - 1 of them, checked before any is formed."""
+    """A layer per nonempty union of units (elements, or inverse pairs {x, x^-1}
+    under `symmetric_only`) with at most `max_size` elements: by size, then in
+    `combinations` order, for a plain `max_size`, else in bit-mask order over
+    the units.  Their count, the sum of C(s, j) C(t, p) over j + 2p <= max_size
+    for s single units and t pairs, meets MAX_SUBSETS before any is formed."""
     mode = config.subset_mode
-    max_size, symmetric_only = mode.get("max_size"), mode.get("symmetric_only", False)
+    max_size, symmetric_only = mode.get("max_size", len(elems)), mode.get("symmetric_only", False)
     units = list(dict.fromkeys(frozenset((x, group.inv(x)) if symmetric_only else (x,)) for x in elems))
-    if max_size is not None:
-        count = sum(comb(len(units), k) for k in range(1, min(max_size, len(units)) + 1))
-        if count >> EXHAUSTIVE_ORDER_CAP:
-            raise CapError(f"exhaustive mode with max_size {max_size} enumerates {count} subsets of {group.name}; "
-                           f"the cap is 2^{EXHAUSTIVE_ORDER_CAP} - 1")
-    elif len(units) > EXHAUSTIVE_ORDER_CAP:
-        raise CapError(f"exhaustive symmetric_only mode needs at most {EXHAUSTIVE_ORDER_CAP} inverse pairs or a "
-                       f"max_size cap; {group.name} has {len(units)}" if symmetric_only else
-                       f"exhaustive mode needs |G| <= {EXHAUSTIVE_ORDER_CAP} or a max_size cap; "
-                       f"{group.name} has order {group.order}")
-    if max_size is not None and not symmetric_only:
+    s, t = (sum(len(u) == k for u in units) for k in (1, 2))
+    count = sum(comb(s, j) * comb(t, p) for p in range(t + 1) for j in range(s + 1) if j + 2 * p <= max_size) - 1
+    if count > MAX_SUBSETS:
+        bound = f"with max_size {max_size}" if "max_size" in mode else "without max_size"
+        raise CapError(f"exhaustive {'symmetric_only ' if symmetric_only else ''}mode {bound} enumerates {count} "
+                       f"subsets of {group.name}; the cap is 2^{MAX_SUBSETS.bit_length()} - 1")
+    if "max_size" in mode and not symmetric_only:
         members = (combo for size in range(1, min(max_size, len(elems)) + 1)
                    for combo in combinations(elems, size))
-    else:  # unions of inverse pairs, or of single elements, by bit mask
-        # a subset of at most max_size elements is a union of at most max_size units
-        masks = range(1, 1 << len(units)) if max_size is None else sorted(
-            sum(1 << i for i in combo) for size in range(1, min(max_size, len(units)) + 1)
-            for combo in combinations(range(len(units)), size))
-        members = ([x for i, u in enumerate(units) if mask >> i & 1 for x in u] for mask in masks)
-        members = (m for m in members if max_size is None or len(m) <= max_size)
+    else:  # in bit-mask order: the unions so far, then each of them with the next unit if it fits
+        members = [frozenset()]
+        for unit in units:
+            members += [m | unit for m in members if len(m) + len(unit) <= max_size]
+        del members[0]
     return [_exhaustive_layer(group, m, config) for m in members]
 
 

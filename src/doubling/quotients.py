@@ -247,7 +247,7 @@ def quotient_from_description(group: WeightedGroup, desc: dict, path: str = "") 
         if set(desc) - {"elements", "weight"}:
             raise SpecError("", 'expected keys "elements" (+ optional "weight") or "keep"')
         elems = decode_elements(group, desc.get("elements"), "/elements")
-        return quotient(group, elems, desc.get("weight", "counting"))
+        return quotient(group, GSubset(group, elems), desc.get("weight", "counting"))
     except SpecError as exc:
         raise exc.under(path) from None
     except ValueError as exc:

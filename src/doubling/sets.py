@@ -78,11 +78,10 @@ def decode_elements(group: WeightedGroup, items: object, path: str) -> frozenset
 
 def require_owner(x: GSubset, group: WeightedGroup) -> None:
     """The one rule for "x lives in group": x was built on that group object,
-    or on one with the same signature."""
-    if x.owner is group:
-        return
+    or on one with the same signature and weight (a `Fraction` weight is not
+    in the signature)."""
     try:
-        if x.owner.signature == group.signature:
+        if x.owner is group or (x.owner.signature, x.owner.weight) == (group.signature, group.weight):
             return
     except NotImplementedError:
         pass

@@ -292,8 +292,8 @@ def test_replay_of_a_quotient_above_the_cap_fails_fast():
         (["verify", "--group", "cyclic:64", "--symmetric-only", "--max-subset-size", "2", "--out", os.devnull],
          0, ""),
         (["scan", "--config", "<symmetric_only>", "--out", os.devnull], 1,
-         "error: /groups/0: exhaustive symmetric_only mode needs at most 16 inverse pairs or a max_size cap; "
-         "Z64 has 33"),
+         "error: /groups/0: exhaustive symmetric_only mode without max_size enumerates 8589934591 subsets of "
+         "Z64; the cap is 2^16 - 1"),
     ],
 )
 def test_symmetric_only_scans_of_a_large_group_end(tmp_path, command, code, expected):
@@ -325,6 +325,37 @@ def test_an_exhaustive_scan_past_the_subset_cap_is_refused_before_it_starts(tmp_
     assert f"error: {path}: exhaustive mode with max_size" in out.stderr
     assert "the cap is 2^16 - 1" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["verify", "--group", "cyclic:13", "--trials", "1000000000"],
+     "error: --trials: 1000000000 random subsets per normal subgroup; the cap is 2^16 - 1"),
+    (["scan", "--config", "<count>"],
+     "error: /subset_mode/count: 65536 random subsets per normal subgroup; the cap is 2^16 - 1"),
+])
+def test_a_random_scan_past_the_subset_cap_is_refused_before_it_starts(tmp_path, command, expected):
+    config = tmp_path / "scan.json"
+    mode = {"kind": "random", "count": 65536, "seed": 0}
+    config.write_text(json.dumps({"groups": ["cyclic:4"], "subset_mode": mode}))
+    command = [str(config) if arg == "<count>" else arg for arg in command]
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "doubling.cli", *command, "--out", os.devnull],
+                         env=env, capture_output=True, text=True, timeout=2)
+    assert out.returncode == 1
+    assert expected in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_a_symmetric_only_scan_forms_only_the_unions_it_counts(tmp_path):
+    """Z64 has 2 self-inverse elements and 31 inverse pairs: 1,522 symmetric
+    subsets of at most 5 elements, for each of its 7 normal subgroups."""
+    out_path = tmp_path / "out.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "doubling.cli", "verify", "--group", "cyclic:64", "--symmetric-only",
+                          "--max-subset-size", "5", "--out", str(out_path)],
+                         env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out_path.read_text())["aggregate"]["instances"] == 7 * 1522
 
 
 def _nested_product(depth: int) -> dict:
@@ -550,7 +581,8 @@ def _replay_id(**change):
         (["verify", "--group", "cyclic:70"], "error: /group: subgroup enumeration capped at order 64, got 70"),
         (["scan", "--config", "<over_lattice_cap>"],
          "error: /groups/1: subgroup enumeration capped at order 64, got 70"),
-        (["scan", "--config", "<over_exhaustive_cap>"], "error: /groups/1: exhaustive mode needs |G| <= 16"),
+        (["scan", "--config", "<over_exhaustive_cap>"],
+         "error: /groups/1: exhaustive mode without max_size enumerates 1048575 subsets of Z20; the cap is 2^16 - 1"),
         (["scan", "--config", "<infinite>"], "error: /groups/1: GL2Z is infinite; scans need finite groups"),
         (_replay_id(group={"type": "cyclic", "n": 1000}, subgroup={"elements": [0]}, subset=[0]),
          "error: /subgroup: quotient index |G|/|H| = 1000/1 is above the cap 64"),

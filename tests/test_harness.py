@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from doubling import (
+    CapError,
     ScanConfig,
     SpecError,
     build_group,
@@ -15,6 +17,7 @@ from doubling import (
     scan,
     validate_axioms,
 )
+from doubling import harness
 from doubling.harness import ALL_SUITES, _exhaustive_layers, _group, canonical_json, report_csv
 from oracles import whole_ids
 
@@ -211,31 +214,71 @@ def test_exhaustive_cap_without_max_size():
         suites=("layer-cake",),
     )
     # a scan's rejection names the group it read
-    with pytest.raises(SpecError, match=r"^/groups/0: exhaustive mode needs \|G\| <= 16"):
+    with pytest.raises(SpecError, match=r"^/groups/0: exhaustive mode without max_size enumerates 1048575 "
+                                        r"subsets of Z20; the cap is 2\^16 - 1$"):
         iter_instance_specs(config)
 
 
 @pytest.mark.parametrize("selector, mode, count", [
-    # the sum over k <= max_size of C(u, k) over u units, against 2^16 - 1
+    # the sum over k <= max_size of C(u, k) over u elements, against 2^16 - 1
     ("symmetric:4", {"max_size": 4}, 24 + 276 + 2024 + 10626),
     ("symmetric:4", {"max_size": 6}, 24 + 276 + 2024 + 10626 + 42504 + 134596),
     ("cyclic:40", {"max_size": 40}, 2**40 - 1),
-    # 33 inverse pairs {x, x^-1}
-    ("cyclic:64", {"max_size": 2, "symmetric_only": True}, 33 + 528),
-    ("cyclic:64", {"max_size": 4, "symmetric_only": True}, 33 + 528 + 5456 + 40920),
-    ("cyclic:64", {"max_size": 5, "symmetric_only": True}, 33 + 528 + 5456 + 40920 + 237336),
+    # 2 self-inverse elements and 31 inverse pairs {x, x^-1}: the sum of
+    # C(2, j) C(31, p) over 0 < j + p with j + 2p <= max_size
+    ("cyclic:64", {"max_size": 2, "symmetric_only": True}, 2 + 1 + 31),
+    ("cyclic:64", {"max_size": 4, "symmetric_only": True}, 2 + 1 + 31 * (1 + 2 + 1) + 465),
+    ("cyclic:64", {"max_size": 5, "symmetric_only": True}, 2 + 1 + 31 * (1 + 2 + 1) + 465 * (1 + 2)),
 ])
 def test_exhaustive_cap_with_max_size(selector, mode, count):
     group = _group(canonical_json(parse_group_selector(selector)))
     config = ScanConfig([selector], {"kind": "exhaustive", **mode}, suites=("layer-cake",))
     if count < 2**16:
         layers = _exhaustive_layers(group, list(group.elements()), config)
-        # under symmetric_only, the unions of more than max_size elements are dropped
-        assert len(layers) == count if "symmetric_only" not in mode else 0 < len(layers) < count
+        assert len(layers) == count
     else:
         with pytest.raises(SpecError, match=rf"^/groups/0: exhaustive mode with max_size {mode['max_size']} "
                                             rf"enumerates {count} subsets of .*; the cap is 2\^16 - 1$"):
             iter_instance_specs(config)
+
+
+WALK_GROUPS = [spec for spec in catalog(weights=("counting",), max_product_order=12)
+               if build_group(spec).order <= 12]
+
+
+def _every_qualifying_union(group, max_size, symmetric_only):
+    """Every nonempty subset of at most max_size elements, symmetric under
+    symmetric_only, picked from all 2^|G| subsets; ordered by size, then by
+    the element indices, for a plain max_size, else by the bit mask with a
+    bit for the first index of each inverse pair (each element without
+    symmetric_only)."""
+    elems = list(group.elements())
+    index = {x: i for i, x in enumerate(elems)}
+    every = [frozenset(x for i, x in enumerate(elems) if mask >> i & 1) for mask in range(1, 1 << len(elems))]
+    kept = [a for a in every if len(a) <= (max_size or len(elems))
+            and (not symmetric_only or a == {group.inv(x) for x in a})]
+    if max_size is not None and not symmetric_only:
+        return sorted(kept, key=lambda a: (len(a), sorted(index[x] for x in a)))
+    unit = (lambda x: min(index[x], index[group.inv(x)])) if symmetric_only else index.__getitem__
+    return sorted(kept, key=lambda a: sum(1 << i for i in set(map(unit, a))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(WALK_GROUPS), max_size=st.sampled_from([None, 1, 2, 3, 4]),
+       symmetric_only=st.booleans())
+def test_exhaustive_layers_equal_a_brute_force_walk_and_the_count_the_cap_checked(spec, max_size, symmetric_only):
+    group = _group(canonical_json(spec))
+    mode = {"kind": "exhaustive", "symmetric_only": symmetric_only}
+    if max_size is not None:
+        mode["max_size"] = max_size
+    config = ScanConfig([spec], mode, suites=("layer-cake",))
+    expected = _every_qualifying_union(group, max_size, symmetric_only)
+    layers = _exhaustive_layers(group, list(group.elements()), config)
+    assert [shared.a.elements for shared in layers] == expected
+    # the cap counted exactly the layers formed: one fewer allowed is refused
+    with mock.patch.object(harness, "MAX_SUBSETS", len(expected) - 1):
+        with pytest.raises(CapError, match=f" enumerates {len(expected)} subsets of "):
+            _exhaustive_layers(group, list(group.elements()), config)
 
 
 def test_proper_subgroup_selector():

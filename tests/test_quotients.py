@@ -27,7 +27,8 @@ from doubling import (
 )
 from doubling import groups
 from doubling.groups import CayleyTable, OpLaw, WeightedGroup, quaternion_table
-from doubling.quotients import _subgroup_lattice, closure
+from doubling.errors import SpecError
+from doubling.quotients import _subgroup_lattice, closure, quotient_from_description
 from oracles import is_normal, is_subgroup, quaternion_group, searched_identity_and_inverses
 
 
@@ -403,3 +404,16 @@ def test_quotient_checks_no_element_of_a_gsubset_again(monkeypatch):
     assert len(calls) == group.order
     with pytest.raises(ValueError, match="is not an element of"):
         quotient(group, [*subs[0].elements, (0, 99)])
+
+
+def test_replay_decodes_each_subgroup_element_once(monkeypatch):
+    calls = []
+    contains = CyclicGroup.contains
+    monkeypatch.setattr(CyclicGroup, "contains", lambda self, x: calls.append(x) or contains(self, x))
+    group = CyclicGroup(4096)
+    q = quotient_from_description(group, {"elements": list(range(0, 4096, 64)), "weight": "counting"}, "/subgroup")
+    assert q.quotient.order == 64 and len(q.subgroup.elements) == 64
+    # decoding checked each element: `quotient` checks none of them again
+    assert calls == []
+    with pytest.raises(SpecError, match=r"^/subgroup/elements/2: expected element index 0\.\.4095, got 4096$"):
+        quotient_from_description(group, {"elements": [0, 64, 4096]}, "/subgroup")

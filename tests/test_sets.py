@@ -6,6 +6,7 @@ from doubling import (
     MatrixGroup,
     inv_set,
     mul_set,
+    quotient,
     subset,
 )
 from doubling.context import SubsetContext
@@ -73,6 +74,22 @@ def test_owner_mismatch_rejected():
     b = subset(CyclicGroup(7), {0})
     with pytest.raises(ValueError, match="different groups"):
         mul_set(a, b)
+
+
+def test_owners_of_one_signature_and_different_fraction_weights_are_different_groups():
+    half, third = CyclicGroup(4, Fraction(1, 2)), CyclicGroup(4, Fraction(1, 3))
+    # a Fraction weight is not in the spec, so the two share a signature
+    assert half.signature == third.signature
+    with pytest.raises(ValueError, match="different groups"):
+        mul_set(subset(half, {1}), subset(third, {1}))
+    assert mul_set(subset(half, {1}), subset(CyclicGroup(4, Fraction(1, 2)), {1})).elements == {2}
+    # the quotients of Z4 by {0, 2} under the counting and the normalized subgroup weight
+    z4 = CyclicGroup(4)
+    by_count, by_mass = quotient(z4, {0, 2}, "counting"), quotient(z4, {0, 2}, "normalized")
+    assert by_count.quotient.signature == by_mass.quotient.signature
+    assert (by_count.quotient.weight, by_mass.quotient.weight) == (1, 2)
+    with pytest.raises(ValueError, match="different groups"):
+        mul_set(by_count.image(subset(z4, {1})), by_mass.image(subset(z4, {1})))
 
 
 def test_subset_validates_membership():
