@@ -1,4 +1,4 @@
-"""Full-size exhaustive `verify` runs, a parent revision against this checkout.
+"""Full-size runs, a parent revision against this checkout.
 
     python3 bench/fullsize.py --parent REV [--out BENCH_fullsize.json]
 
@@ -6,8 +6,9 @@ Runs each command below at `-j 1` in a fresh interpreter, once with `src/`
 of the git revision REV (extracted with `git archive`) and once with `src/`
 of this checkout, in PAIRS alternating pairs (the first side alternates too):
 ten, so that a gain can be read as at least nine wins of ten.
-Every run of a command must write the same bytes on both sides; if one does
-not, the script prints which and exits 1 without recording anything.
+Every run of a command must write the same bytes on both sides (its
+`--out` file and, for the scan, its `--csv` file); if one does not, the
+script prints which and exits 1 without recording anything.
 Otherwise it appends one entry to the JSON list in `--out`: per command and
 side, the child's CPU time (user + system) and `ru_maxrss`, both read with
 `os.wait4` for that child alone, and their medians; per command, `wins`, the
@@ -19,7 +20,10 @@ tree id of the `src/` it ran, uncommitted edits included: it equals
 `git rev-parse C:src` for any commit C with that `src/`.
 
 These are the paper's exhaustive checks at full size, where evaluation cost
-shows; the `perfbench` workloads are small enough that start-up dominates.
+shows, and the catalog-wide scan: `harness.catalog()` in both weights, one
+random subset per normal subgroup at seed 0, with `--csv`.  Its config is
+written from this checkout's `catalog()` and read by both sides.  The
+`perfbench` workloads are small enough that start-up dominates.
 """
 
 from __future__ import annotations
@@ -39,9 +43,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CATALOG_CONFIG = "catalog-scan.json"  # written into the scratch directory the commands run in
 COMMANDS = (
     ("verify", "--group", "dihedral:6", "-j", "1"),
     ("verify", "--group", "symmetric:4", "--max-subset-size", "4", "-j", "1"),
+    ("scan", "--config", CATALOG_CONFIG, "--csv", "out.csv", "-j", "1"),
 )
 PAIRS = 10
 
@@ -58,8 +64,17 @@ def _worktree_src_tree(tmp: Path) -> str:
     return _git("rev-parse", _git("write-tree", env=env).decode().strip() + ":src").decode().strip()
 
 
+def _write_catalog_config(path: Path) -> None:
+    """The catalog-wide scan's config, from `catalog()` of this checkout."""
+    code = ("import json, sys; from doubling.harness import catalog; json.dump({'groups': catalog(), "
+            "'subset_mode': {'kind': 'random', 'count': 1, 'seed': 0}}, sys.stdout)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    path.write_bytes(subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, env=env).stdout)
+
+
 def _run(src: Path, argv: tuple, work: Path) -> tuple[float, float, str]:
-    """(CPU seconds, ru_maxrss in MB, SHA-256 of the artifact) of one run."""
+    """(CPU seconds, ru_maxrss in MB, SHA-256 of the artifacts) of one run:
+    of out.json, and then of out.csv if the command wrote one."""
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("DOUBLING_JOBS", None)
     out = work / "out.json"
@@ -69,9 +84,12 @@ def _run(src: Path, argv: tuple, work: Path) -> tuple[float, float, str]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode} with {src}")
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    out.unlink()
-    return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, digest
+    digest = hashlib.sha256()
+    for path in (out, work / "out.csv"):
+        if path.exists():
+            digest.update(path.read_bytes())
+            path.unlink()
+    return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, digest.hexdigest()
 
 
 def _summary(runs: list[tuple[float, float]]) -> dict:
@@ -93,6 +111,7 @@ def main(argv: list[str]) -> int:
             tar.extractall(tmp / "parent", filter="data")
         sides = {"parent": tmp / "parent" / "src", "change": ROOT / "src"}
         change_tree = _worktree_src_tree(tmp)
+        _write_catalog_config(tmp / CATALOG_CONFIG)
         commands = []
         for cmd in COMMANDS:
             runs: dict = {"parent": [], "change": []}

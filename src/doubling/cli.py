@@ -28,6 +28,8 @@ from .extract import certify, threshold_trace, with_b
 from .groups import WeightedGroup
 from .harness import (
     ALL_SUITES,
+    ExtractResults,
+    Fragment,
     InstanceReport,
     ScanConfig,
     _group_at,
@@ -38,6 +40,7 @@ from .harness import (
     report_csv,
     scan,
 )
+from .metrics import DoublingStats, QuotientDoublingCheck
 from .quotients import quotient_from_description
 from .rationals import fmt
 from .sets import decode_subset
@@ -72,36 +75,58 @@ def _read_json(path: str, flag: str):
     return _maybe_inline_json("@" + path, flag)
 
 
-_CHUNK = 4096  # fragments that `_write` holds before they go to the file
-_NESTED = frozenset((dict, list, tuple, InstanceReport))
+_CHUNK = 1 << 16  # characters that `_write` holds before they go to the file
+_RECORDS = frozenset((Fragment, ExtractResults, QuotientDoublingCheck, DoublingStats))
+_NESTED = frozenset((dict, list, tuple, InstanceReport)) | _RECORDS
 
 
 def _dump(doc, fh, end: str = "") -> None:
     """Write `json.dumps(doc, sort_keys=True, indent=2)` and `end` to fh,
-    `_CHUNK` fragments at a time.
+    about `_CHUNK` characters at a time.
 
     json has no C encoder for indented output; `_write` makes the same text.
     It knows dicts with str keys, lists, tuples, str, int, finite float, bool
     and None (exact types), and renders each `InstanceReport` where it reaches
-    it, so at most one report dict is alive.  Anything else is a TypeError."""
+    it, so at most one report dict is alive.  The report leaves its suite
+    records and `DoublingStats` unrendered, and each distinct one is rendered
+    once per call: a results table hands one record to many instances.  The
+    memo is keyed on the record's value, which is sound because each field
+    of a record type holds one exact type (True == 1 would otherwise share a
+    text).  Anything else is a TypeError."""
     out: list = []
-    _write(doc, "\n", out, fh)
+    _write(doc, "\n", out, fh, {})
     fh.write("".join(out) + end)
 
 
-def _write(x, nl: str, out: list, fh) -> None:
-    """Append x, whose line starts with `nl` (newline and indent), to out;
-    out goes to fh first if it holds `_CHUNK` fragments."""
-    if len(out) >= _CHUNK:
+def _kept(record):
+    """The `render` that leaves each record of an `InstanceReport` to `_write`."""
+    return record
+
+
+def _write(x, nl: str, out: list, fh, memo: dict, held: int = 0) -> int:
+    """Append x, whose line starts with `nl` (newline and indent), to out,
+    which holds `held` characters, and return how many it holds then.  out
+    goes to fh first if it holds `_CHUNK` or more and fh is not None; `memo`
+    maps (record type, record, nl) to the record's text."""
+    if held >= _CHUNK and fh is not None:
         fh.write("".join(out))
         out.clear()
+        held = 0
     t = type(x)
     if t is InstanceReport:
-        x, t = x.to_json(), dict
+        x, t = x.to_json(_kept), dict
+    elif t in _RECORDS:
+        text = memo.get(key := (t, x, nl))
+        if text is None:
+            part: list = []
+            _write(x.to_json(), nl, part, None, memo)
+            text = memo[key] = "".join(part)
+        out.append(text)
+        return held + len(text)
     if t is dict:
         if not x:
             out.append("{}")
-            return
+            return held + 2
         inner = nl + "  "
         sep = "{" + inner
         for k in sorted(x):
@@ -109,28 +134,32 @@ def _write(x, nl: str, out: list, fh) -> None:
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             v = x[k]
             if type(v) in _NESTED:
-                out.append(sep + _quote(k) + ": ")
-                _write(v, inner, out, fh)
+                out.append(s := sep + _quote(k) + ": ")
+                held = _write(v, inner, out, fh, memo, held + len(s))
             else:
-                out.append(sep + _quote(k) + ": " + _leaf(v))
+                out.append(s := sep + _quote(k) + ": " + _leaf(v))
+                held += len(s)
             sep = "," + inner
         out.append(nl + "}")
-    elif t is list or t is tuple:
+        return held + len(nl) + 1
+    if t is list or t is tuple:
         if not x:
             out.append("[]")
-            return
+            return held + 2
         inner = nl + "  "
         sep = "[" + inner
         for v in x:
             if type(v) in _NESTED:
                 out.append(sep)
-                _write(v, inner, out, fh)
+                held = _write(v, inner, out, fh, memo, held + len(sep))
             else:
-                out.append(sep + _leaf(v))
+                out.append(s := sep + _leaf(v))
+                held += len(s)
             sep = "," + inner
         out.append(nl + "]")
-    else:
-        out.append(_leaf(x))
+        return held + len(nl) + 1
+    out.append(s := _leaf(x))
+    return held + len(s)
 
 
 def _leaf(v) -> str:

@@ -35,6 +35,7 @@ from .sets import GSubset, decode_nonempty
 
 DEFAULT_ALPHAS = (Fraction(3, 2), Fraction(2), Fraction(3))
 MAX_SUBSETS = 2**16 - 1  # the subsets that the instances of one normal subgroup draw on
+MAX_PAIRS = 2**20  # the pairs |X||Y| of each product set that evaluating one id forms
 TOP_WITNESSES = 10
 
 
@@ -536,8 +537,34 @@ def _load_id(instance_id: str) -> tuple:
                for key in ("subset", "subset_b", "subset_c"))
     translators = None if translate is None else tuple(
         group.decode_element(v, f"/translate/{i}") for i, v in enumerate(translate))
+    _check_pairs(group.order, a, b, c, suites)
     make_quotient = partial(_quotient, group_json, subgroup_json)
     return SubsetContext(a, b, c, translators), make_quotient, suites, alphas, None
+
+
+def _check_pairs(order: int | None, a: GSubset, b: GSubset | None, c: GSubset | None, suites) -> None:
+    """Refuse at /subset, before any product is formed, an id whose largest
+    product set X Y pairs more than MAX_PAIRS elements: A A and A^-1 A for
+    the stats, A B and B A for spillover and containment, and for
+    ruzsa-axioms the differences of A, B and C, with |C| <= |A|^2 (and
+    <= |G|) when C is A A.  The quotient side pairs no more: pi(A) pi(A),
+    pi(A) L for the levels L of B, and L L for those of A.  Only a group
+    above TABLE_CAP can reach the cap."""
+    na = len(a.elements)
+    nb = na if b is None else len(b.elements)
+    pairs = na * na
+    if not {"spillover", "containment", "ruzsa-axioms"}.isdisjoint(suites):
+        pairs = max(pairs, na * nb)
+    if "ruzsa-axioms" in suites:
+        nc = len(c.elements) if c is not None else na * na if order is None else min(na * na, order)
+        pairs = max(pairs, max(na, nb) * nc)
+    if pairs > MAX_PAIRS:
+        raise CapError(f"/subset: evaluating this id forms a product of {pairs} pairs; "
+                       f"the cap is 2^{MAX_PAIRS.bit_length() - 1}")
+
+
+def _rendered(record) -> dict:
+    return record.to_json()
 
 
 class InstanceReport(namedtuple(
@@ -546,7 +573,9 @@ class InstanceReport(namedtuple(
     """One instance's results as counts: the id, |G| and |H|, the doubling
     counts (`DoublingStats`, whose size is |A|), |piA| and |piA^2|, and per
     suite run (name, result record, violation details: None when skipped, and
-    empty when it passed).  `to_json()` writes the instance report."""
+    empty when it passed).  `to_json()` writes the instance report; `render`
+    maps each suite record and the `DoublingStats` into it (by default, to
+    their `to_json()`)."""
 
     __slots__ = ()
 
@@ -556,16 +585,16 @@ class InstanceReport(namedtuple(
         s = self.stats
         return self.pi_square * s.size * s.size, self.pi_size * s.square * s.square
 
-    def to_json(self) -> dict:
+    def to_json(self, render=_rendered) -> dict:
         stats = self.stats
         report = {
             "id": self.id,
             "sizes": {"group": self.group_order, "subgroup": self.subgroup_size, "subset": stats.size},
-            "suites": {name: record.to_json() for name, record, _ in self.suites},
+            "suites": {name: render(record) for name, record, _ in self.suites},
             "violations": [
                 {"suite": name, "detail": d} for name, _, failed in self.suites for d in failed or ()
             ],
-            "doubling": stats.to_json(),
+            "doubling": render(stats),
             # tracked for both symmetries
             "probe": put({"symmetric": stats.symmetric}, "over_k2", *self.probe),
         }

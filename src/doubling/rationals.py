@@ -2,10 +2,12 @@
 
 The checks compare integer counts, and the results of an instance are held
 as those counts (`harness.InstanceReport` and the records it holds), so
-evaluating an instance writes no text.  A report is written once, where it
-is written: `InstanceReport.to_json()`, as the writer reaches each of a
-scan's instances or `replay` returns one, is the one place the instance loop
-reaches `put`; the CSV export divides the counts themselves.
+evaluating an instance writes no text.  A report is written only where it
+is written: `InstanceReport.to_json()` and the `to_json()` of the records it
+holds, as the writer reaches each of a scan's instances or `replay` returns
+one, are the one place the instance loop reaches `put`.  The CLI writer
+renders each distinct record once per artifact.  The CSV export divides the
+counts themselves.
 `put(d, key, num, den)` reduces num/den with one gcd and stores the "p/q"
 string and its decimal shadow, so no `Fraction` is built.  The aggregate
 ranks its probe by cross-multiplied counts and writes only the witnesses it

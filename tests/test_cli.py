@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import doubling
 from doubling import cli
 from doubling.cli import main
-from doubling.harness import InstanceReport
+from doubling.errors import CapError
+from doubling.harness import InstanceReport, _load_id
 
 
 def run(capsys, *argv):
@@ -344,6 +345,49 @@ def test_a_random_scan_past_the_subset_cap_is_refused_before_it_starts(tmp_path,
     assert out.returncode == 1
     assert expected in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_replay_refuses_an_id_past_the_pair_cap_before_it_starts(tmp_path):
+    """A 5,000-element subset of Z_100000 x GL2Z: A A alone pairs 2.5e7 elements on the op path."""
+    subset = [[i, [[1, i], [0, 1]]] for i in range(5000)]
+    group = {"type": "product", "factors": [{"type": "cyclic", "n": 100000}, {"type": "gl2z"}]}
+    (tmp_path / "id.txt").write_text(json.dumps({"group": group, "subgroup": {"keep": [1]},
+                                                 "subset": subset, "suites": []}))
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "doubling.cli", "replay", "--id", f"@{tmp_path / 'id.txt'}",
+                          "--out", os.devnull], env=env, capture_output=True, text=True, timeout=2)
+    assert out.returncode == 1
+    assert "error: /subset: evaluating this id forms a product of 25000000 pairs; the cap is 2^20" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+C5000_C2 = {"type": "product", "factors": [{"type": "cyclic", "n": 5000}, {"type": "cyclic", "n": 2}]}
+Z_GL2Z = {"type": "product", "factors": [{"type": "cyclic", "n": 3}, {"type": "gl2z"}]}
+
+
+@pytest.mark.parametrize("group, sizes, suites, pairs", [
+    (C5000_C2, {"subset": 1024}, [], None),  # A A: 2^20 pairs
+    (C5000_C2, {"subset": 1025}, [], 1025 ** 2),
+    (C5000_C2, {"subset": 1024, "subset_b": 1024}, ["spillover"], None),
+    (C5000_C2, {"subset": 1024, "subset_b": 1025}, ["containment"], 1024 * 1025),
+    (C5000_C2, {"subset": 104}, ["ruzsa-axioms"], None),  # A C, |C| <= |G| = 10,000 < |A|^2
+    (C5000_C2, {"subset": 105}, ["ruzsa-axioms"], 105 * 10_000),
+    (Z_GL2Z, {"subset": 101}, ["ruzsa-axioms"], None),  # A C, |C| <= |A|^2 = 10,201
+    (Z_GL2Z, {"subset": 102}, ["ruzsa-axioms"], 102 * 102 ** 2),
+    (Z_GL2Z, {"subset": 1000, "subset_c": 1000}, ["ruzsa-axioms"], None),
+    (Z_GL2Z, {"subset": 1000, "subset_c": 1049}, ["ruzsa-axioms"], 1000 * 1049),
+])
+def test_the_pair_cap_bounds_the_largest_product_an_id_forms(group, sizes, suites, pairs):
+    def elements(n):
+        return [[i, 0] for i in range(n)] if group is C5000_C2 else [[0, [[1, i], [0, 1]]] for i in range(n)]
+
+    spec = {"group": group, "subgroup": {"keep": [1]}, "suites": suites,
+            **{key: elements(n) for key, n in sizes.items()}}
+    if pairs is None:
+        _load_id(json.dumps(spec))
+    else:
+        with pytest.raises(CapError, match=f"^/subset: evaluating this id forms a product of {pairs} pairs"):
+            _load_id(json.dumps(spec))
 
 
 def test_a_symmetric_only_scan_forms_only_the_unions_it_counts(tmp_path):
@@ -796,14 +840,20 @@ def _record_writes(monkeypatch, fail: bool = False) -> list:
     return sizes
 
 
+# one extract record of 200 certificates, about 100 KB in the artifact
+C4_MANY_ALPHAS = dict(C4_ALL_SUITES, suites=["extract"], alphas=[str(k) for k in range(2, 202)])
+
+
 def test_scan_streams_its_artifact_in_bounded_writes(tmp_path, capsys, monkeypatch):
-    (tmp_path / "scan.json").write_text(json.dumps(D4_ALL_SUITES))
-    out = tmp_path / "out.json"
     sizes = _record_writes(monkeypatch)
-    assert run(capsys, "scan", "--config", str(tmp_path / "scan.json"), "--out", str(out))[0] == 0
-    size = out.stat().st_size
-    assert size > 1 << 20 and sum(sizes) == size
-    assert max(sizes) <= 1 << 18
+    for config in (D4_ALL_SUITES, C4_MANY_ALPHAS):
+        (tmp_path / "scan.json").write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        sizes.clear()
+        assert run(capsys, "scan", "--config", str(tmp_path / "scan.json"), "--out", str(out))[0] == 0
+        size = out.stat().st_size
+        assert size > 1 << 20 and sum(sizes) == size
+        assert max(sizes) <= 1 << 18
 
 
 def test_scan_to_stdout_streams_the_bytes_of_its_out_file(tmp_path, capsys, monkeypatch):
@@ -873,19 +923,20 @@ def test_a_failed_write_leaves_no_file_and_the_old_artifact(tmp_path, capsys, mo
     else:  # the fifth report fails to render, or holds a Fraction, after the writer sent some to the file
         render, calls = InstanceReport.to_json, []
 
-        def to_json(self):
+        def to_json(self, *args):
             calls.append(self)
             if len(calls) % 5 == 0:
                 if failure == "render":
                     raise RuntimeError("render failed")
-                return dict(render(self), quotient_doubling=Fraction(1, 2))
-            return render(self)
+                return dict(render(self, *args), quotient_doubling=Fraction(1, 2))
+            return render(self, *args)
 
         monkeypatch.setattr(InstanceReport, "to_json", to_json)
         monkeypatch.setattr(cli, "_CHUNK", 8)
+        error, reason = (RuntimeError, "render failed") if failure == "render" else (TypeError, "type Fraction")
 
         def fails():
-            with pytest.raises(RuntimeError if failure == "render" else TypeError):
+            with pytest.raises(error, match=reason):
                 main(argv)
             return True
 

@@ -4,9 +4,10 @@
 export read the counts of `InstanceReport`s, and `scan` evaluates the subset
 layers it built, shared by the normal subgroups of an exhaustive scan, under
 the quotients of the normal subgroups it enumerated, without decoding its
-ids.  Each of these fast paths is compared here with the plain path:
-`Fraction` arithmetic, and `replay`'s validating parser with a fresh layer
-per id.
+ids.  The CLI writer renders each distinct suite record once per artifact.
+Each of these fast paths is compared here with the plain path: `Fraction`
+arithmetic, `replay`'s validating parser with a fresh layer per id, and
+`json.dumps` of every report's `to_json()`.
 """
 
 import inspect
@@ -307,6 +308,63 @@ def test_random_scan_equals_replay():
     assert_scan_equals_replay(
         ScanConfig(["symmetric:4", q8_z2], mode, subgroup_weight="normalized", emit_instances=True)
     )
+
+
+@pytest.fixture(scope="module")
+def memo_scans() -> dict:
+    """Scans whose artifacts repeat suite records: an exhaustive all-suite
+    dihedral:4, where results-table hits share record objects, and a random
+    scan of the catalog cut to order 32 in both weights."""
+    return {
+        "dihedral:4": scan(ScanConfig(["dihedral:4"], {"kind": "exhaustive"}, emit_instances=True)),
+        "catalog-32": scan(ScanConfig(catalog(max_product_order=32), {"kind": "random", "count": 1, "seed": 0},
+                                      emit_instances=True)),
+    }
+
+
+def _records(report: dict) -> list:
+    """Each suite record and `DoublingStats` of the scan's instances."""
+    return [r for rep in report["instances"] for r in (*(record for _, record, _ in rep.suites), rep.stats)]
+
+
+@pytest.mark.parametrize("name", ["dihedral:4", "catalog-32"])
+def test_the_writer_renders_each_record_as_to_json_does(memo_scans, name):
+    report = memo_scans[name]
+    records = _records(report)
+    assert len(set(records)) < len(records)  # the writer's memo hits
+    plain = dict(report, instances=[rep.to_json() for rep in report["instances"]])
+    assert _artifact(report) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+def _field_types(x, at: tuple, types: dict) -> None:
+    """Add the exact type of each leaf of x to types[its position]: a
+    record's field by name, an entry of a tuple of (str key, values...)
+    entries by its key and index, and the items of any other tuple as one."""
+    t = type(x)
+    if hasattr(t, "_fields"):
+        for field, v in zip(t._fields, x):
+            _field_types(v, at + (t.__name__, field), types)
+    elif t is tuple and x and all(type(e) is tuple and type(e[0]) is str for e in x):
+        for key, *values in x:
+            for i, v in enumerate(values):
+                _field_types(v, at + (key, i), types)
+    elif t is tuple:
+        for v in x:
+            _field_types(v, at + ("*",), types)
+    else:
+        types.setdefault(at, set()).add(t)
+
+
+def test_each_field_of_a_record_type_holds_one_exact_type(memo_scans):
+    """The writer renders a record once per artifact, keyed on its value:
+    sound only if equal records render alike, which True == 1 and
+    hash(True) == hash(1) would break within one field."""
+    types: dict = {}
+    for report in memo_scans.values():
+        for record in _records(report):
+            _field_types(record, (), types)
+    assert len(types) > 50
+    assert {at: kinds for at, kinds in types.items() if len(kinds) > 1} == {}
 
 
 @given(st.integers(), st.integers(min_value=1))
