@@ -10,8 +10,8 @@ tuples of factor handles for products, and 4-tuples (a, b, c, d) for exact
 integer 2x2 matrices with determinant +/-1.  Enumeration order is canonical
 per kind so that runs are reproducible bit for bit.
 
-`_grow` is the one subgroup walk: `quotients` closes sets, picks generators
-and builds the lattice with it, and Light's test takes its generators from
+`_grow` is the one walk that adds an element at a time: `quotients` closes
+sets and picks generators with it, and Light's test takes its generators from
 it, run only on a table from outside (`TableGroup`) and by `validate_axioms`.
 """
 

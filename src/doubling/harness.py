@@ -380,25 +380,30 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
     suites, alphas, results table) that `evaluate_instance` reads in its
     place.  An exhaustive scan builds a group's subset layers once, for all
     its normal subgroups; a random scan samples a fresh layer per instance.
-    A normal subgroup's quotient is built from its `GSubset` by its first
-    instance's evaluation, not here, and shared by the rest, and so is its
-    results table (see `_table_key`, keyed on counts alone under H = {e}):
-    None where it has a single instance.  An id is
-    pieced together from its alphas, group and subgroup, each rendered once,
-    and its layer's `_id_tail`, which an exhaustive scan's subgroups share."""
+    Groups of one `_unweighted` spec share a lattice.  A normal subgroup's
+    quotient is built from its `GSubset` by its first instance's evaluation,
+    not here, and shared by the rest, and so is its results table (see
+    `_table_key`, keyed on counts alone under H = {e}): None where it has a
+    single instance.  An id is pieced together from its alphas, group and
+    subgroup, each rendered once, and its layer's `_id_tail`, which an
+    exhaustive scan's subgroups share; each element's text is rendered once."""
     mode = config.subset_mode
     rng = Random(mode["seed"]) if mode["kind"] == "random" else None
     alphas = list(zip(map(fmt, config.alphas), config.alphas))
     # sorted keys order an id: alphas, group, subgroup, subset(_b, _c), suites, translate
     head = '{"alphas":' + canonical_json([a for a, _ in alphas]) + "," if "extract" in config.suites else "{"
     suites = ',"suites":' + canonical_json(list(config.suites))
+    weight = ',"weight":' + canonical_json(config.subgroup_weight) + "}"
+    lattices: dict = {}
     ids: list[str] = []
     for i, gspec in enumerate(config.groups):
         group = _group(group_json := canonical_json(gspec))
         if group.order is None:
             raise SpecError(f"/groups/{i}", f"{group.name} is infinite; scans need finite groups")
         try:
-            subs = normal_subgroups(group)
+            if (structure := canonical_json(_unweighted(gspec))) not in lattices:
+                lattices[structure] = normal_subgroups(group)
+            subs = [GSubset(group, s.elements) for s in lattices[structure]]
             if config.subgroups == "proper":
                 subs = [s for s in subs if 1 < len(s.elements) < group.order]
             elems = list(group.elements())
@@ -406,13 +411,13 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
             layers = _exhaustive_layers(group, elems, config) if rng is None and subs else []
         except CapError as exc:
             raise SpecError(f"/groups/{i}", str(exc)) from exc
-        tails = [_id_tail(shared, suites) for shared in layers]
+        text = dict(zip(elems, map(canonical_json, map(group.encode_element, elems))))
+        tails = [_id_tail(shared, suites, text) for shared in layers]
         for sub in subs:
-            desc = canonical_json({"elements": sub.encode(), "weight": config.subgroup_weight})
-            prefix = f'{head}"group":{group_json},"subgroup":{desc},'
+            prefix = f'{head}"group":{group_json},"subgroup":{{"elements":{_listed(text, sub.elements)}{weight},'
             if rng is not None:
                 layers = _random_layers(group, elems, config, rng)
-                tails = [_id_tail(shared, suites) for shared in layers]
+                tails = [_id_tail(shared, suites, text) for shared in layers]
             ids.extend(prefix + tail for tail in tails)
             if built is not None:
                 make_quotient = cache(partial(quotient, group, sub, config.subgroup_weight))
@@ -421,12 +426,22 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
     return ids
 
 
-def _id_tail(shared: SubsetContext, suites: str) -> str:
-    """A layer's id after its subgroup: subset fields, `suites`, translators."""
+def _unweighted(spec: dict) -> dict:
+    """A group spec with every "weight" removed, its factors' too."""
+    return {k: list(map(_unweighted, v)) if k == "factors" else v for k, v in spec.items() if k != "weight"}
+
+
+def _listed(text: dict, elements: frozenset) -> str:
+    """The canonical JSON list of the sorted `elements`, joined from their `text`."""
+    return "[" + ",".join(map(text.__getitem__, sorted(elements))) + "]"
+
+
+def _id_tail(shared: SubsetContext, suites: str, text: dict) -> str:
+    """A layer's id after its subgroup from each element's `text`: subset fields, `suites`, translators."""
     pairs = (("subset", shared.a), ("subset_b", shared.b), ("subset_c", shared.c))
-    tail = ",".join(f'"{key}":{canonical_json(x.encode())}' for key, x in pairs if x is not None) + suites
+    tail = ",".join(f'"{key}":{_listed(text, x.elements)}' for key, x in pairs if x is not None) + suites
     if shared.translators is not None:
-        tail += ',"translate":' + canonical_json(list(map(shared.a.owner.encode_element, shared.translators)))
+        tail += ',"translate":[' + ",".join(map(text.__getitem__, shared.translators)) + "]"
     return tail + "}"
 
 
@@ -437,8 +452,7 @@ def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> Subs
         shared.b = shared.inverse
         if "ruzsa-axioms" in config.suites:
             shared.c = shared.mul(shared.a, shared.a)
-            order = shared.a.sorted_elements()
-            shared.translators = (order[0], order[-1])
+            shared.translators = (min(shared.a.elements), max(shared.a.elements))
     return shared
 
 

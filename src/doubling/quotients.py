@@ -6,19 +6,19 @@ measure of any subset.  A quotient of a finite group materializes its coset
 table; a projection quotient of a product group drops coordinates and works
 for lazy ambient groups as long as the dropped factors are finite.
 Subgroups are found on the points of `group.law`, table indices up to
-TABLE_CAP: `closure`, `_generators` and the lattice walk them with
-`groups._grow`, and `quotient` walks the cosets once (`_cosets`), checking
-normality on the generators that walk picked and forming gH alone; it gives
-the quotient's table and identity, which nothing checks again.  The lattice
-is computed on each call; a command asks once per group.
+TABLE_CAP: `closure` and `_generators` walk them with `groups._grow`, the
+lattice a right coset at a time, and `quotient` walks the cosets once
+(`_cosets`), checking normality on the generators that walk picked and forming
+gH alone; through its coset map, G's rows give the quotient's table, which
+nothing checks again.  A scan asks for a lattice once per group structure.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import product as iter_product
-from math import prod
+from itertools import product as iter_product, repeat
+from math import gcd, prod
 from operator import itemgetter
 
 from .errors import CapError, ConsistencyError, SpecError, integer
@@ -71,9 +71,10 @@ def _subgroup_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[froze
     """(all subgroup handle-sets, normal handle-sets), each in canonical order.
 
     Runs on the points of `group.law`.  Every subgroup is reached from {e} by
-    adding one generator at a time, growing from the subgroup it extends, and
-    remembers its generator list.  <H, g> = <H, hg> for h in H, so one g per
-    right coset of H is tried."""
+    adding one generator g at a time to the subgroup H it extends, one right
+    coset of H at a time (Dimino's step: from c = e, each cs not yet reached,
+    s a generator, adds H cs), and remembers its generator list.  <H, g> =
+    <H, hg^k> for h in H and k prime to the order of g: no such g is tried again."""
     if group.order is None:
         raise ValueError("subgroup enumeration needs a finite group")
     if group.order > TABLE_CAP:
@@ -87,9 +88,16 @@ def _subgroup_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[froze
         for g in law.all_points():
             if g in covered:
                 continue
-            covered |= law.product(sub, [g])
-            bigger, gens = set(sub), list(gens_of[sub])
-            _grow(law, bigger, gens, [g])
+            powers = [g]
+            while powers[-1] != law.identity:
+                powers.append(law.mul(powers[-1], g))
+            covered |= law.product(sub, [x for k, x in enumerate(powers, 1) if gcd(k, len(powers)) == 1])
+            bigger, gens, reps = set(sub), [*gens_of[sub], g], [law.identity]
+            for c in reps:
+                for cs in map(law.mul, repeat(c), gens):
+                    if cs not in bigger:
+                        bigger |= law.product(sub, [cs])
+                        reps.append(cs)
             bigger = frozenset(bigger)
             if bigger not in gens_of:
                 gens_of[bigger] = gens
@@ -185,8 +193,11 @@ def quotient(
 
     # cosets numbered by first appearance; the coset of e is the identity
     coset_of, reps = cosets
-    mul = law.mul
-    table = CayleyTable([[coset_of[mul(r, s)] for s in reps] for r in reps], None, coset_of[law.identity])
+    if isinstance(law, CayleyTable):  # row r of the quotient reads G's row r through the coset map
+        rows = [[coset_of[row[s]] for s in reps] for row in map(law.rows.__getitem__, reps)]
+    else:
+        rows = [[coset_of[law.mul(r, s)] for s in reps] for r in reps]
+    table = CayleyTable(rows, None, coset_of[law.identity])
     # where the points are the handles, the coset map is the projection
     elements = law.elements if isinstance(law, CayleyTable) else None
     proj = coset_of if elements is None else {elements[p]: c for p, c in coset_of.items()}

@@ -3,9 +3,9 @@
 None of these runs on a command path: each is an independent or brute-force
 statement of a fact that the package computes another way (a table's
 identity and inverses, the coset criterion, the combinatorial counts behind
-the sharpness witness, the Cantor analog, normality, every suite record), or
-a small group the tests build by hand.  Test modules import them as
-`from oracles import ...`; pytest does not collect this file.
+the sharpness witness, the Cantor analog, normality, the subgroup lattice,
+every suite record), or a small group the tests build by hand.  Test modules
+import them as `from oracles import ...`; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import groupby
 
 from doubling.constructions import _GL2Z, _cantor, matrix_family
 from doubling.errors import ConsistencyError
-from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, quaternion_table
+from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, _grow, quaternion_table
 from doubling.harness import ScanConfig, _group, canonical_json
 from doubling.quotients import QuotientStructure, _cosets, _generators, normal_subgroups
 from doubling.rationals import fmt, put
@@ -54,6 +54,34 @@ def is_normal(group: WeightedGroup, elems: frozenset) -> bool:
     law = group.law
     h = set(law.points(elems))
     return _cosets(law, h, _generators(law, h), group.order) is not None
+
+
+def walked_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
+    """(all subgroup handle-sets, normal handle-sets), each in canonical
+    order, as `_subgroup_lattice` gives them, from the plain walk: every
+    subgroup <H, g> is grown from the subgroup H it extends by `_grow`, one
+    new element at a time, for one g per right coset of H (<H, g> = <H, hg>
+    for h in H); H is normal iff the generators of G conjugate its own into H."""
+    law = group.law
+    gens_of = {frozenset([law.identity]): []}
+    queue = list(gens_of)
+    while queue:
+        sub = queue.pop()
+        covered = set(sub)
+        for g in law.all_points():
+            if g in covered:
+                continue
+            covered |= law.product(sub, [g])
+            bigger, gens = set(sub), list(gens_of[sub])
+            _grow(law, bigger, gens, [g])
+            bigger = frozenset(bigger)
+            if bigger not in gens_of:
+                gens_of[bigger] = gens
+                queue.append(bigger)
+    subs = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+    outer = [(g, list(law.inverse([g]))) for g in gens_of[max(gens_of, key=len)]]
+    normal = [s for s in subs if all(law.product(law.product([g], gens_of[s]), ginv) <= s for g, ginv in outer)]
+    return [law.handles(s) for s in subs], [law.handles(s) for s in normal]
 
 
 def packed_profile(q: QuotientStructure, x: GSubset) -> int:

@@ -12,6 +12,7 @@ from doubling import (
     catalog,
     evaluate_instance,
     iter_instance_specs,
+    normal_subgroups,
     parse_group_selector,
     replay,
     scan,
@@ -353,11 +354,15 @@ def test_instance_id_is_canonical_json():
         assert report["id"] == instance_id
 
 
-# a product group and a table group whose name is not ASCII among them
+# product groups, one nested, a table group whose name is not ASCII, and one structure in two weights
+NESTED = {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "product", "factors": [
+    {"type": "cyclic", "n": 2}, {"type": "symmetric", "n": 3}]}]}
 ID_GROUPS = [
     "dihedral:4",
+    {"type": "dihedral", "n": 4, "weight": "normalized"},
     "q8",
     {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "symmetric", "n": 3}]},
+    NESTED,
     {"type": "table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "name": "Z\u2083 \u00e9t\u00e9"},
 ]
 ID_MODES = st.one_of(
@@ -387,6 +392,33 @@ def test_ids_from_rendered_pieces_equal_the_whole_canonical_json(groups, mode, s
     keys = {frozenset(json.loads(i)) for i in ids}
     optional = {"alphas", "subset_b", "subset_c", "translate"}
     assert all(k - optional == {"group", "subgroup", "subset", "suites"} for k in keys)
+
+
+def test_a_scan_builds_one_lattice_per_group_structure(monkeypatch):
+    names = []
+
+    def counted(group):
+        names.append(group.name)
+        return normal_subgroups(group)
+
+    monkeypatch.setattr(harness, "normal_subgroups", counted)
+    specs = catalog(max_product_order=12)
+    config = ScanConfig(specs, {"kind": "random", "count": 1, "seed": 3}, suites=["quotient-k1k2"])
+    assert len(iter_instance_specs(config)) > len(specs)
+    assert names == [build_group(spec).name for spec in specs[:len(specs) // 2]]
+    # the same structure in both weights, nested factors included, with and without a weight key
+    normalized = {"type": "product", "factors": [{**NESTED["factors"][0], "weight": "normalized"}, {
+        **NESTED["factors"][1], "factors": [{**f, "weight": "normalized"} for f in NESTED["factors"][1]["factors"]]}]}
+    names.clear()
+    config = ScanConfig(["dihedral:4", NESTED, {"type": "dihedral", "n": 4, "weight": "normalized"}, normalized,
+                         {"type": "dihedral", "n": 4, "weight": "counting"}],
+                        {"kind": "exhaustive", "max_size": 1}, suites=["spillover", "quotient-k1k2"])
+    built: list = []
+    ids = iter_instance_specs(config, built)
+    assert names == ["D4", "Z2xZ2xS3"]
+    assert ids == whole_ids(config, built)
+    # each group's subgroups are its own: the scan's reports are the replayed ones
+    assert [evaluate_instance(i, b).to_json() for i, b in zip(ids, built)] == [replay(i) for i in ids]
 
 
 def test_csv_export():

@@ -29,7 +29,7 @@ from doubling import groups
 from doubling.groups import CayleyTable, OpLaw, WeightedGroup, quaternion_table
 from doubling.errors import SpecError
 from doubling.quotients import _subgroup_lattice, closure, quotient_from_description
-from oracles import is_normal, is_subgroup, quaternion_group, searched_identity_and_inverses
+from oracles import is_normal, is_subgroup, quaternion_group, searched_identity_and_inverses, walked_lattice
 
 
 def test_cyclic_subgroup_lattice():
@@ -258,7 +258,9 @@ def test_is_subgroup_on_the_op_path():
 
 
 def test_lattice_lists_subgroups_in_canonical_order():
-    # the lattice sorts table indices; they must sort as the handles do
+    # the lattice sorts table indices; they must sort as the handles do.  It
+    # ignores weights, so one weight covers every structure of the catalog;
+    # the coset steps must give what the plain walk does
     groups = [build_group(spec) for spec in catalog(weights=("counting",))]
     assert {"Z2xS4", "Q8xQ8"} <= {g.name for g in groups}
     for group in groups:
@@ -266,6 +268,7 @@ def test_lattice_lists_subgroups_in_canonical_order():
         assert subs == sorted(subs, key=lambda s: (len(s), sorted(s))), group.name
         normal = [s.elements for s in normal_subgroups(group)]
         assert normal == [s for s in subs if is_normal(group, s)], group.name
+        assert (subs, normal) == walked_lattice(group), group.name
 
 
 def test_lattice_on_the_op_path_matches_the_table_path(monkeypatch):
@@ -273,18 +276,23 @@ def test_lattice_on_the_op_path_matches_the_table_path(monkeypatch):
         {"type": "dihedral", "n": 4},
         {"type": "table", "table": quaternion_group().table, "name": "Q8"},
         {"type": "product", "factors": [{"type": "symmetric", "n": 3}, {"type": "cyclic", "n": 2}]},
+        {"type": "symmetric", "n": 4},
+        {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "product", "factors": [
+            {"type": "cyclic", "n": 2}, {"type": "symmetric", "n": 3}]}]},
     ]
 
     def lattices() -> list:
         groups = [build_group(spec) for spec in specs]
-        return [(_subgroup_lattice(g)[0], [s.elements for s in normal_subgroups(g)]) for g in groups]
+        out = [(_subgroup_lattice(g)[0], [s.elements for s in normal_subgroups(g)]) for g in groups]
+        assert out == [walked_lattice(g) for g in groups]  # the coset steps give what the walk does
+        return out
 
     on_tables = lattices()
     with monkeypatch.context() as patch:
         patch.setattr(WeightedGroup, "law", property(OpLaw))
-        assert isinstance(build_group(specs[2]).law, OpLaw)
+        assert all(isinstance(build_group(spec).law, OpLaw) for spec in specs)
         on_op = lattices()
-    assert [len(subs) for subs, _ in on_tables] == [10, 6, 16]
+    assert [len(subs) for subs, _ in on_tables] == [10, 6, 16, 30, 54]
     assert on_op == on_tables
 
 
