@@ -37,6 +37,10 @@ from .rationals import put
 from .sets import GSubset, decode_subset
 
 MATERIALIZE_CAP = 200_000
+# the block product multiplies (2N+1)^2 pairs of matrices with 2^N entries, and
+# the Cantor cover ORs m-bit masks: with both at their caps, 1.4 s and 106 MB
+MAX_BLOCK_PAIRS = 2**16
+MAX_MASK_BITS = 2**26
 
 _GL2Z = MatrixGroup()
 
@@ -65,8 +69,9 @@ def matrix_family(n: int) -> MatrixFamily:
 def _cantor_radix(m: int) -> int:
     """Radix r for C = {-r..r} u rZ_m: sqrt(m) for squares, else the divisor
     of m minimizing |C| = 2r + m/r - 2 (ties to the smaller r).  Errors are
-    SpecErrors at "/m"."""
-    integer(m, "/m", least=4)
+    SpecErrors at "/m", an m above MAX_MASK_BITS too."""
+    if integer(m, "/m", least=4) > MAX_MASK_BITS:
+        raise SpecError("/m", f"the Cantor cover needs {m}-bit masks, above the cap {MAX_MASK_BITS}")
     root = isqrt(m)
     if root * root == m:
         return root
@@ -304,11 +309,12 @@ def build_sharpness_instance(n: int, h: int, m: int) -> SharpnessInstance:
     """Assemble the witness and compute every measure exactly.
 
     Requires integers n >= 1, h >= 2, and m admitting a Cantor analog;
-    otherwise raises SpecError at "/N", "/h" or "/m".  Product sets never
-    touch more than the (2N+1)^2 reachable matrices, so h and m only enter
-    through exact counts.
+    otherwise raises SpecError at "/N", "/h" or "/m", as it does above
+    MAX_BLOCK_PAIRS or MAX_MASK_BITS.  Product sets never touch more than the
+    (2N+1)^2 reachable matrices, so h and m only enter through exact counts.
     """
-    integer(n, "/N", least=1)
+    if (pairs := (2 * integer(n, "/N", least=1) + 1) ** 2) > MAX_BLOCK_PAIRS:
+        raise SpecError("/N", f"the block product forms (2N+1)^2 = {pairs} pairs, above the cap {MAX_BLOCK_PAIRS}")
     integer(h, "/h", least=2)
     cache: dict = {}
     r, cantor = _cantor(m, cache)

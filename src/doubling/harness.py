@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import combinations
 from math import comb
-from random import Random
 
 from .context import InstanceContext, SubsetContext, points
 from .errors import CapError, ConsistencyError, SpecError, integer, known_keys
@@ -29,7 +28,7 @@ from .extract import certify
 from .fibers import check_containment, check_layer_cake, check_spillover
 from .groups import WeightedGroup, _resolve_weight, build_group, quaternion_table
 from .metrics import DiffSizes, check_quotient_bound, ruzsa_axioms, stats_of
-from .quotients import QuotientStructure, normal_subgroups, quotient, quotient_from_description
+from .quotients import QuotientStructure, _quotient_by, normal_subgroups, quotient_from_description
 from .rationals import fmt, parse, put
 from .sets import GSubset, decode_nonempty
 
@@ -381,14 +380,17 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
     place.  An exhaustive scan builds a group's subset layers once, for all
     its normal subgroups; a random scan samples a fresh layer per instance.
     Groups of one `_unweighted` spec share a lattice.  A normal subgroup's
-    quotient is built from its `GSubset` by its first instance's evaluation,
-    not here, and shared by the rest, and so is its results table (see
-    `_table_key`, keyed on counts alone under H = {e}): None where it has a
-    single instance.  An id is pieced together from its alphas, group and
+    quotient (`_quotient_by`: the lattice tested H) is built by its first
+    instance's evaluation, not here, and shared by the rest, as is its results
+    table (see `_table_key`, keyed on counts alone under H = {e}): None where
+    it has one instance.  An id is pieced together from its alphas, group and
     subgroup, each rendered once, and its layer's `_id_tail`, which an
     exhaustive scan's subgroups share; each element's text is rendered once."""
     mode = config.subset_mode
-    rng = Random(mode["seed"]) if mode["kind"] == "random" else None
+    rng = None
+    if mode["kind"] == "random":
+        from random import Random  # imported here: commands that never sample skip it
+        rng = Random(mode["seed"])
     alphas = list(zip(map(fmt, config.alphas), config.alphas))
     # sorted keys order an id: alphas, group, subgroup, subset(_b, _c), suites, translate
     head = '{"alphas":' + canonical_json([a for a, _ in alphas]) + "," if "extract" in config.suites else "{"
@@ -420,7 +422,8 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
                 tails = [_id_tail(shared, suites, text) for shared in layers]
             ids.extend(prefix + tail for tail in tails)
             if built is not None:
-                make_quotient = cache(partial(quotient, group, sub, config.subgroup_weight))
+                w_h = _resolve_weight(config.subgroup_weight, len(sub.elements))
+                make_quotient = cache(partial(_quotient_by, group, sub, w_h))
                 table = _ResultsTable() if len(layers) > 1 else None
                 built.extend((shared, make_quotient, config.suites, alphas, table) for shared in layers)
     return ids

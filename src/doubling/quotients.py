@@ -7,10 +7,10 @@ table; a projection quotient of a product group drops coordinates and works
 for lazy ambient groups as long as the dropped factors are finite.
 Subgroups are found on the points of `group.law`, table indices up to
 TABLE_CAP: `closure` and `_generators` walk them with `groups._grow`, the
-lattice a right coset at a time, and `quotient` walks the cosets once
-(`_cosets`), checking normality on the generators that walk picked and forming
-gH alone; through its coset map, G's rows give the quotient's table, which
-nothing checks again.  A scan asks for a lattice once per group structure.
+lattice a right coset at a time.  Normality has one test, `_conjugates_into`:
+the lattice's, on G's generators, and `quotient`'s, on its coset
+representatives.  A scan asks for one lattice per group structure and builds
+its subgroups' quotients with `_quotient_by` alone, untested again.
 """
 
 from __future__ import annotations
@@ -46,25 +46,26 @@ def _generators(law, h: set) -> list | None:
     return gens if law.identity in h and _grow(law, {law.identity}, gens, h, h) else None
 
 
-def _cosets(law, h: set, gens: list, order: int) -> tuple[dict, list] | None:
+def _cosets(law, h: set, order: int) -> tuple[dict, list]:
     """(point -> coset index, representatives) of the left cosets gH of the
-    subgroup H = <gens> in a group of `order` elements, numbered in order of
-    first appearance along the canonical enumeration; None at the first
-    representative r with rHr^-1 != H, which holds iff r gens r^-1 lies in H;
-    g = rh gives gHg^-1 = rHr^-1, so one r per coset is checked, and gH alone
-    is formed.  The walk stops when the cosets cover the group."""
+    subgroup H in a group of `order` elements, by first appearance in the
+    canonical enumeration; each gH is formed once, until they cover the group."""
     coset_of: dict = {}
     reps: list = []
     for g in law.all_points():
         if g in coset_of:
             continue
-        if not law.product(law.product([g], gens), list(law.inverse([g]))) <= h:
-            return None
         coset_of.update(dict.fromkeys(law.product([g], h), len(reps)))
         reps.append(g)
         if len(coset_of) == order:
             break
     return coset_of, reps
+
+
+def _conjugates_into(law, h: set, h_gens: list, g_gens: Iterable) -> bool:
+    """Is g x g^-1 in H for every g in `g_gens` and x in `h_gens`: for finite
+    H = <h_gens> and G = <H, g_gens>, is H normal in G?"""
+    return all(law.product(law.product([g], h_gens), list(law.inverse([g]))) <= h for g in g_gens)
 
 
 def _subgroup_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
@@ -106,12 +107,8 @@ def _subgroup_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[froze
     # points follow the canonical enumeration, so they sort as the handles do
     subs = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
     handles = [law.handles(s) for s in subs]
-    # H is normal iff generators of G conjugate generators of H into H
-    outer = [(g, list(law.inverse([g]))) for g in gens_of[max(gens_of, key=len)]]
-    return handles, [
-        h for s, h in zip(subs, handles)
-        if all(law.product(law.product([g], gens_of[s]), ginv) <= s for g, ginv in outer)
-    ]
+    outer = gens_of[subs[-1]]  # G's generators
+    return handles, [h for s, h in zip(subs, handles) if _conjugates_into(law, s, gens_of[s], outer)]
 
 
 def normal_subgroups(group: WeightedGroup) -> list[GSubset]:
@@ -175,8 +172,7 @@ def quotient(
         require_owner(sub, group)
     h_subset = GSubset(group, sub.elements) if isinstance(sub, GSubset) else subset(group, sub)
     h_elems = h_subset.elements
-    # the quotient's table has at most TABLE_CAP rows; refuse more cosets
-    # before the O(|G|) normality check and coset enumeration
+    # the quotient's table has at most TABLE_CAP rows: refuse more cosets before walking them
     if h_elems and group.order > TABLE_CAP * len(h_elems):
         raise CapError(
             f"quotient index |G|/|H| = {group.order}/{len(h_elems)} is above the cap {TABLE_CAP}"
@@ -187,12 +183,17 @@ def quotient(
     if gens is None:
         raise SpecError("/elements", "not a subgroup: missing identity or not closed under the operation")
     w_h = _resolve_weight(subgroup_weight, len(h_elems))
-    cosets = _cosets(law, h, gens, group.order)
-    if cosets is None:
+    cosets = _cosets(law, h, group.order)
+    if not _conjugates_into(law, h, gens, cosets[1]):  # H and the representatives generate G
         raise SpecError("/elements", "subgroup is not normal in the ambient group")
+    return _quotient_by(group, h_subset, w_h, cosets)
 
-    # cosets numbered by first appearance; the coset of e is the identity
-    coset_of, reps = cosets
+
+def _quotient_by(group: WeightedGroup, h_subset: GSubset, w_h: Fraction, cosets=None) -> QuotientStructure:
+    """G/H for H known normal: from `normal_subgroups`, or checked by `quotient`
+    on its walk `cosets` (else walked here).  The coset of e is the identity."""
+    law = group.law
+    coset_of, reps = cosets or _cosets(law, set(law.points(h_subset.elements)), group.order)
     if isinstance(law, CayleyTable):  # row r of the quotient reads G's row r through the coset map
         rows = [[coset_of[row[s]] for s in reps] for row in map(law.rows.__getitem__, reps)]
     else:
@@ -201,7 +202,7 @@ def quotient(
     # where the points are the handles, the coset map is the projection
     elements = law.elements if isinstance(law, CayleyTable) else None
     proj = coset_of if elements is None else {elements[p]: c for p, c in coset_of.items()}
-    qgroup = TableGroup(table, weight=group.weight / w_h, name=f"{group.name}/H{len(h_elems)}")
+    qgroup = TableGroup(table, weight=group.weight / w_h, name=f"{group.name}/H{len(h_subset.elements)}")
     return QuotientStructure(group, h_subset, qgroup, proj.__getitem__, w_h)
 
 

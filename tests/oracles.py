@@ -18,7 +18,7 @@ from doubling.constructions import _GL2Z, _cantor, matrix_family
 from doubling.errors import ConsistencyError
 from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, _grow, quaternion_table
 from doubling.harness import ScanConfig, _group, canonical_json
-from doubling.quotients import QuotientStructure, _cosets, _generators, normal_subgroups
+from doubling.quotients import QuotientStructure, _generators, normal_subgroups
 from doubling.rationals import fmt, put
 from doubling.sets import GSubset, inv_set, mul_set
 
@@ -48,12 +48,14 @@ def is_subgroup(group: WeightedGroup, elems: frozenset) -> bool:
 
 
 def is_normal(group: WeightedGroup, elems: frozenset) -> bool:
-    """Is the subgroup `elems` normal: gH = Hg for every g?"""
+    """Is the subgroup `elems` normal: gH = Hg for every g?  Both sides formed
+    in full for every element of G, independent of the generator test
+    (`quotients._conjugates_into`) that the package runs."""
     if group.order is None:
         raise ValueError("normality check needs a finite ambient group")
     law = group.law
-    h = set(law.points(elems))
-    return _cosets(law, h, _generators(law, h), group.order) is not None
+    h = law.points(elems)
+    return all(law.product([g], h) == law.product(h, [g]) for g in law.all_points())
 
 
 def walked_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:

@@ -361,6 +361,21 @@ def test_replay_refuses_an_id_past_the_pair_cap_before_it_starts(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("n, m, expected", [
+    # over 150 s without the cap: (2N+1)^2 products of matrices with 2^N entries
+    (1000, 1_000_000, "error: --N: the block product forms (2N+1)^2 = 4004001 pairs, above the cap 65536"),
+    # a 1.25 GB mask, and more besides
+    (8, 10_000_000_000, "error: --m: the Cantor cover needs 10000000000-bit masks, above the cap 67108864"),
+])
+def test_construct_refuses_a_witness_past_its_caps_before_it_starts(n, m, expected):
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "doubling.cli", "construct", "--N", str(n), "--h", "1000",
+                          "--m", str(m), "--out", os.devnull], env=env, capture_output=True, text=True, timeout=2)
+    assert out.returncode == 1
+    assert expected in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 C5000_C2 = {"type": "product", "factors": [{"type": "cyclic", "n": 5000}, {"type": "cyclic", "n": 2}]}
 Z_GL2Z = {"type": "product", "factors": [{"type": "cyclic", "n": 3}, {"type": "gl2z"}]}
 

@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -140,6 +143,37 @@ def test_exact_closed_forms():
     # the squared-set correction comes only from the h factor
     assert inst.mu_A2 == 5 + Fraction(4 * 3, 1000)
     assert inst.mu_piA2 == 17
+
+
+def _benchmark_inputs(monkeypatch) -> list[tuple]:
+    """The (N, h, m) that the benchmark builds: its sweep and its witness."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return [*module.SWEEP, module.WITNESS]
+
+
+def test_the_caps_admit_the_benchmark_and_the_documented_witnesses(monkeypatch):
+    # the benchmark's inputs, the golden construct and the README's example
+    for n, h, m in {*_benchmark_inputs(monkeypatch), (2, 1000, 62_500), (8, 1000, 1_000_000)}:
+        assert build_sharpness_instance(n, h, m).quotient_doubling < 4 * n * n + 1
+    assert (2 * 127 + 1) ** 2 <= constructions.MAX_BLOCK_PAIRS < (2 * 128 + 1) ** 2
+    assert _cantor_radix(constructions.MAX_MASK_BITS) == 2**13
+
+
+@pytest.mark.parametrize("n, h, m, path", [
+    (128, 1000, 25, "/N"),
+    (128, 1, 2**40, "/N"),  # N is read first
+    (2, 4, 2**26 + 2, "/m"),
+    (2, 4, 10**10, "/m"),
+])
+def test_the_caps_refuse_before_anything_is_built(monkeypatch, n, h, m, path):
+    monkeypatch.setattr(constructions, "_sumset_mod", None)  # never reached
+    with pytest.raises(SpecError, match="above the cap") as err:
+        build_sharpness_instance(n, h, m)
+    assert err.value.path == path
 
 
 def test_quotient_ratio_monotone_in_m():

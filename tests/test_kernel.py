@@ -304,22 +304,59 @@ def test_the_coset_walk_stopping_at_cover_matches_the_full_walk(group, sub):
 
 
 def test_the_coset_walk_forms_left_cosets_alone(monkeypatch):
-    """Per coset, |H| products form gH and two per generator of H conjugate
-    it by the representative: about half the 2 |H| of comparing gH with Hg."""
+    """Per coset, |H| products form gH, and the normality test conjugates the
+    generators of H by its representative, two products each: about half the
+    2 |H| of comparing gH with Hg."""
     group, sub = CyclicGroup(4096), frozenset(range(0, 4096, 64))
-    calls, gens, walk, op = [], [], quotients._cosets, CyclicGroup.op
+    calls, seen, op = [], [], CyclicGroup.op
 
-    def counted(law, h, generators, order):
-        gens.extend(generators)
-        with monkeypatch.context() as patch:
-            patch.setattr(CyclicGroup, "op", lambda self, x, y: calls.append(1) or op(self, x, y))
-            return walk(law, h, generators, order)
+    def counted(walk):
+        def wrapped(*args):
+            seen.append(args)
+            with monkeypatch.context() as patch:
+                patch.setattr(CyclicGroup, "op", lambda self, x, y: calls.append(1) or op(self, x, y))
+                return walk(*args)
+        return wrapped
 
-    monkeypatch.setattr(quotients, "_cosets", counted)
+    for name in ("_cosets", "_conjugates_into"):
+        monkeypatch.setattr(quotients, name, counted(getattr(quotients, name)))
     quotient(group, sub)
-    # the generators `_grow` picked: at most log2 |H| = 6 of them
+    # the walk, then the test on the generators `_grow` picked (at most
+    # log2 |H| = 6 of them) and the 64 representatives the walk chose
+    (_, h, _), (_, _, gens, reps) = seen
+    assert len(h) == 64 and len(reps) == 64
     assert 1 <= len(gens) <= 6 and set(gens) <= sub
     assert len(calls) == 64 * (64 + 2 * len(gens)) <= 64 * (64 + 12)
+
+
+def test_a_scan_tests_normality_once_per_lattice_subgroup_and_replay_again(monkeypatch):
+    # the lattice tests each of its subgroups once; a scan builds the quotients
+    # of the normal ones with neither the subgroup walk nor a second test,
+    # while a replayed id's subgroup comes from outside and is checked in full
+    config = ScanConfig(SUITE_GROUPS, {"kind": "random", "count": 2, "seed": 5})
+    subgroups = sum(len(_subgroup_lattice(build_group(spec))[0]) for spec in config.groups)
+    calls = {"_generators": 0, "_conjugates_into": 0}
+
+    def counted(name, original):
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(quotients, name, counted(name, getattr(quotients, name)))
+    _clear_caches()
+    try:
+        ids = iter_instance_specs(config)
+        report = harness.scan(config)
+        assert report["aggregate"]["instances"] == len(ids) > 0
+        # one lattice per group for the ids, and one for the scan
+        assert calls == {"_generators": 0, "_conjugates_into": 2 * subgroups}
+        calls.update(dict.fromkeys(calls, 0))
+        evaluate_instance(ids[-1])
+        assert calls["_generators"] >= 1 and calls["_conjugates_into"] == 1
+    finally:
+        _clear_caches()
 
 
 # -- every suite, table path against op path --------------------------------------

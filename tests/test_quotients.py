@@ -25,8 +25,8 @@ from doubling import (
     quotient,
     subset,
 )
-from doubling import groups
-from doubling.groups import CayleyTable, OpLaw, WeightedGroup, quaternion_table
+from doubling import ScanConfig, groups, harness
+from doubling.groups import TABLE_CAP, CayleyTable, OpLaw, WeightedGroup, quaternion_table
 from doubling.errors import SpecError
 from doubling.quotients import _subgroup_lattice, closure, quotient_from_description
 from oracles import is_normal, is_subgroup, quaternion_group, searched_identity_and_inverses, walked_lattice
@@ -263,12 +263,33 @@ def test_lattice_lists_subgroups_in_canonical_order():
     # the coset steps must give what the plain walk does
     groups = [build_group(spec) for spec in catalog(weights=("counting",))]
     assert {"Z2xS4", "Q8xQ8"} <= {g.name for g in groups}
+    assert max(g.order for g in groups) == TABLE_CAP
     for group in groups:
-        subs = _subgroup_lattice(group)[0]
+        subs, normal = _subgroup_lattice(group)
         assert subs == sorted(subs, key=lambda s: (len(s), sorted(s))), group.name
-        normal = [s.elements for s in normal_subgroups(group)]
+        # the generator test against gH = Hg formed in full
         assert normal == [s for s in subs if is_normal(group, s)], group.name
+        assert normal == [s.elements for s in normal_subgroups(group)]
         assert (subs, normal) == walked_lattice(group), group.name
+
+
+@pytest.mark.parametrize("weight", ["counting", "normalized"])
+def test_a_scan_builds_the_quotient_that_quotient_checks_and_builds(weight):
+    # a scan builds each lattice subgroup's quotient with no second normality
+    # test; `quotient` tests the same subgroup and must build the same thing
+    config = ScanConfig(catalog(), {"kind": "random", "count": 1, "seed": 0}, subgroup_weight=weight)
+    built: list = []
+    harness.iter_instance_specs(config, built)
+    assert len(built) > 1000
+    for _, make_quotient, *_ in built:
+        scanned = make_quotient()
+        group, sub = scanned.ambient, scanned.subgroup
+        checked = quotient(group, sub.elements, weight)
+        assert {x: scanned.project(x) for x in group.elements()} == {x: checked.project(x) for x in group.elements()}
+        assert scanned.quotient.table == checked.quotient.table
+        assert scanned.quotient.name == checked.quotient.name
+        assert (scanned.subgroup_weight, scanned.quotient_weight) == (checked.subgroup_weight, checked.quotient_weight)
+        assert (scanned.subgroup.owner, scanned.subgroup.elements) == (group, checked.subgroup.elements)
 
 
 def test_lattice_on_the_op_path_matches_the_table_path(monkeypatch):

@@ -50,11 +50,11 @@ def test_sumset_counter_hook_keeps_its_signature_and_cache_key():
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
-def _modules_after(statement: str) -> list[set]:
-    """sys.modules of a fresh interpreter before and after `statement`."""
+def _modules_after(statement: str, *flags: str) -> list[set]:
+    """sys.modules of a fresh interpreter, started with `flags`, before and after `statement`."""
     code = f"import sys; a = set(sys.modules); {statement}; print(' '.join(a)); print(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
     return [set(line.split()) for line in out.stdout.splitlines()]
 
 
@@ -66,6 +66,12 @@ def test_import_doubling_imports_every_traced_layer():
     # and the entry point's import graph stays light
     before, after = _modules_after("import doubling.cli")
     assert not (after - before) & HEAVY_MODULES
+    # only a random scan imports `random`; under -S, as perfbench launches,
+    # since `site` may load it before any statement runs
+    assert "random" not in _modules_after("import doubling.cli", "-S")[1]
+    assert "random" in _modules_after("from doubling import ScanConfig, scan; "
+                                      "scan(ScanConfig(['cyclic:4'], {'kind': 'random', 'count': 1, 'seed': 1}))",
+                                      "-S")[1]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
