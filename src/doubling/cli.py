@@ -212,6 +212,28 @@ def _save(path: str, write) -> None:
         raise
 
 
+_AT_FLAGS = ("--group", "--subgroup", "--subset", "--id")  # naming a file as @file
+_WRITTEN = ("--emit", "--csv", "--out")  # in the order a command writes them
+
+
+def _check_distinct_files(args) -> None:
+    """Refuse, before any work, a regular file that a command writes and that
+    another of its paths names too, as resolved by `os.path.realpath`: a
+    SpecError names the later flag.  A special file such as /dev/null may be
+    named twice, as `_save` writes it in place."""
+    named: dict = {}  # resolved path -> the first flag naming it
+    for flag in ("--config", "--instance", "--expect", *_AT_FLAGS, *_WRITTEN):
+        path = getattr(args, flag[2:], None)
+        if flag in _AT_FLAGS:
+            path = path[1:] if path and path.startswith("@") else None
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in named and flag in _WRITTEN and (os.path.isfile(real) or not os.path.exists(real)):
+            raise SpecError(flag, f"{path!r} names the same file as {named[real]}")
+        named.setdefault(real, flag)
+
+
 def _emit(doc: dict, out: str | None) -> None:
     """Write doc as indented JSON and a newline to the file `out`, or stream
     it to stdout."""
@@ -367,7 +389,8 @@ def _cmd_construct(args) -> int:
         raise SpecError("--materialize-cap", f"expected an integer >= 0, got {args.materialize_cap}")
     flags = {"/N": "--N", "/h": "--h", "/m": "--m"}
     inst = _flagged(flags, build_sharpness_instance, args.N, args.h, args.m)
-    doc = inst.to_json(materialize_cap=args.materialize_cap)
+    # the element list is written only to --emit: a cap of -1 builds none
+    doc = inst.to_json(materialize_cap=args.materialize_cap if args.emit else -1)
     keys = ("params", "targets", "measures", "doubling", "quotient_doubling",
             "quotient_doubling_dec")
     report = {"kind": "sharpness-report", **{k: doc[k] for k in keys}}
@@ -471,6 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         # theorem violations, so remap usage problems to 1
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_distinct_files(args)
         return _HANDLERS[args.command](args)
     except (OSError, ValueError) as exc:  # SpecError, CapError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)

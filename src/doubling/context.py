@@ -27,26 +27,41 @@ class once(cached_property):
         return value
 
 
+class Memo(dict):
+    """form(*key) by key: each value is formed at its first lookup and kept."""
+
+    __slots__ = ("form",)  # no instance dict: a scan holds one memo per subset layer
+
+    def __init__(self, form) -> None:  # empty, as `dict.__new__` made it
+        self.form = form
+
+    def __missing__(self, key: tuple):
+        value = self[key] = self.form(*key)
+        return value
+
+
 def points(x: GSubset) -> frozenset:
     """X's elements as points of its group's law."""
     return frozenset(x.owner.law.points(x.elements))
 
 
+def _mul(x_owner, x: frozenset, y_owner, y: frozenset) -> GSubset:
+    return mul_set(GSubset(x_owner, x), GSubset(y_owner, y))
+
+
 class SubsetContext:
     """A with optional partners B and C and translators (g, h), in one group.
 
-    Product sets are memoized by their operands' elements; `symmetric`,
+    Product sets are memoized by their operands' groups and elements; `symmetric`,
     `square` and `inv_square` are the `DoublingStats` counts, and `ruzsa`
     holds the ruzsa-axioms (record, violations) once that suite ran."""
 
     def __init__(self, a: GSubset, b: GSubset | None = None, c: GSubset | None = None, translators=None):
-        self.a, self.b, self.c, self.translators, self.ruzsa, self._products = a, b, c, translators, None, {}
+        self.a, self.b, self.c, self.translators, self.ruzsa = a, b, c, translators, None
+        self._products = Memo(_mul)
 
     def mul(self, x: GSubset, y: GSubset) -> GSubset:
-        out = self._products.get((x.elements, y.elements))
-        if out is None:
-            out = self._products[x.elements, y.elements] = mul_set(x, y)
-        return out
+        return self._products[x.owner, x.elements, y.owner, y.elements]
 
     @once
     def inverse(self) -> GSubset:
@@ -81,24 +96,19 @@ class InstanceContext:
 
     def __init__(self, a: GSubset | SubsetContext, q: QuotientStructure, b: GSubset | None = None) -> None:
         self.shared = a if isinstance(a, SubsetContext) else SubsetContext(a, b)
-        self.a, self.q, self.law, self._products = self.shared.a, q, q.quotient.law, {}
+        self.a, self.q, self.law = self.shared.a, q, q.quotient.law
         self.b = self.a if self.shared.b is None else self.shared.b
         require_owner(self.a, q.ambient)
+        self.product = Memo(self.law.product)
         self.levels_a = _levels(self.fibers(self.a))
         self.pi_a = self.levels_a[0][1] if self.levels_a else frozenset()
-        self.pi_square = len(self.product(self.pi_a, self.pi_a))
+        self.pi_square = len(self.product[self.pi_a, self.pi_a])
 
     def fibers(self, x: GSubset) -> dict:
         """Coset -> |X meet coset| over the cosets X meets."""
         out: dict = {}
         for c in self.law.points(map(self.q.project, x.elements)):
             out[c] = out.get(c, 0) + 1
-        return out
-
-    def product(self, x: frozenset, y: frozenset) -> set:
-        out = self._products.get((x, y))
-        if out is None:
-            out = self._products[x, y] = self.law.product(x, y)
         return out
 
     @once
@@ -110,10 +120,10 @@ class InstanceContext:
         """(n, pi(A) L, L pi(A)) per level (n, L) of B: what spillover and containment read."""
         pi_a, product = self.pi_a, self.product
         levels = self.levels_a if self.b is self.a else _levels(self.fibers(self.b))
-        return [(n, product(pi_a, level), product(level, pi_a)) for n, level, _ in levels]
+        return [(n, product[pi_a, level], product[level, pi_a]) for n, level, _ in levels]
 
     @once
     def thresholds(self) -> list[tuple[int, frozenset, int, int, int]]:
         """(n, level L, |L|, |L L|, |B_n|) per level of A, B_n being A meet
         the preimage of L: with |A| and |A^2|, all that extraction reads."""
-        return [(n, lv, len(lv), len(self.product(lv, lv)), held) for n, lv, held in self.levels_a]
+        return [(n, lv, len(lv), len(self.product[lv, lv]), held) for n, lv, held in self.levels_a]

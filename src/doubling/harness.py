@@ -263,8 +263,8 @@ class ScanConfig:
 
     The constructor checks every field, a random `count` against MAX_SUBSETS
     too, and raises a SpecError naming the JSON path of the first bad one; it
-    normalizes `groups` to specs, `suites` to their canonical order and
-    `alphas` to Fractions."""
+    normalizes `groups` to specs, none repeated, `suites` to their canonical
+    order and `alphas` to Fractions."""
 
     FIELDS = ("groups", "subset_mode", "suites", "subgroups", "subgroup_weight",
               "alphas", "emit_instances", "parallelism")
@@ -283,7 +283,11 @@ class ScanConfig:
     ) -> None:
         if not isinstance(groups, (list, tuple)):
             raise SpecError("/groups", "expected a list of group specs or selectors")
-        self.groups = [parse_group_selector(g, f"/groups/{i}") for i, g in enumerate(groups)]
+        self.groups, first = [], {}  # first: canonical spec -> its index
+        for i, g in enumerate(groups):
+            self.groups.append(spec := parse_group_selector(g, f"/groups/{i}"))
+            if first.setdefault(text := canonical_json(spec), i) != i:
+                raise SpecError(f"/groups/{i}", f"repeats the group at /groups/{first[text]}")
         self.suites = tuple(s for s in ALL_SUITES if s in _check_suites(suites))
         if subgroups not in ("all", "proper"):
             raise SpecError("/subgroups", f'expected "all" or "proper", got {subgroups!r}')
@@ -516,17 +520,12 @@ def _group_at(spec_json: str, path: str) -> WeightedGroup:
         raise exc.under(path) from None
 
 
-@lru_cache(maxsize=256)
-def _quotient(group_json: str, desc_json: str) -> QuotientStructure:
-    return quotient_from_description(_group(group_json), json.loads(desc_json), "/subgroup")
-
-
 _ID_KEYS = {"group", "subgroup", "subset", "subset_b", "subset_c", "suites", "alphas", "translate"}
 
 
 def _load_id(instance_id: str) -> tuple:
     """Parse and check an instance id; returns what `evaluate_instance` reads:
-    (a fresh subset layer, quotient maker, suites, alphas, no results table)."""
+    (a fresh subset layer, a maker of the quotient built here, suites, alphas, no results table)."""
     try:
         spec = json.loads(instance_id)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
@@ -547,16 +546,14 @@ def _load_id(instance_id: str) -> tuple:
     translate = spec.get("translate")
     if "translate" in spec and not (isinstance(translate, list) and len(translate) == 2):
         raise SpecError("/translate", "expected exactly two group elements [g, h]")
-    group_json, subgroup_json = canonical_json(spec["group"]), canonical_json(spec["subgroup"])
-    group = _group_at(group_json, "/group")
-    _quotient(group_json, subgroup_json)  # the subgroup is checked before the subsets
+    group = _group_at(canonical_json(spec["group"]), "/group")
+    q = quotient_from_description(group, spec["subgroup"], "/subgroup")  # checked before the subsets
     a, b, c = (decode_nonempty(group, spec[key], f"/{key}") if key in spec else None
                for key in ("subset", "subset_b", "subset_c"))
     translators = None if translate is None else tuple(
         group.decode_element(v, f"/translate/{i}") for i, v in enumerate(translate))
     _check_pairs(group.order, a, b, c, suites)
-    make_quotient = partial(_quotient, group_json, subgroup_json)
-    return SubsetContext(a, b, c, translators), make_quotient, suites, alphas, None
+    return SubsetContext(a, b, c, translators), lambda: q, suites, alphas, None
 
 
 def _check_pairs(order: int | None, a: GSubset, b: GSubset | None, c: GSubset | None, suites) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .context import InstanceContext, SubsetContext, points
+from .context import InstanceContext, Memo, SubsetContext, points
 from .quotients import QuotientStructure
 from .rationals import put
 from .sets import GSubset, require_owner
@@ -61,16 +61,12 @@ class RuzsaSq(namedtuple("RuzsaSq", "value")):
     __slots__ = ()
 
 
-class DiffSizes(dict):
+class DiffSizes(Memo):
     """|X Y^-1| by (X, Y), for point sets of `law`: each formed at its first lookup."""
 
     def __init__(self, law) -> None:
-        super().__init__()
+        super().__init__(lambda x, y: len(law.product(x, law.inverse(y))))
         self.law = law
-
-    def __missing__(self, key: tuple) -> int:
-        n = self[key] = len(self.law.product(key[0], self.law.inverse(key[1])))
-        return n
 
 
 def ruzsa_sq(a: GSubset, b: GSubset) -> RuzsaSq:

@@ -19,6 +19,7 @@ human reading and CSV export; nothing ever parses them back.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -33,17 +34,15 @@ def fmt(num: Fraction | int, den: int = 1) -> str:
 
 
 def parse(value: str | int | Fraction) -> Fraction:
-    """Parse "p/q" or "p" (also accepts ints and Fractions unchanged)."""
+    """Parse "p/q" or "p", as an optional "-", ASCII digits and an optional "/"
+    and ASCII digits, and nothing else (also accepts ints and Fractions unchanged)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        parts = value.split("/")
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            return Fraction(int(parts[0]), int(parts[1]))
+    if isinstance(value, str) and re.fullmatch("-?[0-9]+(/[0-9]+)?", value):
+        num, _, den = value.partition("/")
+        return Fraction(int(num), int(den or 1))
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -262,6 +262,11 @@ def test_replay_accepts_the_base_id_and_empty_suites(capsys):
         ({"subgroup": {"elements": [0, 6]}}, "/subgroup/elements/1"),
         ({"group": {"type": "product", "factors": [{"type": "cyclic", "n": 2}] * 2},
           "subgroup": {"elements": [[0, 0], [0, 2]]}, "subset": [[0, 0]]}, "/subgroup/elements/1/1"),
+        # a rational is "-"?, ASCII digits, then "/" and ASCII digits or nothing
+        ({"alphas": [" 2"]}, "/alphas/0"),
+        ({"alphas": ["2", "1_0/3"]}, "/alphas/1"),
+        ({"alphas": ["+3/2"]}, "/alphas/0"),
+        ({"alphas": ["\u0663/2"]}, "/alphas/0"),
     ],
 )
 def test_replay_rejects_malformed_ids_with_a_path(capsys, change, path):
@@ -443,6 +448,52 @@ def test_deeply_nested_input_exits_one_without_a_traceback(tmp_path, flag):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--N", "1", "--h", "3", "--m", "9", "--emit", "x.json", "--out", "x.json"],
+    ["scan", "--config", "c.json", "--out", "c.json"],
+    ["extract", "--instance", "i.json", "--out", "i.json"],
+    ["scan", "--config", "c.json", "--csv", "x", "--out", "x"],
+])
+def test_a_command_never_writes_over_its_own_files(tmp_path, argv):
+    (tmp_path / "c.json").write_text(json.dumps({"groups": ["cyclic:4"], "subset_mode": {"kind": "exhaustive"}}))
+    assert main(["construct", "--N", "1", "--h", "3", "--m", "9", "--emit", str(tmp_path / "i.json"),
+                 "--out", os.devnull]) == 0
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "doubling.cli", *argv], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert f"error: --out: '{argv[-1]}' names the same file as {argv[-4]}" in out.stderr
+    assert "Traceback" not in out.stderr
+    # refused before any work: no file is written, none replaced
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_files_are_told_apart_by_their_resolved_paths(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"groups": ["cyclic:4"], "subset_mode": {"kind": "exhaustive"}}))
+    (tmp_path / "link.json").symlink_to(config)
+    code, _, err = run(capsys, "scan", "--config", str(config), "--out", str(tmp_path / "link.json"))
+    assert code == 1 and "error: --out:" in err
+    code, _, err = run(capsys, "verify", "--group", f"@{tmp_path}/./c.json", "--out", str(config))
+    assert code == 1 and "error: --out:" in err and "names the same file as --group" in err
+    # a special file may be named twice, and inputs may share a file
+    code, _, _ = run(capsys, "scan", "--config", str(config), "--csv", os.devnull, "--out", os.devnull)
+    assert code == 0
+    (tmp_path / "s.json").write_text('{"elements": [0, 2]}')
+    code, _, _ = run(capsys, "extract", "--group", "cyclic:4", "--subgroup", f"@{tmp_path}/s.json",
+                     "--subset", f"@{tmp_path}/s.json", "--out", os.devnull)
+    assert code == 0
+
+
+def test_the_benchmark_scan_lists_each_group_once():
+    from doubling.harness import ScanConfig
+
+    groups = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "scan_groups.json").read_text())
+    assert len(ScanConfig(groups, {"kind": "random", "count": 1, "seed": 0}).groups) == len(groups) == 81
+
+
 def test_products_nest_up_to_the_bound():
     assert doubling.build_group(_nested_product(32)).order == 2
     with pytest.raises(doubling.SpecError, match="products nest at most 32 deep") as err:
@@ -511,6 +562,11 @@ def test_the_worker_count_is_j_then_doubling_jobs_then_the_config(tmp_path, caps
         ({"alphas": []}, "/alphas"),
         ({"groups": [5]}, "/groups/0"),
         ({"groups": ["gl2z"]}, "/groups/0"),
+        # a group listed twice, as written or once normalized from its selector
+        ({"groups": ["cyclic:4", "cyclic:4"]}, "/groups/1"),
+        ({"groups": ["cyclic:4", "q8", {"type": "cyclic", "n": 4}]}, "/groups/2"),
+        ({"alphas": [" 2"]}, "/alphas/0"),
+        ({"alphas": ["2", "+3/2"]}, "/alphas/1"),
     ],
 )
 def test_scan_rejects_malformed_configs_with_a_path(tmp_path, capsys, change, path):
@@ -647,6 +703,12 @@ def _replay_id(**change):
          "error: /subgroup: quotient index |G|/|H| = 1000/1 is above the cap 64"),
         (["extract", "--alpha", "2", "--group", "cyclic:1000", "--subgroup", '{"elements": [0]}',
           "--subset", '{"elements": [0]}'], "error: /subgroup: quotient index |G|/|H| = 1000/1 is above the cap 64"),
+        # a rational is "-"?, ASCII digits, then "/" and ASCII digits or nothing
+        (["verify", "--group", "dihedral:3", "--alphas", "3/2, 2"], "--alphas"),
+        (["extract", "--alpha", " 2", *EXTRACT_C4], "--alpha"),
+        (["extract", "--alpha", "1_0/3", *EXTRACT_C4], "--alpha"),
+        (["extract", "--alpha", "+3/2", *EXTRACT_C4], "--alpha"),
+        (["extract", "--alpha", "\u0663/2", *EXTRACT_C4], "--alpha"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):

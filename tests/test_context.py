@@ -39,7 +39,7 @@ from doubling import (
     spillover_check,
     subset,
 )
-from doubling.context import InstanceContext, points
+from doubling.context import InstanceContext, Memo, points
 from doubling.groups import quaternion_table
 from doubling.harness import ALL_SUITES, _load_id, canonical_json
 from doubling.metrics import DiffSizes, ruzsa_triangle
@@ -283,6 +283,24 @@ def test_memo_keys_on_the_owner_group():
     assert len(ctx.shared.mul(a, a).elements) == 5
     assert ctx.pi_square == 3
     assert len(ctx.shared.mul(a, a).elements) == 5
+
+
+def test_a_memo_forms_each_value_once():
+    formed = []
+    memo = Memo(lambda x, y: formed.append((x, y)) or x + y)
+    assert memo[1, 2] == memo[1, 2] == 3 and formed == [(1, 2)]
+    assert isinstance(DiffSizes(CyclicGroup(4).law), Memo)
+
+
+def test_a_partner_from_another_group_is_refused():
+    # the layer's memo keys on each operand's group, so mul_set still checks B's
+    q = quotient(CyclicGroup(6), {0, 3})
+    a, b = subset(q.ambient, {0, 1}), subset(CyclicGroup(7), {0, 1})
+    for check in (spillover_check, containment_check):
+        with pytest.raises(ValueError, match="different groups"):
+            check(a, b, q)
+    # one of an equal group is A's: its products are A's
+    assert spillover_check(a, subset(CyclicGroup(6), {0, 1}), q) == spillover_check(a, a, q)
 
 
 def test_fubini_mismatch_raises_consistency_error():

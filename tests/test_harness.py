@@ -375,7 +375,7 @@ ID_MODES = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    groups=st.lists(st.sampled_from(ID_GROUPS), min_size=1, max_size=2),
+    groups=st.lists(st.sampled_from(ID_GROUPS), min_size=1, max_size=2, unique_by=canonical_json),
     mode=ID_MODES,
     suites=st.lists(st.sampled_from(ALL_SUITES), unique=True),
     alphas=st.lists(st.sampled_from(["3/2", "2", "7/3"]), min_size=1, max_size=2, unique=True),

@@ -367,7 +367,6 @@ SUITE_GROUPS = ["dihedral:4", "q8", S3_X_Z2, "symmetric:4"]
 
 def _clear_caches() -> None:
     harness._group.cache_clear()
-    harness._quotient.cache_clear()
 
 
 def _all_suite_reports() -> list[dict]:

@@ -138,7 +138,6 @@ def test_a_cli_scan_decodes_no_subgroup(tmp_path, capsys, monkeypatch):
     config.write_text(json.dumps({"groups": groups, "subset_mode": mode, "emit_instances": True}))
     calls, decode = [], quotients.decode_elements
     monkeypatch.setattr(quotients, "decode_elements", lambda *args: calls.append(args) or decode(*args))
-    harness._quotient.cache_clear()
     out = tmp_path / "out.json"
     assert main(["scan", "--config", str(config), "--out", str(out)]) == 0
     assert calls == []
