@@ -46,6 +46,8 @@ from .rationals import fmt
 from .sets import decode_subset
 
 _EXHAUSTIVE_DEFAULT_LIMIT = 12
+_MATERIALIZE_CAP = 20_000  # the default of construct --materialize-cap
+_ONE_PROCESS = "accepted as 1 only: a scan runs in one process"
 
 
 def _arg_file(path: str, flag: str) -> str:
@@ -243,25 +245,11 @@ def _emit(doc: dict, out: str | None) -> None:
         _dump(doc, sys.stdout, "\n")
 
 
-def _workers(args, configured: int = 1) -> int:
-    """The worker count of verify and scan: -j if given, else DOUBLING_JOBS if
-    set and nonempty (an integer >= 1 like -j), else `configured`, the scan
-    config's parallelism."""
-    if args.parallelism:
-        return args.parallelism
-    env = os.environ.get("DOUBLING_JOBS")
-    if not env:
-        return configured
-    try:
-        return _jobs_arg(env)
-    except argparse.ArgumentTypeError as exc:
-        raise SpecError("DOUBLING_JOBS", str(exc)) from None
-
-
-def _jobs_arg(text: str) -> int:
-    """A worker count: an integer >= 1."""
-    if not (text.isascii() and text.isdigit() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _integer_arg(text: str) -> int:
+    """An integer as written: an optional "-" and ASCII digits, nothing else."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(text)
 
 
@@ -280,20 +268,21 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--group", required=True, help='selector like "cyclic:12" or @spec.json')
     v.add_argument("--suite", default="all", help='comma list or "all"')
     v.add_argument("--subgroup-weight", default="counting", choices=["counting", "normalized"])
-    v.add_argument("--max-subset-size", type=int, default=None)
+    v.add_argument("--max-subset-size", type=_integer_arg, default=None)
     v.add_argument("--symmetric-only", action="store_true")
-    v.add_argument("--trials", type=int, help="random trials when too big to exhaust (default 200)")
-    v.add_argument("--seed", type=int, help="seed of the random trials (default 0)")
+    v.add_argument("--trials", type=_integer_arg, help="random trials when too big to exhaust (default 200)")
+    v.add_argument("--seed", type=_integer_arg, help="seed of the random trials (default 0)")
     v.add_argument("--alphas", default="3/2,2,3")
-    v.add_argument("-j", "--parallelism", type=_jobs_arg, default=None)
+    v.add_argument("-j", "--parallelism", choices=["1"], help=_ONE_PROCESS)
     _add_common(v)
 
     c = sub.add_parser("construct", help="build a sharpness witness instance")
-    c.add_argument("--N", type=int, required=True)
-    c.add_argument("--h", type=int, required=True)
-    c.add_argument("--m", type=int, required=True)
+    c.add_argument("--N", type=_integer_arg, required=True)
+    c.add_argument("--h", type=_integer_arg, required=True)
+    c.add_argument("--m", type=_integer_arg, required=True)
     c.add_argument("--emit", help="also write a loadable instance artifact here")
-    c.add_argument("--materialize-cap", type=int, default=20_000)
+    c.add_argument("--materialize-cap", type=_integer_arg,
+                   help=f"most elements --emit lists (default {_MATERIALIZE_CAP})")
     _add_common(c)
 
     e = sub.add_parser("extract", help="certified structure-set extraction")
@@ -310,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="run a configured scan over many instances")
     s.add_argument("--config", required=True, help="scan config JSON file")
     s.add_argument("--csv", help="also write a lossy CSV table here")
-    s.add_argument("-j", "--parallelism", type=_jobs_arg, default=None)
+    s.add_argument("-j", "--parallelism", choices=["1"], help=_ONE_PROCESS)
     _add_common(s)
 
     r = sub.add_parser("replay", help="recompute one instance report from its id")
@@ -366,7 +355,7 @@ def _cmd_verify(args) -> int:
     flags = {"/subset_mode/max_size": "--max-subset-size", "/subset_mode/count": "--trials", "/suites": "--suite"}
     config = _flagged(
         flags, ScanConfig, [gspec], subset_mode, suites, subgroup_weight=args.subgroup_weight,
-        alphas=_alphas_arg(args.alphas, "--alphas"), parallelism=_workers(args),
+        alphas=_alphas_arg(args.alphas, "--alphas"),
     )
     report = _flagged({"/groups/0": "/group"}, scan, config)
     _emit(report, args.out)
@@ -385,12 +374,15 @@ def _violation_status(report: dict) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.materialize_cap < 0:
-        raise SpecError("--materialize-cap", f"expected an integer >= 0, got {args.materialize_cap}")
+    if not args.emit:
+        _unused(args, ("--materialize-cap",), "without --emit")
+    cap = _MATERIALIZE_CAP if args.materialize_cap is None else args.materialize_cap
+    if cap < 0:
+        raise SpecError("--materialize-cap", f"expected an integer >= 0, got {cap}")
     flags = {"/N": "--N", "/h": "--h", "/m": "--m"}
     inst = _flagged(flags, build_sharpness_instance, args.N, args.h, args.m)
     # the element list is written only to --emit: a cap of -1 builds none
-    doc = inst.to_json(materialize_cap=args.materialize_cap if args.emit else -1)
+    doc = inst.to_json(materialize_cap=cap if args.emit else -1)
     keys = ("params", "targets", "measures", "doubling", "quotient_doubling",
             "quotient_doubling_dec")
     report = {"kind": "sharpness-report", **{k: doc[k] for k in keys}}
@@ -402,7 +394,7 @@ def _cmd_construct(args) -> int:
 
 
 def _unused(args, flags: tuple, reason: str) -> None:
-    """Reject the first of `flags` that was given, as extract would ignore it."""
+    """Reject the first of `flags` that was given, as the command would ignore it."""
     for flag in flags:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise SpecError(flag, f"not used {reason}")
@@ -452,12 +444,10 @@ def _cmd_extract(args) -> int:
 
 def _cmd_scan(args) -> int:
     config = ScanConfig.from_json(_read_json(args.config, "--config"))
-    config.parallelism = _workers(args, config.parallelism)
     if args.csv:
         config.emit_instances = True
     report = scan(config)
-    print(f"scan: {report['aggregate']['instances']} instances, "
-          f"parallelism={config.parallelism}", file=sys.stderr)
+    print(f"scan: {report['aggregate']['instances']} instances", file=sys.stderr)
     if args.csv:
         _save(args.csv, lambda fh: fh.write(report_csv(report)))
     _emit(report, args.out)

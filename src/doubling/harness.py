@@ -4,9 +4,7 @@ An instance is one replayable triple (group spec, normal subgroup, subset),
 optionally with partner subsets and translators for the pair/triple suites.
 Its id IS its spec: the canonical JSON string.  Evaluation is a pure function
 of the id, so reports replay exactly, and a scan commits to its full instance
-list before any evaluation starts; with parallelism > 1 forked workers read
-the same list by index and the pool returns the reports in order, which keeps
-every artifact byte-stable across worker counts.  A scan pays for distinct
+list before any evaluation starts.  A scan pays for distinct
 work only: ids share pre-rendered pieces, and subsets with the same fiber
 profiles under a normal subgroup share its quotient-side results; under
 H = {e}, where every fiber is 1, those with the same G-level counts do.
@@ -259,7 +257,7 @@ def parse_alphas(values) -> tuple[Fraction, ...]:
 
 
 class ScanConfig:
-    """What to scan; everything except `parallelism` defines the artifact.
+    """What to scan; every field defines the artifact.
 
     The constructor checks every field, a random `count` against MAX_SUBSETS
     too, and raises a SpecError naming the JSON path of the first bad one; it
@@ -267,7 +265,7 @@ class ScanConfig:
     order and `alphas` to Fractions."""
 
     FIELDS = ("groups", "subset_mode", "suites", "subgroups", "subgroup_weight",
-              "alphas", "emit_instances", "parallelism")
+              "alphas", "emit_instances")
     __slots__ = FIELDS
 
     def __init__(
@@ -279,7 +277,6 @@ class ScanConfig:
         subgroup_weight: str = "counting",
         alphas: tuple[Fraction, ...] = DEFAULT_ALPHAS,
         emit_instances: bool = False,
-        parallelism: int = 1,
     ) -> None:
         if not isinstance(groups, (list, tuple)):
             raise SpecError("/groups", "expected a list of group specs or selectors")
@@ -299,7 +296,6 @@ class ScanConfig:
         if not isinstance(emit_instances, bool):
             raise SpecError("/emit_instances", "expected true or false")
         self.emit_instances = emit_instances
-        self.parallelism = integer(parallelism, "/parallelism", least=1)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScanConfig":
@@ -311,8 +307,8 @@ class ScanConfig:
         return cls(**doc)
 
     def resolved(self) -> dict:
-        """Artifact-facing config; parallelism is a runtime knob, not content."""
-        out = {f: getattr(self, f) for f in self.FIELDS if f != "parallelism"}
+        """Artifact-facing config."""
+        out = {f: getattr(self, f) for f in self.FIELDS}
         out.update(suites=list(self.suites), alphas=[fmt(a) for a in self.alphas])
         return out
 
@@ -748,40 +744,21 @@ def _fold_aggregate(reports: Iterable[InstanceReport]) -> dict:
     }
 
 
-def _adopt(ids: list, built: list) -> None:
-    """Keep a parallel scan's jobs in a forked worker, which inherits them unpickled."""
-    global _JOBS
-    _JOBS = ids, built
-
-
-def _evaluate_at(i: int) -> InstanceReport:
-    ids, built = _JOBS
-    return evaluate_instance(ids[i], built[i])
-
-
 def scan(config: ScanConfig) -> dict:
     """Run every suite on every instance; aggregate deterministically.
 
     Each instance goes through the module-level `evaluate_instance`, so a
-    wrapper installed there sees every one, at any worker count.  With
-    `emit_instances`, "instances" holds the `InstanceReport`s, counts that
-    their writer renders with `to_json()`."""
+    wrapper installed there sees every one.  With `emit_instances`,
+    "instances" holds the `InstanceReport`s, counts that their writer renders
+    with `to_json()`."""
     built: list = []
     ids = iter_instance_specs(config, built)
-    workers = min(config.parallelism, len(ids))
-    if workers > 1:
-        from multiprocessing import get_context
-
-        chunk = max(1, len(ids) // (workers * 8))
-        with get_context("fork").Pool(workers, _adopt, (ids, built)) as pool:
-            reports = pool.map(_evaluate_at, range(len(ids)), chunk)
-    else:
-        # each job is popped, so a subset layer lives until its last instance
-        # is done; without emit_instances each record is folded and dropped
-        built.reverse()
-        reports = (evaluate_instance(i, built.pop()) for i in ids)
-        if config.emit_instances:
-            reports = list(reports)
+    # each job is popped, so a subset layer lives until its last instance
+    # is done; without emit_instances each record is folded and dropped
+    built.reverse()
+    reports = (evaluate_instance(i, built.pop()) for i in ids)
+    if config.emit_instances:
+        reports = list(reports)
     out = {"config": config.resolved(), "aggregate": _fold_aggregate(reports)}
     if config.emit_instances:
         out["instances"] = reports

@@ -505,46 +505,13 @@ SCAN_BASE = {"groups": ["cyclic:4"], "subset_mode": {"kind": "random", "count": 
 EXHAUSTIVE = {"kind": "exhaustive", "max_size": 2}
 
 
-@pytest.mark.parametrize("command", ["verify", "scan"])
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-def test_malformed_doubling_jobs_exits_one(tmp_path, capsys, monkeypatch, command, value):
-    config = tmp_path / "scan.json"
-    config.write_text(json.dumps(SCAN_BASE))
-    monkeypatch.setenv("DOUBLING_JOBS", value)
-    argv = ["--group", "cyclic:4"] if command == "verify" else ["--config", str(config)]
-    code, out, err = run(capsys, command, *argv, "--out", str(tmp_path / "o.json"))
-    assert code == 1
-    assert out == ""
-    assert f"error: DOUBLING_JOBS: expected an integer >= 1, got {value!r}" in err
-    assert "Traceback" not in err
-
-
-def test_doubling_jobs_sets_the_scan_worker_count(tmp_path, capsys, monkeypatch):
-    config = tmp_path / "scan.json"
-    config.write_text(json.dumps(SCAN_BASE))
-    for value, workers in (("", 1), ("2", 2)):
-        monkeypatch.setenv("DOUBLING_JOBS", value)
-        code, _, err = run(capsys, "scan", "--config", str(config), "--out", str(tmp_path / "o.json"))
-        assert code == 0
-        assert f"parallelism={workers}" in err
-
-
-def test_the_worker_count_is_j_then_doubling_jobs_then_the_config(tmp_path, capsys, monkeypatch):
-    config = tmp_path / "scan.json"
-    config.write_text(json.dumps(dict(SCAN_BASE, parallelism=2)))
-    for env, jobs, workers in (("", [], 2), ("1", [], 1), ("3", [], 3), ("1", ["-j", "3"], 3)):
-        monkeypatch.setenv("DOUBLING_JOBS", env)
-        code, _, err = run(capsys, "scan", "--config", str(config), *jobs, "--out", str(tmp_path / "o.json"))
-        assert code == 0
-        assert f"parallelism={workers}" in err, (env, jobs)
-
-
 @pytest.mark.parametrize(
     "change, path",
     [
         ({"subset_mode": 5}, "/subset_mode"),
-        ({"parallelism": "2"}, "/parallelism"),
-        ({"parallelism": True}, "/parallelism"),
+        # the retired worker count is refused, not ignored, whatever its value
+        ({"parallelism": 1}, "/parallelism"),
+        ({"parallelism": 2}, "/parallelism"),
         ({"subset_mode": dict(EXHAUSTIVE, max_size="2")}, "/subset_mode/max_size"),
         ({"subset_mode": dict(EXHAUSTIVE, max_size=0)}, "/subset_mode/max_size"),
         ({"subset_mode": dict(EXHAUSTIVE, symmetric_only="no")}, "/subset_mode/symmetric_only"),
@@ -622,7 +589,7 @@ def _replay_id(**change):
         (["construct", "--N", "1", "--h", "1", "--m", "36"], "--h"),
         (["construct", "--N", "1", "--h", "5", "--m", "3"], "--m"),
         (["construct", "--N", "1", "--h", "5", "--m", "37"], "--m"),
-        (["construct", "--N", "1", "--h", "5", "--m", "36", "--materialize-cap", "-1"],
+        (["construct", "--N", "1", "--h", "5", "--m", "36", "--emit", "<missing>", "--materialize-cap", "-1"],
          "--materialize-cap"),
         (["extract", "--alpha", "2",
           "--subset", '{"construction": "sharpness", "N": 0, "h": 4, "m": 25}'], "/subset/N"),
@@ -709,6 +676,24 @@ def _replay_id(**change):
         (["extract", "--alpha", "1_0/3", *EXTRACT_C4], "--alpha"),
         (["extract", "--alpha", "+3/2", *EXTRACT_C4], "--alpha"),
         (["extract", "--alpha", "\u0663/2", *EXTRACT_C4], "--alpha"),
+        # -j takes 1 alone: scans run in one process
+        (["verify", "--group", "cyclic:4", "-j", "2"], "argument -j/--parallelism: invalid choice: '2'"),
+        (["scan", "--config", "<scan>", "-j", "2"], "argument -j/--parallelism: invalid choice: '2'"),
+        # an integer flag is "-"? and ASCII digits, as written
+        (["construct", "--N", "1_0", "--h", "3", "--m", "9"], "argument --N: expected an integer, got '1_0'"),
+        (["construct", "--N", "\u0663", "--h", "3", "--m", "9"], "argument --N: expected an integer"),
+        (["construct", "--N", "1", "--h", "+3", "--m", "9"], "argument --h: expected an integer, got '+3'"),
+        (["construct", "--N", "1", "--h", "3", "--m", " 9"], "argument --m: expected an integer, got ' 9'"),
+        (["construct", "--N", "1", "--h", "3", "--m", "9", "--emit", "<missing>", "--materialize-cap", "1_0"],
+         "argument --materialize-cap: expected an integer"),
+        (["verify", "--group", "cyclic:4", "--max-subset-size", " 2"],
+         "argument --max-subset-size: expected an integer, got ' 2'"),
+        (["verify", "--group", "cyclic:64", "--trials", "1_0"], "argument --trials: expected an integer"),
+        (["verify", "--group", "cyclic:64", "--trials", "\u0663"], "argument --trials: expected an integer"),
+        (["verify", "--group", "cyclic:64", "--seed", "+3"], "argument --seed: expected an integer, got '+3'"),
+        # construct rejects the flag it would ignore
+        (["construct", "--N", "1", "--h", "3", "--m", "9", "--materialize-cap", "5"],
+         "error: --materialize-cap: not used without --emit"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -760,6 +745,7 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, f
         ("scan", {"subset_mode": dict(SCAN_BASE["subset_mode"], seed=True)}, "/subset_mode/seed"),
         ("scan", {"subset_mode": dict(SCAN_BASE["subset_mode"], density={"size": True})},
          "/subset_mode/density/size"),
+        # the retired worker count is refused at its path, true included
         ("scan", {"parallelism": True}, "/parallelism"),
         ("extract", {"N": True}, "/subset/N"),
         ("extract", {"h": True}, "/subset/h"),
@@ -823,8 +809,7 @@ def test_scan_of_an_arbitrary_field_exits_zero_or_one(field, value):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scan.json"
         path.write_text(json.dumps(config))
-        # in-process, so any uncaught exception fails the test by itself; -j 1
-        # wins over any parallelism the config asks for
+        # in-process, so any uncaught exception fails the test by itself
         code = main(["scan", "--config", str(path), "-j", "1", "--out", "/dev/null"])
     assert code in (0, 1)
 
@@ -945,48 +930,30 @@ def test_scan_to_stdout_streams_the_bytes_of_its_out_file(tmp_path, capsys, monk
     assert max(map(len, writes)) <= 1 << 18
 
 
-def test_scan_writes_the_same_file_at_one_and_two_workers(tmp_path, capsys):
+def test_j_1_writes_the_same_bytes_as_no_j(tmp_path, capsys):
     (tmp_path / "scan.json").write_text(json.dumps(D4_ALL_SUITES))
-    texts = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"out-{jobs}.json"
-        assert run(capsys, "scan", "--config", str(tmp_path / "scan.json"), "-j", jobs, "--out", str(out))[0] == 0
-        texts.append(out.read_bytes())
-    assert texts[0] == texts[1]
+    for argv in (["scan", "--config", str(tmp_path / "scan.json")],
+                 ["verify", "--group", "dihedral:3", "--max-subset-size", "2"]):
+        texts = []
+        for jobs in ([], ["-j", "1"], ["--parallelism", "1"]):
+            out = tmp_path / "out.json"
+            assert run(capsys, *argv, *jobs, "--out", str(out))[0] == 0
+            texts.append(out.read_bytes())
+        assert texts[1:] == texts[:1] * 2, argv[0]
 
 
-def test_a_parallel_scan_starts_no_more_workers_than_instances(capsys, monkeypatch):
-    import multiprocessing
-
-    started = []
-
-    class Pool:
-        """Runs the jobs in this process, as a forked pool would in its workers."""
-
-        def __init__(self, processes, initializer, initargs):
-            started.append(processes)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items, chunksize):
-            return list(map(func, items))
-
-    texts = [run(capsys, "verify", "--group", "cyclic:2", "-j", "1")[1]]
-    with monkeypatch.context() as patch:
-        patch.setattr(multiprocessing, "get_context", lambda method: mock.Mock(Pool=Pool))
-        patch.setattr(doubling.harness, "_JOBS", None, raising=False)  # what `_adopt` sets
-        for jobs in ("64", "6", "2"):
-            code, out, _ = run(capsys, "verify", "--group", "cyclic:2", "-j", jobs)
-            assert code == 0
-            texts.append(out)
-    # cyclic:2: two normal subgroups times three nonempty subsets
-    assert started == [6, 6, 2]
-    assert texts[1:] == texts[:1] * 3
+def test_materialize_cap_bounds_the_emitted_elements(tmp_path, capsys):
+    base = ["construct", "--N", "1", "--h", "3", "--m", "9"]
+    reports, instances = [], []
+    for cap in ([], ["--materialize-cap", "20000"], ["--materialize-cap", "5"]):
+        emit, out = tmp_path / "instance.json", tmp_path / "report.json"
+        assert run(capsys, *base, "--emit", str(emit), *cap, "--out", str(out))[0] == 0
+        reports.append(out.read_bytes())
+        instances.append(json.loads(emit.read_text()))
+    # the default is 20,000; below the witness's size the element list is left out
+    assert instances[0] == instances[1] and instances[0]["subset"] is not None
+    assert instances[2]["subset"] is None and instances[0]["subset_size"] > 5
+    assert reports[1:] == reports[:1] * 2
 
 
 @pytest.mark.parametrize("failure", ["render", "write", "unsupported"])
@@ -1153,16 +1120,12 @@ def test_a_failing_verdict_fails_every_command(tmp_path, capsys, monkeypatch, su
     with monkeypatch.context() as m:
         _fail_every_run(m, suite)
         for command, argv in commands.items():
-            texts = []
-            for jobs in ("1", "2"):
-                code, _, err = run(capsys, *argv, "-j", jobs, "--out", str(out))
-                assert code == 2, (command, jobs)
-                texts.append(out.read_text())
-                aggregate = json.loads(texts[-1])["aggregate"]
-                cell, violations = aggregate["suite_runs"][suite], aggregate["violations"]
-                assert cell["passes"] == 0 < cell["runs"], (command, jobs, cell)
-                assert f"violated: {suite}: {len(violations)} violation(s); first id: " in err
-            assert texts[0] == texts[1], command
+            code, _, err = run(capsys, *argv, "--out", str(out))
+            assert code == 2, command
+            aggregate = json.loads(out.read_text())["aggregate"]
+            cell, violations = aggregate["suite_runs"][suite], aggregate["violations"]
+            assert cell["passes"] == 0 < cell["runs"], (command, cell)
+            assert f"violated: {suite}: {len(violations)} violation(s); first id: " in err
     if suite == "extract":
         # every run fails at each of the three default alphas
         assert cell == {"runs": 14, "passes": 0, "skipped": 0} and len(violations) == 42

@@ -82,12 +82,6 @@ def test_scan_is_deterministic_for_fixed_seed():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def test_scan_parallelism_does_not_change_bytes():
-    r1 = scan(small_config(parallelism=1))
-    r8 = scan(small_config(parallelism=8))
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r8, sort_keys=True)
-
-
 def test_rerun_identical_on_product_group():
     spec = {
         "type": "product",
@@ -342,8 +336,10 @@ def test_config_validation_errors():
 
 
 def test_resolved_config_excludes_parallelism():
-    config = small_config(parallelism=8)
-    assert "parallelism" not in config.resolved()
+    # a scan runs in one process: no worker count to pass or to resolve
+    assert "parallelism" not in small_config().resolved()
+    with pytest.raises(TypeError):
+        small_config(parallelism=1)
 
 
 def test_instance_id_is_canonical_json():

@@ -136,31 +136,30 @@ CONFIG = {"groups": ["cyclic:4"], "subset_mode": {"kind": "random", "count": 2, 
 def test_scan_config_fields_are_its_constructor_parameters():
     assert tuple(inspect.signature(ScanConfig).parameters) == ScanConfig.FIELDS
     resolved = ScanConfig.from_json(CONFIG).resolved()
-    assert tuple(resolved) == tuple(f for f in ScanConfig.FIELDS if f != "parallelism")
+    assert tuple(resolved) == ScanConfig.FIELDS
 
 
 def test_scan_config_normalizes_and_stays_settable():
     config = ScanConfig(**CONFIG, suites=["extract", "layer-cake"], alphas=["3/2"])
     assert config.suites == ("layer-cake", "extract") and config.alphas == (Fraction(3, 2),)
-    # the CLI sets these after parsing
-    config.parallelism = 2
+    # the CLI sets this after parsing
     config.emit_instances = True
-    assert (config.parallelism, config.emit_instances) == (2, True)
+    assert config.emit_instances is True
 
 
 def test_scan_config_reports_the_first_bad_field_in_a_fixed_order():
     good = {"groups": ["cyclic:4"], "suites": ["extract"], "subgroups": "proper",
             "subgroup_weight": "normalized", "alphas": ["2"],
-            "subset_mode": {"kind": "exhaustive"}, "emit_instances": True, "parallelism": 2}
+            "subset_mode": {"kind": "exhaustive"}, "emit_instances": True}
     bad = {"groups": "cyclic:4", "suites": ["nope"], "subgroups": "some",
            "subgroup_weight": "heavy", "alphas": ["1"], "subset_mode": [],
-           "emit_instances": 1, "parallelism": 0}
+           "emit_instances": 1}
     paths = ["/groups", "/suites/0", "/subgroups", "/subgroup_weight", "/alphas/0",
-             "/subset_mode", "/emit_instances", "/parallelism"]
+             "/subset_mode", "/emit_instances"]
     doc = dict(bad)
     for key, path in zip(bad, paths):
         with pytest.raises(SpecError) as err:
             ScanConfig.from_json(doc)
         assert err.value.path == path
         doc[key] = good[key]
-    assert ScanConfig.from_json(doc).parallelism == 2
+    assert ScanConfig.from_json(doc).emit_instances is True

@@ -43,12 +43,9 @@ def _artifact(doc) -> str:
 
 
 def assert_scan_equals_replay(config: ScanConfig) -> None:
-    """Each emitted report equals `replay` of its id, and the artifact has the
-    same bytes at -j 1 and -j 2."""
+    """Each emitted report equals `replay` of its id."""
     report = scan(config)
     assert report["instances"]
-    config.parallelism = 2
-    assert _artifact(scan(config)) == _artifact(report)
     for rep in report["instances"]:
         assert replay(rep.id) == rep.to_json()
 
@@ -67,17 +64,13 @@ CONFIGS = {
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_aggregate_is_the_same_with_and_without_instances(name):
     groups, mode = CONFIGS[name]
-    runs = {
-        (jobs, emit): scan(ScanConfig(groups, mode, parallelism=jobs, emit_instances=emit))
-        for jobs in (1, 2) for emit in (False, True)
-    }
-    reference = runs[1, False]
+    runs = {emit: scan(ScanConfig(groups, mode, emit_instances=emit)) for emit in (False, True)}
+    reference = runs[False]
     assert reference["aggregate"]["instances"] > 20
     assert set(reference["aggregate"]["suite_runs"]) == set(ALL_SUITES)
-    for (jobs, emit), report in runs.items():
-        assert report["aggregate"] == reference["aggregate"], (jobs, emit)
+    for emit, report in runs.items():
+        assert report["aggregate"] == reference["aggregate"], emit
         assert ("instances" in report) is emit
-    assert runs[1, True] == runs[2, True]
 
 
 def _reachable(obj):

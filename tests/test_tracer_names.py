@@ -9,7 +9,6 @@ import functools
 import importlib
 import importlib.util
 import inspect
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -58,7 +57,7 @@ def _modules_after(statement: str, *flags: str) -> list[set]:
     return [set(line.split()) for line in out.stdout.splitlines()]
 
 
-def test_import_doubling_imports_every_traced_layer():
+def test_import_doubling_imports_every_traced_layer(tmp_path):
     # the tracer wraps modules found in sys.modules after `import doubling`;
     # it imports `doubling.cli`, the entry point, itself
     loaded = _modules_after("import doubling")[1]
@@ -72,22 +71,28 @@ def test_import_doubling_imports_every_traced_layer():
     assert "random" in _modules_after("from doubling import ScanConfig, scan; "
                                       "scan(ScanConfig(['cyclic:4'], {'kind': 'random', 'count': 1, 'seed': 1}))",
                                       "-S")[1]
+    # a scan runs in one process: the command never imports a process pool
+    config = tmp_path / "scan.json"
+    config.write_text('{"groups": ["cyclic:4", "q8"], "subset_mode": {"kind": "random", "count": 2, "seed": 1}}')
+    scanned = _modules_after(f"import doubling.cli; "
+                             f"assert doubling.cli.main(['scan', '--config', {str(config)!r}, '--out', {os.devnull!r}]) == 0")
+    assert "multiprocessing" not in scanned[1]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_evaluates_every_instance_through_the_module_global(monkeypatch, jobs):
-    # wrapped the way the tracer wraps it; forked workers share the counter
-    calls = multiprocessing.get_context("fork").Value("i", 0)
+# one subset per normal subgroup evaluates without a results table, two share one
+@pytest.mark.parametrize("count", [1, 2])
+def test_scan_evaluates_every_instance_through_the_module_global(monkeypatch, count):
+    # wrapped the way the tracer wraps it
+    calls = 0
     original = harness.evaluate_instance
 
     @functools.wraps(original)
     def counted(*args, **kwargs):
-        with calls.get_lock():
-            calls.value += 1
+        nonlocal calls
+        calls += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(harness, "evaluate_instance", counted)
-    config = ScanConfig(["dihedral:4", "q8"], {"kind": "random", "count": 3, "seed": 1}, parallelism=jobs)
-    report = scan(config)
+    report = scan(ScanConfig(["dihedral:4", "q8"], {"kind": "random", "count": count, "seed": 1}))
     assert report["aggregate"]["instances"] > 0
-    assert calls.value == report["aggregate"]["instances"]
+    assert calls == report["aggregate"]["instances"]
