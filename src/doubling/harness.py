@@ -3,18 +3,18 @@
 An instance is one replayable triple (group spec, normal subgroup, subset),
 optionally with partner subsets and translators for the pair/triple suites.
 Its id IS its spec: the canonical JSON string.  Evaluation is a pure function
-of the id, so reports replay exactly, and a scan commits to its full instance
-list before any evaluation starts.  A scan pays for distinct
-work only: ids share pre-rendered pieces, and subsets with the same fiber
-profiles under a normal subgroup share its quotient-side results; under
-H = {e}, where every fiber is 1, those with the same G-level counts do.
+of the id, so reports replay exactly; a scan's instance list is a function of
+its config alone, and the scan makes each job as it reaches it.  A scan pays
+for distinct work only: ids share pre-rendered pieces, and subsets with the
+same fiber profiles under a normal subgroup share its quotient-side results;
+under H = {e}, where every fiber is 1, those with the same G-level counts do.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
-from collections.abc import Iterable
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import combinations
@@ -278,8 +278,8 @@ class ScanConfig:
         alphas: tuple[Fraction, ...] = DEFAULT_ALPHAS,
         emit_instances: bool = False,
     ) -> None:
-        if not isinstance(groups, (list, tuple)):
-            raise SpecError("/groups", "expected a list of group specs or selectors")
+        if not isinstance(groups, (list, tuple)) or not groups:
+            raise SpecError("/groups", "expected a nonempty list of group specs or selectors")
         self.groups, first = [], {}  # first: canonical spec -> its index
         for i, g in enumerate(groups):
             self.groups.append(spec := parse_group_selector(g, f"/groups/{i}"))
@@ -372,20 +372,23 @@ def _needs_partner(suites: Iterable[str]) -> bool:
     return not _READERS["subset_b"].isdisjoint(suites)
 
 
-def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[str]:
-    """The full deterministic instance list (ids) for a scan.
+def iter_instance_specs(config: ScanConfig) -> list[str]:
+    """The full deterministic instance list (ids) for a scan: those `_jobs` yields."""
+    return [instance_id for instance_id, _ in _jobs(config)]
 
-    With `built`, also appends per id the (subset layer, quotient maker,
-    suites, alphas, results table) that `evaluate_instance` reads in its
-    place.  An exhaustive scan builds a group's subset layers once, for all
-    its normal subgroups; a random scan samples a fresh layer per instance.
-    Groups of one `_unweighted` spec share a lattice.  A normal subgroup's
-    quotient (`_quotient_by`: the lattice tested H) is built by its first
-    instance's evaluation, not here, and shared by the rest, as is its results
-    table (see `_table_key`, keyed on counts alone under H = {e}): None where
-    it has one instance.  An id is pieced together from its alphas, group and
-    subgroup, each rendered once, and its layer's `_id_tail`, which an
-    exhaustive scan's subgroups share; each element's text is rendered once."""
+
+def _jobs(config: ScanConfig) -> Iterator[tuple[str, tuple]]:
+    """Each id of a scan, in order, with its job: the (subset layer, quotient
+    maker, suites, alphas, results table) `evaluate_instance` reads in its
+    place.  A first pass builds each lattice, one per `_unweighted` spec, and
+    forms no subset: every refusal comes before the first job.  Then each job
+    is made as it is drawn: an exhaustive scan builds a group's layers once,
+    for all its normal subgroups; a random scan samples one per instance.  A
+    normal subgroup's quotient (`_quotient_by`: the lattice tested H) and its
+    results table (see `_table_key`; None where it has one instance) are
+    shared by its instances, the quotient built by the first evaluation.  An
+    id joins its alphas, group and subgroup, each rendered once, and its
+    layer's `_id_tail`, which an exhaustive scan's subgroups share."""
     mode = config.subset_mode
     rng = None
     if mode["kind"] == "random":
@@ -396,37 +399,39 @@ def iter_instance_specs(config: ScanConfig, built: list | None = None) -> list[s
     head = '{"alphas":' + canonical_json([a for a, _ in alphas]) + "," if "extract" in config.suites else "{"
     suites = ',"suites":' + canonical_json(list(config.suites))
     weight = ',"weight":' + canonical_json(config.subgroup_weight) + "}"
-    lattices: dict = {}
-    ids: list[str] = []
+    lattices, plans = {}, deque()  # lattices: spec without weights -> its normal subgroups' elements
     for i, gspec in enumerate(config.groups):
         group = _group(group_json := canonical_json(gspec))
         if group.order is None:
             raise SpecError(f"/groups/{i}", f"{group.name} is infinite; scans need finite groups")
         try:
             if (structure := canonical_json(_unweighted(gspec))) not in lattices:
-                lattices[structure] = normal_subgroups(group)
-            subs = [GSubset(group, s.elements) for s in lattices[structure]]
+                lattices[structure] = [s.elements for s in normal_subgroups(group)]
+            subs = [GSubset(group, elements) for elements in lattices[structure]]
             if config.subgroups == "proper":
                 subs = [s for s in subs if 1 < len(s.elements) < group.order]
             elems = list(group.elements())
-            # an exhaustive scan's subset layers serve every normal subgroup
-            layers = _exhaustive_layers(group, elems, config) if rng is None and subs else []
+            units = _exhaustive_units(group, elems, config) if rng is None and subs else None
         except CapError as exc:
             raise SpecError(f"/groups/{i}", str(exc)) from exc
+        plans.append((group_json, group, subs, elems, units))
+    while plans:  # a plan is dropped, with its group, once its last job is drawn
+        group_json, group, subs, elems, units = plans.popleft()
         text = dict(zip(elems, map(canonical_json, map(group.encode_element, elems))))
+        # an exhaustive scan's subset layers serve every normal subgroup
+        layers = [] if units is None else _exhaustive_layers(group, elems, units, config)
         tails = [_id_tail(shared, suites, text) for shared in layers]
         for sub in subs:
             prefix = f'{head}"group":{group_json},"subgroup":{{"elements":{_listed(text, sub.elements)}{weight},'
             if rng is not None:
                 layers = _random_layers(group, elems, config, rng)
                 tails = [_id_tail(shared, suites, text) for shared in layers]
-            ids.extend(prefix + tail for tail in tails)
-            if built is not None:
-                w_h = _resolve_weight(config.subgroup_weight, len(sub.elements))
-                make_quotient = cache(partial(_quotient_by, group, sub, w_h))
-                table = _ResultsTable() if len(layers) > 1 else None
-                built.extend((shared, make_quotient, config.suites, alphas, table) for shared in layers)
-    return ids
+            w_h = _resolve_weight(config.subgroup_weight, len(sub.elements))
+            make_quotient = cache(partial(_quotient_by, group, sub, w_h))
+            table = _ResultsTable() if len(layers) > 1 else None
+            for shared, tail in zip(layers, tails):
+                yield prefix + tail, (shared, make_quotient, config.suites, alphas, table)
+        layers = make_quotient = table = None  # dropped before the next group's layers are built
 
 
 def _unweighted(spec: dict) -> dict:
@@ -459,12 +464,11 @@ def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> Subs
     return shared
 
 
-def _exhaustive_layers(group: WeightedGroup, elems: list, config: ScanConfig) -> list[SubsetContext]:
-    """A layer per nonempty union of units (elements, or inverse pairs {x, x^-1}
-    under `symmetric_only`) with at most `max_size` elements: by size, then in
-    `combinations` order, for a plain `max_size`, else in bit-mask order over
-    the units.  Their count, the sum of C(s, j) C(t, p) over j + 2p <= max_size
-    for s single units and t pairs, meets MAX_SUBSETS before any is formed."""
+def _exhaustive_units(group: WeightedGroup, elems: list, config: ScanConfig) -> list[frozenset]:
+    """The units of an exhaustive scan: elements, or inverse pairs {x, x^-1}
+    under `symmetric_only`.  The count of their nonempty unions with at most
+    `max_size` elements, the sum of C(s, j) C(t, p) over j + 2p <= max_size
+    for s single units and t pairs, less one, meets MAX_SUBSETS first."""
     mode = config.subset_mode
     max_size, symmetric_only = mode.get("max_size", len(elems)), mode.get("symmetric_only", False)
     units = list(dict.fromkeys(frozenset((x, group.inv(x)) if symmetric_only else (x,)) for x in elems))
@@ -474,7 +478,15 @@ def _exhaustive_layers(group: WeightedGroup, elems: list, config: ScanConfig) ->
         bound = f"with max_size {max_size}" if "max_size" in mode else "without max_size"
         raise CapError(f"exhaustive {'symmetric_only ' if symmetric_only else ''}mode {bound} enumerates {count} "
                        f"subsets of {group.name}; the cap is 2^{MAX_SUBSETS.bit_length()} - 1")
-    if "max_size" in mode and not symmetric_only:
+    return units
+
+
+def _exhaustive_layers(group: WeightedGroup, elems: list, units: list, config: ScanConfig) -> list[SubsetContext]:
+    """A layer per union that `_exhaustive_units` counted: by size, then in
+    `combinations` order, for a plain `max_size`, else in bit-mask order."""
+    mode = config.subset_mode
+    max_size = mode.get("max_size", len(elems))
+    if "max_size" in mode and not mode.get("symmetric_only", False):
         members = (combo for size in range(1, min(max_size, len(elems)) + 1)
                    for combo in combinations(elems, size))
     else:  # in bit-mask order: the unions so far, then each of them with the next unit if it fits
@@ -647,17 +659,17 @@ def _table_key(shared: SubsetContext, stats, row: dict | None, suites) -> tuple:
     return key
 
 
-def evaluate_instance(instance_id: str, built: tuple | None = None) -> InstanceReport:
+def evaluate_instance(instance_id: str, job: tuple | None = None) -> InstanceReport:
     """Recompute the results for one instance id (pure, replayable).
 
-    Without `built` the id is parsed and validated first, as `replay` needs.
-    `scan` passes `built`, what `iter_instance_specs` made the id from, so it
-    decodes nothing; the layer may already hold what the instances of other
+    Without `job` the id is parsed and validated first, as `replay` needs.
+    `scan` passes the `job` that `_jobs` made the id from, so it decodes
+    nothing; the layer may already hold what the instances of other
     normal subgroups computed.  With a results table, an instance whose
     `_table_key` is in it reads |piA|, |piA^2| and every suite's results from
     there, except ruzsa-axioms, which reads no quotient and keeps one result
     per layer: only a miss builds an `InstanceContext`."""
-    shared, make_quotient, suites, alphas, table = _load_id(instance_id) if built is None else built
+    shared, make_quotient, suites, alphas, table = _load_id(instance_id) if job is None else job
     q = make_quotient()
     stats = stats_of(shared)
     key = found = None
@@ -696,15 +708,14 @@ class _Ranked:
 
 
 def _fold_aggregate(reports: Iterable[InstanceReport]) -> dict:
-    """The aggregate, folded from the records one at a time; the probe
-    renders only the witnesses it keeps."""
-    import heapq  # imported here: commands that never aggregate skip it
-
+    """The aggregate, folded from the records one at a time; each probe keeps
+    its TOP_WITNESSES least entries so far, sorted, and renders only those."""
+    from bisect import insort  # imported here: commands that never aggregate skip it
     suite_runs: dict = {}
     violations: list[dict] = []
-    sym_entries: list[_Ranked] = []
-    all_entries: list[_Ranked] = []
+    instances, sym_top, all_top = 0, [], []
     for rep in reports:
+        instances += 1
         for name, _, failed in rep.suites:
             cell = suite_runs.get(name)
             if cell is None:
@@ -718,45 +729,34 @@ def _fold_aggregate(reports: Iterable[InstanceReport]) -> dict:
             else:
                 cell["passes"] += 1
         entry = _Ranked(rep)
-        all_entries.append(entry)
-        if rep.stats.symmetric:
-            sym_entries.append(entry)
+        for top in (all_top, sym_top) if rep.stats.symmetric else (all_top,):
+            if len(top) < TOP_WITNESSES or entry < top[-1]:
+                insort(top, entry)  # after its equals: tied entries keep their order
+                del top[TOP_WITNESSES:]
 
-    def probe(entries: list[_Ranked]) -> dict:
-        if not entries:
-            return {"max": None, "max_dec": None, "witnesses": []}
-        top = [
-            ((fmt(e.num, e.den), e.num / e.den), e.id)
-            for e in heapq.nsmallest(TOP_WITNESSES, entries)
-        ]
-        return {
-            "max": top[0][0][0],
-            "max_dec": top[0][0][1],
-            "witnesses": [{"value": v, "value_dec": d, "id": i} for (v, d), i in top],
-        }
+    def probe(top: list[_Ranked]) -> dict:
+        witnesses = [{"value": fmt(e.num, e.den), "value_dec": e.num / e.den, "id": e.id} for e in top]
+        first = witnesses[0] if witnesses else {"value": None, "value_dec": None}
+        return {"max": first["value"], "max_dec": first["value_dec"], "witnesses": witnesses}
 
     return {
-        "instances": len(all_entries),
+        "instances": instances,
         "suite_runs": suite_runs,
         "violations": violations,
-        "symmetric_probe": probe(sym_entries),
-        "general_probe": probe(all_entries),
+        "symmetric_probe": probe(sym_top),
+        "general_probe": probe(all_top),
     }
 
 
 def scan(config: ScanConfig) -> dict:
     """Run every suite on every instance; aggregate deterministically.
 
-    Each instance goes through the module-level `evaluate_instance`, so a
-    wrapper installed there sees every one.  With `emit_instances`,
-    "instances" holds the `InstanceReport`s, counts that their writer renders
-    with `to_json()`."""
-    built: list = []
-    ids = iter_instance_specs(config, built)
-    # each job is popped, so a subset layer lives until its last instance
-    # is done; without emit_instances each record is folded and dropped
-    built.reverse()
-    reports = (evaluate_instance(i, built.pop()) for i in ids)
+    Each job is evaluated as it is drawn from `_jobs`, through the
+    module-level `evaluate_instance`, so a wrapper installed there sees every
+    one; without `emit_instances` each report is folded and dropped.  With
+    it, "instances" holds the `InstanceReport`s, counts that their writer
+    renders with `to_json()`."""
+    reports = (evaluate_instance(i, job) for i, job in _jobs(config))
     if config.emit_instances:
         reports = list(reports)
     out = {"config": config.resolved(), "aggregate": _fold_aggregate(reports)}

@@ -17,7 +17,7 @@ from itertools import groupby
 from doubling.constructions import _GL2Z, _cantor, matrix_family
 from doubling.errors import ConsistencyError
 from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, _grow, quaternion_table
-from doubling.harness import ScanConfig, _group, canonical_json
+from doubling.harness import TOP_WITNESSES, ScanConfig, _group, canonical_json
 from doubling.quotients import QuotientStructure, _generators, normal_subgroups
 from doubling.rationals import fmt, put
 from doubling.sets import GSubset, inv_set, mul_set
@@ -93,11 +93,12 @@ def packed_profile(q: QuotientStructure, x: GSubset) -> int:
     return sum(n << c * w for c, n in Counter(map(q.project, x.elements)).items())
 
 
-def whole_ids(config: ScanConfig, built: list) -> list[str]:
+def whole_ids(config: ScanConfig, pairs: list) -> list[str]:
     """The ids of a scan, each rendered whole as `canonical_json` of its spec
-    dict, from the layers `iter_instance_specs` built.  Its entries come in
-    one run per (group, normal subgroup), each run sharing a quotient maker."""
-    runs = [list(run) for _, run in groupby(built, key=lambda entry: id(entry[1]))]
+    dict, from the jobs of the (id, job) pairs that `harness._jobs` yields,
+    without reading their ids.  The jobs come in one run per (group, normal
+    subgroup), each run sharing a quotient maker."""
+    runs = [[job for _, job in run] for _, run in groupby(pairs, key=lambda pair: id(pair[1][1]))]
     pairs = []
     for gspec in config.groups:
         group = _group(canonical_json(gspec))
@@ -120,6 +121,12 @@ def whole_ids(config: ScanConfig, built: list) -> list[str]:
                 fields["translate"] = [group.encode_element(x) for x in shared.translators]
             ids.append(canonical_json({**base, **fields}))
     return ids
+
+
+def top_witnesses(entries: list) -> list:
+    """The TOP_WITNESSES least probe entries of a full stable sort: equal
+    entries in the order they came."""
+    return sorted(entries)[:TOP_WITNESSES]
 
 
 def translate(a: GSubset, left=None, right=None) -> GSubset:

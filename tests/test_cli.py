@@ -534,6 +534,8 @@ EXHAUSTIVE = {"kind": "exhaustive", "max_size": 2}
         ({"groups": ["cyclic:4", "q8", {"type": "cyclic", "n": 4}]}, "/groups/2"),
         ({"alphas": [" 2"]}, "/alphas/0"),
         ({"alphas": ["2", "+3/2"]}, "/alphas/1"),
+        # a scan of no groups would check nothing and pass
+        ({"groups": []}, "/groups"),
     ],
 )
 def test_scan_rejects_malformed_configs_with_a_path(tmp_path, capsys, change, path):
@@ -694,6 +696,8 @@ def _replay_id(**change):
         # construct rejects the flag it would ignore
         (["construct", "--N", "1", "--h", "3", "--m", "9", "--materialize-cap", "5"],
          "error: --materialize-cap: not used without --emit"),
+        # a scan of no groups would check nothing and pass
+        (["scan", "--config", "<no_groups>"], "error: /groups: expected a nonempty list of group specs"),
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
@@ -717,6 +721,7 @@ def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, f
         ("<over_exhaustive_cap>", json.dumps({"groups": ["cyclic:4", "cyclic:20"],
                                               "subset_mode": {"kind": "exhaustive"}})),
         ("<infinite>", json.dumps(dict(SCAN_BASE, groups=["cyclic:4", "gl2z"]))),
+        ("<no_groups>", json.dumps(dict(SCAN_BASE, groups=[]))),
         ("<missing>", None),
     ):
         files[key] = tmp_path / (key.strip("<>") + ".json")

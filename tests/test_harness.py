@@ -1,3 +1,4 @@
+import gc
 import json
 from unittest import mock
 
@@ -19,7 +20,10 @@ from doubling import (
     validate_axioms,
 )
 from doubling import harness
-from doubling.harness import ALL_SUITES, _exhaustive_layers, _group, canonical_json, report_csv
+from doubling.context import SubsetContext
+from doubling.harness import (
+    ALL_SUITES, _exhaustive_layers, _exhaustive_units, _group, _jobs, canonical_json, report_csv,
+)
 from oracles import whole_ids
 
 
@@ -173,6 +177,12 @@ def test_exhaustive_symmetric_only_counts():
     assert report["aggregate"]["violations"] == []
 
 
+def exhaustive_layers(group, config):
+    """A scan's subset layers of `group`, walked over the units that its count checked."""
+    elems = list(group.elements())
+    return _exhaustive_layers(group, elems, _exhaustive_units(group, elems, config), config)
+
+
 def _mask_walk(group, max_size):
     """Every union of inverse pairs {x, x^-1} with at most max_size elements,
     by every bit mask over the pairs in ascending order."""
@@ -187,7 +197,7 @@ def test_symmetric_only_layers_with_a_max_size_follow_the_mask_walk(selector):
     group = _group(canonical_json(parse_group_selector(selector)))
     for max_size in (1, 2, 3, 4):
         config = ScanConfig([selector], {"kind": "exhaustive", "symmetric_only": True, "max_size": max_size})
-        layers = _exhaustive_layers(group, list(group.elements()), config)
+        layers = exhaustive_layers(group, config)
         assert [shared.a.elements for shared in layers] == _mask_walk(group, max_size), (selector, max_size)
 
 
@@ -229,7 +239,7 @@ def test_exhaustive_cap_with_max_size(selector, mode, count):
     group = _group(canonical_json(parse_group_selector(selector)))
     config = ScanConfig([selector], {"kind": "exhaustive", **mode}, suites=("layer-cake",))
     if count < 2**16:
-        layers = _exhaustive_layers(group, list(group.elements()), config)
+        layers = exhaustive_layers(group, config)
         assert len(layers) == count
     else:
         with pytest.raises(SpecError, match=rf"^/groups/0: exhaustive mode with max_size {mode['max_size']} "
@@ -268,12 +278,12 @@ def test_exhaustive_layers_equal_a_brute_force_walk_and_the_count_the_cap_checke
         mode["max_size"] = max_size
     config = ScanConfig([spec], mode, suites=("layer-cake",))
     expected = _every_qualifying_union(group, max_size, symmetric_only)
-    layers = _exhaustive_layers(group, list(group.elements()), config)
+    layers = exhaustive_layers(group, config)
     assert [shared.a.elements for shared in layers] == expected
     # the cap counted exactly the layers formed: one fewer allowed is refused
     with mock.patch.object(harness, "MAX_SUBSETS", len(expected) - 1):
         with pytest.raises(CapError, match=f" enumerates {len(expected)} subsets of "):
-            _exhaustive_layers(group, list(group.elements()), config)
+            exhaustive_layers(group, config)
 
 
 def test_proper_subgroup_selector():
@@ -327,6 +337,8 @@ def test_config_validation_errors():
             suites=("extract",),
             alphas=("1/2",),
         )
+    with pytest.raises(SpecError, match="^/groups: expected a nonempty list"):
+        ScanConfig(groups=[], subset_mode={"kind": "exhaustive"})
     with pytest.raises(SpecError):
         ScanConfig.from_json({"groups": ["cyclic:6"]})
     with pytest.raises(SpecError):
@@ -380,9 +392,9 @@ ID_MODES = st.one_of(
 )
 def test_ids_from_rendered_pieces_equal_the_whole_canonical_json(groups, mode, suites, alphas, subgroups, weight):
     config = ScanConfig(groups, mode, suites=suites, alphas=alphas, subgroups=subgroups, subgroup_weight=weight)
-    built: list = []
-    ids = iter_instance_specs(config, built)
-    assert ids == whole_ids(config, built)
+    pairs = list(_jobs(config))
+    ids = [instance_id for instance_id, _ in pairs]
+    assert ids == whole_ids(config, pairs)
     assert all(instance_id == canonical_json(json.loads(instance_id)) for instance_id in ids)
     # each id holds the fields of every instance, and optional ones only besides
     keys = {frozenset(json.loads(i)) for i in ids}
@@ -409,12 +421,47 @@ def test_a_scan_builds_one_lattice_per_group_structure(monkeypatch):
     config = ScanConfig(["dihedral:4", NESTED, {"type": "dihedral", "n": 4, "weight": "normalized"}, normalized,
                          {"type": "dihedral", "n": 4, "weight": "counting"}],
                         {"kind": "exhaustive", "max_size": 1}, suites=["spillover", "quotient-k1k2"])
-    built: list = []
-    ids = iter_instance_specs(config, built)
+    pairs = list(_jobs(config))
+    ids = [instance_id for instance_id, _ in pairs]
     assert names == ["D4", "Z2xZ2xS3"]
-    assert ids == whole_ids(config, built)
+    assert ids == whole_ids(config, pairs)
     # each group's subgroups are its own: the scan's reports are the replayed ones
-    assert [evaluate_instance(i, b).to_json() for i, b in zip(ids, built)] == [replay(i) for i in ids]
+    assert [evaluate_instance(i, job).to_json() for i, job in pairs] == [replay(i) for i in ids]
+
+
+def test_a_scan_evaluates_a_group_before_it_builds_the_next_groups_layers(monkeypatch):
+    events, live = [], {}
+    layers, evaluate = harness._exhaustive_layers, harness.evaluate_instance
+
+    def logged(group, *args):
+        events.append(group.name)
+        # the layers of the groups before: at most the one the last job held
+        live[group.name] = sum(isinstance(x, SubsetContext) and x.a.owner is not group for x in gc.get_objects())
+        return layers(group, *args)
+
+    monkeypatch.setattr(harness, "_exhaustive_layers", logged)
+    monkeypatch.setattr(harness, "evaluate_instance", lambda *args: events.append("evaluate") or evaluate(*args))
+    config = ScanConfig(["cyclic:4", "dihedral:3"], {"kind": "exhaustive", "max_size": 2}, suites=["layer-cake"])
+    assert scan(config)["aggregate"]["instances"] == 3 * 10 + 3 * 21
+    assert events.index("Z4") < events.index("evaluate") < events.index("D3")
+    assert live["D3"] <= 1
+    monkeypatch.undo()
+    assert [instance_id for instance_id, _ in _jobs(config)] == iter_instance_specs(config)
+
+
+@pytest.mark.parametrize("group, refusal", [
+    ("gl2z", "GL2Z is infinite"),
+    ("cyclic:70", "subgroup enumeration capped at order 64"),
+    ("symmetric:4", "exhaustive mode with max_size 6 enumerates 190050 subsets"),
+])
+def test_every_group_refusal_comes_before_the_first_evaluation(monkeypatch, group, refusal):
+    calls = []
+    evaluate = harness.evaluate_instance
+    monkeypatch.setattr(harness, "evaluate_instance", lambda *args: calls.append(args) or evaluate(*args))
+    config = ScanConfig(["cyclic:4", group], {"kind": "exhaustive", "max_size": 6}, suites=["layer-cake"])
+    with pytest.raises(SpecError, match=f"^/groups/1: {refusal}"):
+        scan(config)
+    assert calls == []
 
 
 def test_csv_export():

@@ -278,10 +278,9 @@ def test_a_scan_builds_the_quotient_that_quotient_checks_and_builds(weight):
     # a scan builds each lattice subgroup's quotient with no second normality
     # test; `quotient` tests the same subgroup and must build the same thing
     config = ScanConfig(catalog(), {"kind": "random", "count": 1, "seed": 0}, subgroup_weight=weight)
-    built: list = []
-    harness.iter_instance_specs(config, built)
-    assert len(built) > 1000
-    for _, make_quotient, *_ in built:
+    jobs = [job for _, job in harness._jobs(config)]
+    assert len(jobs) > 1000
+    for _, make_quotient, *_ in jobs:
         scanned = make_quotient()
         group, sub = scanned.ambient, scanned.subgroup
         checked = quotient(group, sub.elements, weight)

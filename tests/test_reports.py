@@ -10,6 +10,7 @@ arithmetic, `replay`'s validating parser with a fresh layer per id, and
 `json.dumps` of every report's `to_json()`.
 """
 
+import gc
 import inspect
 import io
 import json
@@ -32,7 +33,7 @@ from doubling.sets import GSubset, inv_set
 from doubling.harness import ALL_SUITES, TOP_WITNESSES, InstanceReport, _fold_aggregate, canonical_json, report_csv
 from doubling.metrics import DoublingStats, stats_of
 from doubling.rationals import fmt, put
-from oracles import packed_profile, reference_suites, translate
+from oracles import packed_profile, reference_suites, top_witnesses, translate
 
 
 def _artifact(doc) -> str:
@@ -235,9 +236,9 @@ def _extract_runs(monkeypatch) -> list:
     runs: list = []
     evaluate, extract = harness.evaluate_instance, harness.SUITES["extract"]
 
-    def counted_evaluate(instance_id, built=None):
+    def counted_evaluate(instance_id, job=None):
         runs.append([instance_id, 0])
-        return evaluate(instance_id, built)
+        return evaluate(instance_id, job)
 
     def counted_extract(ctx, alphas):
         runs[-1][1] += 1
@@ -284,14 +285,13 @@ def test_an_exhaustive_verify_runs_the_quotient_suites_once_per_fiber_profile(tm
 def test_replay_and_single_instance_subgroups_run_every_suite(monkeypatch):
     config = ScanConfig(["dihedral:4", "cyclic:6"], {"kind": "random", "count": 1, "seed": 0},
                         emit_instances=True)
-    built: list = []
-    iter_instance_specs(config, built)
-    assert [table for *_, table in built] == [None] * len(built)
+    jobs = [job for _, job in harness._jobs(config)]
+    assert [table for *_, table in jobs] == [None] * len(jobs)
     runs = _extract_runs(monkeypatch)
     report = scan(config)
     for rep in report["instances"]:
         replay(rep.id)
-    assert len(runs) == 2 * len(built) and {n for _, n in runs} == {1}
+    assert len(runs) == 2 * len(jobs) and {n for _, n in runs} == {1}
 
 
 def test_random_scan_equals_replay():
@@ -411,3 +411,33 @@ def test_witness_order_matches_a_fraction_sort(entries):
             assert (agg[name]["max"], agg[name]["max_dec"]) == (fmt(ranked[0][0]), float(ranked[0][0]))
         else:
             assert agg[name]["max"] is None
+
+
+def test_each_probe_keeps_the_entries_of_a_full_sort_with_ties_and_repeated_ids():
+    # singletons: every probe value is 1, and a group of order 2 repeats its ids
+    mode = {"kind": "random", "count": 12, "seed": 4, "density": {"size": 1}}
+    report = scan(ScanConfig(["cyclic:2", "q8", "dihedral:4"], mode, suites=["quotient-sym"], emit_instances=True))
+    reports = report["instances"]
+    assert len({rep.id for rep in reports}) < len(reports)
+    assert {Fraction(*rep.probe) for rep in reports} == {1}
+    entries = [harness._Ranked(rep) for rep in reports]
+    symmetric = [e for e, rep in zip(entries, reports) if rep.stats.symmetric]
+    assert TOP_WITNESSES < len(symmetric) < len(entries)
+    for name, kept in (("general_probe", entries), ("symmetric_probe", symmetric)):
+        witnesses = report["aggregate"][name]["witnesses"]
+        assert witnesses == [{"value": fmt(e.num, e.den), "value_dec": e.num / e.den, "id": e.id}
+                             for e in top_witnesses(kept)]
+        assert report["aggregate"][name]["max"] == witnesses[0]["value"]
+
+
+def test_the_fold_holds_no_more_entries_than_its_witnesses():
+    def reports(n):
+        for i in range(n):
+            if i % 100 == 0:
+                live = sum(isinstance(obj, harness._Ranked) for obj in gc.get_objects())
+                assert live <= 2 * TOP_WITNESSES + 1, f"{live} probe entries live after {i} reports"
+            yield InstanceReport(f"id-{i % 250:03d}", 1, 1, DoublingStats(1, 1, 1, i % 3 == 0), 1 + i % 7, 1 + i % 5, ())
+
+    agg = _fold_aggregate(reports(1000))
+    assert agg["instances"] == 1000
+    assert len(agg["general_probe"]["witnesses"]) == len(agg["symmetric_probe"]["witnesses"]) == TOP_WITNESSES
