@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
 from .constructions import (
+    EMIT_CAP,
     build_from_reference,
     build_sharpness_instance,
     load_instance,
@@ -32,10 +33,8 @@ from .harness import (
     Fragment,
     InstanceReport,
     ScanConfig,
-    _group_at,
-    canonical_json,
+    _selected,
     parse_alphas,
-    parse_group_selector,
     replay,
     report_csv,
     scan,
@@ -46,7 +45,6 @@ from .rationals import fmt
 from .sets import decode_subset
 
 _EXHAUSTIVE_DEFAULT_LIMIT = 12
-_MATERIALIZE_CAP = 20_000  # the default of construct --materialize-cap
 _ONE_PROCESS = "accepted as 1 only: a scan runs in one process"
 
 
@@ -282,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", type=_integer_arg, required=True)
     c.add_argument("--emit", help="also write a loadable instance artifact here")
     c.add_argument("--materialize-cap", type=_integer_arg,
-                   help=f"most elements --emit lists (default {_MATERIALIZE_CAP})")
+                   help=f"most elements --emit lists (default {EMIT_CAP})")
     _add_common(c)
 
     e = sub.add_parser("extract", help="certified structure-set extraction")
@@ -311,9 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _group_arg(text: str) -> tuple[dict, WeightedGroup]:
     """A group selector like "cyclic:12", or @file holding a spec, with the
-    harness's cached group for it."""
-    spec = parse_group_selector(_read_json(text[1:], "--group") if text.startswith("@") else text, "/group")
-    return spec, _group_at(canonical_json(spec), "/group")
+    group built from it, which the command owns."""
+    return _selected(_read_json(text[1:], "--group") if text.startswith("@") else text, "/group")
 
 
 def _flagged(flags: dict, read, *args, **kwargs):
@@ -376,7 +373,7 @@ def _violation_status(report: dict) -> int:
 def _cmd_construct(args) -> int:
     if not args.emit:
         _unused(args, ("--materialize-cap",), "without --emit")
-    cap = _MATERIALIZE_CAP if args.materialize_cap is None else args.materialize_cap
+    cap = EMIT_CAP if args.materialize_cap is None else args.materialize_cap
     if cap < 0:
         raise SpecError("--materialize-cap", f"expected an integer >= 0, got {cap}")
     flags = {"/N": "--N", "/h": "--h", "/m": "--m"}

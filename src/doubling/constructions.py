@@ -37,6 +37,7 @@ from .rationals import put
 from .sets import GSubset, decode_subset
 
 MATERIALIZE_CAP = 200_000
+EMIT_CAP = 20_000  # the most elements `to_json` lists by default, as construct --emit does
 # the block product multiplies (2N+1)^2 pairs of matrices with 2^N entries, and
 # the Cantor cover ORs m-bit masks: with both at their caps, 1.4 s and 106 MB
 MAX_BLOCK_PAIRS = 2**16
@@ -278,7 +279,7 @@ class SharpnessInstance(namedtuple(
             elems.update(product(h_range, (w,), range(self.m) if z is None else z))
         return GSubset(g, frozenset(elems))
 
-    def to_json(self, materialize_cap: int = 20_000) -> dict:
+    def to_json(self, materialize_cap: int = EMIT_CAP) -> dict:
         out: dict = {
             "kind": "sharpness-instance",
             "params": {"N": self.N, "h": self.h, "m": self.m, "r": self.r},

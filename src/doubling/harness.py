@@ -16,7 +16,7 @@ import json
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import combinations
 from math import comb
 
@@ -200,16 +200,18 @@ def _with_weight(spec: dict, mode: str) -> dict:
 
 
 def parse_group_selector(sel: str | dict, path: str = "") -> dict:
-    """Accept either a full spec dict or a shorthand like "cyclic:12".
+    """Accept either a full spec dict or a shorthand like "cyclic:12"; its group is built to check it."""
+    return _selected(sel, path)[0]
 
-    The group is built to validate it, through the same cache the scan reads,
-    so a spec is built once."""
+
+def _selected(sel: str | dict, path: str) -> tuple[dict, WeightedGroup]:
+    """A selector's spec and a group built from it, errors at `path`: built
+    from its canonical JSON, so a spec holding tuples reads as lists."""
     if isinstance(sel, str):
         sel = _selector_spec(sel, path)
     elif not isinstance(sel, dict):
         raise SpecError(path, f"expected a group spec or selector string, got {sel!r}")
-    _group_at(canonical_json(sel), path)
-    return sel
+    return sel, build_group(json.loads(canonical_json(sel)), path)
 
 
 def _selector_spec(sel: str, path: str) -> dict:
@@ -261,8 +263,8 @@ class ScanConfig:
 
     The constructor checks every field, a random `count` against MAX_SUBSETS
     too, and raises a SpecError naming the JSON path of the first bad one; it
-    normalizes `groups` to specs, none repeated, `suites` to their canonical
-    order and `alphas` to Fractions."""
+    normalizes `groups` to specs, no two of one group `signature`, `suites`
+    to their canonical order and `alphas` to Fractions; it keeps no group."""
 
     FIELDS = ("groups", "subset_mode", "suites", "subgroups", "subgroup_weight",
               "alphas", "emit_instances")
@@ -280,11 +282,12 @@ class ScanConfig:
     ) -> None:
         if not isinstance(groups, (list, tuple)) or not groups:
             raise SpecError("/groups", "expected a nonempty list of group specs or selectors")
-        self.groups, first = [], {}  # first: canonical spec -> its index
+        self.groups, first = [], {}  # first: group signature -> its index
         for i, g in enumerate(groups):
-            self.groups.append(spec := parse_group_selector(g, f"/groups/{i}"))
-            if first.setdefault(text := canonical_json(spec), i) != i:
-                raise SpecError(f"/groups/{i}", f"repeats the group at /groups/{first[text]}")
+            spec, group = _selected(g, f"/groups/{i}")
+            self.groups.append(spec)
+            if first.setdefault(group.signature, i) != i:
+                raise SpecError(f"/groups/{i}", f"repeats the group at /groups/{first[group.signature]}")
         self.suites = tuple(s for s in ALL_SUITES if s in _check_suites(suites))
         if subgroups not in ("all", "proper"):
             raise SpecError("/subgroups", f'expected "all" or "proper", got {subgroups!r}')
@@ -380,15 +383,15 @@ def iter_instance_specs(config: ScanConfig) -> list[str]:
 def _jobs(config: ScanConfig) -> Iterator[tuple[str, tuple]]:
     """Each id of a scan, in order, with its job: the (subset layer, quotient
     maker, suites, alphas, results table) `evaluate_instance` reads in its
-    place.  A first pass builds each lattice, one per `_unweighted` spec, and
-    forms no subset: every refusal comes before the first job.  Then each job
-    is made as it is drawn: an exhaustive scan builds a group's layers once,
-    for all its normal subgroups; a random scan samples one per instance.  A
-    normal subgroup's quotient (`_quotient_by`: the lattice tested H) and its
-    results table (see `_table_key`; None where it has one instance) are
-    shared by its instances, the quotient built by the first evaluation.  An
-    id joins its alphas, group and subgroup, each rendered once, and its
-    layer's `_id_tail`, which an exhaustive scan's subgroups share."""
+    place.  A first pass builds each group, and a lattice per `_unweighted`
+    spec, and forms no subset: every refusal comes before the first job.
+    Then each job is made as it is drawn: an exhaustive scan builds a group's
+    layers once, for all its normal subgroups; a random scan samples one per
+    instance.  A normal subgroup's quotient (`_quotient_by`: the lattice
+    tested H) and its results table (see `_table_key`; None where it has one
+    instance) are shared by its instances, the quotient built by the first
+    evaluation.  An id joins its alphas, group and subgroup, each rendered
+    once, and its layer's `_id_tail`, which an exhaustive scan's subgroups share."""
     mode = config.subset_mode
     rng = None
     if mode["kind"] == "random":
@@ -401,7 +404,7 @@ def _jobs(config: ScanConfig) -> Iterator[tuple[str, tuple]]:
     weight = ',"weight":' + canonical_json(config.subgroup_weight) + "}"
     lattices, plans = {}, deque()  # lattices: spec without weights -> its normal subgroups' elements
     for i, gspec in enumerate(config.groups):
-        group = _group(group_json := canonical_json(gspec))
+        group = build_group(json.loads(group_json := canonical_json(gspec)))
         if group.order is None:
             raise SpecError(f"/groups/{i}", f"{group.name} is infinite; scans need finite groups")
         try:
@@ -415,6 +418,8 @@ def _jobs(config: ScanConfig) -> Iterator[tuple[str, tuple]]:
         except CapError as exc:
             raise SpecError(f"/groups/{i}", str(exc)) from exc
         plans.append((group_json, group, subs, elems, units))
+    if not any(subs for _, _, subs, _, _ in plans):  # a "proper" scan of groups without one
+        raise SpecError("/subgroups", "no group has a normal subgroup 1 < |H| < |G|; the scan would check nothing")
     while plans:  # a plan is dropped, with its group, once its last job is drawn
         group_json, group, subs, elems, units = plans.popleft()
         text = dict(zip(elems, map(canonical_json, map(group.encode_element, elems))))
@@ -515,19 +520,6 @@ def _random_layers(group: WeightedGroup, elems: list, config: ScanConfig, rng: R
 # -- evaluation ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def _group(spec_json: str) -> WeightedGroup:
-    return build_group(json.loads(spec_json))
-
-
-def _group_at(spec_json: str, path: str) -> WeightedGroup:
-    """The one group object (and Cayley table) per spec; errors name `path`."""
-    try:
-        return _group(spec_json)
-    except SpecError as exc:
-        raise exc.under(path) from None
-
-
 _ID_KEYS = {"group", "subgroup", "subset", "subset_b", "subset_c", "suites", "alphas", "translate"}
 
 
@@ -554,7 +546,7 @@ def _load_id(instance_id: str) -> tuple:
     translate = spec.get("translate")
     if "translate" in spec and not (isinstance(translate, list) and len(translate) == 2):
         raise SpecError("/translate", "expected exactly two group elements [g, h]")
-    group = _group_at(canonical_json(spec["group"]), "/group")
+    group = build_group(spec["group"], "/group")
     q = quotient_from_description(group, spec["subgroup"], "/subgroup")  # checked before the subsets
     a, b, c = (decode_nonempty(group, spec[key], f"/{key}") if key in spec else None
                for key in ("subset", "subset_b", "subset_c"))
@@ -575,7 +567,7 @@ def _check_pairs(order: int | None, a: GSubset, b: GSubset | None, c: GSubset | 
     na = len(a.elements)
     nb = na if b is None else len(b.elements)
     pairs = na * na
-    if not {"spillover", "containment", "ruzsa-axioms"}.isdisjoint(suites):
+    if _needs_partner(suites):
         pairs = max(pairs, na * nb)
     if "ruzsa-axioms" in suites:
         nc = len(c.elements) if c is not None else na * na if order is None else min(na * na, order)

@@ -16,8 +16,8 @@ from itertools import groupby
 
 from doubling.constructions import _GL2Z, _cantor, matrix_family
 from doubling.errors import ConsistencyError
-from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, _grow, quaternion_table
-from doubling.harness import TOP_WITNESSES, ScanConfig, _group, canonical_json
+from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, _grow, build_group, quaternion_table
+from doubling.harness import TOP_WITNESSES, ScanConfig, canonical_json
 from doubling.quotients import QuotientStructure, _generators, normal_subgroups
 from doubling.rationals import fmt, put
 from doubling.sets import GSubset, inv_set, mul_set
@@ -101,7 +101,7 @@ def whole_ids(config: ScanConfig, pairs: list) -> list[str]:
     runs = [[job for _, job in run] for _, run in groupby(pairs, key=lambda pair: id(pair[1][1]))]
     pairs = []
     for gspec in config.groups:
-        group = _group(canonical_json(gspec))
+        group = build_group(gspec)
         subs = normal_subgroups(group)
         if config.subgroups == "proper":
             subs = [s for s in subs if 1 < len(s.elements) < group.order]

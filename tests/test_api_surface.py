@@ -4,7 +4,8 @@ A definition must be referenced in the package beyond its own body, be
 exported in `doubling.__all__`, or be named in the tracer's `SPANS`.  A
 helper that only the tests call belongs in `tests/oracles.py`: every command
 compiles the whole package, so dead source is start-up time.  The README's
-library example runs against the same exports.
+library example runs against the same exports.  No module holds a cache
+that lives as long as the process.
 """
 
 import ast
@@ -12,6 +13,7 @@ import contextlib
 import importlib.util
 import io
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -57,6 +59,16 @@ def _unreasoned() -> list[str]:
 
 def test_every_definition_is_used_exported_or_traced():
     assert _unreasoned() == []
+
+
+def test_no_module_holds_a_process_wide_cache():
+    """A module-level `functools.cache` or `lru_cache` outlives every scan and
+    id that filled it; a cache local to one scan or id dies with it."""
+    import doubling.cli  # the command modules too
+    cached = [f"{name}.{attr}" for name, module in list(sys.modules.items())
+              if name == "doubling" or name.startswith("doubling.")
+              for attr, value in vars(module).items() if hasattr(value, "cache_info")]
+    assert cached == []
 
 
 def test_all_names_resolve_once():

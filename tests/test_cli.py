@@ -536,6 +536,13 @@ EXHAUSTIVE = {"kind": "exhaustive", "max_size": 2}
         ({"alphas": ["2", "+3/2"]}, "/alphas/1"),
         # a scan of no groups would check nothing and pass
         ({"groups": []}, "/groups"),
+        # a default key written out names the same group, a factor's too
+        ({"groups": ["cyclic:4", {"type": "cyclic", "n": 4, "weight": "counting"}]}, "/groups/1"),
+        ({"groups": [{"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "cyclic", "n": 3}]},
+                     {"type": "product", "factors": [{"type": "cyclic", "n": 2, "weight": "counting"},
+                                                     {"type": "cyclic", "n": 3}]}]}, "/groups/1"),
+        # as would a "proper" scan of groups without a normal subgroup 1 < |H| < |G|
+        ({"groups": ["cyclic:5", "cyclic:7"], "subgroups": "proper"}, "/subgroups"),
     ],
 )
 def test_scan_rejects_malformed_configs_with_a_path(tmp_path, capsys, change, path):

@@ -1,9 +1,10 @@
 import gc
 import json
+import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doubling import (
     CapError,
@@ -22,7 +23,7 @@ from doubling import (
 from doubling import harness
 from doubling.context import SubsetContext
 from doubling.harness import (
-    ALL_SUITES, _exhaustive_layers, _exhaustive_units, _group, _jobs, canonical_json, report_csv,
+    ALL_SUITES, _exhaustive_layers, _exhaustive_units, _jobs, canonical_json, report_csv,
 )
 from oracles import whole_ids
 
@@ -194,7 +195,7 @@ def _mask_walk(group, max_size):
 
 @pytest.mark.parametrize("selector", ["dihedral:6", "cyclic:24", "q8", "symmetric:4"])
 def test_symmetric_only_layers_with_a_max_size_follow_the_mask_walk(selector):
-    group = _group(canonical_json(parse_group_selector(selector)))
+    group = build_group(parse_group_selector(selector))
     for max_size in (1, 2, 3, 4):
         config = ScanConfig([selector], {"kind": "exhaustive", "symmetric_only": True, "max_size": max_size})
         layers = exhaustive_layers(group, config)
@@ -236,7 +237,7 @@ def test_exhaustive_cap_without_max_size():
     ("cyclic:64", {"max_size": 5, "symmetric_only": True}, 2 + 1 + 31 * (1 + 2 + 1) + 465 * (1 + 2)),
 ])
 def test_exhaustive_cap_with_max_size(selector, mode, count):
-    group = _group(canonical_json(parse_group_selector(selector)))
+    group = build_group(parse_group_selector(selector))
     config = ScanConfig([selector], {"kind": "exhaustive", **mode}, suites=("layer-cake",))
     if count < 2**16:
         layers = exhaustive_layers(group, config)
@@ -272,7 +273,7 @@ def _every_qualifying_union(group, max_size, symmetric_only):
 @given(spec=st.sampled_from(WALK_GROUPS), max_size=st.sampled_from([None, 1, 2, 3, 4]),
        symmetric_only=st.booleans())
 def test_exhaustive_layers_equal_a_brute_force_walk_and_the_count_the_cap_checked(spec, max_size, symmetric_only):
-    group = _group(canonical_json(spec))
+    group = build_group(spec)
     mode = {"kind": "exhaustive", "symmetric_only": symmetric_only}
     if max_size is not None:
         mode["max_size"] = max_size
@@ -390,8 +391,14 @@ ID_MODES = st.one_of(
     subgroups=st.sampled_from(["all", "proper"]),
     weight=st.sampled_from(["counting", "normalized"]),
 )
+@example(groups=ID_GROUPS[-1:], mode={"kind": "exhaustive", "max_size": 1}, suites=[], alphas=["2"],
+         subgroups="proper", weight="counting")
 def test_ids_from_rendered_pieces_equal_the_whole_canonical_json(groups, mode, suites, alphas, subgroups, weight):
     config = ScanConfig(groups, mode, suites=suites, alphas=alphas, subgroups=subgroups, subgroup_weight=weight)
+    if subgroups == "proper" and groups == ID_GROUPS[-1:]:  # Z3 has no subgroup 1 < |H| < 3
+        with pytest.raises(SpecError, match="^/subgroups: no group has a normal subgroup"):
+            next(_jobs(config))
+        return
     pairs = list(_jobs(config))
     ids = [instance_id for instance_id, _ in pairs]
     assert ids == whole_ids(config, pairs)
@@ -418,9 +425,12 @@ def test_a_scan_builds_one_lattice_per_group_structure(monkeypatch):
     normalized = {"type": "product", "factors": [{**NESTED["factors"][0], "weight": "normalized"}, {
         **NESTED["factors"][1], "factors": [{**f, "weight": "normalized"} for f in NESTED["factors"][1]["factors"]]}]}
     names.clear()
-    config = ScanConfig(["dihedral:4", NESTED, {"type": "dihedral", "n": 4, "weight": "normalized"}, normalized,
-                         {"type": "dihedral", "n": 4, "weight": "counting"}],
-                        {"kind": "exhaustive", "max_size": 1}, suites=["spillover", "quotient-k1k2"])
+    groups = ["dihedral:4", NESTED, {"type": "dihedral", "n": 4, "weight": "normalized"}, normalized]
+    mode = {"kind": "exhaustive", "max_size": 1}
+    # the default weight written out is the same group as "dihedral:4"
+    with pytest.raises(SpecError, match="^/groups/4: repeats the group at /groups/0"):
+        ScanConfig([*groups, {"type": "dihedral", "n": 4, "weight": "counting"}], mode)
+    config = ScanConfig(groups, mode, suites=["spillover", "quotient-k1k2"])
     pairs = list(_jobs(config))
     ids = [instance_id for instance_id, _ in pairs]
     assert names == ["D4", "Z2xZ2xS3"]
@@ -430,8 +440,8 @@ def test_a_scan_builds_one_lattice_per_group_structure(monkeypatch):
 
 
 def test_a_scan_evaluates_a_group_before_it_builds_the_next_groups_layers(monkeypatch):
-    events, live = [], {}
-    layers, evaluate = harness._exhaustive_layers, harness.evaluate_instance
+    events, live, built = [], {}, []
+    layers, evaluate, build = harness._exhaustive_layers, harness.evaluate_instance, harness.build_group
 
     def logged(group, *args):
         events.append(group.name)
@@ -441,10 +451,14 @@ def test_a_scan_evaluates_a_group_before_it_builds_the_next_groups_layers(monkey
 
     monkeypatch.setattr(harness, "_exhaustive_layers", logged)
     monkeypatch.setattr(harness, "evaluate_instance", lambda *args: events.append("evaluate") or evaluate(*args))
+    monkeypatch.setattr(harness, "build_group", lambda *args: built.append(weakref.ref(g := build(*args))) or g)
     config = ScanConfig(["cyclic:4", "dihedral:3"], {"kind": "exhaustive", "max_size": 2}, suites=["layer-cake"])
     assert scan(config)["aggregate"]["instances"] == 3 * 10 + 3 * 21
     assert events.index("Z4") < events.index("evaluate") < events.index("D3")
     assert live["D3"] <= 1
+    # the groups that the config checked and that the scan ran on: none outlives the scan
+    gc.collect()
+    assert len(built) == 4 and [ref() for ref in built] == [None] * 4
     monkeypatch.undo()
     assert [instance_id for instance_id, _ in _jobs(config)] == iter_instance_specs(config)
 
@@ -462,6 +476,29 @@ def test_every_group_refusal_comes_before_the_first_evaluation(monkeypatch, grou
     with pytest.raises(SpecError, match=f"^/groups/1: {refusal}"):
         scan(config)
     assert calls == []
+
+
+def test_a_proper_scan_that_finds_no_subgroup_is_refused_before_the_first_evaluation(monkeypatch):
+    calls = []
+    evaluate = harness.evaluate_instance
+    monkeypatch.setattr(harness, "evaluate_instance", lambda *args: calls.append(args) or evaluate(*args))
+    mode = {"kind": "random", "count": 1, "seed": 0}
+    config = ScanConfig(["cyclic:5", "cyclic:7"], mode, subgroups="proper")
+    for run in (iter_instance_specs, scan):
+        with pytest.raises(SpecError, match="^/subgroups: no group has a normal subgroup 1 < "):
+            run(config)
+    assert calls == []
+    # one group with such a subgroup is enough: Z4's {0, 2}
+    assert len(iter_instance_specs(ScanConfig(["cyclic:5", "cyclic:4"], mode, subgroups="proper"))) == 1
+
+
+def test_a_spec_holding_tuples_is_read_as_its_lists():
+    c2, s3 = {"type": "cyclic", "n": 2}, {"type": "symmetric", "n": 3}
+    mode = {"kind": "exhaustive", "max_size": 1}
+    as_tuple = ScanConfig([{"type": "product", "factors": (c2, s3)}], mode, suites=["layer-cake"])
+    as_list = ScanConfig([{"type": "product", "factors": [c2, s3]}], mode, suites=["layer-cake"])
+    assert iter_instance_specs(as_tuple) == iter_instance_specs(as_list)
+    assert parse_group_selector({"type": "product", "factors": (c2, s3)})["factors"] == (c2, s3)
 
 
 def test_csv_export():

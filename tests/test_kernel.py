@@ -345,28 +345,20 @@ def test_a_scan_tests_normality_once_per_lattice_subgroup_and_replay_again(monke
 
     for name in calls:
         monkeypatch.setattr(quotients, name, counted(name, getattr(quotients, name)))
-    _clear_caches()
-    try:
-        ids = iter_instance_specs(config)
-        report = harness.scan(config)
-        assert report["aggregate"]["instances"] == len(ids) > 0
-        # one lattice per group for the ids, and one for the scan
-        assert calls == {"_generators": 0, "_conjugates_into": 2 * subgroups}
-        calls.update(dict.fromkeys(calls, 0))
-        evaluate_instance(ids[-1])
-        assert calls["_generators"] >= 1 and calls["_conjugates_into"] == 1
-    finally:
-        _clear_caches()
+    ids = iter_instance_specs(config)
+    report = harness.scan(config)
+    assert report["aggregate"]["instances"] == len(ids) > 0
+    # one lattice per group for the ids, and one for the scan
+    assert calls == {"_generators": 0, "_conjugates_into": 2 * subgroups}
+    calls.update(dict.fromkeys(calls, 0))
+    evaluate_instance(ids[-1])
+    assert calls["_generators"] >= 1 and calls["_conjugates_into"] == 1
 
 
 # -- every suite, table path against op path --------------------------------------
 
 S3_X_Z2 = {"type": "product", "factors": [{"type": "symmetric", "n": 3}, {"type": "cyclic", "n": 2}]}
 SUITE_GROUPS = ["dihedral:4", "q8", S3_X_Z2, "symmetric:4"]
-
-
-def _clear_caches() -> None:
-    harness._group.cache_clear()
 
 
 def _all_suite_reports() -> list[dict]:
@@ -378,16 +370,11 @@ def _all_suite_reports() -> list[dict]:
 
 
 def test_every_suite_reports_the_same_on_the_op_path(monkeypatch):
-    _clear_caches()
-    try:
-        on_tables = _all_suite_reports()
-        with monkeypatch.context() as patch:
-            patch.setattr(WeightedGroup, "law", property(OpLaw))
-            _clear_caches()
-            assert isinstance(build_group({"type": "symmetric", "n": 4}).law, OpLaw)
-            on_op = _all_suite_reports()
-    finally:
-        _clear_caches()
+    on_tables = _all_suite_reports()
+    with monkeypatch.context() as patch:
+        patch.setattr(WeightedGroup, "law", property(OpLaw))
+        assert isinstance(build_group({"type": "symmetric", "n": 4}).law, OpLaw)
+        on_op = _all_suite_reports()
     assert len(on_tables) > 300
     assert {name for r in on_tables for name in r["suites"]} == set(harness.ALL_SUITES)
     assert on_op == on_tables

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doubling import (
-    ScanConfig, WeightedGroup, catalog, evaluate_instance, iter_instance_specs, mul_set,
+    ScanConfig, WeightedGroup, build_group, catalog, evaluate_instance, iter_instance_specs, mul_set,
     normal_subgroups, parse_group_selector, quotient, replay, scan,
 )
 from doubling import harness, quotients
@@ -162,7 +162,7 @@ KEY_GROUPS = catalog(weights=("counting",), max_product_order=32)
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_the_shift_sum_key_equals_the_counted_fiber_profiles(data):
-    group = harness._group(harness.canonical_json(data.draw(st.sampled_from(KEY_GROUPS))))
+    group = build_group(data.draw(st.sampled_from(KEY_GROUPS)))
     elems = sorted(group.elements())
     a, b = (GSubset(group, frozenset(data.draw(st.lists(st.sampled_from(elems), min_size=1, max_size=16))))
             for _ in range(2))
@@ -212,7 +212,7 @@ def test_a_results_table_hit_under_the_trivial_subgroup_equals_the_set_based_ref
     """Under H = {e}, random (A, B, C) fill a results table, or hit it when
     their counts repeat, and the conjugates of the first by g hit it: every
     record equals `oracles.reference_suites`."""
-    group = harness._group(canonical_json(data.draw(st.sampled_from(TRIVIAL_KEY_GROUPS))))
+    group = build_group(data.draw(st.sampled_from(TRIVIAL_KEY_GROUPS)))
     elems = sorted(group.elements())
     draws = [[GSubset(group, frozenset(data.draw(st.lists(st.sampled_from(elems), min_size=1, max_size=4))))
               for _ in range(3)] for _ in range(4)]
@@ -265,7 +265,7 @@ def test_an_exhaustive_verify_runs_the_quotient_suites_once_per_fiber_profile(tm
     for instance_id, n in runs:
         subgroup = canonical_json(json.loads(instance_id)["subgroup"])
         per_subgroup[subgroup] = per_subgroup.get(subgroup, 0) + n
-    group = harness._group(canonical_json(parse_group_selector("dihedral:6")))
+    group = build_group(parse_group_selector("dihedral:6"))
     subsets = [GSubset(group, frozenset(c)) for k in (1, 2, 3) for c in combinations(sorted(group.elements()), k)]
     expected = {}
     for sub in normal_subgroups(group):
