@@ -20,10 +20,12 @@ tree id of the `src/` it ran, uncommitted edits included: it equals
 `git rev-parse C:src` for any commit C with that `src/`.
 
 These are the paper's exhaustive checks at full size, where evaluation cost
-shows, and the catalog-wide scan: `harness.catalog()` in both weights, one
-random subset per normal subgroup at seed 0, with `--csv`.  Its config is
-written from this checkout's `catalog()` and read by both sides.  The
-`perfbench` workloads are small enough that start-up dominates.
+shows: all of D6, S4 up to size 4, and Z64 up to size 3 (43,744 subset
+layers under 7 normal subgroups, so its peak memory shows how many layers a
+scan holds at once); and the catalog-wide scan: `harness.catalog()` in both
+weights, one random subset per normal subgroup at seed 0, with `--csv`.  Its
+config is written from this checkout's `catalog()` and read by both sides.
+The `perfbench` workloads are small enough that start-up dominates.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ CATALOG_CONFIG = "catalog-scan.json"  # written into the scratch directory the c
 COMMANDS = (
     ("verify", "--group", "dihedral:6", "-j", "1"),
     ("verify", "--group", "symmetric:4", "--max-subset-size", "4", "-j", "1"),
+    ("verify", "--group", "cyclic:64", "--max-subset-size", "3", "-j", "1"),
     ("scan", "--config", CATALOG_CONFIG, "--csv", "out.csv", "-j", "1"),
 )
 PAIRS = 10

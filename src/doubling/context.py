@@ -3,16 +3,20 @@
 `SubsetContext` holds all that reads no quotient, so an exhaustive scan
 builds one per subset of a group and shares it among the instances of every
 normal subgroup.  `InstanceContext` reads it under the quotient by one
-normal subgroup, on the points of the quotient's law.  All sizes are integer
-counts: the weights are uniform, so they cancel from every comparison and
-enter only where a report is written.
+normal subgroup, on the points of the quotient's law; a `_Packing` packs
+a layer's fiber profiles under many normal subgroups into one int.  All
+sizes are integer counts: the weights are uniform, so they cancel from every
+comparison and enter only where a report is written.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from fractions import Fraction
 from functools import cached_property
 
 from .quotients import QuotientStructure
+from .rationals import put
 from .sets import GSubset, inv_set, mul_set, require_owner
 
 
@@ -45,6 +49,32 @@ def points(x: GSubset) -> frozenset:
     return frozenset(x.owner.law.points(x.elements))
 
 
+class DoublingStats(namedtuple("DoublingStats", "size square inv_square symmetric")):
+    """K = mu(A^2)/mu(A); K2 = mu(A^-1 A)/mu(A); K1 aliases K.
+
+    Held as the counts |A|, |A^2| and |A^-1 A| (or any measures in one common
+    unit); the constants are exact properties over them."""
+
+    __slots__ = ()
+
+    @property
+    def K(self) -> Fraction:
+        return Fraction(self.square, self.size)
+
+    K1 = K
+
+    @property
+    def K2(self) -> Fraction:
+        return Fraction(self.inv_square, self.size)
+
+    def to_json(self) -> dict:
+        out: dict = {"symmetric": self.symmetric}
+        put(out, "K", self.square, self.size)
+        put(out, "K1", self.square, self.size)
+        put(out, "K2", self.inv_square, self.size)
+        return out
+
+
 def _mul(x_owner, x: frozenset, y_owner, y: frozenset) -> GSubset:
     return mul_set(GSubset(x_owner, x), GSubset(y_owner, y))
 
@@ -52,9 +82,9 @@ def _mul(x_owner, x: frozenset, y_owner, y: frozenset) -> GSubset:
 class SubsetContext:
     """A with optional partners B and C and translators (g, h), in one group.
 
-    Product sets are memoized by their operands' groups and elements; `symmetric`,
-    `square` and `inv_square` are the `DoublingStats` counts, and `ruzsa`
-    holds the ruzsa-axioms (record, violations) once that suite ran."""
+    Product sets are memoized by their operands' groups and elements; `stats`
+    are the `DoublingStats` of `symmetric`, `square` and `inv_square`, and
+    `ruzsa` holds the ruzsa-axioms (record, violations) once that suite ran."""
 
     def __init__(self, a: GSubset, b: GSubset | None = None, c: GSubset | None = None, translators=None):
         self.a, self.b, self.c, self.translators, self.ruzsa = a, b, c, translators, None
@@ -78,6 +108,10 @@ class SubsetContext:
     @once
     def inv_square(self) -> int:
         return len(self.mul(self.inverse, self.a).elements)
+
+    @once
+    def stats(self) -> DoublingStats:
+        return DoublingStats(len(self.a.elements), self.square, self.inv_square, self.symmetric)
 
 
 def _levels(fibers: dict) -> list[tuple[int, frozenset, int]]:
@@ -127,3 +161,43 @@ class InstanceContext:
         """(n, level L, |L|, |L L|, |B_n|) per level of A, B_n being A meet
         the preimage of L: with |A| and |A^2|, all that extraction reads."""
         return [(n, lv, len(lv), len(self.product[lv, lv]), held) for n, lv, held in self.levels_a]
+
+
+class _Packing:
+    """A layer's fiber profiles under every |H| > 1 of some runs in one int:
+    H has [G:H] w bits from its `off`, w = |H|.bit_length(), X's count at
+    coset c in the w bits from c w (w bits hold a count up to |H|; a
+    `quotient`'s cosets are 0..[G:H]-1).  So the sum over X of the `row` x ->
+    sum over H of 1 << off + c(x) w (built at the first key) packs them all.
+    A layer packs A and, with `spill`, B, AB and BA, `width` apart.  The last
+    layer packed is kept: a scan evaluates a layer's instances in a row."""
+
+    def __init__(self, elems: list, runs: list, spill: bool) -> None:
+        """Lay out `runs`, each (id prefix, quotient maker, |H|), and give each its (off, mask) in `fields`."""
+        self.elems, self.spill, self.slices, self.fields, self.row, self.layer = elems, spill, [], [], None, None
+        self.width = sum(len(elems) // size * size.bit_length() for *_, size in runs if size > 1)
+        spread = sum(1 << s * self.width for s in range(4))  # a mask's field at each packed set
+        off = 0
+        for _, make_quotient, size in runs:
+            w = size.bit_length()
+            bits = len(elems) // size * w if size > 1 else 0
+            self.fields.append((off, ((1 << bits) - 1) * spread if bits else None))
+            if bits:
+                self.slices.append((make_quotient, off, w))
+                off += bits
+
+    def __call__(self, shared: SubsetContext) -> int:
+        if shared is not self.layer:
+            if self.row is None:
+                self.row = dict.fromkeys(self.elems, 0)
+                for make_quotient, off, w in self.slices:
+                    project = make_quotient().project
+                    for x in self.elems:
+                        self.row[x] += 1 << off + project(x) * w
+            row, a, t = self.row.__getitem__, shared.a, self.width
+            self.layer, self.packed = shared, sum(map(row, a.elements))
+            if self.spill:
+                b = a if shared.b is None else shared.b
+                self.packed |= (sum(map(row, b.elements)) << t | sum(map(row, shared.mul(a, b).elements)) << 2 * t
+                                | sum(map(row, shared.mul(b, a).elements)) << 3 * t)
+        return self.packed

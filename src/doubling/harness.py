@@ -20,13 +20,13 @@ from functools import cache, partial
 from itertools import combinations
 from math import comb
 
-from .context import InstanceContext, SubsetContext, points
+from .context import InstanceContext, SubsetContext, _Packing, points
 from .errors import CapError, ConsistencyError, SpecError, integer, known_keys
 from .extract import certify
 from .fibers import check_containment, check_layer_cake, check_spillover
 from .groups import WeightedGroup, _resolve_weight, build_group, quaternion_table
-from .metrics import DiffSizes, check_quotient_bound, ruzsa_axioms, stats_of
-from .quotients import QuotientStructure, _quotient_by, normal_subgroups, quotient_from_description
+from .metrics import DiffSizes, check_quotient_bound, ruzsa_axioms
+from .quotients import _quotient_by, normal_subgroups, quotient_from_description
 from .rationals import fmt, parse, put
 from .sets import GSubset, decode_nonempty
 
@@ -157,16 +157,12 @@ canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 # -- catalog -----------------------------------------------------------------
 
 
-def _base_entries() -> list[tuple[str, int, dict]]:
-    entries: list[tuple[str, int, dict]] = []
-    for n in range(2, 25):
-        entries.append((f"cyclic:{n}", n, {"type": "cyclic", "n": n}))
-    for n in range(3, 9):
-        entries.append((f"dihedral:{n}", 2 * n, {"type": "dihedral", "n": n}))
-    entries.append(("symmetric:3", 6, {"type": "symmetric", "n": 3}))
-    entries.append(("symmetric:4", 24, {"type": "symmetric", "n": 4}))
-    entries.append(("q8", 8, {"type": "table", "table": quaternion_table(), "name": "Q8"}))
-    return entries
+def _base_entries() -> list[tuple[int, dict]]:
+    """(order, spec) of each group the catalog starts from."""
+    return ([(n, {"type": "cyclic", "n": n}) for n in range(2, 25)]
+            + [(2 * n, {"type": "dihedral", "n": n}) for n in range(3, 9)]
+            + [(6, {"type": "symmetric", "n": 3}), (24, {"type": "symmetric", "n": 4}),
+               (8, {"type": "table", "table": quaternion_table(), "name": "Q8"})])
 
 
 def catalog(
@@ -179,19 +175,13 @@ def catalog(
     base = _base_entries()
     out: list[dict] = []
     for mode in weights:
-        for _, _, spec in base:
-            out.append(_with_weight(spec, mode))
+        out += [_with_weight(spec, mode) for _, spec in base]
         if not include_products:
             continue
-        for i, (_, o1, s1) in enumerate(base):
-            for _, o2, s2 in base[i:]:
+        for i, (o1, s1) in enumerate(base):
+            for o2, s2 in base[i:]:
                 if o1 * o2 <= max_product_order:
-                    out.append(
-                        {
-                            "type": "product",
-                            "factors": [_with_weight(s1, mode), _with_weight(s2, mode)],
-                        }
-                    )
+                    out.append({"type": "product", "factors": [_with_weight(s1, mode), _with_weight(s2, mode)]})
     return out
 
 
@@ -360,12 +350,6 @@ def _sample_subset(rng: Random, group: WeightedGroup, pool: list, density) -> GS
             return GSubset(group, frozenset(out))
 
 
-def _density_for(trial: int, density, pool_size: int):
-    if density != "mixed":
-        return density
-    return ("1/4", "1/2", {"size": max(1, pool_size // 2)})[trial % 3]
-
-
 # each optional id field, with the suites that read it; a scan writes it only for them
 _READERS = {"alphas": {"extract"}, "subset_b": {"spillover", "containment", "ruzsa-axioms"},
             "subset_c": {"ruzsa-axioms"}, "translate": {"ruzsa-axioms"}}
@@ -376,22 +360,20 @@ def _needs_partner(suites: Iterable[str]) -> bool:
 
 
 def iter_instance_specs(config: ScanConfig) -> list[str]:
-    """The full deterministic instance list (ids) for a scan: those `_jobs` yields."""
-    return [instance_id for instance_id, _ in _jobs(config)]
+    """The full deterministic instance list (ids) for a scan, in id order: by normal subgroup, then by layer."""
+    ids = {place: instance_id for place, instance_id, _ in _jobs(config)}
+    return [ids[place] for place in range(len(ids))]
 
 
-def _jobs(config: ScanConfig) -> Iterator[tuple[str, tuple]]:
-    """Each id of a scan, in order, with its job: the (subset layer, quotient
-    maker, suites, alphas, results table) `evaluate_instance` reads in its
-    place.  A first pass builds each group, and a lattice per `_unweighted`
-    spec, and forms no subset: every refusal comes before the first job.
-    Then each job is made as it is drawn: an exhaustive scan builds a group's
-    layers once, for all its normal subgroups; a random scan samples one per
-    instance.  A normal subgroup's quotient (`_quotient_by`: the lattice
-    tested H) and its results table (see `_table_key`; None where it has one
-    instance) are shared by its instances, the quotient built by the first
-    evaluation.  An id joins its alphas, group and subgroup, each rendered
-    once, and its layer's `_id_tail`, which an exhaustive scan's subgroups share."""
+def _jobs(config: ScanConfig) -> Iterator[tuple[int, str, tuple]]:
+    """Each instance of a scan as (its place in id order, id, job), the job
+    being the (subset layer, quotient maker, suites, alphas, results table)
+    `evaluate_instance` reads in the id's place.  A first pass builds each
+    group and lattice and forms no subset: every refusal comes first.  Then
+    an exhaustive scan builds each layer of a group and yields it under
+    every normal subgroup; a random scan samples each one's layers.  A
+    quotient (`_quotient_by`: the lattice tested H) is built by its first
+    evaluation; a results table (None for one layer) reads a `_Packing`."""
     mode = config.subset_mode
     rng = None
     if mode["kind"] == "random":
@@ -414,29 +396,34 @@ def _jobs(config: ScanConfig) -> Iterator[tuple[str, tuple]]:
             if config.subgroups == "proper":
                 subs = [s for s in subs if 1 < len(s.elements) < group.order]
             elems = list(group.elements())
-            units = _exhaustive_units(group, elems, config) if rng is None and subs else None
+            walk = _exhaustive_units(group, elems, config) if rng is None and subs else None
         except CapError as exc:
             raise SpecError(f"/groups/{i}", str(exc)) from exc
-        plans.append((group_json, group, subs, elems, units))
+        plans.append((group_json, group, subs, elems, walk))
     if not any(subs for _, _, subs, _, _ in plans):  # a "proper" scan of groups without one
         raise SpecError("/subgroups", "no group has a normal subgroup 1 < |H| < |G|; the scan would check nothing")
+    spill, place = "spillover" in config.suites or "containment" in config.suites, 0
     while plans:  # a plan is dropped, with its group, once its last job is drawn
-        group_json, group, subs, elems, units = plans.popleft()
+        group_json, group, subs, elems, walk = plans.popleft()
         text = dict(zip(elems, map(canonical_json, map(group.encode_element, elems))))
-        # an exhaustive scan's subset layers serve every normal subgroup
-        layers = [] if units is None else _exhaustive_layers(group, elems, units, config)
-        tails = [_id_tail(shared, suites, text) for shared in layers]
-        for sub in subs:
-            prefix = f'{head}"group":{group_json},"subgroup":{{"elements":{_listed(text, sub.elements)}{weight},'
-            if rng is not None:
-                layers = _random_layers(group, elems, config, rng)
-                tails = [_id_tail(shared, suites, text) for shared in layers]
-            w_h = _resolve_weight(config.subgroup_weight, len(sub.elements))
-            make_quotient = cache(partial(_quotient_by, group, sub, w_h))
-            table = _ResultsTable() if len(layers) > 1 else None
-            for shared, tail in zip(layers, tails):
-                yield prefix + tail, (shared, make_quotient, config.suites, alphas, table)
-        layers = make_quotient = table = None  # dropped before the next group's layers are built
+        runs = [(f'{head}"group":{group_json},"subgroup":{{"elements":{_listed(text, sub.elements)}{weight},',
+                 cache(partial(_quotient_by, group, sub, _resolve_weight(config.subgroup_weight, len(sub.elements)))),
+                 len(sub.elements)) for sub in subs]
+        for block in [runs] if walk else [[run] for run in runs]:  # the runs that read one walk of layers
+            layers = (_exhaustive_layers(group, elems, walk[0], config) if walk
+                      else _random_layers(group, elems, config, rng))
+            count = walk[1] if walk else mode["count"]
+            tables = [None] * len(block)
+            if count > 1:  # the tables hold the packing, which holds none of them
+                packing = _Packing(elems, block, spill)
+                tables = [_ResultsTable(spill, packing, *field) for field in packing.fields]
+            runs_at = [(place + k * count, prefix, make_quotient, table)  # run k's ids are from place k count on
+                       for k, ((prefix, make_quotient, _), table) in enumerate(zip(block, tables))]
+            for i, shared in enumerate(layers):
+                tail = _id_tail(shared, suites, text)
+                for at, prefix, make_quotient, table in runs_at:
+                    yield at + i, prefix + tail, (shared, make_quotient, config.suites, alphas, table)
+            place += len(block) * count
 
 
 def _unweighted(spec: dict) -> dict:
@@ -458,22 +445,10 @@ def _id_tail(shared: SubsetContext, suites: str, text: dict) -> str:
     return tail + "}"
 
 
-def _exhaustive_layer(group: WeightedGroup, members, config: ScanConfig) -> SubsetContext:
-    shared = SubsetContext(GSubset(group, frozenset(members)))
-    if _needs_partner(config.suites):
-        # deterministic partners derived from A itself
-        shared.b = shared.inverse
-        if "ruzsa-axioms" in config.suites:
-            shared.c = shared.mul(shared.a, shared.a)
-            shared.translators = (min(shared.a.elements), max(shared.a.elements))
-    return shared
-
-
-def _exhaustive_units(group: WeightedGroup, elems: list, config: ScanConfig) -> list[frozenset]:
-    """The units of an exhaustive scan: elements, or inverse pairs {x, x^-1}
-    under `symmetric_only`.  The count of their nonempty unions with at most
-    `max_size` elements, the sum of C(s, j) C(t, p) over j + 2p <= max_size
-    for s single units and t pairs, less one, meets MAX_SUBSETS first."""
+def _exhaustive_units(group: WeightedGroup, elems: list, config: ScanConfig) -> tuple[list[frozenset], int]:
+    """The units of an exhaustive scan (elements, or inverse pairs {x, x^-1}
+    under `symmetric_only`) and the count of their nonempty unions of at most `max_size` elements,
+    which meets MAX_SUBSETS first: the sum of C(s, j) C(t, p) over j + 2p <= max_size, less one."""
     mode = config.subset_mode
     max_size, symmetric_only = mode.get("max_size", len(elems)), mode.get("symmetric_only", False)
     units = list(dict.fromkeys(frozenset((x, group.inv(x)) if symmetric_only else (x,)) for x in elems))
@@ -483,12 +458,12 @@ def _exhaustive_units(group: WeightedGroup, elems: list, config: ScanConfig) -> 
         bound = f"with max_size {max_size}" if "max_size" in mode else "without max_size"
         raise CapError(f"exhaustive {'symmetric_only ' if symmetric_only else ''}mode {bound} enumerates {count} "
                        f"subsets of {group.name}; the cap is 2^{MAX_SUBSETS.bit_length()} - 1")
-    return units
+    return units, count
 
 
-def _exhaustive_layers(group: WeightedGroup, elems: list, units: list, config: ScanConfig) -> list[SubsetContext]:
-    """A layer per union that `_exhaustive_units` counted: by size, then in
-    `combinations` order, for a plain `max_size`, else in bit-mask order."""
+def _exhaustive_layers(group: WeightedGroup, elems: list, units: list, config: ScanConfig) -> Iterator[SubsetContext]:
+    """A layer per union that `_exhaustive_units` counted, built as drawn: by
+    size, then in `combinations` order, for a plain `max_size`, else in bit-mask order."""
     mode = config.subset_mode
     max_size = mode.get("max_size", len(elems))
     if "max_size" in mode and not mode.get("symmetric_only", False):
@@ -499,22 +474,28 @@ def _exhaustive_layers(group: WeightedGroup, elems: list, units: list, config: S
         for unit in units:
             members += [m | unit for m in members if len(m) + len(unit) <= max_size]
         del members[0]
-    return [_exhaustive_layer(group, m, config) for m in members]
+    for m in members:
+        shared = SubsetContext(GSubset(group, frozenset(m)))
+        if _needs_partner(config.suites):  # deterministic partners derived from A itself
+            shared.b = shared.inverse
+            if "ruzsa-axioms" in config.suites:
+                shared.c = shared.mul(shared.a, shared.a)
+                shared.translators = (min(shared.a.elements), max(shared.a.elements))
+        yield shared
 
 
-def _random_layers(group: WeightedGroup, elems: list, config: ScanConfig, rng: Random) -> list[SubsetContext]:
-    mode = config.subset_mode
-    layers: list[SubsetContext] = []
+def _random_layers(group: WeightedGroup, elems: list, config: ScanConfig, rng: Random) -> Iterator[SubsetContext]:
+    """Each of the `count` layers of a normal subgroup, sampled as it is drawn."""
+    mode, mixed = config.subset_mode, ("1/4", "1/2", {"size": max(1, len(elems) // 2)})
     for trial in range(mode["count"]):
-        density = _density_for(trial, mode.get("density", "mixed"), len(elems))
+        density = mixed[trial % 3] if mode.get("density", "mixed") == "mixed" else mode["density"]
         shared = SubsetContext(_sample_subset(rng, group, elems, density))
         if _needs_partner(config.suites):
             shared.b = _sample_subset(rng, group, elems, density)
             if "ruzsa-axioms" in config.suites:
                 shared.c = _sample_subset(rng, group, elems, density)
                 shared.translators = tuple(elems[rng.randrange(len(elems))] for _ in range(2))
-        layers.append(shared)
-    return layers
+        yield shared
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -582,14 +563,13 @@ def _rendered(record) -> dict:
 
 
 class InstanceReport(namedtuple(
-    "InstanceReport", "id group_order subgroup_size stats pi_size pi_square suites"
+    "InstanceReport", "id group_order subgroup_size stats pi_size pi_square suites outcome", defaults=(None,)
 )):
     """One instance's results as counts: the id, |G| and |H|, the doubling
-    counts (`DoublingStats`, whose size is |A|), |piA| and |piA^2|, and per
-    suite run (name, result record, violation details: None when skipped, and
-    empty when it passed).  `to_json()` writes the instance report; `render`
-    maps each suite record and the `DoublingStats` into it (by default, to
-    their `to_json()`)."""
+    counts (`DoublingStats`, whose size is |A|), |piA| and |piA^2|, per suite
+    run (name, result record, violation details: None when skipped, empty
+    when it passed), and their `_outcome` (or None).  `to_json()` writes the
+    report; `render` maps each record and the `DoublingStats` into it."""
 
     __slots__ = ()
 
@@ -615,70 +595,57 @@ class InstanceReport(namedtuple(
         return put(report, "quotient_doubling", self.pi_square, self.pi_size)
 
 
+def _outcome(records) -> int:
+    """Suite run j's status in bits 2j, 2j+1: 0 skipped (or None), 1 passed, 2 failed."""
+    return sum(((r[2] is not None) + bool(r[2])) << 2 * j for j, r in enumerate(records) if r is not None)
+
+
 class _ResultsTable(dict):
-    """One normal subgroup's results by `_table_key`, and its `_shift_row`."""
+    """A normal subgroup's results by `key`, all that its quotient-side suites
+    read: the `DoublingStats` and the fiber profiles of A and, with `spill`
+    (spillover or containment runs), of B, AB and BA (its `mask` over the
+    layer's `packing` shifted down by `off`).  Under H = {e} (no mask) pi is
+    G renumbered and every fiber is 1: the counts |AB| and |BA| do."""
 
-    row = None
+    def __init__(self, spill: bool, packing=None, off: int = 0, mask: int | None = None) -> None:
+        self.spill, self.packing, self.off, self.mask = spill, packing, off, mask
 
-
-def _shift_row(q: QuotientStructure) -> dict:
-    """x -> 1 << c * w, x in coset c, w = |H|.bit_length(): see `_table_key`."""
-    w = len(q.subgroup.elements).bit_length()
-    return {x: 1 << q.project(x) * w for x in q.ambient.elements()}
-
-
-def _table_key(shared: SubsetContext, stats, row: dict | None, suites) -> tuple:
-    """All that the quotient-side suites read of an instance, exactly: the
-    `DoublingStats` counts and the fiber profiles of A and, for spillover and
-    containment, of B, AB and BA.  A profile is packed into one int, the count
-    at coset c in the w bits from bit c * w: w bits hold any count up to |H|,
-    and the cosets of a `quotient` are 0..q-1.  Summed from the shift `row`,
-    it needs no count, and the key reads only the subset layer.  Under
-    H = {e} (no `row`) pi is G renumbered and every fiber is 1, so the suites
-    read counts alone: |A|, |A^2| (|piA|, |piA^2|) in the stats, and |AB| and
-    |BA| (|piA piB|, |piB piA|) for spillover and containment."""
-
-    def packed(x: GSubset) -> int:
-        return sum(map(row.__getitem__, x.elements))
-
-    spill = "spillover" in suites or "containment" in suites
-    b = shared.b if shared.b is not None else shared.a
-    if row is None:
-        return (stats, len(shared.mul(shared.a, b)), len(shared.mul(b, shared.a))) if spill else (stats,)
-    key = (stats, packed(shared.a))
-    if spill:
-        key += (packed(b), packed(shared.mul(shared.a, b)), packed(shared.mul(b, shared.a)))
-    return key
+    def key(self, shared: SubsetContext, stats) -> tuple:
+        if self.mask is not None:
+            packing = self.packing
+            return stats, (packing.packed if shared is packing.layer else packing(shared)) >> self.off & self.mask
+        if not self.spill:
+            return (stats,)
+        b = shared.a if shared.b is None else shared.b
+        return stats, len(shared.mul(shared.a, b).elements), len(shared.mul(b, shared.a).elements)
 
 
 def evaluate_instance(instance_id: str, job: tuple | None = None) -> InstanceReport:
     """Recompute the results for one instance id (pure, replayable).
 
     Without `job` the id is parsed and validated first, as `replay` needs.
-    `scan` passes the `job` that `_jobs` made the id from, so it decodes
-    nothing; the layer may already hold what the instances of other
-    normal subgroups computed.  With a results table, an instance whose
-    `_table_key` is in it reads |piA|, |piA^2| and every suite's results from
-    there, except ruzsa-axioms, which reads no quotient and keeps one result
-    per layer: only a miss builds an `InstanceContext`."""
+    `scan` passes the `job` that `_jobs` made the id from, whose layer may
+    already hold what the instances of other normal subgroups computed.  A
+    hit in its results table reads |G|, |H|, |piA|, |piA^2|, each suite's
+    results and their `_outcome` from there, but ruzsa-axioms, which reads no
+    quotient and keeps one result per layer: only a miss builds the quotient
+    (once per normal subgroup) and an `InstanceContext`."""
     shared, make_quotient, suites, alphas, table = _load_id(instance_id) if job is None else job
-    q = make_quotient()
-    stats = stats_of(shared)
-    key = found = None
-    if table is not None:
-        if table.row is None and len(q.subgroup.elements) > 1:  # under H = {e} the key holds counts alone
-            table.row = _shift_row(q)
-        found = table.get(key := _table_key(shared, stats, table.row, suites))
+    stats = shared.stats
+    found = None if table is None else table.get(key := table.key(shared, stats))
     if found is None:
-        ctx = InstanceContext(shared, q)
-        results = [None if name == "ruzsa-axioms" else (name, *SUITES[name](ctx, alphas)) for name in suites]
-        found = len(ctx.pi_a), ctx.pi_square, tuple(results)
-        if key is not None:
+        ctx = InstanceContext(shared, q := make_quotient())
+        results = tuple([None if name == "ruzsa-axioms" else (name, *SUITES[name](ctx, alphas)) for name in suites])
+        found = len(ctx.pi_a), ctx.pi_square, results, _outcome(results), q.ambient.order, len(q.subgroup.elements)
+        if table is not None:
             table[key] = found
-    pi_size, pi_square, results = found
-    records = tuple([result or (name, *SUITES[name](shared, alphas)) for name, result in zip(suites, results)])
-    return InstanceReport(instance_id, q.ambient.order, len(q.subgroup.elements), stats,
-                          pi_size, pi_square, records)
+    pi_size, pi_square, records, outcome, group_order, subgroup_size = found
+    if "ruzsa-axioms" in suites:
+        i, (record, failed) = suites.index("ruzsa-axioms"), SUITES["ruzsa-axioms"](shared, alphas)
+        records = (*records[:i], ("ruzsa-axioms", record, failed), *records[i + 1:])
+        outcome += ((failed is not None) + bool(failed)) << 2 * i
+    return tuple.__new__(InstanceReport, (instance_id, group_order, subgroup_size, stats,
+                                          pi_size, pi_square, records, outcome))
 
 
 # -- aggregation and the scan itself --------------------------------------------
@@ -699,32 +666,31 @@ class _Ranked:
         return mine > theirs or (mine == theirs and self.id < other.id)
 
 
-def _fold_aggregate(reports: Iterable[InstanceReport]) -> dict:
-    """The aggregate, folded from the records one at a time; each probe keeps
-    its TOP_WITNESSES least entries so far, sorted, and renders only those."""
+def _fold_aggregate(placed: Iterable[tuple[int, InstanceReport]]) -> dict:
+    """The aggregate of (place in id order, report) pairs, folded one at a
+    time: suite runs counted per distinct `outcome` (a scan's reports run
+    one list of suites), violations listed in id order; each probe keeps its
+    TOP_WITNESSES least entries so far, sorted, and renders only those."""
     from bisect import insort  # imported here: commands that never aggregate skip it
-    suite_runs: dict = {}
-    violations: list[dict] = []
-    instances, sym_top, all_top = 0, [], []
-    for rep in reports:
-        instances += 1
-        for name, _, failed in rep.suites:
-            cell = suite_runs.get(name)
-            if cell is None:
-                cell = suite_runs[name] = {"runs": 0, "passes": 0, "skipped": 0}
-            if failed is None:
-                cell["skipped"] += 1
-                continue
-            cell["runs"] += 1
-            if failed:
-                violations.extend({"id": rep.id, "suite": name, "detail": d} for d in failed)
-            else:
-                cell["passes"] += 1
-        entry = _Ranked(rep)
+    outcomes: dict = {}  # outcome -> [its instances, the suite runs of one]
+    failing = []  # (place, report) per report with a violation
+    sym_top, all_top = [], []
+    for place, rep in placed:
+        outcome = _outcome(rep.suites) if rep.outcome is None else rep.outcome
+        (outcomes.get(outcome) or outcomes.setdefault(outcome, [0, rep.suites]))[0] += 1
+        if outcome & 0xAAAA:  # a run's status is 2: it failed
+            failing.append((place, rep))
+        num, den = rep.probe
         for top in (all_top, sym_top) if rep.stats.symmetric else (all_top,):
-            if len(top) < TOP_WITNESSES or entry < top[-1]:
-                insort(top, entry)  # after its equals: tied entries keep their order
+            if len(top) < TOP_WITNESSES or num * top[-1].den >= top[-1].num * den:  # it may rank
+                insort(top, _Ranked(rep))  # after its equals: tied entries keep their order
                 del top[TOP_WITNESSES:]
+    suite_runs: dict = {}
+    for n, runs in outcomes.values():
+        for name, _, failed in runs:
+            cell = suite_runs.setdefault(name, {"runs": 0, "passes": 0, "skipped": 0})
+            cell["skipped" if failed is None else "runs"] += n
+            cell["passes"] += n if failed == () else 0
 
     def probe(top: list[_Ranked]) -> dict:
         witnesses = [{"value": fmt(e.num, e.den), "value_dec": e.num / e.den, "id": e.id} for e in top]
@@ -732,9 +698,11 @@ def _fold_aggregate(reports: Iterable[InstanceReport]) -> dict:
         return {"max": first["value"], "max_dec": first["value_dec"], "witnesses": witnesses}
 
     return {
-        "instances": instances,
+        "instances": sum(n for n, _ in outcomes.values()),
         "suite_runs": suite_runs,
-        "violations": violations,
+        "violations": [{"id": rep.id, "suite": name, "detail": d}
+                       for _, rep in sorted(failing, key=lambda pair: pair[0])
+                       for name, _, failed in rep.suites for d in failed or ()],
         "symmetric_probe": probe(sym_top),
         "general_probe": probe(all_top),
     }
@@ -743,17 +711,16 @@ def _fold_aggregate(reports: Iterable[InstanceReport]) -> dict:
 def scan(config: ScanConfig) -> dict:
     """Run every suite on every instance; aggregate deterministically.
 
-    Each job is evaluated as it is drawn from `_jobs`, through the
-    module-level `evaluate_instance`, so a wrapper installed there sees every
-    one; without `emit_instances` each report is folded and dropped.  With
-    it, "instances" holds the `InstanceReport`s, counts that their writer
-    renders with `to_json()`."""
-    reports = (evaluate_instance(i, job) for i, job in _jobs(config))
+    Each job is evaluated as `_jobs` draws it, through the module-level
+    `evaluate_instance`, so a wrapper installed there sees every one; each
+    report is folded and dropped, unless "instances" (`emit_instances`)
+    holds the `InstanceReport`s in id order, for their writer."""
+    placed = ((place, evaluate_instance(instance_id, job)) for place, instance_id, job in _jobs(config))
     if config.emit_instances:
-        reports = list(reports)
-    out = {"config": config.resolved(), "aggregate": _fold_aggregate(reports)}
+        placed = sorted(placed, key=lambda pair: pair[0])
+    out = {"config": config.resolved(), "aggregate": _fold_aggregate(placed)}
     if config.emit_instances:
-        out["instances"] = reports
+        out["instances"] = [report for _, report in placed]
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .context import InstanceContext, Memo, SubsetContext, points
+from .context import DoublingStats, InstanceContext, Memo, SubsetContext, points
 from .quotients import QuotientStructure
 from .rationals import put
 from .sets import GSubset, require_owner
@@ -19,40 +19,10 @@ from .sets import GSubset, require_owner
 VARIANTS = ("symmetric", "cube", "two-constant")
 
 
-class DoublingStats(namedtuple("DoublingStats", "size square inv_square symmetric")):
-    """K = mu(A^2)/mu(A); K2 = mu(A^-1 A)/mu(A); K1 aliases K.
-
-    Held as the counts |A|, |A^2| and |A^-1 A| (or any measures in one common
-    unit); the constants are exact properties over them."""
-
-    __slots__ = ()
-
-    @property
-    def K(self) -> Fraction:
-        return Fraction(self.square, self.size)
-
-    K1 = K
-
-    @property
-    def K2(self) -> Fraction:
-        return Fraction(self.inv_square, self.size)
-
-    def to_json(self) -> dict:
-        out: dict = {"symmetric": self.symmetric}
-        put(out, "K", self.square, self.size)
-        put(out, "K1", self.square, self.size)
-        put(out, "K2", self.inv_square, self.size)
-        return out
-
-
-def stats_of(s: SubsetContext) -> DoublingStats:
-    return DoublingStats(len(s.a.elements), s.square, s.inv_square, s.symmetric)
-
-
 def doubling_stats(a: GSubset) -> DoublingStats:
     if not a.elements:
         raise ValueError("doubling constants need a nonempty subset")
-    return stats_of(SubsetContext(a))
+    return SubsetContext(a).stats
 
 
 class RuzsaSq(namedtuple("RuzsaSq", "value")):

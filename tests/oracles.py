@@ -14,6 +14,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 
+from doubling import harness
 from doubling.constructions import _GL2Z, _cantor, matrix_family
 from doubling.errors import ConsistencyError
 from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, _grow, build_group, quaternion_table
@@ -93,10 +94,16 @@ def packed_profile(q: QuotientStructure, x: GSubset) -> int:
     return sum(n << c * w for c, n in Counter(map(q.project, x.elements)).items())
 
 
+def jobs_in_id_order(config: ScanConfig) -> list:
+    """The (id, job) pairs of a scan in id order: the (place, id, job)
+    triples that `harness._jobs` yields, sorted by place."""
+    return [(instance_id, job) for _, instance_id, job in sorted(harness._jobs(config), key=lambda t: t[0])]
+
+
 def whole_ids(config: ScanConfig, pairs: list) -> list[str]:
     """The ids of a scan, each rendered whole as `canonical_json` of its spec
-    dict, from the jobs of the (id, job) pairs that `harness._jobs` yields,
-    without reading their ids.  The jobs come in one run per (group, normal
+    dict, from the jobs of its (id, job) pairs in id order
+    (`jobs_in_id_order`), without reading their ids.  The jobs come in one run per (group, normal
     subgroup), each run sharing a quotient maker."""
     runs = [[job for _, job in run] for _, run in groupby(pairs, key=lambda pair: id(pair[1][1]))]
     pairs = []

@@ -287,7 +287,7 @@ def test_extract_suite_counts_a_failed_alpha():
     assert violations == ("extraction failed at alpha=2",) and record.to_json() == {"2": {"pass": False}}
     rep = harness.InstanceReport("x", 12, 2, metrics.DoublingStats(4, 7, 7, False), 4, 7,
                                  (("extract", record, violations),))
-    aggregate = harness._fold_aggregate([rep])
+    aggregate = harness._fold_aggregate([(0, rep)])
     assert aggregate["suite_runs"] == {"extract": {"runs": 1, "passes": 0, "skipped": 0}}
 
 

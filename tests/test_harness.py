@@ -25,7 +25,7 @@ from doubling.context import SubsetContext
 from doubling.harness import (
     ALL_SUITES, _exhaustive_layers, _exhaustive_units, _jobs, canonical_json, report_csv,
 )
-from oracles import whole_ids
+from oracles import jobs_in_id_order, whole_ids
 
 
 def small_config(**overrides):
@@ -181,7 +181,7 @@ def test_exhaustive_symmetric_only_counts():
 def exhaustive_layers(group, config):
     """A scan's subset layers of `group`, walked over the units that its count checked."""
     elems = list(group.elements())
-    return _exhaustive_layers(group, elems, _exhaustive_units(group, elems, config), config)
+    return list(_exhaustive_layers(group, elems, _exhaustive_units(group, elems, config)[0], config))
 
 
 def _mask_walk(group, max_size):
@@ -399,7 +399,7 @@ def test_ids_from_rendered_pieces_equal_the_whole_canonical_json(groups, mode, s
         with pytest.raises(SpecError, match="^/subgroups: no group has a normal subgroup"):
             next(_jobs(config))
         return
-    pairs = list(_jobs(config))
+    pairs = jobs_in_id_order(config)
     ids = [instance_id for instance_id, _ in pairs]
     assert ids == whole_ids(config, pairs)
     assert all(instance_id == canonical_json(json.loads(instance_id)) for instance_id in ids)
@@ -431,7 +431,7 @@ def test_a_scan_builds_one_lattice_per_group_structure(monkeypatch):
     with pytest.raises(SpecError, match="^/groups/4: repeats the group at /groups/0"):
         ScanConfig([*groups, {"type": "dihedral", "n": 4, "weight": "counting"}], mode)
     config = ScanConfig(groups, mode, suites=["spillover", "quotient-k1k2"])
-    pairs = list(_jobs(config))
+    pairs = jobs_in_id_order(config)
     ids = [instance_id for instance_id, _ in pairs]
     assert names == ["D4", "Z2xZ2xS3"]
     assert ids == whole_ids(config, pairs)
@@ -460,7 +460,69 @@ def test_a_scan_evaluates_a_group_before_it_builds_the_next_groups_layers(monkey
     gc.collect()
     assert len(built) == 4 and [ref() for ref in built] == [None] * 4
     monkeypatch.undo()
-    assert [instance_id for instance_id, _ in _jobs(config)] == iter_instance_specs(config)
+    assert [instance_id for instance_id, _ in jobs_in_id_order(config)] == iter_instance_specs(config)
+
+
+ORDER_GROUPS = ["cyclic:6", "dihedral:3", "q8"]
+ORDER_SUITES = ("layer-cake", "spillover", "ruzsa-axioms", "quotient-sym")
+
+
+def _failing(monkeypatch):
+    """Patch layer-cake to fail where |piA| is 2, a quotient-side fact the
+    results table shares, and ruzsa-axioms where |A| is 1, a fact of the layer."""
+    layer_cake, ruzsa = harness.SUITES["layer-cake"], harness.SUITES["ruzsa-axioms"]
+
+    def cake(ctx, alphas):
+        record, failed = layer_cake(ctx, alphas)
+        return record, failed + ("two cosets",) if len(ctx.pi_a) == 2 else failed
+
+    def axioms(shared, alphas):
+        record, failed = ruzsa(shared, alphas)
+        return record, failed + ("a singleton",) if len(shared.a.elements) == 1 else failed
+
+    monkeypatch.setitem(harness.SUITES, "layer-cake", cake)
+    monkeypatch.setitem(harness.SUITES, "ruzsa-axioms", axioms)
+
+
+@pytest.mark.parametrize("mode", [{"kind": "exhaustive", "max_size": 2},
+                                  {"kind": "exhaustive", "max_size": 3, "symmetric_only": True}])
+@pytest.mark.parametrize("subgroups", ["all", "proper"])
+def test_a_layer_major_scan_keeps_the_id_order_of_instances_and_violations(monkeypatch, mode, subgroups):
+    config = ScanConfig(ORDER_GROUPS, mode, suites=ORDER_SUITES, subgroups=subgroups, emit_instances=True)
+    ids = iter_instance_specs(config)
+    assert [rep.id for rep in scan(config)["instances"]] == ids
+    _failing(monkeypatch)
+    # folded as evaluated, layer by layer, when no instance is emitted
+    folded = scan(ScanConfig(ORDER_GROUPS, mode, suites=ORDER_SUITES, subgroups=subgroups))
+    violations = folded["aggregate"]["violations"]
+    assert scan(config)["aggregate"]["violations"] == violations
+    # replayed one id at a time, in id order, with no results table
+    expected = [{"id": i, "suite": name, "detail": d}
+                for i in ids for name, _, failed in evaluate_instance(i).suites for d in failed or ()]
+    assert violations == expected
+    # violations under several subgroups of a group, so that the layer-major order differs
+    assert len({canonical_json(json.loads(v["id"])["subgroup"]) for v in violations}) > len(ORDER_GROUPS)
+
+
+def test_instance_ids_build_no_quotient_no_row_and_no_product_but_c(monkeypatch):
+    """The set-up that perfbench times ends at `iter_instance_specs`: no
+    evaluation work may move there."""
+    from doubling import context
+
+    built, packed, products = [], [], []
+    quotient_by, pack, mul = harness._quotient_by, harness._Packing.__call__, context.mul_set
+    monkeypatch.setattr(harness, "_quotient_by", lambda *args: built.append(args) or quotient_by(*args))
+    monkeypatch.setattr(harness._Packing, "__call__", lambda *args: packed.append(args) or pack(*args))
+    monkeypatch.setattr(context, "mul_set", lambda x, y: products.append((x.elements, y.elements)) or mul(x, y))
+    config = ScanConfig(["dihedral:4", "cyclic:6"], {"kind": "exhaustive", "max_size": 3})
+    ids = iter_instance_specs(config)
+    layers = {(canonical_json(spec["group"]), canonical_json(spec["subset"])) for spec in map(json.loads, ids)}
+    assert len(ids) > len(layers) > 1
+    assert built == [] and packed == []
+    # one product per layer: its C = A A
+    assert len(products) == len(layers) and all(x == y for x, y in products)
+    monkeypatch.undo()
+    assert scan(config)["aggregate"]["instances"] == len(ids)
 
 
 @pytest.mark.parametrize("group, refusal", [

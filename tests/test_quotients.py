@@ -278,7 +278,7 @@ def test_a_scan_builds_the_quotient_that_quotient_checks_and_builds(weight):
     # a scan builds each lattice subgroup's quotient with no second normality
     # test; `quotient` tests the same subgroup and must build the same thing
     config = ScanConfig(catalog(), {"kind": "random", "count": 1, "seed": 0}, subgroup_weight=weight)
-    jobs = [job for _, job in harness._jobs(config)]
+    jobs = [job for *_, job in harness._jobs(config)]
     assert len(jobs) > 1000
     for _, make_quotient, *_ in jobs:
         scanned = make_quotient()

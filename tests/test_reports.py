@@ -15,6 +15,7 @@ import inspect
 import io
 import json
 import pickle
+import sys
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -31,7 +32,7 @@ from doubling.cli import _dump, main
 from doubling.context import SubsetContext
 from doubling.sets import GSubset, inv_set
 from doubling.harness import ALL_SUITES, TOP_WITNESSES, InstanceReport, _fold_aggregate, canonical_json, report_csv
-from doubling.metrics import DoublingStats, stats_of
+from doubling.metrics import DoublingStats
 from doubling.rationals import fmt, put
 from oracles import packed_profile, reference_suites, top_witnesses, translate
 
@@ -162,43 +163,60 @@ KEY_GROUPS = catalog(weights=("counting",), max_product_order=32)
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_the_shift_sum_key_equals_the_counted_fiber_profiles(data):
+    """Each normal subgroup's key, read from the combined row of all of them,
+    holds the stats and its packed fiber profiles of A and, for spillover, of
+    B, AB and BA, `width` bits apart; under H = {e}, the counts."""
     group = build_group(data.draw(st.sampled_from(KEY_GROUPS)))
     elems = sorted(group.elements())
     a, b = (GSubset(group, frozenset(data.draw(st.lists(st.sampled_from(elems), min_size=1, max_size=16))))
             for _ in range(2))
     shared = SubsetContext(a, b)
-    stats = stats_of(shared)
-    for sub in normal_subgroups(group):
-        q = quotient(group, sub)
-        row = harness._shift_row(q)
-        key = harness._table_key(shared, stats, row, ("spillover",))
-        assert key == (stats, *(packed_profile(q, x) for x in (a, b, mul_set(a, b), mul_set(b, a))))
-        assert harness._table_key(shared, stats, row, ("layer-cake", "extract")) == key[:2]
+    stats = shared.stats
+    subs = normal_subgroups(group)
+    quotients = [quotient(group, sub) for sub in subs]
+    runs = [(None, lambda q=q: q, len(sub.elements)) for sub, q in zip(subs, quotients)]
+    spill, alone = (harness._Packing(elems, runs, s) for s in (True, False))
+    tables = [[harness._ResultsTable(p.spill, p, *field) for field in p.fields] for p in (spill, alone)]
+    for q, table, table_a in zip(quotients, *tables):
+        ab, ba = mul_set(a, b), mul_set(b, a)
+        if len(q.subgroup.elements) == 1:
+            assert table.key(shared, stats) == (stats, len(ab), len(ba))
+            assert table_a.key(shared, stats) == (stats,)
+            continue
+        profiles = (packed_profile(q, x) << i * spill.width for i, x in enumerate((a, b, ab, ba)))
+        assert table.key(shared, stats) == (stats, sum(profiles))
+        assert table_a.key(shared, stats) == (stats, packed_profile(q, a))
 
 
 KEY_MUTANTS = [
-    ("_table_key", "(stats, packed(shared.a))", "(packed(shared.a),)"),
-    ("_table_key", "packed(b), ", ""),
-    ("_table_key", "packed(shared.mul(shared.a, b)), packed(shared.mul(b, shared.a))", ""),
+    ("_ResultsTable", "return stats, (packing.packed", "return None, (packing.packed"),
+    ("_Packing", "sum(map(row, b.elements)) << t | ", ""),
+    ("_Packing", """ | sum(map(row, shared.mul(a, b).elements)) << 2 * t
+                                | sum(map(row, shared.mul(b, a).elements)) << 3 * t""", ""),
     # w - 1 bits cannot hold a count of |H|: profiles collide
-    ("_shift_row", "elements).bit_length()", "elements).bit_length() - 1"),
+    ("_Packing", "w = size.bit_length()", "w = size.bit_length() - 1"),
     # under H = {e}, the counts key
-    ("_table_key", "len(shared.mul(shared.a, b)), ", ""),
-    ("_table_key", ", len(shared.mul(b, shared.a))", ""),
-    ("_table_key", "return (stats, len(shared.mul(shared.a, b)), len(shared.mul(b, shared.a))) if spill else",
-     "return"),
+    ("_ResultsTable", "len(shared.mul(shared.a, b).elements), ", ""),
+    ("_ResultsTable", ", len(shared.mul(b, shared.a).elements)", ""),
+    ("_ResultsTable", "if not self.spill:", "if True:"),
+    # a subgroup's slice of the combined row: one bit short, or its neighbour's
+    ("_Packing", "((1 << bits) - 1) * spread", "((1 << bits - 1) - 1) * spread"),
+    ("_Packing", "self.fields.append((off, ", "self.fields.append((off + bits, "),
 ]
 
 
 @pytest.mark.parametrize("name, snippet, mutant", KEY_MUTANTS,
                          ids=["no stats", "no B", "no AB and BA", "shift by w - 1",
-                              "H = {e}: no AB", "H = {e}: no BA", "H = {e}: stats alone"])
+                              "H = {e}: no AB", "H = {e}: no BA", "H = {e}: stats alone",
+                              "mask one bit short", "the next subgroup's offset"])
 def test_each_results_table_key_mutant_fails_the_replay_test(monkeypatch, name, snippet, mutant):
-    source = inspect.getsource(getattr(harness, name))
+    module = sys.modules[getattr(harness, name).__module__]  # where it is defined
+    source = inspect.getsource(getattr(module, name))
     # the snippet must be there: an edit to the key fails here, loudly
     assert source.count(snippet) == 1, f"{name} no longer holds {snippet!r}"
-    monkeypatch.setattr(harness, name, getattr(harness, name))  # restored after the test
-    exec(compile(source.replace(snippet, mutant), harness.__file__, "exec"), vars(harness))
+    monkeypatch.setattr(module, name, getattr(module, name))  # restored after the test
+    exec(compile(source.replace(snippet, mutant), module.__file__, "exec"), vars(module))
+    monkeypatch.setattr(harness, name, getattr(module, name))  # the copy that `harness` reads
     with pytest.raises(AssertionError):
         test_a_scan_sharing_fiber_profiles_equals_replay()
 
@@ -221,7 +239,7 @@ def test_a_results_table_hit_under_the_trivial_subgroup_equals_the_set_based_ref
     q = quotient(group, normal_subgroups(group)[0], data.draw(st.sampled_from(["counting", "normalized"])))
     assert len(q.subgroup.elements) == 1
     alphas = [(x, Fraction(x)) for x in ("3/2", "2", "3")]
-    table = harness._ResultsTable()
+    table = harness._ResultsTable(True)  # ALL_SUITES run spillover
     for a, b, c in draws:
         report = evaluate_instance("id", (SubsetContext(a, b, c), lambda: q, ALL_SUITES, alphas, table))
         pi_size, pi_square, expected = reference_suites(q, a, b, c, None, alphas)
@@ -285,7 +303,7 @@ def test_an_exhaustive_verify_runs_the_quotient_suites_once_per_fiber_profile(tm
 def test_replay_and_single_instance_subgroups_run_every_suite(monkeypatch):
     config = ScanConfig(["dihedral:4", "cyclic:6"], {"kind": "random", "count": 1, "seed": 0},
                         emit_instances=True)
-    jobs = [job for _, job in harness._jobs(config)]
+    jobs = [job for *_, job in harness._jobs(config)]
     assert [table for *_, table in jobs] == [None] * len(jobs)
     runs = _extract_runs(monkeypatch)
     report = scan(config)
@@ -399,7 +417,7 @@ def test_witness_order_matches_a_fraction_sort(entries):
         InstanceReport(f"id-{tag:02d}", 1, 1, DoublingStats(1, 1, 1, symmetric), den, num, ())
         for (num, den), symmetric, tag in entries
     ]
-    agg = _fold_aggregate(reports)
+    agg = _fold_aggregate(enumerate(reports))
     for name, keep in (("general_probe", lambda r: True), ("symmetric_probe", lambda r: r.stats.symmetric)):
         ranked = sorted(
             ((Fraction(r.to_json()["probe"]["over_k2"]), r.id) for r in reports if keep(r)),
@@ -438,6 +456,6 @@ def test_the_fold_holds_no_more_entries_than_its_witnesses():
                 assert live <= 2 * TOP_WITNESSES + 1, f"{live} probe entries live after {i} reports"
             yield InstanceReport(f"id-{i % 250:03d}", 1, 1, DoublingStats(1, 1, 1, i % 3 == 0), 1 + i % 7, 1 + i % 5, ())
 
-    agg = _fold_aggregate(reports(1000))
+    agg = _fold_aggregate(enumerate(reports(1000)))
     assert agg["instances"] == 1000
     assert len(agg["general_probe"]["witnesses"]) == len(agg["symmetric_probe"]["witnesses"]) == TOP_WITNESSES
