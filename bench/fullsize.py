@@ -2,9 +2,10 @@
 
     python3 bench/fullsize.py --parent REV [--out BENCH_fullsize.json]
 
-Runs each command below at `-j 1` in a fresh interpreter, once with `src/`
-of the git revision REV (extracted with `git archive`) and once with `src/`
-of this checkout, in PAIRS alternating pairs (the first side alternates too):
+Runs each command below (at `-j 1` where it takes `-j`) in a fresh
+interpreter, once with `src/` of the git revision REV (extracted with `git
+archive`) and once with `src/` of this checkout, in PAIRS alternating pairs
+(the first side alternates too):
 ten, so that a gain can be read as at least nine wins of ten.
 Every run of a command must write the same bytes on both sides (its
 `--out` file and, for the scan, its `--csv` file); if one does not, the
@@ -25,6 +26,9 @@ layers under 7 normal subgroups, so its peak memory shows how many layers a
 scan holds at once); and the catalog-wide scan: `harness.catalog()` in both
 weights, one random subset per normal subgroup at seed 0, with `--csv`.  Its
 config is written from this checkout's `catalog()` and read by both sides.
+Last, `extract` with its trace on the 612-element sharpness witness
+(N, h, m) = (2, 5, 100), whose product sets take the op path: its Z_100
+residues pair 100 x 100 ways, above TABLE_CAP^2.
 The `perfbench` workloads are small enough that start-up dominates.
 """
 
@@ -51,6 +55,7 @@ COMMANDS = (
     ("verify", "--group", "symmetric:4", "--max-subset-size", "4", "-j", "1"),
     ("verify", "--group", "cyclic:64", "--max-subset-size", "3", "-j", "1"),
     ("scan", "--config", CATALOG_CONFIG, "--csv", "out.csv", "-j", "1"),
+    ("extract", "--alpha", "3/2,2,3", "--trace", "--subset", '{"construction":"sharpness","N":2,"h":5,"m":100}'),
 )
 PAIRS = 10
 

@@ -24,11 +24,12 @@ from .constructions import (
     load_instance,
 )
 from .context import InstanceContext
-from .errors import ConsistencyError, SpecError
+from .errors import CapError, ConsistencyError, SpecError
 from .extract import certify, threshold_trace, with_b
 from .groups import WeightedGroup
 from .harness import (
     ALL_SUITES,
+    MAX_PAIRS,
     ExtractResults,
     Fragment,
     InstanceReport,
@@ -421,6 +422,9 @@ def _load_extract_inputs(args):
 
 def _cmd_extract(args) -> int:
     group, a, q = _load_extract_inputs(args)
+    if len(a.elements) ** 2 > MAX_PAIRS:  # A A: no product extract forms pairs more
+        raise CapError(f"{'--instance' if args.instance else '--subset'}: extract forms a product of "
+                       f"{len(a.elements) ** 2} pairs; the cap is 2^{MAX_PAIRS.bit_length() - 1}")
     alphas = _alphas_arg(args.alpha, "--alpha")
     ctx = InstanceContext(a, q)
     out: dict = {"kind": "extraction-report", "group": group.name, "certificates": {}}

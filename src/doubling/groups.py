@@ -202,10 +202,15 @@ def _product_by_factor(factors: Sequence[WeightedGroup], xs: Iterable, ys: Seque
     are at most TABLE_CAP^2 of them, and a column reads its row; a larger
     factor applies its `op` pair by pair down the column.  Each outer element
     then costs one zip of its factor columns.  The tables live for this call
-    only."""
+    only.  Sides pairing |X||Y| >= 16 (|X| + |Y|) elements over at most
+    |X||Y| / 16 pairs of prefixes go fiber by fiber (`_product_by_fiber`)."""
     xs = list(xs)
     if not xs or not ys:
         return set()
+    if (pairs := len(xs) * len(ys)) >= 16 * (len(xs) + len(ys)):
+        fx, fy = _fibers(xs), _fibers(ys)
+        if 16 * len(fx) * len(fy) <= pairs:
+            return _product_by_fiber(factors, fx, fy)
     flip = len(ys) < len(xs)  # then y is the outer element and x runs down the columns
     outer, inner = (ys, xs) if flip else (xs, ys)
     columns = []  # per factor: u -> its products down the inner column
@@ -222,6 +227,37 @@ def _product_by_factor(factors: Sequence[WeightedGroup], xs: Iterable, ys: Seque
     for z in outer:
         out.update(zip(*[column(u) for column, u in zip(columns, z)]))
     return out
+
+
+def _fibers(zs: Iterable[tuple]) -> dict:
+    """prefix (every component but the last) -> frozenset of last components."""
+    fibers: dict = {}
+    for z in zs:
+        fibers.setdefault(z[:-1], set()).add(z[-1])
+    return {p: frozenset(s) for p, s in fibers.items()}
+
+
+def _product_by_fiber(factors: Sequence[WeightedGroup], fx: dict, fy: dict) -> set:
+    """{xy} from each side's `_fibers`: each pair of prefixes multiplied once
+    through per-factor tables over their distinct components, each distinct
+    pair of fibers once through the last factor (a table up to TABLE_CAP^2
+    pairs, `op` per pair above), and one tuple per distinct (prefix, last)."""
+    heads = [{u: {v: op(u, v) for v in set(vs)} for u in set(us)}
+             for op, us, vs in zip([f.op for f in factors[:-1]], zip(*fx), zip(*fy))]
+    op, lx, ly = factors[-1].op, set().union(*fx.values()), set().union(*fy.values())
+    if len(lx) * len(ly) <= TABLE_CAP * TABLE_CAP:
+        rows = {u: {v: op(u, v) for v in ly} for u in lx}
+        times = lambda s, t: {row[v] for u in s for row in (rows[u],) for v in t}
+    else:
+        times = lambda s, t: {op(u, v) for u in s for v in t}
+    out: dict = {}  # the prefix of a product -> its last components
+    memo: dict = {}  # (fiber, fiber) -> their product, never empty: fibers repeat over prefixes
+    for p, s in fx.items():
+        prow = [head[u] for head, u in zip(heads, p)]
+        for q, t in fy.items():
+            st = memo.get((s, t)) or memo.setdefault((s, t), times(s, t))
+            out.setdefault(tuple(map(dict.__getitem__, prow, q)), set()).update(st)
+    return {(*pq, w) for pq, ws in out.items() for w in ws}
 
 
 class _IndexedGroup(WeightedGroup):

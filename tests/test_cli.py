@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import doubling
-from doubling import cli
+from doubling import build_sharpness_instance, cli
 from doubling.cli import main
 from doubling.errors import CapError
 from doubling.harness import InstanceReport, _load_id
@@ -366,6 +366,33 @@ def test_replay_refuses_an_id_past_the_pair_cap_before_it_starts(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def _sharpness_ref(h: int, m: int) -> list[str]:
+    return ["--subset", json.dumps({"construction": "sharpness", "N": 2, "h": h, "m": m})]
+
+
+@pytest.mark.parametrize("inputs, code, expected", [
+    # 13,092 elements: A A pairs 1.7e8 elements, minutes of work without the cap
+    (_sharpness_ref(5, 2500), 1, "error: --subset: extract forms a product of 171400464 pairs; the cap is 2^20"),
+    (["--instance", "<1144>"], 1, "error: --instance: extract forms a product of 1308736 pairs; the cap is 2^20"),
+    (["--group", "cyclic:2048", "--subgroup", json.dumps({"elements": list(range(0, 2048, 32))}),
+      "--subset", json.dumps({"elements": list(range(1025))})],
+     1, "error: --subset: extract forms a product of 1050625 pairs; the cap is 2^20"),
+    (_sharpness_ref(5, 36), 0, ""),  # 244 elements
+    (_sharpness_ref(5, 100), 0, ""),  # 612 elements
+])
+def test_extract_refuses_a_subset_past_the_pair_cap_before_it_starts(tmp_path, inputs, code, expected):
+    if "<1144>" in inputs:
+        instance = tmp_path / "instance.json"
+        instance.write_text(json.dumps(build_sharpness_instance(2, 7, 144).to_json()))  # 1,144 elements
+        inputs = [str(instance) if arg == "<1144>" else arg for arg in inputs]
+    env = dict(os.environ, PYTHONPATH=str(Path(doubling.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "doubling.cli", "extract", "--alpha", "2", *inputs,
+                          "--out", os.devnull], env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == code, out.stderr
+    assert expected in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("n, m, expected", [
     # over 150 s without the cap: (2N+1)^2 products of matrices with 2^N entries
     (1000, 1_000_000, "error: --N: the block product forms (2N+1)^2 = 4004001 pairs, above the cap 65536"),
@@ -708,8 +735,6 @@ def _replay_id(**change):
     ],
 )
 def test_malformed_input_exits_one_without_a_traceback(tmp_path, capsys, argv, flag):
-    from doubling import build_sharpness_instance
-
     instance = build_sharpness_instance(1, 2, 9).to_json()
     files = {}
     for key, text in (

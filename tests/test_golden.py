@@ -54,6 +54,7 @@ GOLDEN = {
     "scan-csv": "56a494bbc3e2cc16c00f4757e991c4a58e8563121ba9d3be21f22ab2f3025161",
     "extract-trace": "359f85c69fdcb354e9186604a1267aa5b2b3588c0c769248cf92931453d4284d",
     "extract-trace-2-5-36": "46c462e77d778aafe1071df1ca27375edef952bea045648184bfaa5d477e3545",
+    "extract-trace-2-5-100": "8cffe4681e3e8db10e0172548f25379c944fccb294072818408cf3775a980783",
     "kernel-scan-json": "e2617ea69ff7aace5289778bcc30970806fc6755f70a557d2cb4fe12767beaf0",
     "construct-62500": "3d9ff8e3bc2c568db4aeaf1ec54b4ceda849650a9773d5e8905ede3e219d2e53",
 }
@@ -117,6 +118,16 @@ def test_extract_trace_golden_at_the_benchmark_witness(tmp_path, capsys):
     # the 244-element witness of H_5 x GL2Z x Z_36 with five matrices, whose
     # product sets take the op path factor by factor
     assert extract_trace_digest(tmp_path, capsys, 2, 5, 36) == GOLDEN["extract-trace-2-5-36"]
+
+
+def test_extract_trace_golden_at_the_full_size_witness(tmp_path, capsys):
+    # the 612-element witness over Z_100, read as a construction reference: its
+    # last components pair 100 x 100 ways, above TABLE_CAP^2, so A A multiplies
+    # that factor with `op` pair by pair
+    out = tmp_path / "extract.json"
+    ref = json.dumps({"construction": "sharpness", "N": 2, "h": 5, "m": 100})
+    run_cli(capsys, "extract", "--alpha", "3/2,2,3", "--trace", "--subset", ref, "--out", out)
+    assert digest(out) == GOLDEN["extract-trace-2-5-100"]
 
 
 def test_construct_golden(tmp_path, capsys):

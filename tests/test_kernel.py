@@ -26,7 +26,7 @@ from doubling import (
     normal_subgroups,
     quotient,
 )
-from doubling import harness, quotients
+from doubling import groups, harness, quotients
 from doubling.groups import TABLE_CAP, CayleyTable, OpLaw, WeightedGroup, op_table
 from doubling.harness import ScanConfig, evaluate_instance, iter_instance_specs
 from doubling.quotients import _subgroup_lattice
@@ -278,6 +278,129 @@ def test_the_witness_square_takes_one_table_per_factor(monkeypatch):
     assert mul_set(a, a).elements == expected
     # |U_i| * |V_i| per factor: 5 * 5 + 5 * 5 + 36 * 36 = 1346, against 244^2 pairs
     assert sum(calls) <= sum(len(c) * len(c) for c in components) == 1346
+
+
+# -- products on the op path, fiber by fiber -----------------------------------------
+
+UNIPOTENTS = [(1, k, 0, 1) for k in range(-60, 61)]  # they commute with each other
+LOWER = [(1, 0, k, 1) for k in range(-60, 61)]  # and not with these
+# GL2Z with enough matrices to be a last factor whose components pair more
+# than TABLE_CAP^2 ways, Z100000 likewise with ints, small kinds and a nested product
+FIBER_FACTORS = [
+    MatrixGroup(), CyclicGroup(5), CyclicGroup(100000), DihedralGroup(4),
+    ProductGroup([CyclicGroup(2), DihedralGroup(3)]),
+]
+# (prefixes, fiber size) per side: large fibers, then sides either side of the
+# entry rule |X||Y| >= 16 (|X| + |Y|) and 16 * prefix pairs <= |X||Y|
+SHAPES = [
+    ((2, 40), (3, 40)), ((3, 30), (1, 60)),
+    ((1, 32), (1, 32)), ((1, 31), (1, 32)),  # the first test at equality, then one short
+    ((4, 8), (4, 8)), ((4, 8), (4, 7)),
+    ((8, 4), (8, 4)),  # both tests at equality
+    ((11, 3), (11, 3)),  # the first test holds, the second fails
+]
+
+
+def pool(group) -> list:
+    """Distinct elements to draw fibers and prefixes from."""
+    if isinstance(group, MatrixGroup):
+        return list(dict.fromkeys(MATRICES + UNIPOTENTS + LOWER))
+    if group.order > 1000:
+        return list(range(0, group.order, 997))
+    return list(group.elements())
+
+
+def takes_the_fiber_path(xs, ys) -> bool:
+    pairs = len(xs) * len(ys)
+    prefix_pairs = len({x[:-1] for x in xs}) * len({y[:-1] for y in ys})
+    return pairs >= 16 * (len(xs) + len(ys)) and 16 * prefix_pairs <= pairs
+
+
+@st.composite
+def fibered_side(draw, group, shape):
+    """A union of fibers over distinct prefixes, as many as `shape` asks where the pools allow."""
+    *heads, last = group.factors
+    prefixes, size = shape
+    prefix = st.tuples(*[st.sampled_from(pool(f)) for f in heads])
+    limit = 1
+    for f in heads:
+        limit *= len(pool(f))
+    chosen = draw(st.lists(prefix, min_size=min(prefixes, limit), max_size=min(prefixes, limit), unique=True))
+    size = min(size, len(pool(last)))
+    fiber = st.lists(st.sampled_from(pool(last)), min_size=size, max_size=size, unique=True)
+    return [(*p, w) for p in chosen for w in draw(fiber)]
+
+
+@st.composite
+def product_and_fibered_sides(draw):
+    group = ProductGroup(draw(st.lists(st.sampled_from(FIBER_FACTORS), min_size=1, max_size=3)))
+    left, right = draw(st.sampled_from(SHAPES))
+    return group, draw(fibered_side(group, left)), draw(fibered_side(group, right))
+
+
+def spy_on_the_fiber_path(monkeypatch) -> list:
+    taken = []
+    real = groups._product_by_fiber
+    monkeypatch.setattr(groups, "_product_by_fiber", lambda *args: taken.append(1) or real(*args))
+    return taken
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_and_fibered_sides())
+def test_fibered_sides_multiply_as_op_does(case):
+    group, xs, ys = case
+    law = OpLaw(group)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        taken = spy_on_the_fiber_path(monkeypatch)
+        for left, right in ((xs, ys), (ys, xs), (xs[:1], ys), (xs, ys[:1]), ([], ys), (xs, [])):
+            taken.clear()
+            assert law.product(left, right) == ref_product(group, left, right)
+            assert bool(taken) == (bool(left) and bool(right) and takes_the_fiber_path(left, right))
+
+
+S5 = [(0, 0), (1, 1), (4, 3)]  # prefixes of Z5 x Z5
+FIBER_CASES = {
+    # GL2Z as a prefix factor, over Z36 residues
+    "gl2z-prefix": ([MatrixGroup(), CyclicGroup(36)],
+                    [(m, r) for m in MATRICES[:3] for r in range(30)],
+                    [(m, r) for m in MATRICES[3:6] for r in range(6, 36)]),
+    # GL2Z last: 80 x 80 distinct matrices, above TABLE_CAP^2, multiplied pair by pair
+    "gl2z-last": ([CyclicGroup(5), MatrixGroup()],
+                  [(h, m) for h in (0, 2) for m in UNIPOTENTS[h * 40:h * 40 + 40]],
+                  [(h, m) for h in (1, 3) for m in LOWER[h * 20:h * 20 + 40]]),
+    # Z100000 last: 100 x 100 distinct residues, above TABLE_CAP^2
+    "wide-last": ([CyclicGroup(5), CyclicGroup(5), CyclicGroup(100000)],
+                  [(*p, 997 * k + p[0]) for p in S5 for k in range(100)],
+                  [(*p, 31 * k) for p in S5[:2] for k in range(100)]),
+    # a nested product as a prefix factor and as the last factor
+    "nested-prefix": ([ProductGroup([CyclicGroup(2), DihedralGroup(3)]), CyclicGroup(100)],
+                      [((i, j), r) for i, j in ((0, 1), (1, 4)) for r in range(0, 100, 3)],
+                      [((1, 5), r) for r in range(50)]),
+    "nested-last": ([MatrixGroup(), ProductGroup([CyclicGroup(2), DihedralGroup(4)])],
+                    [(m, (i, j)) for m in MATRICES[:2] for i in range(2) for j in range(8)],
+                    [(m, (i, j)) for m in MATRICES[4:6] for i in range(2) for j in range(8)]),
+}
+
+
+@pytest.mark.parametrize("factors, xs, ys", FIBER_CASES.values(), ids=FIBER_CASES.keys())
+def test_the_fiber_path_multiplies_as_op_does(monkeypatch, factors, xs, ys):
+    group = ProductGroup(factors)
+    assert takes_the_fiber_path(xs, ys) and takes_the_fiber_path(ys, xs)
+    taken = spy_on_the_fiber_path(monkeypatch)
+    for left, right in ((xs, ys), (ys, xs)):
+        assert OpLaw(group).product(left, right) == ref_product(group, left, right)
+    assert len(taken) == 2
+
+
+def test_the_witness_square_takes_the_fiber_path_and_a_grow_step_does_not(monkeypatch):
+    a = build_sharpness_instance(2, 5, 36).subset()
+    group, xs = a.owner, list(a.elements)
+    taken = spy_on_the_fiber_path(monkeypatch)
+    assert mul_set(a, a).elements == ref_product(group, xs, xs)
+    assert len(taken) == 1
+    # `_grow` multiplies what it reached by one element at a time
+    assert group.law.product(xs, [xs[7]]) == ref_product(group, xs, [xs[7]])
+    assert len(taken) == 1
 
 
 @pytest.mark.parametrize("group, sub", [
