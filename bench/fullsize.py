@@ -23,8 +23,11 @@ tree id of the `src/` it ran, uncommitted edits included: it equals
 These are the paper's exhaustive checks at full size, where evaluation cost
 shows: all of D6, S4 up to size 4, and Z64 up to size 3 (43,744 subset
 layers under 7 normal subgroups, so its peak memory shows how many layers a
-scan holds at once); and the catalog-wide scan: `harness.catalog()` in both
-weights, one random subset per normal subgroup at seed 0, with `--csv`.  Its
+scan holds at once); D12 with 1,000 random subsets per normal subgroup at
+seed 0, the one command whose results tables under H = {e} see random
+partners B (an exhaustive scan's B is A^-1); and the catalog-wide scan:
+`harness.catalog()` in both weights, one random subset per normal subgroup
+at seed 0, with `--csv`.  Its
 config is written from this checkout's `catalog()` and read by both sides.
 Last, `extract` with its trace on the 612-element sharpness witness
 (N, h, m) = (2, 5, 100), whose product sets take the op path: its Z_100
@@ -54,6 +57,7 @@ COMMANDS = (
     ("verify", "--group", "dihedral:6", "-j", "1"),
     ("verify", "--group", "symmetric:4", "--max-subset-size", "4", "-j", "1"),
     ("verify", "--group", "cyclic:64", "--max-subset-size", "3", "-j", "1"),
+    ("verify", "--group", "dihedral:12", "--trials", "1000", "--seed", "0", "-j", "1"),
     ("scan", "--config", CATALOG_CONFIG, "--csv", "out.csv", "-j", "1"),
     ("extract", "--alpha", "3/2,2,3", "--trace", "--subset", '{"construction":"sharpness","N":2,"h":5,"m":100}'),
 )
@@ -84,7 +88,6 @@ def _run(src: Path, argv: tuple, work: Path) -> tuple[float, float, str]:
     """(CPU seconds, ru_maxrss in MB, SHA-256 of the artifacts) of one run:
     of out.json, and then of out.csv if the command wrote one."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("DOUBLING_JOBS", None)
     out = work / "out.json"
     proc = subprocess.Popen([sys.executable, "-m", "doubling.cli", *argv, "--out", str(out)],
                             cwd=work, env=env, stdout=subprocess.DEVNULL)

@@ -405,7 +405,9 @@ def _load_extract_inputs(args):
     subset_doc = _maybe_inline_json(args.subset, "--subset") if args.subset else None
     if isinstance(subset_doc, dict) and "construction" in subset_doc:
         _unused(args, ("--group", "--subgroup", "--subgroup-weight"), "with a construction reference")
-        return build_from_reference(subset_doc, "/subset")
+        inst = build_from_reference(subset_doc, "/subset")
+        _pair_cap(inst.element_count(), "--subset")  # before a single element is built
+        return (group := inst.group()), inst.subset(group), inst.quotient_structure(group)
     if not args.group or not args.subgroup or not args.subset:
         raise SpecError("", "extract needs --instance, a construction reference in --subset, "
                             "or all of --group/--subgroup/--subset")
@@ -420,11 +422,14 @@ def _load_extract_inputs(args):
     return group, a, q
 
 
+def _pair_cap(n: int, flag: str) -> None:
+    if n * n > MAX_PAIRS:  # A A: no product extract forms pairs more
+        raise CapError(f"{flag}: extract forms a product of {n * n} pairs; the cap is 2^{MAX_PAIRS.bit_length() - 1}")
+
+
 def _cmd_extract(args) -> int:
     group, a, q = _load_extract_inputs(args)
-    if len(a.elements) ** 2 > MAX_PAIRS:  # A A: no product extract forms pairs more
-        raise CapError(f"{'--instance' if args.instance else '--subset'}: extract forms a product of "
-                       f"{len(a.elements) ** 2} pairs; the cap is 2^{MAX_PAIRS.bit_length() - 1}")
+    _pair_cap(len(a.elements), "--instance" if args.instance else "--subset")
     alphas = _alphas_arg(args.alpha, "--alpha")
     ctx = InstanceContext(a, q)
     out: dict = {"kind": "extraction-report", "group": group.name, "certificates": {}}

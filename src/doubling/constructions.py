@@ -383,14 +383,12 @@ def load_instance(doc: dict, path: str = "") -> tuple[WeightedGroup, GSubset, Qu
         raise exc.under(path) from None
 
 
-def build_from_reference(ref: dict, path: str = "") -> tuple[WeightedGroup, GSubset, QuotientStructure]:
-    """Resolve a subset-spec construction reference into (G, A, Q)."""
+def build_from_reference(ref: dict, path: str = "") -> SharpnessInstance:
+    """The instance a subset-spec construction reference names, its elements not yet built."""
     if ref.get("construction") != "sharpness":
         raise SpecError(f"{path}/construction", 'only "sharpness" is defined')
     known_keys(ref, {"construction", "N", "h", "m"}, path)
     try:
-        inst = build_sharpness_instance(ref.get("N"), ref.get("h"), ref.get("m"))
+        return build_sharpness_instance(ref.get("N"), ref.get("h"), ref.get("m"))
     except SpecError as exc:
         raise exc.under(path) from None
-    group = inst.group()
-    return group, inst.subset(group), inst.quotient_structure(group)

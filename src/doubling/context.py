@@ -164,27 +164,32 @@ class InstanceContext:
 
 
 class _Packing:
-    """A layer's fiber profiles under every |H| > 1 of some runs in one int:
-    H has [G:H] w bits from its `off`, w = |H|.bit_length(), X's count at
-    coset c in the w bits from c w (w bits hold a count up to |H|; a
-    `quotient`'s cosets are 0..[G:H]-1).  So the sum over X of the `row` x ->
-    sum over H of 1 << off + c(x) w (built at the first key) packs them all.
-    A layer packs A and, with `spill`, B, AB and BA, `width` apart.  The last
-    layer packed is kept: a scan evaluates a layer's instances in a row."""
+    """A layer's fiber profiles under the normal subgroups of some runs in one
+    int: H has [G:H] w bits from its `off`, w = |H|.bit_length(), X's count
+    at coset c in the w bits from c w (w bits hold a count up to |H|; a
+    `quotient`'s cosets are 0..[G:H]-1), but for H = {e}: pi is G renumbered,
+    so, as H = G, it has one field of |G|.bit_length() bits, the count |X|
+    (w = 0).  So the sum over X of the `row` x -> sum over H of 1 << off +
+    c(x) w (built at the first key) packs them all.  A layer packs A and,
+    with `spill`, B, AB and BA, `width` apart; H's (off, mask) in `fields`,
+    all that its results-table key holds but the stats, reads H's field of
+    each, but |B| under H = {e}, which no suite reads.  The last layer packed
+    is kept: a scan evaluates a layer's instances in a row."""
 
     def __init__(self, elems: list, runs: list, spill: bool) -> None:
         """Lay out `runs`, each (id prefix, quotient maker, |H|), and give each its (off, mask) in `fields`."""
-        self.elems, self.spill, self.slices, self.fields, self.row, self.layer = elems, spill, [], [], None, None
-        self.width = sum(len(elems) // size * size.bit_length() for *_, size in runs if size > 1)
-        spread = sum(1 << s * self.width for s in range(4))  # a mask's field at each packed set
-        off = 0
+        self.elems, self.spill, self.slices, self.row, self.layer = elems, spill, [], None, None
+        layout, off = [], 0
         for _, make_quotient, size in runs:
-            w = size.bit_length()
-            bits = len(elems) // size * w if size > 1 else 0
-            self.fields.append((off, ((1 << bits) - 1) * spread if bits else None))
-            if bits:
-                self.slices.append((make_quotient, off, w))
-                off += bits
+            w = size.bit_length() if size > 1 else 0
+            bits = len(elems) // size * w or len(elems).bit_length()
+            self.slices.append((make_quotient, off, w))
+            layout.append((off, bits, size))
+            off += bits
+        self.width = off
+        spread = sum(1 << s * off for s in range(4))  # a mask's field at each packed set
+        self.fields = [(at, ((1 << bits) - 1) * (spread if size > 1 else spread - (1 << off)))
+                       for at, bits, size in layout]
 
     def __call__(self, shared: SubsetContext) -> int:
         if shared is not self.layer:

@@ -416,7 +416,7 @@ def _jobs(config: ScanConfig) -> Iterator[tuple[int, str, tuple]]:
             tables = [None] * len(block)
             if count > 1:  # the tables hold the packing, which holds none of them
                 packing = _Packing(elems, block, spill)
-                tables = [_ResultsTable(spill, packing, *field) for field in packing.fields]
+                tables = [_ResultsTable(packing, *field) for field in packing.fields]
             runs_at = [(place + k * count, prefix, make_quotient, table)  # run k's ids are from place k count on
                        for k, ((prefix, make_quotient, _), table) in enumerate(zip(block, tables))]
             for i, shared in enumerate(layers):
@@ -563,12 +563,12 @@ def _rendered(record) -> dict:
 
 
 class InstanceReport(namedtuple(
-    "InstanceReport", "id group_order subgroup_size stats pi_size pi_square suites outcome", defaults=(None,)
+    "InstanceReport", "id group_order subgroup_size stats pi_size pi_square suites outcome"
 )):
     """One instance's results as counts: the id, |G| and |H|, the doubling
     counts (`DoublingStats`, whose size is |A|), |piA| and |piA^2|, per suite
     run (name, result record, violation details: None when skipped, empty
-    when it passed), and their `_outcome` (or None).  `to_json()` writes the
+    when it passed), and their `_outcome`.  `to_json()` writes the
     report; `render` maps each record and the `DoublingStats` into it."""
 
     __slots__ = ()
@@ -602,22 +602,14 @@ def _outcome(records) -> int:
 
 class _ResultsTable(dict):
     """A normal subgroup's results by `key`, all that its quotient-side suites
-    read: the `DoublingStats` and the fiber profiles of A and, with `spill`
-    (spillover or containment runs), of B, AB and BA (its `mask` over the
-    layer's `packing` shifted down by `off`).  Under H = {e} (no mask) pi is
-    G renumbered and every fiber is 1: the counts |AB| and |BA| do."""
+    read: the `DoublingStats` and its field of the layer's `packing`, the
+    `mask` over it shifted down by `off`."""
 
-    def __init__(self, spill: bool, packing=None, off: int = 0, mask: int | None = None) -> None:
-        self.spill, self.packing, self.off, self.mask = spill, packing, off, mask
+    def __init__(self, packing: _Packing, off: int, mask: int) -> None:
+        self.packing, self.off, self.mask = packing, off, mask
 
     def key(self, shared: SubsetContext, stats) -> tuple:
-        if self.mask is not None:
-            packing = self.packing
-            return stats, (packing.packed if shared is packing.layer else packing(shared)) >> self.off & self.mask
-        if not self.spill:
-            return (stats,)
-        b = shared.a if shared.b is None else shared.b
-        return stats, len(shared.mul(shared.a, b).elements), len(shared.mul(b, shared.a).elements)
+        return stats, self.packing(shared) >> self.off & self.mask
 
 
 def evaluate_instance(instance_id: str, job: tuple | None = None) -> InstanceReport:
@@ -676,9 +668,8 @@ def _fold_aggregate(placed: Iterable[tuple[int, InstanceReport]]) -> dict:
     failing = []  # (place, report) per report with a violation
     sym_top, all_top = [], []
     for place, rep in placed:
-        outcome = _outcome(rep.suites) if rep.outcome is None else rep.outcome
-        (outcomes.get(outcome) or outcomes.setdefault(outcome, [0, rep.suites]))[0] += 1
-        if outcome & 0xAAAA:  # a run's status is 2: it failed
+        (outcomes.get(rep.outcome) or outcomes.setdefault(rep.outcome, [0, rep.suites]))[0] += 1
+        if rep.outcome & 0xAAAA:  # a run's status is 2: it failed
             failing.append((place, rep))
         num, den = rep.probe
         for top in (all_top, sym_top) if rep.stats.symmetric else (all_top,):

@@ -285,8 +285,9 @@ def test_extraction_floor_boundary():
 def test_extract_suite_counts_a_failed_alpha():
     record, violations = harness._extract_suite(Rigged(A_EX, thresholds=[_row(2, 1)]), [("2", TWO)])
     assert violations == ("extraction failed at alpha=2",) and record.to_json() == {"2": {"pass": False}}
-    rep = harness.InstanceReport("x", 12, 2, metrics.DoublingStats(4, 7, 7, False), 4, 7,
-                                 (("extract", record, violations),))
+    suites = (("extract", record, violations),)
+    rep = harness.InstanceReport("x", 12, 2, metrics.DoublingStats(4, 7, 7, False), 4, 7, suites,
+                                 harness._outcome(suites))
     aggregate = harness._fold_aggregate([(0, rep)])
     assert aggregate["suite_runs"] == {"extract": {"runs": 1, "passes": 0, "skipped": 0}}
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import doubling
 from doubling import build_sharpness_instance, cli
 from doubling.cli import main
+from doubling.constructions import SharpnessInstance
 from doubling.errors import CapError
 from doubling.harness import InstanceReport, _load_id
 
@@ -379,6 +380,8 @@ def _sharpness_ref(h: int, m: int) -> list[str]:
      1, "error: --subset: extract forms a product of 1050625 pairs; the cap is 2^20"),
     (_sharpness_ref(5, 36), 0, ""),  # 244 elements
     (_sharpness_ref(5, 100), 0, ""),  # 612 elements
+    # 503,592 elements: refused by their count, not by the cap on building them
+    (_sharpness_ref(5, 100000), 1, "error: --subset: extract forms a product of 253604902464 pairs; the cap is 2^20"),
 ])
 def test_extract_refuses_a_subset_past_the_pair_cap_before_it_starts(tmp_path, inputs, code, expected):
     if "<1144>" in inputs:
@@ -391,6 +394,14 @@ def test_extract_refuses_a_subset_past_the_pair_cap_before_it_starts(tmp_path, i
     assert out.returncode == code, out.stderr
     assert expected in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_extract_refuses_a_construction_reference_past_the_pair_cap_before_it_builds_an_element(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(SharpnessInstance, "subset", lambda *args: built.append(args))
+    code, _, err = run(capsys, "extract", "--alpha", "2", *_sharpness_ref(5, 30000), "--out", os.devnull)
+    assert code == 1 and built == []
+    assert "error: --subset: extract forms a product of 23089410304 pairs; the cap is 2^20" in err
 
 
 @pytest.mark.parametrize("n, m, expected", [

@@ -165,7 +165,8 @@ KEY_GROUPS = catalog(weights=("counting",), max_product_order=32)
 def test_the_shift_sum_key_equals_the_counted_fiber_profiles(data):
     """Each normal subgroup's key, read from the combined row of all of them,
     holds the stats and its packed fiber profiles of A and, for spillover, of
-    B, AB and BA, `width` bits apart; under H = {e}, the counts."""
+    B, AB and BA, `width` bits apart; under H = {e} (pi is G renumbered) the
+    counts |A|, |AB| and |BA| in the slots of A, AB and BA, and none of B."""
     group = build_group(data.draw(st.sampled_from(KEY_GROUPS)))
     elems = sorted(group.elements())
     a, b = (GSubset(group, frozenset(data.draw(st.lists(st.sampled_from(elems), min_size=1, max_size=16))))
@@ -176,40 +177,52 @@ def test_the_shift_sum_key_equals_the_counted_fiber_profiles(data):
     quotients = [quotient(group, sub) for sub in subs]
     runs = [(None, lambda q=q: q, len(sub.elements)) for sub, q in zip(subs, quotients)]
     spill, alone = (harness._Packing(elems, runs, s) for s in (True, False))
-    tables = [[harness._ResultsTable(p.spill, p, *field) for field in p.fields] for p in (spill, alone)]
+    tables = [[harness._ResultsTable(p, *field) for field in p.fields] for p in (spill, alone)]
     for q, table, table_a in zip(quotients, *tables):
         ab, ba = mul_set(a, b), mul_set(b, a)
         if len(q.subgroup.elements) == 1:
-            assert table.key(shared, stats) == (stats, len(ab), len(ba))
-            assert table_a.key(shared, stats) == (stats,)
-            continue
-        profiles = (packed_profile(q, x) << i * spill.width for i, x in enumerate((a, b, ab, ba)))
-        assert table.key(shared, stats) == (stats, sum(profiles))
-        assert table_a.key(shared, stats) == (stats, packed_profile(q, a))
+            fields = [len(a), 0, len(ab), len(ba)]
+        else:
+            fields = [packed_profile(q, x) for x in (a, b, ab, ba)]
+        assert table.key(shared, stats) == (stats, sum(f << i * spill.width for i, f in enumerate(fields)))
+        assert table_a.key(shared, stats) == (stats, fields[0])
+
+
+# the quotient-side runs (`InstanceContext` builds) of two scans with every
+# suite: a key that divides layers more finely than the suites read misses more
+QUOTIENT_RUNS = [
+    (["dihedral:6"], {"kind": "exhaustive", "max_size": 3}, 307),
+    # random partners B: 1,397 runs if |B| enters the key under H = {e}
+    (["cyclic:30"], {"kind": "random", "count": 200, "seed": 1}, 1359),
+]
+
+
+@pytest.mark.parametrize("groups, mode, runs", QUOTIENT_RUNS, ids=["dihedral:6 size 3", "cyclic:30 random"])
+def test_a_scan_runs_the_quotient_suites_once_per_key(monkeypatch, groups, mode, runs):
+    contexts, context = [], harness.InstanceContext
+    monkeypatch.setattr(harness, "InstanceContext", lambda *args: contexts.append(args) or context(*args))
+    scan(ScanConfig(groups, mode))
+    assert len(contexts) == runs
 
 
 KEY_MUTANTS = [
-    ("_ResultsTable", "return stats, (packing.packed", "return None, (packing.packed"),
+    ("_ResultsTable", "return stats, self.packing", "return None, self.packing"),
     ("_Packing", "sum(map(row, b.elements)) << t | ", ""),
     ("_Packing", """ | sum(map(row, shared.mul(a, b).elements)) << 2 * t
                                 | sum(map(row, shared.mul(b, a).elements)) << 3 * t""", ""),
     # w - 1 bits cannot hold a count of |H|: profiles collide
-    ("_Packing", "w = size.bit_length()", "w = size.bit_length() - 1"),
-    # under H = {e}, the counts key
-    ("_ResultsTable", "len(shared.mul(shared.a, b).elements), ", ""),
-    ("_ResultsTable", ", len(shared.mul(b, shared.a).elements)", ""),
-    ("_ResultsTable", "if not self.spill:", "if True:"),
+    ("_Packing", "w = size.bit_length() if", "w = size.bit_length() - 1 if"),
     # a subgroup's slice of the combined row: one bit short, or its neighbour's
-    ("_Packing", "((1 << bits) - 1) * spread", "((1 << bits - 1) - 1) * spread"),
-    ("_Packing", "self.fields.append((off, ", "self.fields.append((off + bits, "),
+    ("_Packing", "((1 << bits) - 1) * (spread", "((1 << bits - 1) - 1) * (spread"),
+    ("_Packing", "layout.append((off, ", "layout.append((off + bits, "),
+    # under H = {e}, the count field: one bit short, or left out of the row
+    ("_Packing", "or len(elems).bit_length()", "or len(elems).bit_length() - 1"),
+    ("_Packing", "self.slices.append(", "size > 1 and self.slices.append("),
 ]
 
 
-@pytest.mark.parametrize("name, snippet, mutant", KEY_MUTANTS,
-                         ids=["no stats", "no B", "no AB and BA", "shift by w - 1",
-                              "H = {e}: no AB", "H = {e}: no BA", "H = {e}: stats alone",
-                              "mask one bit short", "the next subgroup's offset"])
-def test_each_results_table_key_mutant_fails_the_replay_test(monkeypatch, name, snippet, mutant):
+def _patched(monkeypatch, name: str, snippet: str, mutant: str) -> None:
+    """Install, for this test only, `name` with its `snippet` replaced by `mutant`."""
     module = sys.modules[getattr(harness, name).__module__]  # where it is defined
     source = inspect.getsource(getattr(module, name))
     # the snippet must be there: an edit to the key fails here, loudly
@@ -217,8 +230,23 @@ def test_each_results_table_key_mutant_fails_the_replay_test(monkeypatch, name, 
     monkeypatch.setattr(module, name, getattr(module, name))  # restored after the test
     exec(compile(source.replace(snippet, mutant), module.__file__, "exec"), vars(module))
     monkeypatch.setattr(harness, name, getattr(module, name))  # the copy that `harness` reads
+
+
+@pytest.mark.parametrize("name, snippet, mutant", KEY_MUTANTS,
+                         ids=["no stats", "no B", "no AB and BA", "shift by w - 1",
+                              "mask one bit short", "the next subgroup's offset",
+                              "H = {e}: count one bit short", "H = {e}: no count"])
+def test_each_results_table_key_mutant_fails_the_replay_test(monkeypatch, name, snippet, mutant):
+    _patched(monkeypatch, name, snippet, mutant)
     with pytest.raises(AssertionError):
         test_a_scan_sharing_fiber_profiles_equals_replay()
+
+
+def test_a_key_that_reads_b_under_the_trivial_subgroup_misses_more(monkeypatch):
+    """|B| in the H = {e} key divides layers that every suite treats alike."""
+    _patched(monkeypatch, "_Packing", "spread if size > 1 else spread - (1 << off)", "spread")
+    with pytest.raises(AssertionError):
+        test_a_scan_runs_the_quotient_suites_once_per_key(monkeypatch, *QUOTIENT_RUNS[1])
 
 
 TRIVIAL_KEY_GROUPS = catalog(max_product_order=32)
@@ -239,7 +267,8 @@ def test_a_results_table_hit_under_the_trivial_subgroup_equals_the_set_based_ref
     q = quotient(group, normal_subgroups(group)[0], data.draw(st.sampled_from(["counting", "normalized"])))
     assert len(q.subgroup.elements) == 1
     alphas = [(x, Fraction(x)) for x in ("3/2", "2", "3")]
-    table = harness._ResultsTable(True)  # ALL_SUITES run spillover
+    packing = harness._Packing(elems, [(None, lambda: q, 1)], True)  # ALL_SUITES run spillover
+    table = harness._ResultsTable(packing, *packing.fields[0])
     for a, b, c in draws:
         report = evaluate_instance("id", (SubsetContext(a, b, c), lambda: q, ALL_SUITES, alphas, table))
         pi_size, pi_square, expected = reference_suites(q, a, b, c, None, alphas)
@@ -277,8 +306,9 @@ def test_an_exhaustive_verify_runs_the_quotient_suites_once_per_fiber_profile(tm
     # only a miss builds an InstanceContext: a table hit, ruzsa-axioms included, builds none
     assert len(contexts) == sum(n for _, n in runs)
     # the suites run once per distinct key of each normal subgroup: the stats
-    # and the packed fiber profiles of A, B = A^-1, AB and BA, or under
-    # H = {e} the stats, |AB| and |BA| (16 keys of 298 subsets; 307 runs in all)
+    # and the packed fiber profiles of A, B = A^-1, AB and BA, under H = {e}
+    # (pi is G renumbered) their counts, |B| = |A| aside (16 keys of 298
+    # subsets; 307 runs in all)
     per_subgroup: dict = {}
     for instance_id, n in runs:
         subgroup = canonical_json(json.loads(instance_id)["subgroup"])
@@ -391,7 +421,7 @@ def fake_report(k, k2, qd, symmetric: bool, instance_id: str = "i") -> InstanceR
     """K = a/b, K2 = c/d and the quotient doubling e/f as counts: |A| = bd,
     |A^2| = ad, |A^-1 A| = cb, |piA^2| = e and |piA| = f."""
     (a, b), (c, d), (e, f) = k, k2, qd
-    return InstanceReport(instance_id, 1, 1, DoublingStats(b * d, a * d, c * b, symmetric), f, e, ())
+    return InstanceReport(instance_id, 1, 1, DoublingStats(b * d, a * d, c * b, symmetric), f, e, (), 0)
 
 
 @given(st.lists(st.tuples(st.tuples(COUNT, COUNT), st.tuples(COUNT, COUNT),
@@ -414,7 +444,7 @@ def test_csv_floats_match_the_fraction_path(rows):
 def test_witness_order_matches_a_fraction_sort(entries):
     # |A| = |A^2| = 1, so the probe value is |piA^2| / |piA| = num / den
     reports = [
-        InstanceReport(f"id-{tag:02d}", 1, 1, DoublingStats(1, 1, 1, symmetric), den, num, ())
+        InstanceReport(f"id-{tag:02d}", 1, 1, DoublingStats(1, 1, 1, symmetric), den, num, (), 0)
         for (num, den), symmetric, tag in entries
     ]
     agg = _fold_aggregate(enumerate(reports))
@@ -454,7 +484,8 @@ def test_the_fold_holds_no_more_entries_than_its_witnesses():
             if i % 100 == 0:
                 live = sum(isinstance(obj, harness._Ranked) for obj in gc.get_objects())
                 assert live <= 2 * TOP_WITNESSES + 1, f"{live} probe entries live after {i} reports"
-            yield InstanceReport(f"id-{i % 250:03d}", 1, 1, DoublingStats(1, 1, 1, i % 3 == 0), 1 + i % 7, 1 + i % 5, ())
+            stats = DoublingStats(1, 1, 1, i % 3 == 0)
+            yield InstanceReport(f"id-{i % 250:03d}", 1, 1, stats, 1 + i % 7, 1 + i % 5, (), 0)
 
     agg = _fold_aggregate(enumerate(reports(1000)))
     assert agg["instances"] == 1000
