@@ -372,8 +372,8 @@ def _jobs(config: ScanConfig) -> Iterator[tuple[int, str, tuple]]:
     group and lattice and forms no subset: every refusal comes first.  Then
     an exhaustive scan builds each layer of a group and yields it under
     every normal subgroup; a random scan samples each one's layers.  A
-    quotient (`_quotient_by`: the lattice tested H) is built by its first
-    evaluation; a results table (None for one layer) reads a `_Packing`."""
+    quotient (`_quotient_by`: every H of a lattice is normal) is built by its
+    first evaluation; a results table (None for one layer) reads a `_Packing`."""
     mode = config.subset_mode
     rng = None
     if mode["kind"] == "random":

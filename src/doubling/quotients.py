@@ -6,19 +6,20 @@ measure of any subset.  A quotient of a finite group materializes its coset
 table; a projection quotient of a product group drops coordinates and works
 for lazy ambient groups as long as the dropped factors are finite.
 Subgroups are found on the points of `group.law`, table indices up to
-TABLE_CAP: `closure` and `_generators` walk them with `groups._grow`, the
-lattice a right coset at a time.  Normality has one test, `_conjugates_into`:
-the lattice's, on G's generators, and `quotient`'s, on its coset
+TABLE_CAP, by `groups._grow`: `closure` and `_generators` walk from {e}, and
+`normal_subgroups` grows the normal closure of each conjugacy class and
+joins them, so every set it builds is normal without a test.  Normality has
+one test, `_conjugates_into`, which `quotient` runs on its coset
 representatives.  A scan asks for one lattice per group structure and builds
-its subgroups' quotients with `_quotient_by` alone, untested again.
+its subgroups' quotients with `_quotient_by` alone, untested.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import product as iter_product, repeat
-from math import gcd, prod
+from itertools import product as iter_product
+from math import prod
 from operator import itemgetter
 
 from .errors import CapError, ConsistencyError, SpecError, integer
@@ -68,52 +69,44 @@ def _conjugates_into(law, h: set, h_gens: list, g_gens: Iterable) -> bool:
     return all(law.product(law.product([g], h_gens), list(law.inverse([g]))) <= h for g in g_gens)
 
 
-def _subgroup_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
-    """(all subgroup handle-sets, normal handle-sets), each in canonical order.
+def normal_subgroups(group: WeightedGroup) -> list[GSubset]:
+    """All normal subgroups of a finite group, {e} and G included, canonical order.
 
-    Runs on the points of `group.law`.  Every subgroup is reached from {e} by
-    adding one generator g at a time to the subgroup H it extends, one right
-    coset of H at a time (Dimino's step: from c = e, each cs not yet reached,
-    s a generator, adds H cs), and remembers its generator list.  <H, g> =
-    <H, hg^k> for h in H and k prime to the order of g: no such g is tried again."""
+    Runs on the points of `group.law`.  K_x, the normal closure of x's
+    conjugacy class, is grown once per class by `_grow`.  The walk from {e}
+    joins each normal subgroup N it reaches with K_x, and rests on two facts:
+    the product N K of two normal subgroups is a normal subgroup, so nothing
+    needs a normality test; and N K_x is the least normal subgroup holding N
+    and x, so it depends on x only through the coset N x, and one x per coset
+    is tried.  Every normal M is found: from {e}, joining any x of M not yet
+    reached stays inside M, and the chain ends at M."""
     if group.order is None:
         raise ValueError("subgroup enumeration needs a finite group")
     if group.order > TABLE_CAP:
         raise CapError(f"subgroup enumeration capped at order {TABLE_CAP}, got {group.order}")
     law = group.law
-    gens_of = {frozenset([law.identity]): []}
-    queue = list(gens_of)
+    conjugators = [(g, g_inv) for g in law.all_points() for g_inv in law.inverse([g])]
+    closure_of: dict = {}
+    for x in law.all_points():
+        if x not in closure_of:
+            cls = {law.mul(law.mul(g, x), g_inv) for g, g_inv in conjugators}
+            k = {law.identity}
+            _grow(law, k, [], cls)
+            closure_of.update(dict.fromkeys(cls, list(k)))
+    found = {frozenset([law.identity])}
+    queue = list(found)
     while queue:
         sub = queue.pop()
         covered = set(sub)
-        for g in law.all_points():
-            if g in covered:
-                continue
-            powers = [g]
-            while powers[-1] != law.identity:
-                powers.append(law.mul(powers[-1], g))
-            covered |= law.product(sub, [x for k, x in enumerate(powers, 1) if gcd(k, len(powers)) == 1])
-            bigger, gens, reps = set(sub), [*gens_of[sub], g], [law.identity]
-            for c in reps:
-                for cs in map(law.mul, repeat(c), gens):
-                    if cs not in bigger:
-                        bigger |= law.product(sub, [cs])
-                        reps.append(cs)
-            bigger = frozenset(bigger)
-            if bigger not in gens_of:
-                gens_of[bigger] = gens
-                queue.append(bigger)
-
+        for x in law.all_points():
+            if x not in covered:
+                covered |= law.product(sub, [x])
+                bigger = frozenset(law.product(sub, closure_of[x]))
+                if bigger not in found:
+                    found.add(bigger)
+                    queue.append(bigger)
     # points follow the canonical enumeration, so they sort as the handles do
-    subs = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
-    handles = [law.handles(s) for s in subs]
-    outer = gens_of[subs[-1]]  # G's generators
-    return handles, [h for s, h in zip(subs, handles) if _conjugates_into(law, s, gens_of[s], outer)]
-
-
-def normal_subgroups(group: WeightedGroup) -> list[GSubset]:
-    """All normal subgroups of a finite group, {e} and G included, canonical order."""
-    return [GSubset(group, h) for h in _subgroup_lattice(group)[1]]
+    return [GSubset(group, law.handles(s)) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
 class QuotientStructure:

@@ -61,7 +61,7 @@ def is_normal(group: WeightedGroup, elems: frozenset) -> bool:
 
 def walked_lattice(group: WeightedGroup) -> tuple[list[frozenset], list[frozenset]]:
     """(all subgroup handle-sets, normal handle-sets), each in canonical
-    order, as `_subgroup_lattice` gives them, from the plain walk: every
+    order, from the plain walk (`normal_subgroups` must give the second): every
     subgroup <H, g> is grown from the subgroup H it extends by `_grow`, one
     new element at a time, for one g per right coset of H (<H, g> = <H, hg>
     for h in H); H is normal iff the generators of G conjugate its own into H."""

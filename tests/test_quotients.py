@@ -28,7 +28,7 @@ from doubling import (
 from doubling import ScanConfig, groups, harness
 from doubling.groups import TABLE_CAP, CayleyTable, OpLaw, WeightedGroup, quaternion_table
 from doubling.errors import SpecError
-from doubling.quotients import _subgroup_lattice, closure, quotient_from_description
+from doubling.quotients import closure, quotient_from_description
 from oracles import is_normal, is_subgroup, quaternion_group, searched_identity_and_inverses, walked_lattice
 
 
@@ -75,9 +75,11 @@ def test_q8_subgroups_all_normal():
         for s in itertools.combinations(elems, size)
         if is_subgroup(q8, frozenset(s))
     ]
-    assert sorted(brute, key=lambda s: (len(s), sorted(s))) == _subgroup_lattice(q8)[0]
+    brute.sort(key=lambda s: (len(s), sorted(s)))
+    assert brute == walked_lattice(q8)[0]
     assert len(brute) == 6
     assert all(is_normal(q8, s) for s in brute)
+    assert [s.elements for s in normal_subgroups(q8)] == brute
 
 
 def test_s4_normal_subgroups():
@@ -260,17 +262,29 @@ def test_is_subgroup_on_the_op_path():
 def test_lattice_lists_subgroups_in_canonical_order():
     # the lattice sorts table indices; they must sort as the handles do.  It
     # ignores weights, so one weight covers every structure of the catalog;
-    # the coset steps must give what the plain walk does
+    # the walk over normal closures must give what the walk over all subgroups does
     groups = [build_group(spec) for spec in catalog(weights=("counting",))]
     assert {"Z2xS4", "Q8xQ8"} <= {g.name for g in groups}
     assert max(g.order for g in groups) == TABLE_CAP
     for group in groups:
-        subs, normal = _subgroup_lattice(group)
+        subs, normal = walked_lattice(group)
         assert subs == sorted(subs, key=lambda s: (len(s), sorted(s))), group.name
-        # the generator test against gH = Hg formed in full
+        # the oracle's generator test against gH = Hg formed in full
         assert normal == [s for s in subs if is_normal(group, s)], group.name
-        assert normal == [s.elements for s in normal_subgroups(group)]
-        assert (subs, normal) == walked_lattice(group), group.name
+        assert [s.elements for s in normal_subgroups(group)] == normal, group.name
+
+
+@pytest.mark.parametrize("factors, count", [
+    ([{"type": "cyclic", "n": 2}] * 6, 2825),
+    ([{"type": "dihedral", "n": 4}, {"type": "cyclic", "n": 2}, {"type": "cyclic", "n": 2}], 78),
+], ids=["(C2)^6", "D4xZ2xZ2"])
+def test_lattice_matches_the_walk_over_all_subgroups_past_the_catalog(factors, count):
+    # every subgroup of (C2)^6 is normal, one closure per element; D4 x Z2 x Z2
+    # has conjugacy classes of two elements, whose closures are not <x>
+    group = build_group({"type": "product", "factors": factors})
+    normal = [s.elements for s in normal_subgroups(group)]
+    assert len(normal) == count
+    assert normal == walked_lattice(group)[1]
 
 
 @pytest.mark.parametrize("weight", ["counting", "normalized"])
@@ -303,9 +317,10 @@ def test_lattice_on_the_op_path_matches_the_table_path(monkeypatch):
 
     def lattices() -> list:
         groups = [build_group(spec) for spec in specs]
-        out = [(_subgroup_lattice(g)[0], [s.elements for s in normal_subgroups(g)]) for g in groups]
-        assert out == [walked_lattice(g) for g in groups]  # the coset steps give what the walk does
-        return out
+        walked = [walked_lattice(g) for g in groups]
+        # the walk over normal closures gives what the walk over all subgroups does
+        assert [[s.elements for s in normal_subgroups(g)] for g in groups] == [normal for _, normal in walked]
+        return walked
 
     on_tables = lattices()
     with monkeypatch.context() as patch:
@@ -325,7 +340,7 @@ def test_weight_variants_compute_the_same_lattice():
         if c.name not in ("Q8", "D4", "D4xS3"):
             continue
         assert n.name == c.name and n.weight == Fraction(1, n.order) != c.weight
-        assert _subgroup_lattice(n) == _subgroup_lattice(c), c.name
+        assert walked_lattice(n) == walked_lattice(c), c.name
         assert [s.elements for s in normal_subgroups(n)] == [s.elements for s in normal_subgroups(c)], c.name
         seen.append(c.name)
     assert seen == ["D4", "Q8", "D4xS3"]
