@@ -201,18 +201,6 @@ def _block_product(b1: dict, b2: dict, m: int, cache: dict) -> dict:
     return out
 
 
-def _block_inverse(blocks: dict, m: int) -> dict:
-    """The blocks of A^-1; each distinct Z_m set is negated once (the blocks
-    of a witness share a few)."""
-    negated: dict = {}
-    out = {}
-    for w, (h_full, z) in blocks.items():
-        if z is not None and z not in negated:
-            negated[z] = frozenset((-x) % m for x in z)
-        out[_GL2Z.inv(w)] = (h_full, None if z is None else negated[z])
-    return out
-
-
 def _block_count(blocks: dict, h: int, m: int) -> int:
     return sum((h if h_full else 1) * (m if z is None else len(z)) for h_full, z in blocks.values())
 
@@ -325,8 +313,9 @@ def build_sharpness_instance(n: int, h: int, m: int) -> SharpnessInstance:
     for w in fam.members:
         _merge(blocks, w, (False, cantor))
 
-    # A^-1 = A, so A^-1 A is A^2 and K2 = K
-    if blocks != _block_inverse(blocks, m):
+    # A^-1 = A, so A^-1 A is A^2 and K2 = K: the block (H, I, Z_m) is its own
+    # inverse and `_cantor` checked C = -C, so M = M^-1 is what is left to check
+    if set(map(_GL2Z.inv, fam.members)) != set(fam.members):
         raise ConsistencyError("witness subset is not symmetric", {"N": n, "h": h, "m": m})
 
     blocks2 = _block_product(blocks, blocks, m, cache)

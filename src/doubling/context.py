@@ -199,10 +199,9 @@ class _Packing:
                     project = make_quotient().project
                     for x in self.elems:
                         self.row[x] += 1 << off + project(x) * w
-            row, a, t = self.row.__getitem__, shared.a, self.width
+            row, a, b, t = self.row.__getitem__, shared.a, shared.b, self.width
             self.layer, self.packed = shared, sum(map(row, a.elements))
-            if self.spill:
-                b = a if shared.b is None else shared.b
+            if self.spill:  # a scan that runs spillover or containment always draws B
                 self.packed |= (sum(map(row, b.elements)) << t | sum(map(row, shared.mul(a, b).elements)) << 2 * t
                                 | sum(map(row, shared.mul(b, a).elements)) << 3 * t)
         return self.packed

@@ -98,10 +98,10 @@ def admissible_thresholds(a: GSubset, q: QuotientStructure, alpha: Fraction) -> 
 def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
     """Certify the structure set for one alpha from the threshold counts; `with_b` adds B.
 
-    Prefers the smallest admissible threshold (largest B); if that one missed
-    the measure floor, scans upward.  Exhausting the admissible set without a
-    valid certificate contradicts the underlying theorem and raises with a
-    replay payload.
+    Takes the smallest admissible threshold (largest B): if it misses the
+    measure floor, every later one does, as |B_n| strictly falls when n rises.
+    A miss, or no admissible threshold, contradicts the underlying theorem and
+    raises with a replay payload.
     """
     admissible = _admissible_rows(ctx, alpha)
     an, ad, w, size = alpha.numerator, alpha.denominator, ctx.q.subgroup_weight, len(ctx.a.elements)
@@ -111,13 +111,13 @@ def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
             {"alpha": fmt(alpha), "subset": ctx.a.encode()},
         )
     levels = tuple([row[0] for row in admissible])
-    for n, _, level_size, level_square, b_size in admissible:
-        # mu(B) > (alpha-1)/alpha * mu(A), cross-multiplied
-        if b_size * an > (an - ad) * size:
-            return ExtractionCertificate(
-                an, ad, size, ctx.shared.square, n, b_size,
-                level_size, level_square, levels, w.numerator, w.denominator, None,
-            )
+    n, _, level_size, level_square, b_size = admissible[0]
+    # mu(B) > (alpha-1)/alpha * mu(A), cross-multiplied
+    if b_size * an > (an - ad) * size:
+        return ExtractionCertificate(
+            an, ad, size, ctx.shared.square, n, b_size,
+            level_size, level_square, levels, w.numerator, w.denominator, None,
+        )
     raise ConsistencyError(
         "no admissible threshold satisfies the measure bound: implementation bug",
         {"alpha": fmt(alpha), "subset": ctx.a.encode(), "admissible": [fmt(n * w) for n in levels]},

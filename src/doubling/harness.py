@@ -102,7 +102,9 @@ def _containment_suite(ctx: InstanceContext, alphas: list) -> tuple:
 
 
 def _ruzsa_suite(shared: SubsetContext, alphas: list) -> tuple:
-    """Reads A, B and C alone: runs once per subset layer, on its law's points."""
+    """Reads A, B and C alone: runs once per subset layer, on its law's points.
+    It forms A A^-1 and A A afresh, though the layer's memo may hold them:
+    reading them from the memo saved no end-to-end time that could be measured."""
     if shared.ruzsa is None:
         law, a = shared.a.owner.law, points(shared.a)
         b = frozenset(law.inverse(a)) if shared.b is None else points(shared.b)
@@ -338,7 +340,8 @@ def _check_subset_mode(mode) -> dict:
 # -- instance generation -------------------------------------------------------
 
 
-def _sample_subset(rng: Random, group: WeightedGroup, pool: list, density) -> GSubset:
+# rng: a `random.Random`, whose annotation imports `random` only if evaluated
+def _sample_subset(rng: __import__("random").Random, group: WeightedGroup, pool: list, density) -> GSubset:
     if isinstance(density, dict):
         k = max(1, min(density["size"], len(pool)))
         remaining = list(pool)
@@ -484,7 +487,8 @@ def _exhaustive_layers(group: WeightedGroup, elems: list, units: list, config: S
         yield shared
 
 
-def _random_layers(group: WeightedGroup, elems: list, config: ScanConfig, rng: Random) -> Iterator[SubsetContext]:
+def _random_layers(group: WeightedGroup, elems: list, config: ScanConfig,
+                   rng: __import__("random").Random) -> Iterator[SubsetContext]:
     """Each of the `count` layers of a normal subgroup, sampled as it is drawn."""
     mode, mixed = config.subset_mode, ("1/4", "1/2", {"size": max(1, len(elems) // 2)})
     for trial in range(mode["count"]):

@@ -14,6 +14,7 @@ import importlib.util
 import io
 import re
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -69,6 +70,35 @@ def test_no_module_holds_a_process_wide_cache():
               if name == "doubling" or name.startswith("doubling.")
               for attr, value in vars(module).items() if hasattr(value, "cache_info")]
     assert cached == []
+
+
+def _callables(module):
+    """(qualified name, function) for each function and method that `module` defines."""
+    for name, value in vars(module).items():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if isinstance(value, type):
+            for attr, member in vars(value).items():
+                for key in ("__func__", "fget", "func"):  # a static or class method, a (cached) property
+                    member = getattr(member, key, None) or member
+                if callable(member) and hasattr(member, "__code__"):
+                    yield f"{name}.{attr}", member
+        elif callable(value) and hasattr(value, "__code__"):
+            yield name, value
+
+
+def test_every_annotation_resolves():
+    """`typing.get_type_hints` evaluates each annotation in its module: a
+    name imported only inside a function body does not resolve."""
+    unresolved = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module("doubling" if path.stem == "__init__" else f"doubling.{path.stem}")
+        for name, function in _callables(module):
+            try:
+                typing.get_type_hints(function)
+            except NameError:
+                unresolved.append(f"{module.__name__}.{name}")
+    assert unresolved == []
 
 
 def test_all_names_resolve_once():

@@ -11,6 +11,7 @@ turn and asserts that its boundary test then fails.
 """
 
 import inspect
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,8 @@ import doubling.extract as extract
 import doubling.fibers as fibers
 import doubling.harness as harness
 import doubling.metrics as metrics
-from doubling import ConsistencyError, CyclicGroup, GSubset, mul_set, quotient, subset
+from doubling import (ConsistencyError, CyclicGroup, GSubset, build_group, mul_set, normal_subgroups, quotient,
+                      subset)
 from doubling.context import InstanceContext, SubsetContext, points
 
 Z12 = CyclicGroup(12)
@@ -115,12 +117,13 @@ def test_spillover_suite_and_wrapper_report_a_failure(monkeypatch):
 # -- containment: each coset of pi(A) level_n(B) meets AB in >= n elements -------------
 
 
-def _tight_ab(ctx):
-    """The least AB fibers the check accepts: per coset, the largest n whose
-    product pi(A) level_n(B) holds it."""
+def _tight(ctx, side):
+    """The least fibers the check accepts of AB (side 0) or BA (side 1): per
+    coset, the largest n whose product pi(A) level_n(B), or level_n(B) pi(A),
+    holds it."""
     out = Counter()
-    for n, left, _ in ctx.spill:
-        for c in left:
+    for n, *products in ctx.spill:
+        for c in products[side]:
             out[c] = n
     return out
 
@@ -131,17 +134,29 @@ def _with_fibers(fibers_of):
                                   for x in sorted(x for x in Z12.elements() if Q.project(x) == c)[:n]))
 
 
-def _containment_contexts():
-    tight = _tight_ab(InstanceContext(A_SP, Q, B_SP))
+def _containment_contexts(side=0):
+    """Contexts whose AB (side 0) or BA (side 1) sits at the least fibers the
+    check accepts, and one element short of them; the other product is real."""
+    tight = _tight(InstanceContext(A_SP, Q, B_SP), side)
     top = max(tight, key=lambda c: (tight[c], c))
     assert tight[top] == 2
     short = tight - Counter({top: 1})
-    return (Rigged(A_SP, b=B_SP, ab_ba=(_with_fibers(tight), BA_SP)),
-            Rigged(A_SP, b=B_SP, ab_ba=(_with_fibers(short), BA_SP)))
+    rigged = []
+    for fibers_of in (tight, short):
+        products = [AB_SP, BA_SP]
+        products[side] = _with_fibers(fibers_of)
+        rigged.append(Rigged(A_SP, b=B_SP, ab_ba=tuple(products)))
+    return rigged
 
 
 def test_containment_boundary():
     equal, short = _containment_contexts()
+    assert fibers.check_containment(equal) is True
+    assert fibers.check_containment(short) is False
+
+
+def test_containment_boundary_on_the_ba_side():
+    equal, short = _containment_contexts(side=1)
     assert fibers.check_containment(equal) is True
     assert fibers.check_containment(short) is False
 
@@ -278,8 +293,32 @@ def test_extraction_floor_boundary():
     # mu(B) > (alpha - 1)/alpha mu(A): |B| 2 > 1 * 4 fails at |B| = 2 and holds at 3
     with pytest.raises(ConsistencyError, match="measure bound"):
         extract.certify(Rigged(A_EX, thresholds=[_row(2, 1)]), TWO)
-    cert = extract.certify(Rigged(A_EX, thresholds=[_row(2, 1), _row(3, 1)]), TWO)
-    assert (cert.b_size, cert.admissible_n) == (3, (1, 1))
+    cert = extract.certify(Rigged(A_EX, thresholds=[_row(3, 1)]), TWO)
+    assert (cert.b_size, cert.admissible_n) == (3, (1,))
+
+
+FLOOR_GROUPS = ["cyclic:12", "dihedral:6", "q8", "symmetric:4", "dihedral:8",
+                {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "dihedral", "n": 4}]}]
+
+
+@pytest.mark.parametrize("spec", FLOOR_GROUPS, ids=["Z12", "D6", "Q8", "S4", "D8", "Z2xD4"])
+def test_the_first_admissible_row_meets_the_floor(spec):
+    """What `certify` rests on: as n rises the held count |B_n| strictly
+    falls, and the smallest admissible threshold keeps
+    mu(B) > (alpha - 1)/alpha mu(A), over random subsets of several groups
+    under each normal subgroup."""
+    group = build_group(harness.parse_group_selector(spec))
+    elems, rng = sorted(group.elements()), random.Random(f"floor {spec}")
+    for sub in normal_subgroups(group):
+        q = quotient(group, sub)
+        for _ in range(25):
+            a = GSubset(group, frozenset(rng.sample(elems, rng.randint(1, len(elems)))))
+            ctx = InstanceContext(a, q)
+            ns, held = [row[0] for row in ctx.thresholds], [row[4] for row in ctx.thresholds]
+            assert all(x < y for x, y in zip(ns, ns[1:])) and all(x > y for x, y in zip(held, held[1:]))
+            for alpha in (Fraction(11, 10), Fraction(3, 2), TWO):
+                first = extract._admissible_rows(ctx, alpha)[0]
+                assert Fraction(first[4], len(a.elements)) > (alpha - 1) / alpha
 
 
 def test_extract_suite_counts_a_failed_alpha():
@@ -297,6 +336,7 @@ def test_extract_suite_counts_a_failed_alpha():
 MUTANTS = [
     (fibers, "check_spillover", "ab >= left and ba >= right", "True", test_spillover_boundary),
     (fibers, "check_containment", "ab.get(c, 0) < n", "False", test_containment_boundary),
+    (fibers, "check_containment", "ba.get(c, 0) < n", "False", test_containment_boundary_on_the_ba_side),
     (metrics, "ruzsa_triangle", "return diffs[a, c]", "return True or diffs[a, c]", test_ruzsa_triangle_boundary),
     (metrics, "ruzsa_axioms", '"self_at_least_one": diffs[a, a] >= len(a)',
      '"self_at_least_one": True', test_ruzsa_self_distance_boundary),
@@ -317,8 +357,15 @@ MUTANTS = [
 ]
 
 
-@pytest.mark.parametrize("module, name, snippet, mutant, boundary", MUTANTS,
-                         ids=[f"{m[1]}:{m[3]}" for m in MUTANTS])
+def _mutant_ids() -> list[str]:
+    """name:mutant per entry, and name:snippet -> mutant where that repeats an earlier id."""
+    ids: list = []
+    for _, name, snippet, mutant, _ in MUTANTS:
+        ids.append(f"{name}:{snippet} -> {mutant}" if f"{name}:{mutant}" in ids else f"{name}:{mutant}")
+    return ids
+
+
+@pytest.mark.parametrize("module, name, snippet, mutant, boundary", MUTANTS, ids=_mutant_ids())
 def test_each_mutant_fails_a_boundary_test(monkeypatch, module, name, snippet, mutant, boundary):
     boundary()  # passes on the real check
     source = inspect.getsource(getattr(module, name))
