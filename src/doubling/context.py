@@ -44,11 +44,6 @@ class Memo(dict):
         return value
 
 
-def points(x: GSubset) -> frozenset:
-    """X's elements as points of its group's law."""
-    return frozenset(x.owner.law.points(x.elements))
-
-
 class DoublingStats(namedtuple("DoublingStats", "size square inv_square symmetric")):
     """K = mu(A^2)/mu(A); K2 = mu(A^-1 A)/mu(A); K1 aliases K.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .context import DoublingStats, InstanceContext, Memo, SubsetContext, points
+from .context import DoublingStats, InstanceContext, SubsetContext
 from .quotients import QuotientStructure
 from .rationals import put
 from .sets import GSubset, require_owner
@@ -31,43 +31,36 @@ class RuzsaSq(namedtuple("RuzsaSq", "value")):
     __slots__ = ()
 
 
-class DiffSizes(Memo):
-    """|X Y^-1| by (X, Y), for point sets of `law`: each formed at its first lookup."""
-
-    def __init__(self, law) -> None:
-        super().__init__(lambda x, y: len(law.product(x, law.inverse(y))))
-        self.law = law
-
-
 def ruzsa_sq(a: GSubset, b: GSubset) -> RuzsaSq:
     if not a.elements or not b.elements:
         raise ValueError("Ruzsa distance needs nonempty subsets")
     require_owner(b, a.owner)
-    d = DiffSizes(a.owner.law)[points(a), points(b)]
+    law = a.owner.law
+    d = len(law.product(law.points(a.elements), law.inverse(law.points(b.elements))))
     return RuzsaSq(Fraction(d * d, len(a.elements) * len(b.elements)))
 
 
 # The Ruzsa axioms compare values |XY^-1|^2 / (|X||Y|) with the denominators
-# cleared: every flag below is a comparison of counts, read from `diffs`.
+# cleared: every flag below is a comparison of the counts it is handed, and
+# `ac` stands for |A C^-1|, `ab` for |A B^-1|, and so on.
 
 
-def ruzsa_triangle(diffs: DiffSizes, a: frozenset, b: frozenset, c: frozenset) -> bool:
-    """value(A,C) <= value(A,B) * value(B,C); |A| and |C| cancel, leaving |B|."""
-    return diffs[a, c] * len(b) <= diffs[a, b] * diffs[b, c]
+def ruzsa_triangle(ac: int, ab: int, bc: int, b: int) -> bool:
+    """value(A,C) <= value(A,B) * value(B,C); |A| and |C| cancel, leaving |B| = `b`."""
+    return ac * b <= ab * bc
 
 
-def ruzsa_axioms(diffs: DiffSizes, a: frozenset, b: frozenset, c: frozenset, translators=None) -> dict:
-    """The axiom flags for point sets A, B, C, and for (gA, hB) given the points (g, h)."""
+def ruzsa_axioms(a: int, b: int, aa: int, ab: int, ba: int, ac: int, bc: int, moved: int | None = None) -> dict:
+    """The axiom flags from |A|, |B| and the counts |XY^-1| of sets A, B, C,
+    and translation's from `moved` = |gA (hB)^-1| when translators (g, h) are given."""
     flags = {
-        "self_at_least_one": diffs[a, a] >= len(a),
-        "symmetry": diffs[a, b] == diffs[b, a],
-        "triangle": ruzsa_triangle(diffs, a, b, c),
+        "self_at_least_one": aa >= a,
+        "symmetry": ab == ba,
+        "triangle": ruzsa_triangle(ac, ab, bc, b),
     }
-    if translators is not None:
+    if moved is not None:
         # left translation keeps |A| and |B|, so the distance is kept iff the count is
-        (g, h), product = translators, diffs.law.product
-        moved = diffs[frozenset(product((g,), a)), frozenset(product((h,), b))]
-        flags["translation"] = moved == diffs[a, b]
+        flags["translation"] = moved == ab
     return flags
 
 

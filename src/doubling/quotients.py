@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import product as iter_product
-from math import prod
+from math import gcd, prod
 from operator import itemgetter
 
 from .errors import CapError, ConsistencyError, SpecError, integer
@@ -73,12 +73,13 @@ def normal_subgroups(group: WeightedGroup) -> list[GSubset]:
     """All normal subgroups of a finite group, {e} and G included, canonical order.
 
     Runs on the points of `group.law`.  K_x, the normal closure of x's
-    conjugacy class, is grown once per class by `_grow`.  The walk from {e}
-    joins each normal subgroup N it reaches with K_x, and rests on two facts:
-    the product N K of two normal subgroups is a normal subgroup, so nothing
-    needs a normality test; and N K_x is the least normal subgroup holding N
-    and x, so it depends on x only through the coset N x, and one x per coset
-    is tried.  Every normal M is found: from {e}, joining any x of M not yet
+    conjugacy class, is grown by `_grow` once per class and given to each
+    power of a member that generates the same cyclic subgroup.  The walk
+    from {e} joins each normal subgroup N it reaches with K_x, and rests on
+    two facts: the product N K of two normal subgroups is a normal subgroup,
+    so nothing needs a normality test; and N K_x is the least normal subgroup
+    holding N and x, so it depends on x only through the coset N x, and one x
+    per coset is tried.  Every normal M is found: from {e}, joining any x of M not yet
     reached stays inside M, and the chain ends at M."""
     if group.order is None:
         raise ValueError("subgroup enumeration needs a finite group")
@@ -92,7 +93,12 @@ def normal_subgroups(group: WeightedGroup) -> list[GSubset]:
             cls = {law.mul(law.mul(g, x), g_inv) for g, g_inv in conjugators}
             k = {law.identity}
             _grow(law, k, [], cls)
-            closure_of.update(dict.fromkeys(cls, list(k)))
+            k = list(k)
+            for y in cls:  # y^j for j prime to y's order generates <y>, so has its closure
+                powers = [y]
+                while powers[-1] != law.identity:
+                    powers.append(law.mul(powers[-1], y))
+                closure_of.update((z, k) for j, z in enumerate(powers, 1) if gcd(j, len(powers)) == 1)
     found = {frozenset([law.identity])}
     queue = list(found)
     while queue:

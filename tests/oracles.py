@@ -19,6 +19,7 @@ from doubling.constructions import _GL2Z, _cantor, matrix_family
 from doubling.errors import ConsistencyError
 from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, _grow, build_group, quaternion_table
 from doubling.harness import TOP_WITNESSES, ScanConfig, canonical_json
+from doubling.metrics import ruzsa_triangle
 from doubling.quotients import QuotientStructure, _generators, normal_subgroups
 from doubling.rationals import fmt, put
 from doubling.sets import GSubset, inv_set, mul_set
@@ -225,6 +226,17 @@ def cantor_analog(m: int, group: CyclicGroup | None = None) -> GSubset:
 
 def _put(d: dict, key: str, x: Fraction) -> dict:
     return put(d, key, x.numerator, x.denominator)
+
+
+def diff_size(x: GSubset, y: GSubset) -> int:
+    """|X Y^-1|, formed on the handles by the group's own `op` and `inv`."""
+    g = x.owner
+    return len({g.op(u, g.inv(v)) for u in x.elements for v in y.elements})
+
+
+def triangle_holds(a: GSubset, b: GSubset, c: GSubset) -> bool:
+    """`metrics.ruzsa_triangle` on the counts `diff_size` forms for A, B and C."""
+    return ruzsa_triangle(diff_size(a, c), diff_size(a, b), diff_size(b, c), len(b.elements))
 
 
 def reference_suites(q: QuotientStructure, a: GSubset, b: GSubset | None, c: GSubset | None,

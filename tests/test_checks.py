@@ -2,9 +2,9 @@
 
 A check compares integer counts.  The boundary tests set the counts through
 `Rigged`, an `InstanceContext` whose levels, spillover rows, |piA^2|, sets
-AB and BA or threshold rows (|B| included) the test chooses, and `_rigged`, a
-`DiffSizes` table holding the |XY^-1| counts the test chooses: equal sides
-pass, and a side one count too large fails (for the strict extraction
+AB and BA or threshold rows (|B| included) the test chooses, and `_rigged`,
+the |XY^-1| counts of three sets with those the test chooses in their place:
+equal sides pass, and a side one count too large fails (for the strict extraction
 inequalities, equal sides fail and one count more passes).
 `test_each_mutant_fails_a_boundary_test` disables or loosens each check in
 turn and asserts that its boundary test then fails.
@@ -21,9 +21,10 @@ import doubling.extract as extract
 import doubling.fibers as fibers
 import doubling.harness as harness
 import doubling.metrics as metrics
-from doubling import (ConsistencyError, CyclicGroup, GSubset, build_group, mul_set, normal_subgroups, quotient,
-                      subset)
-from doubling.context import InstanceContext, SubsetContext, points
+from doubling import (ConsistencyError, CyclicGroup, GSubset, build_group, inv_set, mul_set, normal_subgroups,
+                      quotient, subset)
+from doubling.context import InstanceContext, SubsetContext
+from doubling.groups import CayleyTable
 
 Z12 = CyclicGroup(12)
 Q = quotient(Z12, {0, 6})  # Z12 / {0, 6}, a cyclic quotient of order 6
@@ -37,13 +38,6 @@ class Rigged(InstanceContext):
     def __init__(self, a, q=Q, b=None, **fixed):
         super().__init__(a, q, b)
         vars(self).update(fixed)
-
-
-def _rigged(counts, law=Z12.law):
-    """A `DiffSizes` table holding |XY^-1| = n for each (X, Y): n in `counts`."""
-    diffs = metrics.DiffSizes(law)
-    diffs.update({(points(x), points(y)): n for (x, y), n in counts.items()})
-    return diffs
 
 
 def _less(x):
@@ -171,13 +165,22 @@ def test_containment_suite_reports_a_failure():
 # -- Ruzsa: value(A,C) <= value(A,B) value(B,C), d(A,A) >= 0, symmetry, translation ---
 
 A_R, B_R, C_R = subset(Z12, {0, 1}), subset(Z12, {0, 2}), subset(Z12, {0, 3})
-R_POINTS = tuple(map(points, (A_R, B_R, C_R)))
+R_SIZES = len(A_R), len(B_R)
+
+
+def _rigged(**fixed) -> list:
+    """|A A^-1|, |A B^-1|, |B A^-1|, |A C^-1| and |B C^-1| of A_R, B_R and
+    C_R, in the order `ruzsa_axioms` takes them, each formed on the sets
+    unless `fixed` sets it by its name (`ab` for |A B^-1|)."""
+    sets = {"a": A_R, "b": B_R, "c": C_R}
+    counts = {x + y: len(mul_set(sets[x], inv_set(sets[y])).elements) for x, y in ("aa", "ab", "ba", "ac", "bc")}
+    assert set(fixed) <= set(counts)
+    return list({**counts, **fixed}.values())
 
 
 def _triangle(d_ac):
     # |A C^-1| |B| against |A B^-1| |B C^-1| = 2 * 5
-    diffs = _rigged({(A_R, B_R): 2, (B_R, C_R): 5, (A_R, C_R): d_ac})
-    return metrics.ruzsa_triangle(diffs, *R_POINTS)
+    return metrics.ruzsa_triangle(d_ac, 2, 5, len(B_R))
 
 
 def test_ruzsa_triangle_boundary():
@@ -186,7 +189,7 @@ def test_ruzsa_triangle_boundary():
 
 
 def _self_flag(d_aa):
-    return metrics.ruzsa_axioms(_rigged({(A_R, A_R): d_aa}), *R_POINTS)
+    return metrics.ruzsa_axioms(*R_SIZES, *_rigged(aa=d_aa))
 
 
 def test_ruzsa_self_distance_boundary():
@@ -196,7 +199,7 @@ def test_ruzsa_self_distance_boundary():
 
 def _symmetry_flag(d_ba):
     # |A B^-1| = 4 against |B A^-1|
-    return metrics.ruzsa_axioms(_rigged({(A_R, B_R): 4, (B_R, A_R): d_ba}), *R_POINTS)["symmetry"]
+    return metrics.ruzsa_axioms(*R_SIZES, *_rigged(ab=4, ba=d_ba))["symmetry"]
 
 
 def test_ruzsa_symmetry_boundary():
@@ -205,14 +208,9 @@ def test_ruzsa_symmetry_boundary():
     assert _symmetry_flag(3) is False
 
 
-G_R, H_R = 1, 2  # the translators: gA = {1, 2} and hB = {2, 4}
-
-
 def _translation_flag(moved):
     # |gA (hB)^-1| against |A B^-1| = 4
-    ga, hb = subset(Z12, {1, 2}), subset(Z12, {2, 4})
-    diffs = _rigged({(A_R, B_R): 4, (ga, hb): moved})
-    return metrics.ruzsa_axioms(diffs, *R_POINTS, (G_R, H_R))["translation"]
+    return metrics.ruzsa_axioms(*R_SIZES, *_rigged(ab=4), moved)["translation"]
 
 
 def test_ruzsa_translation_boundary():
@@ -227,9 +225,9 @@ R_LAYER = subset(Z12, {0, 1}), subset(Z12, {0, 11}), subset(Z12, {0, 1, 2})
 
 def _ruzsa_record(d_aa):
     """The suite's result on R_LAYER with |A A^-1| set to d_aa."""
-    a = R_LAYER[0]
+    axioms = metrics.ruzsa_axioms
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(harness, "DiffSizes", lambda law: _rigged({(a, a): d_aa}, law))
+        m.setattr(harness, "ruzsa_axioms", lambda a, b, aa, *counts: axioms(a, b, d_aa, *counts))
         return harness._ruzsa_suite(SubsetContext(*R_LAYER), [])
 
 
@@ -249,6 +247,24 @@ def test_ruzsa_suite_keeps_one_record_per_subset_layer(monkeypatch):
     # one run, on the layer's points: the layer keeps the record and none of its sets
     assert len(runs) == 1 and all(r is shared.ruzsa for r in records)
     assert shared._products == {} and "inverse" not in vars(shared)
+
+
+def test_ruzsa_suite_forms_each_product_and_inverse_once(monkeypatch):
+    calls = Counter()
+    for name in ("product", "inverse"):
+        original = getattr(CayleyTable, name)
+        def counted(law, *args, name=name, original=original):
+            calls[name] += 1
+            return original(law, *args)
+
+        monkeypatch.setattr(CayleyTable, name, counted)
+    # as an exhaustive scan makes the layer: the six counts, gA and hB; A^-1, B^-1, C^-1 and (hB)^-1
+    harness._ruzsa_suite(SubsetContext(*R_LAYER, translators=(0, 1)), [])
+    assert calls == {"product": 8, "inverse": 4}
+    # as a replayed id without partners: C = A A and five counts; A^-1 (which is B) and C^-1
+    calls.clear()
+    harness._ruzsa_suite(SubsetContext(R_LAYER[0]), [])
+    assert calls == {"product": 6, "inverse": 2}
 
 
 # -- quotient doubling: |piA^2| <= bound * |piA| ---------------------------------------
@@ -337,12 +353,11 @@ MUTANTS = [
     (fibers, "check_spillover", "ab >= left and ba >= right", "True", test_spillover_boundary),
     (fibers, "check_containment", "ab.get(c, 0) < n", "False", test_containment_boundary),
     (fibers, "check_containment", "ba.get(c, 0) < n", "False", test_containment_boundary_on_the_ba_side),
-    (metrics, "ruzsa_triangle", "return diffs[a, c]", "return True or diffs[a, c]", test_ruzsa_triangle_boundary),
-    (metrics, "ruzsa_axioms", '"self_at_least_one": diffs[a, a] >= len(a)',
-     '"self_at_least_one": True', test_ruzsa_self_distance_boundary),
-    (metrics, "ruzsa_axioms", '"symmetry": diffs[a, b] == diffs[b, a]', '"symmetry": True',
-     test_ruzsa_symmetry_boundary),
-    (metrics, "ruzsa_axioms", 'flags["translation"] = moved == diffs[a, b]', 'flags["translation"] = True',
+    (metrics, "ruzsa_triangle", "return ac * b", "return True or ac * b", test_ruzsa_triangle_boundary),
+    (metrics, "ruzsa_axioms", '"self_at_least_one": aa >= a', '"self_at_least_one": True',
+     test_ruzsa_self_distance_boundary),
+    (metrics, "ruzsa_axioms", '"symmetry": ab == ba', '"symmetry": True', test_ruzsa_symmetry_boundary),
+    (metrics, "ruzsa_axioms", 'flags["translation"] = moved == ab', 'flags["translation"] = True',
      test_ruzsa_translation_boundary),
     (harness, "_ruzsa_suite", "ok = all(flags.values())", "ok = True", test_ruzsa_suite_reports_a_failure),
     (harness, "_containment_suite", "ok = check_containment(ctx)", "ok = True",

@@ -39,13 +39,12 @@ from doubling import (
     spillover_check,
     subset,
 )
-from doubling.context import InstanceContext, Memo, points
+from doubling.context import InstanceContext, Memo, SubsetContext
 from doubling.groups import quaternion_table
 from doubling.harness import ALL_SUITES, _load_id, canonical_json
-from doubling.metrics import DiffSizes, ruzsa_triangle
 from doubling.quotients import quotient_from_description
 from doubling.rationals import parse, put
-from oracles import reference_suites, translate
+from oracles import reference_suites, translate, triangle_holds
 
 def put_exact(d: dict, key: str, x: Fraction) -> dict:
     return put(d, key, x.numerator, x.denominator)
@@ -106,7 +105,7 @@ def reference_report(instance_id: str) -> dict:
             frag = {
                 "self_at_least_one": vaa >= 1,
                 "symmetry": vab == ruzsa_sq(bb, a).value,
-                "triangle": ruzsa_triangle(DiffSizes(group.law), *map(points, (a, bb, cc))),
+                "triangle": triangle_holds(a, bb, cc),
             }
             if "translate" in spec:
                 g, h = (group.decode_element(v) for v in spec["translate"])
@@ -199,6 +198,56 @@ def test_every_suite_record_equals_the_set_based_reference(data):
     assert {name: record.to_json() for name, record, _ in report.suites} == expected
 
 
+# ruzsa-axioms on a Cayley table, a product on the table path (order 64), a
+# product on the op path (order 72) and the lazy GL2Z factor, each replayed
+# from its id; (group spec, an element pool for a group that cannot list its elements)
+RUZSA_GROUPS = [
+    ({"type": "symmetric", "n": 4}, None),
+    ({"type": "product", "factors": [{"type": "dihedral", "n": 4},
+                                     {"type": "table", "table": quaternion_table(), "name": "Q8"}]}, None),
+    ({"type": "product", "factors": [{"type": "cyclic", "n": 9}, {"type": "dihedral", "n": 4}]}, None),
+    ({"type": "product", "factors": [{"type": "cyclic", "n": 3}, {"type": "gl2z"}]}, GL2Z_POOL),
+]
+
+
+def ruzsa_reference(group, a: frozenset, b, c, translators) -> dict:
+    """The ruzsa-axioms fragment as the paper states it, on handles alone:
+    value(X, Y) = |{x y^-1}|^2 / (|X| |Y|) from the group's `op` and `inv`,
+    with B = A^-1 and C = A A where the id gives none."""
+    def value(x, y):
+        return Fraction(len({group.op(u, group.inv(v)) for u in x for v in y}) ** 2, len(x) * len(y))
+
+    b = {group.inv(x) for x in a} if b is None else b
+    c = {group.op(x, y) for x in a for y in a} if c is None else c
+    out = {"self_at_least_one": value(a, a) >= 1, "symmetry": value(a, b) == value(b, a),
+           "triangle": value(a, c) <= value(a, b) * value(b, c)}
+    if translators is not None:
+        g, h = translators
+        out["translation"] = value({group.op(g, x) for x in a}, {group.op(h, y) for y in b}) == value(a, b)
+    out["pass"] = all(out.values())
+    return put_exact(out, "value_aa", value(a, a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_ruzsa_record_equals_a_plain_set_oracle(data):
+    spec, pool = data.draw(st.sampled_from(RUZSA_GROUPS))
+    group = build_group(spec)
+    elems = st.sampled_from(pool or sorted(group.elements()))
+    sets = st.frozensets(elems, min_size=1, max_size=6)
+    a, b, c = data.draw(sets), data.draw(st.none() | sets), data.draw(st.none() | sets)
+    translators = data.draw(st.none() | st.tuples(elems, elems))
+    subgroup = {"keep": [1]} if spec["type"] == "product" else {"elements": [group.encode_element(group.identity)]}
+    fields = {"group": spec, "subgroup": subgroup, "subset": GSubset(group, a).encode(), "suites": ["ruzsa-axioms"]}
+    for key, x in (("subset_b", b), ("subset_c", c)):
+        if x is not None:
+            fields[key] = GSubset(group, x).encode()
+    if translators is not None:
+        fields["translate"] = list(map(group.encode_element, translators))
+    (_, record, _), = evaluate_instance(canonical_json(fields)).suites
+    assert record.to_json() == ruzsa_reference(group, a, b, c, translators)
+
+
 def record_calls(monkeypatch, name: str, key) -> list:
     """Route every package binding of `sets.<name>` through a recorder of `key(args)`."""
     original = getattr(doubling.sets, name)
@@ -289,7 +338,10 @@ def test_a_memo_forms_each_value_once():
     formed = []
     memo = Memo(lambda x, y: formed.append((x, y)) or x + y)
     assert memo[1, 2] == memo[1, 2] == 3 and formed == [(1, 2)]
-    assert isinstance(DiffSizes(CyclicGroup(4).law), Memo)
+    # the layer's product sets and the instance's quotient products: the two memos are one type
+    a = subset(CyclicGroup(4), {1})
+    assert isinstance(SubsetContext(a)._products, Memo)
+    assert isinstance(InstanceContext(a, quotient(a.owner, {0, 2})).product, Memo)
 
 
 def test_a_partner_from_another_group_is_refused():
