@@ -16,7 +16,8 @@ side, the child's CPU time (user + system) and `ru_maxrss`, both read with
 pairs in which the change's CPU time is below the parent's (a tie counts for
 neither side), beside `cpu_change_over_parent`.  Linux carries the
 starting process's resident size into a child's `ru_maxrss`, so each figure
-includes this script's own (about 10 MB).  Each side's `src_tree` is the git
+includes this script's own (about 20 MB), which it keeps from growing by
+hashing each artifact in pieces.  Each side's `src_tree` is the git
 tree id of the `src/` it ran, uncommitted edits included: it equals
 `git rev-parse C:src` for any commit C with that `src/`.
 
@@ -29,9 +30,12 @@ partners B (an exhaustive scan's B is A^-1); and the catalog-wide scan:
 `harness.catalog()` in both weights, one random subset per normal subgroup
 at seed 0, with `--csv`.  Its
 config is written from this checkout's `catalog()` and read by both sides.
-Last, `extract` with its trace on the 612-element sharpness witness
+Then `extract` with its trace on the 612-element sharpness witness
 (N, h, m) = (2, 5, 100), whose product sets take the op path: its Z_100
-residues pair 100 x 100 ways, above TABLE_CAP^2.
+residues pair 100 x 100 ways, above TABLE_CAP^2.  Last, an exhaustive scan
+with `--csv`: D6, Q8 and Z12 up to size 3 (about 20 MB of JSON), whose
+instances interleave the runs of each group's block, so that the order in
+which an emitting scan writes them is compared at full size.
 The `perfbench` workloads are small enough that start-up dominates.
 """
 
@@ -53,6 +57,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CATALOG_CONFIG = "catalog-scan.json"  # written into the scratch directory the commands run in
+EXHAUSTIVE_CONFIG = "exhaustive-scan.json"  # likewise
+EXHAUSTIVE_SCAN = {"groups": ["dihedral:6", "q8", "cyclic:12"], "subset_mode": {"kind": "exhaustive", "max_size": 3}}
 COMMANDS = (
     ("verify", "--group", "dihedral:6", "-j", "1"),
     ("verify", "--group", "symmetric:4", "--max-subset-size", "4", "-j", "1"),
@@ -60,6 +66,7 @@ COMMANDS = (
     ("verify", "--group", "dihedral:12", "--trials", "1000", "--seed", "0", "-j", "1"),
     ("scan", "--config", CATALOG_CONFIG, "--csv", "out.csv", "-j", "1"),
     ("extract", "--alpha", "3/2,2,3", "--trace", "--subset", '{"construction":"sharpness","N":2,"h":5,"m":100}'),
+    ("scan", "--config", EXHAUSTIVE_CONFIG, "--csv", "out.csv", "-j", "1"),
 )
 PAIRS = 10
 
@@ -98,7 +105,9 @@ def _run(src: Path, argv: tuple, work: Path) -> tuple[float, float, str]:
     digest = hashlib.sha256()
     for path in (out, work / "out.csv"):
         if path.exists():
-            digest.update(path.read_bytes())
+            with open(path, "rb") as fh:  # in pieces: a whole artifact would raise the next child's ru_maxrss
+                while piece := fh.read(1 << 20):
+                    digest.update(piece)
             path.unlink()
     return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, digest.hexdigest()
 
@@ -123,6 +132,7 @@ def main(argv: list[str]) -> int:
         sides = {"parent": tmp / "parent" / "src", "change": ROOT / "src"}
         change_tree = _worktree_src_tree(tmp)
         _write_catalog_config(tmp / CATALOG_CONFIG)
+        (tmp / EXHAUSTIVE_CONFIG).write_text(json.dumps(EXHAUSTIVE_SCAN), encoding="utf-8")
         commands = []
         for cmd in COMMANDS:
             runs: dict = {"parent": [], "change": []}

@@ -35,6 +35,7 @@ from .harness import (
     InstanceReport,
     ScanConfig,
     _selected,
+    csv_row,
     parse_alphas,
     replay,
     report_csv,
@@ -77,8 +78,36 @@ def _read_json(path: str, flag: str):
 
 
 _CHUNK = 1 << 16  # characters that `_write` holds before they go to the file
+_MEMO = 4096  # entries that `_write`'s memo holds before it starts over
+_BATCH = 128  # reports that a `_Spool` holds before `_write` renders them
 _RECORDS = frozenset((Fragment, ExtractResults, QuotientDoublingCheck, DoublingStats))
-_NESTED = frozenset((dict, list, tuple, InstanceReport)) | _RECORDS
+
+
+class _Spool(list):
+    """An emitting scan's `emit`: renders each batch of `_BATCH` reports, one by one, into `file`, an
+    anonymous temporary file, for `_write` to copy in as the top-level "instances"; `rows` gets each `csv_row`."""
+
+    def __init__(self, file, rows) -> None:
+        self.file, self.rows, self.memo, self.sep = file, rows, {}, "[\n    "
+
+    def __call__(self, rep: InstanceReport) -> None:
+        self.append(rep)
+        if self.rows is not None:
+            self.rows.write(csv_row(rep))
+        if len(self) == _BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        out, held = [], 0
+        for rep in self:
+            out.append(self.sep)
+            held = _write(rep.to_json(True), "\n    ", out, self.file, self.memo, held + len(self.sep))
+            self.sep = ",\n    "
+        self.file.write("".join(out))
+        self.clear()
+
+
+_NESTED = frozenset((dict, list, tuple, _Spool)) | _RECORDS
 
 
 def _dump(doc, fh, end: str = "") -> None:
@@ -87,40 +116,34 @@ def _dump(doc, fh, end: str = "") -> None:
 
     json has no C encoder for indented output; `_write` makes the same text.
     It knows dicts with str keys, lists, tuples, str, int, finite float, bool
-    and None (exact types), and renders each `InstanceReport` where it reaches
-    it, so at most one report dict is alive.  The report leaves its suite
-    records and `DoublingStats` unrendered, and each distinct one is rendered
-    once per call: a results table hands one record to many instances.  The
-    memo is keyed on the record's value, which is sound because each field
-    of a record type holds one exact type (True == 1 would otherwise share a
-    text).  Anything else is a TypeError."""
+    and None (exact types), a `_Spool`, and the records that
+    `InstanceReport.to_json(True)` leaves: each distinct one is rendered once
+    per artifact, up to the memo bound, as a results table hands one record to
+    many instances.  The memo is keyed on the record's value, sound as each
+    field of a record type holds one exact type (True == 1 would otherwise
+    share a text).  Anything else is a TypeError."""
     out: list = []
     _write(doc, "\n", out, fh, {})
     fh.write("".join(out) + end)
-
-
-def _kept(record):
-    """The `render` that leaves each record of an `InstanceReport` to `_write`."""
-    return record
 
 
 def _write(x, nl: str, out: list, fh, memo: dict, held: int = 0) -> int:
     """Append x, whose line starts with `nl` (newline and indent), to out,
     which holds `held` characters, and return how many it holds then.  out
     goes to fh first if it holds `_CHUNK` or more and fh is not None; `memo`
-    maps (record type, record, nl) to the record's text."""
+    maps (record type, record, nl) to its text and (nl, *keys) to the sorted keys' texts, `_MEMO` at most."""
     if held >= _CHUNK and fh is not None:
         fh.write("".join(out))
         out.clear()
         held = 0
     t = type(x)
-    if t is InstanceReport:
-        x, t = x.to_json(_kept), dict
-    elif t in _RECORDS:
+    if t in _RECORDS:
         text = memo.get(key := (t, x, nl))
         if text is None:
             part: list = []
             _write(x.to_json(), nl, part, None, memo)
+            if len(memo) > _MEMO:
+                memo.clear()
             text = memo[key] = "".join(part)
         out.append(text)
         return held + len(text)
@@ -129,18 +152,16 @@ def _write(x, nl: str, out: list, fh, memo: dict, held: int = 0) -> int:
             out.append("{}")
             return held + 2
         inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(x):
-            if type(k) is not str:
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
+        shape = memo.get(key := (nl, *x)) or memo.setdefault(
+            key, [(k, ("," if i else "{") + inner + _quote(k) + ": ") for i, k in enumerate(sorted(x))])
+        for k, s in shape:
             v = x[k]
             if type(v) in _NESTED:
-                out.append(s := sep + _quote(k) + ": ")
+                out.append(s)
                 held = _write(v, inner, out, fh, memo, held + len(s))
             else:
-                out.append(s := sep + _quote(k) + ": " + _leaf(v))
+                out.append(s := s + _leaf(v))
                 held += len(s)
-            sep = "," + inner
         out.append(nl + "}")
         return held + len(nl) + 1
     if t is list or t is tuple:
@@ -159,6 +180,14 @@ def _write(x, nl: str, out: list, fh, memo: dict, held: int = 0) -> int:
             sep = "," + inner
         out.append(nl + "]")
         return held + len(nl) + 1
+    if t is _Spool:  # the items in its file, after the text before them
+        import shutil  # imported here, as `tempfile` is: only an emitting scan spools
+        x.flush()
+        fh.write("".join(out))
+        x.file.seek(0)
+        shutil.copyfileobj(x.file, fh)
+        out[:] = ["[]" if x.sep[0] == "[" else nl + "]"]
+        return len(out[0])
     out.append(s := _leaf(x))
     return held + len(s)
 
@@ -452,11 +481,21 @@ def _cmd_scan(args) -> int:
     config = ScanConfig.from_json(_read_json(args.config, "--config"))
     if args.csv:
         config.emit_instances = True
-    report = scan(config)
-    print(f"scan: {report['aggregate']['instances']} instances", file=sys.stderr)
-    if args.csv:
-        _save(args.csv, lambda fh: fh.write(report_csv(report)))
-    _emit(report, args.out)
+    if not config.emit_instances:
+        report = scan(config)
+        print(f"scan: {report['aggregate']['instances']} instances", file=sys.stderr)
+        _emit(report, args.out)
+        return _violation_status(report)
+    import shutil
+    import tempfile  # both imported here: only an emitting scan spools
+    with tempfile.TemporaryFile("w+") as file, tempfile.TemporaryFile("w+") as rows:  # ASCII text
+        report = scan(config, spool := _Spool(file, rows if args.csv else None))
+        print(f"scan: {report['aggregate']['instances']} instances", file=sys.stderr)
+        if args.csv:
+            _save(args.csv, lambda fh: (fh.write(report_csv({"instances": ()})), rows.seek(0),
+                                        shutil.copyfileobj(rows, fh)))
+        report["instances"] = spool
+        _emit(report, args.out)
     return _violation_status(report)
 
 

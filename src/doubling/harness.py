@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import deque, namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
@@ -104,23 +104,24 @@ def _containment_suite(ctx: InstanceContext, alphas: list) -> tuple:
 def _ruzsa_suite(shared: SubsetContext, alphas: list) -> tuple:
     """Reads A, B and C alone (B = A^-1 and C = A A where the layer has none):
     runs once per subset layer, on its law's points.  Each of A, B, C and hB
-    is inverted once, and each count |X Y^-1| takes one product.  It forms
-    A A itself even where the layer's memo holds it: reading it from there
-    saved no end-to-end time that could be measured."""
+    is inverted once, and each count |X Y^-1| takes one product (C = A A is
+    A B^-1 where B = A^-1).  It forms A A even where the layer's memo holds
+    it: reading it from there saved no end-to-end time that was measured."""
     if shared.ruzsa is None:
         law = shared.a.owner.law
         product, inverse = law.product, law.inverse
         a = law.points(shared.a.elements)
         a_inv = inverse(a)
         b = a_inv if shared.b is None else law.points(shared.b.elements)
-        b_inv = a if shared.b is None else inverse(b)
-        c_inv = inverse(product(a, a) if shared.c is None else law.points(shared.c.elements))
+        ab = product(a, a if shared.b is None else inverse(b))  # A B^-1: A A where B = A^-1
+        c = law.points(shared.c.elements) if shared.c is not None else ab if shared.b is None else product(a, a)
+        c_inv = inverse(c)
         moved = None
         if shared.translators is not None:
             g, h = law.points(shared.translators)
             moved = len(product(product((g,), a), inverse(product((h,), b))))
         aa = len(product(a, a_inv))
-        flags = ruzsa_axioms(len(a), len(b), aa, len(product(a, b_inv)), len(product(b, a_inv)),
+        flags = ruzsa_axioms(len(a), len(b), aa, len(ab), len(product(b, a_inv)),
                              len(product(a, c_inv)), len(product(b, c_inv)), moved)
         ok = all(flags.values())
         record = Fragment((*flags.items(), ("pass", ok)), (("value_aa", aa * aa, len(a) ** 2),))
@@ -573,18 +574,14 @@ def _check_pairs(order: int | None, a: GSubset, b: GSubset | None, c: GSubset | 
                        f"the cap is 2^{MAX_PAIRS.bit_length() - 1}")
 
 
-def _rendered(record) -> dict:
-    return record.to_json()
-
-
 class InstanceReport(namedtuple(
     "InstanceReport", "id group_order subgroup_size stats pi_size pi_square suites outcome"
 )):
     """One instance's results as counts: the id, |G| and |H|, the doubling
     counts (`DoublingStats`, whose size is |A|), |piA| and |piA^2|, per suite
     run (name, result record, violation details: None when skipped, empty
-    when it passed), and their `_outcome`.  `to_json()` writes the
-    report; `render` maps each record and the `DoublingStats` into it."""
+    when it passed), and their `_outcome`.  `to_json()` writes the report,
+    with `keep` leaving each record and the `DoublingStats` unrendered."""
 
     __slots__ = ()
 
@@ -594,16 +591,16 @@ class InstanceReport(namedtuple(
         s = self.stats
         return self.pi_square * s.size * s.size, self.pi_size * s.square * s.square
 
-    def to_json(self, render=_rendered) -> dict:
+    def to_json(self, keep: bool = False) -> dict:
         stats = self.stats
         report = {
             "id": self.id,
             "sizes": {"group": self.group_order, "subgroup": self.subgroup_size, "subset": stats.size},
-            "suites": {name: render(record) for name, record, _ in self.suites},
+            "suites": {name: record if keep else record.to_json() for name, record, _ in self.suites},
             "violations": [
                 {"suite": name, "detail": d} for name, _, failed in self.suites for d in failed or ()
             ],
-            "doubling": render(stats),
+            "doubling": stats if keep else stats.to_json(),
             # tracked for both symmetries
             "probe": put({"symmetric": stats.symmetric}, "over_k2", *self.probe),
         }
@@ -673,7 +670,7 @@ class _Ranked:
         return mine > theirs or (mine == theirs and self.id < other.id)
 
 
-def _fold_aggregate(placed: Iterable[tuple[int, InstanceReport]]) -> dict:
+def _fold_aggregate(placed: Iterable[tuple[int, InstanceReport]], emit: Callable | None = None) -> dict:
     """The aggregate of (place in id order, report) pairs, folded one at a
     time: suite runs counted per distinct `outcome` (a scan's reports run
     one list of suites), violations listed in id order; each probe keeps its
@@ -682,6 +679,7 @@ def _fold_aggregate(placed: Iterable[tuple[int, InstanceReport]]) -> dict:
     outcomes: dict = {}  # outcome -> [its instances, the suite runs of one]
     failing = []  # (place, report) per report with a violation
     sym_top, all_top = [], []
+    early, due = {}, 0  # folded reports go to `emit` in place order; an early one waits here
     for place, rep in placed:
         (outcomes.get(rep.outcome) or outcomes.setdefault(rep.outcome, [0, rep.suites]))[0] += 1
         if rep.outcome & 0xAAAA:  # a run's status is 2: it failed
@@ -691,6 +689,11 @@ def _fold_aggregate(placed: Iterable[tuple[int, InstanceReport]]) -> dict:
             if len(top) < TOP_WITNESSES or num * top[-1].den >= top[-1].num * den:  # it may rank
                 insort(top, _Ranked(rep))  # after its equals: tied entries keep their order
                 del top[TOP_WITNESSES:]
+        if emit is not None:
+            early[place] = rep
+            while due in early:
+                emit(early.pop(due))
+                due += 1
     suite_runs: dict = {}
     for n, runs in outcomes.values():
         for name, _, failed in runs:
@@ -714,19 +717,18 @@ def _fold_aggregate(placed: Iterable[tuple[int, InstanceReport]]) -> dict:
     }
 
 
-def scan(config: ScanConfig) -> dict:
+def scan(config: ScanConfig, emit: Callable[[InstanceReport], object] | None = None) -> dict:
     """Run every suite on every instance; aggregate deterministically.
 
     Each job is evaluated as `_jobs` draws it, through the module-level
     `evaluate_instance`, so a wrapper installed there sees every one; each
-    report is folded and dropped, unless "instances" (`emit_instances`)
-    holds the `InstanceReport`s in id order, for their writer."""
+    report is folded and then, in id order, handed to `emit` if it is given,
+    else with `emit_instances` appended to the list at "instances"."""
+    out = {"config": config.resolved()}
+    if emit is None and config.emit_instances:
+        emit = out.setdefault("instances", []).append
     placed = ((place, evaluate_instance(instance_id, job)) for place, instance_id, job in _jobs(config))
-    if config.emit_instances:
-        placed = sorted(placed, key=lambda pair: pair[0])
-    out = {"config": config.resolved(), "aggregate": _fold_aggregate(placed)}
-    if config.emit_instances:
-        out["instances"] = [report for _, report in placed]
+    out["aggregate"] = _fold_aggregate(placed, emit)
     return out
 
 
@@ -742,23 +744,22 @@ def replay(instance_id: str, expected: dict | None = None) -> dict:
 
 
 def report_csv(report: dict) -> str:
-    """Lossy tabular export: decimal shadows only, one row per instance,
-    built from the counts of `scan`'s `InstanceReport`s."""
+    """Lossy tabular export: decimal shadows only, a `csv_row` per instance of `scan`."""
     if "instances" not in report:
         raise ValueError("CSV export needs a report produced with emit_instances")
-    lines = ["# lossy decimal export; authoritative rationals live in the JSON report"]
-    lines.append("instance,group_order,subgroup_size,subset_size,K,K2,quotient_doubling,bound,margin")
-    for rep in report["instances"]:
-        s = rep.stats
-        qn, qd = rep.pi_square, rep.pi_size
-        # K = |A^2|/|A|, K2 = |A^-1 A|/|A|; the bound is K^2 (symmetric) or
-        # K * K2 and the margin bound - qd.  Int true division rounds
-        # correctly, so these unreduced pairs give the floats of the Fractions
-        bn, bd = s.square * (s.square if s.symmetric else s.inv_square), s.size * s.size
-        ident = rep.id.replace('"', '""')
-        lines.append(
-            f'"{ident}",{rep.group_order},{rep.subgroup_size},{s.size},'
-            f"{s.square / s.size!r},{s.inv_square / s.size!r},{qn / qd!r},"
-            f"{bn / bd!r},{(bn * qd - qn * bd) / (bd * qd)!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return ("# lossy decimal export; authoritative rationals live in the JSON report\n"
+            "instance,group_order,subgroup_size,subset_size,K,K2,quotient_doubling,bound,margin\n"
+            + "".join(map(csv_row, report["instances"])))
+
+
+def csv_row(rep: InstanceReport) -> str:
+    """One instance's line of `report_csv`."""
+    s = rep.stats
+    qn, qd = rep.pi_square, rep.pi_size
+    # K = |A^2|/|A|, K2 = |A^-1 A|/|A|; the bound is K^2 (symmetric) or
+    # K * K2 and the margin bound - qd.  Int true division rounds
+    # correctly, so these unreduced pairs give the floats of the Fractions
+    bn, bd = s.square * (s.square if s.symmetric else s.inv_square), s.size * s.size
+    ident = rep.id.replace('"', '""')
+    return (f'"{ident}",{rep.group_order},{rep.subgroup_size},{s.size},{s.square / s.size!r},'
+            f"{s.inv_square / s.size!r},{qn / qd!r},{bn / bd!r},{(bn * qd - qn * bd) / (bd * qd)!r}\n")

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import doubling
-from doubling import build_sharpness_instance, cli
+from doubling import build_sharpness_instance, cli, harness
 from doubling.cli import main
 from doubling.constructions import SharpnessInstance
 from doubling.errors import CapError
-from doubling.harness import InstanceReport, _load_id
+from doubling.harness import InstanceReport, ScanConfig, _load_id, iter_instance_specs, report_csv, scan
 
 
 def run(capsys, *argv):
@@ -1090,6 +1091,93 @@ def test_scan_to_dev_null_exits_zero(tmp_path, capsys):
     (tmp_path / "scan.json").write_text(json.dumps(C4_ALL_SUITES))
     argv = ["scan", "--config", str(tmp_path / "scan.json"), "--out", os.devnull, "--csv", os.devnull]
     assert run(capsys, *argv)[0] == 0
+
+
+# -- emitting scans: each report is written once it is folded, through a spool -------------
+
+EMITTING = {
+    # 36 subsets of each group under its six normal subgroups: the runs of a block interleave
+    "exhaustive": {"groups": ["dihedral:4", "q8"], "subset_mode": {"kind": "exhaustive", "max_size": 2}},
+    "random": {"groups": ["cyclic:12", "dihedral:5", "symmetric:3"],
+               "subset_mode": {"kind": "random", "count": 40, "seed": 4}},
+}
+
+
+def _plain(config: dict) -> tuple[str, str]:
+    """The artifact and the CSV of a scan from the reports that the library
+    holds, in id order: `json.dumps` of their `to_json()`, and `report_csv`."""
+    report = scan(scan_config := ScanConfig.from_json(dict(config, emit_instances=True)))
+    assert [rep.id for rep in report["instances"]] == iter_instance_specs(scan_config)
+    plain = dict(report, instances=[rep.to_json() for rep in report["instances"]])
+    return json.dumps(plain, sort_keys=True, indent=2) + "\n", report_csv(report)
+
+
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("name", sorted(EMITTING))
+def test_an_emitting_scan_writes_the_bytes_of_the_held_reports(tmp_path, capsys, monkeypatch, name, small):
+    if small:  # many batches, each sent to the spool in pieces, and a memo that starts over
+        for attr, value in (("_BATCH", 3), ("_CHUNK", 64), ("_MEMO", 8)):
+            monkeypatch.setattr(cli, attr, value)
+    (tmp_path / "scan.json").write_text(json.dumps(EMITTING[name]))
+    out, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+    argv = ["scan", "--config", str(tmp_path / "scan.json"), "--out", str(out), "--csv", str(csv_path)]
+    assert run(capsys, *argv)[0] == 0
+    assert (out.read_text(), csv_path.read_text()) == _plain(EMITTING[name])
+
+
+def test_emit_instances_without_csv_streams_the_same_bytes_to_stdout(tmp_path, capsys):
+    config = dict(EMITTING["random"], emit_instances=True)
+    (tmp_path / "scan.json").write_text(json.dumps(config))
+    code, out, _ = run(capsys, "scan", "--config", str(tmp_path / "scan.json"))
+    assert code == 0 and out == _plain(config)[0]
+
+
+def test_an_emitting_scan_that_fails_midway_leaves_the_old_files_and_no_spool(tmp_path, monkeypatch):
+    spools = tmp_path / "spools"
+    spools.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spools))
+    evaluate, calls = harness.evaluate_instance, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > 2 * cli._BATCH + 5:  # after two batches went to the spool
+            raise RuntimeError("evaluation failed")
+        return evaluate(*args)
+
+    monkeypatch.setattr(harness, "evaluate_instance", failing)
+    (tmp_path / "scan.json").write_text(json.dumps(EMITTING["random"]))
+    out, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+    out.write_text("an older artifact\n")
+    csv_path.write_text("an older table\n")
+    with pytest.raises(RuntimeError, match="evaluation failed"):
+        main(["scan", "--config", str(tmp_path / "scan.json"), "--out", str(out), "--csv", str(csv_path)])
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "out.json", "scan.json", "spools"]
+    assert os.listdir(spools) == []
+    assert (out.read_text(), csv_path.read_text()) == ("an older artifact\n", "an older table\n")
+
+
+def test_an_emitting_scan_holds_one_batch_of_reports_and_a_bounded_memo(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MEMO", 64)
+    evaluate, calls, seen = harness.evaluate_instance, [], []  # seen: (live reports, memo size) per look
+
+    def looked(*args):
+        calls.append(None)
+        if len(calls) % 200 == 0:
+            objects = gc.get_objects()
+            spools = [x for x in objects if type(x) is cli._Spool]
+            seen.append((sum(type(x) is InstanceReport for x in objects), [len(x.memo) for x in spools]))
+        return evaluate(*args)
+
+    monkeypatch.setattr(harness, "evaluate_instance", looked)
+    # 300 random subsets under each of the 7 normal subgroups of D6
+    config = {"groups": ["dihedral:6"], "subset_mode": {"kind": "random", "count": 300, "seed": 2}}
+    (tmp_path / "scan.json").write_text(json.dumps(config))
+    argv = ["scan", "--config", str(tmp_path / "scan.json"), "--out", os.devnull, "--csv", str(tmp_path / "out.csv")]
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == 2100 and len(seen) == 10
+    assert all(reports <= cli._BATCH for reports, _ in seen), seen
+    assert all(len(memos) == 1 and memos[0] <= cli._MEMO + 1 for _, memos in seen), seen
+    assert max(memos[0] for _, memos in seen) > cli._MEMO // 2  # the memo is in use
 
 
 def _failing_containment(ctx, alphas):

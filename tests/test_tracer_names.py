@@ -68,6 +68,8 @@ def test_import_doubling_imports_every_traced_layer(tmp_path):
     # only a random scan imports `random`; under -S, as perfbench launches,
     # since `site` may load it before any statement runs
     assert "random" not in _modules_after("import doubling.cli", "-S")[1]
+    # only an emitting scan spools its reports, through `tempfile` and `shutil`
+    assert not {"tempfile", "shutil"} & _modules_after("import doubling.cli", "-S")[1]
     assert "random" in _modules_after("from doubling import ScanConfig, scan; "
                                       "scan(ScanConfig(['cyclic:4'], {'kind': 'random', 'count': 1, 'seed': 1}))",
                                       "-S")[1]
