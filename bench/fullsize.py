@@ -11,13 +11,14 @@ Every run of a command must write the same bytes on both sides (its
 `--out` file and, for the scan, its `--csv` file); if one does not, the
 script prints which and exits 1 without recording anything.
 Otherwise it appends one entry to the JSON list in `--out`: per command and
-side, the child's CPU time (user + system) and `ru_maxrss`, both read with
-`os.wait4` for that child alone, and their medians; per command, `wins`, the
-pairs in which the change's CPU time is below the parent's (a tie counts for
-neither side), beside `cpu_change_over_parent`.  Linux carries the
-starting process's resident size into a child's `ru_maxrss`, so each figure
-includes this script's own (about 20 MB), which it keeps from growing by
-hashing each artifact in pieces.  Each side's `src_tree` is the git
+side, the child's CPU time (user + system) and `ru_maxrss`, and their
+medians; per command, `wins`, the pairs in which the change's CPU time is
+below the parent's (a tie counts for neither side), beside
+`cpu_change_over_parent`.  Each child is started by `perfbench/launch.py`,
+which reads both figures with `os.wait4` for that child alone: Linux carries
+the starting process's resident size into a child's `ru_maxrss`, and the
+bare launcher is smaller than the smallest command, where this script (about
+20 MB) is not.  Each side's `src_tree` is the git
 tree id of the `src/` it ran, uncommitted edits included: it equals
 `git rev-parse C:src` for any commit C with that `src/`.
 
@@ -56,6 +57,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+LAUNCH = ROOT / "perfbench" / "launch.py"  # starts one command and writes its own resource usage
+TIMEOUT_S = 600  # the launcher kills a command that runs longer
 CATALOG_CONFIG = "catalog-scan.json"  # written into the scratch directory the commands run in
 EXHAUSTIVE_CONFIG = "exhaustive-scan.json"  # likewise
 EXHAUSTIVE_SCAN = {"groups": ["dihedral:6", "q8", "cyclic:12"], "subset_mode": {"kind": "exhaustive", "max_size": 3}}
@@ -92,24 +95,27 @@ def _write_catalog_config(path: Path) -> None:
 
 
 def _run(src: Path, argv: tuple, work: Path) -> tuple[float, float, str]:
-    """(CPU seconds, ru_maxrss in MB, SHA-256 of the artifacts) of one run:
-    of out.json, and then of out.csv if the command wrote one."""
+    """(CPU seconds, ru_maxrss in MB, SHA-256 of the artifacts) of one run,
+    through the launcher: of out.json, and then of out.csv if the command
+    wrote one."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = work / "out.json"
-    proc = subprocess.Popen([sys.executable, "-m", "doubling.cli", *argv, "--out", str(out)],
-                            cwd=work, env=env, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise SystemExit(f"{' '.join(argv)} exited {proc.returncode} with {src}")
+    out, report = work / "out.json", work / "usage.json"
+    subprocess.run([sys.executable, "-S", str(LAUNCH), str(TIMEOUT_S), str(report),
+                    sys.executable, "-m", "doubling.cli", *argv, "--out", str(out)],
+                   cwd=work, env=env, stdout=subprocess.DEVNULL, check=True)
+    usage = json.loads(report.read_text(encoding="utf-8"))
+    report.unlink()
+    if usage["timed_out"] or usage["status"] != 0:
+        end = f"was killed after {TIMEOUT_S} s" if usage["timed_out"] else f"exited {usage['status']}"
+        raise SystemExit(f"{' '.join(argv)} {end} with {src}")
     digest = hashlib.sha256()
     for path in (out, work / "out.csv"):
         if path.exists():
-            with open(path, "rb") as fh:  # in pieces: a whole artifact would raise the next child's ru_maxrss
+            with open(path, "rb") as fh:  # in pieces: an artifact may be tens of MB
                 while piece := fh.read(1 << 20):
                     digest.update(piece)
             path.unlink()
-    return usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, digest.hexdigest()
+    return usage["cpu_s"], usage["maxrss_kb"] / 1024, digest.hexdigest()
 
 
 def _summary(runs: list[tuple[float, float]]) -> dict:

@@ -4,7 +4,8 @@ Doubling constants, quotient projections with Fubini-compatible weights,
 fiber/layer-cake/spillover machinery, Ruzsa-distance calculus, certified
 structure-set extraction, the sharpness witness construction, and a
 deterministic scan harness.  Every theorem-facing number is exact: checks
-compare integer counts, and reports carry Fractions.
+compare integer counts, reports carry "p/q" strings, and Fractions appear
+only in the public result objects.
 """
 
 from .constructions import (

@@ -430,7 +430,9 @@ def _unused(args, flags: tuple, reason: str) -> None:
 def _load_extract_inputs(args):
     if args.instance:
         _unused(args, ("--group", "--subgroup", "--subset", "--subgroup-weight"), "with --instance")
-        return load_instance(_read_json(args.instance, "--instance"), "/instance")
+        group, a, q = load_instance(_read_json(args.instance, "--instance"), "/instance")
+        _pair_cap(len(a.elements), "--instance")
+        return group, a, q
     subset_doc = _maybe_inline_json(args.subset, "--subset") if args.subset else None
     if isinstance(subset_doc, dict) and "construction" in subset_doc:
         _unused(args, ("--group", "--subgroup", "--subgroup-weight"), "with a construction reference")
@@ -448,6 +450,7 @@ def _load_extract_inputs(args):
         _unused(args, ("--subgroup-weight",), "unless --subgroup lists elements without a weight")
     q = quotient_from_description(group, sub_doc, "/subgroup")
     a = decode_subset(group, subset_doc, "/subset")
+    _pair_cap(len(a.elements), "--subset")
     return group, a, q
 
 
@@ -457,18 +460,17 @@ def _pair_cap(n: int, flag: str) -> None:
 
 
 def _cmd_extract(args) -> int:
-    group, a, q = _load_extract_inputs(args)
-    _pair_cap(len(a.elements), "--instance" if args.instance else "--subset")
     alphas = _alphas_arg(args.alpha, "--alpha")
+    group, a, q = _load_extract_inputs(args)
     ctx = InstanceContext(a, q)
     out: dict = {"kind": "extraction-report", "group": group.name, "certificates": {}}
     status = 0
     for alpha in alphas:
         try:
-            entry = with_b(ctx, certify(ctx, alpha)).to_json(include_elements=True)
+            entry = with_b(ctx, cert := certify(ctx, alpha)).to_json(include_elements=True)
             entry["pass"] = True
             if args.trace:
-                entry["trace"] = threshold_trace(ctx, alpha)
+                entry["trace"] = threshold_trace(ctx, cert)
         except ConsistencyError as exc:
             entry = {"pass": False, "error": str(exc), "payload": exc.payload}
             status = 2

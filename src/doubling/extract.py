@@ -136,9 +136,9 @@ def extract_subset(a: GSubset, q: QuotientStructure, alpha: Fraction) -> Extract
     return with_b(ctx, certify(ctx, Fraction(alpha)))
 
 
-def threshold_trace(ctx: InstanceContext, alpha: Fraction) -> list[str]:
-    """One human-readable line per row of the threshold table `certify` reads."""
-    admissible = {row[0] for row in _admissible_rows(ctx, alpha)}
+def threshold_trace(ctx: InstanceContext, cert: ExtractionCertificate) -> list[str]:
+    """One human-readable line per row of the threshold table `certify` read, each marked as `cert` records it."""
+    alpha, admissible = cert.alpha, frozenset(cert.admissible_n)
     w_h, w_q = ctx.q.subgroup_weight, ctx.q.quotient_weight
     k = Fraction(ctx.shared.square, len(ctx.a.elements))
     return [

@@ -24,7 +24,7 @@ from .context import InstanceContext, SubsetContext, _Packing
 from .errors import CapError, ConsistencyError, SpecError, integer, known_keys
 from .extract import certify
 from .fibers import check_containment, check_layer_cake, check_spillover
-from .groups import WeightedGroup, _resolve_weight, build_group, quaternion_table
+from .groups import WeightedGroup, _resolve_weight, build_group, canonical_json, quaternion_table
 from .metrics import check_quotient_bound, ruzsa_axioms
 from .quotients import _quotient_by, normal_subgroups, quotient_from_description
 from .rationals import fmt, parse, put
@@ -162,10 +162,6 @@ SUITES = {
 }
 # their order here is the order of suites in every config and artifact
 ALL_SUITES = tuple(SUITES)
-
-
-# json.dumps(obj, sort_keys=True, separators=(",", ":")) through one encoder: dumps builds one per call
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 # -- catalog -----------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import doubling
-from doubling import build_sharpness_instance, cli, harness
+from doubling import build_sharpness_instance, cli, extract, harness
 from doubling.cli import main
 from doubling.constructions import SharpnessInstance
 from doubling.errors import CapError
@@ -95,6 +95,18 @@ def test_construct_emit_and_extract_round_trip(tmp_path, capsys):
     assert cert["pass"] is True
     assert cert["measure_ratio"] == "1/1"
     assert any("admissible" in line for line in cert["trace"])
+
+
+def test_extract_trace_reads_the_decision_certify_made(monkeypatch, capsys):
+    calls = []
+    rows = extract._admissible_rows
+    monkeypatch.setattr(extract, "_admissible_rows", lambda ctx, alpha: calls.append(alpha) or rows(ctx, alpha))
+    code, out, _ = run(capsys, "extract", "--alpha", "3/2,2,3", "--trace",
+                       "--subset", '{"construction": "sharpness", "N": 1, "h": 4, "m": 25}')
+    assert code == 0
+    assert calls == [Fraction(3, 2), Fraction(2), Fraction(3)]
+    certs = json.loads(out)["certificates"]
+    assert all(len(cert["trace"]) >= len(cert["admissible"]) > 0 for cert in certs.values())
 
 
 def test_extract_inline_specs(capsys):
@@ -403,6 +415,15 @@ def test_extract_refuses_a_construction_reference_past_the_pair_cap_before_it_bu
     code, _, err = run(capsys, "extract", "--alpha", "2", *_sharpness_ref(5, 30000), "--out", os.devnull)
     assert code == 1 and built == []
     assert "error: --subset: extract forms a product of 23089410304 pairs; the cap is 2^20" in err
+
+
+def test_extract_reads_alpha_before_it_builds_an_instance(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "build_from_reference", lambda *args: built.append(args))
+    # 4,932 elements, past the pair cap: a bad --alpha is still the error reported
+    code, _, err = run(capsys, "extract", "--alpha", "1", *_sharpness_ref(5, 900), "--out", os.devnull)
+    assert code == 1 and built == []
+    assert err.startswith("error: --alpha: ") and "pairs" not in err
 
 
 @pytest.mark.parametrize("n, m, expected", [

@@ -19,6 +19,8 @@ from doubling import (
     validate_axioms,
 )
 from doubling.groups import CayleyTable, _IndexedGroup, _associative_at, _grow, op_table
+from doubling.quotients import normal_subgroups, quotient
+from doubling.sets import subset
 from oracles import quaternion_group
 
 
@@ -206,6 +208,70 @@ def test_element_encoding_round_trip():
     with pytest.raises(SpecError) as err:
         g.decode_element([1, [[1, 0], [0, 2]]])
     assert "/1" in err.value.path
+
+
+# -- membership: the decoder's answer, one table of expected answers per kind --
+
+GL2Z, D4 = MatrixGroup(), DihedralGroup(4)
+I2, M = (1, 0, 0, 1), (0, 1, 1, 2)  # the identity, and a matrix of determinant -1
+BOOL_I2 = (True, False, False, True)  # == I2, but its entries encode as JSON true and false
+# group -> (members, non-members); the non-members are, in this order where they apply: a wrong
+# type, a bool, an index out of range, the wrong arity, a list where a tuple is due, a matrix of
+# determinant 2, and a float entry
+MEMBERSHIP = {
+    CyclicGroup(6): ([0, 5], ["1", None, True, False, 6, -1, (1,), [1], 1.0]),
+    D4: ([0, 4, 7], ["0", True, 8, -1, (0, 1), [7], 7.0]),
+    SymmetricGroup(3): ([0, 5], ["5", True, 6, -6, (0, 1, 2), [0], 0.0]),
+    quaternion_group(): ([0, 7], [b"0", True, 8, -8, (), [0], 1.0]),
+    # D4 over its centre, a Klein four-group
+    quotient(D4, normal_subgroups(D4)[1]).quotient: ([0, 3], ["3", True, 4, -1, (0,), [3], 3.0]),
+    next(g for g in map(build_group, catalog(weights=("counting",))) if g.name == "Z2xQ8"): (
+        [(0, 0), (1, 7)],
+        [5, "ab", (True, 0), (1, False), (2, 0), (0, 8), (0,), (0, 0, 0), [1, 7], (1.0, 7), (1, 7.0)],
+    ),
+    GL2Z: (
+        [I2, M, (-1, 0, 0, 1), (2, 3, 1, 2)],
+        [1, "abcd", BOOL_I2, (1, 0, 0, True), (1, 0, 0), (1, 0, 0, 1, 0), ((1, 0), (0, 1)), [1, 0, 0, 1],
+         (1, 0, 0, 2), (2, 0, 0, 2), (1.0, 0, 0, 1), (1, 0, 0, 1.0)],
+    ),
+    ProductGroup([CyclicGroup(2), GL2Z]): (
+        [(0, I2), (1, M)],
+        [0, "ab", (True, I2), (1, BOOL_I2), (2, I2), (-1, M), (0,), (0, I2, 0), (0, (1, 0, 0)),
+         [0, I2], (0, [1, 0, 0, 1]), (0, (1, 0, 0, 2)), (0.0, I2), (0, (1.0, 0, 0, 1))],
+    ),
+}
+
+
+@pytest.mark.parametrize("group", list(MEMBERSHIP), ids=lambda g: g.name)
+def test_membership_table(group):
+    members, others = MEMBERSHIP[group]
+    assert [x for x in members if not group.contains(x)] == []
+    assert [x for x in others if group.contains(x)] == []
+    if group.order is not None:
+        assert all(map(group.contains, group.elements()))
+    # a member's subset is one an artifact carries back; a hashable non-member is refused
+    a = subset(group, members)
+    assert frozenset(group.decode_element(v) for v in a.encode()) == a.elements
+    for x in others:
+        try:
+            hash(x)
+        except TypeError:  # a list, or a tuple holding one: no set holds it
+            continue
+        with pytest.raises(ValueError, match="is not an element of"):
+            subset(group, [x])
+
+
+def test_subset_refuses_a_bool_entry_matrix_that_no_artifact_could_carry_back():
+    with pytest.raises(ValueError, match="is not an element of GL2Z"):
+        subset(GL2Z, [BOOL_I2])
+    z2_gl2z = ProductGroup([CyclicGroup(2), GL2Z])
+    with pytest.raises(ValueError, match="is not an element of Z2xGL2Z"):
+        subset(z2_gl2z, [(1, BOOL_I2)])
+    # what the decoder refuses at the same place
+    with pytest.raises(SpecError):
+        GL2Z.decode_element([[True, False], [False, True]])
+    with pytest.raises(SpecError, match="^/1: "):
+        z2_gl2z.decode_element([1, [[True, False], [False, True]]])
 
 
 def test_canonical_element_order():
