@@ -13,22 +13,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 
+from .groups import once
 from .quotients import QuotientStructure
 from .rationals import put
-from .sets import GSubset, inv_set, mul_set, require_owner
-
-
-class once(cached_property):
-    """`functools.cached_property` without the lock Python 3.11 takes on each
-    first read: the value shadows this descriptor, and a test may set its own."""
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.attrname] = self.func(obj)
-        return value
+from .sets import GSubset, require_owner
 
 
 class Memo(dict):
@@ -70,43 +59,52 @@ class DoublingStats(namedtuple("DoublingStats", "size square inv_square symmetri
         return out
 
 
-def _mul(x_owner, x: frozenset, y_owner, y: frozenset) -> GSubset:
-    return mul_set(GSubset(x_owner, x), GSubset(y_owner, y))
-
-
 class SubsetContext:
-    """A with optional partners B and C and translators (g, h), in one group.
-
-    Product sets are memoized by their operands' groups and elements; `stats`
-    are the `DoublingStats` of `symmetric`, `square` and `inv_square`, and
+    """A with optional partners B and C and translators (g, h), in one group,
+    which B's must be.  A and B (A where none is given) are listed once as
+    points of `law`, and A^-1, A A, A^-1 A, AB and BA formed once from them;
     `ruzsa` holds the ruzsa-axioms (record, violations) once that suite ran."""
 
     def __init__(self, a: GSubset, b: GSubset | None = None, c: GSubset | None = None, translators=None):
+        if b is not None:
+            require_owner(b, a.owner)
         self.a, self.b, self.c, self.translators, self.ruzsa = a, b, c, translators, None
-        self._products = Memo(_mul)
-
-    def mul(self, x: GSubset, y: GSubset) -> GSubset:
-        return self._products[x.owner, x.elements, y.owner, y.elements]
+        self.law = a.owner.law
+        self.points = self.law.points(a.elements)
 
     @once
-    def inverse(self) -> GSubset:
-        return inv_set(self.a)
+    def b_points(self) -> list:
+        return self.points if self.b is None else self.law.points(self.b.elements)
+
+    @once
+    def inverse(self) -> set:
+        return self.law.inverse(self.points)
 
     @once
     def symmetric(self) -> bool:
-        return self.a.elements == self.inverse.elements
+        return self.inverse.issuperset(self.points)  # |A^-1| = |A|
 
     @once
-    def square(self) -> int:
-        return len(self.mul(self.a, self.a).elements)
+    def a_square(self) -> set:
+        return self.law.product(self.points, self.points)
 
     @once
-    def inv_square(self) -> int:
-        return len(self.mul(self.inverse, self.a).elements)
+    def inv_square(self) -> set:
+        """A^-1 A: A A where A is symmetric."""
+        return self.a_square if self.symmetric else self.law.product(self.inverse, self.points)
+
+    @once
+    def ab_ba(self) -> tuple[set, set]:
+        """AB and BA: A A where B is A, and BA is A^-1 A where B is A^-1."""
+        a, b, inverse = self.points, self.b_points, self.inverse
+        if b is a or self.b.elements == self.a.elements:
+            return self.a_square, self.a_square
+        ba = self.inv_square if len(b) == len(inverse) and inverse.issuperset(b) else self.law.product(b, a)
+        return self.law.product(a, b), ba
 
     @once
     def stats(self) -> DoublingStats:
-        return DoublingStats(len(self.a.elements), self.square, self.inv_square, self.symmetric)
+        return DoublingStats(len(self.points), len(self.a_square), len(self.inv_square), self.symmetric)
 
 
 def _levels(fibers: dict) -> list[tuple[int, frozenset, int]]:
@@ -119,36 +117,31 @@ def _levels(fibers: dict) -> list[tuple[int, frozenset, int]]:
 class InstanceContext:
     """A subset layer, `shared`, under the quotient `q`: `a` is A (with its
     partner `b`, A itself if none is given) or a `SubsetContext` holding them.
-    Cosets are points of `law`, the quotient's.  A's levels, pi(A) (its lowest
-    level) and |pi(A)^2| are built at once, the rest on first use; each level
-    and product is built once."""
+    Cosets are points of `law`, the quotient's, read off the layer's points
+    by `q.coset`.  A's levels, pi(A) (its lowest level) and |pi(A)^2| are
+    built at once, the rest on first use; each level and product is built once."""
 
     def __init__(self, a: GSubset | SubsetContext, q: QuotientStructure, b: GSubset | None = None) -> None:
         self.shared = a if isinstance(a, SubsetContext) else SubsetContext(a, b)
         self.a, self.q, self.law = self.shared.a, q, q.quotient.law
-        self.b = self.a if self.shared.b is None else self.shared.b
         require_owner(self.a, q.ambient)
         self.product = Memo(self.law.product)
-        self.levels_a = _levels(self.fibers(self.a))
+        self.levels_a = _levels(self.fibers(self.shared.points))
         self.pi_a = self.levels_a[0][1] if self.levels_a else frozenset()
         self.pi_square = len(self.product[self.pi_a, self.pi_a])
 
-    def fibers(self, x: GSubset) -> dict:
-        """Coset -> |X meet coset| over the cosets X meets."""
+    def fibers(self, points) -> dict:
+        """Coset -> |X meet coset| over the cosets X meets, X given by its points."""
         out: dict = {}
-        for c in self.law.points(map(self.q.project, x.elements)):
+        for c in map(self.q.coset, points):
             out[c] = out.get(c, 0) + 1
         return out
-
-    @once
-    def ab_ba(self) -> tuple[GSubset, GSubset]:
-        return self.shared.mul(self.a, self.b), self.shared.mul(self.b, self.a)
 
     @once
     def spill(self) -> list[tuple[int, set, set]]:
         """(n, pi(A) L, L pi(A)) per level (n, L) of B: what spillover and containment read."""
         pi_a, product = self.pi_a, self.product
-        levels = self.levels_a if self.b is self.a else _levels(self.fibers(self.b))
+        levels = self.levels_a if self.shared.b is None else _levels(self.fibers(self.shared.b_points))
         return [(n, product[pi_a, level], product[level, pi_a]) for n, level, _ in levels]
 
     @once
@@ -160,16 +153,16 @@ class InstanceContext:
 
 class _Packing:
     """A layer's fiber profiles under the normal subgroups of some runs in one
-    int: H has [G:H] w bits from its `off`, w = |H|.bit_length(), X's count
-    at coset c in the w bits from c w (w bits hold a count up to |H|; a
-    `quotient`'s cosets are 0..[G:H]-1), but for H = {e}: pi is G renumbered,
-    so, as H = G, it has one field of |G|.bit_length() bits, the count |X|
-    (w = 0).  So the sum over X of the `row` x -> sum over H of 1 << off +
-    c(x) w (built at the first key) packs them all.  A layer packs A and,
-    with `spill`, B, AB and BA, `width` apart; H's (off, mask) in `fields`,
-    all that its results-table key holds but the stats, reads H's field of
-    each, but |B| under H = {e}, which no suite reads.  The last layer packed
-    is kept: a scan evaluates a layer's instances in a row."""
+    int: H has [G:H] w bits from its `off`, w = |H|.bit_length(), X's count at
+    coset c in the w bits from c w (w bits hold a count up to |H|; a `quotient`'s
+    cosets are 0..[G:H]-1), but for H = {e}: pi is G renumbered, so, as H = G, it
+    has one field of |G|.bit_length() bits, the count |X| (w = 0).  So the sum
+    over X's points x of the `row`, a list by point (a table's, 0..|G|-1) of the
+    sum over H of 1 << off + c(x) w built at the first key, packs them all.  A
+    layer packs A and, with `spill`, B, AB and BA, `width` apart; H's (off, mask)
+    in `fields`, all that its results-table key holds but the stats, reads H's
+    field of each, but |B| under H = {e}, which no suite reads.  The last layer
+    packed is kept: a scan evaluates a layer's instances in a row."""
 
     def __init__(self, elems: list, runs: list, spill: bool) -> None:
         """Lay out `runs`, each (id prefix, quotient maker, |H|), and give each its (off, mask) in `fields`."""
@@ -189,14 +182,12 @@ class _Packing:
     def __call__(self, shared: SubsetContext) -> int:
         if shared is not self.layer:
             if self.row is None:
-                self.row = dict.fromkeys(self.elems, 0)
-                for make_quotient, off, w in self.slices:
-                    project = make_quotient().project
-                    for x in self.elems:
-                        self.row[x] += 1 << off + project(x) * w
-            row, a, b, t = self.row.__getitem__, shared.a, shared.b, self.width
-            self.layer, self.packed = shared, sum(map(row, a.elements))
+                cosets = [(make_quotient().coset, off, w) for make_quotient, off, w in self.slices]
+                self.row = [sum(1 << off + coset(p) * w for coset, off, w in cosets) for p in range(len(self.elems))]
+            row, t = self.row.__getitem__, self.width
+            self.layer, self.packed = shared, sum(map(row, shared.points))
             if self.spill:  # a scan that runs spillover or containment always draws B
-                self.packed |= (sum(map(row, b.elements)) << t | sum(map(row, shared.mul(a, b).elements)) << 2 * t
-                                | sum(map(row, shared.mul(b, a).elements)) << 3 * t)
+                ab, ba = shared.ab_ba
+                self.packed |= (sum(map(row, shared.b_points)) << t | sum(map(row, ab)) << 2 * t
+                                | sum(map(row, ba)) << 3 * t)
         return self.packed

@@ -85,7 +85,7 @@ def _admissible_rows(ctx: InstanceContext, alpha: Fraction) -> list[tuple]:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     if not ctx.a.elements:
         raise ValueError("extraction needs a nonempty subset")
-    size, a2 = len(ctx.a.elements), ctx.shared.square
+    size, a2 = len(ctx.a.elements), len(ctx.shared.a_square)
     return [row for row in ctx.thresholds if row[3] * size * ad < an * a2 * row[2]]
 
 
@@ -115,7 +115,7 @@ def certify(ctx: InstanceContext, alpha: Fraction) -> ExtractionCertificate:
     # mu(B) > (alpha-1)/alpha * mu(A), cross-multiplied
     if b_size * an > (an - ad) * size:
         return ExtractionCertificate(
-            an, ad, size, ctx.shared.square, n, b_size,
+            an, ad, size, len(ctx.shared.a_square), n, b_size,
             level_size, level_square, levels, w.numerator, w.denominator, None,
         )
     raise ConsistencyError(
@@ -140,7 +140,7 @@ def threshold_trace(ctx: InstanceContext, cert: ExtractionCertificate) -> list[s
     """One human-readable line per row of the threshold table `certify` read, each marked as `cert` records it."""
     alpha, admissible = cert.alpha, frozenset(cert.admissible_n)
     w_h, w_q = ctx.q.subgroup_weight, ctx.q.quotient_weight
-    k = Fraction(ctx.shared.square, len(ctx.a.elements))
+    k = Fraction(len(ctx.shared.a_square), len(ctx.a.elements))
     return [
         f"s={fmt(n * w_h)}: mu_Q(level^2)={fmt(square * w_q)} "
         f"vs alpha*K*mu_Q(level)={fmt(alpha * k * size * w_q)} -> "

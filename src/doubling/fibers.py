@@ -101,7 +101,7 @@ class SpilloverResult(namedtuple("SpilloverResult", "lhs_left lhs_right rhs_left
 def check_spillover(ctx: InstanceContext) -> tuple[bool, int, int, int, int]:
     """Both spillover inequalities, compared as counts in units of w_G; returns
     (holds, lhs_left, lhs_right, rhs_left, rhs_right) in those units."""
-    ab, ba = (len(x.elements) for x in ctx.ab_ba)
+    ab, ba = map(len, ctx.shared.ab_ba)
     left = _layered((n, len(left)) for n, left, _ in ctx.spill)
     right = _layered((n, len(right)) for n, _, right in ctx.spill)
     return ab >= left and ba >= right, ab, ba, left, right
@@ -120,7 +120,7 @@ def spillover_check(a: GSubset, b: GSubset, q: QuotientStructure) -> SpilloverRe
 
 def check_containment(ctx: InstanceContext) -> bool:
     """Each coset of pi(A) * level_n(B) meets AB in at least n elements; mirrored for BA."""
-    ab, ba = map(ctx.fibers, ctx.ab_ba)
+    ab, ba = map(ctx.fibers, ctx.shared.ab_ba)
     for n, left, right in ctx.spill:
         if any(ab.get(c, 0) < n for c in left):
             return False

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product as iter_product, repeat
 from operator import itemgetter
 
@@ -35,6 +36,17 @@ _WEIGHT_MODES = ("counting", "normalized")
 
 # json.dumps(obj, sort_keys=True, separators=(",", ":")) through one encoder: dumps builds one per call
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class once(cached_property):
+    """`functools.cached_property` without the lock Python 3.11 takes on each
+    first read: the value shadows this descriptor, and a test may set its own."""
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 def _resolve_weight(mode: str, order: int | None, path: str = "/weight") -> Fraction:
@@ -178,6 +190,7 @@ class OpLaw:
     `ProductGroup.op` per pair."""
 
     __slots__ = ("group", "identity", "mul")
+    elements = index = None  # the points are the handles
 
     def __init__(self, group: WeightedGroup) -> None:
         self.group, self.identity, self.mul = group, group.identity, group.op

@@ -103,18 +103,16 @@ def _containment_suite(ctx: InstanceContext, alphas: list) -> tuple:
 
 def _ruzsa_suite(shared: SubsetContext, alphas: list) -> tuple:
     """Reads A, B and C alone (B = A^-1 and C = A A where the layer has none):
-    runs once per subset layer, on its law's points.  Each of A, B, C and hB
-    is inverted once, and each count |X Y^-1| takes one product (C = A A is
-    A B^-1 where B = A^-1).  It forms A A even where the layer's memo holds
-    it: reading it from there saved no end-to-end time that was measured."""
+    runs once per subset layer, on the layer's points, its A^-1 and its A A.
+    Each of B, C and hB is inverted once, and each other count |X Y^-1|
+    takes one product (A B^-1 is A A where B = A^-1)."""
     if shared.ruzsa is None:
-        law = shared.a.owner.law
+        law = shared.law
         product, inverse = law.product, law.inverse
-        a = law.points(shared.a.elements)
-        a_inv = inverse(a)
-        b = a_inv if shared.b is None else law.points(shared.b.elements)
-        ab = product(a, a if shared.b is None else inverse(b))  # A B^-1: A A where B = A^-1
-        c = law.points(shared.c.elements) if shared.c is not None else ab if shared.b is None else product(a, a)
+        a, a_inv = shared.points, shared.inverse
+        b = a_inv if shared.b is None else shared.b_points
+        ab = shared.a_square if shared.b is None else product(a, inverse(b))  # A B^-1
+        c = shared.a_square if shared.c is None else law.points(shared.c.elements)
         c_inv = inverse(c)
         moved = None
         if shared.translators is not None:
@@ -488,9 +486,9 @@ def _exhaustive_layers(group: WeightedGroup, elems: list, units: list, config: S
     for m in members:
         shared = SubsetContext(GSubset(group, frozenset(m)))
         if _needs_partner(config.suites):  # deterministic partners derived from A itself
-            shared.b = shared.inverse
+            shared.b = GSubset(group, shared.law.handles(shared.inverse))
             if "ruzsa-axioms" in config.suites:
-                shared.c = shared.mul(shared.a, shared.a)
+                shared.c = GSubset(group, shared.law.handles(shared.a_square))
                 shared.translators = (min(shared.a.elements), max(shared.a.elements))
         yield shared
 

@@ -110,13 +110,13 @@ class QuotientDoublingCheck(namedtuple(
 def check_quotient_bound(ctx: InstanceContext, variant: str) -> QuotientDoublingCheck:
     """|piA^2| <= bound * |piA| with the bound as an integer ratio; uniform
     weights cancel on both sides.  A False flag is recorded, never raised."""
-    a, a2 = len(ctx.a.elements), ctx.shared.square
+    a, a2, inv_square = ctx.shared.stats[:3]
     if variant == "symmetric":
         num, den = a2 * a2, a * a
     elif variant == "cube":
         num, den = a2 * a2 * a2, a * a * a
     else:
-        num, den = a2 * ctx.shared.inv_square, a * a
+        num, den = a2 * inv_square, a * a
     p, p2 = len(ctx.pi_a), ctx.pi_square
     w = ctx.q.quotient_weight
     return QuotientDoublingCheck(variant, p, p2, num, den, w.numerator, w.denominator, p2 * den <= num * p)

@@ -23,7 +23,7 @@ from math import gcd, prod
 from operator import itemgetter
 
 from .errors import CapError, ConsistencyError, SpecError, integer
-from .groups import TABLE_CAP, CayleyTable, ProductGroup, TableGroup, WeightedGroup, _grow, _resolve_weight
+from .groups import TABLE_CAP, CayleyTable, ProductGroup, TableGroup, WeightedGroup, _grow, _resolve_weight, once
 from .rationals import fmt
 from .sets import GSubset, decode_elements, require_owner, subset
 
@@ -116,7 +116,7 @@ def normal_subgroups(group: WeightedGroup) -> list[GSubset]:
 
 
 class QuotientStructure:
-    """A normal subgroup, its quotient group, the projection, and both weights."""
+    """A normal subgroup, its quotient group, the projection (of handles; `coset` of points), and both weights."""
 
     def __init__(
         self,
@@ -137,6 +137,13 @@ class QuotientStructure:
             raise ConsistencyError(
                 f"Fubini weights mismatch: w_Q * w_H = {fmt(product)}, w_G = {fmt(ambient.weight)}"
             )
+
+    @once
+    def coset(self) -> Callable:
+        """`project` read on points: a point's handle, projected, as a point of the quotient's law."""
+        f, handle, point = self.project, self.ambient.law.elements, self.quotient.law.index
+        f = f if handle is None else lambda p, f=f, handle=handle.__getitem__: f(handle(p))
+        return f if point is None else lambda p, f=f, point=point.__getitem__: point(f(p))
 
     def image(self, a: GSubset) -> GSubset:
         """pi(A) as a subset of the quotient group."""
@@ -198,11 +205,12 @@ def _quotient_by(group: WeightedGroup, h_subset: GSubset, w_h: Fraction, cosets=
     else:
         rows = [[coset_of[law.mul(r, s)] for s in reps] for r in reps]
     table = CayleyTable(rows, None, coset_of[law.identity])
-    # where the points are the handles, the coset map is the projection
-    elements = law.elements if isinstance(law, CayleyTable) else None
-    proj = coset_of if elements is None else {elements[p]: c for p, c in coset_of.items()}
     qgroup = TableGroup(table, weight=group.weight / w_h, name=f"{group.name}/H{len(h_subset.elements)}")
-    return QuotientStructure(group, h_subset, qgroup, proj.__getitem__, w_h)
+    coset = coset_of.__getitem__  # where the points are the handles, it is the projection
+    project = coset if law.index is None else lambda x, index=law.index: coset_of[index[x]]
+    q = QuotientStructure(group, h_subset, qgroup, project, w_h)
+    q.coset = coset
+    return q
 
 
 def projection_quotient(group: ProductGroup, keep: Sequence[int]) -> QuotientStructure:

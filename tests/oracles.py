@@ -4,25 +4,46 @@ None of these runs on a command path: each is an independent or brute-force
 statement of a fact that the package computes another way (a table's
 identity and inverses, the coset criterion, the combinatorial counts behind
 the sharpness witness, the Cantor analog, normality, the subgroup lattice,
-every suite record), or a small group the tests build by hand.  Test modules
-import them as `from oracles import ...`; pytest does not collect this file.
+every suite record), a small group the tests build by hand, or a recorder
+of the calls to the group laws.  Test modules import them as
+`from oracles import ...`; pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 
 from doubling import harness
 from doubling.constructions import _GL2Z, _cantor, matrix_family
+from doubling.context import SubsetContext, once
 from doubling.errors import ConsistencyError
-from doubling.groups import CyclicGroup, TableGroup, WeightedGroup, _grow, build_group, quaternion_table
+from doubling.groups import (CayleyTable, CyclicGroup, OpLaw, TableGroup, WeightedGroup, _grow, build_group,
+                             quaternion_table)
 from doubling.harness import TOP_WITNESSES, ScanConfig, canonical_json
 from doubling.metrics import ruzsa_triangle
 from doubling.quotients import QuotientStructure, _generators, normal_subgroups
 from doubling.rationals import fmt, put
 from doubling.sets import GSubset, inv_set, mul_set
+
+
+# the code of each `SubsetContext` property: a subset layer's own products are made there
+LAYER_CODE = frozenset(p.func.__code__ for p in vars(SubsetContext).values() if isinstance(p, once))
+
+
+def record_law_calls(monkeypatch, name: str) -> list:
+    """Route `name` ("product" or "inverse") of both law types through a
+    recorder of (law, the caller's code object, operands...) per call."""
+    calls: list = []
+    for law_type in (CayleyTable, OpLaw):
+        def recording(law, *operands, original=getattr(law_type, name)):
+            calls.append((law, sys._getframe(1).f_code, *operands))
+            return original(law, *operands)
+
+        monkeypatch.setattr(law_type, name, recording)
+    return calls
 
 
 def quaternion_group(weight: str | Fraction = "counting") -> TableGroup:
@@ -237,6 +258,37 @@ def diff_size(x: GSubset, y: GSubset) -> int:
 def triangle_holds(a: GSubset, b: GSubset, c: GSubset) -> bool:
     """`metrics.ruzsa_triangle` on the counts `diff_size` forms for A, B and C."""
     return ruzsa_triangle(diff_size(a, c), diff_size(a, b), diff_size(b, c), len(b.elements))
+
+
+def handle_sets(q: QuotientStructure, a: GSubset, b: GSubset | None) -> dict:
+    """What a subset layer and its instance under q hold, formed on handles
+    by `mul_set`, `inv_set` and `q.project`, B = A where it is None: the
+    doubling counts (|A|, |A^2|, |A^-1 A|, A = A^-1), AB and BA, A's fibers,
+    A's levels (n, level, |B_n|), per level L of B (n, pi(A) L, L pi(A)), and
+    per level of A the threshold row (n, L, |L|, |L L|, |B_n|)."""
+    partner = a if b is None else b
+    inverse = inv_set(a)
+
+    def levels(x):
+        f = Counter(map(q.project, x.elements))
+        return [(n, frozenset(c for c, k in f.items() if k >= n)) for n in sorted(set(f.values()))]
+
+    def times(x, y):  # in the quotient
+        return mul_set(GSubset(q.quotient, x), GSubset(q.quotient, y)).elements
+
+    def held(level):
+        return sum(q.project(x) in level for x in a.elements)
+
+    pi_a = frozenset(Counter(map(q.project, a.elements)))
+    return {
+        "stats": (len(a.elements), len(mul_set(a, a).elements), len(mul_set(inverse, a).elements),
+                  inverse.elements == a.elements),
+        "ab_ba": [mul_set(a, partner).elements, mul_set(partner, a).elements],
+        "fibers": dict(Counter(map(q.project, a.elements))),
+        "levels": [(n, lv, held(lv)) for n, lv in levels(a)],
+        "spill": [(n, times(pi_a, lv), times(lv, pi_a)) for n, lv in levels(partner)],
+        "thresholds": [(n, lv, len(lv), len(times(lv, lv)), held(lv)) for n, lv in levels(a)],
+    }
 
 
 def reference_suites(q: QuotientStructure, a: GSubset, b: GSubset | None, c: GSubset | None,

@@ -32,17 +32,19 @@ Q = quotient(Z12, {0, 6})  # Z12 / {0, 6}, a cyclic quotient of order 6
 
 class Rigged(InstanceContext):
     """An InstanceContext with some properties set by the test, by keyword:
-    `levels_a`, `spill`, `pi_square`, `ab_ba` (the sets AB and BA) or
+    `levels_a`, `spill`, `pi_square`, `ab_ba` (AB and BA as point sets) or
     `thresholds` (A's threshold rows)."""
 
     def __init__(self, a, q=Q, b=None, **fixed):
         super().__init__(a, q, b)
+        if "ab_ba" in fixed:  # the layer's
+            vars(self.shared)["ab_ba"] = fixed.pop("ab_ba")
         vars(self).update(fixed)
 
 
 def _less(x):
-    """X without its least element."""
-    return GSubset(x.owner, x.elements - {min(x.elements)})
+    """The point set X without its least element."""
+    return x - {min(x)}
 
 
 # -- layer cake: |A| == the layered count sum -------------------------------------
@@ -79,7 +81,7 @@ def test_layer_cake_suite_reports_a_failure_with_the_passing_keys():
 # -- spillover: |AB| >= left and |BA| >= right --------------------------------------
 
 A_SP, B_SP = subset(Z12, {0, 2}), subset(Z12, {0, 6, 1})  # B has fibers 2 and 1
-AB_SP, BA_SP = mul_set(A_SP, B_SP), mul_set(B_SP, A_SP)
+AB_SP, BA_SP = mul_set(A_SP, B_SP).elements, mul_set(B_SP, A_SP).elements  # Z12's points are its handles
 
 
 def test_spillover_boundary():
@@ -138,7 +140,7 @@ def _containment_contexts(side=0):
     rigged = []
     for fibers_of in (tight, short):
         products = [AB_SP, BA_SP]
-        products[side] = _with_fibers(fibers_of)
+        products[side] = _with_fibers(fibers_of).elements
         rigged.append(Rigged(A_SP, b=B_SP, ab_ba=tuple(products)))
     return rigged
 
@@ -244,9 +246,10 @@ def test_ruzsa_suite_keeps_one_record_per_subset_layer(monkeypatch):
     axioms = metrics.ruzsa_axioms
     monkeypatch.setattr(harness, "ruzsa_axioms", lambda *args: runs.append(args) or axioms(*args))
     records = [harness._ruzsa_suite(shared, []) for _ in range(3)]
-    # one run, on the layer's points: the layer keeps the record and none of its sets
+    # one run, on the layer's points: the layer keeps the record, and of the
+    # sets the suite reads only A's points, A^-1 and B's points (C is given)
     assert len(runs) == 1 and all(r is shared.ruzsa for r in records)
-    assert shared._products == {} and "inverse" not in vars(shared)
+    assert set(vars(shared)) == {"a", "b", "c", "translators", "ruzsa", "law", "points", "inverse", "b_points"}
 
 
 def test_ruzsa_suite_forms_each_product_and_inverse_once(monkeypatch):

@@ -27,6 +27,7 @@ from doubling import (
     doubling_stats,
     evaluate_instance,
     extract_subset,
+    fiber_profile,
     inv_set,
     iter_instance_specs,
     layer_cake,
@@ -41,10 +42,10 @@ from doubling import (
 )
 from doubling.context import InstanceContext, Memo, SubsetContext
 from doubling.groups import quaternion_table
-from doubling.harness import ALL_SUITES, _load_id, canonical_json
-from doubling.quotients import quotient_from_description
+from doubling.harness import ALL_SUITES, _load_id, _ruzsa_suite, canonical_json, catalog
+from doubling.quotients import projection_quotient, quotient_from_description
 from doubling.rationals import parse, put
-from oracles import reference_suites, translate, triangle_holds
+from oracles import LAYER_CODE, handle_sets, record_law_calls, reference_suites, translate, triangle_holds
 
 def put_exact(d: dict, key: str, x: Fraction) -> dict:
     return put(d, key, x.numerator, x.denominator)
@@ -198,6 +199,55 @@ def test_every_suite_record_equals_the_set_based_reference(data):
     assert {name: record.to_json() for name, record, _ in report.suites} == expected
 
 
+# the catalog (products with tuple handles among them) under its normal
+# subgroups and projections, a projection onto a product table (tuple handles
+# in the quotient too), and Z_m x GL2Z under each projection, as `extract` runs it
+POINT_GROUPS = catalog(weights=("counting",), max_product_order=32)
+THREE_FACTORS = {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "cyclic", "n": 3},
+                                                {"type": "symmetric", "n": 3}]}
+GL2Z_MATRICES = sorted({m for _, m in GL2Z_POOL})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_layer_and_instance_point_sets_equal_the_handle_based_oracle(data):
+    """Every set `SubsetContext` and `InstanceContext` form on the laws'
+    points, read back as handles, equals `oracles.handle_sets`."""
+    kind = data.draw(st.sampled_from(["catalog", "three factors", "gl2z"]))
+    if kind == "gl2z":
+        m = data.draw(st.integers(1, 5))
+        group = build_group({"type": "product", "factors": [{"type": "cyclic", "n": m}, {"type": "gl2z"}]})
+        pool = [(c, x) for c in range(m) for x in GL2Z_MATRICES]
+        q = projection_quotient(group, data.draw(st.sampled_from([[1], [0, 1]])))
+    else:
+        group = build_group(THREE_FACTORS if kind == "three factors" else data.draw(st.sampled_from(POINT_GROUPS)))
+        pool = sorted(group.elements())
+        keeps = [[0, 2]] if kind == "three factors" else [[0], [1]] if group.kind == "product" else []
+        quotients = [lambda keep=keep: projection_quotient(group, keep) for keep in keeps]
+        quotients += [lambda sub=sub: quotient(group, sub) for sub in normal_subgroups(group)]
+        q = data.draw(st.sampled_from(quotients))()
+    subsets = st.frozensets(st.sampled_from(pool), min_size=1, max_size=8).map(lambda xs: GSubset(group, xs))
+    a, b = data.draw(subsets), data.draw(st.none() | subsets)
+    ctx, expected = InstanceContext(a, q, b), handle_sets(q, a, b)
+    law, qlaw, shared = group.law, q.quotient.law, ctx.shared
+    assert shared.stats == expected["stats"]
+    assert [law.handles(x) for x in shared.ab_ba] == expected["ab_ba"]
+    assert {h: n for c, n in ctx.fibers(shared.points).items() for h in qlaw.handles([c])} == expected["fibers"]
+    assert [(n, qlaw.handles(lv), held) for n, lv, held in ctx.levels_a] == expected["levels"]
+    assert [(n, qlaw.handles(x), qlaw.handles(y)) for n, x, y in ctx.spill] == expected["spill"]
+    assert [(n, qlaw.handles(lv), *counts) for n, lv, *counts in ctx.thresholds] == expected["thresholds"]
+
+
+def test_a_quotient_builds_its_point_map_on_first_read():
+    # `image` and `fiber_profile` read handles alone: neither law is built for `coset`
+    group = build_group(PRODUCT_SPEC)
+    q = projection_quotient(group, [1])
+    a = subset(group, sorted(group.elements())[:3])
+    q.image(a), fiber_profile(a, q)
+    assert group._law is None and q.quotient._law is None and "coset" not in vars(q)
+    assert [q.coset(p) for p in group.law.points(a.elements)] == q.quotient.law.points(map(q.project, a.elements))
+
+
 # ruzsa-axioms on a Cayley table, a product on the table path (order 64), a
 # product on the op path (order 72) and the lazy GL2Z factor, each replayed
 # from its id; (group spec, an element pool for a group that cannot list its elements)
@@ -263,35 +313,57 @@ def record_calls(monkeypatch, name: str, key) -> list:
     return calls
 
 
+def layer_operands(calls: list) -> list:
+    """The subset layer's calls among those `record_law_calls` kept, each
+    keyed on its law and its operands' point sets."""
+    return [(id(law), *map(frozenset, args)) for law, code, *args in calls if code in LAYER_CODE]
+
+
 def test_no_product_set_is_computed_twice_per_instance(ids, monkeypatch):
-    calls = record_calls(monkeypatch, "mul_set", lambda x, y: (x.owner, x.elements, y.elements))
+    calls = record_law_calls(monkeypatch, "product")
     for instance_id in ids:
         calls.clear()
         evaluate_instance(instance_id)
-        assert calls, instance_id
-        assert len(calls) == len(set(calls)), instance_id
+        keys = layer_operands(calls)
+        assert keys, instance_id
+        assert len(keys) == len(set(keys)), instance_id
 
 
 def test_no_inverse_set_is_computed_twice_per_instance(ids, monkeypatch):
-    calls = record_calls(monkeypatch, "inv_set", lambda x: (x.owner, x.elements))
+    calls = record_law_calls(monkeypatch, "inverse")
     for instance_id in ids:
         calls.clear()
         evaluate_instance(instance_id)
-        assert len(calls) == len(set(calls)), instance_id
+        keys = layer_operands(calls)
+        assert len(keys) == len(set(keys)), instance_id
 
 
 def test_g_level_products_do_not_scale_with_the_normal_subgroups(monkeypatch):
     # an exhaustive scan forms each G-level product once per subset, in the
-    # subset layer every normal subgroup's instance shares
-    owners = record_calls(monkeypatch, "mul_set", lambda x, y: x.owner)
+    # subset layer every normal subgroup's instance shares: the products of
+    # the layer and of the ruzsa suite (building a quotient multiplies too)
+    calls = record_law_calls(monkeypatch, "product")
     g_level, instances = {}, {}
     for subgroups in ("all", "proper"):
-        owners.clear()
+        calls.clear()
         report = scan(ScanConfig(["dihedral:4"], {"kind": "exhaustive"}, subgroups=subgroups))
-        g_level[subgroups] = sum(owner.kind == "dihedral" for owner in owners)
+        g_level[subgroups] = sum(code in LAYER_CODE or code is _ruzsa_suite.__code__ for _, code, *_ in calls)
         instances[subgroups] = report["aggregate"]["instances"]
     assert instances == {"all": 255 * 6, "proper": 255 * 4}
     assert g_level["all"] == g_level["proper"] > 0
+
+
+PRODUCT_SPEC = {"type": "product", "factors": [{"type": "cyclic", "n": 2}, {"type": "symmetric", "n": 3}]}
+
+
+@pytest.mark.parametrize("mode", [{"kind": "random", "count": 3, "seed": 2}, {"kind": "exhaustive", "max_size": 2}],
+                         ids=["random", "exhaustive"])
+def test_a_scan_forms_no_product_or_inverse_on_handles(monkeypatch, mode):
+    # a scan multiplies and inverts its layers' points: `mul_set` and
+    # `inv_set` are the library's alone
+    calls = record_calls(monkeypatch, "mul_set", lambda x, y: x) + record_calls(monkeypatch, "inv_set", lambda x: x)
+    report = scan(ScanConfig(["dihedral:4", "q8", PRODUCT_SPEC], mode))
+    assert report["aggregate"]["instances"] > 0 and calls == []
 
 
 def test_threshold_rows_count_b_as_the_restriction_to_the_level(ids, monkeypatch):
@@ -321,26 +393,26 @@ def test_threshold_rows_count_b_as_the_restriction_to_the_level(ids, monkeypatch
     assert len(restricted) == 1 and cert.b_size == len(cert.B.elements)
 
 
-def test_memo_keys_on_the_owner_group():
-    # Z6 / {0, 3} is Z3 on coset ids 0, 1, 2: pi(A) and A have equal element
+def test_layer_and_quotient_products_live_apart():
+    # Z6 / {0, 3} is Z3 on coset ids 0, 1, 2: pi(A) and A have equal point
     # sets, but G-level products live in the layer and quotient ones in the instance
     z6 = CyclicGroup(6)
     q = quotient(z6, {0, 3})
     a = subset(z6, {0, 1, 2})
     ctx = InstanceContext(a, q)
     assert ctx.pi_a == a.elements
-    assert len(ctx.shared.mul(a, a).elements) == 5
-    assert ctx.pi_square == 3
-    assert len(ctx.shared.mul(a, a).elements) == 5
+    assert ctx.shared.a_square == {0, 1, 2, 3, 4} and ctx.shared.stats.square == 5
+    assert ctx.pi_square == 3 and ctx.product[ctx.pi_a, ctx.pi_a] == {0, 1, 2}
 
 
 def test_a_memo_forms_each_value_once():
     formed = []
     memo = Memo(lambda x, y: formed.append((x, y)) or x + y)
     assert memo[1, 2] == memo[1, 2] == 3 and formed == [(1, 2)]
-    # the layer's product sets and the instance's quotient products: the two memos are one type
+    # the instance's quotient products are the one memo: the layer forms each of its sets once, as a `once`
     a = subset(CyclicGroup(4), {1})
-    assert isinstance(SubsetContext(a)._products, Memo)
+    layer = SubsetContext(a)
+    assert layer.stats and layer.ab_ba and not any(isinstance(value, Memo) for value in vars(layer).values())
     assert isinstance(InstanceContext(a, quotient(a.owner, {0, 2})).product, Memo)
 
 

@@ -25,7 +25,7 @@ from doubling.context import SubsetContext
 from doubling.harness import (
     ALL_SUITES, _exhaustive_layers, _exhaustive_units, _jobs, canonical_json, report_csv,
 )
-from oracles import jobs_in_id_order, whole_ids
+from oracles import LAYER_CODE, jobs_in_id_order, record_law_calls, whole_ids
 
 
 def small_config(**overrides):
@@ -507,20 +507,19 @@ def test_a_layer_major_scan_keeps_the_id_order_of_instances_and_violations(monke
 def test_instance_ids_build_no_quotient_no_row_and_no_product_but_c(monkeypatch):
     """The set-up that perfbench times ends at `iter_instance_specs`: no
     evaluation work may move there."""
-    from doubling import context
-
-    built, packed, products = [], [], []
-    quotient_by, pack, mul = harness._quotient_by, harness._Packing.__call__, context.mul_set
+    built, packed = [], []
+    quotient_by, pack = harness._quotient_by, harness._Packing.__call__
     monkeypatch.setattr(harness, "_quotient_by", lambda *args: built.append(args) or quotient_by(*args))
     monkeypatch.setattr(harness._Packing, "__call__", lambda *args: packed.append(args) or pack(*args))
-    monkeypatch.setattr(context, "mul_set", lambda x, y: products.append((x.elements, y.elements)) or mul(x, y))
+    calls = record_law_calls(monkeypatch, "product")
     config = ScanConfig(["dihedral:4", "cyclic:6"], {"kind": "exhaustive", "max_size": 3})
     ids = iter_instance_specs(config)
     layers = {(canonical_json(spec["group"]), canonical_json(spec["subset"])) for spec in map(json.loads, ids)}
     assert len(ids) > len(layers) > 1
     assert built == [] and packed == []
-    # one product per layer: its C = A A
-    assert len(products) == len(layers) and all(x == y for x, y in products)
+    # one product per layer: its C = A A (the lattice walks multiply too)
+    products = [args for _, code, *args in calls if code in LAYER_CODE]
+    assert len(products) == len(layers) and all(x is y for x, y in products)
     monkeypatch.undo()
     assert scan(config)["aggregate"]["instances"] == len(ids)
 

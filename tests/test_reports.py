@@ -207,9 +207,9 @@ def test_a_scan_runs_the_quotient_suites_once_per_key(monkeypatch, groups, mode,
 
 KEY_MUTANTS = [
     ("_ResultsTable", "return stats, self.packing", "return None, self.packing"),
-    ("_Packing", "sum(map(row, b.elements)) << t | ", ""),
-    ("_Packing", """ | sum(map(row, shared.mul(a, b).elements)) << 2 * t
-                                | sum(map(row, shared.mul(b, a).elements)) << 3 * t""", ""),
+    ("_Packing", "sum(map(row, shared.b_points)) << t | ", ""),
+    ("_Packing", """ | sum(map(row, ab)) << 2 * t
+                                | sum(map(row, ba)) << 3 * t""", ""),
     # w - 1 bits cannot hold a count of |H|: profiles collide
     ("_Packing", "w = size.bit_length() if", "w = size.bit_length() - 1 if"),
     # a subgroup's slice of the combined row: one bit short, or its neighbour's
